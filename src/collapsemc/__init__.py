@@ -9,15 +9,10 @@ only by the detector that activates first for it.
 from ._version import __version__
 from .dynamics import (
     CollapseParams,
-    CollapseResult,
     NoCollapsePossibleError,
     NonConvergenceError,
     OccupationProfile,
-    TwoBranchState,
-    aggregate_profiles,
     effective_rate,
-    run_to_collapse,
-    step,
 )
 from .ensemble import (
     EnsembleConfig,
@@ -52,7 +47,6 @@ __all__ = [
     "__version__",
     "C",
     "CollapseParams",
-    "CollapseResult",
     "DetectorSpec",
     "EnsembleConfig",
     "EnsembleStats",
@@ -64,10 +58,8 @@ __all__ = [
     "OccupationProfile",
     "PhiloxNoiseSource",
     "Scenario",
-    "TwoBranchState",
     "activation_gap",
     "active_profiles",
-    "aggregate_profiles",
     "boost",
     "build_scenario",
     "cross_frame_trial",
@@ -80,7 +72,5 @@ __all__ = [
     "min_separation",
     "run_ensemble",
     "run_frame",
-    "run_to_collapse",
-    "step",
     "wilson_interval",
 ]

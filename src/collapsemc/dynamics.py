@@ -1,44 +1,47 @@
-"""Stochastic two-branch collapse dynamics.
+"""Stochastic two-branch collapse dynamics as one scalar SDE.
 
-The model evolves the squared magnitudes (w1, w2) of a two-branch
-superposition under per-cell white noise.  Each spatial cell n carries an
-occupation number eta_n that differs between the branches wherever a
-macroscopic pointer sits in different places.  Over a timestep dt the raw
-(linear, unnormalized) update of the log squared magnitudes is exact:
+Each spatial cell n carries an occupation number eta_n(i) in branch i of
+a two-branch superposition; the branches differ wherever a macroscopic
+pointer sits in different places.  Over a timestep dt the raw (linear,
+unnormalized) update of the log squared branch magnitudes is
 
     logw_i += sum_n [ 2 * eta_n(i) * dB_n  -  2 * lam * eta_n(i)^2 * dt ]
 
-where dB_n is the Brownian increment of cell n with variance lam * dt.
-Under the physical measure the increments acquire a state-dependent mean,
+with dB_n the Brownian increment of cell n, variance lam * dt.  Under the
+physical ("cooked") measure dB_n has mean 2 * lam * etabar_n * dt, where
+etabar_n = eta_n(2) + q * delta_n, delta_n = eta_n(1) - eta_n(2) and q is
+the branch-1 weight before the step.  Only r = logw1 - logw2 = logit(q)
+matters.  In its update the decay terms give -2 lam dt sum_n (delta_n^2 +
+2 delta_n eta_n(2)) and the mean of dB_n gives 4 lam dt sum_n delta_n
+(eta_n(2) + q delta_n); the eta_n(2) terms cancel, and 2q - 1 = tanh(r/2):
 
-    dB_n ~ Normal(2 * lam * etabar_n * dt,  lam * dt),
-    etabar_n = q * eta_n(1) + (1 - q) * eta_n(2),
+    r += 2 * Gamma * dt * tanh(r / 2)  +  2 * sqrt(dt) * sum_s sqrt(Gamma_s) * zeta_s
 
-with q = w1 / (w1 + w2) evaluated before the step.  That bias makes q a
-martingale, which is what produces Born-rule outcome frequencies at the
-absorbing thresholds.  The branch-distinguishing rate
+Cells are grouped into detector noise streams s.  A stream's cells enter
+only through sum_{n in s} 2 delta_n dB_n, a normal of variance
+4 Gamma_s dt with Gamma_s = lam * sum_{n in s} delta_n^2, so each stream
+gives one standard normal zeta_s per step, and Gamma = sum_s Gamma_s.
+Under the raw (zero-mean) measure the drift is the constant
+-2 * lam * dt * sum_n (eta_n(1)^2 - eta_n(2)^2).
 
-    Gamma = lam * sum_n (eta_n(1) - eta_n(2))^2
-
-sets the collapse timescale: trajectories absorb at q <= epsilon or
-q >= 1 - epsilon after a model time of order 1/Gamma.
-
-Everything here is a pure function of its inputs plus a counter-addressed
-noise source, so trajectories can run concurrently without coordination.
-The batch entry points evolve many runs in lockstep with identical
-per-run arithmetic; a batch of one reproduces a scalar run exactly.
+The cooked measure makes q a martingale, which gives Born-rule outcome
+frequencies at the absorbing thresholds q <= epsilon and q >= 1 - epsilon,
+reached after a model time of order 1/Gamma.  Runs of a batch step in
+lockstep on their own counter-addressed noise, with streams summed
+elementwise in fixed order, so a run's arithmetic does not depend on the
+batch it shares.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import BLOCK_STEPS, DEFAULT_NOISE, PhiloxNoiseSource, StreamKey
+from .noise import BLOCK_STEPS, DEFAULT_NOISE, PhiloxNoiseSource
 
 # Hard ceiling on Gamma * dt; runs refuse to start above it.  Scenario
 # builders aim far lower (see experiment.TARGET_GAMMA_DT) so that the
@@ -52,11 +55,7 @@ class InvalidProfileError(ValueError):
 
 
 class IncompleteNoiseError(ValueError):
-    """A step was supplied no increment for some cell in the union."""
-
-
-class NonFiniteNoiseError(ValueError):
-    """A supplied increment is NaN or infinite."""
+    """The stream layout does not cover exactly the cells of the union."""
 
 
 class NoCollapsePossibleError(ValueError):
@@ -84,38 +83,15 @@ def stable_q(r):
     return q if q.ndim else float(q)
 
 
-@dataclass(frozen=True)
-class TwoBranchState:
-    """Log squared magnitudes of the two branches.
-
-    Only logw1 and logw2 are state; the normalized branch-1 weight q is
-    derived, so q and 1 - q always sum to one exactly.  Working in log
-    space keeps the raw (non-norm-preserving) evolution overflow-free no
-    matter how lopsided the branches become.
-    """
-
-    logw1: float
-    logw2: float
-
-    @property
-    def q(self) -> float:
-        return stable_q(self.logw1 - self.logw2)
-
-    @classmethod
-    def from_q(cls, q: float) -> "TwoBranchState":
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"q must be in [0, 1], got {q}")
-        logw1 = math.log(q) if q > 0.0 else -math.inf
-        logw2 = math.log1p(-q) if q < 1.0 else -math.inf
-        return cls(logw1, logw2)
-
-    @classmethod
-    def from_weights(cls, w1: float, w2: float) -> "TwoBranchState":
-        if w1 < 0 or w2 < 0 or w1 + w2 <= 0:
-            raise ValueError(f"weights must be >= 0 with positive sum, got ({w1}, {w2})")
-        logw1 = math.log(w1) if w1 > 0.0 else -math.inf
-        logw2 = math.log(w2) if w2 > 0.0 else -math.inf
-        return cls(logw1, logw2)
+def _logit(q: float) -> float:
+    """Log-odds r = log q - log(1 - q) of a start weight, +-inf at 1 and 0."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q0 must be in [0, 1], got {q}")
+    if q == 0.0:
+        return -math.inf
+    if q == 1.0:
+        return math.inf
+    return math.log(q) - math.log1p(-q)
 
 
 @dataclass(frozen=True)
@@ -192,7 +168,7 @@ class CollapseParams:
 
     @property
     def log_threshold(self) -> float:
-        """Absorption threshold on r = logw1 - logw2; absorb at |r| >= this."""
+        """Absorption threshold on r = logit(q); absorb at |r| >= this."""
         return math.log1p(-self.epsilon) - math.log(self.epsilon)
 
 
@@ -208,93 +184,13 @@ def effective_rate(profile1: OccupationProfile, profile2: OccupationProfile,
     return lam * total
 
 
-def aggregate_profiles(profile1: OccupationProfile,
-                       profile2: OccupationProfile) -> tuple[OccupationProfile, OccupationProfile]:
-    """Collapse the cell union to one cell preserving Gamma exactly.
-
-    The single cell gets eta = sqrt(sum_n (delta eta_n)^2) in the first
-    output and 0 in the second, so effective_rate is unchanged.  Outcome
-    statistics depend on the profiles only through Gamma, which makes
-    this the oracle pairing for equivalence tests.
-    """
-    total = 0.0
-    for cid in union_cells(profile1, profile2):
-        d = profile1.eta(cid) - profile2.eta(cid)
-        total += d * d
-    d_agg = math.sqrt(total)
-    agg1 = OccupationProfile((("agg", d_agg),))
-    agg2 = OccupationProfile((("agg", 0.0),))
-    return agg1, agg2
-
-
-def _cell_weights(cells: Sequence[str], profile1: OccupationProfile,
-                  profile2: OccupationProfile) -> tuple[np.ndarray, np.ndarray]:
-    e1 = np.array([profile1.eta(c) for c in cells], dtype=np.float64)
-    e2 = np.array([profile2.eta(c) for c in cells], dtype=np.float64)
-    return e1, e2
-
-
-def _dot_cells(values, weights: np.ndarray):
-    """Fixed-order weighted sum over the trailing cell axis.
-
-    Unrolled so the floating-point operation order is identical for
-    scalars, batch-of-one and batch-of-many inputs.
-    """
-    out = values[..., 0] * weights[0]
-    for k in range(1, weights.shape[0]):
-        out = out + values[..., k] * weights[k]
-    return out
-
-
-def _branch_increment(dB, weights_x2: np.ndarray, decay: float):
-    """Raw log-weight increment sum_n 2 eta_n dB_n - 2 lam sum_n eta_n^2 dt.
-
-    weights_x2 holds 2 * eta_n and decay the precomputed dt term, so the
-    scalar stepper and the batch engine share one operation order.
-    """
-    return _dot_cells(dB, weights_x2) - decay
-
-
-def _decay_term(weights: np.ndarray, lam: float, dt: float) -> float:
-    return 2.0 * lam * float(weights @ weights) * dt
-
-
-def step(state: TwoBranchState, profile1: OccupationProfile,
-         profile2: OccupationProfile, params: CollapseParams,
-         increments: Mapping[str, float]) -> TwoBranchState:
-    """Apply one raw log-space update given per-cell increments dB_n.
-
-    The stepper is measure-agnostic: it consumes whatever increments the
-    caller supplies.  Physical (cooked) runs add the drift
-    2 * lam * etabar_n * dt to unit-variance noise before calling it;
-    raw-measure runs supply zero-mean increments.
-    """
-    cells = union_cells(profile1, profile2)
-    dB = np.empty(len(cells), dtype=np.float64)
-    for k, cid in enumerate(cells):
-        if cid not in increments:
-            raise IncompleteNoiseError(f"no increment supplied for cell {cid!r}")
-        v = increments[cid]
-        if not math.isfinite(v):
-            raise NonFiniteNoiseError(f"increment for cell {cid!r} is {v!r}")
-        dB[k] = v
-    e1, e2 = _cell_weights(cells, profile1, profile2)
-    logw1 = state.logw1 + _branch_increment(dB, 2.0 * e1, _decay_term(e1, params.lam, params.dt))
-    logw2 = state.logw2 + _branch_increment(dB, 2.0 * e2, _decay_term(e2, params.lam, params.dt))
-    return TwoBranchState(float(logw1), float(logw2))
-
-
-# ---------------------------------------------------------------------------
-# Batch engine
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class StreamLayout:
     """Assignment of the cell union to noise streams.
 
-    Streams are consumed in order; their cell lists concatenate to the
-    column layout of the noise arrays.  Every run of a batch shares the
-    layout and supplies one stream key per stream.
+    Every run of a batch shares the layout and supplies one stream key per
+    stream, in layout order.  The cells only set each stream's rate
+    Gamma_s; the engine draws one normal per stream per step.
     """
 
     stream_cells: tuple[tuple[str, ...], ...]
@@ -317,116 +213,132 @@ class StreamLayout:
             raise IncompleteNoiseError(
                 f"stream layout does not match cell union (missing {missing}, extra {extra})")
 
-    def slices(self) -> list[slice]:
-        out, k = [], 0
-        for cells in self.stream_cells:
-            out.append(slice(k, k + len(cells)))
-            k += len(cells)
-        return out
-
 
 @dataclass
 class BatchResult:
     """Per-run outcomes of a batch collapse.
 
     winner is 1 or 2, or 0 for runs that hit the step cap without
-    absorbing.  duration is steps * dt.  logw1/logw2 are the final raw
-    state, usable to continue a trajectory past absorption.
+    absorbing.  duration is steps * dt.  r is the final log-odds (at the
+    absorbing step), usable to continue a trajectory past absorption.
     """
 
     winner: np.ndarray
     steps: np.ndarray
     duration: np.ndarray
-    logw1: np.ndarray
-    logw2: np.ndarray
+    r: np.ndarray
 
     @property
     def q(self) -> np.ndarray:
-        return stable_q(self.logw1 - self.logw2)
-
-    @property
-    def failed(self) -> np.ndarray:
-        return self.winner == 0
+        return stable_q(self.r)
 
 
 @dataclass
 class EvolveResult:
     """Final state of a fixed-step batch evolution (no absorption)."""
 
-    logw1: np.ndarray
-    logw2: np.ndarray
+    r: np.ndarray
     r_min: np.ndarray | None = None
     r_max: np.ndarray | None = None
 
     @property
     def q(self) -> np.ndarray:
-        return stable_q(self.logw1 - self.logw2)
-
-
-def _normalize_keys(stream_keys, n_streams: int) -> list[tuple[StreamKey, ...]]:
-    keys = [tuple(k) for k in stream_keys]
-    for k in keys:
-        if len(k) != n_streams:
-            raise ValueError(f"expected {n_streams} stream keys per run, got {len(k)}")
-    return keys
+        return stable_q(self.r)
 
 
 def _prepare(profile1, profile2, params, layout, stream_keys, measure):
+    """Validate one engine call and reduce it to the scalar SDE.
+
+    Returns (gamma, sig, drift, keys): the total rate, the noise scale
+    2 sqrt(Gamma_s dt) of each stream, the drift as a function of r, and
+    the per-run stream keys.
+    """
     if measure not in ("cooked", "raw"):
         raise ValueError(f"measure must be 'cooked' or 'raw', got {measure!r}")
     layout.check_covers(profile1, profile2)
-    e1, e2 = _cell_weights(layout.cells, profile1, profile2)
-    gamma = params.lam * float(((e1 - e2) ** 2).sum())
+    rates = [params.lam * sum((profile1.eta(c) - profile2.eta(c)) ** 2 for c in cells)
+             for cells in layout.stream_cells]
+    gamma = sum(rates)
     if gamma * params.dt > MAX_GAMMA_DT:
         raise ValueError(
             f"Gamma*dt = {gamma * params.dt:.3g} exceeds {MAX_GAMMA_DT}; reduce dt")
-    keys = _normalize_keys(stream_keys, len(layout.stream_cells))
-    return e1, e2, gamma, keys
+    keys = [tuple(k) for k in stream_keys]
+    for k in keys:
+        if len(k) != len(rates):
+            raise ValueError(f"expected {len(rates)} stream keys per run, got {len(k)}")
+    sig = [2.0 * math.sqrt(rate * params.dt) for rate in rates]
+    if measure == "cooked":
+        gain = 2.0 * gamma * params.dt
 
-
-def _fill_noise(noise, keys, slices, widths, block_index, n_cells, rows):
-    """Draw the first ``rows`` steps of one window for every listed run."""
-    xi = np.empty((len(keys), rows, n_cells), dtype=np.float64)
-    for j, run_keys in enumerate(keys):
-        for key, sl, w in zip(run_keys, slices, widths):
-            xi[j, :, sl] = noise.block_normals(key, block_index, w, rows=rows)
-    return xi
-
-
-def _make_kernel(e1, e2, lam, dt, cooked):
-    """Build the per-step update for fixed profiles and parameters.
-
-    The kernel advances (logw1, logw2) in place given the current
-    r = logw1 - logw2 and the step's unit normals, and returns the new r.
-    Broadcasting and the unrolled cell sum keep every run's update
-    bit-equal to the same run evolved alone, whatever the batch size.
-    """
-    e1x2 = 2.0 * e1
-    e2x2 = 2.0 * e2
-    de = e1 - e2
-    drift = 2.0 * lam * dt
-    sig = math.sqrt(lam * dt)
-    c1 = _decay_term(e1, lam, dt)
-    c2 = _decay_term(e2, lam, dt)
-
-    if cooked:
-        def kernel(logw1, logw2, r, xi_t):
-            e = np.exp(-np.abs(r))
-            q = np.where(r >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-            # increments dB ~ Normal(2 lam etabar dt, lam dt), with
-            # etabar = q eta1 + (1 - q) eta2 written as eta2 + q (eta1 - eta2)
-            dB = drift * (e2 + q[:, None] * de) + sig * xi_t
-            logw1 += _branch_increment(dB, e1x2, c1)
-            logw2 += _branch_increment(dB, e2x2, c2)
-            return logw1 - logw2
+        def drift(r):
+            return gain * np.tanh(0.5 * r)
     else:
-        def kernel(logw1, logw2, r, xi_t):
-            dB = sig * xi_t
-            logw1 += _branch_increment(dB, e1x2, c1)
-            logw2 += _branch_increment(dB, e2x2, c2)
-            return logw1 - logw2
+        shift = -2.0 * params.lam * params.dt * sum(
+            profile1.eta(c) ** 2 - profile2.eta(c) ** 2 for c in layout.cells)
 
-    return kernel
+        def drift(r):
+            return shift
+    return gamma, sig, drift, keys
+
+
+def _window_noise(noise, keys, sig, block_index, rows):
+    """Noise increments sum_s sig_s * zeta_s of one window, shape (rows, runs).
+
+    The streams are summed elementwise in layout order rather than by a
+    matrix product, whose reduction order may depend on the batch shape.
+    """
+    dw = np.zeros((rows, len(keys)))
+    zeta = np.empty_like(dw)
+    for s, scale in enumerate(sig):
+        for j, run_keys in enumerate(keys):
+            zeta[:, j] = noise.block_normals(run_keys[s], block_index, 1, rows=rows)[:, 0]
+        zeta *= scale
+        dw += zeta
+    return dw
+
+
+def _drive(r, keys, sig, drift, n_steps, noise, thr=None, record=None):
+    """Advance each run's r (one start value and one key tuple per run) by
+    up to n_steps steps, one noise window at a time.
+
+    With thr, a run stops at the first step k >= 0 with |r| >= thr and keeps
+    that r, winner 1 if r >= thr else 2; runs live after n_steps keep winner
+    0.  record(k, x), if given, sees the live runs' r after each step k >= 1.
+    Absorbed runs leave the live set at the end of their window, which ends
+    early once all its runs are done.  Returns (r, steps, winner).
+    """
+    r = np.array(r, dtype=np.float64)
+    winner = np.zeros(r.size, dtype=np.int8)
+    if thr is not None:
+        winner[r >= thr] = 1
+        winner[r <= -thr] = 2
+    steps = np.where(winner > 0, 0, n_steps)
+    live = np.flatnonzero(winner == 0)
+    base = 0
+    while live.size and base < n_steps:
+        rows = min(BLOCK_STEPS, n_steps - base)
+        dw = _window_noise(noise, [keys[i] for i in live], sig, base // BLOCK_STEPS, rows)
+        x = r[live]
+        done = np.zeros(live.size, dtype=bool)
+        for t in range(rows):
+            x = x + drift(x) + dw[t]
+            if record is not None:
+                record(base + t + 1, x)
+            if thr is None:
+                continue
+            newly = ~done & (np.abs(x) >= thr)
+            if newly.any():
+                hit = live[newly]
+                r[hit] = x[newly]
+                steps[hit] = base + t + 1
+                winner[hit] = np.where(x[newly] >= thr, 1, 2)
+                done |= newly
+                if done.all():
+                    break
+        r[live[~done]] = x[~done]
+        live = live[~done]
+        base += rows
+    return r, steps, winner
 
 
 def collapse_batch(q0: float, profile1: OccupationProfile, profile2: OccupationProfile,
@@ -440,64 +352,14 @@ def collapse_batch(q0: float, profile1: OccupationProfile, profile2: OccupationP
     their own streams, so results per run do not depend on batch
     composition or execution schedule.
     """
-    if not 0.0 <= q0 <= 1.0:
-        raise ValueError(f"q0 must be in [0, 1], got {q0}")
-    e1, e2, gamma, keys = _prepare(profile1, profile2, params, layout, stream_keys, measure)
+    r0 = _logit(q0)
+    gamma, sig, drift, keys = _prepare(profile1, profile2, params, layout, stream_keys,
+                                       measure)
     if gamma == 0.0:
         raise NoCollapsePossibleError("profiles are identical on their union; Gamma = 0")
-    n = len(keys)
-    thr = params.log_threshold
-
-    winner = np.zeros(n, dtype=np.int8)
-    steps = np.zeros(n, dtype=np.int64)
-    if q0 <= params.epsilon or q0 >= 1.0 - params.epsilon:
-        start = TwoBranchState.from_q(q0)
-        winner[:] = 1 if q0 >= 0.5 else 2
-        return BatchResult(winner, steps, steps * params.dt,
-                           np.full(n, start.logw1), np.full(n, start.logw2))
-
-    logw1 = np.full(n, math.log(q0), dtype=np.float64)
-    logw2 = np.full(n, math.log1p(-q0), dtype=np.float64)
-
-    live = np.arange(n)
-    slices = layout.slices()
-    widths = [len(c) for c in layout.stream_cells]
-    kernel = _make_kernel(e1, e2, params.lam, params.dt, measure == "cooked")
-    step_base = 0
-    while live.size and step_base < params.max_steps:
-        block = step_base // BLOCK_STEPS
-        n_window = min(BLOCK_STEPS, params.max_steps - step_base)
-        xi = _fill_noise(noise, [keys[i] for i in live], slices, widths, block,
-                         len(layout.cells), n_window)
-        w1 = logw1[live]
-        w2 = logw2[live]
-        r = w1 - w2
-        done = np.zeros(live.size, dtype=bool)
-        win = np.zeros(live.size, dtype=np.int8)
-        stp = np.zeros(live.size, dtype=np.int64)
-        snap1 = w1.copy()
-        snap2 = w2.copy()
-        for t in range(n_window):
-            r = kernel(w1, w2, r, xi[:, t, :])
-            newly = ~done & ((r >= thr) | (r <= -thr))
-            if newly.any():
-                win[newly] = np.where(r[newly] >= thr, 1, 2)
-                stp[newly] = step_base + t + 1
-                snap1[newly] = w1[newly]
-                snap2[newly] = w2[newly]
-                done |= newly
-                if done.all():
-                    break
-        winner[live] = win
-        steps[live] = np.where(done, stp, step_base + n_window)
-        # absorbed runs keep the state captured at their crossing step
-        logw1[live] = np.where(done, snap1, w1)
-        logw2[live] = np.where(done, snap2, w2)
-        live = live[~done]
-        step_base += n_window
-
-    steps[winner == 0] = params.max_steps
-    return BatchResult(winner, steps, steps * params.dt, logw1, logw2)
+    r, steps, winner = _drive(np.full(len(keys), r0), keys, sig, drift, params.max_steps,
+                              noise, thr=params.log_threshold)
+    return BatchResult(winner, steps, steps * params.dt, r)
 
 
 def evolve_batch(start, profile1: OccupationProfile, profile2: OccupationProfile,
@@ -506,130 +368,65 @@ def evolve_batch(start, profile1: OccupationProfile, profile2: OccupationProfile
                  measure: str = "cooked", track_range: bool = False) -> EvolveResult:
     """Evolve a batch for a fixed number of steps with no absorption.
 
-    start is either a scalar q0 shared by all runs or a (logw1, logw2)
-    array pair giving each run its own initial state.  With track_range
-    the result carries the running min and max of r = logw1 - logw2,
-    which is how threshold crossings during a continuation are detected.
+    start is either a scalar q0 shared by all runs or an array giving each
+    run its own initial log-odds r.  With track_range the result carries
+    the running min and max of r, which is how threshold crossings during
+    a continuation are detected.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    e1, e2, _gamma, keys = _prepare(profile1, profile2, params, layout, stream_keys, measure)
+    _gamma, sig, drift, keys = _prepare(profile1, profile2, params, layout, stream_keys,
+                                        measure)
     n = len(keys)
-    if isinstance(start, tuple):
-        logw1 = np.array(start[0], dtype=np.float64, copy=True)
-        logw2 = np.array(start[1], dtype=np.float64, copy=True)
-        if logw1.shape != (n,) or logw2.shape != (n,):
-            raise ValueError("start arrays must have one entry per run")
+    if np.ndim(start) == 0:
+        r = np.full(n, _logit(float(start)))
     else:
-        s = TwoBranchState.from_q(float(start))
-        logw1 = np.full(n, s.logw1, dtype=np.float64)
-        logw2 = np.full(n, s.logw2, dtype=np.float64)
+        r = np.array(start, dtype=np.float64)
+        if r.shape != (n,):
+            raise ValueError("start array must have one entry per run")
+    r_min = r_max = record = None
+    if track_range:
+        r_min, r_max = r.copy(), r.copy()
 
-    slices = layout.slices()
-    widths = [len(c) for c in layout.stream_cells]
-    kernel = _make_kernel(e1, e2, params.lam, params.dt, measure == "cooked")
-    r = logw1 - logw2
-    r_min = r.copy() if track_range else None
-    r_max = r.copy() if track_range else None
-    done_steps = 0
-    while done_steps < n_steps:
-        block = done_steps // BLOCK_STEPS
-        n_window = min(BLOCK_STEPS, n_steps - done_steps)
-        xi = _fill_noise(noise, keys, slices, widths, block, len(layout.cells), n_window)
-        for t in range(n_window):
-            r = kernel(logw1, logw2, r, xi[:, t, :])
-            if track_range:
-                np.minimum(r_min, r, out=r_min)
-                np.maximum(r_max, r, out=r_max)
-        done_steps += n_window
-    return EvolveResult(logw1, logw2, r_min, r_max)
+        def record(_k, x):
+            np.minimum(r_min, x, out=r_min)
+            np.maximum(r_max, x, out=r_max)
 
-
-# ---------------------------------------------------------------------------
-# Scalar wrappers
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CollapseResult:
-    winner: int
-    duration: float
-    steps: int
-
-
-def _as_layout(profile1, profile2, streams) -> tuple[StreamLayout, tuple[StreamKey, ...]]:
-    """Accept a bare stream key (one stream, union order) or explicit
-    (key, cells) pairs."""
-    if isinstance(streams, tuple) and len(streams) == 2 and all(
-            isinstance(x, int) for x in streams):
-        return StreamLayout((union_cells(profile1, profile2),)), (streams,)
-    keys = tuple(k for k, _cells in streams)
-    layout = StreamLayout(tuple(tuple(cells) for _k, cells in streams))
-    return layout, keys
-
-
-def run_to_collapse(q0: float, profile1: OccupationProfile, profile2: OccupationProfile,
-                    params: CollapseParams, streams,
-                    noise: PhiloxNoiseSource = DEFAULT_NOISE,
-                    measure: str = "cooked") -> CollapseResult:
-    """Run one trajectory to absorption.
-
-    streams is a stream key (all cells on one stream, union order) or a
-    sequence of (stream_key, cell_ids) pairs partitioning the union.
-    Raises NonConvergenceError if max_steps is hit first.
-    """
-    layout, keys = _as_layout(profile1, profile2, streams)
-    res = collapse_batch(q0, profile1, profile2, params, layout, [keys],
-                         noise=noise, measure=measure)
-    if res.winner[0] == 0:
-        raise NonConvergenceError(
-            f"no absorption within {params.max_steps} steps (q = {float(res.q[0]):.6g})",
-            final_q=float(res.q[0]), steps=int(res.steps[0]))
-    return CollapseResult(int(res.winner[0]), float(res.duration[0]), int(res.steps[0]))
+    r, _, _ = _drive(r, keys, sig, drift, n_steps, noise, record=record)
+    return EvolveResult(r, r_min, r_max)
 
 
 def run_trajectory(q0: float, profile1: OccupationProfile, profile2: OccupationProfile,
-                   params: CollapseParams, streams,
+                   params: CollapseParams, layout: StreamLayout, stream_keys,
                    noise: PhiloxNoiseSource = DEFAULT_NOISE,
                    measure: str = "cooked", max_rows: int | None = None) -> list[tuple]:
-    """Integrate one trajectory, recording (step, t_model_s, q, logw1, logw2).
+    """Integrate one trajectory, recording (step, t_model_s, q, r).
 
+    stream_keys is the run's key tuple, one key per stream of the layout.
     Row 0 is the initial state; one row follows per step until absorption
-    or max_rows (default params.max_steps) rows.
+    or max_rows (default params.max_steps) steps.
     """
-    layout, key_tuple = _as_layout(profile1, profile2, streams)
-    e1, e2, gamma, _ = _prepare(profile1, profile2, params, layout, [key_tuple], measure)
+    r0 = _logit(q0)
+    gamma, sig, drift, keys = _prepare(profile1, profile2, params, layout, [stream_keys],
+                                       measure)
     if gamma == 0.0:
         raise NoCollapsePossibleError("profiles are identical on their union; Gamma = 0")
+    rows = [(0, 0.0, stable_q(r0), r0)]
+
+    def record(k, x):
+        r = float(x[0])
+        rows.append((k, k * params.dt, stable_q(r), r))
+
     cap = params.max_steps if max_rows is None else min(max_rows, params.max_steps)
-    thr = params.log_threshold
-    s = TwoBranchState.from_q(q0)
-    logw1 = np.array([s.logw1])
-    logw2 = np.array([s.logw2])
-    slices = layout.slices()
-    widths = [len(c) for c in layout.stream_cells]
-    kernel = _make_kernel(e1, e2, params.lam, params.dt, measure == "cooked")
-    rows = [(0, 0.0, stable_q(logw1[0] - logw2[0]), float(logw1[0]), float(logw2[0]))]
-    if q0 <= params.epsilon or q0 >= 1.0 - params.epsilon:
-        return rows
-    r = logw1 - logw2
-    k = 0
-    while k < cap:
-        n_window = min(BLOCK_STEPS, cap - k)
-        xi = _fill_noise(noise, [key_tuple], slices, widths, k // BLOCK_STEPS,
-                         len(layout.cells), n_window)
-        for t in range(n_window):
-            r = kernel(logw1, logw2, r, xi[:, t, :])
-            k += 1
-            rows.append((k, k * params.dt, stable_q(float(r[0])), float(logw1[0]), float(logw2[0])))
-            if abs(float(r[0])) >= thr:
-                return rows
+    _drive(np.array([r0]), keys, sig, drift, cap, noise, thr=params.log_threshold,
+           record=record)
     return rows
 
 
 def write_trajectory_csv(path, rows: list[tuple]) -> None:
-    """Dump trajectory rows as CSV (step, t_model_s, q, logw1, logw2)."""
+    """Dump trajectory rows as CSV (step, t_model_s, q, r)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["step", "t_model_s", "q", "logw1", "logw2"])
+        w.writerow(["step", "t_model_s", "q", "r"])
         for row in rows:
-            w.writerow([row[0], repr(row[1]), repr(row[2]), repr(row[3]), repr(row[4])])
+            w.writerow([row[0], repr(row[1]), repr(row[2]), repr(row[3])])

@@ -24,7 +24,7 @@ import numpy as np
 from ._version import __version__
 from .dynamics import effective_rate
 from .experiment import (FrameOutcome, Scenario, active_profiles, build_scenario,
-                         frame_pair, run_frame_batch)
+                         disagreement_rate_analytic, frame_pair, run_frame_batch)
 from .noise import derive_stream_key, key_hex  # noqa: F401  (re-exported API)
 from .relativity import C, Frame, activation_gap, gamma
 
@@ -313,7 +313,8 @@ def build_manifest(config: EnsembleConfig) -> dict:
             "lorentz_gamma": gamma(config.v),
             "dt_s": scenario.params.dt,
             "epsilon": scenario.params.epsilon,
-            "analytic_disagreement": 2.0 * config.q0 * (1.0 - config.q0),
+            "analytic_disagreement": disagreement_rate_analytic(config.q0,
+                                                                scenario.params.epsilon),
         },
     }
 

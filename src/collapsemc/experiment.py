@@ -15,14 +15,15 @@ Which detector's cells and noise participate depends on the frame:
   on all pointer cells.
 
 Because the A and B runs of the same trial consume disjoint noise
-streams, their winners are independent Born draws, and the two frames
-disagree with probability 2 q0 (1 - q0).
+streams, their winners are independent Born draws, each picking branch 1
+with probability p = (q0 - epsilon) / (1 - 2 epsilon), and the two frames
+disagree with probability 2 p (1 - p).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import dynamics
 from .dynamics import CollapseParams, OccupationProfile, StreamLayout, collapse_batch
@@ -292,34 +293,16 @@ def cross_frame_trial(scenario: Scenario, v: float, master_seed: int, run_index:
     return out_a, out_b, out_a.winner == out_b.winner
 
 
-def disagreement_rate_analytic(q0: float) -> float:
-    """Probability that two independent Born draws pick different winners:
-    2 q0 (1 - q0)."""
+def disagreement_rate_analytic(q0: float, epsilon: float) -> float:
+    """Probability that two independent frames pick different winners.
+
+    Each frame absorbs at q = 1 - epsilon with probability
+    p = (q0 - epsilon) / (1 - 2 epsilon), clipped to [0, 1] for q0 already
+    past a threshold, so the rate is 2 p (1 - p).
+    """
     if not 0.0 <= q0 <= 1.0:
         raise ValueError(f"q0 must be in [0, 1], got {q0}")
-    return 2.0 * q0 * (1.0 - q0)
-
-
-def mirror_scenario(scenario: Scenario) -> Scenario:
-    """Relabel D1 <-> D2 and branches 1 <-> 2.
-
-    Used by symmetry tests: outcome statistics are invariant under the
-    combined relabeling plus v -> -v.
-    """
-    d1, d2 = scenario.detectors
-    swap = {
-        "D1": replace(d2, id="D1", position=-d2.position),
-        "D2": replace(d1, id="D2", position=-d1.position),
-    }
-    renamed = []
-    for det_id in ("D1", "D2"):
-        det = swap[det_id]
-        rename = lambda p, old, new: OccupationProfile(
-            tuple((c.replace(old, new), e) for c, e in p.cells))
-        old = "D2" if det_id == "D1" else "D1"
-        renamed.append(replace(
-            det,
-            yes_profile=rename(det.yes_profile, old, det_id),
-            no_profile=rename(det.no_profile, old, det_id),
-        ))
-    return replace(scenario, q0=1.0 - scenario.q0, detectors=tuple(renamed))
+    if not 0.0 < epsilon < 0.5:
+        raise ValueError(f"epsilon must be in (0, 0.5), got {epsilon}")
+    p = min(max((q0 - epsilon) / (1.0 - 2.0 * epsilon), 0.0), 1.0)
+    return 2.0 * p * (1.0 - p)

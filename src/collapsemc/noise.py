@@ -1,10 +1,11 @@
 """Reproducible, counter-addressed Gaussian noise streams.
 
 Every random number consumed by a simulation run is addressed, not drawn
-sequentially from shared state: a value is identified by the triple
-(stream_key, step_index, cell_index).  Distinct detectors and distinct
-run indices get distinct stream keys, so concurrent trajectories never
-coordinate and a rerun of any single trajectory reproduces its noise
+sequentially from shared state: a value is identified by its stream key,
+step index and column.  The engine reads one column per stream, so a
+value is fixed by (stream_key, step_index).  Distinct detectors and
+distinct run indices get distinct stream keys, so concurrent trajectories
+never coordinate and a rerun of any single trajectory reproduces its noise
 exactly, regardless of what else executed.
 
 Stream keys are derived with SHA-256 so the mapping is portable and easy
@@ -76,20 +77,21 @@ def key_hex(key: StreamKey) -> str:
 
 
 class PhiloxNoiseSource:
-    """Supplies standard-normal increments addressed by (key, step, cell).
+    """Supplies standard-normal increments addressed by (key, step, column).
 
     Values are generated in windows of ``BLOCK_STEPS`` steps.  Window ``b``
     of stream ``key`` is drawn from a Philox generator with 128-bit key
     ``key`` and 256-bit counter ``(0, b, 0, 0)``; the window's values are
     consumed as a (BLOCK_STEPS, n_cells) array in row-major order, so the
-    value for (step, cell) sits at row ``step % BLOCK_STEPS``, column
-    ``cell`` of window ``step // BLOCK_STEPS``.  Windows are separated by
+    value for (step, column) sits at row ``step % BLOCK_STEPS``, column
+    ``column`` of window ``step // BLOCK_STEPS``.  Windows are separated by
     2**64 counter positions, far more than one window ever consumes, and
     a draw of only the first ``rows`` rows of a window equals the prefix
     of the full window because generation is sequential within a window.
 
-    A stream must always be read with the same ``n_cells`` layout; the
-    engine fixes one cell layout per run, so this holds by construction.
+    A stream must always be read with the same ``n_cells`` width; the
+    engine always reads one column per stream (``n_cells=1``), so this
+    holds by construction.
 
     An instance reuses one generator object and resets its counter state
     per window, so it is cheap but not safe to share across threads.

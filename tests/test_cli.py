@@ -99,9 +99,21 @@ def test_disagree_summary(capsys, tmp_path):
                            "--workers", "1")
     assert code == 0
     data = json.loads(out)
-    assert data["analytic"] == pytest.approx(0.42, rel=1e-12)
+    # 2p(1 - p) with p = (q0 - eps) / (1 - 2 eps) at the default eps = 1e-6
+    assert data["analytic"] == pytest.approx(0.41999967999904, rel=1e-12)
     assert 0.0 <= data["disagreement_rate"] <= 1.0
     assert 0.0 <= data["budget_violation_fraction"] <= 1.0
+
+    cfg_path = tmp_path / "eps.json"
+    cfg_path.write_text(json.dumps({"overrides": {"epsilon": 0.01}}))
+    code, out, _ = run_cli(capsys, "disagree", "--q0", "0.8", "--runs", "20",
+                           "--seed", "5", "--out-dir", str(tmp_path / "e"),
+                           "--workers", "1", "--config", str(cfg_path))
+    assert code == 0
+    data = json.loads(out)
+    assert data["analytic"] == pytest.approx(0.3125780924614744, rel=1e-12)
+    with open(data["manifest_path"], encoding="utf-8") as fh:
+        assert json.load(fh)["derived"]["analytic_disagreement"] == data["analytic"]
 
 
 def test_disagree_trivial_q0_zero(capsys, tmp_path):
@@ -161,6 +173,10 @@ def test_config_file_unknown_field(capsys, tmp_path):
     code, _, err = run_cli(capsys, "born", "--config", str(cfg_path))
     assert code == 2
     assert "runz" in err
+    cfg_path.write_text(json.dumps(["runs"]))
+    code, _, err = run_cli(capsys, "born", "--config", str(cfg_path))
+    assert code == 2
+    assert "JSON object" in err
 
 
 def test_config_file_kind_mismatch(capsys, tmp_path):

@@ -5,12 +5,10 @@ import pytest
 
 from collapsemc.dynamics import (CollapseParams, IncompleteNoiseError,
                                  InvalidProfileError, NoCollapsePossibleError,
-                                 NonConvergenceError, NonFiniteNoiseError,
-                                 OccupationProfile, StreamLayout, TwoBranchState,
-                                 aggregate_profiles, collapse_batch, effective_rate,
-                                 evolve_batch, run_to_collapse, run_trajectory,
-                                 stable_q, step, union_cells, write_trajectory_csv)
-from collapsemc.noise import derive_stream_key
+                                 OccupationProfile, StreamLayout, collapse_batch,
+                                 effective_rate, evolve_batch, run_trajectory,
+                                 stable_q, union_cells, write_trajectory_csv)
+from collapsemc.noise import BLOCK_STEPS, DEFAULT_NOISE, PhiloxNoiseSource, derive_stream_key
 
 ETA = 1e10
 LAM = 1e-16
@@ -23,8 +21,38 @@ PARAMS = CollapseParams(dt=1.25e-7, lam=LAM)
 GAMMA = 2.0 * LAM * ETA * ETA  # 2e4 per second
 
 
+# frame-0 style pair: one stream per detector, Gamma = 4e4 / s
+P01 = OccupationProfile((("D1.yes", ETA), ("D1.no", 0.0), ("D2.yes", 0.0), ("D2.no", ETA)))
+P02 = OccupationProfile((("D1.yes", 0.0), ("D1.no", ETA), ("D2.yes", ETA), ("D2.no", 0.0)))
+LAYOUT0 = StreamLayout((("D1.yes", "D1.no"), ("D2.yes", "D2.no")))
+
+
 def keys_for(n, seed=1, det="D1", salt=""):
     return [(derive_stream_key(seed, det, k, salt=salt),) for k in range(n)]
+
+
+def keys0_for(n, seed=1):
+    return [(derive_stream_key(seed, "D1", k), derive_stream_key(seed, "D2", k))
+            for k in range(n)]
+
+
+class _OnesNoise(PhiloxNoiseSource):
+    """Every increment is +1, so one step can be checked by hand."""
+
+    def block_normals(self, key, block_index, n_cells, rows=None):
+        return np.ones((rows, n_cells))
+
+
+class _SpyNoise(PhiloxNoiseSource):
+    """Records the n_cells of every request."""
+
+    def __init__(self):
+        super().__init__()
+        self.widths = []
+
+    def block_normals(self, key, block_index, n_cells, rows=None):
+        self.widths.append(n_cells)
+        return super().block_normals(key, block_index, n_cells, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -40,29 +68,21 @@ def test_stable_q_basic():
     assert arr[0] + arr[2] == pytest.approx(1.0, abs=1e-15)
 
 
-def test_two_branch_state_q_and_normalization():
-    s = TwoBranchState.from_q(0.3)
-    assert s.q == pytest.approx(0.3, rel=1e-14)
-    assert s.q + (1.0 - s.q) == 1.0
+def test_start_q_round_trips():
+    assert evolve_batch(0.3, P1, P2, PARAMS, LAYOUT, keys_for(1), 0).q[0] == pytest.approx(
+        0.3, rel=1e-14)
     for q in (0.0, 1.0, 1e-9, 1.0 - 1e-9):
-        assert TwoBranchState.from_q(q).q == pytest.approx(q, rel=1e-12, abs=1e-300)
+        res = evolve_batch(q, P1, P2, PARAMS, LAYOUT, keys_for(1), 0)
+        assert res.q[0] == pytest.approx(q, rel=1e-12, abs=1e-300)
 
 
-def test_two_branch_state_extreme_log_ratio():
-    # log-sum-exp discipline: stable out to |logw1 - logw2| of 700 and beyond
-    assert TwoBranchState(0.0, -700.0).q == pytest.approx(1.0)
-    lo = TwoBranchState(-700.0, 0.0).q
-    assert 0.0 < lo < 1e-300
-    assert TwoBranchState(-1000.0, -1700.0).q == pytest.approx(1.0)
-
-
-def test_two_branch_state_validation():
+def test_start_q_validation():
     with pytest.raises(ValueError):
-        TwoBranchState.from_q(1.5)
+        evolve_batch(1.5, P1, P2, PARAMS, LAYOUT, keys_for(1), 1)
     with pytest.raises(ValueError):
-        TwoBranchState.from_weights(-1.0, 2.0)
-    s = TwoBranchState.from_weights(2.0, 2.0)
-    assert s.q == 0.5
+        collapse_batch(-0.1, P1, P2, PARAMS, LAYOUT, keys_for(1))
+    with pytest.raises(ValueError):
+        run_trajectory(1.5, P1, P2, PARAMS, LAYOUT, keys_for(1)[0])
 
 
 def test_profile_validation():
@@ -87,7 +107,7 @@ def test_union_cells_order():
 
 
 # ---------------------------------------------------------------------------
-# effective_rate and aggregation
+# effective_rate and per-stream rates
 # ---------------------------------------------------------------------------
 
 def test_effective_rate_identical_profiles_zero():
@@ -111,70 +131,74 @@ def test_effective_rate_disjoint_union():
     assert effective_rate(p1, p2, 1.0) == pytest.approx(25.0, rel=1e-14)
 
 
-def test_aggregate_single_cell_idempotent():
-    p1 = OccupationProfile((("x", 5.0),))
-    p2 = OccupationProfile(())
-    a1, a2 = aggregate_profiles(p1, p2)
-    assert a1.cells[0][1] == pytest.approx(5.0, rel=1e-15)
-    assert a2.cells[0][1] == 0.0
-
-
-def test_aggregate_root_sum_square():
-    a1, _ = aggregate_profiles(P1, P2)
-    assert a1.cells[0][1] == pytest.approx(math.sqrt(2.0) * ETA, rel=1e-14)
-
-
 def test_aggregate_preserves_rate_property():
-    rng = np.random.default_rng(20260809)
-    for _ in range(50):
-        c1 = {f"c{i}": float(rng.uniform(0, 2e10)) for i in range(5)}
-        c2 = {f"c{i}": float(rng.uniform(0, 2e10)) for i in range(5)}
-        p1 = OccupationProfile.from_dict(c1)
-        p2 = OccupationProfile.from_dict(c2)
-        a1, a2 = aggregate_profiles(p1, p2)
-        assert effective_rate(a1, a2, LAM) == pytest.approx(
-            effective_rate(p1, p2, LAM), rel=1e-12)
+    # three cells per stream with delta eta (1, 2, 2) x 1e10 against one
+    # cell with 3e10: the per-stream rates are equal to the last bit, and
+    # the engine reads the cells only through them
+    spread1 = OccupationProfile((("a1", 1e10), ("a2", 2e10), ("a3", 2e10)))
+    spread2 = OccupationProfile((("b1", 1e10), ("b2", 2e10), ("b3", 2e10)))
+    spread_layout = StreamLayout((("a1", "a2", "a3"), ("b1", "b2", "b3")))
+    one1 = OccupationProfile((("a", 3e10),))
+    one2 = OccupationProfile((("b", 3e10),))
+    one_layout = StreamLayout((("a",), ("b",)))
+    assert effective_rate(spread1, spread2, LAM) == effective_rate(one1, one2, LAM)
+    keys = keys0_for(64, seed=23)
+    spread = collapse_batch(0.4, spread1, spread2, PARAMS, spread_layout, keys)
+    one = collapse_batch(0.4, one1, one2, PARAMS, one_layout, keys)
+    assert np.array_equal(spread.winner, one.winner)
+    assert np.array_equal(spread.steps, one.steps)
+    assert np.array_equal(spread.r, one.r)
+
+
+def test_engine_reads_one_column_per_stream():
+    spy = _SpyNoise()
+    res = collapse_batch(0.5, P01, P02, PARAMS, LAYOUT0, keys0_for(40, seed=29), noise=spy)
+    assert set(spy.widths) == {1}
+    # a run is drawn for in every window it enters, once per stream
+    windows = int(sum(-(-int(k) // BLOCK_STEPS) for k in res.steps))
+    assert windows > 40
+    assert len(spy.widths) == 2 * windows
 
 
 # ---------------------------------------------------------------------------
-# step
+# one step of the log-odds recursion
 # ---------------------------------------------------------------------------
 
 def test_step_identical_profiles_leave_q_unchanged():
     p = OccupationProfile((("a", ETA), ("b", 3.0)))
-    s = TwoBranchState.from_q(0.5)
-    out = step(s, p, p, PARAMS, {"a": 0.37, "b": -1.2})
-    assert out.q == 0.5
+    layout = StreamLayout((("a", "b"),))
+    for measure in ("cooked", "raw"):
+        out = evolve_batch(0.5, p, p, PARAMS, layout, keys_for(3), 5, measure=measure)
+        assert np.all(out.q == 0.5)
 
 
 def test_step_hand_example():
-    # single cell, eta1 = 1, eta2 = 0, lam dt = 0.01, dB = 0.1:
-    # d(logw1) = 2*0.1 - 2*0.01 = 0.18, d(logw2) = 0
+    # single cell, eta1 = 1, eta2 = 0, lam dt = 0.01, unit normal +1:
+    # noise 2 sqrt(Gamma dt) = 0.2; raw drift -2 lam dt (1 - 0) = -0.02;
+    # cooked drift 2 Gamma dt tanh(0) = 0 at q = 0.5
     p1 = OccupationProfile((("c", 1.0),))
     p2 = OccupationProfile((("c", 0.0),))
+    layout = StreamLayout((("c",),))
     params = CollapseParams(dt=1.0, lam=0.01, epsilon=1e-6, max_steps=10)
-    s = TwoBranchState.from_q(0.5)
-    out = step(s, p1, p2, params, {"c": 0.1})
-    assert out.logw1 - out.logw2 == pytest.approx(
-        (s.logw1 - s.logw2) + 0.18, abs=1e-15)
+    raw = evolve_batch(0.5, p1, p2, params, layout, keys_for(1), 1,
+                       noise=_OnesNoise(), measure="raw")
+    assert raw.r[0] == pytest.approx(0.18, abs=1e-15)
     expected_q = 1.0 / (1.0 + math.exp(-0.18))
-    assert out.q == pytest.approx(expected_q, rel=1e-12)
+    assert raw.q[0] == pytest.approx(expected_q, rel=1e-12)
     assert expected_q == pytest.approx(0.5449, abs=5e-5)
+    cooked = evolve_batch(0.5, p1, p2, params, layout, keys_for(1), 2, noise=_OnesNoise())
+    assert cooked.r[0] == pytest.approx(0.4 + 0.02 * math.tanh(0.1), abs=1e-15)
 
 
 def test_step_noise_errors():
-    s = TwoBranchState.from_q(0.5)
+    # the stream layout must supply noise for exactly the cells of the union
     with pytest.raises(IncompleteNoiseError):
-        step(s, P1, P2, PARAMS, {"yes": 0.1})
-    with pytest.raises(NonFiniteNoiseError):
-        step(s, P1, P2, PARAMS, {"yes": 0.1, "no": math.inf})
-
-
-def test_step_ignores_extraneous_cells():
-    s = TwoBranchState.from_q(0.5)
-    a = step(s, P1, P2, PARAMS, {"yes": 0.1, "no": -0.2})
-    b = step(s, P1, P2, PARAMS, {"yes": 0.1, "no": -0.2, "other": 9.9})
-    assert a == b
+        evolve_batch(0.5, P1, P2, PARAMS, StreamLayout((("yes",),)), keys_for(1), 1)
+    with pytest.raises(IncompleteNoiseError):
+        evolve_batch(0.5, P1, P2, PARAMS, StreamLayout((("yes", "no", "other"),)),
+                     keys_for(1), 1)
+    with pytest.raises(ValueError, match="stream keys"):
+        evolve_batch(0.5, P1, P2, PARAMS, LAYOUT, keys0_for(1), 1)
 
 
 def test_params_validation():
@@ -191,37 +215,40 @@ def test_params_validation():
 
 
 # ---------------------------------------------------------------------------
-# run_to_collapse
+# collapse_batch
 # ---------------------------------------------------------------------------
 
 def test_immediate_absorption():
-    key = derive_stream_key(1, "D1", 0)
-    res = run_to_collapse(1.0, P1, P2, PARAMS, key)
-    assert (res.winner, res.duration, res.steps) == (1, 0.0, 0)
-    res = run_to_collapse(0.0, P1, P2, PARAMS, key)
-    assert (res.winner, res.duration) == (2, 0.0)
-    res = run_to_collapse(PARAMS.epsilon / 2, P1, P2, PARAMS, key)
-    assert res.winner == 2
+    keys = keys_for(1)
+    res = collapse_batch(1.0, P1, P2, PARAMS, LAYOUT, keys)
+    assert (res.winner[0], res.duration[0], res.steps[0]) == (1, 0.0, 0)
+    res = collapse_batch(0.0, P1, P2, PARAMS, LAYOUT, keys)
+    assert (res.winner[0], res.duration[0]) == (2, 0.0)
+    res = collapse_batch(PARAMS.epsilon / 2, P1, P2, PARAMS, LAYOUT, keys)
+    assert (res.winner[0], res.steps[0]) == (2, 0)
 
 
 def test_gamma_zero_raises():
     p = OccupationProfile((("a", 1.0),))
+    layout = StreamLayout((("a",),))
     with pytest.raises(NoCollapsePossibleError):
-        run_to_collapse(0.5, p, p, PARAMS, derive_stream_key(1, "D1", 0))
+        collapse_batch(0.5, p, p, PARAMS, layout, keys_for(1))
+    with pytest.raises(NoCollapsePossibleError):
+        run_trajectory(0.5, p, p, PARAMS, layout, keys_for(1)[0])
 
 
 def test_gamma_dt_bound_enforced():
     params = CollapseParams(dt=1.0, lam=LAM)  # Gamma * dt = 2e4
     with pytest.raises(ValueError, match="Gamma"):
-        run_to_collapse(0.5, P1, P2, params, derive_stream_key(1, "D1", 0))
+        collapse_batch(0.5, P1, P2, params, LAYOUT, keys_for(1))
 
 
 def test_non_convergence_carries_final_q():
     params = CollapseParams(dt=1.25e-7, lam=LAM, max_steps=40)
-    with pytest.raises(NonConvergenceError) as info:
-        run_to_collapse(0.5, P1, P2, params, derive_stream_key(1, "D1", 0))
-    assert 0.0 <= info.value.final_q <= 1.0
-    assert info.value.steps == 40
+    res = collapse_batch(0.5, P1, P2, params, LAYOUT, keys_for(3))
+    assert np.all(res.winner == 0)
+    assert np.all(res.steps == 40)
+    assert np.all((0.0 <= res.q) & (res.q <= 1.0))
 
 
 def test_born_rule_small():
@@ -237,8 +264,7 @@ def test_determinism_same_keys_bit_identical():
     b = collapse_batch(0.4, P1, P2, PARAMS, LAYOUT, keys)
     assert np.array_equal(a.winner, b.winner)
     assert np.array_equal(a.steps, b.steps)
-    assert np.array_equal(a.logw1, b.logw1)
-    assert np.array_equal(a.logw2, b.logw2)
+    assert np.array_equal(a.r, b.r)
 
 
 def test_batch_composition_invariance():
@@ -248,25 +274,30 @@ def test_batch_composition_invariance():
         single = collapse_batch(0.5, P1, P2, PARAMS, LAYOUT, [keys[j]])
         assert single.winner[0] == full.winner[j]
         assert single.steps[0] == full.steps[j]
-        assert single.logw1[0] == full.logw1[j]
-        assert single.logw2[0] == full.logw2[j]
+        assert single.r[0] == full.r[j]
 
 
 def test_engine_matches_reference_stepper():
-    # raw measure: increments are sig * xi for both paths, so the batch
-    # engine must reproduce repeated applications of step() exactly
-    from collapsemc.noise import DEFAULT_NOISE
+    # a scalar loop of r += drift(r) + 2 sqrt(Gamma dt) zeta with the same
+    # operation order must reproduce the batch engine exactly; the
+    # profiles differ in total occupation, so the raw drift is not zero
+    p1 = OccupationProfile((("yes", ETA), ("no", 0.0)))
+    p2 = OccupationProfile((("yes", 0.0), ("no", 0.5 * ETA)))
     key = derive_stream_key(5, "D1", 9)
     n_steps = 50
-    res = evolve_batch(0.37, P1, P2, PARAMS, LAYOUT, [(key,)], n_steps, measure="raw")
-    xi = DEFAULT_NOISE.block_normals(key, 0, 2, rows=n_steps)
-    sig = math.sqrt(PARAMS.lam * PARAMS.dt)
-    state = TwoBranchState.from_q(0.37)
-    for t in range(n_steps):
-        incr = {"yes": float(sig * xi[t, 0]), "no": float(sig * xi[t, 1])}
-        state = step(state, P1, P2, PARAMS, incr)
-    assert state.logw1 == res.logw1[0]
-    assert state.logw2 == res.logw2[0]
+    gamma = effective_rate(p1, p2, LAM)
+    sig = 2.0 * math.sqrt(gamma * PARAMS.dt)
+    zeta = DEFAULT_NOISE.block_normals(key, 0, 1, rows=n_steps)[:, 0]
+    for measure in ("raw", "cooked"):
+        res = evolve_batch(0.37, p1, p2, PARAMS, LAYOUT, [(key,)], n_steps, measure=measure)
+        r = math.log(0.37) - math.log1p(-0.37)
+        for t in range(n_steps):
+            if measure == "raw":
+                drift = -2.0 * LAM * PARAMS.dt * (ETA ** 2 - (0.5 * ETA) ** 2)
+            else:
+                drift = 2.0 * gamma * PARAMS.dt * np.tanh(0.5 * r)
+            r = r + drift + zeta[t] * sig
+        assert r == res.r[0]
 
 
 def test_one_step_cooked_mean_preserves_q():
@@ -315,7 +346,7 @@ def test_winner_immutability_small():
     res = collapse_batch(0.5, P1, P2, PARAMS, LAYOUT, keys_for(n, seed=51))
     cont_keys = keys_for(n, seed=51, salt="cont")
     n_cont = round(6.0 / GAMMA / PARAMS.dt)
-    cont = evolve_batch((res.logw1, res.logw2), P1, P2, PARAMS, LAYOUT,
+    cont = evolve_batch(res.r, P1, P2, PARAMS, LAYOUT,
                         cont_keys, n_cont, track_range=True)
     thr = PARAMS.log_threshold
     reversed_1 = (res.winner == 1) & (cont.r_min <= -thr)
@@ -323,12 +354,25 @@ def test_winner_immutability_small():
     assert int(reversed_1.sum() + reversed_2.sum()) <= max(1, int(0.001 * n))
 
 
+def test_evolve_batch_per_run_start_matches_single_runs():
+    # with an array start and no absorption every run takes all steps, and
+    # each equals the same run evolved alone from its own start
+    keys = keys0_for(12, seed=61)
+    start = np.linspace(-3.0, 3.0, 12)
+    full = evolve_batch(start, P01, P02, PARAMS, LAYOUT0, keys, 1500, track_range=True)
+    for j in (0, 5, 11):
+        single = evolve_batch(start[j:j + 1], P01, P02, PARAMS, LAYOUT0, [keys[j]], 1500,
+                              track_range=True)
+        assert single.r[0] == full.r[j]
+        assert single.r_min[0] == full.r_min[j] <= start[j] <= full.r_max[j]
+        assert single.r_max[0] == full.r_max[j]
+
+
 def test_evolve_batch_validation():
     with pytest.raises(ValueError):
         evolve_batch(0.5, P1, P2, PARAMS, LAYOUT, keys_for(2), -1)
     with pytest.raises(ValueError):
-        evolve_batch((np.zeros(3), np.zeros(3)), P1, P2, PARAMS, LAYOUT,
-                     keys_for(2), 1)
+        evolve_batch(np.zeros(3), P1, P2, PARAMS, LAYOUT, keys_for(2), 1)
 
 
 def test_stream_layout_validation():
@@ -340,16 +384,25 @@ def test_stream_layout_validation():
 
 
 def test_trajectory_recording(tmp_path):
-    key = derive_stream_key(3, "D1", 4)
-    rows = run_trajectory(0.5, P1, P2, PARAMS, key)
+    keys = [(derive_stream_key(3, "D1", 4),)]
+    rows = run_trajectory(0.5, P1, P2, PARAMS, LAYOUT, keys[0])
     assert rows[0][:3] == (0, 0.0, 0.5)
-    ref = run_to_collapse(0.5, P1, P2, PARAMS, key)
-    assert len(rows) - 1 == ref.steps
+    ref = collapse_batch(0.5, P1, P2, PARAMS, LAYOUT, keys)
+    assert len(rows) - 1 == ref.steps[0]
+    assert rows[-1][3] == ref.r[0]
     final_q = rows[-1][2]
-    assert (final_q >= 1 - PARAMS.epsilon) if ref.winner == 1 else (final_q <= PARAMS.epsilon)
+    assert (final_q >= 1 - PARAMS.epsilon) if ref.winner[0] == 1 else (final_q <= PARAMS.epsilon)
 
     path = tmp_path / "traj.csv"
     write_trajectory_csv(path, rows)
     lines = path.read_text().splitlines()
-    assert lines[0] == "step,t_model_s,q,logw1,logw2"
+    assert lines[0] == "step,t_model_s,q,r"
     assert len(lines) == len(rows) + 1
+
+
+def test_trajectory_max_rows_is_a_prefix():
+    key = (derive_stream_key(3, "D1", 4),)
+    full = run_trajectory(0.5, P1, P2, PARAMS, LAYOUT, key)
+    capped = run_trajectory(0.5, P1, P2, PARAMS, LAYOUT, key, max_rows=1100)
+    assert len(full) > 1101
+    assert capped == full[:1101]

@@ -1,13 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from collapsemc.dynamics import NonConvergenceError, effective_rate
+from collapsemc.dynamics import NonConvergenceError, OccupationProfile, effective_rate
 from collapsemc.experiment import (DetectorSpec, FrameOutcome, Scenario,
                                    active_profiles, build_scenario,
                                    cross_frame_trial, disagreement_rate_analytic,
-                                   frame_pair, mirror_scenario, q0_from_amplitudes,
+                                   frame_pair, q0_from_amplitudes,
                                    run_frame, run_frame_batch)
 from collapsemc.noise import PhiloxNoiseSource, derive_stream_key
 from collapsemc.relativity import C, Frame
@@ -175,17 +176,43 @@ def test_cross_frame_disagreement_rate():
     assert not fail_a and not fail_b
     disagree = sum(1 for a, b in zip(outcomes_a, outcomes_b) if a.winner != b.winner)
     rate = disagree / n
-    expected = disagreement_rate_analytic(0.3)
+    expected = disagreement_rate_analytic(0.3, scn.params.epsilon)
     assert abs(rate - expected) < 4.0 * math.sqrt(expected * (1 - expected) / n)
 
 
 def test_disagreement_rate_analytic_values():
-    assert disagreement_rate_analytic(0.5) == 0.5
-    assert disagreement_rate_analytic(0.0) == 0.0
-    assert disagreement_rate_analytic(1.0) == 0.0
-    assert disagreement_rate_analytic(0.3) == pytest.approx(0.42, rel=1e-12)
+    assert disagreement_rate_analytic(0.5, 1e-6) == pytest.approx(0.5, rel=1e-15)
+    assert disagreement_rate_analytic(0.0, 1e-6) == 0.0
+    assert disagreement_rate_analytic(1.0, 1e-6) == 0.0
+    # p = (q0 - eps) / (1 - 2 eps), rate 2 p (1 - p), evaluated in exact rationals
+    assert disagreement_rate_analytic(0.3, 1e-6) == pytest.approx(0.41999967999904, rel=1e-12)
+    assert disagreement_rate_analytic(0.8, 0.01) == pytest.approx(0.3125780924614744, rel=1e-12)
     with pytest.raises(ValueError):
-        disagreement_rate_analytic(1.2)
+        disagreement_rate_analytic(1.2, 1e-6)
+
+
+def _logit(x):
+    return math.log(x) - math.log1p(-x)
+
+
+@pytest.mark.parametrize("frame", [FRAME_0, FRAME_A], ids=["frame0", "A"])
+def test_closed_form_born_and_mean_time(frame):
+    # dq = 2 sqrt(Gamma) q (1 - q) dW absorbed at eps and 1 - eps gives
+    # P(winner 1) = (q0 - eps) / (1 - 2 eps) and
+    # E[T] = [(1 - 2 eps) logit(1 - eps) - (2 q0 - 1) logit(q0)] / (2 Gamma);
+    # the mean time pins the Gamma of the combined detector noise
+    scn = build_scenario(q0=0.3)
+    q0, eps, n = scn.q0, scn.params.epsilon, 4096
+    p1, p2, _ = active_profiles(scn, frame)
+    gamma = effective_rate(p1, p2, scn.params.lam)
+    outcomes, failures = run_frame_batch(scn, frame, 131, range(n))
+    assert not failures
+    p = (q0 - eps) / (1.0 - 2.0 * eps)
+    w1 = sum(1 for o in outcomes if o.winner == 1)
+    assert abs(w1 / n - p) < 4.0 * math.sqrt(p * (1.0 - p) / n)
+    durations = np.array([o.duration for o in outcomes])
+    mean_t = ((1.0 - 2.0 * eps) * _logit(1.0 - eps) - (2.0 * q0 - 1.0) * _logit(q0)) / (2.0 * gamma)
+    assert abs(durations.mean() - mean_t) < 4.0 * durations.std() / math.sqrt(n)
 
 
 def test_born_marginal_per_frame():
@@ -195,6 +222,31 @@ def test_born_marginal_per_frame():
     assert not failures
     freq = sum(1 for o in outcomes if o.winner == 1) / n
     assert abs(freq - 0.3) < 4.0 * math.sqrt(0.3 * 0.7 / n)
+
+
+def mirror_scenario(scenario: Scenario) -> Scenario:
+    """Relabel D1 <-> D2 and branches 1 <-> 2.
+
+    Outcome statistics are invariant under the combined relabeling plus
+    v -> -v.
+    """
+    d1, d2 = scenario.detectors
+    swap = {
+        "D1": replace(d2, id="D1", position=-d2.position),
+        "D2": replace(d1, id="D2", position=-d1.position),
+    }
+    renamed = []
+    for det_id in ("D1", "D2"):
+        det = swap[det_id]
+        rename = lambda p, old, new: OccupationProfile(
+            tuple((c.replace(old, new), e) for c, e in p.cells))
+        old = "D2" if det_id == "D1" else "D1"
+        renamed.append(replace(
+            det,
+            yes_profile=rename(det.yes_profile, old, det_id),
+            no_profile=rename(det.no_profile, old, det_id),
+        ))
+    return replace(scenario, q0=1.0 - scenario.q0, detectors=tuple(renamed))
 
 
 def test_mirror_symmetry_statistics():
