@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
@@ -63,6 +64,9 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
+        for name in ("runs", "master_seed", "workers"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         if not 0 <= self.master_seed < 2**64:
@@ -77,6 +81,12 @@ class EnsembleConfig:
             raise ConfigError(f"record_format must be 'csv' or 'jsonl', got {self.record_format!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        # the scenario is built again in every chunk; building it here makes
+        # a bad override a ConfigError before any run starts
+        try:
+            scenario_from_config(self)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"overrides {self.overrides!r}: {exc}") from exc
 
     @classmethod
     def from_dict(cls, data: dict) -> "EnsembleConfig":

@@ -23,6 +23,7 @@ disagree with probability 2 p (1 - p).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from . import dynamics
@@ -31,9 +32,12 @@ from .noise import DEFAULT_NOISE, PhiloxNoiseSource, derive_stream_key, key_hex
 from .relativity import C, Frame, activation_gap, first_detector
 
 # Scenario builders pick dt so that Gamma * dt at the largest per-frame
-# rate (frame 0, all pointer cells) equals this.  Small enough that the
-# frozen-drift Euler bias is far below the Monte Carlo bands.
-TARGET_GAMMA_DT = 0.005
+# rate (frame 0, all pointer cells) equals this, about 350 steps a run.
+# With the shifted barrier of dynamics the mean collapse time stays within
+# 1 % of the closed-form E[T]: over 3 seeds x 8192 runs at q0 0.3 the
+# ratio was 1.001 (frame 0) and 0.997 (frame A) at epsilon 1e-6, and
+# 1.008 and 0.999 at epsilon 0.01, with standard errors 0.0025 and 0.0043.
+TARGET_GAMMA_DT = 0.02
 
 DEFAULT_ETA = 1e10
 
@@ -132,7 +136,9 @@ def build_scenario(d: float = 1000.0, q0: float = 0.5,
     if "amplitudes" in overrides:
         w1, w2 = overrides.pop("amplitudes")
         q0 = q0_from_amplitudes(w1, w2)
-    eta = float(overrides.pop("eta", DEFAULT_ETA))
+    eta = overrides.pop("eta", DEFAULT_ETA)
+    if not isinstance(eta, numbers.Real):
+        raise TypeError(f"eta must be a number, got {eta!r}")
     if not eta > 0:
         raise ValueError(f"eta must be > 0, got {eta}")
 

@@ -24,8 +24,10 @@ from numpy.random import Generator, Philox
 
 # A stream is consumed in fixed windows of this many steps.  Window b of a
 # stream is generated from Philox counter (0, b, 0, 0), so any window can
-# be produced without generating its predecessors.
-BLOCK_STEPS = 1024
+# be produced without generating its predecessors.  A run draws every
+# window it enters, so a window is kept to a few hundred steps, about one
+# typical run at the scenario step size.
+BLOCK_STEPS = 256
 
 _KEY_PREFIX = b"collapsemc.v1"
 
@@ -93,8 +95,9 @@ class PhiloxNoiseSource:
     engine always reads one column per stream (``n_cells=1``), so this
     holds by construction.
 
-    An instance reuses one generator object and resets its counter state
-    per window, so it is cheap but not safe to share across threads.
+    An instance reuses one generator object and one state dict, writing
+    the key and counter words into it per window, so it is cheap but not
+    safe to share across threads.
     Separate threads or processes should each build their own instance;
     all instances produce identical values.
     """
@@ -102,7 +105,10 @@ class PhiloxNoiseSource:
     def __init__(self):
         self._bitgen = Philox(key=np.zeros(2, dtype=np.uint64))
         self._gen = Generator(self._bitgen)
-        self._template = self._bitgen.state
+        # a fresh generator's state: empty output buffer, no cached uint32
+        self._state = self._bitgen.state
+        self._counter = self._state["state"]["counter"]
+        self._key = self._state["state"]["key"]
 
     def block_normals(self, key: StreamKey, block_index: int, n_cells: int,
                       rows: int | None = None) -> np.ndarray:
@@ -114,16 +120,9 @@ class PhiloxNoiseSource:
         rows = BLOCK_STEPS if rows is None else rows
         if not 0 < rows <= BLOCK_STEPS:
             raise ValueError(f"rows must be in [1, {BLOCK_STEPS}], got {rows}")
-        state = dict(self._template)
-        state["state"] = {
-            "counter": np.array([0, block_index, 0, 0], dtype=np.uint64),
-            "key": np.array(key, dtype=np.uint64),
-        }
-        state["buffer"] = np.zeros(4, dtype=np.uint64)
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        self._bitgen.state = state
+        self._counter[1] = block_index
+        self._key[0], self._key[1] = key
+        self._bitgen.state = self._state
         return self._gen.standard_normal((rows, n_cells))
 
 

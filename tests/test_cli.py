@@ -179,6 +179,23 @@ def test_config_file_unknown_field(capsys, tmp_path):
     assert "JSON object" in err
 
 
+@pytest.mark.parametrize("bad", [
+    {"overrides": {"epsilon": "0.01"}}, {"overrides": {"max_steps": 64.5}},
+    {"overrides": {"eta": "1e10"}}, {"overrides": {"amplitudes": 3}},
+    {"overrides": ["epsilon"]}, {"runs": 10.5},
+])
+def test_config_file_bad_value_type(capsys, tmp_path, bad):
+    # a wrongly typed config value is a usage error, caught before any run
+    cfg_path = tmp_path / "typed.json"
+    out_dir = tmp_path / "typed"
+    cfg_path.write_text(json.dumps({"runs": 10, "out_dir": str(out_dir), **bad}))
+    code, out, err = run_cli(capsys, "born", "--config", str(cfg_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {next(iter(bad))}")
+    assert not out_dir.exists()
+
+
 def test_config_file_kind_mismatch(capsys, tmp_path):
     cfg_path = tmp_path / "kind.json"
     cfg_path.write_text(json.dumps({"kind": "cross_frame", "runs": 10}))

@@ -1,9 +1,12 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from collapsemc.dynamics import (CollapseParams, IncompleteNoiseError,
+from collapsemc.dynamics import (BARRIER_BETA, CollapseParams, IncompleteNoiseError,
                                  InvalidProfileError, NoCollapsePossibleError,
                                  OccupationProfile, StreamLayout, collapse_batch,
                                  effective_rate, evolve_batch, run_trajectory,
@@ -190,6 +193,31 @@ def test_step_hand_example():
     assert cooked.r[0] == pytest.approx(0.4 + 0.02 * math.tanh(0.1), abs=1e-15)
 
 
+def test_barrier_shift_hand_example():
+    # raw measure, constant +1 noise: r grows by 0.2 - 0.02 = 0.18 a step.
+    # The nominal threshold logit(1 - eps) is 1, which r passes at step 6;
+    # the shifted barrier 1 - beta * 0.2 = 0.8835 is passed at step 5
+    p1 = OccupationProfile((("c", 1.0),))
+    p2 = OccupationProfile((("c", 0.0),))
+    layout = StreamLayout((("c",),))
+    params = CollapseParams(dt=1.0, lam=0.01, epsilon=1.0 / (1.0 + math.e), max_steps=10)
+    assert params.log_threshold == pytest.approx(1.0, abs=1e-15)
+    res = collapse_batch(0.5, p1, p2, params, layout, keys_for(1), noise=_OnesNoise(),
+                         measure="raw")
+    assert (res.winner[0], res.steps[0]) == (1, 5)
+    assert res.r[0] == pytest.approx(0.9, abs=1e-14)
+    rows = run_trajectory(0.5, p1, p2, params, layout, keys_for(1)[0], noise=_OnesNoise(),
+                          measure="raw")
+    assert len(rows) - 1 == 5 and rows[-1][3] == res.r[0]
+    # a start between the barrier and the nominal threshold absorbs at once
+    start = 1.0 / (1.0 + math.exp(-0.9))
+    assert collapse_batch(start, p1, p2, params, layout, keys_for(1)).steps[0] == 0
+    # a threshold narrower than the shift leaves no barrier to absorb at
+    wide = CollapseParams(dt=1.0, lam=0.01, epsilon=0.49, max_steps=10)
+    with pytest.raises(ValueError, match="reduce dt"):
+        collapse_batch(0.5, p1, p2, wide, layout, keys_for(1))
+
+
 def test_step_noise_errors():
     # the stream layout must supply noise for exactly the cells of the union
     with pytest.raises(IncompleteNoiseError):
@@ -275,6 +303,31 @@ def test_batch_composition_invariance():
         assert single.winner[0] == full.winner[j]
         assert single.steps[0] == full.steps[j]
         assert single.r[0] == full.r[j]
+
+
+SPLIT_KEYS = keys0_for(12, seed=71)
+
+
+@functools.cache
+def _whole_batch():
+    return collapse_batch(0.5, P01, P02, PARAMS, LAYOUT0, SPLIT_KEYS)
+
+
+@settings(max_examples=8, deadline=None)
+@given(order=st.permutations(range(12)),
+       cuts=st.lists(st.integers(1, 11), unique=True, max_size=4))
+def test_batch_splits_are_bit_equal(order, cuts):
+    # any regrouping and reordering of the runs into smaller batches gives
+    # each run the same winner, steps and final r as the whole batch
+    whole = _whole_batch()
+    assert whole.steps.max() > 3 * BLOCK_STEPS
+    bounds = [0, *sorted(cuts), 12]
+    for lo, hi in zip(bounds, bounds[1:]):
+        part = list(order[lo:hi])
+        res = collapse_batch(0.5, P01, P02, PARAMS, LAYOUT0, [SPLIT_KEYS[j] for j in part])
+        assert np.array_equal(res.winner, whole.winner[part])
+        assert np.array_equal(res.steps, whole.steps[part])
+        assert np.array_equal(res.r, whole.r[part])
 
 
 def test_engine_matches_reference_stepper():
@@ -390,8 +443,11 @@ def test_trajectory_recording(tmp_path):
     ref = collapse_batch(0.5, P1, P2, PARAMS, LAYOUT, keys)
     assert len(rows) - 1 == ref.steps[0]
     assert rows[-1][3] == ref.r[0]
-    final_q = rows[-1][2]
-    assert (final_q >= 1 - PARAMS.epsilon) if ref.winner[0] == 1 else (final_q <= PARAMS.epsilon)
+    # the run absorbs at the shifted barrier, which may sit short of the
+    # nominal threshold, and not a step before
+    barrier = PARAMS.log_threshold - BARRIER_BETA * 2.0 * math.sqrt(GAMMA * PARAMS.dt)
+    assert abs(rows[-1][3]) >= barrier > abs(rows[-2][3])
+    assert (rows[-1][3] > 0) == (ref.winner[0] == 1)
 
     path = tmp_path / "traj.csv"
     write_trajectory_csv(path, rows)

@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from collapsemc.dynamics import NonConvergenceError, OccupationProfile, effective_rate
-from collapsemc.experiment import (DetectorSpec, FrameOutcome, Scenario,
+from collapsemc.dynamics import (MAX_GAMMA_DT, NonConvergenceError, OccupationProfile,
+                                 effective_rate)
+from collapsemc.experiment import (TARGET_GAMMA_DT, DetectorSpec, FrameOutcome, Scenario,
                                    active_profiles, build_scenario,
                                    cross_frame_trial, disagreement_rate_analytic,
                                    frame_pair, q0_from_amplitudes,
@@ -35,9 +36,9 @@ def test_build_scenario_default_rates():
 
 def test_build_scenario_dt_target():
     scn = build_scenario()
-    assert scn.params.dt == pytest.approx(0.005 / 4e4, rel=1e-12)
-    # well inside the hard integrator bound
-    assert 4e4 * scn.params.dt <= 0.05
+    assert scn.params.dt == pytest.approx(TARGET_GAMMA_DT / 4e4, rel=1e-12)
+    # inside the hard integrator bound
+    assert 4e4 * scn.params.dt <= MAX_GAMMA_DT
 
 
 def test_active_profile_occupations():
@@ -195,14 +196,19 @@ def _logit(x):
     return math.log(x) - math.log1p(-x)
 
 
-@pytest.mark.parametrize("frame", [FRAME_0, FRAME_A], ids=["frame0", "A"])
-def test_closed_form_born_and_mean_time(frame):
+@pytest.mark.parametrize("frame, epsilon, n", [
+    (FRAME_0, 1e-6, 4096), (FRAME_A, 1e-6, 4096),
+    (FRAME_0, 0.01, 32768), (FRAME_A, 0.01, 32768),
+], ids=["frame0", "A", "frame0-eps0.01", "A-eps0.01"])
+def test_closed_form_born_and_mean_time(frame, epsilon, n):
     # dq = 2 sqrt(Gamma) q (1 - q) dW absorbed at eps and 1 - eps gives
     # P(winner 1) = (q0 - eps) / (1 - 2 eps) and
     # E[T] = [(1 - 2 eps) logit(1 - eps) - (2 q0 - 1) logit(q0)] / (2 Gamma);
-    # the mean time pins the Gamma of the combined detector noise
-    scn = build_scenario(q0=0.3)
-    q0, eps, n = scn.q0, scn.params.epsilon, 4096
+    # the mean time pins the Gamma of the combined detector noise.  At
+    # eps 0.01 the 4-standard-error band is about 2 % of E[T], narrow
+    # enough to catch the 2.5-3 % frame-0 lag of an unshifted barrier
+    scn = build_scenario(q0=0.3, overrides={"epsilon": epsilon})
+    q0, eps = scn.q0, scn.params.epsilon
     p1, p2, _ = active_profiles(scn, frame)
     gamma = effective_rate(p1, p2, scn.params.lam)
     outcomes, failures = run_frame_batch(scn, frame, 131, range(n))
