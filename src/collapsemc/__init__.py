@@ -10,7 +10,6 @@ from ._version import __version__
 from .dynamics import (
     CollapseParams,
     NoCollapsePossibleError,
-    NonConvergenceError,
     OccupationProfile,
     effective_rate,
 )
@@ -22,13 +21,10 @@ from .ensemble import (
 )
 from .experiment import (
     DetectorSpec,
-    FrameOutcome,
     Scenario,
     active_profiles,
     build_scenario,
-    cross_frame_trial,
     disagreement_rate_analytic,
-    run_frame,
 )
 from .noise import PhiloxNoiseSource, derive_stream_key
 from .relativity import (
@@ -52,9 +48,7 @@ __all__ = [
     "EnsembleStats",
     "Event",
     "Frame",
-    "FrameOutcome",
     "NoCollapsePossibleError",
-    "NonConvergenceError",
     "OccupationProfile",
     "PhiloxNoiseSource",
     "Scenario",
@@ -62,7 +56,6 @@ __all__ = [
     "active_profiles",
     "boost",
     "build_scenario",
-    "cross_frame_trial",
     "derive_stream_key",
     "detection_events",
     "disagreement_rate_analytic",
@@ -71,6 +64,5 @@ __all__ = [
     "gamma",
     "min_separation",
     "run_ensemble",
-    "run_frame",
     "wilson_interval",
 ]

@@ -4,6 +4,10 @@ Each experiment and kinematics utility is a subcommand.  Machine-readable
 summaries go to stdout as a single JSON object; human-readable tables go
 to stderr under --verbose, so pipelines can consume stdout unconditionally.
 Exit codes: 0 success, 2 usage or validation error, 1 runtime failure.
+
+The four ensemble subcommands share one handler: each runs its ensemble,
+writes the records and manifest, and prints the summary fields that
+ENSEMBLE_COMMANDS lists for it, read from the manifest just written.
 """
 
 from __future__ import annotations
@@ -12,8 +16,10 @@ import argparse
 import json
 import os
 import sys
+from functools import reduce
+from operator import getitem
 
-from .ensemble import (ConfigError, EnsembleConfig, build_manifest, export_ensemble,
+from .ensemble import (ConfigError, EnsembleConfig, contradictory_readings, export_ensemble,
                        run_ensemble)
 from .relativity import (C, Event, activation_gap, boost, detection_events, gamma,
                          min_separation)
@@ -65,12 +71,6 @@ def _ensemble_config(args, kind: str) -> EnsembleConfig:
     return EnsembleConfig.from_dict(merged)
 
 
-def _run_and_export(config: EnsembleConfig):
-    stats, records = run_ensemble(config)
-    paths = export_ensemble(config, stats, records, config.out_dir)
-    return stats, records, paths
-
-
 def _stats_table(stats, out=None) -> None:
     out = out if out is not None else sys.stderr
     print(f"{'class':<12} {'count':>8} {'freq':>10} {'wilson 95%':>24}", file=out)
@@ -85,93 +85,52 @@ def _stats_table(stats, out=None) -> None:
     print(f"duration_s   p10={p10:.6e} p50={p50:.6e} p90={p90:.6e}", file=out)
 
 
-def cmd_born(args) -> int:
-    config = _ensemble_config(args, "born_rule")
-    stats, _records, paths = _run_and_export(config)
-    lo, hi = stats.wilson["winner1"]
-    _json_out({
-        "kind": config.kind,
-        "runs": config.runs,
-        "master_seed": config.master_seed,
-        "q0": config.q0,
-        "winner1_count": stats.counts["winner1"],
-        "winner1_freq": stats.freq["winner1"],
-        "wilson_winner1": [lo, hi],
-        "duration_p50_s": stats.duration_quantiles[1],
-        "records_path": paths["records"],
-        "manifest_path": paths["manifest"],
-    })
-    if args.verbose:
-        _stats_table(stats)
-    return 0
+# Summary fields printed by every ensemble subcommand: a field is a key
+# path into the manifest, or a function of the records.
+_COMMON_FIELDS = {"kind": ("config", "kind"), "runs": ("config", "runs"),
+                  "master_seed": ("config", "master_seed"), "q0": ("config", "q0")}
+
+# subcommand -> (experiment kind, help, its own summary fields)
+ENSEMBLE_COMMANDS = {
+    "born": ("born_rule", "Born-rule statistics of the joint (mirror-frame) collapse", {
+        "winner1_count": ("stats", "counts", "winner1"),
+        "winner1_freq": ("stats", "freq", "winner1"),
+        "wilson_winner1": ("stats", "wilson", "winner1"),
+        "duration_p50_s": ("stats", "duration_quantiles_s", 1),
+    }),
+    "collapse-time": ("collapse_time", "collapse duration quantiles at one detector", {
+        "collapse_rate_per_s": ("derived", "collapse_rate_per_s", "A"),
+        "duration_p10_s": ("stats", "duration_quantiles_s", 0),
+        "duration_p50_s": ("stats", "duration_quantiles_s", 1),
+        "duration_p90_s": ("stats", "duration_quantiles_s", 2),
+        "budget_violation_fraction": ("stats", "budget_violation_fraction"),
+    }),
+    "disagree": ("cross_frame", "cross-frame disagreement rate", {
+        "v_mps": ("config", "v"),
+        "d_m": ("config", "d"),
+        "disagreement_rate": ("stats", "freq", "disagree"),
+        "analytic": ("derived", "analytic_disagreement"),
+        "wilson_disagree": ("stats", "wilson", "disagree"),
+        "delta_t_s": ("derived", "delta_t_s"),
+        "budget_violation_fraction": ("stats", "budget_violation_fraction"),
+    }),
+    "frame0": ("frame0_consistency", "mirror-frame consistency check", {
+        "contradictory_readings": contradictory_readings,
+        "winner1_freq": ("stats", "freq", "winner1"),
+        "wilson_winner1": ("stats", "wilson", "winner1"),
+    }),
+}
 
 
-def cmd_collapse_time(args) -> int:
-    config = _ensemble_config(args, "collapse_time")
-    stats, _records, paths = _run_and_export(config)
-    manifest = build_manifest(config)
-    p10, p50, p90 = stats.duration_quantiles
-    _json_out({
-        "kind": config.kind,
-        "runs": config.runs,
-        "master_seed": config.master_seed,
-        "q0": config.q0,
-        "collapse_rate_per_s": manifest["derived"]["collapse_rate_per_s"]["A"],
-        "duration_p10_s": p10,
-        "duration_p50_s": p50,
-        "duration_p90_s": p90,
-        "budget_violation_fraction": stats.budget_violation_fraction,
-        "records_path": paths["records"],
-        "manifest_path": paths["manifest"],
-    })
-    if args.verbose:
-        _stats_table(stats)
-    return 0
-
-
-def cmd_disagree(args) -> int:
-    config = _ensemble_config(args, "cross_frame")
-    stats, _records, paths = _run_and_export(config)
-    manifest = build_manifest(config)
-    lo, hi = stats.wilson["disagree"]
-    _json_out({
-        "kind": config.kind,
-        "runs": config.runs,
-        "master_seed": config.master_seed,
-        "q0": config.q0,
-        "v_mps": config.v,
-        "d_m": config.d,
-        "disagreement_rate": stats.freq["disagree"],
-        "analytic": manifest["derived"]["analytic_disagreement"],
-        "wilson_disagree": [lo, hi],
-        "delta_t_s": activation_gap(config.d, config.v),
-        "budget_violation_fraction": stats.budget_violation_fraction,
-        "records_path": paths["records"],
-        "manifest_path": paths["manifest"],
-    })
-    if args.verbose:
-        _stats_table(stats)
-    return 0
-
-
-def cmd_frame0(args) -> int:
-    config = _ensemble_config(args, "frame0_consistency")
-    stats, records, paths = _run_and_export(config)
-    contradictions = sum(
-        1 for r in records
-        if hasattr(r, "reading_D1") and r.reading_D1 == r.reading_D2)
-    lo, hi = stats.wilson["winner1"]
-    _json_out({
-        "kind": config.kind,
-        "runs": config.runs,
-        "master_seed": config.master_seed,
-        "q0": config.q0,
-        "contradictory_readings": contradictions,
-        "winner1_freq": stats.freq["winner1"],
-        "wilson_winner1": [lo, hi],
-        "records_path": paths["records"],
-        "manifest_path": paths["manifest"],
-    })
+def cmd_ensemble(args) -> int:
+    kind, _help, fields = ENSEMBLE_COMMANDS[args.command]
+    config = _ensemble_config(args, kind)
+    stats, records = run_ensemble(config)
+    paths, manifest = export_ensemble(config, stats, records, config.out_dir)
+    summary = {"records_path": paths["records"], "manifest_path": paths["manifest"]}
+    for name, spec in {**_COMMON_FIELDS, **fields}.items():
+        summary[name] = spec(records) if callable(spec) else reduce(getitem, spec, manifest)
+    _json_out(summary)
     if args.verbose:
         _stats_table(stats)
     return 0
@@ -232,21 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "and relativistic frame ordering.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("born", help="Born-rule statistics of the joint (mirror-frame) collapse")
-    _add_ensemble_flags(p)
-    p.set_defaults(func=cmd_born)
-
-    p = sub.add_parser("collapse-time", help="collapse duration quantiles at one detector")
-    _add_ensemble_flags(p)
-    p.set_defaults(func=cmd_collapse_time)
-
-    p = sub.add_parser("disagree", help="cross-frame disagreement rate")
-    _add_ensemble_flags(p)
-    p.set_defaults(func=cmd_disagree)
-
-    p = sub.add_parser("frame0", help="mirror-frame consistency check")
-    _add_ensemble_flags(p)
-    p.set_defaults(func=cmd_frame0)
+    for command, (_kind, help_text, _fields) in ENSEMBLE_COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        _add_ensemble_flags(p)
+        p.set_defaults(func=cmd_ensemble)
 
     p = sub.add_parser("frames", help="detection times in the three frames")
     p.add_argument("--d", type=float, default=_DEFAULT_D, help="detector distance, m")

@@ -80,15 +80,6 @@ class NoCollapsePossibleError(ValueError):
     """Branch profiles are identical (Gamma = 0), so q never moves."""
 
 
-class NonConvergenceError(RuntimeError):
-    """Run hit the step cap before absorbing; carries the final state."""
-
-    def __init__(self, message: str, final_q: float, steps: int):
-        super().__init__(message)
-        self.final_q = final_q
-        self.steps = steps
-
-
 def stable_q(r):
     """Branch-1 weight sigma(r) = 1 / (1 + exp(-r)), overflow-safe.
 
@@ -160,20 +151,15 @@ def union_cells(profile1: OccupationProfile, profile2: OccupationProfile) -> tup
 
 @dataclass(frozen=True)
 class CollapseParams:
-    """Integration and absorption parameters.
-
-    alpha is the cell edge length used when constructing occupation
-    profiles from geometry; it never enters the dynamics.
-    """
+    """Integration and absorption parameters."""
 
     dt: float
     lam: float = 1e-16
     epsilon: float = 1e-6
     max_steps: int = 1_000_000
-    alpha: float = 1e-7
 
     def __post_init__(self):
-        for name in ("dt", "lam", "epsilon", "alpha"):
+        for name in ("dt", "lam", "epsilon"):
             if not isinstance(getattr(self, name), numbers.Real):
                 raise TypeError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not isinstance(self.max_steps, numbers.Integral):
@@ -186,8 +172,6 @@ class CollapseParams:
             raise ValueError(f"epsilon must be in (0, 0.5), got {self.epsilon}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
 
     @property
     def log_threshold(self) -> float:
@@ -329,7 +313,7 @@ def _window_noise(noise, keys, sig, block_index, rows):
     zeta = np.empty_like(dw)
     for s, scale in enumerate(sig):
         for j, run_keys in enumerate(keys):
-            zeta[:, j] = noise.block_normals(run_keys[s], block_index, 1, rows=rows)[:, 0]
+            zeta[:, j] = noise.block_normals(run_keys[s], block_index, rows=rows)
         zeta *= scale
         dw += zeta
     return dw

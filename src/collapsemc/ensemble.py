@@ -6,8 +6,12 @@ ensemble are a pure function of its configuration.  Execution is chunked
 into fixed windows of run indices; workers pick up whole chunks, which
 makes the output byte-identical for any worker count or schedule.
 
-Statistics are computed by an order-independent reduction over the
-sorted records, with Wilson score intervals for the binomial rates.
+The records of an ensemble are one record table (see
+``experiment.record_dtype``) sorted by (run_index, frame).  Statistics are
+counted over its columns by an order-independent reduction, with Wilson
+score intervals for the binomial rates.  The exported fields that are not
+columns (the readings, and whether a collapse beat the activation gap)
+are worked out only while the records are written.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ import numpy as np
 
 from ._version import __version__
 from .dynamics import effective_rate
-from .experiment import (FrameOutcome, Scenario, active_profiles, build_scenario,
+from .experiment import (Scenario, active_profiles, build_scenario,
                          disagreement_rate_analytic, frame_pair, run_frame_batch)
-from .noise import derive_stream_key, key_hex  # noqa: F401  (re-exported API)
+from .noise import derive_stream_key  # noqa: F401  (re-exported API)
 from .relativity import C, Frame, activation_gap, gamma
 
 KINDS = ("born_rule", "collapse_time", "cross_frame", "frame0_consistency")
@@ -38,6 +42,9 @@ CHUNK_RUNS = 2048
 
 CSV_COLUMNS = ("run_index", "frame", "first_detector", "winner",
                "reading_D1", "reading_D2", "duration_s", "within_budget")
+
+# (reading_D1, reading_D2) by winner; a run that hit the step cap reads nothing
+READINGS = (("", ""), ("yes", "no"), ("no", "yes"))
 
 
 class ConfigError(ValueError):
@@ -101,16 +108,6 @@ class EnsembleConfig:
 
 
 @dataclass(frozen=True)
-class FailedRun:
-    """A run that hit the step cap; kept as its own outcome class."""
-
-    run_index: int
-    frame_label: str
-    final_q: float
-    steps: int
-
-
-@dataclass(frozen=True)
 class EnsembleStats:
     n: int
     counts: dict[str, int]
@@ -154,24 +151,18 @@ def _frames_for_kind(config: EnsembleConfig) -> tuple[Frame, ...]:
 
 def _run_chunk(config: EnsembleConfig, lo: int, hi: int) -> list:
     scenario = scenario_from_config(config)
-    indices = range(lo, hi)
-    records: list = []
+    tables: list = []
     for frame in _frames_for_kind(config):
-        outcomes, failures = run_frame_batch(scenario, frame, config.master_seed, indices)
-        records.extend(outcomes)
-        records.extend(FailedRun(k, frame.label, fq, st) for k, fq, st in failures)
-    return records
+        tables.extend(run_frame_batch(scenario, frame, config.master_seed, range(lo, hi)))
+    return tables
 
 
-def _record_sort_key(rec) -> tuple[int, str]:
-    return (rec.run_index, rec.frame_label)
-
-
-def run_ensemble(config: EnsembleConfig) -> tuple[EnsembleStats, list]:
+def run_ensemble(config: EnsembleConfig) -> tuple[EnsembleStats, np.ndarray]:
     """Execute the configured experiment and reduce its statistics.
 
-    Returns (stats, records) with records sorted by (run_index, frame).
-    Raises EnsembleAbortError if more than 1% of runs fail to converge.
+    Returns (stats, records) with records one table sorted by
+    (run_index, frame).  Raises EnsembleAbortError if more than 1% of runs
+    fail to converge.
     """
     bounds = [(lo, min(lo + CHUNK_RUNS, config.runs))
               for lo in range(0, config.runs, CHUNK_RUNS)]
@@ -181,38 +172,33 @@ def run_ensemble(config: EnsembleConfig) -> tuple[EnsembleStats, list]:
                                         [b[0] for b in bounds], [b[1] for b in bounds]))
     else:
         chunk_lists = [_run_chunk(config, lo, hi) for lo, hi in bounds]
-    records = [rec for chunk in chunk_lists for rec in chunk]
-    records.sort(key=_record_sort_key)
+    records = np.concatenate([table for chunk in chunk_lists for table in chunk])
+    records = records[np.lexsort((records["frame"], records["run_index"]))]
 
-    failed_runs = {rec.run_index for rec in records if isinstance(rec, FailedRun)}
-    if len(failed_runs) > 0.01 * config.runs:
+    failed_runs = np.unique(records["run_index"][records["winner"] == 0])
+    if failed_runs.size > 0.01 * config.runs:
         raise EnsembleAbortError(
-            f"{len(failed_runs)} of {config.runs} runs failed to converge (> 1%)")
+            f"{failed_runs.size} of {config.runs} runs failed to converge (> 1%)")
     return compute_stats(config.kind, config.runs, records), records
 
 
-def compute_stats(kind: str, runs: int, records: list) -> EnsembleStats:
-    """Order-independent reduction of per-run records."""
-    outcomes = [r for r in records if isinstance(r, FrameOutcome)]
-    failed_runs = {r.run_index for r in records if isinstance(r, FailedRun)}
+def compute_stats(kind: str, runs: int, records: np.ndarray) -> EnsembleStats:
+    """Order-independent reduction of a record table."""
+    absorbed = records[records["winner"] > 0]
 
     if kind == "cross_frame":
-        winners: dict[int, dict[str, int]] = {}
-        for rec in outcomes:
-            winners.setdefault(rec.run_index, {})[rec.frame_label] = rec.winner
-        agree = disagree = 0
-        for idx, per_frame in winners.items():
-            if idx in failed_runs or len(per_frame) != 2:
-                continue
-            if per_frame["A"] == per_frame["B"]:
-                agree += 1
-            else:
-                disagree += 1
+        # a run counts only when it absorbed in both frames
+        a = absorbed[absorbed["frame"] == "A"]
+        b = absorbed[absorbed["frame"] == "B"]
+        _, ia, ib = np.intersect1d(a["run_index"], b["run_index"], assume_unique=True,
+                                   return_indices=True)
+        disagree = int(np.count_nonzero(a["winner"][ia] != b["winner"][ib]))
+        agree = ia.size - disagree
         counts = {"agree": agree, "disagree": disagree, "failed": runs - agree - disagree}
         rate_classes = ("agree", "disagree")
     else:
-        w1 = sum(1 for r in outcomes if r.winner == 1)
-        w2 = sum(1 for r in outcomes if r.winner == 2)
+        w1 = int(np.count_nonzero(absorbed["winner"] == 1))
+        w2 = int(np.count_nonzero(absorbed["winner"] == 2))
         counts = {"winner1": w1, "winner2": w2, "failed": runs - w1 - w2}
         rate_classes = ("winner1", "winner2")
 
@@ -221,49 +207,42 @@ def compute_stats(kind: str, runs: int, records: list) -> EnsembleStats:
     wilson = {c: (wilson_interval(counts[c], n_ok) if n_ok else (0.0, 1.0))
               for c in rate_classes}
 
-    durations = [r.duration for r in outcomes]
-    if durations:
-        p10, p50, p90 = np.quantile(np.array(durations), [0.1, 0.5, 0.9])
+    if absorbed.size:
+        p10, p50, p90 = np.quantile(absorbed["duration"], [0.1, 0.5, 0.9])
         quantiles = (float(p10), float(p50), float(p90))
     else:
         quantiles = (math.nan, math.nan, math.nan)
 
-    budgeted = [r for r in outcomes if r.within_budget is not None]
-    violations = sum(1 for r in budgeted if not r.within_budget)
-    budget_fraction = violations / len(budgeted) if budgeted else 0.0
+    budgeted = absorbed[~np.isnan(absorbed["budget"])]
+    violations = int(np.count_nonzero(~(budgeted["duration"] < budgeted["budget"])))
+    budget_fraction = violations / budgeted.size if budgeted.size else 0.0
 
     return EnsembleStats(n=runs, counts=counts, freq=freq, wilson=wilson,
                          duration_quantiles=quantiles,
                          budget_violation_fraction=budget_fraction)
 
 
+def contradictory_readings(records: np.ndarray) -> int:
+    """Absorbed records whose two readings, as written, agree."""
+    winners = records["winner"][records["winner"] > 0]
+    readings = np.array(READINGS)[winners]
+    return int(np.count_nonzero(readings[:, 0] == readings[:, 1]))
+
+
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
 
-def record_to_dict(rec) -> dict:
-    """Flatten a record to the exported field set."""
-    if isinstance(rec, FrameOutcome):
-        return {
-            "run_index": rec.run_index,
-            "frame": rec.frame_label,
-            "first_detector": rec.first,
-            "winner": rec.winner,
-            "reading_D1": rec.reading_D1,
-            "reading_D2": rec.reading_D2,
-            "duration_s": rec.duration,
-            "within_budget": rec.within_budget,
-        }
-    return {
-        "run_index": rec.run_index,
-        "frame": rec.frame_label,
-        "first_detector": "",
-        "winner": 0,
-        "reading_D1": "",
-        "reading_D2": "",
-        "duration_s": None,
-        "within_budget": None,
-    }
+def _exported_rows(records: np.ndarray):
+    """Field values of each record, in CSV_COLUMNS order."""
+    columns = (records[c].tolist() for c in
+               ("run_index", "frame", "first_detector", "winner", "duration", "budget"))
+    for k, frame, first, winner, duration, budget in zip(*columns):
+        if winner == 0:
+            yield k, frame, "", 0, "", "", None, None
+        else:
+            within = None if math.isnan(budget) else duration < budget
+            yield (k, frame, first, winner, *READINGS[winner], duration, within)
 
 
 def _csv_cell(value) -> str:
@@ -276,8 +255,8 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def export_records(records: list, path: str, fmt: str = "csv") -> None:
-    """Write per-run records as CSV or JSONL.
+def export_records(records: np.ndarray, path: str, fmt: str = "csv") -> None:
+    """Write a record table as CSV or JSONL, one line per row.
 
     Floats are serialized with shortest round-trip decimals, so a reload
     recovers every value exactly.
@@ -286,21 +265,14 @@ def export_records(records: list, path: str, fmt: str = "csv") -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
-            for rec in records:
-                d = record_to_dict(rec)
-                writer.writerow([_csv_cell(d[c]) for c in CSV_COLUMNS])
+            writer.writerows([_csv_cell(v) for v in row] for row in _exported_rows(records))
     elif fmt == "jsonl":
         with open(path, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(record_to_dict(rec), sort_keys=True))
+            for row in _exported_rows(records):
+                fh.write(json.dumps(dict(zip(CSV_COLUMNS, row)), sort_keys=True))
                 fh.write("\n")
     else:
         raise ValueError(f"format must be 'csv' or 'jsonl', got {fmt!r}")
-
-
-def load_jsonl(path: str) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
 
 
 def build_manifest(config: EnsembleConfig) -> dict:
@@ -329,9 +301,9 @@ def build_manifest(config: EnsembleConfig) -> dict:
     }
 
 
-def export_ensemble(config: EnsembleConfig, stats: EnsembleStats, records: list,
-                    out_dir: str) -> dict[str, str]:
-    """Write records and manifest into out_dir; returns the paths."""
+def export_ensemble(config: EnsembleConfig, stats: EnsembleStats, records: np.ndarray,
+                    out_dir: str) -> tuple[dict[str, str], dict]:
+    """Write records and manifest into out_dir; returns (paths, manifest)."""
     os.makedirs(out_dir, exist_ok=True)
     ext = "csv" if config.record_format == "csv" else "jsonl"
     records_path = os.path.join(out_dir, f"records.{ext}")
@@ -349,4 +321,4 @@ def export_ensemble(config: EnsembleConfig, stats: EnsembleStats, records: list,
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    return {"records": records_path, "manifest": manifest_path}
+    return {"records": records_path, "manifest": manifest_path}, manifest

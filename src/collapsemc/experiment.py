@@ -18,6 +18,12 @@ Because the A and B runs of the same trial consume disjoint noise
 streams, their winners are independent Born draws, each picking branch 1
 with probability p = (q0 - epsilon) / (1 - 2 epsilon), and the two frames
 disagree with probability 2 p (1 - p).
+
+A batch of trials in one frame comes back as a record table: a numpy
+structured array with one row per run (see ``record_dtype``).  The
+readings of the two detectors are not stored; they follow from the winner
+(winner 1 reads D1 yes, D2 no; winner 2 the reverse), so a contradictory
+pair cannot be recorded.
 """
 
 from __future__ import annotations
@@ -26,9 +32,11 @@ import math
 import numbers
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import dynamics
 from .dynamics import CollapseParams, OccupationProfile, StreamLayout, collapse_batch
-from .noise import DEFAULT_NOISE, PhiloxNoiseSource, derive_stream_key, key_hex
+from .noise import DEFAULT_NOISE, PhiloxNoiseSource, derive_stream_key
 from .relativity import C, Frame, activation_gap, first_detector
 
 # Scenario builders pick dt so that Gamma * dt at the largest per-frame
@@ -42,7 +50,7 @@ TARGET_GAMMA_DT = 0.02
 DEFAULT_ETA = 1e10
 
 _OVERRIDE_KEYS = frozenset(
-    {"lam", "dt", "epsilon", "max_steps", "alpha", "eta", "amplitudes"})
+    {"lam", "dt", "epsilon", "max_steps", "eta", "amplitudes"})
 
 
 @dataclass(frozen=True)
@@ -125,7 +133,7 @@ def build_scenario(d: float = 1000.0, q0: float = 0.5,
 
     Each detector gets one yes-region cell and one no-region cell with
     eta = 1e10 where the pointer sits.  Overrides may set lam, dt,
-    epsilon, max_steps, alpha, eta, or amplitudes (an unnormalized
+    epsilon, max_steps, eta, or amplitudes (an unnormalized
     (|a1|^2, |a2|^2) pair that replaces q0).  If dt is not overridden it
     is derived from the frame-0 rate so that Gamma * dt = TARGET_GAMMA_DT.
     """
@@ -190,36 +198,6 @@ def active_profiles(scenario: Scenario, frame: Frame):
             tuple(det.id for det in dets))
 
 
-@dataclass(frozen=True)
-class FrameOutcome:
-    """One run as seen in one frame.
-
-    Readings are derived from the winner, so contradictory pairs are
-    unrepresentable: winner 1 reads (yes, no), winner 2 reads (no, yes).
-    within_budget is None when the frame has no activation gap (v = 0).
-    """
-
-    frame_label: str
-    first: str
-    winner: int
-    duration: float
-    run_index: int
-    stream_keys: tuple[str, ...]
-    within_budget: bool | None
-
-    def __post_init__(self):
-        if self.winner not in (1, 2):
-            raise ValueError(f"winner must be 1 or 2, got {self.winner}")
-
-    @property
-    def reading_D1(self) -> str:
-        return "yes" if self.winner == 1 else "no"
-
-    @property
-    def reading_D2(self) -> str:
-        return "no" if self.winner == 1 else "yes"
-
-
 def frame_layout(scenario: Scenario, frame: Frame):
     """Stream layout (one stream per active detector) for a frame."""
     p1, p2, det_ids = active_profiles(scenario, frame)
@@ -228,75 +206,45 @@ def frame_layout(scenario: Scenario, frame: Frame):
     return p1, p2, det_ids, layout
 
 
-def _budget(scenario: Scenario, frame: Frame) -> float | None:
-    if frame.v == 0:
-        return None
-    return activation_gap(scenario.d, abs(frame.v))
+def record_dtype(frame_label: str) -> np.dtype:
+    """Columns of a record table, one row per (run, frame).
+
+    winner is 1 or 2, or 0 for a run that hit the step cap.  first_detector
+    and budget are constants of the frame: the detector that activates
+    first ('simultaneous' in frame 0) and the activation gap that a
+    collapse must beat, NaN where the frame has none (v = 0).
+    """
+    return np.dtype([("run_index", np.int64), ("frame", f"U{len(frame_label)}"),
+                     ("first_detector", "U12"), ("winner", np.int8),
+                     ("duration", np.float64), ("budget", np.float64)])
 
 
 def run_frame_batch(scenario: Scenario, frame: Frame, master_seed: int,
                     run_indices, noise: PhiloxNoiseSource = DEFAULT_NOISE):
     """Run a batch of independent trials of one frame.
 
-    Returns (outcomes, failures): FrameOutcome per absorbed run, and
-    (run_index, final_q, steps) per run that hit the step cap.
+    Returns (absorbed, failed): the record tables of the runs that
+    absorbed and of those that hit the step cap, each in run_indices order.
     """
     p1, p2, det_ids, layout = frame_layout(scenario, frame)
     keys = [tuple(derive_stream_key(master_seed, det, k) for det in det_ids)
             for k in run_indices]
     res = collapse_batch(scenario.q0, p1, p2, scenario.params, layout, keys, noise=noise)
-    first = first_detector(frame, scenario.d)
-    budget = _budget(scenario, frame)
-    outcomes, failures = [], []
-    q_final = res.q
-    for j, k in enumerate(run_indices):
-        if res.winner[j] == 0:
-            failures.append((k, float(q_final[j]), int(res.steps[j])))
-            continue
-        duration = float(res.duration[j])
-        outcomes.append(FrameOutcome(
-            frame_label=frame.label,
-            first=first,
-            winner=int(res.winner[j]),
-            duration=duration,
-            run_index=k,
-            stream_keys=tuple(key_hex(key) for key in keys[j]),
-            within_budget=None if budget is None else duration < budget,
-        ))
-    return outcomes, failures
-
-
-def run_frame(scenario: Scenario, frame: Frame, master_seed: int, run_index: int,
-              noise: PhiloxNoiseSource = DEFAULT_NOISE) -> FrameOutcome:
-    """Run one trial of the experiment as seen in one frame."""
-    outcomes, failures = run_frame_batch(scenario, frame, master_seed, [run_index],
-                                         noise=noise)
-    if failures:
-        _, final_q, steps = failures[0]
-        raise dynamics.NonConvergenceError(
-            f"run {run_index} did not absorb within {steps} steps (q = {final_q:.6g})",
-            final_q=final_q, steps=steps)
-    return outcomes[0]
+    table = np.empty(len(keys), dtype=record_dtype(frame.label))
+    table["run_index"] = run_indices
+    table["frame"] = frame.label
+    table["first_detector"] = first_detector(frame, scenario.d)
+    table["winner"] = res.winner
+    table["duration"] = res.duration
+    table["budget"] = math.nan if frame.v == 0 else activation_gap(scenario.d, abs(frame.v))
+    absorbed = res.winner > 0
+    return table[absorbed], table[~absorbed]
 
 
 def frame_pair(v: float) -> tuple[Frame, Frame]:
     if not 0 < v < C:
         raise ValueError(f"v must satisfy 0 < v < c, got {v}")
     return Frame(v, "A"), Frame(-v, "B")
-
-
-def cross_frame_trial(scenario: Scenario, v: float, master_seed: int, run_index: int,
-                      noise: PhiloxNoiseSource = DEFAULT_NOISE):
-    """Run the same trial in frames A and B and compare winners.
-
-    Both frames share (master_seed, run_index) but draw from disjoint
-    detector streams, so the two collapses use independent randomness.
-    Returns (outcome_A, outcome_B, agree).
-    """
-    a, b = frame_pair(v)
-    out_a = run_frame(scenario, a, master_seed, run_index, noise=noise)
-    out_b = run_frame(scenario, b, master_seed, run_index, noise=noise)
-    return out_a, out_b, out_a.winner == out_b.winner
 
 
 def disagreement_rate_analytic(q0: float, epsilon: float) -> float:

@@ -2,8 +2,7 @@
 
 Every random number consumed by a simulation run is addressed, not drawn
 sequentially from shared state: a value is identified by its stream key,
-step index and column.  The engine reads one column per stream, so a
-value is fixed by (stream_key, step_index).  Distinct detectors and
+step index.  Distinct detectors and
 distinct run indices get distinct stream keys, so concurrent trajectories
 never coordinate and a rerun of any single trajectory reproduces its noise
 exactly, regardless of what else executed.
@@ -73,27 +72,17 @@ def derive_stream_key(master_seed: int, detector_id: str, run_index: int,
     return (k0, k1)
 
 
-def key_hex(key: StreamKey) -> str:
-    """Compact hex spelling of a stream key, for manifests and logs."""
-    return f"{key[0]:016x}{key[1]:016x}"
-
-
 class PhiloxNoiseSource:
-    """Supplies standard-normal increments addressed by (key, step, column).
+    """Supplies standard-normal increments addressed by (key, step).
 
     Values are generated in windows of ``BLOCK_STEPS`` steps.  Window ``b``
     of stream ``key`` is drawn from a Philox generator with 128-bit key
-    ``key`` and 256-bit counter ``(0, b, 0, 0)``; the window's values are
-    consumed as a (BLOCK_STEPS, n_cells) array in row-major order, so the
-    value for (step, column) sits at row ``step % BLOCK_STEPS``, column
-    ``column`` of window ``step // BLOCK_STEPS``.  Windows are separated by
-    2**64 counter positions, far more than one window ever consumes, and
-    a draw of only the first ``rows`` rows of a window equals the prefix
-    of the full window because generation is sequential within a window.
-
-    A stream must always be read with the same ``n_cells`` width; the
-    engine always reads one column per stream (``n_cells=1``), so this
-    holds by construction.
+    ``key`` and 256-bit counter ``(0, b, 0, 0)``, so the value for a step
+    sits at row ``step % BLOCK_STEPS`` of window ``step // BLOCK_STEPS``.
+    Windows are separated by 2**64 counter positions, far more than one
+    window ever consumes, and a draw of only the first ``rows`` rows of a
+    window equals the prefix of the full window because generation is
+    sequential within a window.
 
     An instance reuses one generator object and one state dict, writing
     the key and counter words into it per window, so it is cheap but not
@@ -110,20 +99,19 @@ class PhiloxNoiseSource:
         self._counter = self._state["state"]["counter"]
         self._key = self._state["state"]["key"]
 
-    def block_normals(self, key: StreamKey, block_index: int, n_cells: int,
+    def block_normals(self, key: StreamKey, block_index: int,
                       rows: int | None = None) -> np.ndarray:
-        """Return the first ``rows`` rows (default all) of one stream window."""
+        """Return the first ``rows`` rows (default all) of one stream window
+        as a 1-D array."""
         if block_index < 0:
             raise ValueError(f"block_index must be >= 0, got {block_index}")
-        if n_cells < 1:
-            raise ValueError(f"n_cells must be >= 1, got {n_cells}")
         rows = BLOCK_STEPS if rows is None else rows
         if not 0 < rows <= BLOCK_STEPS:
             raise ValueError(f"rows must be in [1, {BLOCK_STEPS}], got {rows}")
         self._counter[1] = block_index
         self._key[0], self._key[1] = key
         self._bitgen.state = self._state
-        return self._gen.standard_normal((rows, n_cells))
+        return self._gen.standard_normal(rows)
 
 
 DEFAULT_NOISE = PhiloxNoiseSource()

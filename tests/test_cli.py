@@ -177,6 +177,11 @@ def test_config_file_unknown_field(capsys, tmp_path):
     code, _, err = run_cli(capsys, "born", "--config", str(cfg_path))
     assert code == 2
     assert "JSON object" in err
+    # alpha is not a parameter of the engine
+    cfg_path.write_text(json.dumps({"overrides": {"alpha": 1e-7}}))
+    code, _, err = run_cli(capsys, "born", "--config", str(cfg_path))
+    assert code == 2
+    assert "unknown override keys: ['alpha']" in err
 
 
 @pytest.mark.parametrize("bad", [

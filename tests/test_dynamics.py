@@ -42,20 +42,21 @@ def keys0_for(n, seed=1):
 class _OnesNoise(PhiloxNoiseSource):
     """Every increment is +1, so one step can be checked by hand."""
 
-    def block_normals(self, key, block_index, n_cells, rows=None):
-        return np.ones((rows, n_cells))
+    def block_normals(self, key, block_index, rows=None):
+        return np.ones(rows)
 
 
 class _SpyNoise(PhiloxNoiseSource):
-    """Records the n_cells of every request."""
+    """Records the shape of every window it hands out."""
 
     def __init__(self):
         super().__init__()
-        self.widths = []
+        self.shapes = []
 
-    def block_normals(self, key, block_index, n_cells, rows=None):
-        self.widths.append(n_cells)
-        return super().block_normals(key, block_index, n_cells, rows=rows)
+    def block_normals(self, key, block_index, rows=None):
+        vals = super().block_normals(key, block_index, rows=rows)
+        self.shapes.append(vals.shape)
+        return vals
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +157,11 @@ def test_aggregate_preserves_rate_property():
 def test_engine_reads_one_column_per_stream():
     spy = _SpyNoise()
     res = collapse_batch(0.5, P01, P02, PARAMS, LAYOUT0, keys0_for(40, seed=29), noise=spy)
-    assert set(spy.widths) == {1}
+    assert all(len(shape) == 1 for shape in spy.shapes)
     # a run is drawn for in every window it enters, once per stream
     windows = int(sum(-(-int(k) // BLOCK_STEPS) for k in res.steps))
     assert windows > 40
-    assert len(spy.widths) == 2 * windows
+    assert len(spy.shapes) == 2 * windows
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +341,7 @@ def test_engine_matches_reference_stepper():
     n_steps = 50
     gamma = effective_rate(p1, p2, LAM)
     sig = 2.0 * math.sqrt(gamma * PARAMS.dt)
-    zeta = DEFAULT_NOISE.block_normals(key, 0, 1, rows=n_steps)[:, 0]
+    zeta = DEFAULT_NOISE.block_normals(key, 0, rows=n_steps)
     for measure in ("raw", "cooked"):
         res = evolve_batch(0.37, p1, p2, PARAMS, LAYOUT, [(key,)], n_steps, measure=measure)
         r = math.log(0.37) - math.log1p(-0.37)

@@ -1,14 +1,15 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from test_experiment import assert_tables_equal
 
 from collapsemc.ensemble import (CHUNK_RUNS, ConfigError, EnsembleAbortError,
-                                 EnsembleConfig, FailedRun, build_manifest,
-                                 compute_stats, export_ensemble, export_records,
-                                 load_jsonl, record_to_dict, run_ensemble,
+                                 EnsembleConfig, build_manifest, compute_stats,
+                                 export_ensemble, export_records, run_ensemble,
                                  wilson_interval)
-from collapsemc.experiment import FrameOutcome
+from collapsemc.experiment import record_dtype
 from collapsemc.noise import derive_stream_key
 from collapsemc.relativity import C, activation_gap
 
@@ -88,7 +89,7 @@ def test_born_rule_ensemble_shape():
     assert sum(stats.counts.values()) == 400
     assert stats.counts["failed"] == 0
     assert len(records) == 400
-    assert [r.run_index for r in records] == list(range(400))
+    assert records["run_index"].tolist() == list(range(400))
     lo, hi = stats.wilson["winner1"]
     assert lo <= stats.freq["winner1"] <= hi
     p10, p50, p90 = stats.duration_quantiles
@@ -107,22 +108,21 @@ def test_cross_frame_ensemble_shape():
     cfg, stats, records = _records("cross_frame", 300, q0=0.3, d=2500.0)
     assert sum(stats.counts.values()) == 300
     assert len(records) == 600
-    by_index = {}
-    for rec in records:
-        by_index.setdefault(rec.run_index, set()).add(rec.frame_label)
-    assert all(frames == {"A", "B"} for frames in by_index.values())
+    assert records["run_index"].tolist() == [k for k in range(300) for _ in "AB"]
+    assert records["frame"].tolist() == ["A", "B"] * 300
     assert 0.0 <= stats.budget_violation_fraction <= 1.0
 
 
 def test_frame0_consistency_ensemble():
     cfg, stats, records = _records("frame0_consistency", 300, q0=0.3)
-    assert all(r.reading_D1 != r.reading_D2 for r in records)
+    assert np.all(records["frame"] == "frame0")
+    assert np.all(np.isin(records["winner"], (1, 2)))
     assert stats.counts["winner1"] + stats.counts["winner2"] == 300
 
 
 def test_collapse_time_ensemble():
     cfg, stats, records = _records("collapse_time", 300)
-    assert all(r.frame_label == "A" for r in records)
+    assert np.all(records["frame"] == "A")
     p10, p50, p90 = stats.duration_quantiles
     assert 0 < p10 <= p50 <= p90
 
@@ -130,7 +130,7 @@ def test_collapse_time_ensemble():
 def test_ensemble_deterministic():
     _, stats_a, rec_a = _records("born_rule", 250, seed=9)
     _, stats_b, rec_b = _records("born_rule", 250, seed=9)
-    assert rec_a == rec_b
+    assert_tables_equal(rec_a, rec_b)
     assert stats_a == stats_b
     _, stats_c, _ = _records("born_rule", 250, seed=10)
     assert stats_c != stats_a
@@ -142,7 +142,7 @@ def test_workers_do_not_change_records():
     cfg2 = EnsembleConfig(kind="born_rule", runs=runs, master_seed=4, workers=3)
     _, rec1 = run_ensemble(cfg1)
     _, rec2 = run_ensemble(cfg2)
-    assert rec1 == rec2
+    assert_tables_equal(rec1, rec2)
 
 
 def test_abort_on_failures():
@@ -152,35 +152,74 @@ def test_abort_on_failures():
         run_ensemble(cfg)
 
 
+def test_cross_frame_ensemble_trivial_agreement():
+    _, stats, records = _records("cross_frame", 20, q0=1.0)
+    assert stats.counts == {"agree": 20, "disagree": 0, "failed": 0}
+    assert records["winner"].tolist() == [1] * 40
+
+
+def _table(*rows):
+    """A hand-built record table; rows are (run_index, frame,
+    first_detector, winner, duration, budget)."""
+    return np.array(list(rows), dtype=record_dtype("frame0"))
+
+
 def test_compute_stats_failed_class():
-    ok = FrameOutcome("A", "D1", 1, 1e-4, 0, ("k",), True)
-    bad = FailedRun(1, "A", 0.4, 99)
-    stats = compute_stats("collapse_time", 2, [ok, bad])
+    records = _table((0, "A", "D1", 1, 1e-4, 2e-4), (1, "A", "D1", 0, 0.5, 2e-4))
+    stats = compute_stats("collapse_time", 2, records)
     assert stats.counts == {"winner1": 1, "winner2": 0, "failed": 1}
     assert stats.freq["winner1"] == 1.0
+    assert stats.duration_quantiles == (1e-4, 1e-4, 1e-4)
+    assert stats.budget_violation_fraction == 0.0
+
+
+def test_compute_stats_cross_frame_counts():
+    # run 0 disagrees, run 1 failed in B, run 2 agrees, run 3 failed in A;
+    # rows out of order
+    records = _table((2, "B", "D2", 1, 3e-4, 2e-4), (0, "A", "D1", 1, 1e-4, 2e-4),
+                     (1, "B", "D2", 0, 0.5, 2e-4), (0, "B", "D2", 2, 1e-4, 2e-4),
+                     (3, "A", "D1", 0, 0.5, 2e-4), (3, "B", "D2", 1, 1e-4, 2e-4),
+                     (1, "A", "D1", 2, 1e-4, 2e-4), (2, "A", "D1", 1, 1e-4, 2e-4))
+    stats = compute_stats("cross_frame", 4, records)
+    assert stats.counts == {"agree": 1, "disagree": 1, "failed": 2}
+    assert stats.freq == {"agree": 0.5, "disagree": 0.5}
+    assert stats.budget_violation_fraction == 1 / 6
+
+
+# An absorbed frame-B row, a run that hit the step cap, and a frame-0 row,
+# which has no activation gap to beat.
+EXPORT_ROWS = ((7, "B", "D2", 2, 3.75e-4, 2.5e-4), (8, "B", "D2", 0, 0.125, 2.5e-4),
+               (9, "frame0", "simultaneous", 1, 1.25e-4, math.nan))
 
 
 def test_export_csv_layout(tmp_path):
-    records = [FrameOutcome("A", "D1", 1, 2.5e-4, 0, ("k",), False),
-               FrameOutcome("A", "D1", 2, 1.25e-4, 1, ("k",), True),
-               FailedRun(2, "A", 0.37, 99)]
+    records = _table((0, "A", "D1", 1, 2.5e-4, 2e-4), (1, "A", "D1", 2, 1.25e-4, 2e-4),
+                     (2, "A", "D1", 0, 0.125, 2e-4), (3, "frame0", "simultaneous", 2, 5e-5, math.nan))
     path = tmp_path / "records.csv"
     export_records(records, str(path), "csv")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 4
-    assert lines[0] == "run_index,frame,first_detector,winner,reading_D1,reading_D2,duration_s,within_budget"
-    assert lines[1] == "0,A,D1,1,yes,no,0.00025,false"
-    assert lines[3] == "2,A,,0,,,,"
+    assert path.read_text(encoding="utf-8").splitlines() == [
+        "run_index,frame,first_detector,winner,reading_D1,reading_D2,duration_s,within_budget",
+        "0,A,D1,1,yes,no,0.00025,false",
+        "1,A,D1,2,no,yes,0.000125,true",
+        "2,A,,0,,,,",
+        "3,frame0,simultaneous,2,no,yes,5e-05,",
+    ]
 
 
 def test_export_jsonl_round_trip(tmp_path):
-    records = [FrameOutcome("B", "D2", 2, 3.75e-4, 7, ("k",), False),
-               FailedRun(8, "B", 0.61, 42)]
     path = tmp_path / "records.jsonl"
-    export_records(records, str(path), "jsonl")
-    loaded = load_jsonl(str(path))
-    assert loaded == [record_to_dict(r) for r in records]
-    assert loaded[0]["duration_s"] == 3.75e-4  # exact float round trip
+    export_records(_table(*EXPORT_ROWS), str(path), "jsonl")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines == [
+        '{"duration_s": 0.000375, "first_detector": "D2", "frame": "B", "reading_D1": "no", '
+        '"reading_D2": "yes", "run_index": 7, "winner": 2, "within_budget": false}',
+        '{"duration_s": null, "first_detector": "", "frame": "B", "reading_D1": "", '
+        '"reading_D2": "", "run_index": 8, "winner": 0, "within_budget": null}',
+        '{"duration_s": 0.000125, "first_detector": "simultaneous", "frame": "frame0", '
+        '"reading_D1": "yes", "reading_D2": "no", "run_index": 9, "winner": 1, '
+        '"within_budget": null}',
+    ]
+    assert json.loads(lines[0])["duration_s"] == 3.75e-4  # exact float round trip
 
 
 def test_export_rejects_unknown_format(tmp_path):
@@ -209,8 +248,10 @@ def test_export_ensemble_bytes_stable(tmp_path):
     cfg = EnsembleConfig(kind="born_rule", runs=40, master_seed=2,
                          out_dir=str(tmp_path / "a"))
     stats, records = run_ensemble(cfg)
-    paths_a = export_ensemble(cfg, stats, records, str(tmp_path / "a"))
-    paths_b = export_ensemble(cfg, stats, records, str(tmp_path / "b"))
+    paths_a, manifest = export_ensemble(cfg, stats, records, str(tmp_path / "a"))
+    paths_b, _ = export_ensemble(cfg, stats, records, str(tmp_path / "b"))
+    with open(paths_a["manifest"], encoding="utf-8") as fh:
+        assert json.load(fh) == manifest
     for name in ("records", "manifest"):
         a = open(paths_a[name], "rb").read()
         b = open(paths_b[name], "rb").read()

@@ -4,20 +4,40 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from collapsemc.dynamics import (MAX_GAMMA_DT, NonConvergenceError, OccupationProfile,
-                                 effective_rate)
-from collapsemc.experiment import (TARGET_GAMMA_DT, DetectorSpec, FrameOutcome, Scenario,
+from collapsemc.dynamics import MAX_GAMMA_DT, OccupationProfile, effective_rate
+from collapsemc.experiment import (TARGET_GAMMA_DT, DetectorSpec, Scenario,
                                    active_profiles, build_scenario,
-                                   cross_frame_trial, disagreement_rate_analytic,
-                                   frame_pair, q0_from_amplitudes,
-                                   run_frame, run_frame_batch)
+                                   disagreement_rate_analytic, frame_pair,
+                                   q0_from_amplitudes, run_frame_batch)
 from collapsemc.noise import PhiloxNoiseSource, derive_stream_key
-from collapsemc.relativity import C, Frame
+from collapsemc.relativity import C, Frame, activation_gap
 
 V99 = 0.99 * C
 FRAME_0 = Frame(0.0, "frame0")
 FRAME_A = Frame(V99, "A")
 FRAME_B = Frame(-V99, "B")
+
+
+class _SpyNoise(PhiloxNoiseSource):
+    """Records requested keys; optionally corrupts a chosen key set."""
+
+    def __init__(self, corrupt_keys=()):
+        super().__init__()
+        self.requested = []
+        self.corrupt_keys = set(corrupt_keys)
+
+    def block_normals(self, key, block_index, rows=None):
+        self.requested.append(key)
+        vals = super().block_normals(key, block_index, rows=rows)
+        if key in self.corrupt_keys:
+            return -3.0 * vals + 1.0
+        return vals
+
+
+def assert_tables_equal(a, b):
+    assert a.dtype == b.dtype
+    for name in a.dtype.names:
+        assert np.array_equal(a[name], b[name], equal_nan=a.dtype[name].kind == "f"), name
 
 
 def test_build_scenario_default_rates():
@@ -64,6 +84,8 @@ def test_build_scenario_overrides():
 def test_build_scenario_invalid_overrides():
     with pytest.raises(ValueError):
         build_scenario(overrides={"bogus": 1})
+    with pytest.raises(ValueError, match="alpha"):
+        build_scenario(overrides={"alpha": 1e-7})
     with pytest.raises(ValueError):
         build_scenario(overrides={"eta": -1.0})
     with pytest.raises(ValueError):
@@ -90,83 +112,55 @@ def test_detector_spec_validation():
 
 def test_stream_key_sets_disjoint_between_frames():
     scn = build_scenario()
-    out_a = run_frame(scn, FRAME_A, master_seed=4, run_index=0)
-    out_b = run_frame(scn, FRAME_B, master_seed=4, run_index=0)
-    assert not set(out_a.stream_keys) & set(out_b.stream_keys)
+    spy_a, spy_b = _SpyNoise(), _SpyNoise()
+    run_frame_batch(scn, FRAME_A, 4, [0], noise=spy_a)
+    run_frame_batch(scn, FRAME_B, 4, [0], noise=spy_b)
+    assert spy_a.requested and spy_b.requested
+    assert not set(spy_a.requested) & set(spy_b.requested)
 
 
 def test_run_frame_trivial_q0():
     scn = build_scenario(q0=1.0)
     for frame in (FRAME_0, FRAME_A, FRAME_B):
-        out = run_frame(scn, frame, master_seed=1, run_index=0)
-        assert out.winner == 1
-        assert out.reading_D1 == "yes" and out.reading_D2 == "no"
-        assert out.duration == 0.0
+        absorbed, failed = run_frame_batch(scn, frame, 1, [0])
+        assert len(failed) == 0
+        assert absorbed["winner"].tolist() == [1]
+        assert absorbed["duration"].tolist() == [0.0]
 
 
 def test_run_frame_first_detector_and_budget():
     scn = build_scenario()
-    out = run_frame(scn, FRAME_A, master_seed=2, run_index=5)
-    assert out.first == "D1"
-    assert isinstance(out.within_budget, bool)
-    out = run_frame(scn, FRAME_B, master_seed=2, run_index=5)
-    assert out.first == "D2"
-    out = run_frame(scn, FRAME_0, master_seed=2, run_index=5)
-    assert out.first == "simultaneous"
-    assert out.within_budget is None
-
-
-def test_frame_outcome_readings_complementary():
-    for winner in (1, 2):
-        out = FrameOutcome("A", "D1", winner, 1e-4, 0, ("00",), True)
-        assert {out.reading_D1, out.reading_D2} == {"yes", "no"}
-    with pytest.raises(ValueError):
-        FrameOutcome("A", "D1", 3, 1e-4, 0, ("00",), True)
-
-
-class _SpyNoise(PhiloxNoiseSource):
-    """Records requested keys; optionally corrupts a chosen key set."""
-
-    def __init__(self, corrupt_keys=()):
-        super().__init__()
-        self.requested = []
-        self.corrupt_keys = set(corrupt_keys)
-
-    def block_normals(self, key, block_index, n_cells, rows=None):
-        self.requested.append(key)
-        vals = super().block_normals(key, block_index, n_cells, rows=rows)
-        if key in self.corrupt_keys:
-            return -3.0 * vals + 1.0
-        return vals
+    gap = activation_gap(scn.d, V99)
+    for frame, first in ((FRAME_A, "D1"), (FRAME_B, "D2"), (FRAME_0, "simultaneous")):
+        (row,), failed = run_frame_batch(scn, frame, 2, [5])
+        assert len(failed) == 0
+        assert (row["run_index"], row["frame"], row["first_detector"]) == (5, frame.label, first)
+        if frame is FRAME_0:
+            assert math.isnan(row["budget"])
+        else:
+            assert row["budget"] == gap
 
 
 def test_frame_a_outcome_depends_only_on_d1_stream():
     scn = build_scenario()
     seed, run = 6, 11
     spy = _SpyNoise()
-    baseline = run_frame(scn, FRAME_A, seed, run, noise=spy)
+    baseline, _ = run_frame_batch(scn, FRAME_A, seed, [run], noise=spy)
     d1_key = derive_stream_key(seed, "D1", run)
     d2_key = derive_stream_key(seed, "D2", run)
     assert set(spy.requested) == {d1_key}
 
     corrupted = _SpyNoise(corrupt_keys=[d2_key])
-    perturbed = run_frame(scn, FRAME_A, seed, run, noise=corrupted)
-    assert perturbed == baseline
+    perturbed, _ = run_frame_batch(scn, FRAME_A, seed, [run], noise=corrupted)
+    assert_tables_equal(perturbed, baseline)
 
 
 def test_frame0_consumes_both_streams():
     scn = build_scenario()
     spy = _SpyNoise()
-    run_frame(scn, FRAME_0, 6, 11, noise=spy)
+    run_frame_batch(scn, FRAME_0, 6, [11], noise=spy)
     assert set(spy.requested) == {derive_stream_key(6, "D1", 11),
                                   derive_stream_key(6, "D2", 11)}
-
-
-def test_cross_frame_trial_trivial_agreement():
-    scn = build_scenario(q0=1.0)
-    out_a, out_b, agree = cross_frame_trial(scn, V99, master_seed=1, run_index=0)
-    assert agree and out_a.winner == out_b.winner == 1
-    assert out_a.frame_label == "A" and out_b.frame_label == "B"
 
 
 def test_cross_frame_disagreement_rate():
@@ -174,9 +168,8 @@ def test_cross_frame_disagreement_rate():
     n = 3000
     outcomes_a, fail_a = run_frame_batch(scn, FRAME_A, 77, range(n))
     outcomes_b, fail_b = run_frame_batch(scn, FRAME_B, 77, range(n))
-    assert not fail_a and not fail_b
-    disagree = sum(1 for a, b in zip(outcomes_a, outcomes_b) if a.winner != b.winner)
-    rate = disagree / n
+    assert len(fail_a) == len(fail_b) == 0
+    rate = np.count_nonzero(outcomes_a["winner"] != outcomes_b["winner"]) / n
     expected = disagreement_rate_analytic(0.3, scn.params.epsilon)
     assert abs(rate - expected) < 4.0 * math.sqrt(expected * (1 - expected) / n)
 
@@ -212,11 +205,11 @@ def test_closed_form_born_and_mean_time(frame, epsilon, n):
     p1, p2, _ = active_profiles(scn, frame)
     gamma = effective_rate(p1, p2, scn.params.lam)
     outcomes, failures = run_frame_batch(scn, frame, 131, range(n))
-    assert not failures
+    assert len(failures) == 0
     p = (q0 - eps) / (1.0 - 2.0 * eps)
-    w1 = sum(1 for o in outcomes if o.winner == 1)
+    w1 = np.count_nonzero(outcomes["winner"] == 1)
     assert abs(w1 / n - p) < 4.0 * math.sqrt(p * (1.0 - p) / n)
-    durations = np.array([o.duration for o in outcomes])
+    durations = outcomes["duration"]
     mean_t = ((1.0 - 2.0 * eps) * _logit(1.0 - eps) - (2.0 * q0 - 1.0) * _logit(q0)) / (2.0 * gamma)
     assert abs(durations.mean() - mean_t) < 4.0 * durations.std() / math.sqrt(n)
 
@@ -225,8 +218,8 @@ def test_born_marginal_per_frame():
     scn = build_scenario(q0=0.3)
     n = 3000
     outcomes, failures = run_frame_batch(scn, FRAME_B, 91, range(n))
-    assert not failures
-    freq = sum(1 for o in outcomes if o.winner == 1) / n
+    assert len(failures) == 0
+    freq = np.count_nonzero(outcomes["winner"] == 1) / n
     assert abs(freq - 0.3) < 4.0 * math.sqrt(0.3 * 0.7 / n)
 
 
@@ -263,8 +256,8 @@ def test_mirror_symmetry_statistics():
 
     base, _ = run_frame_batch(scn, FRAME_A, 101, range(n))
     flip, _ = run_frame_batch(mirrored, FRAME_B, 202, range(n))
-    f_base = sum(1 for o in base if o.winner == 1) / n
-    f_flip = sum(1 for o in flip if o.winner == 2) / n
+    f_base = np.count_nonzero(base["winner"] == 1) / n
+    f_flip = np.count_nonzero(flip["winner"] == 2) / n
     se = math.sqrt(2.0 * 0.3 * 0.7 / n)
     assert abs(f_base - f_flip) < 4.0 * se
 
@@ -272,13 +265,10 @@ def test_mirror_symmetry_statistics():
 def test_run_frame_batch_failures():
     scn = build_scenario(overrides={"max_steps": 64})
     outcomes, failures = run_frame_batch(scn, FRAME_A, 1, range(8))
-    assert not outcomes
-    assert len(failures) == 8
-    for run_index, final_q, steps in failures:
-        assert steps == 64
-        assert 0.0 <= final_q <= 1.0
-    with pytest.raises(NonConvergenceError):
-        run_frame(scn, FRAME_A, 1, 0)
+    assert len(outcomes) == 0
+    assert failures["run_index"].tolist() == list(range(8))
+    assert np.all(failures["winner"] == 0)
+    assert np.all(failures["duration"] == 64 * scn.params.dt)
 
 
 def test_frame_pair_validation():
