@@ -16,11 +16,11 @@ are worked out only while the records are written.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import numbers
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 
@@ -45,6 +45,19 @@ CSV_COLUMNS = ("run_index", "frame", "first_detector", "winner",
 
 # (reading_D1, reading_D2) by winner; a run that hit the step cap reads nothing
 READINGS = (("", ""), ("yes", "no"), ("no", "yes"))
+
+# Line layout of each record format and its spelling of None, True and
+# False.  A layout is filled by str.format with the fields in CSV_COLUMNS
+# order; the JSONL layout is that of json.dumps(..., sort_keys=True) and
+# the CSV one that of csv.writer.  The string fields come from fixed ASCII
+# vocabularies (frame labels, detector ids, readings), which need neither
+# quoting nor escaping.
+_LINE_FORMATS = {
+    "csv": ("{0},{1},{2},{3},{4},{5},{6},{7}\r\n", {None: "", True: "true", False: "false"}),
+    "jsonl": ('{{"duration_s": {6}, "first_detector": "{2}", "frame": "{1}", '
+              '"reading_D1": "{4}", "reading_D2": "{5}", "run_index": {0}, "winner": {3}, '
+              '"within_budget": {7}}}\n', {None: "null", True: "true", False: "false"}),
+}
 
 
 class ConfigError(ValueError):
@@ -233,50 +246,33 @@ def contradictory_readings(records: np.ndarray) -> int:
 # Persistence
 # ---------------------------------------------------------------------------
 
-def _exported_rows(records: np.ndarray):
-    """Field values of each record, in CSV_COLUMNS order."""
-    columns = (records[c].tolist() for c in
-               ("run_index", "frame", "first_detector", "winner", "duration", "budget"))
-    for k, frame, first, winner, duration, budget in zip(*columns):
-        if winner == 0:
-            yield k, frame, "", 0, "", "", None, None
-        else:
-            within = None if math.isnan(budget) else duration < budget
-            yield (k, frame, first, winner, *READINGS[winner], duration, within)
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def export_records(records: np.ndarray, path: str, fmt: str = "csv") -> None:
     """Write a record table as CSV or JSONL, one line per row.
 
     Floats are serialized with shortest round-trip decimals, so a reload
     recovers every value exactly.
     """
-    if fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            writer.writerows([_csv_cell(v) for v in row] for row in _exported_rows(records))
-    elif fmt == "jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in _exported_rows(records):
-                fh.write(json.dumps(dict(zip(CSV_COLUMNS, row)), sort_keys=True))
-                fh.write("\n")
-    else:
+    if fmt not in _LINE_FORMATS:
         raise ValueError(f"format must be 'csv' or 'jsonl', got {fmt!r}")
+    line, literal = _LINE_FORMATS[fmt]
+    columns = (records[c].tolist() for c in
+               ("run_index", "frame", "first_detector", "winner", "duration", "budget"))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if fmt == "csv":
+            fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        for k, frame, first, winner, duration, budget in zip(*columns):
+            if winner == 0:
+                fh.write(line.format(k, frame, "", 0, "", "", literal[None], literal[None]))
+            else:
+                within = None if math.isnan(budget) else duration < budget
+                fh.write(line.format(k, frame, first, winner, *READINGS[winner],
+                                     repr(duration), literal[within]))
 
 
 def build_manifest(config: EnsembleConfig) -> dict:
-    """Full provenance for one ensemble: config plus derived constants."""
+    """Full provenance for one ensemble: config, derived constants, and
+    the numpy and Python builds, since the noise values are fixed only
+    within one build of numpy."""
     scenario = scenario_from_config(config)
     lam = scenario.params.lam
     rates = {}
@@ -286,6 +282,7 @@ def build_manifest(config: EnsembleConfig) -> dict:
     cfg = asdict(config)
     return {
         "artifact_version": __version__,
+        "build": {"numpy": np.__version__, "python": sys.version.split()[0]},
         "master_seed": config.master_seed,
         "config": cfg,
         "derived": {

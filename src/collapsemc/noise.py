@@ -24,9 +24,11 @@ from numpy.random import Generator, Philox
 # A stream is consumed in fixed windows of this many steps.  Window b of a
 # stream is generated from Philox counter (0, b, 0, 0), so any window can
 # be produced without generating its predecessors.  A run draws every
-# window it enters, so a window is kept to a few hundred steps, about one
-# typical run at the scenario step size.
-BLOCK_STEPS = 256
+# window it enters, so a window is kept to about one typical run at the
+# scenario step size (experiment.TARGET_GAMMA_DT, which also gives the
+# accuracy at that step): a frame-0 run at q0 0.5 takes about 140 steps,
+# a frame-A run about 280.
+BLOCK_STEPS = 128
 
 _KEY_PREFIX = b"collapsemc.v1"
 

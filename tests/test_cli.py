@@ -116,6 +116,24 @@ def test_disagree_summary(capsys, tmp_path):
         assert json.load(fh)["derived"]["analytic_disagreement"] == data["analytic"]
 
 
+def test_disagree_nearly_simultaneous_frames(capsys, tmp_path):
+    # at d = 1 m and v = 1 mm/s the activation gap is 2.2e-20 s, yet each
+    # frame is still driven by one detector: the records name it and carry
+    # a budget, which no collapse beats
+    code, out, _ = run_cli(capsys, "disagree", "--d", "1", "--v", "1e-3", "--runs", "30",
+                           "--seed", "4", "--out-dir", str(tmp_path / "n"),
+                           "--workers", "1", "--format", "jsonl")
+    assert code == 0
+    data = json.loads(out)
+    assert data["budget_violation_fraction"] == 1.0
+    with open(data["records_path"], encoding="utf-8") as fh:
+        rows = [json.loads(line) for line in fh]
+    assert len(rows) == 60
+    for row in rows:
+        assert row["first_detector"] == {"A": "D1", "B": "D2"}[row["frame"]]
+        assert row["within_budget"] is False
+
+
 def test_disagree_trivial_q0_zero(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "disagree", "--q0", "0", "--runs", "40",
                            "--seed", "1", "--out-dir", str(tmp_path / "d0"))

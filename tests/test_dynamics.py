@@ -1,13 +1,15 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collapsemc.dynamics import (BARRIER_BETA, CollapseParams, IncompleteNoiseError,
-                                 InvalidProfileError, NoCollapsePossibleError,
+from collapsemc.dynamics import (BARRIER_BETA, MAX_GAMMA_DT, CollapseParams,
+                                 IncompleteNoiseError, InvalidProfileError,
+                                 NoCollapsePossibleError,
                                  OccupationProfile, StreamLayout, collapse_batch,
                                  effective_rate, evolve_batch, run_trajectory,
                                  stable_q, union_cells, write_trajectory_csv)
@@ -39,11 +41,15 @@ def keys0_for(n, seed=1):
             for k in range(n)]
 
 
-class _OnesNoise(PhiloxNoiseSource):
-    """Every increment is +1, so one step can be checked by hand."""
+class _ConstNoise(PhiloxNoiseSource):
+    """Every increment is the same value, so steps can be checked by hand."""
+
+    def __init__(self, value):
+        super().__init__()
+        self.value = value
 
     def block_normals(self, key, block_index, rows=None):
-        return np.ones(rows)
+        return np.full(rows, self.value)
 
 
 class _SpyNoise(PhiloxNoiseSource):
@@ -57,6 +63,16 @@ class _SpyNoise(PhiloxNoiseSource):
         vals = super().block_normals(key, block_index, rows=rows)
         self.shapes.append(vals.shape)
         return vals
+
+
+def phi(tau, r):
+    """Exact flow of the cooked drift dr = 2 tanh(r / 2) dtau."""
+    return 2.0 * math.asinh(math.sinh(0.5 * r) * math.exp(tau))
+
+
+def split_step(h, r, noise):
+    """One Strang step: half a drift flow either side of the noise."""
+    return phi(0.5 * h, phi(0.5 * h, r) + noise)
 
 
 # ---------------------------------------------------------------------------
@@ -179,19 +195,24 @@ def test_step_identical_profiles_leave_q_unchanged():
 def test_step_hand_example():
     # single cell, eta1 = 1, eta2 = 0, lam dt = 0.01, unit normal +1:
     # noise 2 sqrt(Gamma dt) = 0.2; raw drift -2 lam dt (1 - 0) = -0.02;
-    # cooked drift 2 Gamma dt tanh(0) = 0 at q = 0.5
+    # cooked: half a step h / 2 = 0.005 of the drift flow either side of
+    # the noise, and phi fixes r = 0
     p1 = OccupationProfile((("c", 1.0),))
     p2 = OccupationProfile((("c", 0.0),))
     layout = StreamLayout((("c",),))
     params = CollapseParams(dt=1.0, lam=0.01, epsilon=1e-6, max_steps=10)
     raw = evolve_batch(0.5, p1, p2, params, layout, keys_for(1), 1,
-                       noise=_OnesNoise(), measure="raw")
+                       noise=_ConstNoise(1.0), measure="raw")
     assert raw.r[0] == pytest.approx(0.18, abs=1e-15)
     expected_q = 1.0 / (1.0 + math.exp(-0.18))
     assert raw.q[0] == pytest.approx(expected_q, rel=1e-12)
     assert expected_q == pytest.approx(0.5449, abs=5e-5)
-    cooked = evolve_batch(0.5, p1, p2, params, layout, keys_for(1), 2, noise=_OnesNoise())
-    assert cooked.r[0] == pytest.approx(0.4 + 0.02 * math.tanh(0.1), abs=1e-15)
+    cooked = evolve_batch(0.5, p1, p2, params, layout, keys_for(1), 2, noise=_ConstNoise(1.0))
+    one = phi(0.005, 0.2)
+    assert one == pytest.approx(0.2009992, abs=1e-7)
+    assert cooked.r[0] == pytest.approx(phi(0.005, phi(0.005, one) + 0.2), abs=1e-15)
+    # the frozen-drift Euler step gives 0.4 + 0.02 tanh(0.1) = 0.40199
+    assert cooked.r[0] == pytest.approx(0.40399, abs=1e-5)
 
 
 def test_barrier_shift_hand_example():
@@ -203,13 +224,42 @@ def test_barrier_shift_hand_example():
     layout = StreamLayout((("c",),))
     params = CollapseParams(dt=1.0, lam=0.01, epsilon=1.0 / (1.0 + math.e), max_steps=10)
     assert params.log_threshold == pytest.approx(1.0, abs=1e-15)
-    res = collapse_batch(0.5, p1, p2, params, layout, keys_for(1), noise=_OnesNoise(),
+    res = collapse_batch(0.5, p1, p2, params, layout, keys_for(1), noise=_ConstNoise(1.0),
                          measure="raw")
     assert (res.winner[0], res.steps[0]) == (1, 5)
     assert res.r[0] == pytest.approx(0.9, abs=1e-14)
-    rows = run_trajectory(0.5, p1, p2, params, layout, keys_for(1)[0], noise=_OnesNoise(),
+    rows = run_trajectory(0.5, p1, p2, params, layout, keys_for(1)[0], noise=_ConstNoise(1.0),
                           measure="raw")
     assert len(rows) - 1 == 5 and rows[-1][3] == res.r[0]
+    # with -1 noise r falls by 0.22 a step, to -0.88 at step 4.  The raw
+    # drift moves the carried z = r + 0.01 against r, so the barrier maps
+    # to different |z| on the two sides: a barrier 0.001 inside |r_4| is
+    # reached at step 4, not at step 5 as a mirrored upper side would give
+    near = 1.0 / (1.0 + math.exp(0.88 - 0.001 + BARRIER_BETA * 0.2))
+    res = collapse_batch(0.5, p1, p2, CollapseParams(dt=1.0, lam=0.01, epsilon=near,
+                                                     max_steps=10),
+                         layout, keys_for(1), noise=_ConstNoise(-1.0), measure="raw")
+    assert (res.winner[0], res.steps[0]) == (2, 4)
+    assert res.r[0] == pytest.approx(-0.88, abs=1e-14)
+    # cooked measure: the split recursion gives r_k = 0.2010, 0.4040,
+    # 0.6089, 0.8158, 1.0243, so r also first passes 0.8835 at step 5
+    r, path = 0.0, []
+    while r < 1.0 - BARRIER_BETA * 0.2:
+        r = split_step(0.01, r, 0.2)
+        path.append(r)
+    assert len(path) == 5 and path[3] == pytest.approx(0.8158, abs=1e-4)
+    res = collapse_batch(0.5, p1, p2, params, layout, keys_for(1), noise=_ConstNoise(1.0))
+    assert (res.winner[0], res.steps[0]) == (1, 5)
+    assert res.r[0] == pytest.approx(path[-1], abs=1e-14)
+    # a barrier 0.001 under r_4 is reached at step 4, although the carried
+    # z = phi_{-h/2}(r_4) sits about 0.004 under r_4: z is tested against
+    # the barrier mapped the same way
+    near = 1.0 / (1.0 + math.exp(path[3] - 0.001 + BARRIER_BETA * 0.2))
+    res = collapse_batch(0.5, p1, p2, CollapseParams(dt=1.0, lam=0.01, epsilon=near,
+                                                     max_steps=10),
+                         layout, keys_for(1), noise=_ConstNoise(1.0))
+    assert (res.winner[0], res.steps[0]) == (1, 4)
+    assert res.r[0] == pytest.approx(path[3], abs=1e-14)
     # a start between the barrier and the nominal threshold absorbs at once
     start = 1.0 / (1.0 + math.exp(-0.9))
     assert collapse_batch(start, p1, p2, params, layout, keys_for(1)).steps[0] == 0
@@ -332,26 +382,69 @@ def test_batch_splits_are_bit_equal(order, cuts):
 
 
 def test_engine_matches_reference_stepper():
-    # a scalar loop of r += drift(r) + 2 sqrt(Gamma dt) zeta with the same
-    # operation order must reproduce the batch engine exactly; the
+    # a scalar loop of the carried split step, y = phi_{h/2}(r), then
+    # z = y + 2 sqrt(Gamma dt) zeta and y = phi_h(z), with r = phi_{h/2}(z)
+    # at the end (raw: phi_tau shifts r by tau / h of the drift), in the
+    # same operation order, must reproduce the batch engine exactly; the
     # profiles differ in total occupation, so the raw drift is not zero
     p1 = OccupationProfile((("yes", ETA), ("no", 0.0)))
     p2 = OccupationProfile((("yes", 0.0), ("no", 0.5 * ETA)))
     key = derive_stream_key(5, "D1", 9)
     n_steps = 50
     gamma = effective_rate(p1, p2, LAM)
-    sig = 2.0 * math.sqrt(gamma * PARAMS.dt)
+    h = gamma * PARAMS.dt
+    sig = 2.0 * math.sqrt(h)
     zeta = DEFAULT_NOISE.block_normals(key, 0, rows=n_steps)
-    for measure in ("raw", "cooked"):
+    raw_drift = -2.0 * LAM * PARAMS.dt * (ETA ** 2 - (0.5 * ETA) ** 2)
+
+    def cooked(part, r):
+        return 2.0 * np.arcsinh(np.sinh(0.5 * r) * math.exp(part * h))
+
+    def raw(part, r):
+        return r + part * raw_drift
+
+    for measure, flow in (("raw", raw), ("cooked", cooked)):
         res = evolve_batch(0.37, p1, p2, PARAMS, LAYOUT, [(key,)], n_steps, measure=measure)
         r = math.log(0.37) - math.log1p(-0.37)
+        y = flow(0.5, r)
         for t in range(n_steps):
-            if measure == "raw":
-                drift = -2.0 * LAM * PARAMS.dt * (ETA ** 2 - (0.5 * ETA) ** 2)
-            else:
-                drift = 2.0 * gamma * PARAMS.dt * np.tanh(0.5 * r)
-            r = r + drift + zeta[t] * sig
-        assert r == res.r[0]
+            z = y + zeta[t] * sig
+            y = flow(1.0, z)
+        assert flow(0.5, z) == res.r[0]
+
+
+def test_zero_noise_follows_exact_drift_flow():
+    # with the noise off the split step is the exact flow of the cooked
+    # drift, over several windows and at the largest step allowed; the
+    # frozen-drift Euler step misses by 0.03 to 0.09 here
+    n = 3 * BLOCK_STEPS + 17
+    for gamma_dt in (0.05, MAX_GAMMA_DT):
+        params = CollapseParams(dt=gamma_dt / GAMMA, lam=LAM)
+        for q0 in (0.3, 0.8, 1e-6):
+            r0 = math.log(q0) - math.log1p(-q0)
+            res = evolve_batch(q0, P1, P2, params, LAYOUT, keys_for(1), n,
+                               noise=_ConstNoise(0.0))
+            expected = 2.0 * math.asinh(math.sinh(0.5 * r0) * math.exp(n * gamma_dt))
+            assert res.r[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def test_evolve_batch_far_tails_stay_finite():
+    # evolve_batch never absorbs, so |r| may grow past where sinh(r / 2)
+    # overflows; there the flow is r + 2 tau sign(r), and no warning is raised
+    start = np.array([-1e300, -1e6, -1500.0, -1000.5, 1000.5, 1500.0, 1e6, 1e300])
+    n = BLOCK_STEPS + 40
+    keys = keys_for(start.size, seed=17)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = evolve_batch(start, P1, P2, PARAMS, LAYOUT, keys, n, track_range=True)
+    assert np.all(np.isfinite(res.r)) and np.all(np.sign(res.r) == np.sign(start))
+    sig = 2.0 * math.sqrt(GAMMA * PARAMS.dt)
+    for j in (2, 3, 4, 5):
+        k = keys[j][0]
+        noise = (DEFAULT_NOISE.block_normals(k, 0) * sig).sum() + (
+            DEFAULT_NOISE.block_normals(k, 1, rows=40) * sig).sum()
+        drift = 2.0 * n * GAMMA * PARAMS.dt * np.sign(start[j])
+        assert res.r[j] == pytest.approx(start[j] + drift + noise, abs=1e-9)
 
 
 def test_one_step_cooked_mean_preserves_q():
@@ -438,15 +531,24 @@ def test_stream_layout_validation():
 
 
 def test_trajectory_recording(tmp_path):
-    keys = [(derive_stream_key(3, "D1", 4),)]
-    rows = run_trajectory(0.5, P1, P2, PARAMS, LAYOUT, keys[0])
+    key = derive_stream_key(3, "D1", 4)
+    rows = run_trajectory(0.5, P1, P2, PARAMS, LAYOUT, (key,))
     assert rows[0][:3] == (0, 0.0, 0.5)
-    ref = collapse_batch(0.5, P1, P2, PARAMS, LAYOUT, keys)
+    ref = collapse_batch(0.5, P1, P2, PARAMS, LAYOUT, [(key,)])
     assert len(rows) - 1 == ref.steps[0]
     assert rows[-1][3] == ref.r[0]
+    # consecutive rows follow the split step on the run's own noise, up to
+    # the rounding of phi_h against two half flows
+    h = GAMMA * PARAMS.dt
+    sig = 2.0 * math.sqrt(h)
+    for (k, t, q, r), nxt in zip(rows, rows[1:]):
+        zeta = DEFAULT_NOISE.block_normals(key, k // BLOCK_STEPS)[k % BLOCK_STEPS]
+        assert nxt[0] == k + 1 and nxt[1] == (k + 1) * PARAMS.dt
+        assert nxt[3] == pytest.approx(split_step(h, r, sig * zeta), abs=1e-12)
+        assert nxt[2] == stable_q(nxt[3])
     # the run absorbs at the shifted barrier, which may sit short of the
     # nominal threshold, and not a step before
-    barrier = PARAMS.log_threshold - BARRIER_BETA * 2.0 * math.sqrt(GAMMA * PARAMS.dt)
+    barrier = PARAMS.log_threshold - BARRIER_BETA * sig
     assert abs(rows[-1][3]) >= barrier > abs(rows[-2][3])
     assert (rows[-1][3] > 0) == (ref.winner[0] == 1)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -241,6 +242,8 @@ def test_manifest_contents():
     }
     assert derived["lorentz_gamma"] == pytest.approx(7.08881, rel=1e-6)
     assert manifest["artifact_version"]
+    assert manifest["build"] == {"numpy": np.__version__,
+                                 "python": platform.python_version()}
     assert manifest["config"]["master_seed"] == 5
 
 

@@ -107,9 +107,12 @@ def test_min_separation_validation():
 
 
 def test_first_detector_per_frame():
-    assert first_detector(Frame(V99, "A"), 1000.0) == "D1"
-    assert first_detector(Frame(-V99, "B"), 1000.0) == "D2"
-    assert first_detector(Frame(0.0, "frame0"), 1000.0) == "simultaneous"
+    assert first_detector(Frame(V99, "A")) == "D1"
+    assert first_detector(Frame(-V99, "B")) == "D2"
+    assert first_detector(Frame(0.0, "frame0")) == "simultaneous"
+    # the sign of v decides however small the gap: 2.2e-20 s at d = 1 m
+    assert first_detector(Frame(1e-3, "A")) == "D1"
+    assert first_detector(Frame(-1e-300, "B")) == "D2"
 
 
 @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9, 0.99, 0.999])
@@ -136,9 +139,12 @@ def test_interval_invariance(beta):
 
 @pytest.mark.parametrize("beta", [0.2, 0.99])
 def test_first_detector_antisymmetry(beta):
-    a = first_detector(Frame(beta * C), 1000.0)
-    b = first_detector(Frame(-beta * C), 1000.0)
+    a = first_detector(Frame(beta * C))
+    b = first_detector(Frame(-beta * C))
     assert {a, b} == {"D1", "D2"}
+    # and it names the detection that comes first in the boosted frame
+    e1, e2 = detection_events(1000.0)
+    assert (a == "D1") == (boost(e1, beta * C).t < boost(e2, beta * C).t)
 
 
 def test_frame_validation():
