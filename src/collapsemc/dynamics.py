@@ -346,16 +346,19 @@ def _barrier(params: CollapseParams, sig) -> float:
 def _window_noise(noise, keys, sig, block_index, rows):
     """Noise increments sum_s sig_s * zeta_s of one window, shape (rows, runs).
 
+    Each run's draw of stream s fills one contiguous row of a (runs, rows)
+    scratch array, which is scaled by sig_s and added into dw through its
+    transpose; dw stays (rows, runs) so the step kernel reads dw[t] whole.
     The streams are summed elementwise in layout order rather than by a
     matrix product, whose reduction order may depend on the batch shape.
     """
     dw = np.zeros((rows, len(keys)))
-    zeta = np.empty_like(dw)
+    zeta = np.empty((len(keys), rows))
     for s, scale in enumerate(sig):
         for j, run_keys in enumerate(keys):
-            zeta[:, j] = noise.block_normals(run_keys[s], block_index, rows=rows)
+            zeta[j] = noise.block_normals(run_keys[s], block_index, rows=rows)
         zeta *= scale
-        dw += zeta
+        dw += zeta.T
     return dw
 
 

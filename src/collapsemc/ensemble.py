@@ -84,9 +84,13 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
-        for name in ("runs", "master_seed", "workers"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name, kind in (("runs", numbers.Integral), ("master_seed", numbers.Integral),
+                           ("workers", numbers.Integral), ("q0", numbers.Real),
+                           ("d", numbers.Real), ("v", numbers.Real)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                noun = "an integer" if kind is numbers.Integral else "a real number"
+                raise ConfigError(f"{name} must be {noun}, got {value!r}")
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         if not 0 <= self.master_seed < 2**64:
@@ -180,7 +184,9 @@ def run_ensemble(config: EnsembleConfig) -> tuple[EnsembleStats, np.ndarray]:
     bounds = [(lo, min(lo + CHUNK_RUNS, config.runs))
               for lo in range(0, config.runs, CHUNK_RUNS)]
     if config.workers > 1 and len(bounds) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # under fork every worker starts at the first submit, so more
+        # workers than chunks would only be forked to sit idle
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(bounds))) as pool:
             chunk_lists = list(pool.map(_run_chunk, [config] * len(bounds),
                                         [b[0] for b in bounds], [b[1] for b in bounds]))
     else:

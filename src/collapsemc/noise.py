@@ -1,11 +1,11 @@
 """Reproducible, counter-addressed Gaussian noise streams.
 
 Every random number consumed by a simulation run is addressed, not drawn
-sequentially from shared state: a value is identified by its stream key,
-step index.  Distinct detectors and
-distinct run indices get distinct stream keys, so concurrent trajectories
-never coordinate and a rerun of any single trajectory reproduces its noise
-exactly, regardless of what else executed.
+sequentially from shared state: a value is identified by its (stream key,
+step index).  Distinct detectors and distinct run indices get distinct
+stream keys, so concurrent trajectories never coordinate and a rerun of
+any single trajectory reproduces its noise exactly, regardless of what
+else executed.
 
 Stream keys are derived with SHA-256 so the mapping is portable and easy
 to audit (see ``derive_stream_key``).  The Gaussian values themselves come
@@ -49,10 +49,9 @@ def derive_stream_key(master_seed: int, detector_id: str, run_index: int,
     3. The key is the first 16 digest bytes as two little-endian uint64
        words ``(k0, k1)``.
 
-    ``salt`` distinguishes auxiliary streams (for example the fresh
-    continuation noise used in post-collapse checks) from the primary
-    stream of the same detector and run; the default empty salt is the
-    primary stream.
+    ``salt`` gives a stream independent of the primary stream of the same
+    detector and run; the default empty salt is the primary stream, which
+    is the only one the engine draws.
 
     Collisions between distinct inputs would require a SHA-256 collision,
     so distinct (detector_id, run_index) pairs map to distinct keys.
@@ -88,7 +87,10 @@ class PhiloxNoiseSource:
 
     An instance reuses one generator object and one state dict, writing
     the key and counter words into it per window, so it is cheap but not
-    safe to share across threads.
+    safe to share across threads.  The dict holds plain lists where the
+    state getter returns numpy arrays: the setter reads lists in about
+    half the time and stores the same words.  Setting it also clears the
+    output buffer and the cached uint32, so no draw leaks into the next.
     Separate threads or processes should each build their own instance;
     all instances produce identical values.
     """
@@ -96,10 +98,17 @@ class PhiloxNoiseSource:
     def __init__(self):
         self._bitgen = Philox(key=np.zeros(2, dtype=np.uint64))
         self._gen = Generator(self._bitgen)
+        self._counter = [0, 0, 0, 0]
+        self._key = [0, 0]
         # a fresh generator's state: empty output buffer, no cached uint32
-        self._state = self._bitgen.state
-        self._counter = self._state["state"]["counter"]
-        self._key = self._state["state"]["key"]
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self._counter, "key": self._key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def block_normals(self, key: StreamKey, block_index: int,
                       rows: int | None = None) -> np.ndarray:

@@ -205,7 +205,8 @@ def test_config_file_unknown_field(capsys, tmp_path):
 @pytest.mark.parametrize("bad", [
     {"overrides": {"epsilon": "0.01"}}, {"overrides": {"max_steps": 64.5}},
     {"overrides": {"eta": "1e10"}}, {"overrides": {"amplitudes": 3}},
-    {"overrides": ["epsilon"]}, {"runs": 10.5},
+    {"overrides": ["epsilon"]}, {"runs": 10.5}, {"runs": True}, {"master_seed": False},
+    {"workers": True}, {"q0": True}, {"q0": "0.5"}, {"d": "1000"}, {"v": None},
 ])
 def test_config_file_bad_value_type(capsys, tmp_path, bad):
     # a wrongly typed config value is a usage error, caught before any run

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from test_experiment import assert_tables_equal
 
+from collapsemc import ensemble
+
 from collapsemc.ensemble import (CHUNK_RUNS, ConfigError, EnsembleAbortError,
                                  EnsembleConfig, build_manifest, compute_stats,
                                  export_ensemble, export_records, run_ensemble,
@@ -144,6 +146,30 @@ def test_workers_do_not_change_records():
     _, rec1 = run_ensemble(cfg1)
     _, rec2 = run_ensemble(cfg2)
     assert_tables_equal(rec1, rec2)
+
+
+def test_pool_is_capped_at_chunk_count(monkeypatch):
+    # a stand-in executor records its size and maps in this process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", SerialPool)
+    cfg = EnsembleConfig(kind="born_rule", runs=2 * CHUNK_RUNS + 1, q0=1.0, workers=64)
+    stats, _ = run_ensemble(cfg)
+    assert sizes == [3]
+    assert stats.counts["winner1"] == cfg.runs
 
 
 def test_abort_on_failures():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from collapsemc.noise import BLOCK_STEPS, PhiloxNoiseSource, derive_stream_key
 
@@ -87,3 +88,28 @@ def test_block_normals_validation():
         src.block_normals(key, 0, rows=0)
     with pytest.raises(ValueError):
         src.block_normals(key, 0, rows=BLOCK_STEPS + 1)
+
+
+def _state_words(bitgen):
+    st = bitgen.state
+    return ([int(w) for w in st["state"]["counter"]], [int(w) for w in st["state"]["key"]],
+            [int(w) for w in st["buffer"]], st["buffer_pos"], st["has_uint32"], st["uinteger"])
+
+
+def test_reused_state_matches_fresh_generators():
+    # one source drawn in an interleaved order must match, draw by draw, a
+    # fresh generator at that key and counter, in values and in the state
+    # left behind: odd row counts leave the output buffer part used, and a
+    # uint32 drawn from the shared generator between calls leaves a cached
+    # word, and neither may carry over into the next window
+    keys = [(0, 0), (2**64 - 1, 2**63), (2**63 + 5, 12345), derive_stream_key(3, "D2", 7)]
+    src = PhiloxNoiseSource()
+    for rows in (1, 17, BLOCK_STEPS):
+        for block in (0, 3, 2**40):
+            for key in keys:
+                got = src.block_normals(key, block, rows=rows)
+                fresh = Generator(Philox(key=np.array(key, dtype=np.uint64),
+                                         counter=[0, block, 0, 0]))
+                assert np.array_equal(got, fresh.standard_normal(rows)), (key, block, rows)
+                assert _state_words(src._bitgen) == _state_words(fresh.bit_generator)
+                src._gen.integers(0, 2**32, dtype=np.uint32)
