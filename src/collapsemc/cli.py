@@ -5,7 +5,7 @@ summaries go to stdout as a single JSON object; human-readable tables go
 to stderr under --verbose, so pipelines can consume stdout unconditionally.
 Exit codes: 0 success, 2 usage or validation error, 1 runtime failure.
 
-The four ensemble subcommands share one handler: each runs its ensemble,
+The three ensemble subcommands share one handler: each runs its ensemble,
 writes the records and manifest, and prints the summary fields that
 ENSEMBLE_COMMANDS lists for it, read from the manifest just written.
 """
@@ -19,8 +19,7 @@ import sys
 from functools import reduce
 from operator import getitem
 
-from .ensemble import (ConfigError, EnsembleConfig, contradictory_readings, export_ensemble,
-                       run_ensemble)
+from .ensemble import ConfigError, EnsembleConfig, export_ensemble, run_ensemble
 from .relativity import (C, Event, activation_gap, boost, detection_events, gamma,
                          min_separation)
 
@@ -86,7 +85,7 @@ def _stats_table(stats, out=None) -> None:
 
 
 # Summary fields printed by every ensemble subcommand: a field is a key
-# path into the manifest, or a function of the records.
+# path into the manifest.
 _COMMON_FIELDS = {"kind": ("config", "kind"), "runs": ("config", "runs"),
                   "master_seed": ("config", "master_seed"), "q0": ("config", "q0")}
 
@@ -114,11 +113,6 @@ ENSEMBLE_COMMANDS = {
         "delta_t_s": ("derived", "delta_t_s"),
         "budget_violation_fraction": ("stats", "budget_violation_fraction"),
     }),
-    "frame0": ("frame0_consistency", "mirror-frame consistency check", {
-        "contradictory_readings": contradictory_readings,
-        "winner1_freq": ("stats", "freq", "winner1"),
-        "wilson_winner1": ("stats", "wilson", "winner1"),
-    }),
 }
 
 
@@ -128,8 +122,8 @@ def cmd_ensemble(args) -> int:
     stats, records = run_ensemble(config)
     paths, manifest = export_ensemble(config, stats, records, config.out_dir)
     summary = {"records_path": paths["records"], "manifest_path": paths["manifest"]}
-    for name, spec in {**_COMMON_FIELDS, **fields}.items():
-        summary[name] = spec(records) if callable(spec) else reduce(getitem, spec, manifest)
+    for name, path in {**_COMMON_FIELDS, **fields}.items():
+        summary[name] = reduce(getitem, path, manifest)
     _json_out(summary)
     if args.verbose:
         _stats_table(stats)

@@ -22,8 +22,9 @@ only through sum_{n in s} 2 delta_n dB_n, a normal of variance
 4 Gamma_s dt with Gamma_s = lam * sum_{n in s} delta_n^2, so each stream
 gives one standard normal zeta_s = dW_s / sqrt(dt) per step, and
 Gamma = sum_s Gamma_s.
-Under the raw (zero-mean) measure the drift is the constant
--2 * lam * dt * sum_n (eta_n(1)^2 - eta_n(2)^2).
+Under the raw (zero-mean) measure r would hit the thresholds with the
+gambler's-ruin odds of a linear walk, not by the Born rule, so the engine
+runs the cooked measure only.
 
 The cooked measure makes q a martingale, which gives Born-rule outcome
 frequencies at the absorbing thresholds q <= epsilon and q >= 1 - epsilon,
@@ -37,10 +38,8 @@ dr = 2 tanh(r / 2) dtau over tau = Gamma t, has the exact flow
 
     phi_tau(r) = 2 asinh(sinh(r / 2) e^tau)
 
-(sinh(r / 2) grows as e^tau), and the raw drift, a constant shift per
-step, is its own exact flow phi_tau(r) = r + (tau / h) * shift.  A step
-puts half a step of the measure's flow on either side of the additive
-noise:
+(sinh(r / 2) grows as e^tau).  A step puts half a step of this flow on
+either side of the additive noise:
 
     r_{k+1} = phi_{h/2}(phi_{h/2}(r_k) + sum_s sig_s zeta_s),  sig_s = 2 sqrt(Gamma_s dt).
 
@@ -60,9 +59,8 @@ barrier shifted inward by beta * sigma, with sigma = 2 sqrt(Gamma dt) the
 per-step standard deviation of r and beta = -zeta(1/2) / sqrt(2 pi)
 ~= 0.5826, matches continuous monitoring of L to first order in sqrt(dt).
 collapse_batch and run_trajectory therefore absorb at
-|r| >= B = L - beta * sigma, in both measures.  The driver tests z instead:
-phi_{h/2} is increasing, so r >= B exactly when z >= phi_{-h/2}(B), and
-r <= -B exactly when z <= phi_{-h/2}(-B).
+|r| >= B = L - beta * sigma.  The driver tests z instead: phi_{h/2} is
+increasing and odd, so |r| >= B exactly when |z| >= phi_{-h/2}(B).
 """
 
 from __future__ import annotations
@@ -88,11 +86,6 @@ MAX_GAMMA_DT = 0.1
 # barrier sits this many per-step standard deviations of r inside the
 # nominal threshold.
 BARRIER_BETA = 0.5825971579390107
-
-# Past |r| = this, phi_tau(r) equals r + 2 tau sign(r) to double precision
-# (the difference is about 4 tau e^-|r|); the cooked flow clips the sinh
-# argument here so that it never overflows.
-_FLOW_LINEAR = 80.0
 
 
 class InvalidProfileError(ValueError):
@@ -186,11 +179,12 @@ class CollapseParams:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        for name in ("dt", "lam", "epsilon"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise TypeError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if not isinstance(self.max_steps, numbers.Integral):
-            raise TypeError(f"max_steps must be an integer, got {self.max_steps!r}")
+        for name, kind in (("dt", numbers.Real), ("lam", numbers.Real),
+                           ("epsilon", numbers.Real), ("max_steps", numbers.Integral)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                noun = "an integer" if kind is numbers.Integral else "a number"
+                raise TypeError(f"{name} must be {noun}, got {value!r}")
         if not self.lam > 0:
             raise ValueError(f"lam must be > 0, got {self.lam}")
         if not self.dt > 0:
@@ -257,8 +251,8 @@ class BatchResult:
     """Per-run outcomes of a batch collapse.
 
     winner is 1 or 2, or 0 for runs that hit the step cap without
-    absorbing.  duration is steps * dt.  r is the final log-odds (at the
-    absorbing step), usable to continue a trajectory past absorption.
+    absorbing.  duration is steps * dt.  r is the final log-odds: at the
+    absorbing step, or after the last step for a run that hit the cap.
     """
 
     winner: np.ndarray
@@ -271,30 +265,15 @@ class BatchResult:
         return stable_q(self.r)
 
 
-@dataclass
-class EvolveResult:
-    """Final state of a fixed-step batch evolution (no absorption)."""
-
-    r: np.ndarray
-    r_min: np.ndarray | None = None
-    r_max: np.ndarray | None = None
-
-    @property
-    def q(self) -> np.ndarray:
-        return stable_q(self.r)
-
-
-def _prepare(profile1, profile2, params, layout, stream_keys, measure):
+def _prepare(profile1, profile2, params, layout, stream_keys):
     """Validate one engine call and reduce it to the scalar SDE.
 
-    Returns (gamma, sig, flow, keys): the total rate, the noise scale
-    2 sqrt(Gamma_s dt) of each stream, the exact flow of the measure's
-    drift, and the per-run stream keys.  flow(part) is the map r -> r'
-    over that part of a step; it holds for any finite r, since
-    evolve_batch leaves |r| unbounded.
+    Returns (sig, flow, thr, keys): the noise scale 2 sqrt(Gamma_s dt) of
+    each stream, the exact flow of the drift, the absorbing barrier on
+    |r| and the per-run stream keys.  flow(part) is the odd map r -> r'
+    over that part of a step.  The barrier is the nominal threshold less
+    beta times the per-step standard deviation sqrt(sum_s sig_s^2) of r.
     """
-    if measure not in ("cooked", "raw"):
-        raise ValueError(f"measure must be 'cooked' or 'raw', got {measure!r}")
     layout.check_covers(profile1, profile2)
     rates = [params.lam * sum((profile1.eta(c) - profile2.eta(c)) ** 2 for c in cells)
              for cells in layout.stream_cells]
@@ -306,41 +285,23 @@ def _prepare(profile1, profile2, params, layout, stream_keys, measure):
     for k in keys:
         if len(k) != len(rates):
             raise ValueError(f"expected {len(rates)} stream keys per run, got {len(k)}")
+    if gamma == 0.0:
+        raise NoCollapsePossibleError("profiles are identical on their union; Gamma = 0")
     sig = [2.0 * math.sqrt(rate * params.dt) for rate in rates]
-    if measure == "cooked":
-        h = gamma * params.dt
-
-        def flow(part):
-            # phi_tau with the sinh argument clipped at _FLOW_LINEAR and
-            # the excess added back: exact to rounding, and never overflows
-            grow = math.exp(part * h)
-
-            def phi(r):
-                c = np.clip(r, -_FLOW_LINEAR, _FLOW_LINEAR)
-                return 2.0 * np.arcsinh(np.sinh(0.5 * c) * grow) + (r - c)
-            return phi
-    else:
-        shift = -2.0 * params.lam * params.dt * sum(
-            profile1.eta(c) ** 2 - profile2.eta(c) ** 2 for c in layout.cells)
-
-        def flow(part):
-            move = part * shift
-
-            def phi(r):
-                return r + move
-            return phi
-    return gamma, sig, flow, keys
-
-
-def _barrier(params: CollapseParams, sig) -> float:
-    """Absorbing barrier on |r|: the nominal threshold less beta times the
-    per-step standard deviation sqrt(sum_s sig_s^2) of r."""
     thr = params.log_threshold - BARRIER_BETA * math.sqrt(sum(s * s for s in sig))
     if not thr > 0:
         raise ValueError(
             f"epsilon = {params.epsilon} is too wide for this step: the shifted "
             f"barrier falls to {thr:.3g}; reduce dt")
-    return thr
+    h = gamma * params.dt
+
+    def flow(part):
+        grow = math.exp(part * h)
+
+        def phi(r):
+            return 2.0 * np.arcsinh(np.sinh(0.5 * r) * grow)
+        return phi
+    return sig, flow, thr, keys
 
 
 def _window_noise(noise, keys, sig, block_index, rows):
@@ -362,24 +323,23 @@ def _window_noise(noise, keys, sig, block_index, rows):
     return dw
 
 
-def _drive(r, keys, sig, flow, n_steps, noise, thr=None, record=None):
-    """Advance each run's r (one start value and one key tuple per run) by
-    up to n_steps split steps, one noise window at a time.
+def _drive(r0, keys, sig, flow, thr, n_steps, noise, record=None):
+    """Run every run from r0, one key tuple per run, by split steps until
+    |r| >= thr or n_steps steps, one noise window at a time.
 
-    With thr, a run stops at the first step k >= 0 with |r| >= thr and keeps
-    that r, winner 1 if r >= thr else 2; runs live after n_steps keep winner
-    0.  record(k, x), if given, sees the live runs' r after each step k >= 1.
-    Absorbed runs leave the live set at the end of their window, which ends
-    early once all its runs are done; between windows the carried y goes
-    back to r.  Returns (r, steps, winner).
+    A run stops at the first step k >= 0 with |r| >= thr and keeps that r,
+    winner 1 if r >= thr else 2; runs live after n_steps keep winner 0.
+    record(k, x), if given, sees the window's runs' r after each step
+    k >= 1.  Absorbed runs leave the live set at the end of their window,
+    which ends early once all its runs are done; between windows the
+    carried y goes back to r.  Returns (r, steps, winner).
     """
     half, whole = flow(0.5), flow(1.0)
-    r = np.array(r, dtype=np.float64)
+    z_hi = flow(-0.5)(thr)
+    r = np.full(len(keys), r0, dtype=np.float64)
     winner = np.zeros(r.size, dtype=np.int8)
-    if thr is not None:
-        winner[r >= thr] = 1
-        winner[r <= -thr] = 2
-        z_hi, z_lo = flow(-0.5)(np.array([thr, -thr]))
+    winner[r >= thr] = 1
+    winner[r <= -thr] = 2
     steps = np.where(winner > 0, 0, n_steps)
     live = np.flatnonzero(winner == 0)
     base = 0
@@ -392,16 +352,15 @@ def _drive(r, keys, sig, flow, n_steps, noise, thr=None, record=None):
             z = y + dw[t]
             if record is not None:
                 record(base + t + 1, half(z))
-            if thr is not None:
-                newly = ~done & ((z >= z_hi) | (z <= z_lo))
-                if newly.any():
-                    hit = live[newly]
-                    r[hit] = half(z[newly])
-                    steps[hit] = base + t + 1
-                    winner[hit] = np.where(z[newly] >= z_hi, 1, 2)
-                    done |= newly
-                    if done.all():
-                        break
+            newly = ~done & (np.abs(z) >= z_hi)
+            if newly.any():
+                hit = live[newly]
+                r[hit] = half(z[newly])
+                steps[hit] = base + t + 1
+                winner[hit] = np.where(z[newly] >= z_hi, 1, 2)
+                done |= newly
+                if done.all():
+                    break
             y = whole(z)
         r[live[~done]] = half(z[~done])
         live = live[~done]
@@ -411,8 +370,7 @@ def _drive(r, keys, sig, flow, n_steps, noise, thr=None, record=None):
 
 def collapse_batch(q0: float, profile1: OccupationProfile, profile2: OccupationProfile,
                    params: CollapseParams, layout: StreamLayout, stream_keys,
-                   noise: PhiloxNoiseSource = DEFAULT_NOISE,
-                   measure: str = "cooked") -> BatchResult:
+                   noise: PhiloxNoiseSource = DEFAULT_NOISE) -> BatchResult:
     """Run a batch of trajectories to absorption.
 
     stream_keys is a sequence (one entry per run) of per-stream key
@@ -421,53 +379,15 @@ def collapse_batch(q0: float, profile1: OccupationProfile, profile2: OccupationP
     composition or execution schedule.
     """
     r0 = _logit(q0)
-    gamma, sig, flow, keys = _prepare(profile1, profile2, params, layout, stream_keys,
-                                      measure)
-    if gamma == 0.0:
-        raise NoCollapsePossibleError("profiles are identical on their union; Gamma = 0")
-    r, steps, winner = _drive(np.full(len(keys), r0), keys, sig, flow, params.max_steps,
-                              noise, thr=_barrier(params, sig))
+    sig, flow, thr, keys = _prepare(profile1, profile2, params, layout, stream_keys)
+    r, steps, winner = _drive(r0, keys, sig, flow, thr, params.max_steps, noise)
     return BatchResult(winner, steps, steps * params.dt, r)
-
-
-def evolve_batch(start, profile1: OccupationProfile, profile2: OccupationProfile,
-                 params: CollapseParams, layout: StreamLayout, stream_keys,
-                 n_steps: int, noise: PhiloxNoiseSource = DEFAULT_NOISE,
-                 measure: str = "cooked", track_range: bool = False) -> EvolveResult:
-    """Evolve a batch for a fixed number of steps with no absorption.
-
-    start is either a scalar q0 shared by all runs or an array giving each
-    run its own initial log-odds r.  With track_range the result carries
-    the running min and max of r, which is how threshold crossings during
-    a continuation are detected.
-    """
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    _gamma, sig, flow, keys = _prepare(profile1, profile2, params, layout, stream_keys,
-                                       measure)
-    n = len(keys)
-    if np.ndim(start) == 0:
-        r = np.full(n, _logit(float(start)))
-    else:
-        r = np.array(start, dtype=np.float64)
-        if r.shape != (n,):
-            raise ValueError("start array must have one entry per run")
-    r_min = r_max = record = None
-    if track_range:
-        r_min, r_max = r.copy(), r.copy()
-
-        def record(_k, x):
-            np.minimum(r_min, x, out=r_min)
-            np.maximum(r_max, x, out=r_max)
-
-    r, _, _ = _drive(r, keys, sig, flow, n_steps, noise, record=record)
-    return EvolveResult(r, r_min, r_max)
 
 
 def run_trajectory(q0: float, profile1: OccupationProfile, profile2: OccupationProfile,
                    params: CollapseParams, layout: StreamLayout, stream_keys,
                    noise: PhiloxNoiseSource = DEFAULT_NOISE,
-                   measure: str = "cooked", max_rows: int | None = None) -> list[tuple]:
+                   max_rows: int | None = None) -> list[tuple]:
     """Integrate one trajectory, recording (step, t_model_s, q, r).
 
     stream_keys is the run's key tuple, one key per stream of the layout.
@@ -475,10 +395,7 @@ def run_trajectory(q0: float, profile1: OccupationProfile, profile2: OccupationP
     or max_rows (default params.max_steps) steps.
     """
     r0 = _logit(q0)
-    gamma, sig, flow, keys = _prepare(profile1, profile2, params, layout, [stream_keys],
-                                      measure)
-    if gamma == 0.0:
-        raise NoCollapsePossibleError("profiles are identical on their union; Gamma = 0")
+    sig, flow, thr, keys = _prepare(profile1, profile2, params, layout, [stream_keys])
     rows = [(0, 0.0, stable_q(r0), r0)]
 
     def record(k, x):
@@ -486,8 +403,7 @@ def run_trajectory(q0: float, profile1: OccupationProfile, profile2: OccupationP
         rows.append((k, k * params.dt, stable_q(r), r))
 
     cap = params.max_steps if max_rows is None else min(max_rows, params.max_steps)
-    _drive(np.array([r0]), keys, sig, flow, cap, noise, thr=_barrier(params, sig),
-           record=record)
+    _drive(r0, keys, sig, flow, thr, cap, noise, record=record)
     return rows
 
 

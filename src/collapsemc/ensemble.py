@@ -30,10 +30,9 @@ from ._version import __version__
 from .dynamics import effective_rate
 from .experiment import (Scenario, active_profiles, build_scenario,
                          disagreement_rate_analytic, frame_pair, run_frame_batch)
-from .noise import derive_stream_key  # noqa: F401  (re-exported API)
 from .relativity import C, Frame, activation_gap, gamma
 
-KINDS = ("born_rule", "collapse_time", "cross_frame", "frame0_consistency")
+KINDS = ("born_rule", "collapse_time", "cross_frame")
 
 # Runs are processed in fixed windows of this many indices regardless of
 # worker count, so chunk contents (and therefore every floating-point
@@ -159,7 +158,7 @@ def scenario_from_config(config: EnsembleConfig) -> Scenario:
 
 
 def _frames_for_kind(config: EnsembleConfig) -> tuple[Frame, ...]:
-    if config.kind in ("born_rule", "frame0_consistency"):
+    if config.kind == "born_rule":
         return (Frame(0.0, "frame0"),)
     if config.kind == "collapse_time":
         return (Frame(config.v, "A"),)
@@ -239,13 +238,6 @@ def compute_stats(kind: str, runs: int, records: np.ndarray) -> EnsembleStats:
     return EnsembleStats(n=runs, counts=counts, freq=freq, wilson=wilson,
                          duration_quantiles=quantiles,
                          budget_violation_fraction=budget_fraction)
-
-
-def contradictory_readings(records: np.ndarray) -> int:
-    """Absorbed records whose two readings, as written, agree."""
-    winners = records["winner"][records["winner"] > 0]
-    readings = np.array(READINGS)[winners]
-    return int(np.count_nonzero(readings[:, 0] == readings[:, 1]))
 
 
 # ---------------------------------------------------------------------------

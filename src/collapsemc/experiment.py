@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -127,6 +127,11 @@ class Scenario:
         return {det.id: det for det in self.detectors}
 
 
+def _is_number(value) -> bool:
+    """A real number that is not a bool (JSON true and false are not numbers)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def q0_from_amplitudes(w1: float, w2: float) -> float:
     """Normalized branch-1 weight from possibly unnormalized |a|^2 pair."""
     if w1 < 0 or w2 < 0 or w1 + w2 <= 0:
@@ -149,20 +154,24 @@ def build_scenario(d: float = 1000.0, q0: float = 0.5,
     if unknown:
         raise ValueError(f"unknown override keys: {sorted(unknown)}")
     if "amplitudes" in overrides:
-        w1, w2 = overrides.pop("amplitudes")
-        q0 = q0_from_amplitudes(w1, w2)
+        weights = overrides.pop("amplitudes")
+        if not (isinstance(weights, (list, tuple)) and len(weights) == 2
+                and all(_is_number(w) for w in weights)):
+            raise TypeError(f"amplitudes must be a pair of numbers, got {weights!r}")
+        q0 = q0_from_amplitudes(*weights)
     eta = overrides.pop("eta", DEFAULT_ETA)
-    if not isinstance(eta, numbers.Real):
+    if not _is_number(eta):
         raise TypeError(f"eta must be a number, got {eta!r}")
     if not eta > 0:
         raise ValueError(f"eta must be > 0, got {eta}")
 
-    lam = float(overrides.get("lam", 1e-16))
+    # a stand-in dt lets CollapseParams check the overrides, lam among them,
+    # before dt is derived from lam
+    params = CollapseParams(**{"dt": 1.0, **overrides})
     if "dt" not in overrides:
         # frame-0 rate: four pointer cells each differing by eta
-        gamma0 = lam * 4.0 * eta * eta
-        overrides["dt"] = TARGET_GAMMA_DT / gamma0
-    params = CollapseParams(**overrides)
+        gamma0 = params.lam * 4.0 * eta * eta
+        params = replace(params, dt=TARGET_GAMMA_DT / gamma0)
 
     def detector(det_id: str, sign: float) -> DetectorSpec:
         return DetectorSpec(

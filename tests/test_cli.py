@@ -143,15 +143,6 @@ def test_disagree_trivial_q0_zero(capsys, tmp_path):
     assert data["analytic"] == 0.0
 
 
-def test_frame0_no_contradictions(capsys, tmp_path):
-    code, out, _ = run_cli(capsys, "frame0", "--q0", "0.3", "--runs", "120",
-                           "--seed", "2", "--out-dir", str(tmp_path / "f0"),
-                           "--workers", "1")
-    assert code == 0
-    data = json.loads(out)
-    assert data["contradictory_readings"] == 0
-
-
 def test_collapse_time_summary(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "collapse-time", "--runs", "150", "--seed", "4",
                            "--out-dir", str(tmp_path / "ct"), "--workers", "1")
@@ -207,6 +198,9 @@ def test_config_file_unknown_field(capsys, tmp_path):
     {"overrides": {"eta": "1e10"}}, {"overrides": {"amplitudes": 3}},
     {"overrides": ["epsilon"]}, {"runs": 10.5}, {"runs": True}, {"master_seed": False},
     {"workers": True}, {"q0": True}, {"q0": "0.5"}, {"d": "1000"}, {"v": None},
+    {"overrides": {"eta": True}}, {"overrides": {"lam": True}},
+    {"overrides": {"amplitudes": [True, 1]}}, {"overrides": {"max_steps": True}},
+    {"overrides": {"dt": True}},
 ])
 def test_config_file_bad_value_type(capsys, tmp_path, bad):
     # a wrongly typed config value is a usage error, caught before any run

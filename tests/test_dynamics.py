@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import warnings
@@ -11,7 +12,7 @@ from collapsemc.dynamics import (BARRIER_BETA, MAX_GAMMA_DT, CollapseParams,
                                  IncompleteNoiseError, InvalidProfileError,
                                  NoCollapsePossibleError,
                                  OccupationProfile, StreamLayout, collapse_batch,
-                                 effective_rate, evolve_batch, run_trajectory,
+                                 effective_rate, run_trajectory,
                                  stable_q, union_cells, write_trajectory_csv)
 from collapsemc.noise import BLOCK_STEPS, DEFAULT_NOISE, PhiloxNoiseSource, derive_stream_key
 
@@ -88,17 +89,20 @@ def test_stable_q_basic():
     assert arr[0] + arr[2] == pytest.approx(1.0, abs=1e-15)
 
 
+def start_q(q0):
+    """q read back from row 0 of a trajectory, which holds the start r = logit(q0)."""
+    return run_trajectory(q0, P1, P2, PARAMS, LAYOUT, keys_for(1)[0], max_rows=0)[0][2]
+
+
 def test_start_q_round_trips():
-    assert evolve_batch(0.3, P1, P2, PARAMS, LAYOUT, keys_for(1), 0).q[0] == pytest.approx(
-        0.3, rel=1e-14)
+    assert start_q(0.3) == pytest.approx(0.3, rel=1e-14)
     for q in (0.0, 1.0, 1e-9, 1.0 - 1e-9):
-        res = evolve_batch(q, P1, P2, PARAMS, LAYOUT, keys_for(1), 0)
-        assert res.q[0] == pytest.approx(q, rel=1e-12, abs=1e-300)
+        assert start_q(q) == pytest.approx(q, rel=1e-12, abs=1e-300)
 
 
 def test_start_q_validation():
     with pytest.raises(ValueError):
-        evolve_batch(1.5, P1, P2, PARAMS, LAYOUT, keys_for(1), 1)
+        collapse_batch(1.5, P1, P2, PARAMS, LAYOUT, keys_for(1))
     with pytest.raises(ValueError):
         collapse_batch(-0.1, P1, P2, PARAMS, LAYOUT, keys_for(1))
     with pytest.raises(ValueError):
@@ -184,30 +188,17 @@ def test_engine_reads_one_column_per_stream():
 # one step of the log-odds recursion
 # ---------------------------------------------------------------------------
 
-def test_step_identical_profiles_leave_q_unchanged():
-    p = OccupationProfile((("a", ETA), ("b", 3.0)))
-    layout = StreamLayout((("a", "b"),))
-    for measure in ("cooked", "raw"):
-        out = evolve_batch(0.5, p, p, PARAMS, layout, keys_for(3), 5, measure=measure)
-        assert np.all(out.q == 0.5)
-
-
 def test_step_hand_example():
     # single cell, eta1 = 1, eta2 = 0, lam dt = 0.01, unit normal +1:
-    # noise 2 sqrt(Gamma dt) = 0.2; raw drift -2 lam dt (1 - 0) = -0.02;
-    # cooked: half a step h / 2 = 0.005 of the drift flow either side of
-    # the noise, and phi fixes r = 0
+    # noise 2 sqrt(Gamma dt) = 0.2, and half a step h / 2 = 0.005 of the
+    # drift flow either side of the noise; phi fixes r = 0.  Two steps
+    # stay far inside the barrier, so the run stops at the step cap
     p1 = OccupationProfile((("c", 1.0),))
     p2 = OccupationProfile((("c", 0.0),))
     layout = StreamLayout((("c",),))
-    params = CollapseParams(dt=1.0, lam=0.01, epsilon=1e-6, max_steps=10)
-    raw = evolve_batch(0.5, p1, p2, params, layout, keys_for(1), 1,
-                       noise=_ConstNoise(1.0), measure="raw")
-    assert raw.r[0] == pytest.approx(0.18, abs=1e-15)
-    expected_q = 1.0 / (1.0 + math.exp(-0.18))
-    assert raw.q[0] == pytest.approx(expected_q, rel=1e-12)
-    assert expected_q == pytest.approx(0.5449, abs=5e-5)
-    cooked = evolve_batch(0.5, p1, p2, params, layout, keys_for(1), 2, noise=_ConstNoise(1.0))
+    params = CollapseParams(dt=1.0, lam=0.01, epsilon=1e-6, max_steps=2)
+    cooked = collapse_batch(0.5, p1, p2, params, layout, keys_for(1), noise=_ConstNoise(1.0))
+    assert (cooked.winner[0], cooked.steps[0]) == (0, 2)
     one = phi(0.005, 0.2)
     assert one == pytest.approx(0.2009992, abs=1e-7)
     assert cooked.r[0] == pytest.approx(phi(0.005, phi(0.005, one) + 0.2), abs=1e-15)
@@ -216,33 +207,15 @@ def test_step_hand_example():
 
 
 def test_barrier_shift_hand_example():
-    # raw measure, constant +1 noise: r grows by 0.2 - 0.02 = 0.18 a step.
-    # The nominal threshold logit(1 - eps) is 1, which r passes at step 6;
-    # the shifted barrier 1 - beta * 0.2 = 0.8835 is passed at step 5
+    # constant +1 noise, 0.2 a step.  The nominal threshold logit(1 - eps)
+    # is 1, and the shifted barrier is 1 - beta * 0.2 = 0.8835.  The split
+    # recursion gives r_k = 0.2010, 0.4040, 0.6089, 0.8158, 1.0243, so r
+    # first passes the barrier at step 5
     p1 = OccupationProfile((("c", 1.0),))
     p2 = OccupationProfile((("c", 0.0),))
     layout = StreamLayout((("c",),))
     params = CollapseParams(dt=1.0, lam=0.01, epsilon=1.0 / (1.0 + math.e), max_steps=10)
     assert params.log_threshold == pytest.approx(1.0, abs=1e-15)
-    res = collapse_batch(0.5, p1, p2, params, layout, keys_for(1), noise=_ConstNoise(1.0),
-                         measure="raw")
-    assert (res.winner[0], res.steps[0]) == (1, 5)
-    assert res.r[0] == pytest.approx(0.9, abs=1e-14)
-    rows = run_trajectory(0.5, p1, p2, params, layout, keys_for(1)[0], noise=_ConstNoise(1.0),
-                          measure="raw")
-    assert len(rows) - 1 == 5 and rows[-1][3] == res.r[0]
-    # with -1 noise r falls by 0.22 a step, to -0.88 at step 4.  The raw
-    # drift moves the carried z = r + 0.01 against r, so the barrier maps
-    # to different |z| on the two sides: a barrier 0.001 inside |r_4| is
-    # reached at step 4, not at step 5 as a mirrored upper side would give
-    near = 1.0 / (1.0 + math.exp(0.88 - 0.001 + BARRIER_BETA * 0.2))
-    res = collapse_batch(0.5, p1, p2, CollapseParams(dt=1.0, lam=0.01, epsilon=near,
-                                                     max_steps=10),
-                         layout, keys_for(1), noise=_ConstNoise(-1.0), measure="raw")
-    assert (res.winner[0], res.steps[0]) == (2, 4)
-    assert res.r[0] == pytest.approx(-0.88, abs=1e-14)
-    # cooked measure: the split recursion gives r_k = 0.2010, 0.4040,
-    # 0.6089, 0.8158, 1.0243, so r also first passes 0.8835 at step 5
     r, path = 0.0, []
     while r < 1.0 - BARRIER_BETA * 0.2:
         r = split_step(0.01, r, 0.2)
@@ -251,6 +224,13 @@ def test_barrier_shift_hand_example():
     res = collapse_batch(0.5, p1, p2, params, layout, keys_for(1), noise=_ConstNoise(1.0))
     assert (res.winner[0], res.steps[0]) == (1, 5)
     assert res.r[0] == pytest.approx(path[-1], abs=1e-14)
+    rows = run_trajectory(0.5, p1, p2, params, layout, keys_for(1)[0], noise=_ConstNoise(1.0))
+    assert len(rows) - 1 == 5 and rows[-1][3] == res.r[0]
+    # the flow is odd, so -1 noise mirrors the path bit for bit and the run
+    # absorbs at the lower barrier at the same step
+    mirror = collapse_batch(0.5, p1, p2, params, layout, keys_for(1), noise=_ConstNoise(-1.0))
+    assert (mirror.winner[0], mirror.steps[0]) == (2, 5)
+    assert mirror.r[0] == -res.r[0]
     # a barrier 0.001 under r_4 is reached at step 4, although the carried
     # z = phi_{-h/2}(r_4) sits about 0.004 under r_4: z is tested against
     # the barrier mapped the same way
@@ -272,12 +252,12 @@ def test_barrier_shift_hand_example():
 def test_step_noise_errors():
     # the stream layout must supply noise for exactly the cells of the union
     with pytest.raises(IncompleteNoiseError):
-        evolve_batch(0.5, P1, P2, PARAMS, StreamLayout((("yes",),)), keys_for(1), 1)
+        collapse_batch(0.5, P1, P2, PARAMS, StreamLayout((("yes",),)), keys_for(1))
     with pytest.raises(IncompleteNoiseError):
-        evolve_batch(0.5, P1, P2, PARAMS, StreamLayout((("yes", "no", "other"),)),
-                     keys_for(1), 1)
+        collapse_batch(0.5, P1, P2, PARAMS, StreamLayout((("yes", "no", "other"),)),
+                       keys_for(1))
     with pytest.raises(ValueError, match="stream keys"):
-        evolve_batch(0.5, P1, P2, PARAMS, LAYOUT, keys0_for(1), 1)
+        collapse_batch(0.5, P1, P2, PARAMS, LAYOUT, keys0_for(1))
 
 
 def test_params_validation():
@@ -384,98 +364,69 @@ def test_batch_splits_are_bit_equal(order, cuts):
 def test_engine_matches_reference_stepper():
     # a scalar loop of the carried split step, y = phi_{h/2}(r), then
     # z = y + 2 sqrt(Gamma dt) zeta and y = phi_h(z), with r = phi_{h/2}(z)
-    # at the end (raw: phi_tau shifts r by tau / h of the drift), in the
-    # same operation order, must reproduce the batch engine exactly; the
-    # profiles differ in total occupation, so the raw drift is not zero
+    # at the end, in the same operation order, must reproduce the batch
+    # engine exactly over 50 steps that stay inside the barrier
     p1 = OccupationProfile((("yes", ETA), ("no", 0.0)))
     p2 = OccupationProfile((("yes", 0.0), ("no", 0.5 * ETA)))
     key = derive_stream_key(5, "D1", 9)
-    n_steps = 50
+    params = dataclasses.replace(PARAMS, max_steps=50)
     gamma = effective_rate(p1, p2, LAM)
-    h = gamma * PARAMS.dt
+    h = gamma * params.dt
     sig = 2.0 * math.sqrt(h)
-    zeta = DEFAULT_NOISE.block_normals(key, 0, rows=n_steps)
-    raw_drift = -2.0 * LAM * PARAMS.dt * (ETA ** 2 - (0.5 * ETA) ** 2)
+    zeta = DEFAULT_NOISE.block_normals(key, 0, rows=params.max_steps)
 
-    def cooked(part, r):
+    def flow(part, r):
         return 2.0 * np.arcsinh(np.sinh(0.5 * r) * math.exp(part * h))
 
-    def raw(part, r):
-        return r + part * raw_drift
-
-    for measure, flow in (("raw", raw), ("cooked", cooked)):
-        res = evolve_batch(0.37, p1, p2, PARAMS, LAYOUT, [(key,)], n_steps, measure=measure)
-        r = math.log(0.37) - math.log1p(-0.37)
-        y = flow(0.5, r)
-        for t in range(n_steps):
-            z = y + zeta[t] * sig
-            y = flow(1.0, z)
-        assert flow(0.5, z) == res.r[0]
+    res = collapse_batch(0.37, p1, p2, params, LAYOUT, [(key,)])
+    assert (res.winner[0], res.steps[0]) == (0, params.max_steps)
+    r = math.log(0.37) - math.log1p(-0.37)
+    y = flow(0.5, r)
+    for t in range(params.max_steps):
+        z = y + zeta[t] * sig
+        y = flow(1.0, z)
+    assert flow(0.5, z) == res.r[0]
 
 
 def test_zero_noise_follows_exact_drift_flow():
     # with the noise off the split step is the exact flow of the cooked
     # drift, over several windows and at the largest step allowed; the
-    # frozen-drift Euler step misses by 0.03 to 0.09 here
+    # frozen-drift Euler step misses by 0.03 to 0.09 here.  At epsilon
+    # 1e-300 the barrier sits near |r| = 690, which the flow does not reach
     n = 3 * BLOCK_STEPS + 17
     for gamma_dt in (0.05, MAX_GAMMA_DT):
-        params = CollapseParams(dt=gamma_dt / GAMMA, lam=LAM)
+        params = CollapseParams(dt=gamma_dt / GAMMA, lam=LAM, epsilon=1e-300, max_steps=n)
         for q0 in (0.3, 0.8, 1e-6):
             r0 = math.log(q0) - math.log1p(-q0)
-            res = evolve_batch(q0, P1, P2, params, LAYOUT, keys_for(1), n,
-                               noise=_ConstNoise(0.0))
+            res = collapse_batch(q0, P1, P2, params, LAYOUT, keys_for(1),
+                                 noise=_ConstNoise(0.0))
+            assert (res.winner[0], res.steps[0]) == (0, n)
             expected = 2.0 * math.asinh(math.sinh(0.5 * r0) * math.exp(n * gamma_dt))
             assert res.r[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
-def test_evolve_batch_far_tails_stay_finite():
-    # evolve_batch never absorbs, so |r| may grow past where sinh(r / 2)
-    # overflows; there the flow is r + 2 tau sign(r), and no warning is raised
-    start = np.array([-1e300, -1e6, -1500.0, -1000.5, 1000.5, 1500.0, 1e6, 1e300])
-    n = BLOCK_STEPS + 40
-    keys = keys_for(start.size, seed=17)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        res = evolve_batch(start, P1, P2, PARAMS, LAYOUT, keys, n, track_range=True)
-    assert np.all(np.isfinite(res.r)) and np.all(np.sign(res.r) == np.sign(start))
-    sig = 2.0 * math.sqrt(GAMMA * PARAMS.dt)
-    for j in (2, 3, 4, 5):
-        k = keys[j][0]
-        noise = (DEFAULT_NOISE.block_normals(k, 0) * sig).sum() + (
-            DEFAULT_NOISE.block_normals(k, 1, rows=40) * sig).sum()
-        drift = 2.0 * n * GAMMA * PARAMS.dt * np.sign(start[j])
-        assert res.r[j] == pytest.approx(start[j] + drift + noise, abs=1e-9)
-
-
 def test_one_step_cooked_mean_preserves_q():
     n = 200_000
-    res = evolve_batch(0.3, P1, P2, PARAMS, LAYOUT, keys_for(n, seed=8), 1)
+    params = dataclasses.replace(PARAMS, max_steps=1)
+    res = collapse_batch(0.3, P1, P2, params, LAYOUT, keys_for(n, seed=8))
+    assert np.all(res.winner == 0)
     q = res.q
     se = float(q.std()) / math.sqrt(n)
     assert abs(float(q.mean()) - 0.3) < 4.0 * se
 
 
 def test_martingale_at_intermediate_time():
+    # q stopped at absorption or at the step cap Gamma t = 1, whichever
+    # comes first, keeps its mean; at epsilon 0.01 about a fifth of the
+    # runs absorb before the cap, so the stopped values are covered
     n = 20_000
-    n_steps = round(0.3 / GAMMA / PARAMS.dt)
-    res = evolve_batch(0.3, P1, P2, PARAMS, LAYOUT, keys_for(n, seed=21), n_steps)
+    params = dataclasses.replace(PARAMS, epsilon=0.01,
+                                 max_steps=round(1.0 / GAMMA / PARAMS.dt))
+    res = collapse_batch(0.3, P1, P2, params, LAYOUT, keys_for(n, seed=21))
+    assert np.mean(res.winner > 0) >= 0.1
     q = res.q
     se = float(q.std()) / math.sqrt(n)
     assert abs(float(q.mean()) - 0.3) < 4.0 * se
-
-
-def test_raw_measure_is_not_born():
-    # under the unbiased measure the log ratio is a driftless walk for
-    # these symmetric profiles, so the hitting probability comes from the
-    # gambler's-ruin linear interpolation, not from q0
-    n = 4000
-    res = collapse_batch(0.3, P1, P2, PARAMS, LAYOUT, keys_for(n, seed=13), measure="raw")
-    freq = float(np.mean(res.winner == 1))
-    thr = PARAMS.log_threshold
-    r0 = math.log(0.3) - math.log1p(-0.3)
-    expected = (r0 + thr) / (2.0 * thr)
-    assert abs(freq - expected) < 4.0 * math.sqrt(expected * (1 - expected) / n)
-    assert abs(freq - 0.3) > 0.05
 
 
 def test_time_scaling_doubling_gamma_halves_median():
@@ -488,38 +439,17 @@ def test_time_scaling_doubling_gamma_halves_median():
     assert 0.43 < ratio < 0.57
 
 
-def test_winner_immutability_small():
-    n = 2000
-    res = collapse_batch(0.5, P1, P2, PARAMS, LAYOUT, keys_for(n, seed=51))
-    cont_keys = keys_for(n, seed=51, salt="cont")
-    n_cont = round(6.0 / GAMMA / PARAMS.dt)
-    cont = evolve_batch(res.r, P1, P2, PARAMS, LAYOUT,
-                        cont_keys, n_cont, track_range=True)
-    thr = PARAMS.log_threshold
-    reversed_1 = (res.winner == 1) & (cont.r_min <= -thr)
-    reversed_2 = (res.winner == 2) & (cont.r_max >= thr)
-    assert int(reversed_1.sum() + reversed_2.sum()) <= max(1, int(0.001 * n))
-
-
-def test_evolve_batch_per_run_start_matches_single_runs():
-    # with an array start and no absorption every run takes all steps, and
-    # each equals the same run evolved alone from its own start
-    keys = keys0_for(12, seed=61)
-    start = np.linspace(-3.0, 3.0, 12)
-    full = evolve_batch(start, P01, P02, PARAMS, LAYOUT0, keys, 1500, track_range=True)
-    for j in (0, 5, 11):
-        single = evolve_batch(start[j:j + 1], P01, P02, PARAMS, LAYOUT0, [keys[j]], 1500,
-                              track_range=True)
-        assert single.r[0] == full.r[j]
-        assert single.r_min[0] == full.r_min[j] <= start[j] <= full.r_max[j]
-        assert single.r_max[0] == full.r_max[j]
-
-
-def test_evolve_batch_validation():
-    with pytest.raises(ValueError):
-        evolve_batch(0.5, P1, P2, PARAMS, LAYOUT, keys_for(2), -1)
-    with pytest.raises(ValueError):
-        evolve_batch(np.zeros(3), P1, P2, PARAMS, LAYOUT, keys_for(2), 1)
+def test_extreme_epsilon_absorbs_without_overflow():
+    # at the smallest epsilon the barrier sits near |r| = 744, and absorbed
+    # runs step on to the end of their window; sinh(r / 2) overflows only
+    # past |r| = 1420, so every run absorbs and no warning is raised
+    params = CollapseParams(dt=MAX_GAMMA_DT / GAMMA, lam=LAM, epsilon=5e-324)
+    assert params.log_threshold > 744.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = collapse_batch(0.5, P1, P2, params, LAYOUT, keys_for(64, seed=19))
+    assert np.all(res.winner > 0)
+    assert np.all(np.abs(res.r) > 740.0) and np.all(np.isfinite(res.r))
 
 
 def test_stream_layout_validation():

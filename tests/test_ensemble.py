@@ -13,7 +13,6 @@ from collapsemc.ensemble import (CHUNK_RUNS, ConfigError, EnsembleAbortError,
                                  export_ensemble, export_records, run_ensemble,
                                  wilson_interval)
 from collapsemc.experiment import record_dtype
-from collapsemc.noise import derive_stream_key
 from collapsemc.relativity import C, activation_gap
 
 
@@ -54,11 +53,6 @@ def test_wilson_width_scaling():
     w1 = (lambda t: t[1] - t[0])(wilson_interval(3000, 10_000))
     w2 = (lambda t: t[1] - t[0])(wilson_interval(12_000, 40_000))
     assert w2 / w1 == pytest.approx(0.5, rel=0.05)
-
-
-def test_stream_key_reexport():
-    from collapsemc import ensemble
-    assert ensemble.derive_stream_key is derive_stream_key
 
 
 def test_config_validation():
@@ -114,13 +108,6 @@ def test_cross_frame_ensemble_shape():
     assert records["run_index"].tolist() == [k for k in range(300) for _ in "AB"]
     assert records["frame"].tolist() == ["A", "B"] * 300
     assert 0.0 <= stats.budget_violation_fraction <= 1.0
-
-
-def test_frame0_consistency_ensemble():
-    cfg, stats, records = _records("frame0_consistency", 300, q0=0.3)
-    assert np.all(records["frame"] == "frame0")
-    assert np.all(np.isin(records["winner"], (1, 2)))
-    assert stats.counts["winner1"] + stats.counts["winner2"] == 300
 
 
 def test_collapse_time_ensemble():
