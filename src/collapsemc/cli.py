@@ -28,7 +28,7 @@ _DEFAULT_D = 1000.0
 
 
 def _json_out(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
 
 
 def _add_ensemble_flags(p: argparse.ArgumentParser) -> None:

@@ -78,7 +78,7 @@ from .noise import BLOCK_STEPS, DEFAULT_NOISE, PhiloxNoiseSource
 # Hard ceiling on Gamma * dt; runs refuse to start above it.  Scenario
 # builders aim at half of it (see experiment.TARGET_GAMMA_DT), so rounding
 # in a derived dt cannot trip it.  At this ceiling the overshoot past the
-# barrier leaves the mean collapse time of the split step about 1.3 %
+# barrier leaves the mean collapse time of the split step about 1.5 %
 # long (frame 0, epsilon 0.01), against under 1 % at the target.
 MAX_GAMMA_DT = 0.1
 
@@ -86,6 +86,11 @@ MAX_GAMMA_DT = 0.1
 # barrier sits this many per-step standard deviations of r inside the
 # nominal threshold.
 BARRIER_BETA = 0.5825971579390107
+
+# Runs per noise draw: a window's normals for this many runs are drawn and
+# transformed at once, which keeps the per-call cost small against the
+# per-normal cost while the draw's temporaries stay in cache.
+SUB_BLOCK_RUNS = 256
 
 
 class InvalidProfileError(ValueError):
@@ -185,14 +190,21 @@ class CollapseParams:
             if isinstance(value, bool) or not isinstance(value, kind):
                 noun = "an integer" if kind is numbers.Integral else "a number"
                 raise TypeError(f"{name} must be {noun}, got {value!r}")
-        if not self.lam > 0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if not 0 < self.epsilon < 0.5:
             raise ValueError(f"epsilon must be in (0, 0.5), got {self.epsilon}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        try:
+            span = self.dt * self.max_steps
+        except OverflowError:  # max_steps past the float range
+            span = math.inf
+        if not math.isfinite(span):
+            raise ValueError(
+                f"dt * max_steps overflows: dt = {self.dt}, max_steps = {self.max_steps}")
 
     @property
     def log_threshold(self) -> float:
@@ -265,14 +277,37 @@ class BatchResult:
         return stable_q(self.r)
 
 
+def _stream_addresses(stream_keys, n_streams) -> np.ndarray:
+    """Stream addresses as a (runs, streams, 3) uint64 array of
+    (k0, k1, run_index) words."""
+    # Python ints stay exact as objects: numpy would infer float64 for a
+    # list that mixes words past 2**63 with small ones
+    addr = (stream_keys if isinstance(stream_keys, np.ndarray)
+            else np.array(stream_keys, dtype=object))
+    if addr.size == 0:
+        return np.empty((0, n_streams, 3), dtype=np.uint64)
+    if addr.ndim != 3 or addr.shape[1] != n_streams:
+        got = addr.shape[1] if addr.ndim > 1 else addr.shape
+        raise ValueError(f"expected {n_streams} stream keys per run, got {got}")
+    if addr.shape[2] != 3:
+        raise ValueError(
+            f"a stream address is (k0, k1, run_index), got {addr.shape[2]} words")
+    # checked before the cast, which may wrap a negative word
+    if addr.dtype.kind not in "iuO" or not 0 <= int(addr.min()) <= int(addr.max()) < 2**64:
+        raise ValueError("stream keys must be (k0, k1, run_index) addresses of "
+                         "integer words in [0, 2**64)")
+    return addr.astype(np.uint64, copy=False)
+
+
 def _prepare(profile1, profile2, params, layout, stream_keys):
     """Validate one engine call and reduce it to the scalar SDE.
 
-    Returns (sig, flow, thr, keys): the noise scale 2 sqrt(Gamma_s dt) of
+    Returns (sig, flow, thr, addr): the noise scale 2 sqrt(Gamma_s dt) of
     each stream, the exact flow of the drift, the absorbing barrier on
-    |r| and the per-run stream keys.  flow(part) is the odd map r -> r'
-    over that part of a step.  The barrier is the nominal threshold less
-    beta times the per-step standard deviation sqrt(sum_s sig_s^2) of r.
+    |r| and the (runs, streams, 3) array of stream addresses.  flow(part)
+    is the odd map r -> r' over that part of a step.  The barrier is the
+    nominal threshold less beta times the per-step standard deviation
+    sqrt(sum_s sig_s^2) of r.
     """
     layout.check_covers(profile1, profile2)
     rates = [params.lam * sum((profile1.eta(c) - profile2.eta(c)) ** 2 for c in cells)
@@ -281,10 +316,7 @@ def _prepare(profile1, profile2, params, layout, stream_keys):
     if gamma * params.dt > MAX_GAMMA_DT:
         raise ValueError(
             f"Gamma*dt = {gamma * params.dt:.3g} exceeds {MAX_GAMMA_DT}; reduce dt")
-    keys = [tuple(k) for k in stream_keys]
-    for k in keys:
-        if len(k) != len(rates):
-            raise ValueError(f"expected {len(rates)} stream keys per run, got {len(k)}")
+    addr = _stream_addresses(stream_keys, len(rates))
     if gamma == 0.0:
         raise NoCollapsePossibleError("profiles are identical on their union; Gamma = 0")
     sig = [2.0 * math.sqrt(rate * params.dt) for rate in rates]
@@ -301,31 +333,45 @@ def _prepare(profile1, profile2, params, layout, stream_keys):
         def phi(r):
             return 2.0 * np.arcsinh(np.sinh(0.5 * r) * grow)
         return phi
-    return sig, flow, thr, keys
+    return sig, flow, thr, addr
 
 
-def _window_noise(noise, keys, sig, block_index, rows):
+def _window_noise(noise, addr, sig, block_index, rows):
     """Noise increments sum_s sig_s * zeta_s of one window, shape (rows, runs).
 
-    Each run's draw of stream s fills one contiguous row of a (runs, rows)
-    scratch array, which is scaled by sig_s and added into dw through its
-    transpose; dw stays (rows, runs) so the step kernel reads dw[t] whole.
-    The streams are summed elementwise in layout order rather than by a
-    matrix product, whose reduction order may depend on the batch shape.
+    addr holds the runs' stream addresses, shape (runs, streams, 3).  The
+    runs go in sub-blocks of SUB_BLOCK_RUNS; for each stream, the runs of a
+    sub-block that share a key are drawn by one block_normals call (one in
+    practice, since a batch reads one key per stream), and the draw is
+    scaled by sig_s and added into dw through its transpose.  So window-
+    sized memory is dw alone.  dw stays (rows, runs) so the step kernel
+    reads dw[t] whole.  The streams are summed elementwise in layout order
+    rather than by a matrix product, whose reduction order may depend on
+    the batch shape.
     """
-    dw = np.zeros((rows, len(keys)))
-    zeta = np.empty((len(keys), rows))
-    for s, scale in enumerate(sig):
-        for j, run_keys in enumerate(keys):
-            zeta[j] = noise.block_normals(run_keys[s], block_index, rows=rows)
-        zeta *= scale
-        dw += zeta.T
+    dw = np.zeros((rows, len(addr)))
+    for lo in range(0, len(addr), SUB_BLOCK_RUNS):
+        part = addr[lo:lo + SUB_BLOCK_RUNS]
+        cols = dw[:, lo:lo + len(part)]
+        for s, scale in enumerate(sig):
+            keys, runs = part[:, s, :2], part[:, s, 2]
+            if (keys == keys[0]).all():
+                groups = [(keys[0], slice(None))]
+            else:
+                distinct, which = np.unique(keys, axis=0, return_inverse=True)
+                groups = [(key, np.flatnonzero(which.ravel() == g))
+                          for g, key in enumerate(distinct)]
+            for (k0, k1), sel in groups:
+                zeta = noise.block_normals((int(k0), int(k1)), block_index, runs[sel])
+                zeta = zeta.reshape(-1, BLOCK_STEPS)[:, :rows]
+                zeta *= scale
+                cols[:, sel] += zeta.T
     return dw
 
 
-def _drive(r0, keys, sig, flow, thr, n_steps, noise, record=None):
-    """Run every run from r0, one key tuple per run, by split steps until
-    |r| >= thr or n_steps steps, one noise window at a time.
+def _drive(r0, addr, sig, flow, thr, n_steps, noise, record=None):
+    """Run every run from r0, one row of stream addresses per run, by split
+    steps until |r| >= thr or n_steps steps, one noise window at a time.
 
     A run stops at the first step k >= 0 with |r| >= thr and keeps that r,
     winner 1 if r >= thr else 2; runs live after n_steps keep winner 0.
@@ -336,7 +382,7 @@ def _drive(r0, keys, sig, flow, thr, n_steps, noise, record=None):
     """
     half, whole = flow(0.5), flow(1.0)
     z_hi = flow(-0.5)(thr)
-    r = np.full(len(keys), r0, dtype=np.float64)
+    r = np.full(len(addr), r0, dtype=np.float64)
     winner = np.zeros(r.size, dtype=np.int8)
     winner[r >= thr] = 1
     winner[r <= -thr] = 2
@@ -345,7 +391,7 @@ def _drive(r0, keys, sig, flow, thr, n_steps, noise, record=None):
     base = 0
     while live.size and base < n_steps:
         rows = min(BLOCK_STEPS, n_steps - base)
-        dw = _window_noise(noise, [keys[i] for i in live], sig, base // BLOCK_STEPS, rows)
+        dw = _window_noise(noise, addr[live], sig, base // BLOCK_STEPS, rows)
         y = half(r[live])
         done = np.zeros(live.size, dtype=bool)
         for t in range(rows):
@@ -373,14 +419,16 @@ def collapse_batch(q0: float, profile1: OccupationProfile, profile2: OccupationP
                    noise: PhiloxNoiseSource = DEFAULT_NOISE) -> BatchResult:
     """Run a batch of trajectories to absorption.
 
-    stream_keys is a sequence (one entry per run) of per-stream key
-    tuples matching the layout.  Runs evolve in lockstep but consume only
-    their own streams, so results per run do not depend on batch
-    composition or execution schedule.
+    stream_keys holds one entry per run, each a tuple of stream addresses
+    (k0, k1, run_index) in layout order: the key of the stream and the
+    run's place in its counter (see noise.PhiloxNoiseSource).  Any array-
+    like of shape (runs, streams, 3) will do.  Runs evolve in lockstep but
+    consume only their own addresses, so results per run do not depend on
+    batch composition or execution schedule.
     """
     r0 = _logit(q0)
-    sig, flow, thr, keys = _prepare(profile1, profile2, params, layout, stream_keys)
-    r, steps, winner = _drive(r0, keys, sig, flow, thr, params.max_steps, noise)
+    sig, flow, thr, addr = _prepare(profile1, profile2, params, layout, stream_keys)
+    r, steps, winner = _drive(r0, addr, sig, flow, thr, params.max_steps, noise)
     return BatchResult(winner, steps, steps * params.dt, r)
 
 
@@ -390,12 +438,13 @@ def run_trajectory(q0: float, profile1: OccupationProfile, profile2: OccupationP
                    max_rows: int | None = None) -> list[tuple]:
     """Integrate one trajectory, recording (step, t_model_s, q, r).
 
-    stream_keys is the run's key tuple, one key per stream of the layout.
+    stream_keys is the run's tuple of stream addresses (k0, k1,
+    run_index), one per stream of the layout, as in collapse_batch.
     Row 0 is the initial state; one row follows per step until absorption
     or max_rows (default params.max_steps) steps.
     """
     r0 = _logit(q0)
-    sig, flow, thr, keys = _prepare(profile1, profile2, params, layout, [stream_keys])
+    sig, flow, thr, addr = _prepare(profile1, profile2, params, layout, [stream_keys])
     rows = [(0, 0.0, stable_q(r0), r0)]
 
     def record(k, x):
@@ -403,7 +452,7 @@ def run_trajectory(q0: float, profile1: OccupationProfile, profile2: OccupationP
         rows.append((k, k * params.dt, stable_q(r), r))
 
     cap = params.max_steps if max_rows is None else min(max_rows, params.max_steps)
-    _drive(r0, keys, sig, flow, thr, cap, noise, record=record)
+    _drive(r0, addr, sig, flow, thr, cap, noise, record=record)
     return rows
 
 

@@ -1,8 +1,9 @@
 """Reproducible Monte Carlo harness.
 
-Runs are addressed, not enumerated: trial k of an experiment consumes
-noise streams keyed by (master_seed, detector, k), so the records of an
-ensemble are a pure function of its configuration.  Execution is chunked
+Runs are addressed, not enumerated: trial k of an experiment reads each
+detector's noise stream, keyed by (master_seed, detector), at stream
+address (key, k), so the records of an ensemble are a pure function of
+its configuration.  Execution is chunked
 into fixed windows of run indices; workers pick up whole chunks, which
 makes the output byte-identical for any worker count or schedule.
 
@@ -267,10 +268,21 @@ def export_records(records: np.ndarray, path: str, fmt: str = "csv") -> None:
                                      repr(duration), literal[within]))
 
 
+def cpu_features() -> list[str]:
+    """Sorted names of the CPU features numpy reports as enabled: the SIMD
+    loops its math functions dispatch on."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1
+        from numpy.core._multiarray_umath import __cpu_features__
+    return sorted(name for name, on in __cpu_features__.items() if on)
+
+
 def build_manifest(config: EnsembleConfig) -> dict:
     """Full provenance for one ensemble: config, derived constants, and
-    the numpy and Python builds, since the noise values are fixed only
-    within one build of numpy."""
+    the numpy and Python builds with numpy's enabled CPU features, since
+    the noise values are fixed only within one numpy build on one CPU
+    feature set."""
     scenario = scenario_from_config(config)
     lam = scenario.params.lam
     rates = {}
@@ -280,7 +292,8 @@ def build_manifest(config: EnsembleConfig) -> dict:
     cfg = asdict(config)
     return {
         "artifact_version": __version__,
-        "build": {"numpy": np.__version__, "python": sys.version.split()[0]},
+        "build": {"numpy": np.__version__, "python": sys.version.split()[0],
+                  "cpu_features": cpu_features()},
         "master_seed": config.master_seed,
         "config": cfg,
         "derived": {
@@ -314,6 +327,6 @@ def export_ensemble(config: EnsembleConfig, stats: EnsembleStats, records: np.nd
         "budget_violation_fraction": stats.budget_violation_fraction,
     }
     with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
+        json.dump(manifest, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
     return {"records": records_path, "manifest": manifest_path}, manifest

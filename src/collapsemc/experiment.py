@@ -43,12 +43,12 @@ from .relativity import C, Frame, activation_gap, first_detector
 # rate (frame 0, all pointer cells) equals this, about 140 steps a run at
 # q0 0.5.  With the split step and the shifted barrier of dynamics the
 # mean collapse time stays within 1 % of the closed-form E[T].  Simulated
-# over closed-form E[T], 3 seeds x 8192 runs at q0 0.3 (standard errors
+# over closed-form E[T], seeds 1-3 x 8192 runs at q0 0.3 (standard errors
 # 0.0025 at epsilon 1e-6, 0.0044 at 0.01):
 #
 #     Gamma*dt (frame 0)   eps 1e-6: frame 0   frame A   eps 0.01: frame 0   frame A
-#     0.05                           1.0015    1.0002              1.0073    1.0030
-#     0.1 (MAX_GAMMA_DT)             1.0048    1.0031              1.0132    1.0108
+#     0.05                           0.9970    0.9998              1.0051    1.0013
+#     0.1 (MAX_GAMMA_DT)             1.0052    1.0003              1.0164    1.0034
 #
 # Frame A has half the frame-0 rate, so its Gamma * dt is half the value
 # in the first column.
@@ -171,7 +171,13 @@ def build_scenario(d: float = 1000.0, q0: float = 0.5,
     if "dt" not in overrides:
         # frame-0 rate: four pointer cells each differing by eta
         gamma0 = params.lam * 4.0 * eta * eta
-        params = replace(params, dt=TARGET_GAMMA_DT / gamma0)
+        dt = TARGET_GAMMA_DT / gamma0 if gamma0 > 0 else math.inf
+        try:
+            params = replace(params, dt=dt)
+        except ValueError as exc:
+            raise ValueError(
+                f"dt derived from lam = {params.lam!r} and eta = {eta!r} is {dt!r}, "
+                f"which cannot be run ({exc}); change lam or eta, or set dt") from exc
 
     def detector(det_id: str, sign: float) -> DetectorSpec:
         return DetectorSpec(
@@ -236,14 +242,22 @@ def run_frame_batch(scenario: Scenario, frame: Frame, master_seed: int,
                     run_indices, noise: PhiloxNoiseSource = DEFAULT_NOISE):
     """Run a batch of independent trials of one frame.
 
-    Returns (absorbed, failed): the record tables of the runs that
-    absorbed and of those that hit the step cap, each in run_indices order.
+    Run k of the batch reads each active detector's stream at address
+    (k0, k1, k), the detector's key from derive_stream_key(master_seed,
+    detector) and the run index, so a run's noise and record do not depend
+    on the other runs of the batch.  Returns (absorbed, failed): the
+    record tables of the runs that absorbed and of those that hit the step
+    cap, each in run_indices order.
     """
     p1, p2, det_ids, layout = frame_layout(scenario, frame)
-    keys = [tuple(derive_stream_key(master_seed, det, k) for det in det_ids)
-            for k in run_indices]
-    res = collapse_batch(scenario.q0, p1, p2, scenario.params, layout, keys, noise=noise)
-    table = np.empty(len(keys), dtype=record_dtype(frame.label))
+    runs = np.asarray(run_indices, dtype=np.int64)
+    if runs.size and runs.min() < 0:
+        raise ValueError(f"run indices must be >= 0, got {runs.min()}")
+    addr = np.empty((runs.size, len(det_ids), 3), dtype=np.uint64)
+    addr[:, :, :2] = [derive_stream_key(master_seed, det) for det in det_ids]
+    addr[:, :, 2] = runs[:, None]
+    res = collapse_batch(scenario.q0, p1, p2, scenario.params, layout, addr, noise=noise)
+    table = np.empty(runs.size, dtype=record_dtype(frame.label))
     table["run_index"] = run_indices
     table["frame"] = frame.label
     first = first_detector(frame)

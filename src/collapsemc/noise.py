@@ -1,70 +1,108 @@
 """Reproducible, counter-addressed Gaussian noise streams.
 
 Every random number consumed by a simulation run is addressed, not drawn
-sequentially from shared state: a value is identified by its (stream key,
-step index).  Distinct detectors and distinct run indices get distinct
-stream keys, so concurrent trajectories never coordinate and a rerun of
-any single trajectory reproduces its noise exactly, regardless of what
-else executed.
+sequentially from shared state.  A noise stream has a 128-bit key derived
+from (master seed, detector, salt) with SHA-256 (see
+``derive_stream_key``); a run reads its stream at its *stream address*
+``(k0, k1, run_index)``, and a value is identified by (address, step).
+Concurrent trajectories never coordinate, and a rerun of any single
+trajectory reproduces its noise exactly, whatever else executed.
 
-Stream keys are derived with SHA-256 so the mapping is portable and easy
-to audit (see ``derive_stream_key``).  The Gaussian values themselves come
-from numpy's Philox counter-based bit generator; they are deterministic
-within one build of numpy, which is the reproducibility level this
-package promises.
+Following Random123 (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC '11), the stream sits in the Philox key and the position in
+the counter.  Philox4x64-10 yields four 64-bit words per counter value,
+and a window of ``BLOCK_STEPS`` steps takes ``BLOCK_STEPS`` words, so 32
+counter values.  Window b of run k is the words numpy's ``Philox`` yields
+from key (k0, k1) and counter (32 k, b, 0, 0) with an empty buffer; numpy
+steps the counter before each block, so run k reads low counter words
+32 k + 1 ... 32 k + 32.  Consecutive runs are adjacent in the counter,
+and one ``random_raw`` call draws a window for a whole segment of
+consecutive run indices.
+
+Each run-window of words becomes ``BLOCK_STEPS`` standard normals by a
+fixed-consumption Box-Muller transform, one word per normal.  With
+h = BLOCK_STEPS / 2, words a_j = w[j] and b_j = w[h + j] for j < h give
+
+    R_j = sqrt(-2 ln(((a_j >> 11) + 1) * 2**-53))     (float64)
+    theta_j = ((b_j >> 40) as float32) * c            (float32, c = float32(2 pi) * 2**-24)
+
+and rows j and h + j of the window are R_j cos(theta_j) and
+R_j sin(theta_j), the sine and cosine taken in float32 and the products
+in float64.  The uniform ((a >> 11) + 1) 2**-53 lies in (0, 1], so
+|z| <= sqrt(106 ln 2) ~= 8.57: the tails are cut at 8.57 sigma, beyond
+which a normal falls with probability about 1e-17.  The angle is
+computed in float32 because float32 sine and cosine have SIMD loops in
+numpy where float64 ones may not, at about a tenth of the cost.
+
+The Philox words are fixed by the algorithm.  The normals also depend on
+numpy's ``log``, ``sin`` and ``cos``, whose last bits vary with the numpy
+build and with the CPU features its loops dispatch on, so the values are
+deterministic within one numpy build on one CPU feature set, which is
+the reproducibility level this package promises; the manifest of an
+ensemble records both.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 
-# A stream is consumed in fixed windows of this many steps.  Window b of a
-# stream is generated from Philox counter (0, b, 0, 0), so any window can
-# be produced without generating its predecessors.  A run draws every
+# A stream is consumed in fixed windows of this many steps, and any window
+# can be produced without generating its predecessors.  A run draws every
 # window it enters, so a window is kept to about one typical run at the
 # scenario step size (experiment.TARGET_GAMMA_DT, which also gives the
 # accuracy at that step): a frame-0 run at q0 0.5 takes about 140 steps,
 # a frame-A run about 280.
 BLOCK_STEPS = 128
 
-_KEY_PREFIX = b"collapsemc.v1"
+# Philox4x64 counter values a window spans: one per four words
+_COUNTERS_PER_WINDOW = BLOCK_STEPS // 4
+
+# run k reads low counter words up to 32 k + 32, which must not carry into
+# the block index word: k < 2**59 - 1
+RUN_INDEX_LIMIT = 2**64 // _COUNTERS_PER_WINDOW - 1
+
+_HALF = BLOCK_STEPS // 2
+_U53 = 2.0 ** -53
+_ANGLE_STEP = np.float32(2.0 * np.pi) * np.float32(2.0 ** -24)
+
+_KEY_PREFIX = b"collapsemc.v2"
 
 StreamKey = tuple[int, int]
 
 
-def derive_stream_key(master_seed: int, detector_id: str, run_index: int,
-                      salt: str = "") -> StreamKey:
-    """Derive the 128-bit noise stream key for one detector in one run.
+def derive_stream_key(master_seed: int, detector_id: str, salt: str = "") -> StreamKey:
+    """Derive the 128-bit key of one detector's noise stream.
 
     The derivation is fixed and portable so that any implementation can
     reproduce the key mapping:
 
     1. Build the ASCII string
-       ``"collapsemc.v1|<master_seed>|<detector_id>|<run_index>|<salt>"``
-       with the integers in decimal.
+       ``"collapsemc.v2|<master_seed>|<detector_id>|<salt>"`` with the
+       seed in decimal.
     2. Take SHA-256 of its bytes.
     3. The key is the first 16 digest bytes as two little-endian uint64
        words ``(k0, k1)``.
 
+    The run index is not part of the key: run k reads the stream at
+    address ``(k0, k1, k)``, in the counter (see ``PhiloxNoiseSource``).
     ``salt`` gives a stream independent of the primary stream of the same
-    detector and run; the default empty salt is the primary stream, which
-    is the only one the engine draws.
-
-    Collisions between distinct inputs would require a SHA-256 collision,
-    so distinct (detector_id, run_index) pairs map to distinct keys.
+    detector; the default empty salt is the primary stream, which is the
+    only one the engine draws.  A detector id may not contain ``|``, so
+    distinct (master_seed, detector_id, salt) give distinct strings, and
+    their keys could meet only through a SHA-256 collision.
     """
-    if run_index < 0:
-        raise ValueError(f"run_index must be >= 0, got {run_index}")
     if not 0 <= master_seed < 2**64:
         raise ValueError(f"master_seed must fit in uint64, got {master_seed}")
+    if "|" in detector_id:
+        raise ValueError(f"detector_id may not contain '|', got {detector_id!r}")
     material = b"|".join([
         _KEY_PREFIX,
         str(master_seed).encode(),
         detector_id.encode(),
-        str(run_index).encode(),
         salt.encode(),
     ])
     digest = hashlib.sha256(material).digest()
@@ -73,31 +111,66 @@ def derive_stream_key(master_seed: int, detector_id: str, run_index: int,
     return (k0, k1)
 
 
+def _run_indices(runs) -> np.ndarray:
+    """Run indices as a 1-D uint64 array, each checked to lie in
+    [0, RUN_INDEX_LIMIT)."""
+    if isinstance(runs, np.ndarray):
+        idx = runs
+        if idx.dtype.kind not in "iu":
+            raise TypeError(f"run indices must be integers, got dtype {idx.dtype}")
+    else:
+        # exact Python ints: numpy would infer float64 for a list that
+        # mixes indices past 2**63 with small ones
+        idx = np.array([operator.index(k) for k in runs], dtype=object)
+    if idx.ndim != 1:
+        raise ValueError(f"run indices must be 1-D, got shape {idx.shape}")
+    if idx.size == 0:
+        return idx
+    for k in (int(idx.min()), int(idx.max())):
+        if not 0 <= k < RUN_INDEX_LIMIT:
+            raise ValueError(f"run index must be in [0, 2**59 - 1), got {k}")
+    return idx.astype(np.uint64, copy=False)
+
+
+def _box_muller(words: np.ndarray) -> np.ndarray:
+    """Normals of a flat run-major array of run-windows of words, by the
+    transform of the module docstring."""
+    pairs = words.reshape(-1, 2, _HALF)
+    radius = pairs[:, 0] >> np.uint64(11)
+    radius += np.uint64(1)
+    radius = radius * _U53
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = (pairs[:, 1] >> np.uint64(40)).astype(np.float32)
+    angle *= _ANGLE_STEP
+    out = np.empty(pairs.shape)
+    np.multiply(radius, np.cos(angle), out=out[:, 0])
+    np.sin(angle, out=angle)
+    np.multiply(radius, angle, out=out[:, 1])
+    return out.ravel()
+
+
 class PhiloxNoiseSource:
-    """Supplies standard-normal increments addressed by (key, step).
+    """Supplies standard-normal increments addressed by (stream address, step).
 
-    Values are generated in windows of ``BLOCK_STEPS`` steps.  Window ``b``
-    of stream ``key`` is drawn from a Philox generator with 128-bit key
-    ``key`` and 256-bit counter ``(0, b, 0, 0)``, so the value for a step
-    sits at row ``step % BLOCK_STEPS`` of window ``step // BLOCK_STEPS``.
-    Windows are separated by 2**64 counter positions, far more than one
-    window ever consumes, and a draw of only the first ``rows`` rows of a
-    window equals the prefix of the full window because generation is
-    sequential within a window.
+    Values come in windows of ``BLOCK_STEPS`` steps: the value for step t
+    of the run at address (k0, k1, k) is row ``t % BLOCK_STEPS`` of
+    window ``t // BLOCK_STEPS``, drawn with the counter layout and the
+    transform of the module docstring.
 
-    An instance reuses one generator object and one state dict, writing
-    the key and counter words into it per window, so it is cheap but not
-    safe to share across threads.  The dict holds plain lists where the
-    state getter returns numpy arrays: the setter reads lists in about
-    half the time and stores the same words.  Setting it also clears the
-    output buffer and the cached uint32, so no draw leaks into the next.
+    An instance reuses one bit generator and one state dict, writing the
+    key and counter words into it per segment of consecutive runs, so it
+    is cheap but not safe to share across threads.  The dict holds plain
+    lists where the state getter returns numpy arrays: the setter reads
+    lists in about half the time and stores the same words.  Setting it
+    also empties the output buffer, so no draw leaks into the next.
     Separate threads or processes should each build their own instance;
     all instances produce identical values.
     """
 
     def __init__(self):
         self._bitgen = Philox(key=np.zeros(2, dtype=np.uint64))
-        self._gen = Generator(self._bitgen)
         self._counter = [0, 0, 0, 0]
         self._key = [0, 0]
         # a fresh generator's state: empty output buffer, no cached uint32
@@ -110,19 +183,33 @@ class PhiloxNoiseSource:
             "uinteger": 0,
         }
 
-    def block_normals(self, key: StreamKey, block_index: int,
-                      rows: int | None = None) -> np.ndarray:
-        """Return the first ``rows`` rows (default all) of one stream window
-        as a 1-D array."""
-        if block_index < 0:
-            raise ValueError(f"block_index must be >= 0, got {block_index}")
-        rows = BLOCK_STEPS if rows is None else rows
-        if not 0 < rows <= BLOCK_STEPS:
-            raise ValueError(f"rows must be in [1, {BLOCK_STEPS}], got {rows}")
-        self._counter[1] = block_index
+    def block_normals(self, key: StreamKey, block_index: int, runs) -> np.ndarray:
+        """Window ``block_index`` of stream ``key`` for each run index in
+        ``runs``, as a flat run-major array of ``len(runs) * BLOCK_STEPS``
+        normals: run ``runs[i]``'s window is ``[i * BLOCK_STEPS, (i + 1) *
+        BLOCK_STEPS)``.
+
+        Each maximal segment of consecutive indices in ``runs`` takes one
+        state set and one ``random_raw`` call; the transform runs once over
+        all of them.  Raises ValueError for a block index outside
+        [0, 2**64) or a run index outside [0, 2**59 - 1).
+        """
+        if not 0 <= block_index < 2**64:
+            raise ValueError(f"block_index must be in [0, 2**64), got {block_index}")
+        idx = _run_indices(runs)
+        if idx.size == 0:
+            return np.empty(0)
+        self._counter[1] = int(block_index)
         self._key[0], self._key[1] = key
+        starts = [0, *(np.flatnonzero(np.diff(idx) != 1) + 1).tolist(), idx.size]
+        words = [self._draw(idx[lo], hi - lo) for lo, hi in zip(starts, starts[1:])]
+        return _box_muller(words[0] if len(words) == 1 else np.concatenate(words))
+
+    def _draw(self, first_run, n_runs) -> np.ndarray:
+        """Words of the current window for runs first_run ... first_run + n_runs - 1."""
+        self._counter[0] = int(first_run) * _COUNTERS_PER_WINDOW
         self._bitgen.state = self._state
-        return self._gen.standard_normal(rows)
+        return self._bitgen.random_raw(n_runs * BLOCK_STEPS)
 
 
 DEFAULT_NOISE = PhiloxNoiseSource()

@@ -1,9 +1,10 @@
 import json
+import math
 import os
 
 import pytest
 
-from collapsemc.cli import main
+from collapsemc.cli import _json_out, main
 from collapsemc.relativity import C
 
 V99 = 0.99 * C
@@ -212,6 +213,32 @@ def test_config_file_bad_value_type(capsys, tmp_path, bad):
     assert out == ""
     assert err.startswith(f"error: {next(iter(bad))}")
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("eta", [1e-5, 1e-10])
+def test_unrunnable_derived_dt(capsys, tmp_path, eta):
+    # lam 1e-300 derives dt 1.25e308 at eta 1e-5, whose step cap overflows
+    # to an infinite duration, and dt inf at eta 1e-10: both are usage
+    # errors that name the overrides dt came from, before any run
+    cfg_path = tmp_path / "tiny.json"
+    out_dir = tmp_path / "tiny"
+    cfg_path.write_text(json.dumps({"runs": 20, "out_dir": str(out_dir),
+                                    "overrides": {"lam": 1e-300, "eta": eta}}))
+    code, out, err = run_cli(capsys, "born", "--config", str(cfg_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "lam = 1e-300" in err and f"eta = {eta!r}" in err
+    assert "Gamma*dt" not in err
+    assert not out_dir.exists()
+
+
+def test_non_finite_output_is_an_error(capsys):
+    # stdout is strict JSON: a non-finite value raises ValueError, which
+    # main reports as exit 2, rather than printing NaN
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            _json_out({"x": value})
+    assert capsys.readouterr().out == ""
 
 
 def test_config_file_kind_mismatch(capsys, tmp_path):

@@ -5,9 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from collapsemc import dynamics
 from collapsemc.dynamics import (BARRIER_BETA, MAX_GAMMA_DT, CollapseParams,
                                  IncompleteNoiseError, InvalidProfileError,
                                  NoCollapsePossibleError,
@@ -34,12 +35,15 @@ LAYOUT0 = StreamLayout((("D1.yes", "D1.no"), ("D2.yes", "D2.no")))
 
 
 def keys_for(n, seed=1, det="D1", salt=""):
-    return [(derive_stream_key(seed, det, k, salt=salt),) for k in range(n)]
+    """One-stream addresses of runs 0 ... n - 1."""
+    key = derive_stream_key(seed, det, salt=salt)
+    return [((*key, k),) for k in range(n)]
 
 
-def keys0_for(n, seed=1):
-    return [(derive_stream_key(seed, "D1", k), derive_stream_key(seed, "D2", k))
-            for k in range(n)]
+def keys0_for(n, seed=1, runs=None):
+    """Two-stream (D1, D2) addresses of runs 0 ... n - 1, or of `runs`."""
+    k1, k2 = derive_stream_key(seed, "D1"), derive_stream_key(seed, "D2")
+    return [((*k1, k), (*k2, k)) for k in (range(n) if runs is None else runs)]
 
 
 class _ConstNoise(PhiloxNoiseSource):
@@ -49,20 +53,20 @@ class _ConstNoise(PhiloxNoiseSource):
         super().__init__()
         self.value = value
 
-    def block_normals(self, key, block_index, rows=None):
-        return np.full(rows, self.value)
+    def block_normals(self, key, block_index, runs):
+        return np.full(len(runs) * BLOCK_STEPS, self.value)
 
 
 class _SpyNoise(PhiloxNoiseSource):
-    """Records the shape of every window it hands out."""
+    """Records the window, run count and shape of every draw it hands out."""
 
     def __init__(self):
         super().__init__()
-        self.shapes = []
+        self.calls = []
 
-    def block_normals(self, key, block_index, rows=None):
-        vals = super().block_normals(key, block_index, rows=rows)
-        self.shapes.append(vals.shape)
+    def block_normals(self, key, block_index, runs):
+        vals = super().block_normals(key, block_index, runs)
+        self.calls.append((block_index, len(runs), vals.shape))
         return vals
 
 
@@ -177,11 +181,26 @@ def test_aggregate_preserves_rate_property():
 def test_engine_reads_one_column_per_stream():
     spy = _SpyNoise()
     res = collapse_batch(0.5, P01, P02, PARAMS, LAYOUT0, keys0_for(40, seed=29), noise=spy)
-    assert all(len(shape) == 1 for shape in spy.shapes)
+    assert all(shape == (runs * BLOCK_STEPS,) for _, runs, shape in spy.calls)
     # a run is drawn for in every window it enters, once per stream
     windows = int(sum(-(-int(k) // BLOCK_STEPS) for k in res.steps))
     assert windows > 40
-    assert len(spy.shapes) == 2 * windows
+    assert sum(runs for _, runs, _ in spy.calls) == 2 * windows
+
+
+@pytest.mark.parametrize("n", [8, 200])
+def test_noise_calls_do_not_grow_with_runs(n):
+    # Gamma * dt is 0.005 here, a tenth of the scenario target, so runs
+    # live about 11 windows; the live runs of a sub-block are drawn by one
+    # call per stream and window, however many there are and however
+    # gapped their indices are after the first window
+    assert n <= dynamics.SUB_BLOCK_RUNS
+    spy = _SpyNoise()
+    res = collapse_batch(0.5, P01, P02, PARAMS, LAYOUT0, keys0_for(n, seed=5), noise=spy)
+    last_window = -(-int(res.steps.max()) // BLOCK_STEPS)
+    assert last_window >= 8
+    assert len(spy.calls) == 2 * last_window
+    assert sorted(b for b, _, _ in spy.calls) == sorted(2 * list(range(last_window)))
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +288,15 @@ def test_params_validation():
         CollapseParams(dt=1.0, epsilon=0.5)
     with pytest.raises(ValueError):
         CollapseParams(dt=1.0, max_steps=0)
+    # non-finite values, and a step cap whose duration overflows
+    for bad in ({"dt": math.inf}, {"dt": math.nan}, {"dt": 1.0, "lam": math.inf},
+                {"dt": 1.0, "lam": math.nan}):
+        with pytest.raises(ValueError, match="finite"):
+            CollapseParams(**bad)
+    for max_steps in (2, 10**400):
+        with pytest.raises(ValueError, match="overflows"):
+            CollapseParams(dt=1e308, max_steps=max_steps)
+    assert CollapseParams(dt=1e308, max_steps=1).dt == 1e308
     p = CollapseParams(dt=1.0, epsilon=1e-6)
     assert p.log_threshold == pytest.approx(math.log((1 - 1e-6) / 1e-6), rel=1e-12)
 
@@ -336,7 +364,8 @@ def test_batch_composition_invariance():
         assert single.r[0] == full.r[j]
 
 
-SPLIT_KEYS = keys0_for(12, seed=71)
+# gapped run indices: consecutive segments of 4, 3, 1 and 4 runs
+SPLIT_KEYS = keys0_for(12, seed=71, runs=(0, 1, 2, 3, 7, 8, 9, 15, 31, 32, 33, 34))
 
 
 @functools.cache
@@ -347,9 +376,13 @@ def _whole_batch():
 @settings(max_examples=8, deadline=None)
 @given(order=st.permutations(range(12)),
        cuts=st.lists(st.integers(1, 11), unique=True, max_size=4))
+@example(order=list(range(11, -1, -1)), cuts=[])
+@example(order=list(range(11, -1, -1)), cuts=[5])
+@example(order=[0, 2, 4, 6, 8, 10, 1, 3, 5, 7, 9, 11], cuts=[6])
 def test_batch_splits_are_bit_equal(order, cuts):
-    # any regrouping and reordering of the runs into smaller batches gives
-    # each run the same winner, steps and final r as the whole batch
+    # any regrouping and reordering of the runs into smaller batches, the
+    # reversed order and batches of every other run among them, gives each
+    # run the same winner, steps and final r as the whole batch
     whole = _whole_batch()
     assert whole.steps.max() > 3 * BLOCK_STEPS
     bounds = [0, *sorted(cuts), 12]
@@ -361,6 +394,37 @@ def test_batch_splits_are_bit_equal(order, cuts):
         assert np.array_equal(res.r, whole.r[part])
 
 
+def test_sub_blocks_do_not_change_results(monkeypatch):
+    # drawing the live runs in sub-blocks of any size, split between
+    # segments of consecutive run indices or not, and with runs of other
+    # keys mixed in, leaves every run's result bit for bit
+    whole = _whole_batch()
+    for size in (1, 3, 5):
+        monkeypatch.setattr(dynamics, "SUB_BLOCK_RUNS", size)
+        res = collapse_batch(0.5, P01, P02, PARAMS, LAYOUT0, SPLIT_KEYS)
+        assert np.array_equal(res.steps, whole.steps)
+        assert np.array_equal(res.r, whole.r)
+    monkeypatch.setattr(dynamics, "SUB_BLOCK_RUNS", 256)
+    other = keys0_for(12, seed=72)
+    mixed = collapse_batch(0.5, P01, P02, PARAMS, LAYOUT0,
+                           [k for pair in zip(SPLIT_KEYS, other) for k in pair])
+    alone = collapse_batch(0.5, P01, P02, PARAMS, LAYOUT0, other)
+    assert np.array_equal(mixed.r[0::2], whole.r)
+    assert np.array_equal(mixed.r[1::2], alone.r)
+    assert np.array_equal(mixed.steps[1::2], alone.steps)
+
+
+def test_stream_address_validation():
+    key = derive_stream_key(1, "D1")
+    for bad in ([((*key,),)], [((*key, -1),)], [((*key, 1, 2),)], [((*key, 2**64),)]):
+        with pytest.raises(ValueError, match="stream"):
+            collapse_batch(0.5, P1, P2, PARAMS, LAYOUT, bad)
+    with pytest.raises(ValueError, match="run index"):
+        collapse_batch(0.5, P1, P2, PARAMS, LAYOUT, [((*key, 2**59 - 1),)])
+    empty = collapse_batch(0.5, P1, P2, PARAMS, LAYOUT, [])
+    assert empty.steps.shape == (0,)
+
+
 def test_engine_matches_reference_stepper():
     # a scalar loop of the carried split step, y = phi_{h/2}(r), then
     # z = y + 2 sqrt(Gamma dt) zeta and y = phi_h(z), with r = phi_{h/2}(z)
@@ -368,17 +432,17 @@ def test_engine_matches_reference_stepper():
     # engine exactly over 50 steps that stay inside the barrier
     p1 = OccupationProfile((("yes", ETA), ("no", 0.0)))
     p2 = OccupationProfile((("yes", 0.0), ("no", 0.5 * ETA)))
-    key = derive_stream_key(5, "D1", 9)
+    key = derive_stream_key(5, "D1")
     params = dataclasses.replace(PARAMS, max_steps=50)
     gamma = effective_rate(p1, p2, LAM)
     h = gamma * params.dt
     sig = 2.0 * math.sqrt(h)
-    zeta = DEFAULT_NOISE.block_normals(key, 0, rows=params.max_steps)
+    zeta = DEFAULT_NOISE.block_normals(key, 0, [9])[:params.max_steps]
 
     def flow(part, r):
         return 2.0 * np.arcsinh(np.sinh(0.5 * r) * math.exp(part * h))
 
-    res = collapse_batch(0.37, p1, p2, params, LAYOUT, [(key,)])
+    res = collapse_batch(0.37, p1, p2, params, LAYOUT, [((*key, 9),)])
     assert (res.winner[0], res.steps[0]) == (0, params.max_steps)
     r = math.log(0.37) - math.log1p(-0.37)
     y = flow(0.5, r)
@@ -461,10 +525,10 @@ def test_stream_layout_validation():
 
 
 def test_trajectory_recording(tmp_path):
-    key = derive_stream_key(3, "D1", 4)
-    rows = run_trajectory(0.5, P1, P2, PARAMS, LAYOUT, (key,))
+    key = derive_stream_key(3, "D1")
+    rows = run_trajectory(0.5, P1, P2, PARAMS, LAYOUT, ((*key, 4),))
     assert rows[0][:3] == (0, 0.0, 0.5)
-    ref = collapse_batch(0.5, P1, P2, PARAMS, LAYOUT, [(key,)])
+    ref = collapse_batch(0.5, P1, P2, PARAMS, LAYOUT, [((*key, 4),)])
     assert len(rows) - 1 == ref.steps[0]
     assert rows[-1][3] == ref.r[0]
     # consecutive rows follow the split step on the run's own noise, up to
@@ -472,7 +536,7 @@ def test_trajectory_recording(tmp_path):
     h = GAMMA * PARAMS.dt
     sig = 2.0 * math.sqrt(h)
     for (k, t, q, r), nxt in zip(rows, rows[1:]):
-        zeta = DEFAULT_NOISE.block_normals(key, k // BLOCK_STEPS)[k % BLOCK_STEPS]
+        zeta = DEFAULT_NOISE.block_normals(key, k // BLOCK_STEPS, [4])[k % BLOCK_STEPS]
         assert nxt[0] == k + 1 and nxt[1] == (k + 1) * PARAMS.dt
         assert nxt[3] == pytest.approx(split_step(h, r, sig * zeta), abs=1e-12)
         assert nxt[2] == stable_q(nxt[3])
@@ -490,7 +554,7 @@ def test_trajectory_recording(tmp_path):
 
 
 def test_trajectory_max_rows_is_a_prefix():
-    key = (derive_stream_key(3, "D1", 4),)
+    key = ((*derive_stream_key(3, "D1"), 4),)
     full = run_trajectory(0.5, P1, P2, PARAMS, LAYOUT, key)
     capped = run_trajectory(0.5, P1, P2, PARAMS, LAYOUT, key, max_rows=1100)
     assert len(full) > 1101

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import platform
@@ -255,8 +256,16 @@ def test_manifest_contents():
     }
     assert derived["lorentz_gamma"] == pytest.approx(7.08881, rel=1e-6)
     assert manifest["artifact_version"]
-    assert manifest["build"] == {"numpy": np.__version__,
-                                 "python": platform.python_version()}
+    build = manifest["build"]
+    assert (build["numpy"], build["python"]) == (np.__version__, platform.python_version())
+    # the CPU features numpy dispatches its math loops on, which fix the
+    # last bits of the noise transform
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        from numpy.core._multiarray_umath import __cpu_features__
+    assert build["cpu_features"] == sorted(f for f, on in __cpu_features__.items() if on)
+    assert set(build) == {"numpy", "python", "cpu_features"}
     assert manifest["config"]["master_seed"] == 5
 
 
@@ -272,3 +281,12 @@ def test_export_ensemble_bytes_stable(tmp_path):
         a = open(paths_a[name], "rb").read()
         b = open(paths_b[name], "rb").read()
         assert a == b
+
+
+def test_manifest_refuses_non_finite_values(tmp_path):
+    # manifest.json is strict JSON: a NaN statistic is an error, not "NaN"
+    cfg = EnsembleConfig(kind="born_rule", runs=4, master_seed=2)
+    stats, records = run_ensemble(cfg)
+    bad = dataclasses.replace(stats, duration_quantiles=(math.nan,) * 3)
+    with pytest.raises(ValueError):
+        export_ensemble(cfg, bad, records, str(tmp_path / "nan"))

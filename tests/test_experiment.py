@@ -19,16 +19,17 @@ FRAME_B = Frame(-V99, "B")
 
 
 class _SpyNoise(PhiloxNoiseSource):
-    """Records requested keys; optionally corrupts a chosen key set."""
+    """Records the requested stream addresses (k0, k1, run_index);
+    optionally corrupts the draws of a chosen key set."""
 
     def __init__(self, corrupt_keys=()):
         super().__init__()
         self.requested = []
         self.corrupt_keys = set(corrupt_keys)
 
-    def block_normals(self, key, block_index, rows=None):
-        self.requested.append(key)
-        vals = super().block_normals(key, block_index, rows=rows)
+    def block_normals(self, key, block_index, runs):
+        self.requested.extend((*key, int(k)) for k in runs)
+        vals = super().block_normals(key, block_index, runs)
         if key in self.corrupt_keys:
             return -3.0 * vals + 1.0
         return vals
@@ -146,9 +147,9 @@ def test_frame_a_outcome_depends_only_on_d1_stream():
     seed, run = 6, 11
     spy = _SpyNoise()
     baseline, _ = run_frame_batch(scn, FRAME_A, seed, [run], noise=spy)
-    d1_key = derive_stream_key(seed, "D1", run)
-    d2_key = derive_stream_key(seed, "D2", run)
-    assert set(spy.requested) == {d1_key}
+    d1_key = derive_stream_key(seed, "D1")
+    d2_key = derive_stream_key(seed, "D2")
+    assert set(spy.requested) == {(*d1_key, run)}
 
     corrupted = _SpyNoise(corrupt_keys=[d2_key])
     perturbed, _ = run_frame_batch(scn, FRAME_A, seed, [run], noise=corrupted)
@@ -159,8 +160,8 @@ def test_frame0_consumes_both_streams():
     scn = build_scenario()
     spy = _SpyNoise()
     run_frame_batch(scn, FRAME_0, 6, [11], noise=spy)
-    assert set(spy.requested) == {derive_stream_key(6, "D1", 11),
-                                  derive_stream_key(6, "D2", 11)}
+    assert set(spy.requested) == {(*derive_stream_key(6, "D1"), 11),
+                                  (*derive_stream_key(6, "D2"), 11)}
 
 
 def test_cross_frame_disagreement_rate():

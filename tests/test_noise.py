@@ -1,13 +1,42 @@
+import hashlib
+import itertools
+import math
+
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from collapsemc.noise import BLOCK_STEPS, PhiloxNoiseSource, derive_stream_key
+from collapsemc.noise import (BLOCK_STEPS, RUN_INDEX_LIMIT, PhiloxNoiseSource,
+                              derive_stream_key)
 
+HALF = BLOCK_STEPS // 2
+
+
+def reference_window(key, block, run):
+    """Window `block` of run `run` on stream `key`, from a fresh Philox at
+    counter (32 run, block, 0, 0) through the documented transform."""
+    counter = np.array([run * (BLOCK_STEPS // 4), block, 0, 0], dtype=np.uint64)
+    words = Philox(key=np.array(key, dtype=np.uint64), counter=counter).random_raw(BLOCK_STEPS)
+    a, b = words[:HALF], words[HALF:]
+    radius = np.sqrt(-2.0 * np.log(((a >> np.uint64(11)) + np.uint64(1)).astype(np.float64)
+                                   * 2.0 ** -53))
+    theta = (b >> np.uint64(40)).astype(np.float32) * (np.float32(2.0 * np.pi)
+                                                        * np.float32(2.0 ** -24))
+    return np.concatenate([radius * np.cos(theta).astype(np.float64),
+                           radius * np.sin(theta).astype(np.float64)])
+
+
+def phi(x):
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+# ---------------------------------------------------------------------------
+# keys
+# ---------------------------------------------------------------------------
 
 def test_key_deterministic():
-    a = derive_stream_key(42, "D1", 17)
-    b = derive_stream_key(42, "D1", 17)
+    a = derive_stream_key(42, "D1")
+    b = derive_stream_key(42, "D1")
     assert a == b
     assert isinstance(a, tuple) and len(a) == 2
     assert all(0 <= k < 2**64 for k in a)
@@ -15,79 +44,138 @@ def test_key_deterministic():
 
 def test_key_documented_derivation():
     # independent re-derivation of the documented algorithm
-    import hashlib
-    digest = hashlib.sha256(b"collapsemc.v1|42|D1|17|").digest()
-    expected = (int.from_bytes(digest[0:8], "little"),
-                int.from_bytes(digest[8:16], "little"))
-    assert derive_stream_key(42, "D1", 17) == expected
+    for material, args in ((b"collapsemc.v2|42|D1|", (42, "D1")),
+                           (b"collapsemc.v2|7|D2|grw", (7, "D2", "grw"))):
+        digest = hashlib.sha256(material).digest()
+        expected = (int.from_bytes(digest[0:8], "little"),
+                    int.from_bytes(digest[8:16], "little"))
+        assert derive_stream_key(*args) == expected
 
 
-def test_no_collisions_desk_scale():
-    seen = set()
-    for k in range(1_000_000):
-        seen.add(derive_stream_key(42, "D1", k))
-        seen.add(derive_stream_key(42, "D2", k))
-    assert len(seen) == 2_000_000
+def test_keys_distinct_over_seed_detector_salt_grid():
+    # decimal seeds that share digits, detector ids that are prefixes of one
+    # another and salts that could run into the detector id all give
+    # distinct keys, and no key word repeats
+    seeds = [*range(0, 300), 1000, 2**63, 2**64 - 1]
+    detectors = ["D1", "D2", "D", "D12", "1", ""]
+    salts = ["", "grw", "2", "D1", "|"]
+    keys = [derive_stream_key(s, d, salt) for s, d, salt in
+            itertools.product(seeds, detectors, salts)]
+    assert len(set(keys)) == len(keys)
+    assert len({w for key in keys for w in key}) == 2 * len(keys)
 
 
 def test_master_seed_changes_every_key():
-    for k in range(0, 1000, 37):
-        assert derive_stream_key(1, "D1", k) != derive_stream_key(2, "D1", k)
+    for det, salt in itertools.product(("D1", "D2"), ("", "grw")):
+        assert derive_stream_key(1, det, salt) != derive_stream_key(2, det, salt)
 
 
 def test_salt_changes_key():
-    assert derive_stream_key(5, "D1", 0) != derive_stream_key(5, "D1", 0, salt="cont")
+    assert derive_stream_key(5, "D1") != derive_stream_key(5, "D1", salt="cont")
 
 
 def test_key_input_validation():
     with pytest.raises(ValueError):
-        derive_stream_key(5, "D1", -1)
+        derive_stream_key(-1, "D1")
     with pytest.raises(ValueError):
-        derive_stream_key(2**64, "D1", 0)
+        derive_stream_key(2**64, "D1")
+    # "D1|x" with no salt would spell the same string as "D1" with salt "x"
+    with pytest.raises(ValueError, match=r"\|"):
+        derive_stream_key(5, "D1|x")
 
+
+# ---------------------------------------------------------------------------
+# windows
+# ---------------------------------------------------------------------------
 
 def test_block_normals_deterministic_across_instances():
-    key = derive_stream_key(9, "D1", 3)
-    a = PhiloxNoiseSource().block_normals(key, 0)
-    b = PhiloxNoiseSource().block_normals(key, 0)
+    key = derive_stream_key(9, "D1")
+    a = PhiloxNoiseSource().block_normals(key, 0, [3])
+    b = PhiloxNoiseSource().block_normals(key, 0, [3])
     assert np.array_equal(a, b)
     assert a.shape == (BLOCK_STEPS,)
+    assert PhiloxNoiseSource().block_normals(key, 0, []).shape == (0,)
 
 
 def test_block_normals_distinct_keys_and_blocks():
     src = PhiloxNoiseSource()
-    k1 = derive_stream_key(9, "D1", 3)
-    k2 = derive_stream_key(9, "D2", 3)
-    assert not np.array_equal(src.block_normals(k1, 0), src.block_normals(k2, 0))
-    assert not np.array_equal(src.block_normals(k1, 0), src.block_normals(k1, 1))
+    k1 = derive_stream_key(9, "D1")
+    k2 = derive_stream_key(9, "D2")
+    base = src.block_normals(k1, 0, [3])
+    assert not np.array_equal(base, src.block_normals(k2, 0, [3]))
+    assert not np.array_equal(base, src.block_normals(k1, 1, [3]))
+    assert not np.array_equal(base, src.block_normals(k1, 0, [4]))
 
 
-def test_partial_rows_match_full_block_prefix():
+def test_window_matches_reference_transform():
+    keys = [(0, 0), (2**64 - 1, 2**63), derive_stream_key(3, "D2")]
     src = PhiloxNoiseSource()
-    key = derive_stream_key(11, "D1", 0)
-    full = src.block_normals(key, 4)
-    assert np.array_equal(src.block_normals(key, 4, rows=17), full[:17])
-    assert np.array_equal(src.block_normals(key, 4, rows=BLOCK_STEPS), full)
+    for key, block, run in itertools.product(keys, (0, 5, 2**64 - 1),
+                                             (0, 1, 77, RUN_INDEX_LIMIT - 1)):
+        got = src.block_normals(key, block, [run])
+        assert np.array_equal(got, reference_window(key, block, run)), (key, block, run)
 
 
-def test_block_normals_moments():
+def test_transform_matches_scalar_math():
+    # the documented transform in double-precision scalar math, which
+    # differs from the float32 angle by float32 rounding only
+    key, block, run = derive_stream_key(4, "D1"), 2, 9
+    counter = np.array([run * (BLOCK_STEPS // 4), block, 0, 0], dtype=np.uint64)
+    words = [int(w) for w in Philox(key=np.array(key, dtype=np.uint64),
+                                    counter=counter).random_raw(BLOCK_STEPS)]
+    expected = []
+    for part in (math.cos, math.sin):
+        for a, b in zip(words[:HALF], words[HALF:]):
+            radius = math.sqrt(-2.0 * math.log(((a >> 11) + 1) * 2.0 ** -53))
+            expected.append(radius * part(2.0 * math.pi * (b >> 40) * 2.0 ** -24))
+    got = PhiloxNoiseSource().block_normals(key, block, [run])
+    np.testing.assert_allclose(got, expected, rtol=0, atol=2e-6)
+
+
+def test_run_lists_match_per_run_draws():
+    # gapped, reordered and repeated run lists, and index arrays of either
+    # integer kind, give each run its own window bit for bit
+    key = derive_stream_key(11, "D1")
     src = PhiloxNoiseSource()
-    vals = np.concatenate([
-        src.block_normals(derive_stream_key(1, "D1", k), 0) for k in range(100)])
-    n = vals.size
-    assert abs(vals.mean()) < 4.0 / np.sqrt(n)
-    assert abs(vals.var() - 1.0) < 4.0 * np.sqrt(2.0 / n)
+    for runs in ([0, 1, 2, 3], [5, 9, 10, 11, 2], list(range(20, 0, -1)),
+                 [7, 8, 8, 9, 40, 41], np.array([3, 4, 6], dtype=np.uint64),
+                 np.arange(100, 400, 3)):
+        got = src.block_normals(key, 4, runs)
+        per_run = np.concatenate([src.block_normals(key, 4, [k]) for k in runs])
+        assert np.array_equal(got, per_run), runs
 
 
 def test_block_normals_validation():
     src = PhiloxNoiseSource()
     key = (1, 2)
-    with pytest.raises(ValueError):
-        src.block_normals(key, -1)
-    with pytest.raises(ValueError):
-        src.block_normals(key, 0, rows=0)
-    with pytest.raises(ValueError):
-        src.block_normals(key, 0, rows=BLOCK_STEPS + 1)
+    # block index: the second counter word
+    assert src.block_normals(key, 0, [0]).shape == (BLOCK_STEPS,)
+    assert src.block_normals(key, 2**64 - 1, [0]).shape == (BLOCK_STEPS,)
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match=str(bad)):
+            src.block_normals(key, bad, [0])
+    # run index: the last run whose window ends inside the low counter word
+    assert RUN_INDEX_LIMIT == 2**59 - 1
+    last = RUN_INDEX_LIMIT - 1
+    src.block_normals(key, 3, [last])
+    assert [int(w) for w in src._bitgen.state["state"]["counter"]] == [2**64 - 32, 3, 0, 0]
+    for bad in (-1, RUN_INDEX_LIMIT, 2**63, 2**64):
+        with pytest.raises(ValueError, match=str(bad)):
+            src.block_normals(key, 3, [0, bad])
+    with pytest.raises(ValueError, match=str(RUN_INDEX_LIMIT)):
+        src.block_normals(key, 3, np.array([last, RUN_INDEX_LIMIT], dtype=np.uint64))
+    # the next run's window would carry into the block index word
+    state = src._bitgen.state
+    state["state"]["counter"] = [RUN_INDEX_LIMIT * (BLOCK_STEPS // 4), 3, 0, 0]
+    state["buffer_pos"] = 4
+    src._bitgen.state = state
+    src._bitgen.random_raw(BLOCK_STEPS)
+    assert [int(w) for w in src._bitgen.state["state"]["counter"]] == [0, 4, 0, 0]
+    with pytest.raises(ValueError, match="1-D"):
+        src.block_normals(key, 0, np.array([[0, 1]]))
+    for bad in ([0.5], np.array([0.5]), [[0, 1]]):
+        with pytest.raises(TypeError):
+            src.block_normals(key, 0, bad)
 
 
 def _state_words(bitgen):
@@ -99,17 +187,74 @@ def _state_words(bitgen):
 def test_reused_state_matches_fresh_generators():
     # one source drawn in an interleaved order must match, draw by draw, a
     # fresh generator at that key and counter, in values and in the state
-    # left behind: odd row counts leave the output buffer part used, and a
-    # uint32 drawn from the shared generator between calls leaves a cached
-    # word, and neither may carry over into the next window
-    keys = [(0, 0), (2**64 - 1, 2**63), (2**63 + 5, 12345), derive_stream_key(3, "D2", 7)]
+    # left behind: words and a uint32 drawn from the shared bit generator
+    # between calls leave its output buffer part used and a cached word,
+    # and neither may carry over into the next draw
+    keys = [(0, 0), (2**64 - 1, 2**63), (2**63 + 5, 12345), derive_stream_key(3, "D2")]
     src = PhiloxNoiseSource()
-    for rows in (1, 17, BLOCK_STEPS):
+    for runs in ([7], [1, 2, 3]):
         for block in (0, 3, 2**40):
             for key in keys:
-                got = src.block_normals(key, block, rows=rows)
-                fresh = Generator(Philox(key=np.array(key, dtype=np.uint64),
-                                         counter=[0, block, 0, 0]))
-                assert np.array_equal(got, fresh.standard_normal(rows)), (key, block, rows)
-                assert _state_words(src._bitgen) == _state_words(fresh.bit_generator)
-                src._gen.integers(0, 2**32, dtype=np.uint32)
+                got = src.block_normals(key, block, runs)
+                assert np.array_equal(got, np.concatenate(
+                    [reference_window(key, block, k) for k in runs])), (key, block, runs)
+                counter = np.array([runs[0] * (BLOCK_STEPS // 4), block, 0, 0],
+                                   dtype=np.uint64)
+                fresh = Philox(key=np.array(key, dtype=np.uint64), counter=counter)
+                fresh.random_raw(len(runs) * BLOCK_STEPS)
+                assert _state_words(src._bitgen) == _state_words(fresh)
+                src._bitgen.random_raw(3)
+                Generator(src._bitgen).integers(0, 2**32, dtype=np.uint32)
+
+
+# ---------------------------------------------------------------------------
+# distribution
+# ---------------------------------------------------------------------------
+
+def _sample(n_runs, seed=1, chunk=4096):
+    """n_runs windows of block 0, in chunks, as one (runs, BLOCK_STEPS) array."""
+    key = derive_stream_key(seed, "D1")
+    src = PhiloxNoiseSource()
+    return np.concatenate([src.block_normals(key, 0, np.arange(lo, min(lo + chunk, n_runs)))
+                           for lo in range(0, n_runs, chunk)]).reshape(n_runs, BLOCK_STEPS)
+
+
+def test_block_normals_moments():
+    vals = _sample(800).ravel()
+    n = vals.size
+    assert abs(vals.mean()) < 4.5 / np.sqrt(n)
+    assert abs(vals.var() - 1.0) < 4.5 * np.sqrt(2.0 / n)
+
+
+def test_normals_follow_the_normal_law():
+    # 2**22 normals: a binned chi-square against Phi over 0.25-sigma bins
+    # out to 4 sigma, the tail counts beyond 3, 4 and 5 sigma, and the
+    # documented bound |z| <= sqrt(106 ln 2)
+    z = _sample(2**15).ravel()
+    n = z.size
+    assert n >= 4_000_000
+    assert np.abs(z).max() <= math.sqrt(-2.0 * math.log(2.0 ** -53))
+    inner = np.arange(-16, 17) * 0.25
+    edges = np.concatenate([[-np.inf], inner, [np.inf]])
+    counts = np.histogram(z, bins=edges)[0]
+    expected = n * np.diff([0.0, *(phi(e) for e in inner), 1.0])
+    chi2 = float(np.sum((counts - expected) ** 2 / expected))
+    dof = len(counts) - 1
+    assert abs(chi2 - dof) < 4.5 * math.sqrt(2.0 * dof), chi2
+    for t in (3.0, 4.0, 5.0):
+        mean = n * 2.0 * (1.0 - phi(t))
+        tail = int(np.count_nonzero(np.abs(z) > t))
+        assert abs(tail - mean) < 4.5 * math.sqrt(mean), (t, tail, mean)
+
+
+def test_rows_and_runs_are_uncorrelated():
+    # row j and row 64 + j share their radius, and adjacent runs share
+    # counter neighbours; both pairs must be uncorrelated
+    z = _sample(2**13)
+
+    def corr(x, y):
+        return float(np.corrcoef(x.ravel(), y.ravel())[0, 1]), x.size
+
+    for r, n in (corr(z[:, :HALF], z[:, HALF:]), corr(z[0::2], z[1::2]),
+                 corr(z[:, :HALF] ** 2, z[:, HALF:] ** 2)):
+        assert abs(r) < 4.5 / math.sqrt(n), r
