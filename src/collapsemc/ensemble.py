@@ -13,6 +13,16 @@ counted over its columns by an order-independent reduction, with Wilson
 score intervals for the binomial rates.  The exported fields that are not
 columns (the readings, and whether a collapse beat the activation gap)
 are worked out only while the records are written.
+
+Record format contract.  A records file holds one line per row, in table
+order: CSV with a header of CSV_COLUMNS and CRLF line ends, or JSONL with
+one LF-ended object per line and its keys in sorted order.  A run that hit
+the step cap writes run_index, frame and winner 0, empty strings for
+first_detector and the readings, and None for duration_s and
+within_budget.  None is an empty cell in CSV and null in JSONL; True and
+False are true and false in both.  duration_s is the shortest decimal that
+reads back as the same float (Python's repr).  These bytes are part of the
+reproducibility contract: any change to the writer must keep them.
 """
 
 from __future__ import annotations
@@ -59,6 +69,10 @@ _LINE_FORMATS = {
               '"within_budget": {7}}}\n', {None: "null", True: "true", False: "false"}),
 }
 
+# stand-ins for the two fields that vary freely from row to row (run_index
+# and duration_s) while export_records builds its line templates
+_RUN, _DURATION = "\x00", "\x01"
+
 
 class ConfigError(ValueError):
     """Bad ensemble or CLI configuration."""
@@ -101,6 +115,10 @@ class EnsembleConfig:
             raise ConfigError(f"d must be > 0, got {self.d}")
         if not 0 < self.v < C:
             raise ConfigError(f"v must satisfy 0 < v < c, got {self.v}")
+        # the manifest records the gap, and strict JSON has no spelling for inf
+        if not math.isfinite(activation_gap(self.d, self.v)):
+            raise ConfigError(f"d {self.d} and v {self.v} give an activation gap that "
+                              f"overflows a float")
         if self.record_format not in ("csv", "jsonl"):
             raise ConfigError(f"record_format must be 'csv' or 'jsonl', got {self.record_format!r}")
         if self.workers < 1:
@@ -246,26 +264,75 @@ def compute_stats(kind: str, runs: int, records: np.ndarray) -> EnsembleStats:
 # ---------------------------------------------------------------------------
 
 def export_records(records: np.ndarray, path: str, fmt: str = "csv") -> None:
-    """Write a record table as CSV or JSONL, one line per row.
+    """Write a record table as CSV or JSONL, one line per row, in table order.
 
-    Floats are serialized with shortest round-trip decimals, so a reload
-    recovers every value exactly.
+    The bytes of a records file are part of the reproducibility contract:
+    any change to this writer must keep them.
+
+    - CSV has a header line of CSV_COLUMNS and lines ending in CRLF.  A JSONL
+      line is one object ending in LF, with its keys in sorted order:
+      duration_s, first_detector, frame, reading_D1, reading_D2, run_index,
+      winner, within_budget.
+    - A run that hit the step cap writes its run_index, frame and winner 0;
+      first_detector and both readings are empty strings, and duration_s
+      and within_budget are None.
+    - None is an empty cell in CSV and null in JSONL; True and False are
+      true and false in both.  within_budget is None where the frame has no
+      activation gap to beat.
+    - duration_s is written as repr writes a float: the shortest decimal
+      that reads back as the same float, such as 0.000125, 5e-05 or 1e+16.
+
+    Only run_index and duration vary freely from row to row.  The rest of a
+    line is one of a few classes (frame, first_detector, winner and
+    within_budget), so each class's line is formatted once, with markers in
+    the two free slots, and split at them.  Each distinct duration is
+    spelled once.
     """
     if fmt not in _LINE_FORMATS:
         raise ValueError(f"format must be 'csv' or 'jsonl', got {fmt!r}")
-    line, literal = _LINE_FORMATS[fmt]
-    columns = (records[c].tolist() for c in
-               ("run_index", "frame", "first_detector", "winner", "duration", "budget"))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if fmt == "csv":
             fh.write(",".join(CSV_COLUMNS) + "\r\n")
-        for k, frame, first, winner, duration, budget in zip(*columns):
-            if winner == 0:
-                fh.write(line.format(k, frame, "", 0, "", "", literal[None], literal[None]))
-            else:
-                within = None if math.isnan(budget) else duration < budget
-                fh.write(line.format(k, frame, first, winner, *READINGS[winner],
-                                     repr(duration), literal[within]))
+        # slices bound the memory the writer adds to that of the table
+        for lo in range(0, len(records), CHUNK_RUNS):
+            fh.write(_format_lines(records[lo:lo + CHUNK_RUNS], fmt))
+
+
+def _format_lines(records: np.ndarray, fmt: str) -> str:
+    """The lines of export_records for the rows of a record table."""
+    line, literal = _LINE_FORMATS[fmt]
+    frame, winner = records["frame"], records["winner"]
+    duration, budget = records["duration"], records["budget"]
+    failed = winner == 0
+    # the fields as a line shows them: a failed row has no first detector,
+    # and 0, 1, 2 code within_budget None, True, False
+    first = np.where(failed, "", records["first_detector"])
+    with np.errstate(invalid="ignore"):  # rows with a NaN budget take code 0 anyway
+        beat = duration < budget
+    within = np.where(np.isnan(budget) | failed, 0, 2 - beat)
+    key = np.zeros(len(records), dtype=np.int64)
+    for column in (frame, first):
+        vocabulary, code = np.unique(column, return_inverse=True)
+        key = key * len(vocabulary) + code
+    key = (key * 3 + winner) * 3 + within  # both are codes 0-2 already
+    _, rows, line_class = np.unique(key, return_index=True, return_inverse=True)
+    within_literals = (literal[None], literal[True], literal[False])
+    templates = np.empty(len(rows), dtype=object)
+    for i, row in enumerate(rows.tolist()):
+        w = int(winner[row])
+        text = line.format(_RUN, frame[row], first[row], w,
+                           *READINGS[w], _DURATION, within_literals[within[row]])
+        templates[i] = tuple(text.replace(_DURATION, _RUN).split(_RUN))
+    # a bit pattern is one repr; failed rows point past the distinct values
+    bits, spelling = np.unique(duration.view(np.uint64), return_inverse=True)
+    spellings = np.array([repr(x) for x in bits.view(np.float64).tolist()] + [literal[None]],
+                         dtype=object)
+    runs = records["run_index"].tolist()
+    durations = spellings[np.where(failed, len(bits), spelling)].tolist()
+    # CSV writes run_index before duration_s, JSONL after it
+    free = (runs, durations) if line.index("{0}") < line.index("{6}") else (durations, runs)
+    return "".join([f"{pre}{x}{mid}{y}{post}" for (pre, mid, post), x, y in
+                    zip(templates[line_class].tolist(), *free)])
 
 
 def cpu_features() -> list[str]:
@@ -311,12 +378,12 @@ def build_manifest(config: EnsembleConfig) -> dict:
 
 def export_ensemble(config: EnsembleConfig, stats: EnsembleStats, records: np.ndarray,
                     out_dir: str) -> tuple[dict[str, str], dict]:
-    """Write records and manifest into out_dir; returns (paths, manifest)."""
-    os.makedirs(out_dir, exist_ok=True)
-    ext = "csv" if config.record_format == "csv" else "jsonl"
-    records_path = os.path.join(out_dir, f"records.{ext}")
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    export_records(records, records_path, config.record_format)
+    """Write records and manifest into out_dir; returns (paths, manifest).
+
+    The manifest is serialized before any file is opened, so a manifest
+    that is not strict JSON (a NaN or inf value) raises ValueError and
+    leaves neither file behind.
+    """
     manifest = build_manifest(config)
     manifest["stats"] = {
         "n": stats.n,
@@ -326,7 +393,11 @@ def export_ensemble(config: EnsembleConfig, stats: EnsembleStats, records: np.nd
         "duration_quantiles_s": list(stats.duration_quantiles),
         "budget_violation_fraction": stats.budget_violation_fraction,
     }
+    manifest_text = json.dumps(manifest, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    os.makedirs(out_dir, exist_ok=True)
+    records_path = os.path.join(out_dir, f"records.{config.record_format}")
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    export_records(records, records_path, config.record_format)
     with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(manifest_text)
     return {"records": records_path, "manifest": manifest_path}, manifest

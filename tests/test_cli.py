@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import os
 import pytest
 
 from collapsemc.cli import _json_out, main
+from collapsemc.ensemble import CHUNK_RUNS
 from collapsemc.relativity import C
 
 V99 = 0.99 * C
@@ -239,6 +241,33 @@ def test_non_finite_output_is_an_error(capsys):
         with pytest.raises(ValueError):
             _json_out({"x": value})
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("args", [("collapse-time", "--d", "inf"),
+                                  ("disagree", "--d", "1e308")])
+def test_overflowing_activation_gap_is_refused_before_any_run(capsys, tmp_path, args):
+    # the gap 2 gamma v d / c^2 overflows to inf, which no manifest can hold
+    out_dir = tmp_path / "gap"
+    code, out, err = run_cli(capsys, *args, "--runs", "5", "--out-dir", str(out_dir))
+    assert code == 2
+    assert out == "" and "activation gap" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("command", ["born", "collapse-time", "disagree"])
+def test_records_bytes_do_not_depend_on_workers(capsys, tmp_path, command, fmt):
+    runs = 3000
+    assert runs > CHUNK_RUNS  # two chunks, so two workers both run one
+    digests = set()
+    for workers in ("1", "2"):
+        out_dir = tmp_path / workers
+        code, out, _ = run_cli(capsys, command, "--runs", str(runs), "--seed", "17",
+                               "--format", fmt, "--workers", workers,
+                               "--out-dir", str(out_dir))
+        assert code == 0
+        digests.add(hashlib.sha256((out_dir / f"records.{fmt}").read_bytes()).hexdigest())
+    assert len(digests) == 1
 
 
 def test_config_file_kind_mismatch(capsys, tmp_path):

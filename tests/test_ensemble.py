@@ -5,14 +5,16 @@ import platform
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from test_experiment import assert_tables_equal
 
 from collapsemc import ensemble
 
-from collapsemc.ensemble import (CHUNK_RUNS, ConfigError, EnsembleAbortError,
-                                 EnsembleConfig, build_manifest, compute_stats,
-                                 export_ensemble, export_records, run_ensemble,
-                                 wilson_interval)
+from collapsemc.ensemble import (_LINE_FORMATS, CHUNK_RUNS, CSV_COLUMNS, READINGS,
+                                 ConfigError, EnsembleAbortError, EnsembleConfig,
+                                 build_manifest, compute_stats, export_ensemble,
+                                 export_records, run_ensemble, wilson_interval)
 from collapsemc.experiment import record_dtype
 from collapsemc.relativity import C, activation_gap
 
@@ -242,6 +244,77 @@ def test_export_rejects_unknown_format(tmp_path):
         export_records([], str(tmp_path / "x"), "xml")
 
 
+def reference_export(records, path, fmt):
+    """The record writer as one str.format per row: the oracle that
+    export_records must match byte for byte."""
+    line, literal = _LINE_FORMATS[fmt]
+    columns = (records[c].tolist() for c in
+               ("run_index", "frame", "first_detector", "winner", "duration", "budget"))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if fmt == "csv":
+            fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        for k, frame, first, winner, duration, budget in zip(*columns):
+            if winner == 0:
+                fh.write(line.format(k, frame, "", 0, "", "", literal[None], literal[None]))
+            else:
+                within = None if math.isnan(budget) else duration < budget
+                fh.write(line.format(k, frame, first, winner, *READINGS[winner],
+                                     repr(duration), literal[within]))
+
+
+def assert_export_matches_reference(records, tmp_path):
+    for fmt in ("csv", "jsonl"):
+        export_records(records, str(tmp_path / f"new.{fmt}"), fmt)
+        reference_export(records, str(tmp_path / f"ref.{fmt}"), fmt)
+        assert (tmp_path / f"new.{fmt}").read_bytes() == (tmp_path / f"ref.{fmt}").read_bytes()
+
+
+def test_export_matches_reference_on_every_line_class(tmp_path):
+    # each (frame, first_detector, winner, within_budget) class, with
+    # within_budget false at duration == budget
+    rows = []
+    for frame, first, budget in (("frame0", "simultaneous", math.nan), ("A", "D1", 2.5e-4),
+                                 ("B", "D2", 2.5e-4)):
+        for winner in (0, 1, 2):
+            for duration in (1.25e-4, 2.5e-4, 3.75e-4):
+                rows.append((len(rows), frame, first, winner, duration, budget))
+    records = _table(*rows)
+    assert_export_matches_reference(records, tmp_path)
+    assert b"\r\n13,A,D1,1,yes,no,0.00025,false\r\n" in (tmp_path / "new.csv").read_bytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(values=st.lists(st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False)
+                       | st.sampled_from([1e-05, 1e+16, 5e-324, 2.5e-4]),
+                       min_size=1, max_size=8),
+       picks=st.lists(st.integers(0, 7), min_size=40, max_size=40),
+       runs=st.lists(st.integers(0, 2**59 - 2), min_size=40, max_size=40))
+@example(values=[1e-05, 1e+16, 5e-324], picks=list(range(8)) * 5, runs=[2**59 - 2] * 40)
+def test_export_matches_reference_on_drawn_durations(tmp_path_factory, values, picks, runs):
+    # 40 rows over at most 8 values: repeats exercise the once-per-value spelling
+    frames = (("A", "D1", 1e-4), ("B", "D2", 1e-4), ("frame0", "simultaneous", math.nan))
+    rows = [(k, frames[i % 3][0], frames[i % 3][1], (1, 2, 0, 2, 1)[i % 5],
+             values[p % len(values)], frames[i % 3][2])
+            for i, (k, p) in enumerate(zip(runs, picks))]
+    assert_export_matches_reference(_table(*rows), tmp_path_factory.mktemp("drawn"))
+
+
+def test_export_matches_reference_past_one_slice(tmp_path):
+    rng = np.random.default_rng(7)
+    n = 2 * CHUNK_RUNS + 5
+    rows = [(k, "AB"[k % 2], ("D1", "D2")[k % 2], int(rng.integers(0, 3)),
+             int(rng.integers(1, 400)) * 2.5e-6, 4.7e-4) for k in range(n)]
+    rows[-1] = (2**59 - 2, "B", "D2", 1, 5e-324, 4.7e-4)
+    assert_export_matches_reference(_table(*rows), tmp_path)
+
+
+def test_export_empty_table(tmp_path):
+    records = _table()
+    assert_export_matches_reference(records, tmp_path)
+    assert (tmp_path / "new.csv").read_bytes() == (",".join(CSV_COLUMNS) + "\r\n").encode()
+    assert (tmp_path / "new.jsonl").read_bytes() == b""
+
+
 def test_manifest_contents():
     cfg = EnsembleConfig(kind="cross_frame", runs=10, master_seed=5,
                          d=1000.0, v=0.99 * C)
@@ -290,3 +363,5 @@ def test_manifest_refuses_non_finite_values(tmp_path):
     bad = dataclasses.replace(stats, duration_quantiles=(math.nan,) * 3)
     with pytest.raises(ValueError):
         export_ensemble(cfg, bad, records, str(tmp_path / "nan"))
+    # it is refused before any file is opened, so no partial manifest.json
+    assert not (tmp_path / "nan").exists()
