@@ -40,10 +40,19 @@ def _add_ensemble_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="JSON config file; flags override it")
     p.add_argument("--out-dir", default=None, help="output directory for records and manifest")
     p.add_argument("--workers", type=int, default=None,
-                   help="max parallel workers (default: all cores; results identical)")
+                   help="max parallel workers (default: the CPUs this process may run "
+                        "on; results identical)")
     p.add_argument("--format", choices=("csv", "jsonl"), default=None,
                    help="records file format (default csv)")
     p.add_argument("--verbose", action="store_true", help="print a table to stderr")
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _ensemble_config(args, kind: str) -> EnsembleConfig:
@@ -65,7 +74,7 @@ def _ensemble_config(args, kind: str) -> EnsembleConfig:
         value = getattr(args, flag_name)
         if value is not None:
             merged[field_name] = value
-    merged.setdefault("workers", os.cpu_count() or 1)
+    merged.setdefault("workers", _usable_cpus())
     merged.setdefault("out_dir", os.path.join("collapsemc-out", kind))
     return EnsembleConfig.from_dict(merged)
 

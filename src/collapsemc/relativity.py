@@ -90,24 +90,39 @@ def detection_events(d: float) -> tuple[Event, Event]:
 
 def activation_gap(d: float, v: float) -> float:
     """Time between the two detections in a frame boosted by v:
-    delta_t = 2 gamma v d / c^2."""
+    delta_t = 2 gamma v d / c^2.
+
+    The product 2 gamma v d can overflow where the gap does not; only then
+    is the gap formed as 2 gamma (v / c) (d / c), so every gap the direct
+    form gives keeps its bits.
+    """
     if not d > 0:
         raise InvalidGeometryError(f"d must be > 0, got {d}")
     if not 0 < v < C:
         raise SuperluminalFrameError(f"v must satisfy 0 < v < c, got {v}")
-    return 2.0 * gamma(v) * v * d / (C * C)
+    g = gamma(v)
+    gap = 2.0 * g * v * d / (C * C)
+    if math.isinf(gap):
+        gap = 2.0 * g * (v / C) * (d / C)
+    return gap
 
 
 def min_separation(tau: float, v: float) -> float:
     """Detector distance for which the activation gap equals tau.
 
-    Inverts activation_gap: d = tau c^2 / (2 gamma v).
+    Inverts activation_gap: d = tau c^2 / (2 gamma v).  As there, the
+    product tau c^2 can overflow where d does not, and only then is d
+    formed as tau / (2 gamma v / c) c.
     """
     if not tau > 0:
         raise InvalidGeometryError(f"tau must be > 0, got {tau}")
     if not 0 < v < C:
         raise SuperluminalFrameError(f"v must satisfy 0 < v < c, got {v}")
-    return tau * C * C / (2.0 * gamma(v) * v)
+    g = gamma(v)
+    d = tau * C * C / (2.0 * g * v)
+    if math.isinf(d):
+        d = tau / (2.0 * g * (v / C)) * C
+    return d
 
 
 def first_detector(frame: Frame) -> str:

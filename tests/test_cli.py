@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from collapsemc.cli import _json_out, main
+from collapsemc.cli import _ensemble_config, _json_out, build_parser, main
 from collapsemc.ensemble import CHUNK_RUNS
 from collapsemc.relativity import C
 
@@ -244,14 +244,45 @@ def test_non_finite_output_is_an_error(capsys):
 
 
 @pytest.mark.parametrize("args", [("collapse-time", "--d", "inf"),
-                                  ("disagree", "--d", "1e308")])
+                                  ("disagree", "--d", "inf")])
 def test_overflowing_activation_gap_is_refused_before_any_run(capsys, tmp_path, args):
-    # the gap 2 gamma v d / c^2 overflows to inf, which no manifest can hold
+    # an infinite d gives an infinite gap, which no manifest can hold
     out_dir = tmp_path / "gap"
     code, out, err = run_cli(capsys, *args, "--runs", "5", "--out-dir", str(out_dir))
     assert code == 2
     assert out == "" and "activation gap" in err
     assert not out_dir.exists()
+
+
+def test_default_workers_count_usable_cpus(monkeypatch):
+    # the default is the affinity set, not every CPU of the machine, and
+    # every CPU only where the platform has no affinity call
+    args = build_parser().parse_args(["born"])
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert _ensemble_config(args, "born_rule").workers == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _ensemble_config(args, "born_rule").workers == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _ensemble_config(args, "born_rule").workers == 1
+    args = build_parser().parse_args(["born", "--workers", "3"])
+    assert _ensemble_config(args, "born_rule").workers == 3
+
+
+@pytest.mark.parametrize("d", ["1e300", "1e308"])
+def test_gap_past_the_direct_products_range_runs(capsys, tmp_path, d):
+    # 2 gamma v d overflows at these d, but the gap itself is finite
+    out_dir = tmp_path / "far"
+    code, out, _ = run_cli(capsys, "disagree", "--d", d, "--runs", "5",
+                           "--out-dir", str(out_dir))
+    assert code == 0
+    gap = json.loads((out_dir / "manifest.json").read_text())["derived"]["delta_t_s"]
+    assert 1e292 < gap < 1e301
+
+
+def test_frames_gap_past_the_direct_products_range(capsys):
+    code, out, _ = run_cli(capsys, "frames", "--d", "5e298")
+    assert code == 0 and 1e291 < json.loads(out)["delta_t_s"] < 1e292
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])

@@ -452,6 +452,155 @@ def test_engine_matches_reference_stepper():
     assert flow(0.5, z) == res.r[0]
 
 
+def reference_drive(r0, addr, sig, h, thr, n_steps, noise, record=None):
+    """The per-step loop the slab kernel replaced: full-scale noise, the
+    barrier tested after every step, and the window cut at the step where
+    its last run absorbs.  Same arguments and returns as dynamics._drive."""
+    def flow(part):
+        grow = math.exp(part * h)
+
+        def phi(r):
+            return 2.0 * np.arcsinh(np.sinh(0.5 * r) * grow)
+        return phi
+
+    half, whole = flow(0.5), flow(1.0)
+    z_hi = flow(-0.5)(thr)
+    r = np.full(len(addr), r0, dtype=np.float64)
+    winner = np.zeros(r.size, dtype=np.int8)
+    winner[r >= thr] = 1
+    winner[r <= -thr] = 2
+    steps = np.where(winner > 0, 0, n_steps)
+    live = np.flatnonzero(winner == 0)
+    base = 0
+    while live.size and base < n_steps:
+        rows = min(BLOCK_STEPS, n_steps - base)
+        dw = dynamics._window_noise(noise, addr[live], sig, base // BLOCK_STEPS, rows)
+        y = half(r[live])
+        done = np.zeros(live.size, dtype=bool)
+        for t in range(rows):
+            z = y + dw[t]
+            if record is not None:
+                record(base + t + 1, half(z))
+            newly = ~done & (np.abs(z) >= z_hi)
+            if newly.any():
+                hit = live[newly]
+                r[hit] = half(z[newly])
+                steps[hit] = base + t + 1
+                winner[hit] = np.where(z[newly] >= z_hi, 1, 2)
+                done |= newly
+                if done.all():
+                    break
+            y = whole(z)
+        r[live[~done]] = half(z[~done])
+        live = live[~done]
+        base += rows
+    return r, steps, winner
+
+
+# frame 0 (two streams) and frame A (one stream), each at Gamma * dt 0.05,
+# the scenario target, so runs absorb in every slab of the first windows
+KERNEL_FRAMES = {"0": (P01, P02, LAYOUT0, 0.05 / (2.0 * GAMMA)),
+                 "A": (P1, P2, LAYOUT, 0.05 / GAMMA)}
+GAPPED_RUNS = (0, 1, 2, 5, 6, 9, 17, 18, 19, 20, 40, 63, 64, 100, 101, 255, 256, 257,
+               300, 511, 512, 700, 701, 702, 1000, 1023, 1024, 2047, 2048, 4095)
+
+
+def kernel_q0(epsilon):
+    """Two start weights inside the barrier and one past it."""
+    return (0.5, 0.8, 1.0 - epsilon / 2)
+
+
+def _kernel_case(frame, epsilon, max_steps):
+    """_drive's (sig, h, thr, addr) for the gapped runs in one frame."""
+    p1, p2, layout, dt = KERNEL_FRAMES[frame]
+    params = CollapseParams(dt=dt, lam=LAM, epsilon=epsilon, max_steps=max_steps)
+    keys = [pair[:len(layout.stream_cells)]
+            for pair in keys0_for(0, seed=83, runs=GAPPED_RUNS)]
+    return dynamics._prepare(p1, p2, params, layout, keys)
+
+
+@pytest.mark.parametrize("max_steps", [1, 31, 32, 33, 127, 128, 129, 300])
+@pytest.mark.parametrize("epsilon", [1e-6, 0.01])
+@pytest.mark.parametrize("frame", ["0", "A"])
+def test_slab_kernel_matches_reference_drive(frame, epsilon, max_steps):
+    # the half-scaled, slab-tested kernel gives every run the bits of the
+    # per-step loop: final r, step and winner, for runs that absorb in any
+    # slab or window, at step 0, or not before the step cap
+    sig, h, thr, addr = _kernel_case(frame, epsilon, max_steps)
+    for q0 in kernel_q0(epsilon):
+        r0 = math.log(q0) - math.log1p(-q0)
+        want = reference_drive(r0, addr, sig, h, thr, max_steps, DEFAULT_NOISE)
+        got = dynamics._drive(r0, addr, sig, h, thr, max_steps, DEFAULT_NOISE)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_slab_kernel_grid_reaches_the_edges():
+    # the grid above holds runs that absorb at step 0, in the last row of a
+    # slab, in the first row of the next slab and of the next window, and
+    # runs stopped by the step cap
+    absorbed, capped = set(), set()
+    for frame in KERNEL_FRAMES:
+        for epsilon in (1e-6, 0.01):
+            for max_steps in (31, 300):
+                sig, h, thr, addr = _kernel_case(frame, epsilon, max_steps)
+                for q0 in kernel_q0(epsilon):
+                    r0 = math.log(q0) - math.log1p(-q0)
+                    _, steps, winner = reference_drive(r0, addr, sig, h, thr, max_steps,
+                                                       DEFAULT_NOISE)
+                    absorbed.update(steps[winner > 0].tolist())
+                    capped.update(steps[winner == 0].tolist())
+    assert {0, 32, 33, 64, 128, BLOCK_STEPS + 1} <= absorbed
+    assert capped == {31}
+
+
+def test_slab_kernel_barrier_is_closed():
+    # with the noise off, a start whose z lands exactly on z_hi absorbs at
+    # step 1: the barrier test is |z| >= z_hi, as in the reference
+    sig, h, thr, addr = _kernel_case("A", 1e-6, 300)
+    z_hi = 2.0 * np.arcsinh(np.sinh(0.5 * thr) * math.exp(-0.5 * h))
+    r0 = 2.0 * math.asinh(math.sinh(0.5 * thr) * math.exp(-h))
+    for _ in range(64):
+        y = 2.0 * np.arcsinh(np.sinh(0.5 * np.array([r0])) * math.exp(0.5 * h))
+        if y[0] == z_hi:
+            break
+        r0 = math.nextafter(r0, math.inf if y[0] < z_hi else -math.inf)
+    assert y[0] == z_hi
+    zero = _ConstNoise(0.0)
+    for start, side in ((r0, 1), (-r0, 2)):
+        _, steps, winner = dynamics._drive(start, addr, sig, h, thr, 300, zero)
+        assert (steps == 1).all() and (winner == side).all()
+        assert np.array_equal(steps, reference_drive(start, addr, sig, h, thr, 300, zero)[1])
+
+
+@pytest.mark.parametrize("slab", [1, 7, BLOCK_STEPS])
+def test_slab_size_does_not_change_results(monkeypatch, slab):
+    sig, h, thr, addr = _kernel_case("0", 1e-6, 300)
+    want = dynamics._drive(0.0, addr, sig, h, thr, 300, DEFAULT_NOISE)
+    monkeypatch.setattr(dynamics, "SLAB_ROWS", slab)
+    got = dynamics._drive(0.0, addr, sig, h, thr, 300, DEFAULT_NOISE)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("max_rows", [None, 31, 32, 33, 128, 129])
+@pytest.mark.parametrize("run", [0, 9, 256, 1023])
+def test_trajectory_matches_reference_record(run, max_rows):
+    # run_trajectory's rows are the reference's recorded rows, step for
+    # step and bit for bit, up to and including the absorbing step
+    p1, p2, layout, dt = KERNEL_FRAMES["A"]
+    params = CollapseParams(dt=dt, lam=LAM)
+    key = ((*derive_stream_key(83, "D1"), run),)
+    rows = run_trajectory(0.5, p1, p2, params, layout, key, max_rows=max_rows)
+    sig, h, thr, addr = dynamics._prepare(p1, p2, params, layout, [key])
+    recorded = []
+    cap = params.max_steps if max_rows is None else max_rows
+    _, steps, _ = reference_drive(0.0, addr, sig, h, thr, cap, DEFAULT_NOISE,
+                                  record=lambda k, x: recorded.append((k, float(x[0]))))
+    assert [(k, r) for k, _, _, r in rows[1:]] == recorded
+    assert len(recorded) == steps[0]
+
+
 def test_zero_noise_follows_exact_drift_flow():
     # with the noise off the split step is the exact flow of the cooked
     # drift, over several windows and at the largest step allowed; the

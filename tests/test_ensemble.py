@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,9 +352,7 @@ def test_export_ensemble_bytes_stable(tmp_path):
     with open(paths_a["manifest"], encoding="utf-8") as fh:
         assert json.load(fh) == manifest
     for name in ("records", "manifest"):
-        a = open(paths_a[name], "rb").read()
-        b = open(paths_b[name], "rb").read()
-        assert a == b
+        assert Path(paths_a[name]).read_bytes() == Path(paths_b[name]).read_bytes()
 
 
 def test_manifest_refuses_non_finite_values(tmp_path):

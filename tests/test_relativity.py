@@ -85,6 +85,32 @@ def test_activation_gap_limits():
         activation_gap(1000.0, -V99)
 
 
+def test_activation_gap_keeps_the_bits_of_the_direct_form():
+    # every gap the direct product gives is returned bit for bit, so the
+    # delta_t_s of every manifest it wrote stays the same
+    for d in (1e-3, 1.0, 1000.0, 2.5e4, 3.7e100):
+        for v in (1e-3, 1.0, 0.3 * C, 0.9 * C, V99, C * (1 - 1e-12)):
+            assert activation_gap(d, v) == 2.0 * gamma(v) * v * d / (C * C)
+    for tau in (1e-9, 1e-4, 3e-3, 1e100):
+        for v in (0.3 * C, V99):
+            assert min_separation(tau, v) == tau * C * C / (2.0 * gamma(v) * v)
+
+
+def test_activation_gap_past_the_direct_products_range():
+    # at v 0.99c, 2 gamma v d overflows from d near 4.3e298 m, where the
+    # gap is still of order 1e291 s; it stays linear in d
+    assert math.isinf(2.0 * gamma(V99) * V99 * 5e298)
+    assert activation_gap(5e298, V99) == pytest.approx(
+        1e8 * activation_gap(5e290, V99), rel=1e-14)
+    assert math.isfinite(activation_gap(1e308, V99))
+    assert activation_gap(math.inf, V99) == math.inf
+    # tau c^2 overflows here while d is about 6.7e295 m
+    v = C * (1 - 1e-15)
+    d = min_separation(1e295, v)
+    assert d == pytest.approx(1e10 * min_separation(1e285, v), rel=1e-14)
+    assert activation_gap(d, v) == pytest.approx(1e295, rel=1e-12)
+
+
 def test_min_separation_value():
     d = min_separation(1e-4, V99)
     assert d == pytest.approx(2135.9056, rel=1e-6)
