@@ -3,29 +3,20 @@
 Simulates the stochastic selection of one branch of a macroscopic
 superposition by detector-local noise, and measures what observers in
 relatively boosted frames record when each frame's collapse is driven
-only by the detector that activates first for it.
+only by the detector that activates first for it.  Each detector's noise
+stream collapses the superposition at one rate, Gamma_D = 2 lam eta^2;
+a frame's collapse runs at the sum of the rates of its active detectors.
 """
 
 from ._version import __version__
-from .dynamics import (
-    CollapseParams,
-    NoCollapsePossibleError,
-    OccupationProfile,
-    effective_rate,
-)
+from .dynamics import CollapseParams, NoCollapsePossibleError
 from .ensemble import (
     EnsembleConfig,
     EnsembleStats,
     run_ensemble,
     wilson_interval,
 )
-from .experiment import (
-    DetectorSpec,
-    Scenario,
-    active_profiles,
-    build_scenario,
-    disagreement_rate_analytic,
-)
+from .experiment import Scenario, build_scenario, disagreement_rate_analytic
 from .noise import PhiloxNoiseSource, derive_stream_key
 from .relativity import (
     C,
@@ -43,23 +34,19 @@ __all__ = [
     "__version__",
     "C",
     "CollapseParams",
-    "DetectorSpec",
     "EnsembleConfig",
     "EnsembleStats",
     "Event",
     "Frame",
     "NoCollapsePossibleError",
-    "OccupationProfile",
     "PhiloxNoiseSource",
     "Scenario",
     "activation_gap",
-    "active_profiles",
     "boost",
     "build_scenario",
     "derive_stream_key",
     "detection_events",
     "disagreement_rate_analytic",
-    "effective_rate",
     "first_detector",
     "gamma",
     "min_separation",

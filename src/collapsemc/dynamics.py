@@ -21,7 +21,11 @@ Cells are grouped into detector noise streams s.  A stream's cells enter
 only through sum_{n in s} 2 delta_n dB_n, a normal of variance
 4 Gamma_s dt with Gamma_s = lam * sum_{n in s} delta_n^2, so each stream
 gives one standard normal zeta_s = dW_s / sqrt(dt) per step, and
-Gamma = sum_s Gamma_s.
+Gamma = sum_s Gamma_s.  The engine therefore takes one rate Gamma_s per
+stream and nothing of the cells.  In the two-detector experiment each
+detector's pointer fills one cell in its yes position and one in its no
+position, both at eta, so the scenario supplies Gamma_D = 2 lam eta^2 per
+detector, and a frame's Gamma is the sum over its active detectors.
 Under the raw (zero-mean) measure r would hit the thresholds with the
 gambler's-ruin odds of a linear walk, not by the Born rule, so the engine
 runs the cooked measure only.
@@ -77,7 +81,6 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,16 +109,8 @@ SUB_BLOCK_RUNS = 256
 SLAB_ROWS = 32
 
 
-class InvalidProfileError(ValueError):
-    """Occupation profile violates its invariants."""
-
-
-class IncompleteNoiseError(ValueError):
-    """The stream layout does not cover exactly the cells of the union."""
-
-
 class NoCollapsePossibleError(ValueError):
-    """Branch profiles are identical (Gamma = 0), so q never moves."""
+    """Every stream's rate is zero (Gamma = 0), so q never moves."""
 
 
 def stable_q(r):
@@ -142,69 +137,20 @@ def _logit(q: float) -> float:
 
 
 @dataclass(frozen=True)
-class OccupationProfile:
-    """Per-cell occupation numbers eta_n for one branch.
-
-    Cells are an ordered tuple of (cell_id, eta) pairs.  Two profiles are
-    compared on the union of their cell ids; a cell absent from a profile
-    reads as eta = 0.
-    """
-
-    cells: tuple[tuple[str, float], ...]
-
-    def __post_init__(self):
-        seen = set()
-        for cid, eta in self.cells:
-            if cid in seen:
-                raise InvalidProfileError(f"duplicate cell id {cid!r}")
-            seen.add(cid)
-            if not math.isfinite(eta) or eta < 0:
-                raise InvalidProfileError(f"cell {cid!r} has invalid eta {eta!r}")
-
-    @classmethod
-    def from_dict(cls, occupations: Mapping[str, float]) -> "OccupationProfile":
-        return cls(tuple((cid, float(eta)) for cid, eta in occupations.items()))
-
-    @property
-    def cell_ids(self) -> tuple[str, ...]:
-        return tuple(cid for cid, _ in self.cells)
-
-    def eta(self, cell_id: str) -> float:
-        for cid, eta in self.cells:
-            if cid == cell_id:
-                return eta
-        return 0.0
-
-
-def union_cells(profile1: OccupationProfile, profile2: OccupationProfile) -> tuple[str, ...]:
-    """Cell ids of the union, profile1's order first then profile2's extras."""
-    out = list(profile1.cell_ids)
-    seen = set(out)
-    for cid in profile2.cell_ids:
-        if cid not in seen:
-            out.append(cid)
-            seen.add(cid)
-    return tuple(out)
-
-
-@dataclass(frozen=True)
 class CollapseParams:
     """Integration and absorption parameters."""
 
     dt: float
-    lam: float = 1e-16
     epsilon: float = 1e-6
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        for name, kind in (("dt", numbers.Real), ("lam", numbers.Real),
-                           ("epsilon", numbers.Real), ("max_steps", numbers.Integral)):
+        for name, kind in (("dt", numbers.Real), ("epsilon", numbers.Real),
+                           ("max_steps", numbers.Integral)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
                 noun = "an integer" if kind is numbers.Integral else "a number"
                 raise TypeError(f"{name} must be {noun}, got {value!r}")
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if not 0 < self.epsilon < 0.5:
@@ -227,48 +173,6 @@ class CollapseParams:
         Broadie-Glasserman-Kou correction for discrete monitoring.
         """
         return math.log1p(-self.epsilon) - math.log(self.epsilon)
-
-
-def effective_rate(profile1: OccupationProfile, profile2: OccupationProfile,
-                   lam: float) -> float:
-    """Branch-distinguishing rate Gamma = lam * sum_n (delta eta_n)^2."""
-    if not lam > 0:
-        raise ValueError(f"lam must be > 0, got {lam}")
-    total = 0.0
-    for cid in union_cells(profile1, profile2):
-        d = profile1.eta(cid) - profile2.eta(cid)
-        total += d * d
-    return lam * total
-
-
-@dataclass(frozen=True)
-class StreamLayout:
-    """Assignment of the cell union to noise streams.
-
-    Every run of a batch shares the layout and supplies one stream key per
-    stream, in layout order.  The cells only set each stream's rate
-    Gamma_s; the engine draws one normal per stream per step.
-    """
-
-    stream_cells: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self):
-        flat = [c for cells in self.stream_cells for c in cells]
-        if len(flat) != len(set(flat)):
-            raise ValueError("cell assigned to more than one stream")
-
-    @property
-    def cells(self) -> tuple[str, ...]:
-        return tuple(c for cells in self.stream_cells for c in cells)
-
-    def check_covers(self, profile1: OccupationProfile, profile2: OccupationProfile):
-        need = set(union_cells(profile1, profile2))
-        have = set(self.cells)
-        if have != need:
-            missing = sorted(need - have)
-            extra = sorted(have - need)
-            raise IncompleteNoiseError(
-                f"stream layout does not match cell union (missing {missing}, extra {extra})")
 
 
 @dataclass
@@ -312,25 +216,27 @@ def _stream_addresses(stream_keys, n_streams) -> np.ndarray:
     return addr.astype(np.uint64, copy=False)
 
 
-def _prepare(profile1, profile2, params, layout, stream_keys):
+def _prepare(rates, dt, epsilon, max_steps, stream_keys):
     """Validate one engine call and reduce it to the scalar SDE.
 
-    Returns (sig, h, thr, addr): the noise scale 2 sqrt(Gamma_s dt) of
-    each stream, the drift time h = Gamma * dt of one step, the absorbing
+    dt, epsilon and max_steps are checked as CollapseParams.  Returns
+    (sig, h, thr, addr): the noise scale 2 sqrt(Gamma_s dt) of each
+    stream, the drift time h = Gamma * dt of one step, the absorbing
     barrier on |r| and the (runs, streams, 3) array of stream addresses.
     The barrier is the nominal threshold less beta times the per-step
     standard deviation sqrt(sum_s sig_s^2) of r.
     """
-    layout.check_covers(profile1, profile2)
-    rates = [params.lam * sum((profile1.eta(c) - profile2.eta(c)) ** 2 for c in cells)
-             for cells in layout.stream_cells]
+    params = CollapseParams(dt=dt, epsilon=epsilon, max_steps=max_steps)
+    for rate in rates:
+        if not (math.isfinite(rate) and rate >= 0):
+            raise ValueError(f"stream rates must be finite and >= 0, got {rate}")
     gamma = sum(rates)
     if gamma * params.dt > MAX_GAMMA_DT:
         raise ValueError(
             f"Gamma*dt = {gamma * params.dt:.3g} exceeds {MAX_GAMMA_DT}; reduce dt")
     addr = _stream_addresses(stream_keys, len(rates))
     if gamma == 0.0:
-        raise NoCollapsePossibleError("profiles are identical on their union; Gamma = 0")
+        raise NoCollapsePossibleError("every stream rate is 0; Gamma = 0")
     sig = [2.0 * math.sqrt(rate * params.dt) for rate in rates]
     thr = params.log_threshold - BARRIER_BETA * math.sqrt(sum(s * s for s in sig))
     if not thr > 0:
@@ -350,7 +256,7 @@ def _window_noise(noise, addr, sig, block_index, rows):
     scaled by sig_s and added into dw through its transpose.  So window-
     sized memory is dw alone.  dw stays (rows, runs) so the step kernel
     steps on dw[t] whole, in place.  The streams are summed elementwise in
-    layout order rather than by a matrix product, whose reduction order may
+    rate order rather than by a matrix product, whose reduction order may
     depend on the batch shape.
     """
     dw = np.zeros((rows, len(addr)))
@@ -441,45 +347,44 @@ def _drive(r0, addr, sig, h, thr, n_steps, noise, record=None):
     return r, steps, winner
 
 
-def collapse_batch(q0: float, profile1: OccupationProfile, profile2: OccupationProfile,
-                   params: CollapseParams, layout: StreamLayout, stream_keys,
+# stream_keys stays argument 5 of both entry points: tools that trace the
+# engine read the run count from it by position
+def collapse_batch(q0: float, rates, dt: float, epsilon: float, max_steps: int, stream_keys,
                    noise: PhiloxNoiseSource = DEFAULT_NOISE) -> BatchResult:
     """Run a batch of trajectories to absorption.
 
-    stream_keys holds one entry per run, each a tuple of stream addresses
-    (k0, k1, run_index) in layout order: the key of the stream and the
+    rates holds one collapse rate Gamma_s per noise stream, and
+    stream_keys one entry per run, each a tuple of stream addresses
+    (k0, k1, run_index) in the same order: the key of the stream and the
     run's place in its counter (see noise.PhiloxNoiseSource).  Any array-
-    like of shape (runs, streams, 3) will do.  Runs evolve in lockstep but
-    consume only their own addresses, so results per run do not depend on
-    batch composition or execution schedule.
+    like of shape (runs, streams, 3) will do.  dt, epsilon and max_steps
+    are checked as CollapseParams.  Runs evolve in lockstep but consume
+    only their own addresses, so results per run do not depend on batch
+    composition or execution schedule.
     """
     r0 = _logit(q0)
-    sig, h, thr, addr = _prepare(profile1, profile2, params, layout, stream_keys)
-    r, steps, winner = _drive(r0, addr, sig, h, thr, params.max_steps, noise)
-    return BatchResult(winner, steps, steps * params.dt, r)
+    sig, h, thr, addr = _prepare(rates, dt, epsilon, max_steps, stream_keys)
+    r, steps, winner = _drive(r0, addr, sig, h, thr, max_steps, noise)
+    return BatchResult(winner, steps, steps * dt, r)
 
 
-def run_trajectory(q0: float, profile1: OccupationProfile, profile2: OccupationProfile,
-                   params: CollapseParams, layout: StreamLayout, stream_keys,
-                   noise: PhiloxNoiseSource = DEFAULT_NOISE,
-                   max_rows: int | None = None) -> list[tuple]:
+def run_trajectory(q0: float, rates, dt: float, epsilon: float, max_steps: int, stream_keys,
+                   noise: PhiloxNoiseSource = DEFAULT_NOISE) -> list[tuple]:
     """Integrate one trajectory, recording (step, t_model_s, q, r).
 
     stream_keys is the run's tuple of stream addresses (k0, k1,
-    run_index), one per stream of the layout, as in collapse_batch.
-    Row 0 is the initial state; one row follows per step until absorption
-    or max_rows (default params.max_steps) steps.
+    run_index), one per rate, as in collapse_batch.  Row 0 is the initial
+    state; one row follows per step until absorption or max_steps steps.
     """
     r0 = _logit(q0)
-    sig, h, thr, addr = _prepare(profile1, profile2, params, layout, [stream_keys])
+    sig, h, thr, addr = _prepare(rates, dt, epsilon, max_steps, [stream_keys])
     rows = [(0, 0.0, stable_q(r0), r0)]
 
     def record(k, x):
         r = float(x[0])
-        rows.append((k, k * params.dt, stable_q(r), r))
+        rows.append((k, k * dt, stable_q(r), r))
 
-    cap = params.max_steps if max_rows is None else min(max_rows, params.max_steps)
-    _drive(r0, addr, sig, h, thr, cap, noise, record=record)
+    _drive(r0, addr, sig, h, thr, max_steps, noise, record=record)
     return rows
 
 

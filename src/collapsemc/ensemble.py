@@ -38,9 +38,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from ._version import __version__
-from .dynamics import effective_rate
-from .experiment import (Scenario, active_profiles, build_scenario,
-                         disagreement_rate_analytic, frame_pair, run_frame_batch)
+from .experiment import (Scenario, build_scenario, disagreement_rate_analytic, frame_pair,
+                         run_frame_batch)
 from .relativity import C, Frame, activation_gap, gamma
 
 KINDS = ("born_rule", "collapse_time", "cross_frame")
@@ -351,11 +350,9 @@ def build_manifest(config: EnsembleConfig) -> dict:
     the noise values are fixed only within one numpy build on one CPU
     feature set."""
     scenario = scenario_from_config(config)
-    lam = scenario.params.lam
-    rates = {}
-    for frame in (Frame(0.0, "frame0"), *frame_pair(config.v)):
-        p1, p2, _ = active_profiles(scenario, frame)
-        rates[frame.label] = effective_rate(p1, p2, lam)
+    # summed as the engine sums a frame's stream rates
+    rates = {frame.label: sum(scenario.frame_rates(frame))
+             for frame in (Frame(0.0, "frame0"), *frame_pair(config.v))}
     cfg = asdict(config)
     return {
         "artifact_version": __version__,

@@ -2,17 +2,20 @@
 
 A beam splits into branch 1 (toward detector D1 at +d) and branch 2
 (toward D2 at -d).  Branch 1 leaves D1's pointer on "yes" and D2's on
-"no"; branch 2 the reverse.  The occupation profiles of the two branches
-therefore differ in the pointer cells of both detectors, and those
-differences drive the collapse.
+"no"; branch 2 the reverse.  Each detector's pointer thus sits in
+different places in the two branches, and its noise stream drives the
+collapse at the rate Gamma_D = 2 lam eta^2 (see dynamics).  A scenario
+holds one such rate per detector, D1 then D2.
 
-Which detector's cells and noise participate depends on the frame:
+Which detectors drive the collapse depends on the frame.  A frame's
+active set is an ordered tuple of detector ids, and its Gamma is the sum
+of their rates:
 
-* frame A sees D1 activate first, so its collapse is driven entirely by
-  D1's cells and D1's noise stream;
-* frame B likewise uses only D2;
+* frame A sees D1 activate first, so its collapse is driven by D1's
+  stream alone, ("D1",);
+* frame B likewise uses only D2, ("D2",);
 * frame 0 sees both detectors simultaneously and runs the joint process
-  on all pointer cells.
+  on both streams, ("D1", "D2").
 
 Because the A and B runs of the same trial consume disjoint noise
 streams, their winners are independent Born draws, each picking branch 1
@@ -34,13 +37,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import dynamics
-from .dynamics import CollapseParams, OccupationProfile, StreamLayout, collapse_batch
+from .dynamics import CollapseParams, collapse_batch
 from .noise import DEFAULT_NOISE, PhiloxNoiseSource, derive_stream_key
 from .relativity import C, Frame, activation_gap, first_detector
 
 # Scenario builders pick dt so that Gamma * dt at the largest per-frame
-# rate (frame 0, all pointer cells) equals this, about 140 steps a run at
+# rate (frame 0, both detectors) equals this, about 140 steps a run at
 # q0 0.5.  With the split step and the shifted barrier of dynamics the
 # mean collapse time stays within 1 % of the closed-form E[T].  Simulated
 # over closed-form E[T], seeds 1-3 x 8192 runs at q0 0.3 (standard errors
@@ -55,55 +57,23 @@ from .relativity import C, Frame, activation_gap, first_detector
 TARGET_GAMMA_DT = 0.05
 
 DEFAULT_ETA = 1e10
+DEFAULT_LAM = 1e-16
+
+DETECTORS = ("D1", "D2")
 
 _OVERRIDE_KEYS = frozenset(
     {"lam", "dt", "epsilon", "max_steps", "eta", "amplitudes"})
 
 
 @dataclass(frozen=True)
-class DetectorSpec:
-    """One detector: its position and the pointer occupations of its two
-    readings.
-
-    yes_profile and no_profile list the cells the pointer fills in the
-    yes and no positions; the regions are disjoint.
-    """
-
-    id: str
-    position: float
-    yes_profile: OccupationProfile
-    no_profile: OccupationProfile
-
-    def __post_init__(self):
-        if self.id not in ("D1", "D2"):
-            raise ValueError(f"detector id must be 'D1' or 'D2', got {self.id!r}")
-        if self.id == "D1" and not self.position > 0:
-            raise ValueError("D1 must sit at positive x")
-        if self.id == "D2" and not self.position < 0:
-            raise ValueError("D2 must sit at negative x")
-        if set(self.yes_profile.cell_ids) & set(self.no_profile.cell_ids):
-            raise ValueError(f"{self.id}: yes and no pointer regions must be disjoint")
-
-    @property
-    def cells(self) -> tuple[str, ...]:
-        return self.yes_profile.cell_ids + self.no_profile.cell_ids
-
-    def branch_profiles(self) -> tuple[OccupationProfile, OccupationProfile]:
-        """This detector's cells as occupied in the yes branch and the no
-        branch, both over the same cell list."""
-        occ_yes = {c: self.yes_profile.eta(c) for c in self.cells}
-        occ_no = {c: self.no_profile.eta(c) for c in self.cells}
-        return (OccupationProfile.from_dict(occ_yes),
-                OccupationProfile.from_dict(occ_no))
-
-
-@dataclass(frozen=True)
 class Scenario:
-    """Full experiment setup: geometry, initial weight and parameters."""
+    """Full experiment setup: geometry, initial weight, the collapse rate
+    of each detector's noise stream (D1, D2) and the integration
+    parameters."""
 
     d: float
     q0: float
-    detectors: tuple[DetectorSpec, DetectorSpec]
+    rates: tuple[float, float]
     params: CollapseParams
 
     def __post_init__(self):
@@ -111,20 +81,18 @@ class Scenario:
             raise ValueError(f"d must be > 0, got {self.d}")
         if not 0.0 <= self.q0 <= 1.0:
             raise ValueError(f"q0 must be in [0, 1], got {self.q0}")
-        d1, d2 = self.detectors
-        if (d1.id, d2.id) != ("D1", "D2"):
-            raise ValueError("detectors must be (D1, D2)")
-        if abs(d1.position) != self.d or abs(d2.position) != self.d:
-            raise ValueError("both detectors must sit at distance d")
-        for frame in (Frame(0.0, "frame0"), Frame(1.0, "A"), Frame(-1.0, "B")):
-            p1, p2, _ = active_profiles(self, frame)
-            if dynamics.effective_rate(p1, p2, self.params.lam) == 0.0:
-                raise ValueError(
-                    f"branch profiles do not differ for frame {frame.label}; no collapse possible")
+        if len(self.rates) != len(DETECTORS):
+            raise ValueError(f"expected one rate per detector {DETECTORS}, got {self.rates}")
+        for det, rate in zip(DETECTORS, self.rates):
+            if rate == 0.0:
+                raise ValueError(f"the rate of {det} is 0; no collapse possible")
+            if not (math.isfinite(rate) and rate > 0):
+                raise ValueError(f"the rate of {det} must be finite and > 0, got {rate}")
 
-    @property
-    def detector_by_id(self) -> dict[str, DetectorSpec]:
-        return {det.id: det for det in self.detectors}
+    def frame_rates(self, frame: Frame) -> tuple[float, ...]:
+        """Rates of the detectors active in the frame, in active_detectors
+        order."""
+        return tuple(self.rates[DETECTORS.index(det)] for det in active_detectors(frame))
 
 
 def _is_number(value) -> bool:
@@ -139,15 +107,26 @@ def q0_from_amplitudes(w1: float, w2: float) -> float:
     return w1 / (w1 + w2)
 
 
+def _positive(name: str, value) -> float:
+    """A finite number > 0, or the TypeError or ValueError that names it."""
+    if not _is_number(value):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+    return value
+
+
 def build_scenario(d: float = 1000.0, q0: float = 0.5,
                    overrides: dict | None = None) -> Scenario:
     """Construct the default two-detector scenario.
 
-    Each detector gets one yes-region cell and one no-region cell with
-    eta = 1e10 where the pointer sits.  Overrides may set lam, dt,
-    epsilon, max_steps, eta, or amplitudes (an unnormalized
+    Each detector's pointer fills one yes-region cell and one no-region
+    cell with eta = DEFAULT_ETA, so each detector's stream collapses at
+    the rate lam * 2 eta^2, with lam = DEFAULT_LAM.  Overrides may set
+    lam, dt, epsilon, max_steps, eta, or amplitudes (an unnormalized
     (|a1|^2, |a2|^2) pair that replaces q0).  If dt is not overridden it
-    is derived from the frame-0 rate so that Gamma * dt = TARGET_GAMMA_DT.
+    is derived from the frame-0 rate, both detectors', so that
+    Gamma * dt = TARGET_GAMMA_DT.
     """
     overrides = dict(overrides or {})
     unknown = set(overrides) - _OVERRIDE_KEYS
@@ -159,70 +138,44 @@ def build_scenario(d: float = 1000.0, q0: float = 0.5,
                 and all(_is_number(w) for w in weights)):
             raise TypeError(f"amplitudes must be a pair of numbers, got {weights!r}")
         q0 = q0_from_amplitudes(*weights)
-    eta = overrides.pop("eta", DEFAULT_ETA)
-    if not _is_number(eta):
-        raise TypeError(f"eta must be a number, got {eta!r}")
-    if not eta > 0:
-        raise ValueError(f"eta must be > 0, got {eta}")
+    eta = _positive("eta", overrides.pop("eta", DEFAULT_ETA))
+    lam = _positive("lam", overrides.pop("lam", DEFAULT_LAM))
 
-    # a stand-in dt lets CollapseParams check the overrides, lam among them,
-    # before dt is derived from lam
+    # a stand-in dt lets CollapseParams check the other overrides before
+    # dt is derived
     params = CollapseParams(**{"dt": 1.0, **overrides})
     if "dt" not in overrides:
         # frame-0 rate: four pointer cells each differing by eta
-        gamma0 = params.lam * 4.0 * eta * eta
+        gamma0 = lam * 4.0 * eta * eta
         dt = TARGET_GAMMA_DT / gamma0 if gamma0 > 0 else math.inf
         try:
             params = replace(params, dt=dt)
         except ValueError as exc:
             raise ValueError(
-                f"dt derived from lam = {params.lam!r} and eta = {eta!r} is {dt!r}, "
+                f"dt derived from lam = {lam!r} and eta = {eta!r} is {dt!r}, "
                 f"which cannot be run ({exc}); change lam or eta, or set dt") from exc
 
-    def detector(det_id: str, sign: float) -> DetectorSpec:
-        return DetectorSpec(
-            id=det_id,
-            position=sign * d,
-            yes_profile=OccupationProfile(((f"{det_id}.yes", eta),)),
-            no_profile=OccupationProfile(((f"{det_id}.no", eta),)),
-        )
+    # lam * sum_n delta_n^2 over the detector's yes and no cells, the
+    # operations and order that fix the bits of every record
+    try:
+        rate = lam * ((eta - 0.0) ** 2 + (0.0 - eta) ** 2)
+    except OverflowError:  # eta ** 2 past the float range
+        rate = math.inf
+    if not math.isfinite(rate):
+        raise ValueError(f"lam = {lam!r} and eta = {eta!r} give a collapse rate past "
+                         f"the float range; reduce lam or eta")
+    return Scenario(d=d, q0=q0, rates=(rate, rate), params=params)
 
-    return Scenario(d=d, q0=q0, detectors=(detector("D1", 1.0), detector("D2", -1.0)),
-                    params=params)
 
+def active_detectors(frame: Frame) -> tuple[str, ...]:
+    """Ids of the detectors whose streams drive the collapse in the frame.
 
-def active_profiles(scenario: Scenario, frame: Frame):
-    """Branch profiles and detector ids active in the given frame.
-
-    Frames A and B restrict to the cells of the detector that activates
-    first (relativity.first_detector, the sign of v); the mirror frame
-    runs the joint process over both detectors.  Returns
-    (profile1, profile2, detector_ids); the noise stream of each listed
-    detector covers exactly that detector's cells, in order.
+    Frames A and B keep the detector that activates first
+    (relativity.first_detector, the sign of v); the mirror frame runs the
+    joint process over both.
     """
     first = first_detector(frame)
-    dets = (scenario.detectors if first == "simultaneous"
-            else (scenario.detector_by_id[first],))
-
-    occ1: dict[str, float] = {}
-    occ2: dict[str, float] = {}
-    for det in dets:
-        yes_occ, no_occ = det.branch_profiles()
-        # branch 1: D1 pointer on yes, D2 pointer on no; branch 2 mirrored
-        b1, b2 = (yes_occ, no_occ) if det.id == "D1" else (no_occ, yes_occ)
-        for c in det.cells:
-            occ1[c] = b1.eta(c)
-            occ2[c] = b2.eta(c)
-    return (OccupationProfile.from_dict(occ1), OccupationProfile.from_dict(occ2),
-            tuple(det.id for det in dets))
-
-
-def frame_layout(scenario: Scenario, frame: Frame):
-    """Stream layout (one stream per active detector) for a frame."""
-    p1, p2, det_ids = active_profiles(scenario, frame)
-    by_id = scenario.detector_by_id
-    layout = StreamLayout(tuple(by_id[i].cells for i in det_ids))
-    return p1, p2, det_ids, layout
+    return DETECTORS if first == "simultaneous" else (first,)
 
 
 def record_dtype(frame_label: str) -> np.dtype:
@@ -249,14 +202,16 @@ def run_frame_batch(scenario: Scenario, frame: Frame, master_seed: int,
     record tables of the runs that absorbed and of those that hit the step
     cap, each in run_indices order.
     """
-    p1, p2, det_ids, layout = frame_layout(scenario, frame)
+    det_ids = active_detectors(frame)
     runs = np.asarray(run_indices, dtype=np.int64)
     if runs.size and runs.min() < 0:
         raise ValueError(f"run indices must be >= 0, got {runs.min()}")
     addr = np.empty((runs.size, len(det_ids), 3), dtype=np.uint64)
     addr[:, :, :2] = [derive_stream_key(master_seed, det) for det in det_ids]
     addr[:, :, 2] = runs[:, None]
-    res = collapse_batch(scenario.q0, p1, p2, scenario.params, layout, addr, noise=noise)
+    params = scenario.params
+    res = collapse_batch(scenario.q0, scenario.frame_rates(frame), params.dt,
+                         params.epsilon, params.max_steps, addr, noise=noise)
     table = np.empty(runs.size, dtype=record_dtype(frame.label))
     table["run_index"] = run_indices
     table["frame"] = frame.label

@@ -71,9 +71,17 @@ def gamma(v: float) -> float:
 
 
 def boost(e: Event, v: float) -> Event:
-    """Coordinates of an event in the frame moving at v along +x."""
+    """Coordinates of an event in the frame moving at v along +x.
+
+    The product v x in the time lag v x / c^2 can overflow where the lag
+    does not; only then is the lag formed as (v / c) (x / c), so every
+    event the direct form boosts keeps its bits.
+    """
     g = gamma(v)
-    return Event(g * (e.t - v * e.x / (C * C)), g * (e.x - v * e.t))
+    lag = v * e.x / (C * C)
+    if math.isinf(lag):
+        lag = (v / C) * (e.x / C)
+    return Event(g * (e.t - lag), g * (e.x - v * e.t))
 
 
 def detection_events(d: float) -> tuple[Event, Event]:

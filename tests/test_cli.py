@@ -234,6 +234,19 @@ def test_unrunnable_derived_dt(capsys, tmp_path, eta):
     assert not out_dir.exists()
 
 
+def test_overflowing_rate_is_refused_before_any_run(capsys, tmp_path):
+    # eta ** 2 overflows; with dt set, no derived dt is there to catch it
+    cfg_path = tmp_path / "huge.json"
+    out_dir = tmp_path / "huge"
+    cfg_path.write_text(json.dumps({"runs": 20, "out_dir": str(out_dir),
+                                    "overrides": {"eta": 1e160, "dt": 1e-9}}))
+    code, out, err = run_cli(capsys, "born", "--config", str(cfg_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "lam = 1e-16" in err and "eta = 1e+160" in err
+    assert not out_dir.exists()
+
+
 def test_non_finite_output_is_an_error(capsys):
     # stdout is strict JSON: a non-finite value raises ValueError, which
     # main reports as exit 2, rather than printing NaN
@@ -283,6 +296,17 @@ def test_gap_past_the_direct_products_range_runs(capsys, tmp_path, d):
 def test_frames_gap_past_the_direct_products_range(capsys):
     code, out, _ = run_cli(capsys, "frames", "--d", "5e298")
     assert code == 0 and 1e291 < json.loads(out)["delta_t_s"] < 1e292
+
+
+@pytest.mark.parametrize("args", [("frames", "--d", "1e300"), ("transform", "--x", "1e300")])
+def test_boost_past_the_direct_products_range(capsys, args):
+    # v x overflows in the time lag, but every boosted coordinate is finite
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    values = ([t for times in data["frames"].values() for t in times.values()]
+              if args[0] == "frames" else [data["t_prime_s"], data["x_prime_m"]])
+    assert all(math.isfinite(x) for x in values)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])

@@ -10,28 +10,27 @@ from hypothesis import strategies as st
 
 from collapsemc import dynamics
 from collapsemc.dynamics import (BARRIER_BETA, MAX_GAMMA_DT, CollapseParams,
-                                 IncompleteNoiseError, InvalidProfileError,
-                                 NoCollapsePossibleError,
-                                 OccupationProfile, StreamLayout, collapse_batch,
-                                 effective_rate, run_trajectory,
-                                 stable_q, union_cells, write_trajectory_csv)
+                                 NoCollapsePossibleError, collapse_batch, run_trajectory,
+                                 stable_q, write_trajectory_csv)
 from collapsemc.noise import BLOCK_STEPS, DEFAULT_NOISE, PhiloxNoiseSource, derive_stream_key
 
 ETA = 1e10
 LAM = 1e-16
 
-# frame-A style pair: one occupied cell per branch, Gamma = 2e4 / s
-P1 = OccupationProfile((("yes", ETA), ("no", 0.0)))
-P2 = OccupationProfile((("yes", 0.0), ("no", ETA)))
-LAYOUT = StreamLayout((("yes", "no"),))
-PARAMS = CollapseParams(dt=1.25e-7, lam=LAM)
+# one detector's stream: a yes cell and a no cell that differ by eta
+# between the branches, Gamma = 2e4 / s
+RATE = LAM * (ETA ** 2 + ETA ** 2)
+RATES_A = (RATE,)
+PARAMS = CollapseParams(dt=1.25e-7)
 GAMMA = 2.0 * LAM * ETA * ETA  # 2e4 per second
 
+# frame-0 style: one stream per detector, Gamma = 4e4 / s
+RATES_0 = (RATE, RATE)
 
-# frame-0 style pair: one stream per detector, Gamma = 4e4 / s
-P01 = OccupationProfile((("D1.yes", ETA), ("D1.no", 0.0), ("D2.yes", 0.0), ("D2.no", ETA)))
-P02 = OccupationProfile((("D1.yes", 0.0), ("D1.no", ETA), ("D2.yes", ETA), ("D2.no", 0.0)))
-LAYOUT0 = StreamLayout((("D1.yes", "D1.no"), ("D2.yes", "D2.no")))
+
+def scalars(params):
+    """The engine's (dt, epsilon, max_steps) arguments."""
+    return params.dt, params.epsilon, params.max_steps
 
 
 def keys_for(n, seed=1, det="D1", salt=""):
@@ -81,7 +80,7 @@ def split_step(h, r, noise):
 
 
 # ---------------------------------------------------------------------------
-# state and profiles
+# state and stream rates
 # ---------------------------------------------------------------------------
 
 def test_stable_q_basic():
@@ -95,7 +94,7 @@ def test_stable_q_basic():
 
 def start_q(q0):
     """q read back from row 0 of a trajectory, which holds the start r = logit(q0)."""
-    return run_trajectory(q0, P1, P2, PARAMS, LAYOUT, keys_for(1)[0], max_rows=0)[0][2]
+    return run_trajectory(q0, RATES_A, PARAMS.dt, PARAMS.epsilon, 1, keys_for(1)[0])[0][2]
 
 
 def test_start_q_round_trips():
@@ -106,81 +105,16 @@ def test_start_q_round_trips():
 
 def test_start_q_validation():
     with pytest.raises(ValueError):
-        collapse_batch(1.5, P1, P2, PARAMS, LAYOUT, keys_for(1))
+        collapse_batch(1.5, RATES_A, *scalars(PARAMS), keys_for(1))
     with pytest.raises(ValueError):
-        collapse_batch(-0.1, P1, P2, PARAMS, LAYOUT, keys_for(1))
+        collapse_batch(-0.1, RATES_A, *scalars(PARAMS), keys_for(1))
     with pytest.raises(ValueError):
-        run_trajectory(1.5, P1, P2, PARAMS, LAYOUT, keys_for(1)[0])
-
-
-def test_profile_validation():
-    with pytest.raises(InvalidProfileError):
-        OccupationProfile((("a", 1.0), ("a", 2.0)))
-    with pytest.raises(InvalidProfileError):
-        OccupationProfile((("a", -1.0),))
-    with pytest.raises(InvalidProfileError):
-        OccupationProfile((("a", math.nan),))
-
-
-def test_profile_absent_cells_read_zero():
-    p = OccupationProfile((("a", 3.0),))
-    assert p.eta("a") == 3.0
-    assert p.eta("missing") == 0.0
-
-
-def test_union_cells_order():
-    p1 = OccupationProfile((("a", 1.0), ("b", 2.0)))
-    p2 = OccupationProfile((("b", 1.0), ("c", 2.0)))
-    assert union_cells(p1, p2) == ("a", "b", "c")
-
-
-# ---------------------------------------------------------------------------
-# effective_rate and per-stream rates
-# ---------------------------------------------------------------------------
-
-def test_effective_rate_identical_profiles_zero():
-    p = OccupationProfile((("a", 5.0), ("b", 7.0)))
-    assert effective_rate(p, p, 0.123) == 0.0
-
-
-def test_effective_rate_single_cell():
-    p1 = OccupationProfile((("a", ETA),))
-    p2 = OccupationProfile(())
-    assert effective_rate(p1, p2, LAM) == pytest.approx(1e4, rel=1e-12)
-
-
-def test_effective_rate_two_cells():
-    assert effective_rate(P1, P2, LAM) == pytest.approx(2e4, rel=1e-12)
-
-
-def test_effective_rate_disjoint_union():
-    p1 = OccupationProfile((("a", 3.0),))
-    p2 = OccupationProfile((("b", 4.0),))
-    assert effective_rate(p1, p2, 1.0) == pytest.approx(25.0, rel=1e-14)
-
-
-def test_aggregate_preserves_rate_property():
-    # three cells per stream with delta eta (1, 2, 2) x 1e10 against one
-    # cell with 3e10: the per-stream rates are equal to the last bit, and
-    # the engine reads the cells only through them
-    spread1 = OccupationProfile((("a1", 1e10), ("a2", 2e10), ("a3", 2e10)))
-    spread2 = OccupationProfile((("b1", 1e10), ("b2", 2e10), ("b3", 2e10)))
-    spread_layout = StreamLayout((("a1", "a2", "a3"), ("b1", "b2", "b3")))
-    one1 = OccupationProfile((("a", 3e10),))
-    one2 = OccupationProfile((("b", 3e10),))
-    one_layout = StreamLayout((("a",), ("b",)))
-    assert effective_rate(spread1, spread2, LAM) == effective_rate(one1, one2, LAM)
-    keys = keys0_for(64, seed=23)
-    spread = collapse_batch(0.4, spread1, spread2, PARAMS, spread_layout, keys)
-    one = collapse_batch(0.4, one1, one2, PARAMS, one_layout, keys)
-    assert np.array_equal(spread.winner, one.winner)
-    assert np.array_equal(spread.steps, one.steps)
-    assert np.array_equal(spread.r, one.r)
+        run_trajectory(1.5, RATES_A, *scalars(PARAMS), keys_for(1)[0])
 
 
 def test_engine_reads_one_column_per_stream():
     spy = _SpyNoise()
-    res = collapse_batch(0.5, P01, P02, PARAMS, LAYOUT0, keys0_for(40, seed=29), noise=spy)
+    res = collapse_batch(0.5, RATES_0, *scalars(PARAMS), keys0_for(40, seed=29), noise=spy)
     assert all(shape == (runs * BLOCK_STEPS,) for _, runs, shape in spy.calls)
     # a run is drawn for in every window it enters, once per stream
     windows = int(sum(-(-int(k) // BLOCK_STEPS) for k in res.steps))
@@ -196,7 +130,7 @@ def test_noise_calls_do_not_grow_with_runs(n):
     # gapped their indices are after the first window
     assert n <= dynamics.SUB_BLOCK_RUNS
     spy = _SpyNoise()
-    res = collapse_batch(0.5, P01, P02, PARAMS, LAYOUT0, keys0_for(n, seed=5), noise=spy)
+    res = collapse_batch(0.5, RATES_0, *scalars(PARAMS), keys0_for(n, seed=5), noise=spy)
     last_window = -(-int(res.steps.max()) // BLOCK_STEPS)
     assert last_window >= 8
     assert len(spy.calls) == 2 * last_window
@@ -208,15 +142,13 @@ def test_noise_calls_do_not_grow_with_runs(n):
 # ---------------------------------------------------------------------------
 
 def test_step_hand_example():
-    # single cell, eta1 = 1, eta2 = 0, lam dt = 0.01, unit normal +1:
-    # noise 2 sqrt(Gamma dt) = 0.2, and half a step h / 2 = 0.005 of the
-    # drift flow either side of the noise; phi fixes r = 0.  Two steps
-    # stay far inside the barrier, so the run stops at the step cap
-    p1 = OccupationProfile((("c", 1.0),))
-    p2 = OccupationProfile((("c", 0.0),))
-    layout = StreamLayout((("c",),))
-    params = CollapseParams(dt=1.0, lam=0.01, epsilon=1e-6, max_steps=2)
-    cooked = collapse_batch(0.5, p1, p2, params, layout, keys_for(1), noise=_ConstNoise(1.0))
+    # one stream, Gamma dt = 0.01, unit normal +1: noise 2 sqrt(Gamma dt)
+    # = 0.2, and half a step h / 2 = 0.005 of the drift flow either side of
+    # the noise; phi fixes r = 0.  Two steps stay far inside the barrier,
+    # so the run stops at the step cap
+    rates = (0.01,)
+    params = CollapseParams(dt=1.0, epsilon=1e-6, max_steps=2)
+    cooked = collapse_batch(0.5, rates, *scalars(params), keys_for(1), noise=_ConstNoise(1.0))
     assert (cooked.winner[0], cooked.steps[0]) == (0, 2)
     one = phi(0.005, 0.2)
     assert one == pytest.approx(0.2009992, abs=1e-7)
@@ -230,73 +162,67 @@ def test_barrier_shift_hand_example():
     # is 1, and the shifted barrier is 1 - beta * 0.2 = 0.8835.  The split
     # recursion gives r_k = 0.2010, 0.4040, 0.6089, 0.8158, 1.0243, so r
     # first passes the barrier at step 5
-    p1 = OccupationProfile((("c", 1.0),))
-    p2 = OccupationProfile((("c", 0.0),))
-    layout = StreamLayout((("c",),))
-    params = CollapseParams(dt=1.0, lam=0.01, epsilon=1.0 / (1.0 + math.e), max_steps=10)
+    rates = (0.01,)
+    params = CollapseParams(dt=1.0, epsilon=1.0 / (1.0 + math.e), max_steps=10)
     assert params.log_threshold == pytest.approx(1.0, abs=1e-15)
     r, path = 0.0, []
     while r < 1.0 - BARRIER_BETA * 0.2:
         r = split_step(0.01, r, 0.2)
         path.append(r)
     assert len(path) == 5 and path[3] == pytest.approx(0.8158, abs=1e-4)
-    res = collapse_batch(0.5, p1, p2, params, layout, keys_for(1), noise=_ConstNoise(1.0))
+    res = collapse_batch(0.5, rates, *scalars(params), keys_for(1), noise=_ConstNoise(1.0))
     assert (res.winner[0], res.steps[0]) == (1, 5)
     assert res.r[0] == pytest.approx(path[-1], abs=1e-14)
-    rows = run_trajectory(0.5, p1, p2, params, layout, keys_for(1)[0], noise=_ConstNoise(1.0))
+    rows = run_trajectory(0.5, rates, *scalars(params), keys_for(1)[0], noise=_ConstNoise(1.0))
     assert len(rows) - 1 == 5 and rows[-1][3] == res.r[0]
     # the flow is odd, so -1 noise mirrors the path bit for bit and the run
     # absorbs at the lower barrier at the same step
-    mirror = collapse_batch(0.5, p1, p2, params, layout, keys_for(1), noise=_ConstNoise(-1.0))
+    mirror = collapse_batch(0.5, rates, *scalars(params), keys_for(1), noise=_ConstNoise(-1.0))
     assert (mirror.winner[0], mirror.steps[0]) == (2, 5)
     assert mirror.r[0] == -res.r[0]
     # a barrier 0.001 under r_4 is reached at step 4, although the carried
     # z = phi_{-h/2}(r_4) sits about 0.004 under r_4: z is tested against
     # the barrier mapped the same way
     near = 1.0 / (1.0 + math.exp(path[3] - 0.001 + BARRIER_BETA * 0.2))
-    res = collapse_batch(0.5, p1, p2, CollapseParams(dt=1.0, lam=0.01, epsilon=near,
-                                                     max_steps=10),
-                         layout, keys_for(1), noise=_ConstNoise(1.0))
+    res = collapse_batch(0.5, rates, 1.0, near, 10, keys_for(1), noise=_ConstNoise(1.0))
     assert (res.winner[0], res.steps[0]) == (1, 4)
     assert res.r[0] == pytest.approx(path[3], abs=1e-14)
     # a start between the barrier and the nominal threshold absorbs at once
     start = 1.0 / (1.0 + math.exp(-0.9))
-    assert collapse_batch(start, p1, p2, params, layout, keys_for(1)).steps[0] == 0
+    assert collapse_batch(start, rates, *scalars(params), keys_for(1)).steps[0] == 0
     # a threshold narrower than the shift leaves no barrier to absorb at
-    wide = CollapseParams(dt=1.0, lam=0.01, epsilon=0.49, max_steps=10)
     with pytest.raises(ValueError, match="reduce dt"):
-        collapse_batch(0.5, p1, p2, wide, layout, keys_for(1))
+        collapse_batch(0.5, rates, 1.0, 0.49, 10, keys_for(1))
 
 
 def test_step_noise_errors():
-    # the stream layout must supply noise for exactly the cells of the union
-    with pytest.raises(IncompleteNoiseError):
-        collapse_batch(0.5, P1, P2, PARAMS, StreamLayout((("yes",),)), keys_for(1))
-    with pytest.raises(IncompleteNoiseError):
-        collapse_batch(0.5, P1, P2, PARAMS, StreamLayout((("yes", "no", "other"),)),
-                       keys_for(1))
+    # the stream keys must supply exactly one stream per rate
     with pytest.raises(ValueError, match="stream keys"):
-        collapse_batch(0.5, P1, P2, PARAMS, LAYOUT, keys0_for(1))
+        collapse_batch(0.5, RATES_A, *scalars(PARAMS), keys0_for(1))
+    with pytest.raises(ValueError, match="stream keys"):
+        collapse_batch(0.5, RATES_0, *scalars(PARAMS), keys_for(1))
+    with pytest.raises(ValueError, match="stream keys"):
+        run_trajectory(0.5, RATES_0, *scalars(PARAMS), keys_for(1)[0])
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
         CollapseParams(dt=0.0)
     with pytest.raises(ValueError):
-        CollapseParams(dt=1.0, lam=-1.0)
-    with pytest.raises(ValueError):
         CollapseParams(dt=1.0, epsilon=0.5)
     with pytest.raises(ValueError):
         CollapseParams(dt=1.0, max_steps=0)
     # non-finite values, and a step cap whose duration overflows
-    for bad in ({"dt": math.inf}, {"dt": math.nan}, {"dt": 1.0, "lam": math.inf},
-                {"dt": 1.0, "lam": math.nan}):
+    for bad in ({"dt": math.inf}, {"dt": math.nan}):
         with pytest.raises(ValueError, match="finite"):
             CollapseParams(**bad)
     for max_steps in (2, 10**400):
         with pytest.raises(ValueError, match="overflows"):
             CollapseParams(dt=1e308, max_steps=max_steps)
     assert CollapseParams(dt=1e308, max_steps=1).dt == 1e308
+    # the rates are the engine's own arguments, not parameters
+    assert [f.name for f in dataclasses.fields(CollapseParams)] == ["dt", "epsilon",
+                                                                     "max_steps"]
     p = CollapseParams(dt=1.0, epsilon=1e-6)
     assert p.log_threshold == pytest.approx(math.log((1 - 1e-6) / 1e-6), rel=1e-12)
 
@@ -307,32 +233,32 @@ def test_params_validation():
 
 def test_immediate_absorption():
     keys = keys_for(1)
-    res = collapse_batch(1.0, P1, P2, PARAMS, LAYOUT, keys)
+    res = collapse_batch(1.0, RATES_A, *scalars(PARAMS), keys)
     assert (res.winner[0], res.duration[0], res.steps[0]) == (1, 0.0, 0)
-    res = collapse_batch(0.0, P1, P2, PARAMS, LAYOUT, keys)
+    res = collapse_batch(0.0, RATES_A, *scalars(PARAMS), keys)
     assert (res.winner[0], res.duration[0]) == (2, 0.0)
-    res = collapse_batch(PARAMS.epsilon / 2, P1, P2, PARAMS, LAYOUT, keys)
+    res = collapse_batch(PARAMS.epsilon / 2, RATES_A, *scalars(PARAMS), keys)
     assert (res.winner[0], res.steps[0]) == (2, 0)
 
 
 def test_gamma_zero_raises():
-    p = OccupationProfile((("a", 1.0),))
-    layout = StreamLayout((("a",),))
     with pytest.raises(NoCollapsePossibleError):
-        collapse_batch(0.5, p, p, PARAMS, layout, keys_for(1))
+        collapse_batch(0.5, (0.0,), *scalars(PARAMS), keys_for(1))
     with pytest.raises(NoCollapsePossibleError):
-        run_trajectory(0.5, p, p, PARAMS, layout, keys_for(1)[0])
+        collapse_batch(0.5, (0.0, 0.0), *scalars(PARAMS), keys0_for(1))
+    with pytest.raises(NoCollapsePossibleError):
+        run_trajectory(0.5, (0.0,), *scalars(PARAMS), keys_for(1)[0])
 
 
 def test_gamma_dt_bound_enforced():
-    params = CollapseParams(dt=1.0, lam=LAM)  # Gamma * dt = 2e4
+    params = CollapseParams(dt=1.0)  # Gamma * dt = 2e4
     with pytest.raises(ValueError, match="Gamma"):
-        collapse_batch(0.5, P1, P2, params, LAYOUT, keys_for(1))
+        collapse_batch(0.5, RATES_A, *scalars(params), keys_for(1))
 
 
 def test_non_convergence_carries_final_q():
-    params = CollapseParams(dt=1.25e-7, lam=LAM, max_steps=40)
-    res = collapse_batch(0.5, P1, P2, params, LAYOUT, keys_for(3))
+    params = CollapseParams(dt=1.25e-7, max_steps=40)
+    res = collapse_batch(0.5, RATES_A, *scalars(params), keys_for(3))
     assert np.all(res.winner == 0)
     assert np.all(res.steps == 40)
     assert np.all((0.0 <= res.q) & (res.q <= 1.0))
@@ -340,15 +266,15 @@ def test_non_convergence_carries_final_q():
 
 def test_born_rule_small():
     n = 2000
-    res = collapse_batch(0.5, P1, P2, PARAMS, LAYOUT, keys_for(n, seed=12))
+    res = collapse_batch(0.5, RATES_A, *scalars(PARAMS), keys_for(n, seed=12))
     freq = float(np.mean(res.winner == 1))
     assert abs(freq - 0.5) < 4.0 * math.sqrt(0.25 / n)
 
 
 def test_determinism_same_keys_bit_identical():
     keys = keys_for(64, seed=77)
-    a = collapse_batch(0.4, P1, P2, PARAMS, LAYOUT, keys)
-    b = collapse_batch(0.4, P1, P2, PARAMS, LAYOUT, keys)
+    a = collapse_batch(0.4, RATES_A, *scalars(PARAMS), keys)
+    b = collapse_batch(0.4, RATES_A, *scalars(PARAMS), keys)
     assert np.array_equal(a.winner, b.winner)
     assert np.array_equal(a.steps, b.steps)
     assert np.array_equal(a.r, b.r)
@@ -356,9 +282,9 @@ def test_determinism_same_keys_bit_identical():
 
 def test_batch_composition_invariance():
     keys = keys_for(32, seed=31)
-    full = collapse_batch(0.5, P1, P2, PARAMS, LAYOUT, keys)
+    full = collapse_batch(0.5, RATES_A, *scalars(PARAMS), keys)
     for j in (0, 13, 31):
-        single = collapse_batch(0.5, P1, P2, PARAMS, LAYOUT, [keys[j]])
+        single = collapse_batch(0.5, RATES_A, *scalars(PARAMS), [keys[j]])
         assert single.winner[0] == full.winner[j]
         assert single.steps[0] == full.steps[j]
         assert single.r[0] == full.r[j]
@@ -370,7 +296,7 @@ SPLIT_KEYS = keys0_for(12, seed=71, runs=(0, 1, 2, 3, 7, 8, 9, 15, 31, 32, 33, 3
 
 @functools.cache
 def _whole_batch():
-    return collapse_batch(0.5, P01, P02, PARAMS, LAYOUT0, SPLIT_KEYS)
+    return collapse_batch(0.5, RATES_0, *scalars(PARAMS), SPLIT_KEYS)
 
 
 @settings(max_examples=8, deadline=None)
@@ -388,7 +314,7 @@ def test_batch_splits_are_bit_equal(order, cuts):
     bounds = [0, *sorted(cuts), 12]
     for lo, hi in zip(bounds, bounds[1:]):
         part = list(order[lo:hi])
-        res = collapse_batch(0.5, P01, P02, PARAMS, LAYOUT0, [SPLIT_KEYS[j] for j in part])
+        res = collapse_batch(0.5, RATES_0, *scalars(PARAMS), [SPLIT_KEYS[j] for j in part])
         assert np.array_equal(res.winner, whole.winner[part])
         assert np.array_equal(res.steps, whole.steps[part])
         assert np.array_equal(res.r, whole.r[part])
@@ -401,14 +327,14 @@ def test_sub_blocks_do_not_change_results(monkeypatch):
     whole = _whole_batch()
     for size in (1, 3, 5):
         monkeypatch.setattr(dynamics, "SUB_BLOCK_RUNS", size)
-        res = collapse_batch(0.5, P01, P02, PARAMS, LAYOUT0, SPLIT_KEYS)
+        res = collapse_batch(0.5, RATES_0, *scalars(PARAMS), SPLIT_KEYS)
         assert np.array_equal(res.steps, whole.steps)
         assert np.array_equal(res.r, whole.r)
     monkeypatch.setattr(dynamics, "SUB_BLOCK_RUNS", 256)
     other = keys0_for(12, seed=72)
-    mixed = collapse_batch(0.5, P01, P02, PARAMS, LAYOUT0,
+    mixed = collapse_batch(0.5, RATES_0, *scalars(PARAMS),
                            [k for pair in zip(SPLIT_KEYS, other) for k in pair])
-    alone = collapse_batch(0.5, P01, P02, PARAMS, LAYOUT0, other)
+    alone = collapse_batch(0.5, RATES_0, *scalars(PARAMS), other)
     assert np.array_equal(mixed.r[0::2], whole.r)
     assert np.array_equal(mixed.r[1::2], alone.r)
     assert np.array_equal(mixed.steps[1::2], alone.steps)
@@ -418,10 +344,10 @@ def test_stream_address_validation():
     key = derive_stream_key(1, "D1")
     for bad in ([((*key,),)], [((*key, -1),)], [((*key, 1, 2),)], [((*key, 2**64),)]):
         with pytest.raises(ValueError, match="stream"):
-            collapse_batch(0.5, P1, P2, PARAMS, LAYOUT, bad)
+            collapse_batch(0.5, RATES_A, *scalars(PARAMS), bad)
     with pytest.raises(ValueError, match="run index"):
-        collapse_batch(0.5, P1, P2, PARAMS, LAYOUT, [((*key, 2**59 - 1),)])
-    empty = collapse_batch(0.5, P1, P2, PARAMS, LAYOUT, [])
+        collapse_batch(0.5, RATES_A, *scalars(PARAMS), [((*key, 2**59 - 1),)])
+    empty = collapse_batch(0.5, RATES_A, *scalars(PARAMS), [])
     assert empty.steps.shape == (0,)
 
 
@@ -430,11 +356,9 @@ def test_engine_matches_reference_stepper():
     # z = y + 2 sqrt(Gamma dt) zeta and y = phi_h(z), with r = phi_{h/2}(z)
     # at the end, in the same operation order, must reproduce the batch
     # engine exactly over 50 steps that stay inside the barrier
-    p1 = OccupationProfile((("yes", ETA), ("no", 0.0)))
-    p2 = OccupationProfile((("yes", 0.0), ("no", 0.5 * ETA)))
+    gamma = LAM * (ETA ** 2 + (0.5 * ETA) ** 2)
     key = derive_stream_key(5, "D1")
     params = dataclasses.replace(PARAMS, max_steps=50)
-    gamma = effective_rate(p1, p2, LAM)
     h = gamma * params.dt
     sig = 2.0 * math.sqrt(h)
     zeta = DEFAULT_NOISE.block_normals(key, 0, [9])[:params.max_steps]
@@ -442,7 +366,7 @@ def test_engine_matches_reference_stepper():
     def flow(part, r):
         return 2.0 * np.arcsinh(np.sinh(0.5 * r) * math.exp(part * h))
 
-    res = collapse_batch(0.37, p1, p2, params, LAYOUT, [((*key, 9),)])
+    res = collapse_batch(0.37, (gamma,), *scalars(params), [((*key, 9),)])
     assert (res.winner[0], res.steps[0]) == (0, params.max_steps)
     r = math.log(0.37) - math.log1p(-0.37)
     y = flow(0.5, r)
@@ -499,8 +423,7 @@ def reference_drive(r0, addr, sig, h, thr, n_steps, noise, record=None):
 
 # frame 0 (two streams) and frame A (one stream), each at Gamma * dt 0.05,
 # the scenario target, so runs absorb in every slab of the first windows
-KERNEL_FRAMES = {"0": (P01, P02, LAYOUT0, 0.05 / (2.0 * GAMMA)),
-                 "A": (P1, P2, LAYOUT, 0.05 / GAMMA)}
+KERNEL_FRAMES = {"0": (RATES_0, 0.05 / (2.0 * GAMMA)), "A": (RATES_A, 0.05 / GAMMA)}
 GAPPED_RUNS = (0, 1, 2, 5, 6, 9, 17, 18, 19, 20, 40, 63, 64, 100, 101, 255, 256, 257,
                300, 511, 512, 700, 701, 702, 1000, 1023, 1024, 2047, 2048, 4095)
 
@@ -512,11 +435,9 @@ def kernel_q0(epsilon):
 
 def _kernel_case(frame, epsilon, max_steps):
     """_drive's (sig, h, thr, addr) for the gapped runs in one frame."""
-    p1, p2, layout, dt = KERNEL_FRAMES[frame]
-    params = CollapseParams(dt=dt, lam=LAM, epsilon=epsilon, max_steps=max_steps)
-    keys = [pair[:len(layout.stream_cells)]
-            for pair in keys0_for(0, seed=83, runs=GAPPED_RUNS)]
-    return dynamics._prepare(p1, p2, params, layout, keys)
+    rates, dt = KERNEL_FRAMES[frame]
+    keys = [pair[:len(rates)] for pair in keys0_for(0, seed=83, runs=GAPPED_RUNS)]
+    return dynamics._prepare(rates, dt, epsilon, max_steps, keys)
 
 
 @pytest.mark.parametrize("max_steps", [1, 31, 32, 33, 127, 128, 129, 300])
@@ -583,18 +504,18 @@ def test_slab_size_does_not_change_results(monkeypatch, slab):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("max_rows", [None, 31, 32, 33, 128, 129])
+@pytest.mark.parametrize("max_steps", [None, 31, 32, 33, 128, 129])
 @pytest.mark.parametrize("run", [0, 9, 256, 1023])
-def test_trajectory_matches_reference_record(run, max_rows):
+def test_trajectory_matches_reference_record(run, max_steps):
     # run_trajectory's rows are the reference's recorded rows, step for
-    # step and bit for bit, up to and including the absorbing step
-    p1, p2, layout, dt = KERNEL_FRAMES["A"]
-    params = CollapseParams(dt=dt, lam=LAM)
+    # step and bit for bit, up to and including the absorbing step; None
+    # is the default step cap
+    rates, dt = KERNEL_FRAMES["A"]
+    cap = CollapseParams(dt=dt).max_steps if max_steps is None else max_steps
     key = ((*derive_stream_key(83, "D1"), run),)
-    rows = run_trajectory(0.5, p1, p2, params, layout, key, max_rows=max_rows)
-    sig, h, thr, addr = dynamics._prepare(p1, p2, params, layout, [key])
+    rows = run_trajectory(0.5, rates, dt, 1e-6, cap, key)
+    sig, h, thr, addr = dynamics._prepare(rates, dt, 1e-6, cap, [key])
     recorded = []
-    cap = params.max_steps if max_rows is None else max_rows
     _, steps, _ = reference_drive(0.0, addr, sig, h, thr, cap, DEFAULT_NOISE,
                                   record=lambda k, x: recorded.append((k, float(x[0]))))
     assert [(k, r) for k, _, _, r in rows[1:]] == recorded
@@ -608,10 +529,10 @@ def test_zero_noise_follows_exact_drift_flow():
     # 1e-300 the barrier sits near |r| = 690, which the flow does not reach
     n = 3 * BLOCK_STEPS + 17
     for gamma_dt in (0.05, MAX_GAMMA_DT):
-        params = CollapseParams(dt=gamma_dt / GAMMA, lam=LAM, epsilon=1e-300, max_steps=n)
+        params = CollapseParams(dt=gamma_dt / GAMMA, epsilon=1e-300, max_steps=n)
         for q0 in (0.3, 0.8, 1e-6):
             r0 = math.log(q0) - math.log1p(-q0)
-            res = collapse_batch(q0, P1, P2, params, LAYOUT, keys_for(1),
+            res = collapse_batch(q0, RATES_A, *scalars(params), keys_for(1),
                                  noise=_ConstNoise(0.0))
             assert (res.winner[0], res.steps[0]) == (0, n)
             expected = 2.0 * math.asinh(math.sinh(0.5 * r0) * math.exp(n * gamma_dt))
@@ -621,7 +542,7 @@ def test_zero_noise_follows_exact_drift_flow():
 def test_one_step_cooked_mean_preserves_q():
     n = 200_000
     params = dataclasses.replace(PARAMS, max_steps=1)
-    res = collapse_batch(0.3, P1, P2, params, LAYOUT, keys_for(n, seed=8))
+    res = collapse_batch(0.3, RATES_A, *scalars(params), keys_for(n, seed=8))
     assert np.all(res.winner == 0)
     q = res.q
     se = float(q.std()) / math.sqrt(n)
@@ -635,7 +556,7 @@ def test_martingale_at_intermediate_time():
     n = 20_000
     params = dataclasses.replace(PARAMS, epsilon=0.01,
                                  max_steps=round(1.0 / GAMMA / PARAMS.dt))
-    res = collapse_batch(0.3, P1, P2, params, LAYOUT, keys_for(n, seed=21))
+    res = collapse_batch(0.3, RATES_A, *scalars(params), keys_for(n, seed=21))
     assert np.mean(res.winner > 0) >= 0.1
     q = res.q
     se = float(q.std()) / math.sqrt(n)
@@ -643,11 +564,9 @@ def test_martingale_at_intermediate_time():
 
 
 def test_time_scaling_doubling_gamma_halves_median():
-    p1_fast = OccupationProfile((("yes", ETA * math.sqrt(2.0)), ("no", 0.0)))
-    p2_fast = OccupationProfile((("yes", 0.0), ("no", ETA * math.sqrt(2.0))))
     n = 3000
-    slow = collapse_batch(0.5, P1, P2, PARAMS, LAYOUT, keys_for(n, seed=41))
-    fast = collapse_batch(0.5, p1_fast, p2_fast, PARAMS, LAYOUT, keys_for(n, seed=42))
+    slow = collapse_batch(0.5, RATES_A, *scalars(PARAMS), keys_for(n, seed=41))
+    fast = collapse_batch(0.5, (2.0 * RATE,), *scalars(PARAMS), keys_for(n, seed=42))
     ratio = float(np.median(fast.duration) / np.median(slow.duration))
     assert 0.43 < ratio < 0.57
 
@@ -656,28 +575,30 @@ def test_extreme_epsilon_absorbs_without_overflow():
     # at the smallest epsilon the barrier sits near |r| = 744, and absorbed
     # runs step on to the end of their window; sinh(r / 2) overflows only
     # past |r| = 1420, so every run absorbs and no warning is raised
-    params = CollapseParams(dt=MAX_GAMMA_DT / GAMMA, lam=LAM, epsilon=5e-324)
+    params = CollapseParams(dt=MAX_GAMMA_DT / GAMMA, epsilon=5e-324)
     assert params.log_threshold > 744.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = collapse_batch(0.5, P1, P2, params, LAYOUT, keys_for(64, seed=19))
+        res = collapse_batch(0.5, RATES_A, *scalars(params), keys_for(64, seed=19))
     assert np.all(res.winner > 0)
     assert np.all(np.abs(res.r) > 740.0) and np.all(np.isfinite(res.r))
 
 
 def test_stream_layout_validation():
-    with pytest.raises(ValueError):
-        StreamLayout((("a", "b"), ("b",)))
-    bad = StreamLayout((("yes",),))
-    with pytest.raises(IncompleteNoiseError):
-        collapse_batch(0.5, P1, P2, PARAMS, bad, keys_for(1))
+    # the streams are laid out by their rates, one per stream key of a
+    # run (see test_step_noise_errors), and each must be finite and >= 0
+    for bad in (-RATE, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="rates"):
+            collapse_batch(0.5, (RATE, bad), *scalars(PARAMS), keys0_for(1))
+        with pytest.raises(ValueError, match="rates"):
+            run_trajectory(0.5, (bad,), *scalars(PARAMS), keys_for(1)[0])
 
 
 def test_trajectory_recording(tmp_path):
     key = derive_stream_key(3, "D1")
-    rows = run_trajectory(0.5, P1, P2, PARAMS, LAYOUT, ((*key, 4),))
+    rows = run_trajectory(0.5, RATES_A, *scalars(PARAMS), ((*key, 4),))
     assert rows[0][:3] == (0, 0.0, 0.5)
-    ref = collapse_batch(0.5, P1, P2, PARAMS, LAYOUT, [((*key, 4),)])
+    ref = collapse_batch(0.5, RATES_A, *scalars(PARAMS), [((*key, 4),)])
     assert len(rows) - 1 == ref.steps[0]
     assert rows[-1][3] == ref.r[0]
     # consecutive rows follow the split step on the run's own noise, up to
@@ -704,7 +625,7 @@ def test_trajectory_recording(tmp_path):
 
 def test_trajectory_max_rows_is_a_prefix():
     key = ((*derive_stream_key(3, "D1"), 4),)
-    full = run_trajectory(0.5, P1, P2, PARAMS, LAYOUT, key)
-    capped = run_trajectory(0.5, P1, P2, PARAMS, LAYOUT, key, max_rows=1100)
+    full = run_trajectory(0.5, RATES_A, *scalars(PARAMS), key)
+    capped = run_trajectory(0.5, RATES_A, PARAMS.dt, PARAMS.epsilon, 1100, key)
     assert len(full) > 1101
     assert capped == full[:1101]

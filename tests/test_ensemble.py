@@ -16,7 +16,7 @@ from collapsemc.ensemble import (_LINE_FORMATS, CHUNK_RUNS, CSV_COLUMNS, READING
                                  ConfigError, EnsembleAbortError, EnsembleConfig,
                                  build_manifest, compute_stats, export_ensemble,
                                  export_records, run_ensemble, wilson_interval)
-from collapsemc.experiment import record_dtype
+from collapsemc.experiment import build_scenario, record_dtype
 from collapsemc.relativity import C, activation_gap
 
 
@@ -323,11 +323,7 @@ def test_manifest_contents():
     derived = manifest["derived"]
     assert derived["delta_t_s"] == pytest.approx(4.6819e-5, rel=5e-5)
     assert derived["delta_t_s"] == activation_gap(1000.0, 0.99 * C)
-    assert derived["collapse_rate_per_s"] == {
-        "frame0": pytest.approx(4e4, rel=1e-12),
-        "A": pytest.approx(2e4, rel=1e-12),
-        "B": pytest.approx(2e4, rel=1e-12),
-    }
+    assert derived["collapse_rate_per_s"] == {"frame0": 4e4, "A": 2e4, "B": 2e4}
     assert derived["lorentz_gamma"] == pytest.approx(7.08881, rel=1e-6)
     assert manifest["artifact_version"]
     build = manifest["build"]
@@ -341,6 +337,20 @@ def test_manifest_contents():
     assert build["cpu_features"] == sorted(f for f, on in __cpu_features__.items() if on)
     assert set(build) == {"numpy", "python", "cpu_features"}
     assert manifest["config"]["master_seed"] == 5
+
+
+def test_manifest_rates_are_the_engines():
+    # at this eta, eta ** 2 and eta * eta differ in the last bit; the
+    # manifest reports the rates the engine integrates at, not a sum
+    # worked out another way
+    overrides = {"eta": 5.34e10, "dt": 1e-9}
+    cfg = EnsembleConfig(kind="cross_frame", runs=10, overrides=overrides)
+    derived = build_manifest(cfg)["derived"]
+    rate_d1, rate_d2 = build_scenario(overrides=overrides).rates
+    rates = derived["collapse_rate_per_s"]
+    assert (rates["A"], rates["B"]) == (rate_d1, rate_d2) == (570312.0, 570312.0)
+    assert rates["frame0"] == rate_d1 + rate_d2
+    assert derived["gamma_dt"] == {label: rate * 1e-9 for label, rate in rates.items()}
 
 
 def test_export_ensemble_bytes_stable(tmp_path):

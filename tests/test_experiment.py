@@ -4,10 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from collapsemc.dynamics import MAX_GAMMA_DT, OccupationProfile, effective_rate
-from collapsemc.experiment import (TARGET_GAMMA_DT, DetectorSpec, Scenario,
-                                   active_profiles, build_scenario,
-                                   disagreement_rate_analytic, frame_pair,
+from collapsemc.dynamics import MAX_GAMMA_DT, CollapseParams
+from collapsemc.experiment import (TARGET_GAMMA_DT, Scenario, active_detectors,
+                                   build_scenario, disagreement_rate_analytic, frame_pair,
                                    q0_from_amplitudes, run_frame_batch)
 from collapsemc.noise import PhiloxNoiseSource, derive_stream_key
 from collapsemc.relativity import C, Frame, activation_gap
@@ -42,17 +41,14 @@ def assert_tables_equal(a, b):
 
 
 def test_build_scenario_default_rates():
+    # lam 1e-16 and eta 1e10 give each detector 2 lam eta^2 = 2e4 per
+    # second, and frame 0 runs at the sum of both
     scn = build_scenario(d=1000.0, q0=0.5)
-    lam = scn.params.lam
-    p1, p2, ids = active_profiles(scn, FRAME_A)
-    assert ids == ("D1",)
-    assert effective_rate(p1, p2, lam) == pytest.approx(2e4, rel=1e-12)
-    p1, p2, ids = active_profiles(scn, FRAME_B)
-    assert ids == ("D2",)
-    assert effective_rate(p1, p2, lam) == pytest.approx(2e4, rel=1e-12)
-    p1, p2, ids = active_profiles(scn, FRAME_0)
-    assert ids == ("D1", "D2")
-    assert effective_rate(p1, p2, lam) == pytest.approx(4e4, rel=1e-12)
+    assert scn.rates == (2e4, 2e4)
+    assert scn.frame_rates(FRAME_A) == (2e4,)
+    assert scn.frame_rates(FRAME_B) == (2e4,)
+    assert scn.frame_rates(FRAME_0) == (2e4, 2e4)
+    assert sum(scn.frame_rates(FRAME_0)) == 4e4
 
 
 def test_build_scenario_dt_target():
@@ -62,20 +58,19 @@ def test_build_scenario_dt_target():
     assert 4e4 * scn.params.dt <= MAX_GAMMA_DT
 
 
-def test_active_profile_occupations():
-    scn = build_scenario()
-    p1, p2, _ = active_profiles(scn, FRAME_0)
-    assert p1.eta("D1.yes") == 1e10 and p1.eta("D1.no") == 0.0
-    assert p1.eta("D2.no") == 1e10 and p1.eta("D2.yes") == 0.0
-    assert p2.eta("D1.no") == 1e10 and p2.eta("D1.yes") == 0.0
-    assert p2.eta("D2.yes") == 1e10 and p2.eta("D2.no") == 0.0
+def test_active_detectors_per_frame():
+    # the detector that activates first drives frames A and B alone, and
+    # both drive the mirror frame, D1 first
+    assert active_detectors(FRAME_0) == ("D1", "D2")
+    assert active_detectors(FRAME_A) == ("D1",)
+    assert active_detectors(FRAME_B) == ("D2",)
+    assert active_detectors(Frame(-1e-3)) == ("D2",)
 
 
 def test_build_scenario_overrides():
     scn = build_scenario(overrides={"eta": 2e10, "lam": 2e-16})
-    p1, p2, _ = active_profiles(scn, FRAME_A)
-    assert effective_rate(p1, p2, scn.params.lam) == pytest.approx(
-        2.0 * 2e-16 * (2e10) ** 2, rel=1e-12)
+    assert scn.frame_rates(FRAME_A) == (2e-16 * ((2e10) ** 2 + (2e10) ** 2),)
+    assert scn.rates[0] == pytest.approx(2.0 * 2e-16 * (2e10) ** 2, rel=1e-15)
     scn = build_scenario(q0=0.9, overrides={"amplitudes": (2.0, 2.0)})
     assert scn.q0 == 0.5
     scn = build_scenario(overrides={"amplitudes": (1.0, 3.0)})
@@ -89,6 +84,13 @@ def test_build_scenario_invalid_overrides():
         build_scenario(overrides={"alpha": 1e-7})
     with pytest.raises(ValueError):
         build_scenario(overrides={"eta": -1.0})
+    # lam is checked as eta is, with the same messages
+    for name in ("eta", "lam"):
+        with pytest.raises(TypeError, match=f"{name} must be a number, got True"):
+            build_scenario(overrides={name: True})
+        for bad in (0.0, -1e-16, math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+                build_scenario(overrides={name: bad, "dt": 1e-9})
     with pytest.raises(ValueError):
         build_scenario(overrides={"epsilon": 0.7})
     with pytest.raises(ValueError):
@@ -100,15 +102,24 @@ def test_build_scenario_invalid_overrides():
 
 
 def test_detector_spec_validation():
-    from collapsemc.dynamics import OccupationProfile
-    yes = OccupationProfile((("x.yes", 1e10),))
-    no = OccupationProfile((("x.no", 1e10),))
-    with pytest.raises(ValueError):
-        DetectorSpec("D3", 1.0, yes, no)
-    with pytest.raises(ValueError):
-        DetectorSpec("D1", -1.0, yes, no)
-    with pytest.raises(ValueError):
-        DetectorSpec("D1", 1.0, yes, yes)
+    # a scenario specifies each detector, D1 then D2, by its rate, which
+    # must be finite and > 0
+    params = CollapseParams(dt=1.25e-7)
+    with pytest.raises(ValueError, match="one rate per detector"):
+        Scenario(d=1000.0, q0=0.5, rates=(2e4,), params=params)
+    for bad in (-2e4, math.inf, math.nan):
+        with pytest.raises(ValueError, match="D2 must be finite and > 0"):
+            Scenario(d=1000.0, q0=0.5, rates=(2e4, bad), params=params)
+
+
+@pytest.mark.parametrize("overrides", [{"eta": 1e160, "dt": 1e-9},
+                                       {"lam": 1e300, "dt": 1e-9}])
+def test_overflowing_rate_is_refused(overrides):
+    # eta ** 2 overflows in the first case, and with dt set no derived dt
+    # catches it first; an infinite product of lam and the cells, in the
+    # second, is refused the same way
+    with pytest.raises(ValueError, match=r"lam = .* and eta = .*float range"):
+        build_scenario(overrides=overrides)
 
 
 def test_stream_key_sets_disjoint_between_frames():
@@ -203,8 +214,7 @@ def test_closed_form_born_and_mean_time(frame, epsilon, n):
     # enough to catch the 2.5-3 % frame-0 lag of an unshifted barrier
     scn = build_scenario(q0=0.3, overrides={"epsilon": epsilon})
     q0, eps = scn.q0, scn.params.epsilon
-    p1, p2, _ = active_profiles(scn, frame)
-    gamma = effective_rate(p1, p2, scn.params.lam)
+    gamma = sum(scn.frame_rates(frame))
     outcomes, failures = run_frame_batch(scn, frame, 131, range(n))
     assert len(failures) == 0
     p = (q0 - eps) / (1.0 - 2.0 * eps)
@@ -230,23 +240,7 @@ def mirror_scenario(scenario: Scenario) -> Scenario:
     Outcome statistics are invariant under the combined relabeling plus
     v -> -v.
     """
-    d1, d2 = scenario.detectors
-    swap = {
-        "D1": replace(d2, id="D1", position=-d2.position),
-        "D2": replace(d1, id="D2", position=-d1.position),
-    }
-    renamed = []
-    for det_id in ("D1", "D2"):
-        det = swap[det_id]
-        rename = lambda p, old, new: OccupationProfile(
-            tuple((c.replace(old, new), e) for c, e in p.cells))
-        old = "D2" if det_id == "D1" else "D1"
-        renamed.append(replace(
-            det,
-            yes_profile=rename(det.yes_profile, old, det_id),
-            no_profile=rename(det.no_profile, old, det_id),
-        ))
-    return replace(scenario, q0=1.0 - scenario.q0, detectors=tuple(renamed))
+    return replace(scenario, q0=1.0 - scenario.q0, rates=scenario.rates[::-1])
 
 
 def test_mirror_symmetry_statistics():
@@ -282,13 +276,9 @@ def test_frame_pair_validation():
 
 
 def test_scenario_rejects_identical_branch_profiles():
-    from collapsemc.dynamics import OccupationProfile
-    same = OccupationProfile((("D1.yes", 1e10),))
-    det1 = DetectorSpec("D1", 1000.0, same, OccupationProfile((("D1.no", 1e10),)))
-    det2 = DetectorSpec("D2", -1000.0,
-                        OccupationProfile((("D2.yes", 0.0),)),
-                        OccupationProfile((("D2.no", 0.0),)))
-    from collapsemc.dynamics import CollapseParams
-    with pytest.raises(ValueError, match="no collapse possible"):
-        Scenario(d=1000.0, q0=0.5, detectors=(det1, det2),
-                 params=CollapseParams(dt=1.25e-7))
+    # a detector whose pointer sits alike in both branches has rate 0, and
+    # a frame it drives alone could never collapse
+    params = CollapseParams(dt=1.25e-7)
+    for rates, det in (((2e4, 0.0), "D2"), ((0.0, 2e4), "D1")):
+        with pytest.raises(ValueError, match=f"rate of {det} is 0; no collapse possible"):
+            Scenario(d=1000.0, q0=0.5, rates=rates, params=params)

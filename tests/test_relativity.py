@@ -151,6 +151,28 @@ def test_boost_round_trip(beta, d):
         assert back.x == pytest.approx(e.x, rel=1e-12)
 
 
+def test_boost_keeps_the_bits_of_the_direct_form():
+    # every event the direct form boosts is returned bit for bit, so the
+    # frame times that frames and transform print stay the same
+    for t in (0.0, -2e-5, 3.3356e-6, 1.0, 4.7e3, 1e100):
+        for x in (0.0, 40.0, -700.0, 1000.0, -2e8, 3.7e100, 1e250):
+            for v in (-V99, -0.3 * C, -1e-3, 0.0, 1.0, 0.5 * C, V99, C * (1 - 1e-12)):
+                g = gamma(v)
+                out = boost(Event(t, x), v)
+                assert (out.t, out.x) == (g * (t - v * x / (C * C)), g * (x - v * t))
+
+
+def test_boost_past_the_direct_products_range():
+    # at v 0.99c, v x overflows from x near 6e299 m, where the time lag
+    # is still of order 1e291 s; the boosted time stays linear in x
+    assert math.isinf(V99 * 1e300)
+    far = boost(Event(0.0, 1e300), V99)
+    assert far.t == pytest.approx(1e8 * boost(Event(0.0, 1e292), V99).t, rel=1e-14)
+    assert far.x == gamma(V99) * 1e300
+    back = boost(Event(0.0, -1e302), -V99)
+    assert math.isfinite(back.t) and back.t < 0
+
+
 @pytest.mark.parametrize("beta", [0.1, 0.6, 0.99])
 def test_interval_invariance(beta):
     v = beta * C
