@@ -246,23 +246,33 @@ def _prepare(rates, dt, epsilon, max_steps, stream_keys):
     return sig, gamma * params.dt, thr, addr
 
 
-def _window_noise(noise, addr, sig, block_index, rows):
-    """Noise increments sum_s sig_s * zeta_s of one window, shape (rows, runs).
+def _window_noise(noise, addr, sig, block_index, out):
+    """Fill out, shape (rows, runs), with the noise increments
+    sum_s sig_s * zeta_s of one window.
 
-    addr holds the runs' stream addresses, shape (runs, streams, 3).  The
-    runs go in sub-blocks of SUB_BLOCK_RUNS; for each stream, the runs of a
-    sub-block that share a key are drawn by one block_normals call (one in
-    practice, since a batch reads one key per stream), and the draw is
-    scaled by sig_s and added into dw through its transpose.  So window-
-    sized memory is dw alone.  dw stays (rows, runs) so the step kernel
-    steps on dw[t] whole, in place.  The streams are summed elementwise in
-    rate order rather than by a matrix product, whose reduction order may
-    depend on the batch shape.
+    addr holds the runs' stream addresses, shape (runs, streams, 3), and
+    out is a view of the driver's window buffer, whose old contents are
+    not read.  The runs go in sub-blocks of SUB_BLOCK_RUNS; for each
+    stream, the runs of a sub-block that share a key are drawn by one
+    block_normals call (one in practice, since a batch reads one key per
+    stream).  The first stream's draw is scaled by sig_s straight into
+    out through its transpose, and each later stream's is scaled and
+    added, in rate order.  So window-sized memory is out alone, and out
+    stays (rows, runs) so the step kernel steps on out[t] whole, in place.
+    The streams are summed elementwise rather than by a matrix product,
+    whose reduction order may depend on the batch shape.
+
+    Writing the first stream where a zeroed buffer would have it added to
+    0.0 can change only the sign of a zero: 0.0 + x is x for every x but
+    -0.0.  Values that are equal up to the sign of a zero stay so through
+    the later sums, the step w + dw, sinh, the growth factor and asinh, so
+    every nonzero value keeps its bits, and the barrier test
+    |zh| >= z_hi / 2 > 0 does not read the sign of a zero.
     """
-    dw = np.zeros((rows, len(addr)))
+    rows = len(out)
     for lo in range(0, len(addr), SUB_BLOCK_RUNS):
         part = addr[lo:lo + SUB_BLOCK_RUNS]
-        cols = dw[:, lo:lo + len(part)]
+        cols = out[:, lo:lo + len(part)]
         for s, scale in enumerate(sig):
             keys, runs = part[:, s, :2], part[:, s, 2]
             if (keys == keys[0]).all():
@@ -273,16 +283,25 @@ def _window_noise(noise, addr, sig, block_index, rows):
                           for g, key in enumerate(distinct)]
             for (k0, k1), sel in groups:
                 zeta = noise.block_normals((int(k0), int(k1)), block_index, runs[sel])
-                zeta = zeta.reshape(-1, BLOCK_STEPS)[:, :rows]
-                zeta *= scale
-                cols[:, sel] += zeta.T
-    return dw
+                zeta = zeta.reshape(-1, BLOCK_STEPS)[:, :rows].T
+                if s == 0 and isinstance(sel, slice):
+                    np.multiply(zeta, scale, out=cols)
+                elif s == 0:
+                    cols[:, sel] = zeta * scale
+                else:
+                    zeta *= scale
+                    cols[:, sel] += zeta
 
 
 def _drive(r0, addr, sig, h, thr, n_steps, noise, record=None):
     """Run every run from r0, one row of stream addresses per run, by split
     steps of drift time h until |r| >= thr or n_steps steps, one noise
     window at a time.
+
+    One (min(BLOCK_STEPS, n_steps), runs) buffer is allocated per call, and
+    _window_noise writes each window's noise into its first rows and its
+    first columns, one per live run, so no window is freshly allocated or
+    zeroed.
 
     A run stops at the first step k >= 0 with |r| >= thr and keeps that r,
     winner 1 if r >= thr else 2; runs live after n_steps keep winner 0.
@@ -311,9 +330,11 @@ def _drive(r0, addr, sig, h, thr, n_steps, noise, record=None):
     steps = np.where(winner > 0, 0, n_steps)
     live = np.flatnonzero(winner == 0)
     base = 0
+    buf = np.empty((min(BLOCK_STEPS, n_steps), live.size))
     while live.size and base < n_steps:
         rows = min(BLOCK_STEPS, n_steps - base)
-        zh = _window_noise(noise, addr[live], half_sig, base // BLOCK_STEPS, rows)
+        zh = buf[:rows, :live.size]
+        _window_noise(noise, addr[live], half_sig, base // BLOCK_STEPS, zh)
         w = np.arcsinh(np.sinh(0.5 * r[live]) * grow_half)
         done = np.zeros(live.size, dtype=bool)
         for lo in range(0, rows, SLAB_ROWS):

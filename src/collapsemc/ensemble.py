@@ -32,7 +32,6 @@ import math
 import numbers
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -201,8 +200,10 @@ def run_ensemble(config: EnsembleConfig) -> tuple[EnsembleStats, np.ndarray]:
     bounds = [(lo, min(lo + CHUNK_RUNS, config.runs))
               for lo in range(0, config.runs, CHUNK_RUNS)]
     if config.workers > 1 and len(bounds) > 1:
+        # imported here so that one-worker runs do not load multiprocessing;
         # under fork every worker starts at the first submit, so more
         # workers than chunks would only be forked to sit idle
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(config.workers, len(bounds))) as pool:
             chunk_lists = list(pool.map(_run_chunk, [config] * len(bounds),
                                         [b[0] for b in bounds], [b[1] for b in bounds]))

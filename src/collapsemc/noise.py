@@ -16,8 +16,13 @@ counter values.  Window b of run k is the words numpy's ``Philox`` yields
 from key (k0, k1) and counter (32 k, b, 0, 0) with an empty buffer; numpy
 steps the counter before each block, so run k reads low counter words
 32 k + 1 ... 32 k + 32.  Consecutive runs are adjacent in the counter,
-and one ``random_raw`` call draws a window for a whole segment of
-consecutive run indices.
+so one ``random_raw`` call draws a window for every run index in a span.
+A list of run indices is drawn over the whole span from its least to its
+greatest index in one call when its entries number at least
+``SPAN_MIN_FILL`` (a quarter) of that span, and the requested runs' words
+are picked out of the draw; a sparser list takes one call per segment of
+consecutive indices.  So a draw never holds more than four times the
+requested runs' words, however gapped the list is.
 
 Each run-window of words becomes ``BLOCK_STEPS`` standard normals by a
 fixed-consumption Box-Muller transform, one word per normal.  With
@@ -65,6 +70,12 @@ _COUNTERS_PER_WINDOW = BLOCK_STEPS // 4
 # the block index word: k < 2**59 - 1
 RUN_INDEX_LIMIT = 2**64 // _COUNTERS_PER_WINDOW - 1
 
+# A run list whose entries number at least this share of the index span
+# it covers is drawn over the whole span, dead runs included, in one call;
+# 1/8 and 1/2 measured the same.  The draw then holds at most
+# 1 / SPAN_MIN_FILL times the requested runs' words.
+SPAN_MIN_FILL = 0.25
+
 _HALF = BLOCK_STEPS // 2
 _U53 = 2.0 ** -53
 _ANGLE_STEP = np.float32(2.0 * np.pi) * np.float32(2.0 ** -24)
@@ -111,9 +122,10 @@ def derive_stream_key(master_seed: int, detector_id: str, salt: str = "") -> Str
     return (k0, k1)
 
 
-def _run_indices(runs) -> np.ndarray:
+def _run_indices(runs):
     """Run indices as a 1-D uint64 array, each checked to lie in
-    [0, RUN_INDEX_LIMIT)."""
+    [0, RUN_INDEX_LIMIT), with the least and the greatest of them as
+    ints (None for an empty list)."""
     if isinstance(runs, np.ndarray):
         idx = runs
         if idx.dtype.kind not in "iu":
@@ -125,11 +137,12 @@ def _run_indices(runs) -> np.ndarray:
     if idx.ndim != 1:
         raise ValueError(f"run indices must be 1-D, got shape {idx.shape}")
     if idx.size == 0:
-        return idx
-    for k in (int(idx.min()), int(idx.max())):
+        return idx, None, None
+    lo, hi = int(idx.min()), int(idx.max())
+    for k in (lo, hi):
         if not 0 <= k < RUN_INDEX_LIMIT:
             raise ValueError(f"run index must be in [0, 2**59 - 1), got {k}")
-    return idx.astype(np.uint64, copy=False)
+    return idx.astype(np.uint64, copy=False), lo, hi
 
 
 def _box_muller(words: np.ndarray) -> np.ndarray:
@@ -160,11 +173,11 @@ class PhiloxNoiseSource:
     transform of the module docstring.
 
     An instance reuses one bit generator and one state dict, writing the
-    key and counter words into it per segment of consecutive runs, so it
-    is cheap but not safe to share across threads.  The dict holds plain
-    lists where the state getter returns numpy arrays: the setter reads
-    lists in about half the time and stores the same words.  Setting it
-    also empties the output buffer, so no draw leaks into the next.
+    key and counter words into it per draw, so it is cheap but not safe
+    to share across threads.  The dict holds plain lists where the state
+    getter returns numpy arrays: the setter reads lists in about half the
+    time and stores the same words.  Setting it also empties the output
+    buffer, so no draw leaks into the next.
     Separate threads or processes should each build their own instance;
     all instances produce identical values.
     """
@@ -189,21 +202,35 @@ class PhiloxNoiseSource:
         normals: run ``runs[i]``'s window is ``[i * BLOCK_STEPS, (i + 1) *
         BLOCK_STEPS)``.
 
-        Each maximal segment of consecutive indices in ``runs`` takes one
-        state set and one ``random_raw`` call; the transform runs once over
-        all of them.  Raises ValueError for a block index outside
-        [0, 2**64) or a run index outside [0, 2**59 - 1).
+        ``runs`` may be unsorted and may repeat an index.  When its
+        entries number at least ``SPAN_MIN_FILL`` of the span
+        [min(runs), max(runs)], the whole span is drawn by one state set
+        and one ``random_raw`` call and the requested runs' windows of
+        words are gathered from it in list order, so the draw holds at most
+        ``1 / SPAN_MIN_FILL`` times the requested words.  A sparser list
+        takes one call per maximal segment of consecutive indices.  Either
+        way only the requested runs' words are transformed, once over all
+        of them, and a run's normals are the same bits on both paths.
+        Raises ValueError for a block index outside [0, 2**64) or a run
+        index outside [0, 2**59 - 1).
         """
         if not 0 <= block_index < 2**64:
             raise ValueError(f"block_index must be in [0, 2**64), got {block_index}")
-        idx = _run_indices(runs)
+        idx, lo, hi = _run_indices(runs)
         if idx.size == 0:
             return np.empty(0)
         self._counter[1] = int(block_index)
         self._key[0], self._key[1] = key
+        span = hi - lo + 1
+        if idx.size >= SPAN_MIN_FILL * span:
+            words = self._draw(lo, span)
+            if span != idx.size or (np.diff(idx) != 1).any():
+                offsets = (idx - np.uint64(lo)).astype(np.intp)
+                words = words.reshape(span, BLOCK_STEPS).take(offsets, axis=0)
+            return _box_muller(words)
         starts = [0, *(np.flatnonzero(np.diff(idx) != 1) + 1).tolist(), idx.size]
-        words = [self._draw(idx[lo], hi - lo) for lo, hi in zip(starts, starts[1:])]
-        return _box_muller(words[0] if len(words) == 1 else np.concatenate(words))
+        words = [self._draw(idx[a], b - a) for a, b in zip(starts, starts[1:])]
+        return _box_muller(np.concatenate(words))
 
     def _draw(self, first_run, n_runs) -> np.ndarray:
         """Words of the current window for runs first_run ... first_run + n_runs - 1."""

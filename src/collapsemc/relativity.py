@@ -74,14 +74,18 @@ def boost(e: Event, v: float) -> Event:
     """Coordinates of an event in the frame moving at v along +x.
 
     The product v x in the time lag v x / c^2 can overflow where the lag
-    does not; only then is the lag formed as (v / c) (x / c), so every
-    event the direct form boosts keeps its bits.
+    does not; only then is the lag formed as (v / c) (x / c).  Likewise the
+    product v t in the spatial part x - v t; only then is that difference
+    formed as (x / c - (v / c) t) c.  So every event the direct form boosts
+    keeps its bits.
     """
     g = gamma(v)
     lag = v * e.x / (C * C)
     if math.isinf(lag):
         lag = (v / C) * (e.x / C)
-    return Event(g * (e.t - lag), g * (e.x - v * e.t))
+    shift = v * e.t
+    dx = (e.x / C - (v / C) * e.t) * C if math.isinf(shift) else e.x - shift
+    return Event(g * (e.t - lag), g * dx)
 
 
 def detection_events(d: float) -> tuple[Event, Event]:

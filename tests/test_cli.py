@@ -2,9 +2,12 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import collapsemc
 from collapsemc.cli import _ensemble_config, _json_out, build_parser, main
 from collapsemc.ensemble import CHUNK_RUNS
 from collapsemc.relativity import C
@@ -54,6 +57,27 @@ def test_transform(capsys):
     code, out, _ = run_cli(capsys, "transform")
     data = json.loads(out)
     assert data["t_prime_s"] == pytest.approx(2.3646e-7, rel=5e-5)
+    # v t overflows, x' does not
+    code, out, _ = run_cli(capsys, "transform", "--t", "1.2e300", "--x", "1.7e308",
+                           "--v", "1.49896229e8")
+    data = json.loads(out)
+    assert code == 0
+    assert data["x_prime_m"] == pytest.approx(-1.1403216e307, rel=1e-7)
+    assert math.isfinite(data["t_prime_s"])
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # the pool is imported only by a run that starts one, so the CLI's
+    # start-up does not pay for multiprocessing
+    src = os.path.dirname(os.path.dirname(collapsemc.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    probe = ("import sys, collapsemc.cli; "
+             "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+             "if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 def test_min_distance(capsys):

@@ -376,10 +376,22 @@ def test_engine_matches_reference_stepper():
     assert flow(0.5, z) == res.r[0]
 
 
+def reference_window(noise, addr, sig, block_index, rows):
+    """A window's noise, shape (rows, runs), drawn run by run from
+    block_normals and summed into zeros stream by stream in rate order."""
+    dw = np.zeros((rows, len(addr)))
+    for s, scale in enumerate(sig):
+        zeta = np.concatenate([noise.block_normals((int(k0), int(k1)), block_index, [k])
+                               for k0, k1, k in addr[:, s].tolist()])
+        dw += scale * zeta.reshape(-1, BLOCK_STEPS)[:, :rows].T
+    return dw
+
+
 def reference_drive(r0, addr, sig, h, thr, n_steps, noise, record=None):
-    """The per-step loop the slab kernel replaced: full-scale noise, the
-    barrier tested after every step, and the window cut at the step where
-    its last run absorbs.  Same arguments and returns as dynamics._drive."""
+    """The per-step loop the slab kernel replaced: full-scale noise in a
+    fresh window array, the barrier tested after every step, and the
+    window cut at the step where its last run absorbs.  Same arguments
+    and returns as dynamics._drive."""
     def flow(part):
         grow = math.exp(part * h)
 
@@ -398,7 +410,7 @@ def reference_drive(r0, addr, sig, h, thr, n_steps, noise, record=None):
     base = 0
     while live.size and base < n_steps:
         rows = min(BLOCK_STEPS, n_steps - base)
-        dw = dynamics._window_noise(noise, addr[live], sig, base // BLOCK_STEPS, rows)
+        dw = reference_window(noise, addr[live], sig, base // BLOCK_STEPS, rows)
         y = half(r[live])
         done = np.zeros(live.size, dtype=bool)
         for t in range(rows):

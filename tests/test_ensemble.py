@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -10,13 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_experiment import assert_tables_equal
 
-from collapsemc import ensemble
-
 from collapsemc.ensemble import (_LINE_FORMATS, CHUNK_RUNS, CSV_COLUMNS, READINGS,
                                  ConfigError, EnsembleAbortError, EnsembleConfig,
                                  build_manifest, compute_stats, export_ensemble,
                                  export_records, run_ensemble, wilson_interval)
 from collapsemc.experiment import build_scenario, record_dtype
+from collapsemc.noise import PhiloxNoiseSource
 from collapsemc.relativity import C, activation_gap
 
 
@@ -156,11 +156,31 @@ def test_pool_is_capped_at_chunk_count(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", SerialPool)
+    # run_ensemble imports the executor from concurrent.futures when it
+    # starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     cfg = EnsembleConfig(kind="born_rule", runs=2 * CHUNK_RUNS + 1, q0=1.0, workers=64)
     stats, _ = run_ensemble(cfg)
     assert sizes == [3]
     assert stats.counts["winner1"] == cfg.runs
+
+
+def test_born_batch_draws_spans_not_segments(monkeypatch):
+    # the live runs of the early windows fill most of their index span,
+    # so their sub-blocks take one Philox call per stream and window;
+    # drawn one segment of consecutive runs at a time, this ensemble took
+    # 1210 calls
+    calls = []
+    draw = PhiloxNoiseSource._draw
+
+    def counted(self, first_run, n_runs):
+        calls.append(n_runs)
+        return draw(self, first_run, n_runs)
+
+    monkeypatch.setattr(PhiloxNoiseSource, "_draw", counted)
+    run_ensemble(EnsembleConfig(kind="born_rule", runs=2048, master_seed=13, q0=0.5,
+                                workers=1))
+    assert 0 < len(calls) <= 200
 
 
 def test_abort_on_failures():

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
-from collapsemc.noise import (BLOCK_STEPS, RUN_INDEX_LIMIT, PhiloxNoiseSource,
-                              derive_stream_key)
+from collapsemc.noise import (BLOCK_STEPS, RUN_INDEX_LIMIT, SPAN_MIN_FILL,
+                              PhiloxNoiseSource, derive_stream_key)
 
 HALF = BLOCK_STEPS // 2
 
@@ -143,6 +145,84 @@ def test_run_lists_match_per_run_draws():
         got = src.block_normals(key, 4, runs)
         per_run = np.concatenate([src.block_normals(key, 4, [k]) for k in runs])
         assert np.array_equal(got, per_run), runs
+
+
+class _DrawSpy(PhiloxNoiseSource):
+    """Records the (first run, run count) of every Philox draw."""
+
+    def __init__(self):
+        super().__init__()
+        self.draws = []
+
+    def _draw(self, first_run, n_runs):
+        self.draws.append((int(first_run), n_runs))
+        return super()._draw(first_run, n_runs)
+
+
+def _per_run(key, block, runs):
+    return np.concatenate([reference_window(key, block, int(k)) for k in runs])
+
+
+def test_dense_run_lists_take_one_draw_over_their_span():
+    # a list with entries for at least a quarter of the indices from its
+    # least to its greatest is drawn in one call over that span, whatever
+    # its order and repeats, and gives each entry its own window
+    assert SPAN_MIN_FILL == 0.25
+    key = derive_stream_key(12, "D2")
+    for runs in ([4], [10, 11, 12], [12, 11, 10], [0, 3], [3, 0, 0], [0, 7], [9, 5, 6, 12],
+                 [50, 20, 41, 35, 22, 27, 44, 29], np.array([8, 1, 8, 8], dtype=np.uint64),
+                 np.arange(600, 100, -3)):
+        src = _DrawSpy()
+        got = src.block_normals(key, 3, runs)
+        lo, hi = int(min(runs)), int(max(runs))
+        assert src.draws == [(lo, hi - lo + 1)], runs
+        assert np.array_equal(got, _per_run(key, 3, runs)), runs
+
+
+def test_sparse_run_lists_take_one_draw_per_segment():
+    # two runs 9 apart, or 0 and the last run index, fill under a quarter
+    # of their span, so each segment of consecutive indices takes a call
+    key = derive_stream_key(12, "D2")
+    last = RUN_INDEX_LIMIT - 1
+    for runs, segments in (([0, 8], [(0, 1), (8, 1)]),
+                           ([30, 31, 0, 1, 2, 90], [(30, 2), (0, 3), (90, 1)]),
+                           ([0, last], [(0, 1), (last, 1)]),
+                           ([last, last - 1, 7], [(last, 1), (last - 1, 1), (7, 1)])):
+        src = _DrawSpy()
+        got = src.block_normals(key, 1, runs)
+        assert src.draws == segments, runs
+        assert np.array_equal(got, _per_run(key, 1, runs)), runs
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs=st.lists(st.integers(0, 300), min_size=1, max_size=40),
+       offset=st.sampled_from([0, 2**40, RUN_INDEX_LIMIT - 301]))
+def test_draws_stay_within_four_times_the_requested_words(runs, offset):
+    # any run list is drawn within 4 x its own words, in at most as many
+    # calls as it has segments of consecutive indices, and matches its
+    # per-run windows bit for bit, up to the last run index
+    runs = [offset + k for k in runs]
+    key = derive_stream_key(13, "D1")
+    src = _DrawSpy()
+    got = src.block_normals(key, 2, runs)
+    drawn = sum(n for _, n in src.draws) * BLOCK_STEPS
+    assert drawn <= 4 * len(runs) * BLOCK_STEPS
+    assert len(src.draws) <= 1 + sum(b - a != 1 for a, b in zip(runs, runs[1:]))
+    assert got.shape == (len(runs) * BLOCK_STEPS,)
+    assert np.array_equal(got, _per_run(key, 2, runs))
+
+
+def test_span_ending_at_the_last_run_index():
+    # a dense span that ends at the last run index reads the counter up to
+    # 2**64 - 32, as the single run there does
+    key = derive_stream_key(14, "D1")
+    last = RUN_INDEX_LIMIT - 1
+    runs = [last, last - 5, last - 2, last - 3]
+    src = _DrawSpy()
+    got = src.block_normals(key, 7, runs)
+    assert src.draws == [(last - 5, 6)]
+    assert [int(w) for w in src._bitgen.state["state"]["counter"]] == [2**64 - 32, 7, 0, 0]
+    assert np.array_equal(got, _per_run(key, 7, runs))
 
 
 def test_block_normals_validation():

@@ -171,6 +171,14 @@ def test_boost_past_the_direct_products_range():
     assert far.x == gamma(V99) * 1e300
     back = boost(Event(0.0, -1e302), -V99)
     assert math.isfinite(back.t) and back.t < 0
+    # at v c/2, v t overflows from t near 1.2e300 s, where x - v t is
+    # still finite; the boosted position stays linear in (t, x)
+    v = 0.5 * C
+    assert math.isinf(v * 1.2e300)
+    far = boost(Event(1.2e300, 1.7e308), v)
+    assert far.x == pytest.approx(-1.1403216e307, rel=1e-7)
+    assert far.x == pytest.approx(1e10 * boost(Event(1.2e290, 1.7e298), v).x, rel=1e-12)
+    assert boost(Event(-1.2e300, -1.7e308), v).x == -far.x
 
 
 @pytest.mark.parametrize("beta", [0.1, 0.6, 0.99])
