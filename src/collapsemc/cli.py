@@ -191,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="collapsemc",
         description="Two-branch collapse Monte Carlo with per-detector noise "
-                    "and relativistic frame ordering.")
+                    "and relativistic frame ordering.",
+        epilog="exit codes: 0 success, 2 usage or validation error, 1 runtime failure")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for command, (_kind, help_text, _fields) in ENSEMBLE_COMMANDS.items():

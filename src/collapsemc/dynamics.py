@@ -85,7 +85,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import BLOCK_STEPS, DEFAULT_NOISE, PhiloxNoiseSource
+from .noise import BLOCK_STEPS, DEFAULT_NOISE, RUN_INDEX_LIMIT, PhiloxNoiseSource
 
 # Hard ceiling on Gamma * dt; runs refuse to start above it.  Scenario
 # builders aim at half of it (see experiment.TARGET_GAMMA_DT), so rounding
@@ -155,13 +155,10 @@ class CollapseParams:
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if not 0 < self.epsilon < 0.5:
             raise ValueError(f"epsilon must be in (0, 0.5), got {self.epsilon}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-        try:
-            span = self.dt * self.max_steps
-        except OverflowError:  # max_steps past the float range
-            span = math.inf
-        if not math.isfinite(span):
+        # step counts are int64
+        if not 1 <= self.max_steps <= 2**63 - 1:
+            raise ValueError(f"max_steps must be in [1, 2**63 - 1], got {self.max_steps}")
+        if not math.isfinite(self.dt * self.max_steps):
             raise ValueError(
                 f"dt * max_steps overflows: dt = {self.dt}, max_steps = {self.max_steps}")
 
@@ -194,36 +191,54 @@ class BatchResult:
         return stable_q(self.r)
 
 
-def _stream_addresses(stream_keys, n_streams) -> np.ndarray:
-    """Stream addresses as a (runs, streams, 3) uint64 array of
-    (k0, k1, run_index) words."""
+def _stream_addresses(stream_keys, n_streams):
+    """Split (runs, streams, 3) stream addresses (k0, k1, run_index) into
+    one (k0, k1) key per stream, in rate order, and a 1-D uint64 array of
+    run indices, one per run.
+
+    Raises ValueError for a word that is not an integer in [0, 2**64), a
+    stream whose key differs between runs, a run whose index differs
+    between its streams and a run index outside [0, 2**59 - 1).
+    """
     # Python ints stay exact as objects: numpy would infer float64 for a
     # list that mixes words past 2**63 with small ones
     addr = (stream_keys if isinstance(stream_keys, np.ndarray)
             else np.array(stream_keys, dtype=object))
     if addr.size == 0:
-        return np.empty((0, n_streams, 3), dtype=np.uint64)
+        return [], np.empty(0, dtype=np.uint64)
     if addr.ndim != 3 or addr.shape[1] != n_streams:
         got = addr.shape[1] if addr.ndim > 1 else addr.shape
         raise ValueError(f"expected {n_streams} stream keys per run, got {got}")
     if addr.shape[2] != 3:
         raise ValueError(
             f"a stream address is (k0, k1, run_index), got {addr.shape[2]} words")
-    # checked before the cast, which may wrap a negative word
-    if addr.dtype.kind not in "iuO" or not 0 <= int(addr.min()) <= int(addr.max()) < 2**64:
+    # checked before the cast, which may wrap a negative word or cut a
+    # fraction off a float one
+    integral = addr.dtype.kind in "iu" or addr.dtype == object and all(
+        isinstance(w, numbers.Integral) and not isinstance(w, bool) for w in addr.flat)
+    if not integral or not 0 <= int(addr.min()) <= int(addr.max()) < 2**64:
         raise ValueError("stream keys must be (k0, k1, run_index) addresses of "
                          "integer words in [0, 2**64)")
-    return addr.astype(np.uint64, copy=False)
+    addr = addr.astype(np.uint64, copy=False)
+    keys, runs = addr[0, :, :2], addr[:, 0, 2]
+    if (addr[:, :, :2] != keys).any():
+        raise ValueError("each stream must have one key for every run of a batch")
+    if (addr[:, :, 2] != runs[:, None]).any():
+        raise ValueError("each run must read all its streams at one run index")
+    if int(runs.max()) >= RUN_INDEX_LIMIT:
+        raise ValueError(f"run index must be in [0, 2**59 - 1), got {int(runs.max())}")
+    return [tuple(key) for key in keys.tolist()], np.ascontiguousarray(runs)
 
 
 def _prepare(rates, dt, epsilon, max_steps, stream_keys):
     """Validate one engine call and reduce it to the scalar SDE.
 
-    dt, epsilon and max_steps are checked as CollapseParams.  Returns
-    (sig, h, thr, addr): the noise scale 2 sqrt(Gamma_s dt) of each
-    stream, the drift time h = Gamma * dt of one step, the absorbing
-    barrier on |r| and the (runs, streams, 3) array of stream addresses.
-    The barrier is the nominal threshold less beta times the per-step
+    dt, epsilon and max_steps are checked as CollapseParams and the
+    stream addresses as by _stream_addresses.  Returns _drive's (keys,
+    runs, sig, h, thr): the (k0, k1) key of each stream, the run index of
+    each run, the noise scale 2 sqrt(Gamma_s dt) of each stream, the drift
+    time h = Gamma * dt of one step and the absorbing barrier on |r|.  The
+    barrier is the nominal threshold less beta times the per-step
     standard deviation sqrt(sum_s sig_s^2) of r.
     """
     params = CollapseParams(dt=dt, epsilon=epsilon, max_steps=max_steps)
@@ -234,7 +249,7 @@ def _prepare(rates, dt, epsilon, max_steps, stream_keys):
     if gamma * params.dt > MAX_GAMMA_DT:
         raise ValueError(
             f"Gamma*dt = {gamma * params.dt:.3g} exceeds {MAX_GAMMA_DT}; reduce dt")
-    addr = _stream_addresses(stream_keys, len(rates))
+    keys, runs = _stream_addresses(stream_keys, len(rates))
     if gamma == 0.0:
         raise NoCollapsePossibleError("every stream rate is 0; Gamma = 0")
     sig = [2.0 * math.sqrt(rate * params.dt) for rate in rates]
@@ -243,24 +258,23 @@ def _prepare(rates, dt, epsilon, max_steps, stream_keys):
         raise ValueError(
             f"epsilon = {params.epsilon} is too wide for this step: the shifted "
             f"barrier falls to {thr:.3g}; reduce dt")
-    return sig, gamma * params.dt, thr, addr
+    return keys, runs, sig, gamma * params.dt, thr
 
 
-def _window_noise(noise, addr, sig, block_index, out):
+def _window_noise(noise, keys, runs, sig, block_index, out):
     """Fill out, shape (rows, runs), with the noise increments
     sum_s sig_s * zeta_s of one window.
 
-    addr holds the runs' stream addresses, shape (runs, streams, 3), and
-    out is a view of the driver's window buffer, whose old contents are
-    not read.  The runs go in sub-blocks of SUB_BLOCK_RUNS; for each
-    stream, the runs of a sub-block that share a key are drawn by one
-    block_normals call (one in practice, since a batch reads one key per
-    stream).  The first stream's draw is scaled by sig_s straight into
-    out through its transpose, and each later stream's is scaled and
-    added, in rate order.  So window-sized memory is out alone, and out
-    stays (rows, runs) so the step kernel steps on out[t] whole, in place.
-    The streams are summed elementwise rather than by a matrix product,
-    whose reduction order may depend on the batch shape.
+    keys holds the (k0, k1) key of each stream and runs the run indices,
+    and out is a view of the driver's window buffer, whose old contents
+    are not read.  The runs go in sub-blocks of SUB_BLOCK_RUNS, and each
+    stream's window for a sub-block is one block_normals call.  The first
+    stream's draw is scaled by sig_s straight into out through its
+    transpose, and each later stream's is scaled and added, in rate order.
+    So window-sized memory is out alone, and out stays (rows, runs) so the
+    step kernel steps on out[t] whole, in place.  The streams are summed
+    elementwise rather than by a matrix product, whose reduction order may
+    depend on the batch shape.
 
     Writing the first stream where a zeroed buffer would have it added to
     0.0 can change only the sign of a zero: 0.0 + x is x for every x but
@@ -270,33 +284,23 @@ def _window_noise(noise, addr, sig, block_index, out):
     |zh| >= z_hi / 2 > 0 does not read the sign of a zero.
     """
     rows = len(out)
-    for lo in range(0, len(addr), SUB_BLOCK_RUNS):
-        part = addr[lo:lo + SUB_BLOCK_RUNS]
+    for lo in range(0, len(runs), SUB_BLOCK_RUNS):
+        part = runs[lo:lo + SUB_BLOCK_RUNS]
         cols = out[:, lo:lo + len(part)]
-        for s, scale in enumerate(sig):
-            keys, runs = part[:, s, :2], part[:, s, 2]
-            if (keys == keys[0]).all():
-                groups = [(keys[0], slice(None))]
+        for s, (key, scale) in enumerate(zip(keys, sig)):
+            zeta = noise.block_normals(key, block_index, part)
+            zeta = zeta.reshape(-1, BLOCK_STEPS)[:, :rows].T
+            if s == 0:
+                np.multiply(zeta, scale, out=cols)
             else:
-                distinct, which = np.unique(keys, axis=0, return_inverse=True)
-                groups = [(key, np.flatnonzero(which.ravel() == g))
-                          for g, key in enumerate(distinct)]
-            for (k0, k1), sel in groups:
-                zeta = noise.block_normals((int(k0), int(k1)), block_index, runs[sel])
-                zeta = zeta.reshape(-1, BLOCK_STEPS)[:, :rows].T
-                if s == 0 and isinstance(sel, slice):
-                    np.multiply(zeta, scale, out=cols)
-                elif s == 0:
-                    cols[:, sel] = zeta * scale
-                else:
-                    zeta *= scale
-                    cols[:, sel] += zeta
+                zeta *= scale
+                cols += zeta
 
 
-def _drive(r0, addr, sig, h, thr, n_steps, noise, record=None):
-    """Run every run from r0, one row of stream addresses per run, by split
-    steps of drift time h until |r| >= thr or n_steps steps, one noise
-    window at a time.
+def _drive(r0, keys, runs, sig, h, thr, n_steps, noise, record=None):
+    """Run every run from r0, each on the streams of keys at its index in
+    runs, by split steps of drift time h until |r| >= thr or n_steps steps,
+    one noise window at a time.
 
     One (min(BLOCK_STEPS, n_steps), runs) buffer is allocated per call, and
     _window_noise writes each window's noise into its first rows and its
@@ -323,7 +327,7 @@ def _drive(r0, addr, sig, h, thr, n_steps, noise, record=None):
     def to_r(zh):
         return 2.0 * np.arcsinh(np.sinh(zh) * grow_half)
 
-    r = np.full(len(addr), r0, dtype=np.float64)
+    r = np.full(len(runs), r0, dtype=np.float64)
     winner = np.zeros(r.size, dtype=np.int8)
     winner[r >= thr] = 1
     winner[r <= -thr] = 2
@@ -334,7 +338,7 @@ def _drive(r0, addr, sig, h, thr, n_steps, noise, record=None):
     while live.size and base < n_steps:
         rows = min(BLOCK_STEPS, n_steps - base)
         zh = buf[:rows, :live.size]
-        _window_noise(noise, addr[live], half_sig, base // BLOCK_STEPS, zh)
+        _window_noise(noise, keys, runs[live], half_sig, base // BLOCK_STEPS, zh)
         w = np.arcsinh(np.sinh(0.5 * r[live]) * grow_half)
         done = np.zeros(live.size, dtype=bool)
         for lo in range(0, rows, SLAB_ROWS):
@@ -349,10 +353,10 @@ def _drive(r0, addr, sig, h, thr, n_steps, noise, record=None):
             if fresh.size:
                 first = hit[:, fresh].argmax(axis=0)
                 zf = slab[first, fresh]
-                runs = live[fresh]
-                r[runs] = to_r(zf)
-                steps[runs] = base + lo + first + 1
-                winner[runs] = np.where(zf >= zh_hi, 1, 2)
+                absorbed = live[fresh]
+                r[absorbed] = to_r(zf)
+                steps[absorbed] = base + lo + first + 1
+                winner[absorbed] = np.where(zf >= zh_hi, 1, 2)
                 done[fresh] = True
             finished = done.all()
             if record is not None:
@@ -378,14 +382,17 @@ def collapse_batch(q0: float, rates, dt: float, epsilon: float, max_steps: int, 
     stream_keys one entry per run, each a tuple of stream addresses
     (k0, k1, run_index) in the same order: the key of the stream and the
     run's place in its counter (see noise.PhiloxNoiseSource).  Any array-
-    like of shape (runs, streams, 3) will do.  dt, epsilon and max_steps
+    like of shape (runs, streams, 3) of integer words will do, as long as
+    each stream has one key for every run and each run one index for all
+    its streams; ValueError otherwise, and for a run index outside
+    [0, 2**59 - 1), before any noise is drawn.  dt, epsilon and max_steps
     are checked as CollapseParams.  Runs evolve in lockstep but consume
     only their own addresses, so results per run do not depend on batch
     composition or execution schedule.
     """
     r0 = _logit(q0)
-    sig, h, thr, addr = _prepare(rates, dt, epsilon, max_steps, stream_keys)
-    r, steps, winner = _drive(r0, addr, sig, h, thr, max_steps, noise)
+    drive_args = _prepare(rates, dt, epsilon, max_steps, stream_keys)
+    r, steps, winner = _drive(r0, *drive_args, max_steps, noise)
     return BatchResult(winner, steps, steps * dt, r)
 
 
@@ -398,14 +405,14 @@ def run_trajectory(q0: float, rates, dt: float, epsilon: float, max_steps: int, 
     state; one row follows per step until absorption or max_steps steps.
     """
     r0 = _logit(q0)
-    sig, h, thr, addr = _prepare(rates, dt, epsilon, max_steps, [stream_keys])
+    drive_args = _prepare(rates, dt, epsilon, max_steps, [stream_keys])
     rows = [(0, 0.0, stable_q(r0), r0)]
 
     def record(k, x):
         r = float(x[0])
         rows.append((k, k * dt, stable_q(r), r))
 
-    _drive(r0, addr, sig, h, thr, max_steps, noise, record=record)
+    _drive(r0, *drive_args, max_steps, noise, record=record)
     return rows
 
 

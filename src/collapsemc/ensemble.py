@@ -121,6 +121,8 @@ class EnsembleConfig:
             raise ConfigError(f"record_format must be 'csv' or 'jsonl', got {self.record_format!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.overrides is not None and not isinstance(self.overrides, dict):
+            raise ConfigError(f"overrides must be a JSON object, got {self.overrides!r}")
         # the scenario is built again in every chunk; building it here makes
         # a bad override a ConfigError before any run starts
         try:

@@ -61,8 +61,7 @@ DEFAULT_LAM = 1e-16
 
 DETECTORS = ("D1", "D2")
 
-_OVERRIDE_KEYS = frozenset(
-    {"lam", "dt", "epsilon", "max_steps", "eta", "amplitudes"})
+_OVERRIDE_KEYS = frozenset({"lam", "dt", "epsilon", "max_steps", "eta"})
 
 
 @dataclass(frozen=True)
@@ -95,21 +94,10 @@ class Scenario:
         return tuple(self.rates[DETECTORS.index(det)] for det in active_detectors(frame))
 
 
-def _is_number(value) -> bool:
-    """A real number that is not a bool (JSON true and false are not numbers)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def q0_from_amplitudes(w1: float, w2: float) -> float:
-    """Normalized branch-1 weight from possibly unnormalized |a|^2 pair."""
-    if w1 < 0 or w2 < 0 or w1 + w2 <= 0:
-        raise ValueError(f"amplitude weights must be >= 0 with positive sum, got ({w1}, {w2})")
-    return w1 / (w1 + w2)
-
-
 def _positive(name: str, value) -> float:
     """A finite number > 0, or the TypeError or ValueError that names it."""
-    if not _is_number(value):
+    # JSON true and false are not numbers
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a number, got {value!r}")
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and > 0, got {value}")
@@ -123,21 +111,14 @@ def build_scenario(d: float = 1000.0, q0: float = 0.5,
     Each detector's pointer fills one yes-region cell and one no-region
     cell with eta = DEFAULT_ETA, so each detector's stream collapses at
     the rate lam * 2 eta^2, with lam = DEFAULT_LAM.  Overrides may set
-    lam, dt, epsilon, max_steps, eta, or amplitudes (an unnormalized
-    (|a1|^2, |a2|^2) pair that replaces q0).  If dt is not overridden it
-    is derived from the frame-0 rate, both detectors', so that
+    lam, dt, epsilon, max_steps or eta.  If dt is not overridden it is
+    derived from the frame-0 rate, both detectors', so that
     Gamma * dt = TARGET_GAMMA_DT.
     """
     overrides = dict(overrides or {})
     unknown = set(overrides) - _OVERRIDE_KEYS
     if unknown:
         raise ValueError(f"unknown override keys: {sorted(unknown)}")
-    if "amplitudes" in overrides:
-        weights = overrides.pop("amplitudes")
-        if not (isinstance(weights, (list, tuple)) and len(weights) == 2
-                and all(_is_number(w) for w in weights)):
-            raise TypeError(f"amplitudes must be a pair of numbers, got {weights!r}")
-        q0 = q0_from_amplitudes(*weights)
     eta = _positive("eta", overrides.pop("eta", DEFAULT_ETA))
     lam = _positive("lam", overrides.pop("lam", DEFAULT_LAM))
 

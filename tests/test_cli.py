@@ -222,12 +222,14 @@ def test_config_file_unknown_field(capsys, tmp_path):
 
 @pytest.mark.parametrize("bad", [
     {"overrides": {"epsilon": "0.01"}}, {"overrides": {"max_steps": 64.5}},
-    {"overrides": {"eta": "1e10"}}, {"overrides": {"amplitudes": 3}},
+    {"overrides": {"eta": "1e10"}},
     {"overrides": ["epsilon"]}, {"runs": 10.5}, {"runs": True}, {"master_seed": False},
     {"workers": True}, {"q0": True}, {"q0": "0.5"}, {"d": "1000"}, {"v": None},
     {"overrides": {"eta": True}}, {"overrides": {"lam": True}},
-    {"overrides": {"amplitudes": [True, 1]}}, {"overrides": {"max_steps": True}},
-    {"overrides": {"dt": True}},
+    {"overrides": {"max_steps": True}}, {"overrides": {"dt": True}},
+    # overrides is a JSON object or absent, though dict() reads a list of
+    # pairs and an empty list as falsy
+    {"overrides": [["epsilon", 0.01]]}, {"overrides": []},
 ])
 def test_config_file_bad_value_type(capsys, tmp_path, bad):
     # a wrongly typed config value is a usage error, caught before any run
@@ -239,6 +241,45 @@ def test_config_file_bad_value_type(capsys, tmp_path, bad):
     assert out == ""
     assert err.startswith(f"error: {next(iter(bad))}")
     assert not out_dir.exists()
+
+
+def test_amplitudes_override_is_unknown(capsys, tmp_path):
+    # q0 is set by --q0 or the config's q0 alone; an amplitudes pair is an
+    # unknown override, refused before any run
+    cfg_path = tmp_path / "amplitudes.json"
+    out_dir = tmp_path / "amplitudes"
+    cfg_path.write_text(json.dumps({"overrides": {"amplitudes": [1, 3]}}))
+    code, out, err = run_cli(capsys, "disagree", "--runs", "2000", "--config", str(cfg_path),
+                             "--out-dir", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "unknown override keys: ['amplitudes']" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("max_steps", [2**64, 10**31])
+def test_step_cap_past_int64_is_a_usage_error(capsys, tmp_path, max_steps):
+    # step counts are int64: a larger cap is refused with exit 2 before any
+    # run, not raised as an OverflowError from the engine
+    cfg_path = tmp_path / "cap.json"
+    out_dir = tmp_path / "cap"
+    cfg_path.write_text(json.dumps({"runs": 10, "out_dir": str(out_dir),
+                                    "overrides": {"max_steps": max_steps}}))
+    code, out, err = run_cli(capsys, "born", "--config", str(cfg_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: overrides") and "max_steps must be in [1, 2**63 - 1]" in err
+    assert not out_dir.exists()
+
+
+def test_help_lists_exit_codes(capsys, monkeypatch):
+    # argparse wraps the epilog to the terminal width
+    monkeypatch.setenv("COLUMNS", "120")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "exit codes: 0 success, 2 usage or validation error, 1 runtime failure" in out
 
 
 @pytest.mark.parametrize("eta", [1e-5, 1e-10])

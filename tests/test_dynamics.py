@@ -195,6 +195,18 @@ def test_barrier_shift_hand_example():
         collapse_batch(0.5, rates, 1.0, 0.49, 10, keys_for(1))
 
 
+def test_step_cap_past_int64_is_refused():
+    # the cap is checked before any step count is made; 2**63 - 1 runs
+    for max_steps in (2**64, 10**31):
+        with pytest.raises(ValueError, match="max_steps"):
+            collapse_batch(0.5, RATES_A, PARAMS.dt, PARAMS.epsilon, max_steps, keys_for(1))
+        with pytest.raises(ValueError, match="max_steps"):
+            run_trajectory(0.5, RATES_A, PARAMS.dt, PARAMS.epsilon, max_steps, keys_for(1)[0])
+    res = collapse_batch(0.5, RATES_A, PARAMS.dt, PARAMS.epsilon, 2**63 - 1, keys_for(4))
+    ref = collapse_batch(0.5, RATES_A, *scalars(PARAMS), keys_for(4))
+    assert np.array_equal(res.steps, ref.steps) and np.array_equal(res.r, ref.r)
+
+
 def test_step_noise_errors():
     # the stream keys must supply exactly one stream per rate
     with pytest.raises(ValueError, match="stream keys"):
@@ -216,10 +228,15 @@ def test_params_validation():
     for bad in ({"dt": math.inf}, {"dt": math.nan}):
         with pytest.raises(ValueError, match="finite"):
             CollapseParams(**bad)
-    for max_steps in (2, 10**400):
+    for max_steps in (2, 2**62):
         with pytest.raises(ValueError, match="overflows"):
             CollapseParams(dt=1e308, max_steps=max_steps)
     assert CollapseParams(dt=1e308, max_steps=1).dt == 1e308
+    # step counts are int64, so the cap is at most 2**63 - 1
+    for max_steps in (2**63, 2**64, 10**31, 10**400):
+        with pytest.raises(ValueError, match=r"max_steps must be in \[1, 2\*\*63 - 1\]"):
+            CollapseParams(dt=1.0, max_steps=max_steps)
+    assert CollapseParams(dt=1e-300, max_steps=2**63 - 1).max_steps == 2**63 - 1
     # the rates are the engine's own arguments, not parameters
     assert [f.name for f in dataclasses.fields(CollapseParams)] == ["dt", "epsilon",
                                                                      "max_steps"]
@@ -322,22 +339,22 @@ def test_batch_splits_are_bit_equal(order, cuts):
 
 def test_sub_blocks_do_not_change_results(monkeypatch):
     # drawing the live runs in sub-blocks of any size, split between
-    # segments of consecutive run indices or not, and with runs of other
-    # keys mixed in, leaves every run's result bit for bit
+    # segments of consecutive run indices or not, leaves every run's result
+    # bit for bit
     whole = _whole_batch()
     for size in (1, 3, 5):
         monkeypatch.setattr(dynamics, "SUB_BLOCK_RUNS", size)
         res = collapse_batch(0.5, RATES_0, *scalars(PARAMS), SPLIT_KEYS)
         assert np.array_equal(res.steps, whole.steps)
         assert np.array_equal(res.r, whole.r)
-    monkeypatch.setattr(dynamics, "SUB_BLOCK_RUNS", 256)
+    # a batch reads each stream under one key: runs of other keys cannot
+    # be mixed in, and are refused before any noise is drawn
+    spy = _SpyNoise()
     other = keys0_for(12, seed=72)
-    mixed = collapse_batch(0.5, RATES_0, *scalars(PARAMS),
-                           [k for pair in zip(SPLIT_KEYS, other) for k in pair])
-    alone = collapse_batch(0.5, RATES_0, *scalars(PARAMS), other)
-    assert np.array_equal(mixed.r[0::2], whole.r)
-    assert np.array_equal(mixed.r[1::2], alone.r)
-    assert np.array_equal(mixed.steps[1::2], alone.steps)
+    with pytest.raises(ValueError, match="one key for every run"):
+        collapse_batch(0.5, RATES_0, *scalars(PARAMS),
+                       [k for pair in zip(SPLIT_KEYS, other) for k in pair], noise=spy)
+    assert spy.calls == []
 
 
 def test_stream_address_validation():
@@ -345,10 +362,31 @@ def test_stream_address_validation():
     for bad in ([((*key,),)], [((*key, -1),)], [((*key, 1, 2),)], [((*key, 2**64),)]):
         with pytest.raises(ValueError, match="stream"):
             collapse_batch(0.5, RATES_A, *scalars(PARAMS), bad)
-    with pytest.raises(ValueError, match="run index"):
-        collapse_batch(0.5, RATES_A, *scalars(PARAMS), [((*key, 2**59 - 1),)])
     empty = collapse_batch(0.5, RATES_A, *scalars(PARAMS), [])
     assert empty.steps.shape == (0,)
+    # each refused before any noise is drawn, as mixed keys are (see
+    # test_sub_blocks_do_not_change_results): a run whose index differs
+    # between its streams, words that are not integers (a float index is
+    # not read as the run it truncates to, nor a float key as its
+    # integer), and a run index past the counter's range even when every
+    # run absorbs at step 0, so that no window would be drawn
+    k2 = derive_stream_key(1, "D2")
+    refused = [
+        ("one run index", RATES_0, 0.5, [((*key, 3), (*k2, 3)), ((*key, 4), (*k2, 5))]),
+        ("integer words", RATES_A, 0.5, [((*key, 1.5),)]),
+        ("integer words", RATES_A, 0.5, [((float(key[0]), key[1], 1),)]),
+        ("integer words", RATES_A, 0.5, [((*key, True),)]),
+        ("integer words", RATES_A, 0.5, np.array([[(*key, 1)]], dtype=np.float64)),
+        ("run index must be", RATES_A, 1.0, [((*key, 0),), ((*key, 2**59 - 1),)]),
+    ]
+    for match, rates, q0, bad in refused:
+        spy = _SpyNoise()
+        with pytest.raises(ValueError, match=match):
+            collapse_batch(q0, rates, *scalars(PARAMS), bad, noise=spy)
+        assert spy.calls == []
+    # the greatest run index the counter holds is read
+    last = collapse_batch(0.5, RATES_A, *scalars(PARAMS), [((*key, 2**59 - 2),)])
+    assert last.winner[0] > 0
 
 
 def test_engine_matches_reference_stepper():
@@ -376,18 +414,18 @@ def test_engine_matches_reference_stepper():
     assert flow(0.5, z) == res.r[0]
 
 
-def reference_window(noise, addr, sig, block_index, rows):
+def reference_window(noise, keys, runs, sig, block_index, rows):
     """A window's noise, shape (rows, runs), drawn run by run from
     block_normals and summed into zeros stream by stream in rate order."""
-    dw = np.zeros((rows, len(addr)))
-    for s, scale in enumerate(sig):
-        zeta = np.concatenate([noise.block_normals((int(k0), int(k1)), block_index, [k])
-                               for k0, k1, k in addr[:, s].tolist()])
+    dw = np.zeros((rows, len(runs)))
+    for key, scale in zip(keys, sig):
+        zeta = np.concatenate([noise.block_normals(key, block_index, [k])
+                               for k in runs.tolist()])
         dw += scale * zeta.reshape(-1, BLOCK_STEPS)[:, :rows].T
     return dw
 
 
-def reference_drive(r0, addr, sig, h, thr, n_steps, noise, record=None):
+def reference_drive(r0, keys, runs, sig, h, thr, n_steps, noise, record=None):
     """The per-step loop the slab kernel replaced: full-scale noise in a
     fresh window array, the barrier tested after every step, and the
     window cut at the step where its last run absorbs.  Same arguments
@@ -401,7 +439,7 @@ def reference_drive(r0, addr, sig, h, thr, n_steps, noise, record=None):
 
     half, whole = flow(0.5), flow(1.0)
     z_hi = flow(-0.5)(thr)
-    r = np.full(len(addr), r0, dtype=np.float64)
+    r = np.full(len(runs), r0, dtype=np.float64)
     winner = np.zeros(r.size, dtype=np.int8)
     winner[r >= thr] = 1
     winner[r <= -thr] = 2
@@ -410,7 +448,7 @@ def reference_drive(r0, addr, sig, h, thr, n_steps, noise, record=None):
     base = 0
     while live.size and base < n_steps:
         rows = min(BLOCK_STEPS, n_steps - base)
-        dw = reference_window(noise, addr[live], sig, base // BLOCK_STEPS, rows)
+        dw = reference_window(noise, keys, runs[live], sig, base // BLOCK_STEPS, rows)
         y = half(r[live])
         done = np.zeros(live.size, dtype=bool)
         for t in range(rows):
@@ -446,7 +484,7 @@ def kernel_q0(epsilon):
 
 
 def _kernel_case(frame, epsilon, max_steps):
-    """_drive's (sig, h, thr, addr) for the gapped runs in one frame."""
+    """_drive's (keys, runs, sig, h, thr) for the gapped runs in one frame."""
     rates, dt = KERNEL_FRAMES[frame]
     keys = [pair[:len(rates)] for pair in keys0_for(0, seed=83, runs=GAPPED_RUNS)]
     return dynamics._prepare(rates, dt, epsilon, max_steps, keys)
@@ -459,11 +497,11 @@ def test_slab_kernel_matches_reference_drive(frame, epsilon, max_steps):
     # the half-scaled, slab-tested kernel gives every run the bits of the
     # per-step loop: final r, step and winner, for runs that absorb in any
     # slab or window, at step 0, or not before the step cap
-    sig, h, thr, addr = _kernel_case(frame, epsilon, max_steps)
+    case = _kernel_case(frame, epsilon, max_steps)
     for q0 in kernel_q0(epsilon):
         r0 = math.log(q0) - math.log1p(-q0)
-        want = reference_drive(r0, addr, sig, h, thr, max_steps, DEFAULT_NOISE)
-        got = dynamics._drive(r0, addr, sig, h, thr, max_steps, DEFAULT_NOISE)
+        want = reference_drive(r0, *case, max_steps, DEFAULT_NOISE)
+        got = dynamics._drive(r0, *case, max_steps, DEFAULT_NOISE)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
@@ -476,11 +514,10 @@ def test_slab_kernel_grid_reaches_the_edges():
     for frame in KERNEL_FRAMES:
         for epsilon in (1e-6, 0.01):
             for max_steps in (31, 300):
-                sig, h, thr, addr = _kernel_case(frame, epsilon, max_steps)
+                case = _kernel_case(frame, epsilon, max_steps)
                 for q0 in kernel_q0(epsilon):
                     r0 = math.log(q0) - math.log1p(-q0)
-                    _, steps, winner = reference_drive(r0, addr, sig, h, thr, max_steps,
-                                                       DEFAULT_NOISE)
+                    _, steps, winner = reference_drive(r0, *case, max_steps, DEFAULT_NOISE)
                     absorbed.update(steps[winner > 0].tolist())
                     capped.update(steps[winner == 0].tolist())
     assert {0, 32, 33, 64, 128, BLOCK_STEPS + 1} <= absorbed
@@ -490,7 +527,8 @@ def test_slab_kernel_grid_reaches_the_edges():
 def test_slab_kernel_barrier_is_closed():
     # with the noise off, a start whose z lands exactly on z_hi absorbs at
     # step 1: the barrier test is |z| >= z_hi, as in the reference
-    sig, h, thr, addr = _kernel_case("A", 1e-6, 300)
+    case = _kernel_case("A", 1e-6, 300)
+    *_, h, thr = case
     z_hi = 2.0 * np.arcsinh(np.sinh(0.5 * thr) * math.exp(-0.5 * h))
     r0 = 2.0 * math.asinh(math.sinh(0.5 * thr) * math.exp(-h))
     for _ in range(64):
@@ -501,17 +539,17 @@ def test_slab_kernel_barrier_is_closed():
     assert y[0] == z_hi
     zero = _ConstNoise(0.0)
     for start, side in ((r0, 1), (-r0, 2)):
-        _, steps, winner = dynamics._drive(start, addr, sig, h, thr, 300, zero)
+        _, steps, winner = dynamics._drive(start, *case, 300, zero)
         assert (steps == 1).all() and (winner == side).all()
-        assert np.array_equal(steps, reference_drive(start, addr, sig, h, thr, 300, zero)[1])
+        assert np.array_equal(steps, reference_drive(start, *case, 300, zero)[1])
 
 
 @pytest.mark.parametrize("slab", [1, 7, BLOCK_STEPS])
 def test_slab_size_does_not_change_results(monkeypatch, slab):
-    sig, h, thr, addr = _kernel_case("0", 1e-6, 300)
-    want = dynamics._drive(0.0, addr, sig, h, thr, 300, DEFAULT_NOISE)
+    case = _kernel_case("0", 1e-6, 300)
+    want = dynamics._drive(0.0, *case, 300, DEFAULT_NOISE)
     monkeypatch.setattr(dynamics, "SLAB_ROWS", slab)
-    got = dynamics._drive(0.0, addr, sig, h, thr, 300, DEFAULT_NOISE)
+    got = dynamics._drive(0.0, *case, 300, DEFAULT_NOISE)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
@@ -526,9 +564,9 @@ def test_trajectory_matches_reference_record(run, max_steps):
     cap = CollapseParams(dt=dt).max_steps if max_steps is None else max_steps
     key = ((*derive_stream_key(83, "D1"), run),)
     rows = run_trajectory(0.5, rates, dt, 1e-6, cap, key)
-    sig, h, thr, addr = dynamics._prepare(rates, dt, 1e-6, cap, [key])
+    case = dynamics._prepare(rates, dt, 1e-6, cap, [key])
     recorded = []
-    _, steps, _ = reference_drive(0.0, addr, sig, h, thr, cap, DEFAULT_NOISE,
+    _, steps, _ = reference_drive(0.0, *case, cap, DEFAULT_NOISE,
                                   record=lambda k, x: recorded.append((k, float(x[0]))))
     assert [(k, r) for k, _, _, r in rows[1:]] == recorded
     assert len(recorded) == steps[0]

@@ -7,7 +7,7 @@ import pytest
 from collapsemc.dynamics import MAX_GAMMA_DT, CollapseParams
 from collapsemc.experiment import (TARGET_GAMMA_DT, Scenario, active_detectors,
                                    build_scenario, disagreement_rate_analytic, frame_pair,
-                                   q0_from_amplitudes, run_frame_batch)
+                                   run_frame_batch)
 from collapsemc.noise import PhiloxNoiseSource, derive_stream_key
 from collapsemc.relativity import C, Frame, activation_gap
 
@@ -71,10 +71,6 @@ def test_build_scenario_overrides():
     scn = build_scenario(overrides={"eta": 2e10, "lam": 2e-16})
     assert scn.frame_rates(FRAME_A) == (2e-16 * ((2e10) ** 2 + (2e10) ** 2),)
     assert scn.rates[0] == pytest.approx(2.0 * 2e-16 * (2e10) ** 2, rel=1e-15)
-    scn = build_scenario(q0=0.9, overrides={"amplitudes": (2.0, 2.0)})
-    assert scn.q0 == 0.5
-    scn = build_scenario(overrides={"amplitudes": (1.0, 3.0)})
-    assert scn.q0 == 0.25
 
 
 def test_build_scenario_invalid_overrides():
@@ -97,8 +93,6 @@ def test_build_scenario_invalid_overrides():
         build_scenario(d=-5.0)
     with pytest.raises(ValueError):
         build_scenario(q0=1.5)
-    with pytest.raises(ValueError):
-        q0_from_amplitudes(0.0, 0.0)
 
 
 def test_detector_spec_validation():
