@@ -58,8 +58,11 @@ def _usable_cpus() -> int:
 def _ensemble_config(args, kind: str) -> EnsembleConfig:
     file_cfg: dict = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                file_cfg = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
         if file_cfg.get("kind", kind) != kind:
@@ -75,22 +78,23 @@ def _ensemble_config(args, kind: str) -> EnsembleConfig:
         if value is not None:
             merged[field_name] = value
     merged.setdefault("workers", _usable_cpus())
-    merged.setdefault("out_dir", os.path.join("collapsemc-out", kind))
+    # a null out_dir in the file is no out_dir
+    if merged.get("out_dir") is None:
+        merged["out_dir"] = os.path.join("collapsemc-out", kind)
     return EnsembleConfig.from_dict(merged)
 
 
-def _stats_table(stats, out=None) -> None:
-    out = out if out is not None else sys.stderr
-    print(f"{'class':<12} {'count':>8} {'freq':>10} {'wilson 95%':>24}", file=out)
+def _stats_table(stats) -> None:
+    print(f"{'class':<12} {'count':>8} {'freq':>10} {'wilson 95%':>24}", file=sys.stderr)
     for cls, count in stats.counts.items():
         if cls in stats.freq:
             lo, hi = stats.wilson[cls]
             print(f"{cls:<12} {count:>8} {stats.freq[cls]:>10.6f} "
-                  f"[{lo:.6f}, {hi:.6f}]", file=out)
+                  f"[{lo:.6f}, {hi:.6f}]", file=sys.stderr)
         else:
-            print(f"{cls:<12} {count:>8}", file=out)
+            print(f"{cls:<12} {count:>8}", file=sys.stderr)
     p10, p50, p90 = stats.duration_quantiles
-    print(f"duration_s   p10={p10:.6e} p50={p50:.6e} p90={p90:.6e}", file=out)
+    print(f"duration_s   p10={p10:.6e} p50={p50:.6e} p90={p90:.6e}", file=sys.stderr)
 
 
 # Summary fields printed by every ensemble subcommand: a field is a key
@@ -227,10 +231,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
+    except (OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -58,11 +58,11 @@ z / 2.  The barrier is tested on the stored zh rows once per slab of
 SLAB_ROWS steps, and |zh| >= z_hi / 2 holds exactly when |z| >= z_hi.  A
 run's first hit row in the slab gives its step, its winner and its
 r = phi_{h/2}(z) = 2 asinh(sinh(zh) e^{h/2}); r is worked out only for runs
-that absorb, at window ends and for a recorder.  The split step leaves no
-error in the drift when the noise is off, where an Euler step with the tanh
-frozen over the step errs at first order; at Gamma * dt 0.05 the split
-step's mean collapse time is about as close to the closed form as an Euler
-step's at 0.02.
+that absorb and at window ends.  The split step leaves no error in the
+drift when the noise is off, where an Euler step with the tanh frozen over
+the step errs at first order; at Gamma * dt 0.05 the split step's mean
+collapse time is about as close to the closed form as an Euler step's at
+0.02.
 
 Absorption is checked only at step times, and a path that crosses the
 nominal barrier L = logit(1 - epsilon) between two steps would be missed,
@@ -71,14 +71,13 @@ which makes runs too long.  Broadie, Glasserman and Kou (Math. Finance 7
 barrier shifted inward by beta * sigma, with sigma = 2 sqrt(Gamma dt) the
 per-step standard deviation of r and beta = -zeta(1/2) / sqrt(2 pi)
 ~= 0.5826, matches continuous monitoring of L to first order in sqrt(dt).
-collapse_batch and run_trajectory therefore absorb at
-|r| >= B = L - beta * sigma.  The driver tests z instead: phi_{h/2} is
-increasing and odd, so |r| >= B exactly when |z| >= z_hi = phi_{-h/2}(B).
+collapse_batch therefore absorbs at |r| >= B = L - beta * sigma.  The
+driver tests z instead: phi_{h/2} is increasing and odd, so |r| >= B
+exactly when |z| >= z_hi = phi_{-h/2}(B).
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from dataclasses import dataclass
@@ -297,7 +296,7 @@ def _window_noise(noise, keys, runs, sig, block_index, out):
                 cols += zeta
 
 
-def _drive(r0, keys, runs, sig, h, thr, n_steps, noise, record=None):
+def _drive(r0, keys, runs, sig, h, thr, n_steps, noise):
     """Run every run from r0, each on the streams of keys at its index in
     runs, by split steps of drift time h until |r| >= thr or n_steps steps,
     one noise window at a time.
@@ -316,9 +315,7 @@ def _drive(r0, keys, runs, sig, h, thr, n_steps, noise, record=None):
     once: each newly absorbed run takes its first hit row.  Absorbed runs
     leave the live set at the end of their window, which ends after the
     slab in which its last run absorbed; between windows the carried w
-    goes back to r.  record(k, x), if given, sees the window's runs' r
-    after each step k >= 1, up to the last absorbing step.  Returns
-    (r, steps, winner).
+    goes back to r.  Returns (r, steps, winner).
     """
     grow, grow_half = math.exp(h), math.exp(0.5 * h)
     zh_hi = float(np.arcsinh(np.sinh(0.5 * thr) * math.exp(-0.5 * h)))
@@ -358,12 +355,7 @@ def _drive(r0, keys, runs, sig, h, thr, n_steps, noise, record=None):
                 steps[absorbed] = base + lo + first + 1
                 winner[absorbed] = np.where(zf >= zh_hi, 1, 2)
                 done[fresh] = True
-            finished = done.all()
-            if record is not None:
-                end = int(first.max()) + 1 if finished else len(slab)
-                for t in range(lo, lo + end):
-                    record(base + t + 1, to_r(zh[t]))
-            if finished:
+            if done.all():
                 break
         left = ~done
         r[live[left]] = to_r(zh[rows - 1, left])
@@ -372,8 +364,8 @@ def _drive(r0, keys, runs, sig, h, thr, n_steps, noise, record=None):
     return r, steps, winner
 
 
-# stream_keys stays argument 5 of both entry points: tools that trace the
-# engine read the run count from it by position
+# stream_keys stays argument 5: tools that trace the engine read the run
+# count from it by position
 def collapse_batch(q0: float, rates, dt: float, epsilon: float, max_steps: int, stream_keys,
                    noise: PhiloxNoiseSource = DEFAULT_NOISE) -> BatchResult:
     """Run a batch of trajectories to absorption.
@@ -389,37 +381,15 @@ def collapse_batch(q0: float, rates, dt: float, epsilon: float, max_steps: int, 
     are checked as CollapseParams.  Runs evolve in lockstep but consume
     only their own addresses, so results per run do not depend on batch
     composition or execution schedule.
+
+    This makes any trajectory replayable by its step cap: a run's first k
+    steps read only its own noise, so for a run still live after step k,
+    the same call with max_steps = k returns its r after step k, bit for
+    bit.  Stepping k from 1 to the run's uncapped step count replays its
+    whole path.
     """
     r0 = _logit(q0)
     drive_args = _prepare(rates, dt, epsilon, max_steps, stream_keys)
     r, steps, winner = _drive(r0, *drive_args, max_steps, noise)
     return BatchResult(winner, steps, steps * dt, r)
 
-
-def run_trajectory(q0: float, rates, dt: float, epsilon: float, max_steps: int, stream_keys,
-                   noise: PhiloxNoiseSource = DEFAULT_NOISE) -> list[tuple]:
-    """Integrate one trajectory, recording (step, t_model_s, q, r).
-
-    stream_keys is the run's tuple of stream addresses (k0, k1,
-    run_index), one per rate, as in collapse_batch.  Row 0 is the initial
-    state; one row follows per step until absorption or max_steps steps.
-    """
-    r0 = _logit(q0)
-    drive_args = _prepare(rates, dt, epsilon, max_steps, [stream_keys])
-    rows = [(0, 0.0, stable_q(r0), r0)]
-
-    def record(k, x):
-        r = float(x[0])
-        rows.append((k, k * dt, stable_q(r), r))
-
-    _drive(r0, *drive_args, max_steps, noise, record=record)
-    return rows
-
-
-def write_trajectory_csv(path, rows: list[tuple]) -> None:
-    """Dump trajectory rows as CSV (step, t_model_s, q, r)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "t_model_s", "q", "r"])
-        for row in rows:
-            w.writerow([row[0], repr(row[1]), repr(row[2]), repr(row[3])])

@@ -119,6 +119,8 @@ class EnsembleConfig:
                               f"overflows a float")
         if self.record_format not in ("csv", "jsonl"):
             raise ConfigError(f"record_format must be 'csv' or 'jsonl', got {self.record_format!r}")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string or null, got {self.out_dir!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.overrides is not None and not isinstance(self.overrides, dict):
@@ -132,8 +134,7 @@ class EnsembleConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EnsembleConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         try:
@@ -246,11 +247,8 @@ def compute_stats(kind: str, runs: int, records: np.ndarray) -> EnsembleStats:
     wilson = {c: (wilson_interval(counts[c], n_ok) if n_ok else (0.0, 1.0))
               for c in rate_classes}
 
-    if absorbed.size:
-        p10, p50, p90 = np.quantile(absorbed["duration"], [0.1, 0.5, 0.9])
-        quantiles = (float(p10), float(p50), float(p90))
-    else:
-        quantiles = (math.nan, math.nan, math.nan)
+    quantiles = (tuple(np.quantile(absorbed["duration"], [0.1, 0.5, 0.9]).tolist())
+                 if absorbed.size else (math.nan,) * 3)
 
     budgeted = absorbed[~np.isnan(absorbed["budget"])]
     violations = int(np.count_nonzero(~(budgeted["duration"] < budgeted["budget"])))

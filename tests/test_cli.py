@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import collapsemc
+from collapsemc import cli
 from collapsemc.cli import _ensemble_config, _json_out, build_parser, main
 from collapsemc.ensemble import CHUNK_RUNS
 from collapsemc.relativity import C
@@ -388,6 +389,41 @@ def test_records_bytes_do_not_depend_on_workers(capsys, tmp_path, command, fmt):
         assert code == 0
         digests.add(hashlib.sha256((out_dir / f"records.{fmt}").read_bytes()).hexdigest())
     assert len(digests) == 1
+
+
+def test_config_file_null_out_dir_takes_the_default(capsys, tmp_path, monkeypatch):
+    # a null out_dir is no out_dir: the files go to the default directory
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"out_dir": None, "runs": 20, "q0": 1.0}))
+    code, out, _ = run_cli(capsys, "born", "--config", str(cfg_path))
+    assert code == 0
+    manifest = json.loads(out)["manifest_path"]
+    assert manifest == os.path.join("collapsemc-out", "born_rule", "manifest.json")
+    assert (tmp_path / manifest).exists()
+
+
+def _no_run(config):
+    raise AssertionError("a run started")
+
+
+def test_config_file_out_dir_must_be_a_string(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_ensemble", _no_run)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"out_dir": 5, "runs": 20}))
+    code, out, err = run_cli(capsys, "born", "--config", str(cfg_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: out_dir must be a string or null")
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_missing_config_file_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run_ensemble", _no_run)
+    for path in (tmp_path / "absent.json", tmp_path):
+        code, out, err = run_cli(capsys, "born", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read config file")
 
 
 def test_config_file_kind_mismatch(capsys, tmp_path):

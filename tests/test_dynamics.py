@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from collapsemc import dynamics
 from collapsemc.dynamics import (BARRIER_BETA, MAX_GAMMA_DT, CollapseParams,
-                                 NoCollapsePossibleError, collapse_batch, run_trajectory,
-                                 stable_q, write_trajectory_csv)
+                                 NoCollapsePossibleError, collapse_batch, stable_q)
 from collapsemc.noise import BLOCK_STEPS, DEFAULT_NOISE, PhiloxNoiseSource, derive_stream_key
 
 ETA = 1e10
@@ -92,12 +91,10 @@ def test_stable_q_basic():
     assert arr[0] + arr[2] == pytest.approx(1.0, abs=1e-15)
 
 
-def start_q(q0):
-    """q read back from row 0 of a trajectory, which holds the start r = logit(q0)."""
-    return run_trajectory(q0, RATES_A, PARAMS.dt, PARAMS.epsilon, 1, keys_for(1)[0])[0][2]
-
-
 def test_start_q_round_trips():
+    # a run starts at r = logit(q0), which reads back as q0
+    def start_q(q0):
+        return stable_q(dynamics._logit(q0))
     assert start_q(0.3) == pytest.approx(0.3, rel=1e-14)
     for q in (0.0, 1.0, 1e-9, 1.0 - 1e-9):
         assert start_q(q) == pytest.approx(q, rel=1e-12, abs=1e-300)
@@ -108,8 +105,6 @@ def test_start_q_validation():
         collapse_batch(1.5, RATES_A, *scalars(PARAMS), keys_for(1))
     with pytest.raises(ValueError):
         collapse_batch(-0.1, RATES_A, *scalars(PARAMS), keys_for(1))
-    with pytest.raises(ValueError):
-        run_trajectory(1.5, RATES_A, *scalars(PARAMS), keys_for(1)[0])
 
 
 def test_engine_reads_one_column_per_stream():
@@ -173,8 +168,11 @@ def test_barrier_shift_hand_example():
     res = collapse_batch(0.5, rates, *scalars(params), keys_for(1), noise=_ConstNoise(1.0))
     assert (res.winner[0], res.steps[0]) == (1, 5)
     assert res.r[0] == pytest.approx(path[-1], abs=1e-14)
-    rows = run_trajectory(0.5, rates, *scalars(params), keys_for(1)[0], noise=_ConstNoise(1.0))
-    assert len(rows) - 1 == 5 and rows[-1][3] == res.r[0]
+    # capped one step short, the run is still live and holds r_4
+    capped = collapse_batch(0.5, rates, 1.0, params.epsilon, 4, keys_for(1),
+                            noise=_ConstNoise(1.0))
+    assert (capped.winner[0], capped.steps[0]) == (0, 4)
+    assert capped.r[0] == pytest.approx(path[3], abs=1e-14)
     # the flow is odd, so -1 noise mirrors the path bit for bit and the run
     # absorbs at the lower barrier at the same step
     mirror = collapse_batch(0.5, rates, *scalars(params), keys_for(1), noise=_ConstNoise(-1.0))
@@ -200,8 +198,6 @@ def test_step_cap_past_int64_is_refused():
     for max_steps in (2**64, 10**31):
         with pytest.raises(ValueError, match="max_steps"):
             collapse_batch(0.5, RATES_A, PARAMS.dt, PARAMS.epsilon, max_steps, keys_for(1))
-        with pytest.raises(ValueError, match="max_steps"):
-            run_trajectory(0.5, RATES_A, PARAMS.dt, PARAMS.epsilon, max_steps, keys_for(1)[0])
     res = collapse_batch(0.5, RATES_A, PARAMS.dt, PARAMS.epsilon, 2**63 - 1, keys_for(4))
     ref = collapse_batch(0.5, RATES_A, *scalars(PARAMS), keys_for(4))
     assert np.array_equal(res.steps, ref.steps) and np.array_equal(res.r, ref.r)
@@ -213,8 +209,6 @@ def test_step_noise_errors():
         collapse_batch(0.5, RATES_A, *scalars(PARAMS), keys0_for(1))
     with pytest.raises(ValueError, match="stream keys"):
         collapse_batch(0.5, RATES_0, *scalars(PARAMS), keys_for(1))
-    with pytest.raises(ValueError, match="stream keys"):
-        run_trajectory(0.5, RATES_0, *scalars(PARAMS), keys_for(1)[0])
 
 
 def test_params_validation():
@@ -263,8 +257,6 @@ def test_gamma_zero_raises():
         collapse_batch(0.5, (0.0,), *scalars(PARAMS), keys_for(1))
     with pytest.raises(NoCollapsePossibleError):
         collapse_batch(0.5, (0.0, 0.0), *scalars(PARAMS), keys0_for(1))
-    with pytest.raises(NoCollapsePossibleError):
-        run_trajectory(0.5, (0.0,), *scalars(PARAMS), keys_for(1)[0])
 
 
 def test_gamma_dt_bound_enforced():
@@ -554,22 +546,46 @@ def test_slab_size_does_not_change_results(monkeypatch, slab):
         assert np.array_equal(a, b)
 
 
+REPLAY_RUNS = (0, 9, 256, 1023)
+
+
+@functools.cache
+def _replayed(frame):
+    """Each of REPLAY_RUNS's r after every step k, read from collapse_batch
+    capped at k, as a (steps, runs) array up to the last run's absorbing
+    step, and the uncapped step count of each run."""
+    rates, dt = KERNEL_FRAMES[frame]
+    keys = [pair[:len(rates)] for pair in keys0_for(0, seed=83, runs=REPLAY_RUNS)]
+    steps = collapse_batch(0.5, rates, dt, 1e-6, CollapseParams(dt=dt).max_steps, keys).steps
+    path = np.array([collapse_batch(0.5, rates, dt, 1e-6, k, keys).r
+                     for k in range(1, int(steps.max()) + 1)])
+    return path, steps
+
+
 @pytest.mark.parametrize("max_steps", [None, 31, 32, 33, 128, 129])
-@pytest.mark.parametrize("run", [0, 9, 256, 1023])
+@pytest.mark.parametrize("run", REPLAY_RUNS)
 def test_trajectory_matches_reference_record(run, max_steps):
-    # run_trajectory's rows are the reference's recorded rows, step for
-    # step and bit for bit, up to and including the absorbing step; None
-    # is the default step cap
-    rates, dt = KERNEL_FRAMES["A"]
-    cap = CollapseParams(dt=dt).max_steps if max_steps is None else max_steps
-    key = ((*derive_stream_key(83, "D1"), run),)
-    rows = run_trajectory(0.5, rates, dt, 1e-6, cap, key)
-    case = dynamics._prepare(rates, dt, 1e-6, cap, [key])
-    recorded = []
-    _, steps, _ = reference_drive(0.0, *case, cap, DEFAULT_NOISE,
-                                  record=lambda k, x: recorded.append((k, float(x[0]))))
-    assert [(k, r) for k, _, _, r in rows[1:]] == recorded
-    assert len(recorded) == steps[0]
+    # a trajectory replays by step cap: collapse_batch capped at k gives
+    # the r the reference records after step k, bit for bit, at every step
+    # up to absorption or the reference's cap, in both frames.  Runs 0 and
+    # 9 live past the window edge in both, the others past a slab edge;
+    # None is the default step cap
+    col = REPLAY_RUNS.index(run)
+    for frame in KERNEL_FRAMES:
+        path, steps = _replayed(frame)
+        assert steps.min() > dynamics.SLAB_ROWS + 1 and steps[:2].min() > BLOCK_STEPS + 1
+        rates, dt = KERNEL_FRAMES[frame]
+        cap = CollapseParams(dt=dt).max_steps if max_steps is None else max_steps
+        key = keys0_for(0, seed=83, runs=[run])[0][:len(rates)]
+        case = dynamics._prepare(rates, dt, 1e-6, cap, [key])
+        recorded = []
+        reference_drive(0.0, *case, cap, DEFAULT_NOISE,
+                        record=lambda k, x: recorded.append(float(x[0])))
+        assert len(recorded) == min(cap, steps[col])
+        assert path[:len(recorded), col].tolist() == recorded
+        if cap >= steps[col]:
+            # a cap past the absorbing step leaves the absorbed r as it was
+            assert (path[steps[col]:, col] == recorded[-1]).all()
 
 
 def test_zero_noise_follows_exact_drift_flow():
@@ -640,42 +656,3 @@ def test_stream_layout_validation():
     for bad in (-RATE, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="rates"):
             collapse_batch(0.5, (RATE, bad), *scalars(PARAMS), keys0_for(1))
-        with pytest.raises(ValueError, match="rates"):
-            run_trajectory(0.5, (bad,), *scalars(PARAMS), keys_for(1)[0])
-
-
-def test_trajectory_recording(tmp_path):
-    key = derive_stream_key(3, "D1")
-    rows = run_trajectory(0.5, RATES_A, *scalars(PARAMS), ((*key, 4),))
-    assert rows[0][:3] == (0, 0.0, 0.5)
-    ref = collapse_batch(0.5, RATES_A, *scalars(PARAMS), [((*key, 4),)])
-    assert len(rows) - 1 == ref.steps[0]
-    assert rows[-1][3] == ref.r[0]
-    # consecutive rows follow the split step on the run's own noise, up to
-    # the rounding of phi_h against two half flows
-    h = GAMMA * PARAMS.dt
-    sig = 2.0 * math.sqrt(h)
-    for (k, t, q, r), nxt in zip(rows, rows[1:]):
-        zeta = DEFAULT_NOISE.block_normals(key, k // BLOCK_STEPS, [4])[k % BLOCK_STEPS]
-        assert nxt[0] == k + 1 and nxt[1] == (k + 1) * PARAMS.dt
-        assert nxt[3] == pytest.approx(split_step(h, r, sig * zeta), abs=1e-12)
-        assert nxt[2] == stable_q(nxt[3])
-    # the run absorbs at the shifted barrier, which may sit short of the
-    # nominal threshold, and not a step before
-    barrier = PARAMS.log_threshold - BARRIER_BETA * sig
-    assert abs(rows[-1][3]) >= barrier > abs(rows[-2][3])
-    assert (rows[-1][3] > 0) == (ref.winner[0] == 1)
-
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(path, rows)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step,t_model_s,q,r"
-    assert len(lines) == len(rows) + 1
-
-
-def test_trajectory_max_rows_is_a_prefix():
-    key = ((*derive_stream_key(3, "D1"), 4),)
-    full = run_trajectory(0.5, RATES_A, *scalars(PARAMS), key)
-    capped = run_trajectory(0.5, RATES_A, PARAMS.dt, PARAMS.epsilon, 1100, key)
-    assert len(full) > 1101
-    assert capped == full[:1101]
