@@ -89,8 +89,9 @@ from .noise import BLOCK_STEPS, DEFAULT_NOISE, RUN_INDEX_LIMIT, PhiloxNoiseSourc
 # Hard ceiling on Gamma * dt; runs refuse to start above it.  Scenario
 # builders aim at half of it (see experiment.TARGET_GAMMA_DT), so rounding
 # in a derived dt cannot trip it.  At this ceiling the overshoot past the
-# barrier leaves the mean collapse time of the split step about 1.5 %
-# long (frame 0, epsilon 0.01), against under 1 % at the target.
+# barrier leaves the mean collapse time of the split step about 1 % long,
+# against about 0.5 % at the target (frame 0, epsilon 0.01, q0 0.3:
+# 1.0104 and 1.0045 times E[T], +- 0.0015, over 24 x 8192 runs).
 MAX_GAMMA_DT = 0.1
 
 # Broadie-Glasserman-Kou constant -zeta(1/2) / sqrt(2 pi): the absorbing
@@ -197,7 +198,7 @@ def _stream_addresses(stream_keys, n_streams):
 
     Raises ValueError for a word that is not an integer in [0, 2**64), a
     stream whose key differs between runs, a run whose index differs
-    between its streams and a run index outside [0, 2**59 - 1).
+    between its streams and a run index outside [0, RUN_INDEX_LIMIT).
     """
     # Python ints stay exact as objects: numpy would infer float64 for a
     # list that mixes words past 2**63 with small ones
@@ -225,7 +226,8 @@ def _stream_addresses(stream_keys, n_streams):
     if (addr[:, :, 2] != runs[:, None]).any():
         raise ValueError("each run must read all its streams at one run index")
     if int(runs.max()) >= RUN_INDEX_LIMIT:
-        raise ValueError(f"run index must be in [0, 2**59 - 1), got {int(runs.max())}")
+        raise ValueError(
+            f"run index must be in [0, {RUN_INDEX_LIMIT}), got {int(runs.max())}")
     return [tuple(key) for key in keys.tolist()], np.ascontiguousarray(runs)
 
 
@@ -267,33 +269,32 @@ def _window_noise(noise, keys, runs, sig, block_index, out):
     keys holds the (k0, k1) key of each stream and runs the run indices,
     and out is a view of the driver's window buffer, whose old contents
     are not read.  The runs go in sub-blocks of SUB_BLOCK_RUNS, and each
-    stream's window for a sub-block is one block_normals call.  The first
-    stream's draw is scaled by sig_s straight into out through its
-    transpose, and each later stream's is scaled and added, in rate order.
-    So window-sized memory is out alone, and out stays (rows, runs) so the
-    step kernel steps on out[t] whole, in place.  The streams are summed
-    elementwise rather than by a matrix product, whose reduction order may
-    depend on the batch shape.
+    stream's window for a sub-block is one block_normals call.  Each
+    stream's draw is scaled by sig_s in place and added to the first
+    stream's, in rate order, and the sum is written into out through its
+    transpose in one pass: a strided pass costs several contiguous ones.
+    Beside out, only one sub-block's draws are held, and out stays
+    (rows, runs) so the step kernel steps on out[t] whole, in place.  The
+    streams are summed elementwise rather than by a matrix product, whose
+    reduction order may depend on the batch shape.
 
-    Writing the first stream where a zeroed buffer would have it added to
-    0.0 can change only the sign of a zero: 0.0 + x is x for every x but
-    -0.0.  Values that are equal up to the sign of a zero stay so through
-    the later sums, the step w + dw, sinh, the growth factor and asinh, so
-    every nonzero value keeps its bits, and the barrier test
-    |zh| >= z_hi / 2 > 0 does not read the sign of a zero.
+    Starting the sum from the first stream where a zeroed buffer would
+    have it added to 0.0 can change only the sign of a zero: 0.0 + x is x
+    for every x but -0.0.  Values that are equal up to the sign of a zero
+    stay so through the later sums, the step w + dw, sinh, the growth
+    factor and asinh, so every nonzero value keeps its bits, and the
+    barrier test |zh| >= z_hi / 2 > 0 does not read the sign of a zero.
     """
     rows = len(out)
     for lo in range(0, len(runs), SUB_BLOCK_RUNS):
         part = runs[lo:lo + SUB_BLOCK_RUNS]
-        cols = out[:, lo:lo + len(part)]
-        for s, (key, scale) in enumerate(zip(keys, sig)):
+        total = noise.block_normals(keys[0], block_index, part)
+        total *= sig[0]
+        for key, scale in zip(keys[1:], sig[1:]):
             zeta = noise.block_normals(key, block_index, part)
-            zeta = zeta.reshape(-1, BLOCK_STEPS)[:, :rows].T
-            if s == 0:
-                np.multiply(zeta, scale, out=cols)
-            else:
-                zeta *= scale
-                cols += zeta
+            zeta *= scale
+            total += zeta
+        out[:, lo:lo + len(part)] = total.reshape(-1, BLOCK_STEPS)[:, :rows].T
 
 
 def _drive(r0, keys, runs, sig, h, thr, n_steps, noise):
@@ -377,10 +378,10 @@ def collapse_batch(q0: float, rates, dt: float, epsilon: float, max_steps: int, 
     like of shape (runs, streams, 3) of integer words will do, as long as
     each stream has one key for every run and each run one index for all
     its streams; ValueError otherwise, and for a run index outside
-    [0, 2**59 - 1), before any noise is drawn.  dt, epsilon and max_steps
-    are checked as CollapseParams.  Runs evolve in lockstep but consume
-    only their own addresses, so results per run do not depend on batch
-    composition or execution schedule.
+    [0, noise.RUN_INDEX_LIMIT), before any noise is drawn.  dt, epsilon
+    and max_steps are checked as CollapseParams.  Runs evolve in lockstep
+    but consume only their own addresses, so results per run do not
+    depend on batch composition or execution schedule.
 
     This makes any trajectory replayable by its step cap: a run's first k
     steps read only its own noise, so for a run still live after step k,

@@ -121,6 +121,8 @@ class EnsembleConfig:
             raise ConfigError(f"record_format must be 'csv' or 'jsonl', got {self.record_format!r}")
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir must be a string or null, got {self.out_dir!r}")
+        if self.out_dir == "":
+            raise ConfigError("out_dir must name a directory, got ''")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.overrides is not None and not isinstance(self.overrides, dict):

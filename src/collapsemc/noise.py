@@ -11,33 +11,36 @@ trajectory reproduces its noise exactly, whatever else executed.
 Following Random123 (Salmon et al., "Parallel random numbers: as easy as
 1, 2, 3", SC '11), the stream sits in the Philox key and the position in
 the counter.  Philox4x64-10 yields four 64-bit words per counter value,
-and a window of ``BLOCK_STEPS`` steps takes ``BLOCK_STEPS`` words, so 32
-counter values.  Window b of run k is the words numpy's ``Philox`` yields
-from key (k0, k1) and counter (32 k, b, 0, 0) with an empty buffer; numpy
-steps the counter before each block, so run k reads low counter words
-32 k + 1 ... 32 k + 32.  Consecutive runs are adjacent in the counter,
-so one ``random_raw`` call draws a window for every run index in a span.
-A list of run indices is drawn over the whole span from its least to its
-greatest index in one call when its entries number at least
-``SPAN_MIN_FILL`` (a quarter) of that span, and the requested runs' words
-are picked out of the draw; a sparser list takes one call per segment of
-consecutive indices.  So a draw never holds more than four times the
-requested runs' words, however gapped the list is.
+and a window of ``BLOCK_STEPS`` steps takes ``BLOCK_STEPS / 2`` words,
+one per Box-Muller pair, so 16 counter values.  Window b of run k is the
+words numpy's ``Philox`` yields from key (k0, k1) and counter
+(16 k, b, 0, 0) with an empty buffer; numpy steps the counter before each
+block, so run k reads low counter words 16 k + 1 ... 16 k + 16.
+Consecutive runs are adjacent in the counter, so one ``random_raw`` call
+draws a window for every run index in a span.  A list of run indices is
+drawn over the whole span from its least to its greatest index in one
+call when its entries number at least ``SPAN_MIN_FILL`` (a quarter) of
+that span, and the requested runs' words are picked out of the draw; a
+sparser list takes one call per segment of consecutive indices.  So a
+draw never holds more than four times the requested runs' words, however
+gapped the list is.
 
-Each run-window of words becomes ``BLOCK_STEPS`` standard normals by a
-fixed-consumption Box-Muller transform, one word per normal.  With
-h = BLOCK_STEPS / 2, words a_j = w[j] and b_j = w[h + j] for j < h give
+Each run-window of h = BLOCK_STEPS / 2 words w_j becomes ``BLOCK_STEPS``
+standard normals by a fixed-consumption Box-Muller transform, one word
+per pair: the high 40 bits give the radius and the low 24 bits the angle,
 
-    R_j = sqrt(-2 ln(((a_j >> 11) + 1) * 2**-53))     (float64)
-    theta_j = ((b_j >> 40) as float32) * c            (float32, c = float32(2 pi) * 2**-24)
+    R_j = sqrt(-2 ln(((w_j >> 24) + 1) * 2**-40))           (float64)
+    theta_j = ((w_j & (2**24 - 1)) as float32) * c          (float32, c = float32(2 pi) * 2**-24)
 
 and rows j and h + j of the window are R_j cos(theta_j) and
 R_j sin(theta_j), the sine and cosine taken in float32 and the products
-in float64.  The uniform ((a >> 11) + 1) 2**-53 lies in (0, 1], so
-|z| <= sqrt(106 ln 2) ~= 8.57: the tails are cut at 8.57 sigma, beyond
-which a normal falls with probability about 1e-17.  The angle is
-computed in float32 because float32 sine and cosine have SIMD loops in
-numpy where float64 ones may not, at about a tenth of the cost.
+in float64.  The uniform ((w >> 24) + 1) 2**-40 lies in (0, 1], so
+|z| <= sqrt(80 ln 2) ~= 7.45: the tails are cut at 7.45 sigma, beyond
+which a normal falls with probability about 1e-13.  The integers are
+converted to floating point through a signed view, which is exact below
+2**53 and cheaper than the unsigned conversion.  The angle is computed
+in float32 because float32 sine and cosine have SIMD loops in numpy
+where float64 ones may not, at about a tenth of the cost.
 
 The Philox words are fixed by the algorithm.  The normals also depend on
 numpy's ``log``, ``sin`` and ``cos``, whose last bits vary with the numpy
@@ -63,11 +66,14 @@ from numpy.random import Philox
 # a frame-A run about 280.
 BLOCK_STEPS = 128
 
-# Philox4x64 counter values a window spans: one per four words
-_COUNTERS_PER_WINDOW = BLOCK_STEPS // 4
+# Philox words a run-window takes: one per Box-Muller pair
+_WORDS_PER_WINDOW = BLOCK_STEPS // 2
 
-# run k reads low counter words up to 32 k + 32, which must not carry into
-# the block index word: k < 2**59 - 1
+# Philox4x64 counter values a window spans: one per four words
+_COUNTERS_PER_WINDOW = _WORDS_PER_WINDOW // 4
+
+# run k reads low counter words up to 16 k + 16, which must not carry into
+# the block index word: k < 2**60 - 1
 RUN_INDEX_LIMIT = 2**64 // _COUNTERS_PER_WINDOW - 1
 
 # A run list whose entries number at least this share of the index span
@@ -76,8 +82,8 @@ RUN_INDEX_LIMIT = 2**64 // _COUNTERS_PER_WINDOW - 1
 # 1 / SPAN_MIN_FILL times the requested runs' words.
 SPAN_MIN_FILL = 0.25
 
-_HALF = BLOCK_STEPS // 2
-_U53 = 2.0 ** -53
+_U40 = 2.0 ** -40
+_ANGLE_MASK = np.uint64(2**24 - 1)
 _ANGLE_STEP = np.float32(2.0 * np.pi) * np.float32(2.0 ** -24)
 
 _KEY_PREFIX = b"collapsemc.v2"
@@ -141,26 +147,26 @@ def _run_indices(runs):
     lo, hi = int(idx.min()), int(idx.max())
     for k in (lo, hi):
         if not 0 <= k < RUN_INDEX_LIMIT:
-            raise ValueError(f"run index must be in [0, 2**59 - 1), got {k}")
+            raise ValueError(f"run index must be in [0, {RUN_INDEX_LIMIT}), got {k}")
     return idx.astype(np.uint64, copy=False), lo, hi
 
 
 def _box_muller(words: np.ndarray) -> np.ndarray:
     """Normals of a flat run-major array of run-windows of words, by the
     transform of the module docstring."""
-    pairs = words.reshape(-1, 2, _HALF)
-    radius = pairs[:, 0] >> np.uint64(11)
+    words = words.reshape(-1, _WORDS_PER_WINDOW)
+    radius = words >> np.uint64(24)
     radius += np.uint64(1)
-    radius = radius * _U53
+    radius = radius.view(np.int64) * _U40
     np.log(radius, out=radius)
     radius *= -2.0
     np.sqrt(radius, out=radius)
-    angle = (pairs[:, 1] >> np.uint64(40)).astype(np.float32)
+    angle = (words & _ANGLE_MASK).view(np.int64).astype(np.float32)
     angle *= _ANGLE_STEP
-    out = np.empty(pairs.shape)
-    np.multiply(radius, np.cos(angle), out=out[:, 0])
-    np.sin(angle, out=angle)
-    np.multiply(radius, angle, out=out[:, 1])
+    out = np.empty((len(words), 2, _WORDS_PER_WINDOW))
+    out[:, 0] = np.cos(angle)
+    out[:, 1] = np.sin(angle, out=angle)
+    out *= radius[:, None]
     return out.ravel()
 
 
@@ -212,7 +218,7 @@ class PhiloxNoiseSource:
         way only the requested runs' words are transformed, once over all
         of them, and a run's normals are the same bits on both paths.
         Raises ValueError for a block index outside [0, 2**64) or a run
-        index outside [0, 2**59 - 1).
+        index outside [0, RUN_INDEX_LIMIT).
         """
         if not 0 <= block_index < 2**64:
             raise ValueError(f"block_index must be in [0, 2**64), got {block_index}")
@@ -226,7 +232,7 @@ class PhiloxNoiseSource:
             words = self._draw(lo, span)
             if span != idx.size or (np.diff(idx) != 1).any():
                 offsets = (idx - np.uint64(lo)).astype(np.intp)
-                words = words.reshape(span, BLOCK_STEPS).take(offsets, axis=0)
+                words = words.reshape(span, _WORDS_PER_WINDOW).take(offsets, axis=0)
             return _box_muller(words)
         starts = [0, *(np.flatnonzero(np.diff(idx) != 1) + 1).tolist(), idx.size]
         words = [self._draw(idx[a], b - a) for a, b in zip(starts, starts[1:])]
@@ -236,7 +242,7 @@ class PhiloxNoiseSource:
         """Words of the current window for runs first_run ... first_run + n_runs - 1."""
         self._counter[0] = int(first_run) * _COUNTERS_PER_WINDOW
         self._bitgen.state = self._state
-        return self._bitgen.random_raw(n_runs * BLOCK_STEPS)
+        return self._bitgen.random_raw(n_runs * _WORDS_PER_WINDOW)
 
 
 DEFAULT_NOISE = PhiloxNoiseSource()

@@ -244,6 +244,27 @@ def test_config_file_bad_value_type(capsys, tmp_path, bad):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_empty_out_dir_is_a_usage_error(capsys, tmp_path, monkeypatch, source):
+    # an empty out-dir, from the flag or the config file, is refused before
+    # any run starts, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    started = []
+    monkeypatch.setattr(cli, "run_ensemble", lambda *a, **kw: started.append(a))
+    args = ["born", "--runs", "20", "--q0", "1"]
+    if source == "flag":
+        args += ["--out-dir", ""]
+    else:
+        (tmp_path / "empty.json").write_text(json.dumps({"out_dir": ""}))
+        args += ["--config", "empty.json"]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: out_dir must name a directory")
+    assert started == []
+    assert sorted(os.listdir(tmp_path)) == ([] if source == "flag" else ["empty.json"])
+
+
 def test_amplitudes_override_is_unknown(capsys, tmp_path):
     # q0 is set by --q0 or the config's q0 alone; an amplitudes pair is an
     # unknown override, refused before any run

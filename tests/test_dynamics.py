@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 import warnings
 
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from collapsemc import dynamics
 from collapsemc.dynamics import (BARRIER_BETA, MAX_GAMMA_DT, CollapseParams,
                                  NoCollapsePossibleError, collapse_batch, stable_q)
-from collapsemc.noise import BLOCK_STEPS, DEFAULT_NOISE, PhiloxNoiseSource, derive_stream_key
+from collapsemc.noise import (BLOCK_STEPS, DEFAULT_NOISE, RUN_INDEX_LIMIT, PhiloxNoiseSource,
+                              derive_stream_key)
 
 ETA = 1e10
 LAM = 1e-16
@@ -369,7 +371,7 @@ def test_stream_address_validation():
         ("integer words", RATES_A, 0.5, [((float(key[0]), key[1], 1),)]),
         ("integer words", RATES_A, 0.5, [((*key, True),)]),
         ("integer words", RATES_A, 0.5, np.array([[(*key, 1)]], dtype=np.float64)),
-        ("run index must be", RATES_A, 1.0, [((*key, 0),), ((*key, 2**59 - 1),)]),
+        ("run index must be", RATES_A, 1.0, [((*key, 0),), ((*key, RUN_INDEX_LIMIT),)]),
     ]
     for match, rates, q0, bad in refused:
         spy = _SpyNoise()
@@ -377,7 +379,7 @@ def test_stream_address_validation():
             collapse_batch(q0, rates, *scalars(PARAMS), bad, noise=spy)
         assert spy.calls == []
     # the greatest run index the counter holds is read
-    last = collapse_batch(0.5, RATES_A, *scalars(PARAMS), [((*key, 2**59 - 2),)])
+    last = collapse_batch(0.5, RATES_A, *scalars(PARAMS), [((*key, RUN_INDEX_LIMIT - 1),)])
     assert last.winner[0] > 0
 
 
@@ -466,8 +468,15 @@ def reference_drive(r0, keys, runs, sig, h, thr, n_steps, noise, record=None):
 # frame 0 (two streams) and frame A (one stream), each at Gamma * dt 0.05,
 # the scenario target, so runs absorb in every slab of the first windows
 KERNEL_FRAMES = {"0": (RATES_0, 0.05 / (2.0 * GAMMA)), "A": (RATES_A, 0.05 / GAMMA)}
+KERNEL_EPSILONS = (1e-6, 0.01)
 GAPPED_RUNS = (0, 1, 2, 5, 6, 9, 17, 18, 19, 20, 40, 63, 64, 100, 101, 255, 256, 257,
                300, 511, 512, 700, 701, 702, 1000, 1023, 1024, 2047, 2048, 4095)
+
+# the largest step cap of the kernel grid, and the slab and window edges
+# the grid's runs must absorb at
+KERNEL_CAP = 300
+EDGE_STEPS = (dynamics.SLAB_ROWS, dynamics.SLAB_ROWS + 1, 2 * dynamics.SLAB_ROWS,
+              BLOCK_STEPS, BLOCK_STEPS + 1)
 
 
 def kernel_q0(epsilon):
@@ -475,15 +484,46 @@ def kernel_q0(epsilon):
     return (0.5, 0.8, 1.0 - epsilon / 2)
 
 
+def _frame_keys(frame, runs):
+    """One frame's stream addresses of `runs` at seed 83."""
+    rates, _ = KERNEL_FRAMES[frame]
+    return [pair[:len(rates)] for pair in keys0_for(0, seed=83, runs=runs)]
+
+
+@functools.cache
+def kernel_runs():
+    """The kernel grid's runs at seed 83, found by a scan of runs 0 ... 4095
+    in every frame, epsilon and start weight of the grid: those of
+    GAPPED_RUNS and, for each of EDGE_STEPS, the first run that absorbs at
+    that step in some case.  Only runs that absorb within KERNEL_CAP steps
+    in every case are taken, so the grid's runs stop at a step cap only
+    below it, and the choice holds under any noise."""
+    scan = np.arange(GAPPED_RUNS[-1] + 1)
+    cases = []
+    for frame, epsilon in itertools.product(KERNEL_FRAMES, KERNEL_EPSILONS):
+        rates, dt = KERNEL_FRAMES[frame]
+        case = dynamics._prepare(rates, dt, epsilon, KERNEL_CAP, _frame_keys(frame, scan))
+        for q0 in kernel_q0(epsilon):
+            r0 = math.log(q0) - math.log1p(-q0)
+            _, steps, winner = dynamics._drive(r0, *case, KERNEL_CAP, DEFAULT_NOISE)
+            cases.append((steps, winner))
+    absorbs = np.logical_and.reduce([winner > 0 for _, winner in cases])
+    runs = {k for k in GAPPED_RUNS if absorbs[k]}
+    for edge in EDGE_STEPS:
+        at_edge = np.logical_or.reduce([steps == edge for steps, _ in cases]) & absorbs
+        assert at_edge.any(), f"no run of the scan absorbs at step {edge}"
+        runs.add(int(at_edge.argmax()))
+    return tuple(sorted(runs))
+
+
 def _kernel_case(frame, epsilon, max_steps):
-    """_drive's (keys, runs, sig, h, thr) for the gapped runs in one frame."""
+    """_drive's (keys, runs, sig, h, thr) for the grid's runs in one frame."""
     rates, dt = KERNEL_FRAMES[frame]
-    keys = [pair[:len(rates)] for pair in keys0_for(0, seed=83, runs=GAPPED_RUNS)]
-    return dynamics._prepare(rates, dt, epsilon, max_steps, keys)
+    return dynamics._prepare(rates, dt, epsilon, max_steps, _frame_keys(frame, kernel_runs()))
 
 
 @pytest.mark.parametrize("max_steps", [1, 31, 32, 33, 127, 128, 129, 300])
-@pytest.mark.parametrize("epsilon", [1e-6, 0.01])
+@pytest.mark.parametrize("epsilon", KERNEL_EPSILONS)
 @pytest.mark.parametrize("frame", ["0", "A"])
 def test_slab_kernel_matches_reference_drive(frame, epsilon, max_steps):
     # the half-scaled, slab-tested kernel gives every run the bits of the
@@ -504,8 +544,8 @@ def test_slab_kernel_grid_reaches_the_edges():
     # runs stopped by the step cap
     absorbed, capped = set(), set()
     for frame in KERNEL_FRAMES:
-        for epsilon in (1e-6, 0.01):
-            for max_steps in (31, 300):
+        for epsilon in KERNEL_EPSILONS:
+            for max_steps in (31, KERNEL_CAP):
                 case = _kernel_case(frame, epsilon, max_steps)
                 for q0 in kernel_q0(epsilon):
                     r0 = math.log(q0) - math.log1p(-q0)
@@ -546,38 +586,66 @@ def test_slab_size_does_not_change_results(monkeypatch, slab):
         assert np.array_equal(a, b)
 
 
-REPLAY_RUNS = (0, 9, 256, 1023)
+def _uncapped_steps(frame, runs):
+    """Uncapped step counts of `runs` at seed 83, q0 0.5 and epsilon 1e-6."""
+    rates, dt = KERNEL_FRAMES[frame]
+    keys = _frame_keys(frame, runs)
+    return collapse_batch(0.5, rates, dt, 1e-6, CollapseParams(dt=dt).max_steps, keys).steps
+
+
+# where the scan for each replay run starts, and the edge it must live past
+# in both frames: the window edge for the first two, a slab edge for the others
+REPLAY_STARTS = (0, 9, 256, 1023)
+REPLAY_EDGES = (BLOCK_STEPS + 1, BLOCK_STEPS + 1, dynamics.SLAB_ROWS + 1, dynamics.SLAB_ROWS + 1)
+
+
+@functools.cache
+def replay_runs():
+    """The replay runs at seed 83, q0 0.5 and epsilon 1e-6, found by a
+    scan: for each of REPLAY_STARTS, the first run at or past it, and past
+    the run before, that lives past its edge of REPLAY_EDGES in both
+    frames."""
+    scan = np.arange(REPLAY_STARTS[-1] + 256)
+    lives = np.minimum(*(_uncapped_steps(frame, scan) for frame in KERNEL_FRAMES))
+    runs = []
+    for start, edge in zip(REPLAY_STARTS, REPLAY_EDGES):
+        lo = max(start, runs[-1] + 1 if runs else 0)
+        hits = lo + np.flatnonzero(lives[lo:] > edge)
+        assert hits.size, f"no run from {lo} lives past step {edge}"
+        runs.append(int(hits[0]))
+    return tuple(runs)
 
 
 @functools.cache
 def _replayed(frame):
-    """Each of REPLAY_RUNS's r after every step k, read from collapse_batch
+    """Each replay run's r after every step k, read from collapse_batch
     capped at k, as a (steps, runs) array up to the last run's absorbing
     step, and the uncapped step count of each run."""
     rates, dt = KERNEL_FRAMES[frame]
-    keys = [pair[:len(rates)] for pair in keys0_for(0, seed=83, runs=REPLAY_RUNS)]
-    steps = collapse_batch(0.5, rates, dt, 1e-6, CollapseParams(dt=dt).max_steps, keys).steps
+    keys = _frame_keys(frame, replay_runs())
+    steps = _uncapped_steps(frame, replay_runs())
     path = np.array([collapse_batch(0.5, rates, dt, 1e-6, k, keys).r
                      for k in range(1, int(steps.max()) + 1)])
     return path, steps
 
 
 @pytest.mark.parametrize("max_steps", [None, 31, 32, 33, 128, 129])
-@pytest.mark.parametrize("run", REPLAY_RUNS)
-def test_trajectory_matches_reference_record(run, max_steps):
+@pytest.mark.parametrize("start", REPLAY_STARTS)
+def test_trajectory_matches_reference_record(start, max_steps):
     # a trajectory replays by step cap: collapse_batch capped at k gives
     # the r the reference records after step k, bit for bit, at every step
-    # up to absorption or the reference's cap, in both frames.  Runs 0 and
-    # 9 live past the window edge in both, the others past a slab edge;
-    # None is the default step cap
-    col = REPLAY_RUNS.index(run)
+    # up to absorption or the reference's cap, in both frames.  The run is
+    # the one replay_runs finds from start: the first two live past the
+    # window edge in both frames, the others past a slab edge; None is the
+    # default step cap
+    col = REPLAY_STARTS.index(start)
+    run = replay_runs()[col]
     for frame in KERNEL_FRAMES:
         path, steps = _replayed(frame)
         assert steps.min() > dynamics.SLAB_ROWS + 1 and steps[:2].min() > BLOCK_STEPS + 1
         rates, dt = KERNEL_FRAMES[frame]
         cap = CollapseParams(dt=dt).max_steps if max_steps is None else max_steps
-        key = keys0_for(0, seed=83, runs=[run])[0][:len(rates)]
-        case = dynamics._prepare(rates, dt, 1e-6, cap, [key])
+        case = dynamics._prepare(rates, dt, 1e-6, cap, _frame_keys(frame, [run]))
         recorded = []
         reference_drive(0.0, *case, cap, DEFAULT_NOISE,
                         record=lambda k, x: recorded.append(float(x[0])))

@@ -16,7 +16,7 @@ from collapsemc.ensemble import (_LINE_FORMATS, CHUNK_RUNS, CSV_COLUMNS, READING
                                  build_manifest, compute_stats, export_ensemble,
                                  export_records, run_ensemble, wilson_interval)
 from collapsemc.experiment import build_scenario, record_dtype
-from collapsemc.noise import PhiloxNoiseSource
+from collapsemc.noise import RUN_INDEX_LIMIT, PhiloxNoiseSource
 from collapsemc.relativity import C, activation_gap
 
 
@@ -309,8 +309,9 @@ def test_export_matches_reference_on_every_line_class(tmp_path):
                        | st.sampled_from([1e-05, 1e+16, 5e-324, 2.5e-4]),
                        min_size=1, max_size=8),
        picks=st.lists(st.integers(0, 7), min_size=40, max_size=40),
-       runs=st.lists(st.integers(0, 2**59 - 2), min_size=40, max_size=40))
-@example(values=[1e-05, 1e+16, 5e-324], picks=list(range(8)) * 5, runs=[2**59 - 2] * 40)
+       runs=st.lists(st.integers(0, RUN_INDEX_LIMIT - 1), min_size=40, max_size=40))
+@example(values=[1e-05, 1e+16, 5e-324], picks=list(range(8)) * 5,
+         runs=[RUN_INDEX_LIMIT - 1] * 40)
 def test_export_matches_reference_on_drawn_durations(tmp_path_factory, values, picks, runs):
     # 40 rows over at most 8 values: repeats exercise the once-per-value spelling
     frames = (("A", "D1", 1e-4), ("B", "D2", 1e-4), ("frame0", "simultaneous", math.nan))
@@ -325,7 +326,7 @@ def test_export_matches_reference_past_one_slice(tmp_path):
     n = 2 * CHUNK_RUNS + 5
     rows = [(k, "AB"[k % 2], ("D1", "D2")[k % 2], int(rng.integers(0, 3)),
              int(rng.integers(1, 400)) * 2.5e-6, 4.7e-4) for k in range(n)]
-    rows[-1] = (2**59 - 2, "B", "D2", 1, 5e-324, 4.7e-4)
+    rows[-1] = (RUN_INDEX_LIMIT - 1, "B", "D2", 1, 5e-324, 4.7e-4)
     assert_export_matches_reference(_table(*rows), tmp_path)
 
 

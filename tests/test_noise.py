@@ -11,19 +11,30 @@ from numpy.random import Generator, Philox
 from collapsemc.noise import (BLOCK_STEPS, RUN_INDEX_LIMIT, SPAN_MIN_FILL,
                               PhiloxNoiseSource, derive_stream_key)
 
+# a window's words, one per Box-Muller pair, and the counter values they span
 HALF = BLOCK_STEPS // 2
+COUNTERS = HALF // 4
+
+# the documented tail cut: |z| <= sqrt(-2 ln 2**-40)
+Z_MAX = math.sqrt(80.0 * math.log(2.0))
+
+
+def window_words(key, block, run):
+    """The words of window `block` of run `run` on stream `key`, from a
+    fresh Philox at counter (16 run, block, 0, 0)."""
+    counter = np.array([run * COUNTERS, block, 0, 0], dtype=np.uint64)
+    return Philox(key=np.array(key, dtype=np.uint64), counter=counter).random_raw(HALF)
 
 
 def reference_window(key, block, run):
-    """Window `block` of run `run` on stream `key`, from a fresh Philox at
-    counter (32 run, block, 0, 0) through the documented transform."""
-    counter = np.array([run * (BLOCK_STEPS // 4), block, 0, 0], dtype=np.uint64)
-    words = Philox(key=np.array(key, dtype=np.uint64), counter=counter).random_raw(BLOCK_STEPS)
-    a, b = words[:HALF], words[HALF:]
-    radius = np.sqrt(-2.0 * np.log(((a >> np.uint64(11)) + np.uint64(1)).astype(np.float64)
-                                   * 2.0 ** -53))
-    theta = (b >> np.uint64(40)).astype(np.float32) * (np.float32(2.0 * np.pi)
-                                                        * np.float32(2.0 ** -24))
+    """Window `block` of run `run` on stream `key` through the documented
+    transform: the radius from bits 63..24 of each word, the angle from
+    bits 23..0."""
+    words = window_words(key, block, run)
+    radius = np.sqrt(-2.0 * np.log(((words >> np.uint64(24)) + np.uint64(1)).astype(np.float64)
+                                   * 2.0 ** -40))
+    theta = (words & np.uint64(2**24 - 1)).astype(np.float32) * (np.float32(2.0 * np.pi)
+                                                                 * np.float32(2.0 ** -24))
     return np.concatenate([radius * np.cos(theta).astype(np.float64),
                            radius * np.sin(theta).astype(np.float64)])
 
@@ -122,16 +133,63 @@ def test_transform_matches_scalar_math():
     # the documented transform in double-precision scalar math, which
     # differs from the float32 angle by float32 rounding only
     key, block, run = derive_stream_key(4, "D1"), 2, 9
-    counter = np.array([run * (BLOCK_STEPS // 4), block, 0, 0], dtype=np.uint64)
-    words = [int(w) for w in Philox(key=np.array(key, dtype=np.uint64),
-                                    counter=counter).random_raw(BLOCK_STEPS)]
+    words = [int(w) for w in window_words(key, block, run)]
+    got = PhiloxNoiseSource().block_normals(key, block, [run])
+    np.testing.assert_allclose(got, _scalar_window(words), rtol=0, atol=2e-6)
+
+
+def _scalar_window(words):
+    """The documented transform of a window's words in double-precision
+    scalar math."""
     expected = []
     for part in (math.cos, math.sin):
-        for a, b in zip(words[:HALF], words[HALF:]):
-            radius = math.sqrt(-2.0 * math.log(((a >> 11) + 1) * 2.0 ** -53))
-            expected.append(radius * part(2.0 * math.pi * (b >> 40) * 2.0 ** -24))
-    got = PhiloxNoiseSource().block_normals(key, block, [run])
-    np.testing.assert_allclose(got, expected, rtol=0, atol=2e-6)
+        for w in words:
+            radius = math.sqrt(-2.0 * math.log(((w >> 24) + 1) * 2.0 ** -40))
+            expected.append(radius * part(2.0 * math.pi * (w & (2**24 - 1)) * 2.0 ** -24))
+    return expected
+
+
+class _WordSource(PhiloxNoiseSource):
+    """Transforms hand-built words in place of every Philox draw."""
+
+    def __init__(self, words):
+        super().__init__()
+        self.words = np.array(words, dtype=np.uint64)
+
+    def _draw(self, first_run, n_runs):
+        assert n_runs * HALF == self.words.size
+        return self.words.copy()
+
+
+def test_word_bits_split_between_radius_and_angle():
+    # word j of a window gives rows j and 64 + j: bits 63..24 set the
+    # radius and bits 23..0 the angle, and neither field leaks into the other
+    quarter = 2**22  # an angle of pi / 2
+    special = [
+        0,                            # radius at the tail cut, angle 0
+        2**64 - 1,                    # u = 1: radius 0, whatever the angle
+        2**24,                        # lowest radius bit: u = 2 * 2**-40, angle 0
+        (2**40 - 1) << 24,            # u = 1 again, angle 0
+        2**24 - 1,                    # radius at the cut, angle just short of 2 pi
+        quarter,                      # radius at the cut, angle pi / 2
+        (12345 << 24) | quarter,
+    ]
+    rng = np.random.default_rng(5)
+    words = special + [int(w) for w in rng.integers(0, 2**64, HALF - len(special),
+                                                     dtype=np.uint64)]
+    got = _WordSource(words).block_normals((1, 2), 0, [0])
+    cos_rows, sin_rows = got[:HALF], got[HALF:]
+    assert cos_rows[0] == pytest.approx(Z_MAX, rel=1e-15) and sin_rows[0] == 0.0
+    assert cos_rows[1] == 0.0 and sin_rows[1] == 0.0
+    assert cos_rows[2] == pytest.approx(math.sqrt(78.0 * math.log(2.0)), rel=1e-15)
+    assert sin_rows[2] == 0.0
+    assert cos_rows[3] == 0.0 and sin_rows[3] == 0.0
+    assert cos_rows[4] == pytest.approx(Z_MAX, rel=1e-12)
+    assert -1e-5 < sin_rows[4] < 0.0
+    assert abs(cos_rows[5]) < 1e-6 and sin_rows[5] == pytest.approx(Z_MAX, rel=1e-7)
+    r = math.sqrt(-2.0 * math.log(12346 * 2.0 ** -40))
+    assert abs(cos_rows[6]) < 1e-6 and sin_rows[6] == pytest.approx(r, rel=1e-7)
+    np.testing.assert_allclose(got, _scalar_window(words), rtol=0, atol=2e-6)
 
 
 def test_run_lists_match_per_run_draws():
@@ -148,15 +206,18 @@ def test_run_lists_match_per_run_draws():
 
 
 class _DrawSpy(PhiloxNoiseSource):
-    """Records the (first run, run count) of every Philox draw."""
+    """Records the (first run, run count) and the words of every Philox draw."""
 
     def __init__(self):
         super().__init__()
         self.draws = []
+        self.words = []
 
     def _draw(self, first_run, n_runs):
         self.draws.append((int(first_run), n_runs))
-        return super()._draw(first_run, n_runs)
+        words = super()._draw(first_run, n_runs)
+        self.words.append(words)
+        return words
 
 
 def _per_run(key, block, runs):
@@ -205,8 +266,9 @@ def test_draws_stay_within_four_times_the_requested_words(runs, offset):
     key = derive_stream_key(13, "D1")
     src = _DrawSpy()
     got = src.block_normals(key, 2, runs)
-    drawn = sum(n for _, n in src.draws) * BLOCK_STEPS
-    assert drawn <= 4 * len(runs) * BLOCK_STEPS
+    drawn = sum(w.size for w in src.words)
+    assert drawn == sum(n for _, n in src.draws) * HALF
+    assert drawn <= 4 * len(runs) * HALF
     assert len(src.draws) <= 1 + sum(b - a != 1 for a, b in zip(runs, runs[1:]))
     assert got.shape == (len(runs) * BLOCK_STEPS,)
     assert np.array_equal(got, _per_run(key, 2, runs))
@@ -214,14 +276,14 @@ def test_draws_stay_within_four_times_the_requested_words(runs, offset):
 
 def test_span_ending_at_the_last_run_index():
     # a dense span that ends at the last run index reads the counter up to
-    # 2**64 - 32, as the single run there does
+    # 2**64 - 16, as the single run there does
     key = derive_stream_key(14, "D1")
     last = RUN_INDEX_LIMIT - 1
     runs = [last, last - 5, last - 2, last - 3]
     src = _DrawSpy()
     got = src.block_normals(key, 7, runs)
     assert src.draws == [(last - 5, 6)]
-    assert [int(w) for w in src._bitgen.state["state"]["counter"]] == [2**64 - 32, 7, 0, 0]
+    assert [int(w) for w in src._bitgen.state["state"]["counter"]] == [2**64 - 16, 7, 0, 0]
     assert np.array_equal(got, _per_run(key, 7, runs))
 
 
@@ -235,21 +297,21 @@ def test_block_normals_validation():
         with pytest.raises(ValueError, match=str(bad)):
             src.block_normals(key, bad, [0])
     # run index: the last run whose window ends inside the low counter word
-    assert RUN_INDEX_LIMIT == 2**59 - 1
+    assert RUN_INDEX_LIMIT == 2**60 - 1
     last = RUN_INDEX_LIMIT - 1
     src.block_normals(key, 3, [last])
-    assert [int(w) for w in src._bitgen.state["state"]["counter"]] == [2**64 - 32, 3, 0, 0]
+    assert [int(w) for w in src._bitgen.state["state"]["counter"]] == [2**64 - 16, 3, 0, 0]
     for bad in (-1, RUN_INDEX_LIMIT, 2**63, 2**64):
-        with pytest.raises(ValueError, match=str(bad)):
+        with pytest.raises(ValueError, match=f"got {bad}"):
             src.block_normals(key, 3, [0, bad])
-    with pytest.raises(ValueError, match=str(RUN_INDEX_LIMIT)):
+    with pytest.raises(ValueError, match=f"got {RUN_INDEX_LIMIT}"):
         src.block_normals(key, 3, np.array([last, RUN_INDEX_LIMIT], dtype=np.uint64))
     # the next run's window would carry into the block index word
     state = src._bitgen.state
-    state["state"]["counter"] = [RUN_INDEX_LIMIT * (BLOCK_STEPS // 4), 3, 0, 0]
+    state["state"]["counter"] = [RUN_INDEX_LIMIT * COUNTERS, 3, 0, 0]
     state["buffer_pos"] = 4
     src._bitgen.state = state
-    src._bitgen.random_raw(BLOCK_STEPS)
+    src._bitgen.random_raw(HALF)
     assert [int(w) for w in src._bitgen.state["state"]["counter"]] == [0, 4, 0, 0]
     with pytest.raises(ValueError, match="1-D"):
         src.block_normals(key, 0, np.array([[0, 1]]))
@@ -266,22 +328,27 @@ def _state_words(bitgen):
 
 def test_reused_state_matches_fresh_generators():
     # one source drawn in an interleaved order must match, draw by draw, a
-    # fresh generator at that key and counter, in values and in the state
-    # left behind: words and a uint32 drawn from the shared bit generator
-    # between calls leave its output buffer part used and a cached word,
-    # and neither may carry over into the next draw
+    # fresh generator at that key and counter, in words, values and the
+    # state left behind: window b of run k is the 64 words of a fresh
+    # Philox at counter (16 k, b, 0, 0).  Words and a uint32 drawn from the
+    # shared bit generator between calls leave its output buffer part used
+    # and a cached word, and neither may carry over into the next draw
     keys = [(0, 0), (2**64 - 1, 2**63), (2**63 + 5, 12345), derive_stream_key(3, "D2")]
-    src = PhiloxNoiseSource()
+    src = _DrawSpy()
     for runs in ([7], [1, 2, 3]):
         for block in (0, 3, 2**40):
             for key in keys:
                 got = src.block_normals(key, block, runs)
                 assert np.array_equal(got, np.concatenate(
                     [reference_window(key, block, k) for k in runs])), (key, block, runs)
-                counter = np.array([runs[0] * (BLOCK_STEPS // 4), block, 0, 0],
-                                   dtype=np.uint64)
+                words = src.words[-1].reshape(len(runs), HALF)
+                for k, run_words in zip(runs, words):
+                    fresh = Philox(key=np.array(key, dtype=np.uint64),
+                                   counter=np.array([16 * k, block, 0, 0], dtype=np.uint64))
+                    assert np.array_equal(run_words, fresh.random_raw(64)), (key, block, k)
+                counter = np.array([runs[0] * COUNTERS, block, 0, 0], dtype=np.uint64)
                 fresh = Philox(key=np.array(key, dtype=np.uint64), counter=counter)
-                fresh.random_raw(len(runs) * BLOCK_STEPS)
+                fresh.random_raw(len(runs) * HALF)
                 assert _state_words(src._bitgen) == _state_words(fresh)
                 src._bitgen.random_raw(3)
                 Generator(src._bitgen).integers(0, 2**32, dtype=np.uint32)
@@ -302,6 +369,7 @@ def _sample(n_runs, seed=1, chunk=4096):
 def test_block_normals_moments():
     vals = _sample(800).ravel()
     n = vals.size
+    assert np.abs(vals).max() <= Z_MAX
     assert abs(vals.mean()) < 4.5 / np.sqrt(n)
     assert abs(vals.var() - 1.0) < 4.5 * np.sqrt(2.0 / n)
 
@@ -309,11 +377,11 @@ def test_block_normals_moments():
 def test_normals_follow_the_normal_law():
     # 2**22 normals: a binned chi-square against Phi over 0.25-sigma bins
     # out to 4 sigma, the tail counts beyond 3, 4 and 5 sigma, and the
-    # documented bound |z| <= sqrt(106 ln 2)
+    # documented bound |z| <= sqrt(80 ln 2)
     z = _sample(2**15).ravel()
     n = z.size
     assert n >= 4_000_000
-    assert np.abs(z).max() <= math.sqrt(-2.0 * math.log(2.0 ** -53))
+    assert np.abs(z).max() <= Z_MAX
     inner = np.arange(-16, 17) * 0.25
     edges = np.concatenate([[-np.inf], inner, [np.inf]])
     counts = np.histogram(z, bins=edges)[0]
