@@ -47,17 +47,31 @@ either side of the additive noise:
 
     r_{k+1} = phi_{h/2}(phi_{h/2}(r_k) + sum_s sig_s zeta_s),  sig_s = 2 sqrt(Gamma_s dt).
 
+The noise sum dw = sum_s sig_s zeta_s is formed in float32 and widened
+once: each stream's float32 normals are scaled in place by sig_s rounded
+to float32, the streams are summed in float32 in rate order, and the sum
+is widened to float64 as it is written into the step window, where the
+kernel steps in float64.  Rounding sig_s to float32 changes a stream's
+diffusion by under 2**-24 relative, far below the Monte Carlo error.
+
 The engine carries w = y / 2, half of y = phi_{h/2}(r), and draws each
 window's noise at half scale, sig_s / 2.  Since phi_h(z) / 2 =
 asinh(sinh(z / 2) e^h), a step is four in-place ufuncs on the live runs:
-zh = w + noise / 2, written over the window's noise row, then w = sinh(zh),
+zh = w + dw / 2, written over the window's noise row, then w = sinh(zh),
 w *= e^h and w = asinh(w).  This gives the bits of the plain step z = y +
-noise, y <- phi_h(z): scaling by 2 is exact in binary floating point away
-from subnormals, so fl(w + dw / 2) = fl(y + dw) / 2 and each zh is exactly
-z / 2.  The barrier is tested on the stored zh rows once per slab of
-SLAB_ROWS steps, and |zh| >= z_hi / 2 holds exactly when |z| >= z_hi.  A
-run's first hit row in the slab gives its step, its winner and its
-r = phi_{h/2}(z) = 2 asinh(sinh(zh) e^{h/2}); r is worked out only for runs
+dw, y <- phi_h(z).  Scaling by 2 is exact in binary floating point, in
+float32 as in float64, away from subnormals.  So float32(sig_s / 2) is
+float32(sig_s) / 2, every float32 product and sum at half scale is
+exactly half the full-scale one, and the widened half-scale noise is
+exactly dw / 2.  Then fl(w + dw / 2) = fl(y + dw) / 2, and each zh is
+exactly z / 2.  A nonzero |zeta_s| is at least about 1e-11, so the
+float32 products stay clear of subnormals while sqrt(Gamma_s dt) is above
+about 1e-27, far below any step a run could finish at.
+
+The barrier is tested on the stored zh rows once per slab of SLAB_ROWS
+steps, and |zh| >= z_hi / 2 holds exactly when |z| >= z_hi.  A run's
+first hit row in the slab gives its step, its winner and its r =
+phi_{h/2}(z) = 2 asinh(sinh(zh) e^{h/2}); r is worked out only for runs
 that absorb and at window ends.  The split step leaves no error in the
 drift when the noise is off, where an Euler step with the tanh frozen over
 the step errs at first order; at Gamma * dt 0.05 the split step's mean
@@ -266,13 +280,16 @@ def _window_noise(noise, keys, runs, sig, block_index, out):
     """Fill out, shape (rows, runs), with the noise increments
     sum_s sig_s * zeta_s of one window.
 
-    keys holds the (k0, k1) key of each stream and runs the run indices,
-    and out is a view of the driver's window buffer, whose old contents
-    are not read.  The runs go in sub-blocks of SUB_BLOCK_RUNS, and each
-    stream's window for a sub-block is one block_normals call.  Each
-    stream's draw is scaled by sig_s in place and added to the first
-    stream's, in rate order, and the sum is written into out through its
-    transpose in one pass: a strided pass costs several contiguous ones.
+    keys holds the (k0, k1) key of each stream, runs the run indices and
+    sig the float32 scale of each stream, and out is a view of the
+    driver's float64 window buffer, whose old contents are not read.  The
+    runs go in sub-blocks of SUB_BLOCK_RUNS, and each stream's window for a
+    sub-block is one block_normals call, in float32.  Each stream's draw is
+    scaled by sig_s in place and added to the first stream's, in rate
+    order, all in float32, and the sum is written into out through its
+    transpose in one pass, which is the one widening to float64: a strided
+    pass costs several contiguous ones.  Every operation is elementwise
+    within a sub-block, so the sums do not depend on SUB_BLOCK_RUNS.
     Beside out, only one sub-block's draws are held, and out stays
     (rows, runs) so the step kernel steps on out[t] whole, in place.  The
     streams are summed elementwise rather than by a matrix product, whose
@@ -281,9 +298,10 @@ def _window_noise(noise, keys, runs, sig, block_index, out):
     Starting the sum from the first stream where a zeroed buffer would
     have it added to 0.0 can change only the sign of a zero: 0.0 + x is x
     for every x but -0.0.  Values that are equal up to the sign of a zero
-    stay so through the later sums, the step w + dw, sinh, the growth
-    factor and asinh, so every nonzero value keeps its bits, and the
-    barrier test |zh| >= z_hi / 2 > 0 does not read the sign of a zero.
+    stay so through the later sums, the widening, the step w + dw, sinh,
+    the growth factor and asinh, so every nonzero value keeps its bits,
+    and the barrier test |zh| >= z_hi / 2 > 0 does not read the sign of a
+    zero.
     """
     rows = len(out)
     for lo in range(0, len(runs), SUB_BLOCK_RUNS):
@@ -320,7 +338,9 @@ def _drive(r0, keys, runs, sig, h, thr, n_steps, noise):
     """
     grow, grow_half = math.exp(h), math.exp(0.5 * h)
     zh_hi = float(np.arcsinh(np.sinh(0.5 * thr) * math.exp(-0.5 * h)))
-    half_sig = [0.5 * s for s in sig]
+    # float32 scalars: the products are float32 products under both
+    # value-based casting (numpy 1.x) and NEP 50 (numpy 2)
+    half_sig = [np.float32(0.5 * s) for s in sig]
 
     def to_r(zh):
         return 2.0 * np.arcsinh(np.sinh(zh) * grow_half)

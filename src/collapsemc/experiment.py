@@ -45,8 +45,8 @@ from .relativity import C, Frame, activation_gap, first_detector
 # rate (frame 0, both detectors) equals this, about 140 steps a run at
 # q0 0.5.  With the split step and the shifted barrier of dynamics the
 # mean collapse time stays within 1 % of the closed-form E[T].  Simulated
-# over closed-form E[T], seeds 1-3 x 8192 runs at q0 0.3 (standard errors
-# 0.0025 at epsilon 1e-6, 0.0044 at 0.01):
+# over closed-form E[T] with the 0.8.0 noise, seeds 1-3 x 8192 runs at q0
+# 0.3 (standard errors 0.0025 at epsilon 1e-6, 0.0044 at 0.01):
 #
 #     Gamma*dt (frame 0)   eps 1e-6: frame 0   frame A   eps 0.01: frame 0   frame A
 #     0.05                           1.0043    1.0052              1.0103    1.0061

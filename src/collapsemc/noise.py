@@ -26,21 +26,30 @@ draw never holds more than four times the requested runs' words, however
 gapped the list is.
 
 Each run-window of h = BLOCK_STEPS / 2 words w_j becomes ``BLOCK_STEPS``
-standard normals by a fixed-consumption Box-Muller transform, one word
-per pair: the high 40 bits give the radius and the low 24 bits the angle,
+float32 standard normals by a fixed-consumption Box-Muller transform, one
+word per pair: the high 40 bits give the radius and the low 24 bits the
+angle,
 
-    R_j = sqrt(-2 ln(((w_j >> 24) + 1) * 2**-40))           (float64)
-    theta_j = ((w_j & (2**24 - 1)) as float32) * c          (float32, c = float32(2 pi) * 2**-24)
+    u_j = float32((w_j >> 24) + 1) * 2**-40
+    R_j = sqrt(-2 ln(u_j))
+    theta_j = float32(w_j & (2**24 - 1)) * c                (c = float32(2 pi) * 2**-24)
 
-and rows j and h + j of the window are R_j cos(theta_j) and
-R_j sin(theta_j), the sine and cosine taken in float32 and the products
-in float64.  The uniform ((w >> 24) + 1) 2**-40 lies in (0, 1], so
-|z| <= sqrt(80 ln 2) ~= 7.45: the tails are cut at 7.45 sigma, beyond
-which a normal falls with probability about 1e-13.  The integers are
-converted to floating point through a signed view, which is exact below
-2**53 and cheaper than the unsigned conversion.  The angle is computed
-in float32 because float32 sine and cosine have SIMD loops in numpy
-where float64 ones may not, at about a tenth of the cost.
+every operation in float32, and rows j and h + j of the window are
+R_j cos(theta_j) and R_j sin(theta_j).  The normals are random inputs to
+a float64 step kernel and need no float64 precision, and float32 ``log``,
+``sqrt``, ``sin`` and ``cos`` have SIMD loops in numpy at several times
+the throughput of the float64 ones.  The integers are converted through
+a signed view, which rounds as the unsigned conversion does and costs
+less.  The angle field converts exactly.  The radius field has 41 bits
+after the + 1 and float32 holds 24, so it is rounded to nearest:
+
+- The least uniform is exactly 2**-40, so |z| <= sqrt(80 ln 2)
+  ~= 7.45 up to the float32 rounding of the radius: the tails are cut at
+  7.45 sigma, beyond which a normal falls with probability about 1e-13.
+- From 2**40 - 2**15 up (the midpoint ties to the even 2**40) the field
+  rounds to 2**40, so u_j = 1 and both normals of the pair are 0.  That
+  is an atom at z = 0 of 2**15 + 1 of the 2**40 fields, about 2**-25 per
+  pair.
 
 The Philox words are fixed by the algorithm.  The normals also depend on
 numpy's ``log``, ``sin`` and ``cos``, whose last bits vary with the numpy
@@ -82,7 +91,7 @@ RUN_INDEX_LIMIT = 2**64 // _COUNTERS_PER_WINDOW - 1
 # 1 / SPAN_MIN_FILL times the requested runs' words.
 SPAN_MIN_FILL = 0.25
 
-_U40 = 2.0 ** -40
+_U40 = np.float32(2.0 ** -40)
 _ANGLE_MASK = np.uint64(2**24 - 1)
 _ANGLE_STEP = np.float32(2.0 * np.pi) * np.float32(2.0 ** -24)
 
@@ -152,18 +161,19 @@ def _run_indices(runs):
 
 
 def _box_muller(words: np.ndarray) -> np.ndarray:
-    """Normals of a flat run-major array of run-windows of words, by the
-    transform of the module docstring."""
+    """float32 normals of a flat run-major array of run-windows of words,
+    by the transform of the module docstring."""
     words = words.reshape(-1, _WORDS_PER_WINDOW)
     radius = words >> np.uint64(24)
     radius += np.uint64(1)
-    radius = radius.view(np.int64) * _U40
+    radius = radius.view(np.int64).astype(np.float32)
+    radius *= _U40
     np.log(radius, out=radius)
-    radius *= -2.0
+    radius *= np.float32(-2.0)
     np.sqrt(radius, out=radius)
     angle = (words & _ANGLE_MASK).view(np.int64).astype(np.float32)
     angle *= _ANGLE_STEP
-    out = np.empty((len(words), 2, _WORDS_PER_WINDOW))
+    out = np.empty((len(words), 2, _WORDS_PER_WINDOW), dtype=np.float32)
     out[:, 0] = np.cos(angle)
     out[:, 1] = np.sin(angle, out=angle)
     out *= radius[:, None]
@@ -204,9 +214,9 @@ class PhiloxNoiseSource:
 
     def block_normals(self, key: StreamKey, block_index: int, runs) -> np.ndarray:
         """Window ``block_index`` of stream ``key`` for each run index in
-        ``runs``, as a flat run-major array of ``len(runs) * BLOCK_STEPS``
-        normals: run ``runs[i]``'s window is ``[i * BLOCK_STEPS, (i + 1) *
-        BLOCK_STEPS)``.
+        ``runs``, as a flat run-major float32 array of ``len(runs) *
+        BLOCK_STEPS`` normals: run ``runs[i]``'s window is
+        ``[i * BLOCK_STEPS, (i + 1) * BLOCK_STEPS)``.
 
         ``runs`` may be unsorted and may repeat an index.  When its
         entries number at least ``SPAN_MIN_FILL`` of the span
@@ -224,7 +234,7 @@ class PhiloxNoiseSource:
             raise ValueError(f"block_index must be in [0, 2**64), got {block_index}")
         idx, lo, hi = _run_indices(runs)
         if idx.size == 0:
-            return np.empty(0)
+            return np.empty(0, dtype=np.float32)
         self._counter[1] = int(block_index)
         self._key[0], self._key[1] = key
         span = hi - lo + 1

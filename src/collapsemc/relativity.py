@@ -33,10 +33,6 @@ class Event:
         if not (math.isfinite(self.t) and math.isfinite(self.x)):
             raise ValueError(f"event components must be finite, got ({self.t}, {self.x})")
 
-    def interval2(self) -> float:
-        """Invariant c^2 t^2 - x^2 (m^2)."""
-        return (C * self.t) ** 2 - self.x ** 2
-
 
 @dataclass(frozen=True)
 class Frame:

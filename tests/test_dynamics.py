@@ -47,14 +47,15 @@ def keys0_for(n, seed=1, runs=None):
 
 
 class _ConstNoise(PhiloxNoiseSource):
-    """Every increment is the same value, so steps can be checked by hand."""
+    """Every increment is the same float32 value, so steps can be checked
+    by hand."""
 
     def __init__(self, value):
         super().__init__()
         self.value = value
 
     def block_normals(self, key, block_index, runs):
-        return np.full(len(runs) * BLOCK_STEPS, self.value)
+        return np.full(len(runs) * BLOCK_STEPS, self.value, dtype=np.float32)
 
 
 class _SpyNoise(PhiloxNoiseSource):
@@ -78,6 +79,12 @@ def phi(tau, r):
 def split_step(h, r, noise):
     """One Strang step: half a drift flow either side of the noise."""
     return phi(0.5 * h, phi(0.5 * h, r) + noise)
+
+
+def noise_scale(rate, dt):
+    """The engine's noise per unit normal, 2 sqrt(Gamma_s dt) with the
+    half scale sqrt(Gamma_s dt) rounded to float32."""
+    return 2.0 * float(np.float32(math.sqrt(rate * dt)))
 
 
 # ---------------------------------------------------------------------------
@@ -140,31 +147,35 @@ def test_noise_calls_do_not_grow_with_runs(n):
 
 def test_step_hand_example():
     # one stream, Gamma dt = 0.01, unit normal +1: noise 2 sqrt(Gamma dt)
-    # = 0.2, and half a step h / 2 = 0.005 of the drift flow either side of
-    # the noise; phi fixes r = 0.  Two steps stay far inside the barrier,
-    # so the run stops at the step cap
+    # = 0.2 (0.1 rounded to float32, doubled), and half a step h / 2 =
+    # 0.005 of the drift flow either side of the noise; phi fixes r = 0.
+    # Two steps stay far inside the barrier, so the run stops at the step cap
     rates = (0.01,)
     params = CollapseParams(dt=1.0, epsilon=1e-6, max_steps=2)
     cooked = collapse_batch(0.5, rates, *scalars(params), keys_for(1), noise=_ConstNoise(1.0))
     assert (cooked.winner[0], cooked.steps[0]) == (0, 2)
     one = phi(0.005, 0.2)
     assert one == pytest.approx(0.2009992, abs=1e-7)
-    assert cooked.r[0] == pytest.approx(phi(0.005, phi(0.005, one) + 0.2), abs=1e-15)
+    sig = noise_scale(0.01, 1.0)
+    assert sig != 0.2 and sig == pytest.approx(0.2, rel=2**-24)
+    first = phi(0.005, sig)
+    assert cooked.r[0] == pytest.approx(phi(0.005, phi(0.005, first) + sig), abs=1e-15)
     # the frozen-drift Euler step gives 0.4 + 0.02 tanh(0.1) = 0.40199
     assert cooked.r[0] == pytest.approx(0.40399, abs=1e-5)
 
 
 def test_barrier_shift_hand_example():
-    # constant +1 noise, 0.2 a step.  The nominal threshold logit(1 - eps)
-    # is 1, and the shifted barrier is 1 - beta * 0.2 = 0.8835.  The split
-    # recursion gives r_k = 0.2010, 0.4040, 0.6089, 0.8158, 1.0243, so r
-    # first passes the barrier at step 5
+    # constant +1 noise, 0.2 a step (up to the float32 rounding of its
+    # half).  The nominal threshold logit(1 - eps) is 1, and the shifted
+    # barrier is 1 - beta * 0.2 = 0.8835.  The split recursion gives
+    # r_k = 0.2010, 0.4040, 0.6089, 0.8158, 1.0243, so r first passes the
+    # barrier at step 5
     rates = (0.01,)
     params = CollapseParams(dt=1.0, epsilon=1.0 / (1.0 + math.e), max_steps=10)
     assert params.log_threshold == pytest.approx(1.0, abs=1e-15)
     r, path = 0.0, []
     while r < 1.0 - BARRIER_BETA * 0.2:
-        r = split_step(0.01, r, 0.2)
+        r = split_step(0.01, r, noise_scale(0.01, 1.0))
         path.append(r)
     assert len(path) == 5 and path[3] == pytest.approx(0.8158, abs=1e-4)
     res = collapse_batch(0.5, rates, *scalars(params), keys_for(1), noise=_ConstNoise(1.0))
@@ -351,6 +362,25 @@ def test_sub_blocks_do_not_change_results(monkeypatch):
     assert spy.calls == []
 
 
+def test_sub_block_size_does_not_change_a_gapped_batch(monkeypatch):
+    # the float32 noise sum is formed per sub-block, so a two-stream batch
+    # of 640 gapped runs that live through at least three windows gives
+    # every run the same r, steps and winner at any sub-block size,
+    # whether a sub-block's runs are drawn over their span or by segments
+    rates, dt = KERNEL_FRAMES["0"]
+    runs = np.sort(np.random.default_rng(17).choice(3000, size=640, replace=False))
+    keys = keys0_for(0, seed=19, runs=runs.tolist())
+    results = {}
+    for size in (256, 1, 7):
+        monkeypatch.setattr(dynamics, "SUB_BLOCK_RUNS", size)
+        results[size] = collapse_batch(0.5, rates, dt, 1e-6, 10_000, keys)
+    whole = results[256]
+    assert whole.steps.max() > 2 * BLOCK_STEPS and (whole.winner > 0).all()
+    for size in (1, 7):
+        for field in ("r", "steps", "winner"):
+            assert np.array_equal(getattr(results[size], field), getattr(whole, field)), size
+
+
 def test_stream_address_validation():
     key = derive_stream_key(1, "D1")
     for bad in ([((*key,),)], [((*key, -1),)], [((*key, 1, 2),)], [((*key, 2**64),)]):
@@ -387,7 +417,9 @@ def test_engine_matches_reference_stepper():
     # a scalar loop of the carried split step, y = phi_{h/2}(r), then
     # z = y + 2 sqrt(Gamma dt) zeta and y = phi_h(z), with r = phi_{h/2}(z)
     # at the end, in the same operation order, must reproduce the batch
-    # engine exactly over 50 steps that stay inside the barrier
+    # engine exactly over 50 steps that stay inside the barrier; the noise
+    # is the float32 product of zeta and float32(2 sqrt(Gamma dt)), as the
+    # engine forms it
     gamma = LAM * (ETA ** 2 + (0.5 * ETA) ** 2)
     key = derive_stream_key(5, "D1")
     params = dataclasses.replace(PARAMS, max_steps=50)
@@ -403,20 +435,21 @@ def test_engine_matches_reference_stepper():
     r = math.log(0.37) - math.log1p(-0.37)
     y = flow(0.5, r)
     for t in range(params.max_steps):
-        z = y + zeta[t] * sig
+        z = y + zeta[t] * np.float32(sig)
         y = flow(1.0, z)
     assert flow(0.5, z) == res.r[0]
 
 
 def reference_window(noise, keys, runs, sig, block_index, rows):
     """A window's noise, shape (rows, runs), drawn run by run from
-    block_normals and summed into zeros stream by stream in rate order."""
-    dw = np.zeros((rows, len(runs)))
+    block_normals, scaled by float32(sig_s) and summed into float32 zeros
+    stream by stream in rate order, then widened to float64."""
+    dw = np.zeros((rows, len(runs)), dtype=np.float32)
     for key, scale in zip(keys, sig):
         zeta = np.concatenate([noise.block_normals(key, block_index, [k])
                                for k in runs.tolist()])
-        dw += scale * zeta.reshape(-1, BLOCK_STEPS)[:, :rows].T
-    return dw
+        dw += np.float32(scale) * zeta.reshape(-1, BLOCK_STEPS)[:, :rows].T
+    return dw.astype(np.float64)
 
 
 def reference_drive(r0, keys, runs, sig, h, thr, n_steps, noise, record=None):

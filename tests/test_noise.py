@@ -26,17 +26,26 @@ def window_words(key, block, run):
     return Philox(key=np.array(key, dtype=np.uint64), counter=counter).random_raw(HALF)
 
 
-def reference_window(key, block, run):
-    """Window `block` of run `run` on stream `key` through the documented
+def reference_transform(words):
+    """float32 normals of one window's words through the documented
     transform: the radius from bits 63..24 of each word, the angle from
-    bits 23..0."""
-    words = window_words(key, block, run)
-    radius = np.sqrt(-2.0 * np.log(((words >> np.uint64(24)) + np.uint64(1)).astype(np.float64)
-                                   * 2.0 ** -40))
+    bits 23..0, every operation in float32."""
+    u = ((words >> np.uint64(24)) + np.uint64(1)).astype(np.float32) * np.float32(2.0 ** -40)
+    radius = np.sqrt(np.float32(-2.0) * np.log(u))
     theta = (words & np.uint64(2**24 - 1)).astype(np.float32) * (np.float32(2.0 * np.pi)
                                                                  * np.float32(2.0 ** -24))
-    return np.concatenate([radius * np.cos(theta).astype(np.float64),
-                           radius * np.sin(theta).astype(np.float64)])
+    return np.concatenate([radius * np.cos(theta), radius * np.sin(theta)])
+
+
+def reference_window(key, block, run):
+    """Window `block` of run `run` on stream `key` through the documented
+    transform."""
+    return reference_transform(window_words(key, block, run))
+
+
+def radius32(n):
+    """The float32 radius of u = n * 2**-40, n a float32 integer."""
+    return np.sqrt(np.float32(-2.0) * np.log(np.float32(n) * np.float32(2.0 ** -40)))
 
 
 def phi(x):
@@ -106,8 +115,9 @@ def test_block_normals_deterministic_across_instances():
     a = PhiloxNoiseSource().block_normals(key, 0, [3])
     b = PhiloxNoiseSource().block_normals(key, 0, [3])
     assert np.array_equal(a, b)
-    assert a.shape == (BLOCK_STEPS,)
-    assert PhiloxNoiseSource().block_normals(key, 0, []).shape == (0,)
+    assert a.shape == (BLOCK_STEPS,) and a.dtype == np.float32
+    empty = PhiloxNoiseSource().block_normals(key, 0, [])
+    assert empty.shape == (0,) and empty.dtype == np.float32
 
 
 def test_block_normals_distinct_keys_and_blocks():
@@ -131,7 +141,7 @@ def test_window_matches_reference_transform():
 
 def test_transform_matches_scalar_math():
     # the documented transform in double-precision scalar math, which
-    # differs from the float32 angle by float32 rounding only
+    # differs from the float32 transform by float32 rounding only
     key, block, run = derive_stream_key(4, "D1"), 2, 9
     words = [int(w) for w in window_words(key, block, run)]
     got = PhiloxNoiseSource().block_normals(key, block, [run])
@@ -178,18 +188,31 @@ def test_word_bits_split_between_radius_and_angle():
     words = special + [int(w) for w in rng.integers(0, 2**64, HALF - len(special),
                                                      dtype=np.uint64)]
     got = _WordSource(words).block_normals((1, 2), 0, [0])
+    assert got.dtype == np.float32
+    assert np.array_equal(got, reference_transform(np.array(words, dtype=np.uint64)))
     cos_rows, sin_rows = got[:HALF], got[HALF:]
-    assert cos_rows[0] == pytest.approx(Z_MAX, rel=1e-15) and sin_rows[0] == 0.0
+    assert cos_rows[0] == radius32(1) and sin_rows[0] == 0.0
     assert cos_rows[1] == 0.0 and sin_rows[1] == 0.0
-    assert cos_rows[2] == pytest.approx(math.sqrt(78.0 * math.log(2.0)), rel=1e-15)
-    assert sin_rows[2] == 0.0
+    assert cos_rows[2] == radius32(2) and sin_rows[2] == 0.0
     assert cos_rows[3] == 0.0 and sin_rows[3] == 0.0
-    assert cos_rows[4] == pytest.approx(Z_MAX, rel=1e-12)
+    assert cos_rows[4] == radius32(1)
     assert -1e-5 < sin_rows[4] < 0.0
-    assert abs(cos_rows[5]) < 1e-6 and sin_rows[5] == pytest.approx(Z_MAX, rel=1e-7)
+    assert abs(cos_rows[5]) < 1e-6 and float(sin_rows[5]) == pytest.approx(Z_MAX, rel=1e-7)
     r = math.sqrt(-2.0 * math.log(12346 * 2.0 ** -40))
-    assert abs(cos_rows[6]) < 1e-6 and sin_rows[6] == pytest.approx(r, rel=1e-7)
+    assert abs(cos_rows[6]) < 1e-6 and float(sin_rows[6]) == pytest.approx(r, rel=1e-7)
     np.testing.assert_allclose(got, _scalar_window(words), rtol=0, atol=2e-6)
+
+
+def test_u_rounds_to_one_at_the_top_of_the_radius_field():
+    # in float32, (w >> 24) + 1 rounds to 2**40 from 2**40 - 2**15 up (the
+    # midpoint ties to the even 2**40), so u = 1 and both rows of the pair
+    # are 0: an atom at z = 0 of 2**15 + 1 of the 2**40 radius fields,
+    # about 2**-25 per pair.  One field lower, u = 1 - 2**-24
+    top = 2**40 - 2**15 - 1
+    words = [top << 24, (top << 24) | 2**22, (top - 1) << 24]
+    got = _WordSource(words + [0] * (HALF - len(words))).block_normals((1, 2), 0, [0])
+    assert got[0] == got[HALF] == got[1] == got[HALF + 1] == 0.0
+    assert got[2] == radius32(2**40 - 2**16) and 0.0 < got[2] < 4e-4
 
 
 def test_run_lists_match_per_run_draws():
