@@ -47,34 +47,63 @@ either side of the additive noise:
 
     r_{k+1} = phi_{h/2}(phi_{h/2}(r_k) + sum_s sig_s zeta_s),  sig_s = 2 sqrt(Gamma_s dt).
 
-The noise sum dw = sum_s sig_s zeta_s is formed in float32 and widened
-once: each stream's float32 normals are scaled in place by sig_s rounded
-to float32, the streams are summed in float32 in rate order, and the sum
-is widened to float64 as it is written into the step window, where the
-kernel steps in float64.  Rounding sig_s to float32 changes a stream's
-diffusion by under 2**-24 relative, far below the Monte Carlo error.
+The kernel steps in float32 end to end.  The noise sum dw = sum_s
+sig_s zeta_s is formed in float32: each stream's float32 normals are
+scaled in place by sig_s rounded to float32 and the streams are summed
+in float32 in rate order, straight into the float32 step window.
+Rounding sig_s to float32 changes a stream's diffusion by under 2**-24
+relative, far below the Monte Carlo error.  The carried state is float32
+too.  It is a log-odds with |r| of about 14 at epsilon 1e-6, each step
+adds noise of standard deviation about 0.2-0.3, and the split step's
+discretization error at Gamma * dt 0.05 lies orders of magnitude above a
+float32 rounding.  A step rounds three times in float32: sinh (measured
+within 1.4 ulp with numpy 2.4's AVX512_SPR loops), the product by e^h
+(0.5 ulp) and asinh (0.9 ulp), under 4 ulps of 2**-23 relative in all.
+The drift flow does not enlarge a relative error (its elasticity
+w phi'(w) / phi(w) is at most 1), so over n steps r drifts from the
+exact arithmetic by at most about n * 2**-21 relative.  The conversions
+at window edges stay in float64: r = phi_{h/2}(z) widens z before its
+sinh, and a window's first w is worked out from r in float64 and rounded
+once to float32, so a run restarted from its r at a window edge steps on
+with the same bits.
 
 The engine carries w = y / 2, half of y = phi_{h/2}(r), and draws each
 window's noise at half scale, sig_s / 2.  Since phi_h(z) / 2 =
-asinh(sinh(z / 2) e^h), a step is four in-place ufuncs on the live runs:
-zh = w + dw / 2, written over the window's noise row, then w = sinh(zh),
-w *= e^h and w = asinh(w).  This gives the bits of the plain step z = y +
-dw, y <- phi_h(z).  Scaling by 2 is exact in binary floating point, in
-float32 as in float64, away from subnormals.  So float32(sig_s / 2) is
-float32(sig_s) / 2, every float32 product and sum at half scale is
-exactly half the full-scale one, and the widened half-scale noise is
-exactly dw / 2.  Then fl(w + dw / 2) = fl(y + dw) / 2, and each zh is
-exactly z / 2.  A nonzero |zeta_s| is at least about 1e-11, so the
+asinh(sinh(z / 2) e^h), a step is four in-place float32 ufuncs on the
+live runs: zh = w + dw / 2, written over the window's noise row, then
+w = sinh(zh), w *= e^h and w = asinh(w).  This gives the bits of the
+plain float32 step z = y + dw, y <- phi_h(z).  Scaling by 2 is exact in
+binary floating point away from subnormals and overflow.  So
+float32(sig_s / 2) is float32(sig_s) / 2, every float32 product and sum
+at half scale is exactly half the full-scale one, and the half-scale
+noise is exactly dw / 2.  Then fl(w + dw / 2) = fl(y + dw) / 2, each zh
+is exactly z / 2, and phi_h(z) = 2 asinh(sinh(zh) e^h) doubles the bits
+of the half-scale w.  A nonzero |zeta_s| is at least about 1e-11, so the
 float32 products stay clear of subnormals while sqrt(Gamma_s dt) is above
-about 1e-27, far below any step a run could finish at.
+about 1e-27, far below any step a run could finish at; a float32 sum
+that falls below the normal range is exact.
+
+float32 sinh overflows past about 89.4, which bounds the barrier a
+float32 state can carry.  A run that has not hit the barrier has
+|zh| < z_hi / 2 < L / 2 with L = logit(1 - epsilon), and its step forms
+sinh(zh) e^h < e^{|zh| + h} / 2.  That stays below FLT_MAX / 2 whenever
+L / 2 + MAX_GAMMA_DT <= ln FLT_MAX, that is L <= 2 (ln FLT_MAX -
+MAX_GAMMA_DT) ~= 177.25, and the factor 2 of headroom covers the float32
+rounding of sinh, of e^h and of the product.  CollapseParams therefore
+refuses epsilon below EPSILON_MIN = exp(-177.25) ~= 1.05e-77.  A run
+that has hit the barrier keeps stepping to the end of its window, since
+the window is stepped whole, and may overflow to +-inf there; its hit
+row is already taken, so the kernel ignores float32 overflow.
 
 The barrier is tested on the stored zh rows once per slab of SLAB_ROWS
-steps, and |zh| >= z_hi / 2 holds exactly when |z| >= z_hi.  A run's
-first hit row in the slab gives its step, its winner and its r =
-phi_{h/2}(z) = 2 asinh(sinh(zh) e^{h/2}); r is worked out only for runs
-that absorb and at window ends.  The split step leaves no error in the
-drift when the noise is off, where an Euler step with the tanh frozen over
-the step errs at first order; at Gamma * dt 0.05 the split step's mean
+steps, against z_hi / 2 worked out in float64 and rounded up to float32:
+a float32 zh reaches the rounded-up value exactly when it reaches z_hi /
+2, and |zh| >= z_hi / 2 holds exactly when |z| >= z_hi.  A run's first
+hit row in the slab gives its step, its winner and its r = phi_{h/2}(z)
+= 2 asinh(sinh(zh) e^{h/2}), with zh widened to float64; r is worked out
+only for runs that absorb and at window ends.  The split step leaves no
+error in the drift when the noise is off, where an Euler step with the
+tanh frozen over the step errs at first order; at Gamma * dt 0.05 the split step's mean
 collapse time is about as close to the closed form as an Euler step's at
 0.02.
 
@@ -108,6 +137,12 @@ from .noise import BLOCK_STEPS, DEFAULT_NOISE, RUN_INDEX_LIMIT, PhiloxNoiseSourc
 # 1.0104 and 1.0045 times E[T], +- 0.0015, over 24 x 8192 runs).
 MAX_GAMMA_DT = 0.1
 
+# Least epsilon a float32 state can carry: its nominal threshold L =
+# logit(1 - epsilon) is at most 2 (ln FLT_MAX - MAX_GAMMA_DT) ~= 177.25,
+# so that no live run's sinh(zh) e^h reaches FLT_MAX / 2 (see the module
+# docstring).  About 1.05e-77.
+EPSILON_MIN = math.exp(-2.0 * (math.log(float(np.finfo(np.float32).max)) - MAX_GAMMA_DT))
+
 # Broadie-Glasserman-Kou constant -zeta(1/2) / sqrt(2 pi): the absorbing
 # barrier sits this many per-step standard deviations of r inside the
 # nominal threshold.
@@ -125,18 +160,6 @@ SLAB_ROWS = 32
 
 class NoCollapsePossibleError(ValueError):
     """Every stream's rate is zero (Gamma = 0), so q never moves."""
-
-
-def stable_q(r):
-    """Branch-1 weight sigma(r) = 1 / (1 + exp(-r)), overflow-safe.
-
-    Accepts scalars or arrays; stable for any |r| because only exp of a
-    non-positive number is ever taken.
-    """
-    r = np.asarray(r, dtype=np.float64)
-    e = np.exp(-np.abs(r))
-    q = np.where(r >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return q if q.ndim else float(q)
 
 
 def _logit(q: float) -> float:
@@ -169,6 +192,10 @@ class CollapseParams:
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if not 0 < self.epsilon < 0.5:
             raise ValueError(f"epsilon must be in (0, 0.5), got {self.epsilon}")
+        if self.epsilon < EPSILON_MIN:
+            raise ValueError(
+                f"epsilon = {self.epsilon} puts the barrier past what a float32 state "
+                f"carries; epsilon must be >= {EPSILON_MIN:.4g}")
         # step counts are int64
         if not 1 <= self.max_steps <= 2**63 - 1:
             raise ValueError(f"max_steps must be in [1, 2**63 - 1], got {self.max_steps}")
@@ -191,18 +218,15 @@ class BatchResult:
     """Per-run outcomes of a batch collapse.
 
     winner is 1 or 2, or 0 for runs that hit the step cap without
-    absorbing.  duration is steps * dt.  r is the final log-odds: at the
-    absorbing step, or after the last step for a run that hit the cap.
+    absorbing.  duration is steps * dt.  r is the final log-odds, float64
+    of float32 precision: at the absorbing step, or after the last step
+    for a run that hit the cap.
     """
 
     winner: np.ndarray
     steps: np.ndarray
     duration: np.ndarray
     r: np.ndarray
-
-    @property
-    def q(self) -> np.ndarray:
-        return stable_q(self.r)
 
 
 def _stream_addresses(stream_keys, n_streams):
@@ -282,26 +306,25 @@ def _window_noise(noise, keys, runs, sig, block_index, out):
 
     keys holds the (k0, k1) key of each stream, runs the run indices and
     sig the float32 scale of each stream, and out is a view of the
-    driver's float64 window buffer, whose old contents are not read.  The
+    driver's float32 window buffer, whose old contents are not read.  The
     runs go in sub-blocks of SUB_BLOCK_RUNS, and each stream's window for a
     sub-block is one block_normals call, in float32.  Each stream's draw is
     scaled by sig_s in place and added to the first stream's, in rate
     order, all in float32, and the sum is written into out through its
-    transpose in one pass, which is the one widening to float64: a strided
-    pass costs several contiguous ones.  Every operation is elementwise
-    within a sub-block, so the sums do not depend on SUB_BLOCK_RUNS.
-    Beside out, only one sub-block's draws are held, and out stays
-    (rows, runs) so the step kernel steps on out[t] whole, in place.  The
+    transpose in one pass: a strided pass costs several contiguous ones.
+    Every operation is elementwise within a sub-block, so the sums do not
+    depend on SUB_BLOCK_RUNS.  Beside out, only one sub-block's draws are
+    held, and out stays (rows, runs) so the step kernel steps on out[t]
+    whole, in place.  The
     streams are summed elementwise rather than by a matrix product, whose
     reduction order may depend on the batch shape.
 
     Starting the sum from the first stream where a zeroed buffer would
     have it added to 0.0 can change only the sign of a zero: 0.0 + x is x
     for every x but -0.0.  Values that are equal up to the sign of a zero
-    stay so through the later sums, the widening, the step w + dw, sinh,
-    the growth factor and asinh, so every nonzero value keeps its bits,
-    and the barrier test |zh| >= z_hi / 2 > 0 does not read the sign of a
-    zero.
+    stay so through the later sums, the step w + dw, sinh, the growth
+    factor and asinh, so every nonzero value keeps its bits, and the
+    barrier test |zh| >= z_hi / 2 > 0 does not read the sign of a zero.
     """
     rows = len(out)
     for lo in range(0, len(runs), SUB_BLOCK_RUNS):
@@ -320,30 +343,37 @@ def _drive(r0, keys, runs, sig, h, thr, n_steps, noise):
     runs, by split steps of drift time h until |r| >= thr or n_steps steps,
     one noise window at a time.
 
-    One (min(BLOCK_STEPS, n_steps), runs) buffer is allocated per call, and
-    _window_noise writes each window's noise into its first rows and its
-    first columns, one per live run, so no window is freshly allocated or
-    zeroed.
+    One float32 (min(BLOCK_STEPS, n_steps), runs) buffer is allocated per
+    call, and _window_noise writes each window's noise into its first rows
+    and its first columns, one per live run, so no window is freshly
+    allocated or zeroed.
 
     A run stops at the first step k >= 0 with |r| >= thr and keeps that r,
     winner 1 if r >= thr else 2; runs live after n_steps keep winner 0.
-    Within a window the live runs carry w = phi_{h/2}(r) / 2 and step in
-    place on the half-scaled noise rows, which end up holding zh = z / 2
-    (see the module docstring for why the bits equal those of the plain
-    step).  Every SLAB_ROWS rows the slab is tested against z_hi / 2 at
-    once: each newly absorbed run takes its first hit row.  Absorbed runs
-    leave the live set at the end of their window, which ends after the
-    slab in which its last run absorbed; between windows the carried w
-    goes back to r.  Returns (r, steps, winner).
+    Within a window the live runs carry w = phi_{h/2}(r) / 2 in float32 and
+    step in place on the half-scaled noise rows, which end up holding
+    zh = z / 2 (see the module docstring for why the bits equal those of
+    the plain float32 step).  Every SLAB_ROWS rows the slab is tested
+    against z_hi / 2 at once: each newly absorbed run takes its first hit
+    row.  Absorbed runs leave the live set at the end of their window,
+    which ends after the slab in which its last run absorbed; between
+    windows the carried w goes back to r in float64.  Returns (r, steps,
+    winner), r float64 with the precision of the float32 state.
     """
-    grow, grow_half = math.exp(h), math.exp(0.5 * h)
-    zh_hi = float(np.arcsinh(np.sinh(0.5 * thr) * math.exp(-0.5 * h)))
-    # float32 scalars: the products are float32 products under both
-    # value-based casting (numpy 1.x) and NEP 50 (numpy 2)
+    grow_half = math.exp(0.5 * h)
+    # float32 scalars: each operation of a step takes the float32 loop
+    # under value-based casting (numpy 1.x) and NEP 50 (numpy 2) alike
+    grow = np.float32(math.exp(h))
     half_sig = [np.float32(0.5 * s) for s in sig]
+    # rounded up, so a float32 zh reaches it exactly when it reaches the
+    # float64 value
+    zh_hi64 = float(np.arcsinh(np.sinh(0.5 * thr) * math.exp(-0.5 * h)))
+    zh_hi = np.float32(zh_hi64)
+    if float(zh_hi) < zh_hi64:
+        zh_hi = np.nextafter(zh_hi, np.float32(np.inf))
 
     def to_r(zh):
-        return 2.0 * np.arcsinh(np.sinh(zh) * grow_half)
+        return 2.0 * np.arcsinh(np.sinh(zh.astype(np.float64)) * grow_half)
 
     r = np.full(len(runs), r0, dtype=np.float64)
     winner = np.zeros(r.size, dtype=np.int8)
@@ -352,36 +382,38 @@ def _drive(r0, keys, runs, sig, h, thr, n_steps, noise):
     steps = np.where(winner > 0, 0, n_steps)
     live = np.flatnonzero(winner == 0)
     base = 0
-    buf = np.empty((min(BLOCK_STEPS, n_steps), live.size))
-    while live.size and base < n_steps:
-        rows = min(BLOCK_STEPS, n_steps - base)
-        zh = buf[:rows, :live.size]
-        _window_noise(noise, keys, runs[live], half_sig, base // BLOCK_STEPS, zh)
-        w = np.arcsinh(np.sinh(0.5 * r[live]) * grow_half)
-        done = np.zeros(live.size, dtype=bool)
-        for lo in range(0, rows, SLAB_ROWS):
-            slab = zh[lo:lo + SLAB_ROWS]
-            for row in slab:
-                np.add(w, row, out=row)
-                np.sinh(row, out=w)
-                w *= grow
-                np.arcsinh(w, out=w)
-            hit = (slab >= zh_hi) | (slab <= -zh_hi)
-            fresh = np.flatnonzero(hit.any(axis=0) & ~done)
-            if fresh.size:
-                first = hit[:, fresh].argmax(axis=0)
-                zf = slab[first, fresh]
-                absorbed = live[fresh]
-                r[absorbed] = to_r(zf)
-                steps[absorbed] = base + lo + first + 1
-                winner[absorbed] = np.where(zf >= zh_hi, 1, 2)
-                done[fresh] = True
-            if done.all():
-                break
-        left = ~done
-        r[live[left]] = to_r(zh[rows - 1, left])
-        live = live[left]
-        base += rows
+    buf = np.empty((min(BLOCK_STEPS, n_steps), live.size), dtype=np.float32)
+    # only runs past the barrier, whose hit row is taken, can overflow
+    with np.errstate(over="ignore"):
+        while live.size and base < n_steps:
+            rows = min(BLOCK_STEPS, n_steps - base)
+            zh = buf[:rows, :live.size]
+            _window_noise(noise, keys, runs[live], half_sig, base // BLOCK_STEPS, zh)
+            w = np.arcsinh(np.sinh(0.5 * r[live]) * grow_half).astype(np.float32)
+            done = np.zeros(live.size, dtype=bool)
+            for lo in range(0, rows, SLAB_ROWS):
+                slab = zh[lo:lo + SLAB_ROWS]
+                for row in slab:
+                    np.add(w, row, out=row)
+                    np.sinh(row, out=w)
+                    w *= grow
+                    np.arcsinh(w, out=w)
+                hit = (slab >= zh_hi) | (slab <= -zh_hi)
+                fresh = np.flatnonzero(hit.any(axis=0) & ~done)
+                if fresh.size:
+                    first = hit[:, fresh].argmax(axis=0)
+                    zf = slab[first, fresh]
+                    absorbed = live[fresh]
+                    r[absorbed] = to_r(zf)
+                    steps[absorbed] = base + lo + first + 1
+                    winner[absorbed] = np.where(zf >= zh_hi, 1, 2)
+                    done[fresh] = True
+                if done.all():
+                    break
+            left = ~done
+            r[live[left]] = to_r(zh[rows - 1, left])
+            live = live[left]
+            base += rows
     return r, steps, winner
 
 
@@ -402,6 +434,9 @@ def collapse_batch(q0: float, rates, dt: float, epsilon: float, max_steps: int, 
     and max_steps are checked as CollapseParams.  Runs evolve in lockstep
     but consume only their own addresses, so results per run do not
     depend on batch composition or execution schedule.
+
+    The state steps in float32, so the returned r is float64 of float32
+    precision (see the module docstring).
 
     This makes any trajectory replayable by its step cap: a run's first k
     steps read only its own noise, so for a run still live after step k,

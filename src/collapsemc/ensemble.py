@@ -350,8 +350,9 @@ def cpu_features() -> list[str]:
 def build_manifest(config: EnsembleConfig) -> dict:
     """Full provenance for one ensemble: config, derived constants, and
     the numpy and Python builds with numpy's enabled CPU features, since
-    the noise values are fixed only within one numpy build on one CPU
-    feature set."""
+    the records are fixed only within one numpy build on one CPU feature
+    set: the last bits of the noise's ``log``, ``sin`` and ``cos`` and of
+    the step kernel's float32 ``sinh`` and ``arcsinh`` depend on both."""
     scenario = scenario_from_config(config)
     # summed as the engine sums a frame's stream rates
     rates = {frame.label: sum(scenario.frame_rates(frame))

@@ -36,7 +36,7 @@ angle,
 
 every operation in float32, and rows j and h + j of the window are
 R_j cos(theta_j) and R_j sin(theta_j).  The normals are random inputs to
-a float64 step kernel and need no float64 precision, and float32 ``log``,
+a float32 step kernel and need no float64 precision, and float32 ``log``,
 ``sqrt``, ``sin`` and ``cos`` have SIMD loops in numpy at several times
 the throughput of the float64 ones.  The integers are converted through
 a signed view, which rounds as the unsigned conversion does and costs
@@ -53,10 +53,11 @@ after the + 1 and float32 holds 24, so it is rounded to nearest:
 
 The Philox words are fixed by the algorithm.  The normals also depend on
 numpy's ``log``, ``sin`` and ``cos``, whose last bits vary with the numpy
-build and with the CPU features its loops dispatch on, so the values are
-deterministic within one numpy build on one CPU feature set, which is
-the reproducibility level this package promises; the manifest of an
-ensemble records both.
+build and with the CPU features its loops dispatch on, and so do the
+float32 ``sinh`` and ``arcsinh`` the step kernel applies to them (see
+``dynamics``).  So the records are deterministic within one numpy build
+on one CPU feature set, which is the reproducibility level this package
+promises; the manifest of an ensemble records both.
 """
 
 from __future__ import annotations

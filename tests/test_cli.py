@@ -294,6 +294,21 @@ def test_step_cap_past_int64_is_a_usage_error(capsys, tmp_path, max_steps):
     assert not out_dir.exists()
 
 
+def test_epsilon_below_the_float32_floor_is_a_usage_error(capsys, tmp_path):
+    # the engine's float32 state cannot carry the barrier of an epsilon
+    # below dynamics.EPSILON_MIN; it is refused with exit 2 before any run,
+    # and nothing is written
+    cfg_path = tmp_path / "eps.json"
+    out_dir = tmp_path / "eps"
+    cfg_path.write_text(json.dumps({"overrides": {"epsilon": 1e-300}}))
+    code, out, err = run_cli(capsys, "born", "--runs", "10", "--config", str(cfg_path),
+                             "--out-dir", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "float32" in err
+    assert not out_dir.exists()
+
+
 def test_help_lists_exit_codes(capsys, monkeypatch):
     # argparse wraps the epilog to the terminal width
     monkeypatch.setenv("COLUMNS", "120")

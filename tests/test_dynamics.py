@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collapsemc import dynamics
-from collapsemc.dynamics import (BARRIER_BETA, MAX_GAMMA_DT, CollapseParams,
-                                 NoCollapsePossibleError, collapse_batch, stable_q)
+from collapsemc.dynamics import (BARRIER_BETA, EPSILON_MIN, MAX_GAMMA_DT, CollapseParams,
+                                 NoCollapsePossibleError, collapse_batch)
 from collapsemc.noise import (BLOCK_STEPS, DEFAULT_NOISE, RUN_INDEX_LIMIT, PhiloxNoiseSource,
                               derive_stream_key)
 
@@ -87,23 +87,45 @@ def noise_scale(rate, dt):
     return 2.0 * float(np.float32(math.sqrt(rate * dt)))
 
 
+def float32_path(r0, h, half_noise):
+    """r after each step of the kernel's float32 recursion from r0 at drift
+    time h, on the half-scale noise half_noise[t] of step t.  A window's
+    first w = asinh(sinh(r / 2) e^{h/2}) is worked out in float64 and
+    rounded to float32; a step is zh = w + dw / 2, then w = asinh(sinh(zh)
+    e^h) in float32; and r = 2 asinh(sinh(zh) e^{h/2}) with zh widened to
+    float64, which the next window starts from."""
+    grow, grow_half = np.float32(math.exp(h)), math.exp(0.5 * h)
+    r, path = np.array([r0], dtype=np.float64), []
+    for t, dwh in enumerate(half_noise):
+        if t % BLOCK_STEPS == 0:
+            w = np.arcsinh(np.sinh(0.5 * r) * grow_half).astype(np.float32)
+        zh = w + np.float32(dwh)
+        w = np.arcsinh(np.sinh(zh) * grow)
+        r = 2.0 * np.arcsinh(np.sinh(zh.astype(np.float64)) * grow_half)
+        path.append(float(r[0]))
+    return path
+
+
+def ceil32(x):
+    """The least float32 >= x."""
+    y = np.float32(x)
+    return y if float(y) >= x else np.nextafter(y, np.float32(np.inf))
+
+
+def q_of(r):
+    """Branch-1 weight 1 / (1 + e^-r) of log-odds r, overflow-safe."""
+    e = np.exp(-np.abs(r))
+    return np.where(np.asarray(r) >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 # ---------------------------------------------------------------------------
 # state and stream rates
 # ---------------------------------------------------------------------------
 
-def test_stable_q_basic():
-    assert stable_q(0.0) == 0.5
-    assert stable_q(800.0) == 1.0
-    assert stable_q(-700.0) > 0.0
-    assert stable_q(-800.0) == 0.0  # graceful underflow, no overflow or NaN
-    arr = stable_q(np.array([-1.0, 0.0, 1.0]))
-    assert arr[0] + arr[2] == pytest.approx(1.0, abs=1e-15)
-
-
 def test_start_q_round_trips():
     # a run starts at r = logit(q0), which reads back as q0
     def start_q(q0):
-        return stable_q(dynamics._logit(q0))
+        return float(q_of(dynamics._logit(q0)))
     assert start_q(0.3) == pytest.approx(0.3, rel=1e-14)
     for q in (0.0, 1.0, 1e-9, 1.0 - 1e-9):
         assert start_q(q) == pytest.approx(q, rel=1e-12, abs=1e-300)
@@ -158,8 +180,11 @@ def test_step_hand_example():
     assert one == pytest.approx(0.2009992, abs=1e-7)
     sig = noise_scale(0.01, 1.0)
     assert sig != 0.2 and sig == pytest.approx(0.2, rel=2**-24)
+    # the kernel's float32 steps give the bits; the double-precision split
+    # step agrees within the float32 state's 2**-21 a step
+    assert cooked.r[0] == float32_path(0.0, 0.01, [0.5 * sig] * 2)[-1]
     first = phi(0.005, sig)
-    assert cooked.r[0] == pytest.approx(phi(0.005, phi(0.005, first) + sig), abs=1e-15)
+    assert cooked.r[0] == pytest.approx(phi(0.005, phi(0.005, first) + sig), rel=2 * 2**-21)
     # the frozen-drift Euler step gives 0.4 + 0.02 tanh(0.1) = 0.40199
     assert cooked.r[0] == pytest.approx(0.40399, abs=1e-5)
 
@@ -178,14 +203,18 @@ def test_barrier_shift_hand_example():
         r = split_step(0.01, r, noise_scale(0.01, 1.0))
         path.append(r)
     assert len(path) == 5 and path[3] == pytest.approx(0.8158, abs=1e-4)
+    # the kernel's float32 steps, which give the engine's bits, stay within
+    # 2**-21 a step of the double-precision path
+    path32 = float32_path(0.0, 0.01, [0.5 * noise_scale(0.01, 1.0)] * 5)
+    assert path32 == pytest.approx(path, rel=5 * 2**-21)
     res = collapse_batch(0.5, rates, *scalars(params), keys_for(1), noise=_ConstNoise(1.0))
     assert (res.winner[0], res.steps[0]) == (1, 5)
-    assert res.r[0] == pytest.approx(path[-1], abs=1e-14)
+    assert res.r[0] == path32[4]
     # capped one step short, the run is still live and holds r_4
     capped = collapse_batch(0.5, rates, 1.0, params.epsilon, 4, keys_for(1),
                             noise=_ConstNoise(1.0))
     assert (capped.winner[0], capped.steps[0]) == (0, 4)
-    assert capped.r[0] == pytest.approx(path[3], abs=1e-14)
+    assert capped.r[0] == path32[3]
     # the flow is odd, so -1 noise mirrors the path bit for bit and the run
     # absorbs at the lower barrier at the same step
     mirror = collapse_batch(0.5, rates, *scalars(params), keys_for(1), noise=_ConstNoise(-1.0))
@@ -197,7 +226,7 @@ def test_barrier_shift_hand_example():
     near = 1.0 / (1.0 + math.exp(path[3] - 0.001 + BARRIER_BETA * 0.2))
     res = collapse_batch(0.5, rates, 1.0, near, 10, keys_for(1), noise=_ConstNoise(1.0))
     assert (res.winner[0], res.steps[0]) == (1, 4)
-    assert res.r[0] == pytest.approx(path[3], abs=1e-14)
+    assert res.r[0] == path32[3]
     # a start between the barrier and the nominal threshold absorbs at once
     start = 1.0 / (1.0 + math.exp(-0.9))
     assert collapse_batch(start, rates, *scalars(params), keys_for(1)).steps[0] == 0
@@ -229,6 +258,16 @@ def test_params_validation():
         CollapseParams(dt=0.0)
     with pytest.raises(ValueError):
         CollapseParams(dt=1.0, epsilon=0.5)
+    # an epsilon whose barrier a float32 state cannot carry: the floor
+    # puts the nominal threshold at 2 (ln FLT_MAX - MAX_GAMMA_DT)
+    ln_max = math.log(float(np.finfo(np.float32).max))
+    assert EPSILON_MIN == pytest.approx(math.exp(-2.0 * (ln_max - MAX_GAMMA_DT)), rel=1e-15)
+    assert 1.0e-77 < EPSILON_MIN < 1.1e-77
+    for epsilon in (1e-300, 5e-324, 1e-78, math.nextafter(EPSILON_MIN, 0.0)):
+        with pytest.raises(ValueError, match="float32"):
+            CollapseParams(dt=1.0, epsilon=epsilon)
+    floor = CollapseParams(dt=1.0, epsilon=EPSILON_MIN)
+    assert floor.log_threshold == pytest.approx(2.0 * (ln_max - MAX_GAMMA_DT), rel=1e-15)
     with pytest.raises(ValueError):
         CollapseParams(dt=1.0, max_steps=0)
     # non-finite values, and a step cap whose duration overflows
@@ -283,7 +322,8 @@ def test_non_convergence_carries_final_q():
     res = collapse_batch(0.5, RATES_A, *scalars(params), keys_for(3))
     assert np.all(res.winner == 0)
     assert np.all(res.steps == 40)
-    assert np.all((0.0 <= res.q) & (res.q <= 1.0))
+    q = q_of(res.r)
+    assert np.all((0.0 <= q) & (q <= 1.0))
 
 
 def test_born_rule_small():
@@ -414,12 +454,13 @@ def test_stream_address_validation():
 
 
 def test_engine_matches_reference_stepper():
-    # a scalar loop of the carried split step, y = phi_{h/2}(r), then
-    # z = y + 2 sqrt(Gamma dt) zeta and y = phi_h(z), with r = phi_{h/2}(z)
-    # at the end, in the same operation order, must reproduce the batch
-    # engine exactly over 50 steps that stay inside the barrier; the noise
-    # is the float32 product of zeta and float32(2 sqrt(Gamma dt)), as the
-    # engine forms it
+    # a scalar loop of the carried split step, y = phi_{h/2}(r) worked out
+    # in float64 and rounded to float32, then z = y + 2 sqrt(Gamma dt) zeta
+    # and y = phi_h(z) in float32, with r = phi_{h/2}(z) in float64 at the
+    # end, in the same operation order, must reproduce the batch engine
+    # exactly over 50 steps that stay inside the barrier; the noise is the
+    # float32 product of zeta and float32(2 sqrt(Gamma dt)), as the engine
+    # forms it
     gamma = LAM * (ETA ** 2 + (0.5 * ETA) ** 2)
     key = derive_stream_key(5, "D1")
     params = dataclasses.replace(PARAMS, max_steps=50)
@@ -430,42 +471,49 @@ def test_engine_matches_reference_stepper():
     def flow(part, r):
         return 2.0 * np.arcsinh(np.sinh(0.5 * r) * math.exp(part * h))
 
+    grow = np.float32(math.exp(h))
     res = collapse_batch(0.37, (gamma,), *scalars(params), [((*key, 9),)])
     assert (res.winner[0], res.steps[0]) == (0, params.max_steps)
     r = math.log(0.37) - math.log1p(-0.37)
-    y = flow(0.5, r)
+    y = np.float32(flow(0.5, r))
     for t in range(params.max_steps):
         z = y + zeta[t] * np.float32(sig)
-        y = flow(1.0, z)
-    assert flow(0.5, z) == res.r[0]
+        y = np.float32(2.0) * np.arcsinh(np.sinh(np.float32(0.5) * z) * grow)
+    assert z.dtype == y.dtype == np.float32
+    assert flow(0.5, np.float64(z)) == res.r[0]
 
 
 def reference_window(noise, keys, runs, sig, block_index, rows):
-    """A window's noise, shape (rows, runs), drawn run by run from
+    """A window's float32 noise, shape (rows, runs), drawn run by run from
     block_normals, scaled by float32(sig_s) and summed into float32 zeros
-    stream by stream in rate order, then widened to float64."""
+    stream by stream in rate order."""
     dw = np.zeros((rows, len(runs)), dtype=np.float32)
     for key, scale in zip(keys, sig):
         zeta = np.concatenate([noise.block_normals(key, block_index, [k])
                                for k in runs.tolist()])
         dw += np.float32(scale) * zeta.reshape(-1, BLOCK_STEPS)[:, :rows].T
-    return dw.astype(np.float64)
+    return dw
 
 
 def reference_drive(r0, keys, runs, sig, h, thr, n_steps, noise, record=None):
-    """The per-step loop the slab kernel replaced: full-scale noise in a
-    fresh window array, the barrier tested after every step, and the
-    window cut at the step where its last run absorbs.  Same arguments
-    and returns as dynamics._drive."""
-    def flow(part):
-        grow = math.exp(part * h)
+    """The per-step loop the slab kernel replaced: full-scale float32 noise
+    in a fresh window array, the barrier tested after every step, and the
+    window cut at the step where its last run absorbs.  A window starts
+    from y = phi_{h/2}(r) in float64 rounded to float32, steps y = phi_h(z)
+    in float32, and goes back to r = phi_{h/2}(z) in float64.  Same
+    arguments and returns as dynamics._drive."""
+    grow = np.float32(math.exp(h))
 
-        def phi(r):
-            return 2.0 * np.arcsinh(np.sinh(0.5 * r) * grow)
-        return phi
+    def half(r):
+        return 2.0 * np.arcsinh(np.sinh(0.5 * r) * math.exp(0.5 * h))
 
-    half, whole = flow(0.5), flow(1.0)
-    z_hi = flow(-0.5)(thr)
+    def whole(z):
+        return np.float32(2.0) * np.arcsinh(np.sinh(np.float32(0.5) * z) * grow)
+
+    def to_r(z):
+        return half(z.astype(np.float64))
+
+    z_hi = ceil32(2.0 * np.arcsinh(np.sinh(0.5 * thr) * math.exp(-0.5 * h)))
     r = np.full(len(runs), r0, dtype=np.float64)
     winner = np.zeros(r.size, dtype=np.int8)
     winner[r >= thr] = 1
@@ -476,23 +524,23 @@ def reference_drive(r0, keys, runs, sig, h, thr, n_steps, noise, record=None):
     while live.size and base < n_steps:
         rows = min(BLOCK_STEPS, n_steps - base)
         dw = reference_window(noise, keys, runs[live], sig, base // BLOCK_STEPS, rows)
-        y = half(r[live])
+        y = half(r[live]).astype(np.float32)
         done = np.zeros(live.size, dtype=bool)
         for t in range(rows):
             z = y + dw[t]
             if record is not None:
-                record(base + t + 1, half(z))
+                record(base + t + 1, to_r(z))
             newly = ~done & (np.abs(z) >= z_hi)
             if newly.any():
                 hit = live[newly]
-                r[hit] = half(z[newly])
+                r[hit] = to_r(z[newly])
                 steps[hit] = base + t + 1
                 winner[hit] = np.where(z[newly] >= z_hi, 1, 2)
                 done |= newly
                 if done.all():
                     break
             y = whole(z)
-        r[live[~done]] = half(z[~done])
+        r[live[~done]] = to_r(z[~done])
         live = live[~done]
         base += rows
     return r, steps, winner
@@ -590,23 +638,23 @@ def test_slab_kernel_grid_reaches_the_edges():
 
 
 def test_slab_kernel_barrier_is_closed():
-    # with the noise off, a start whose z lands exactly on z_hi absorbs at
-    # step 1: the barrier test is |z| >= z_hi, as in the reference
+    # with the noise off, a start whose first float32 z lands exactly on
+    # the barrier absorbs at step 1, and one a float32 step inside it only
+    # at step 2: the barrier test is |z| >= z_hi, with z_hi / 2 rounded up
+    # to float32, as in the reference
     case = _kernel_case("A", 1e-6, 300)
     *_, h, thr = case
-    z_hi = 2.0 * np.arcsinh(np.sinh(0.5 * thr) * math.exp(-0.5 * h))
-    r0 = 2.0 * math.asinh(math.sinh(0.5 * thr) * math.exp(-h))
-    for _ in range(64):
-        y = 2.0 * np.arcsinh(np.sinh(0.5 * np.array([r0])) * math.exp(0.5 * h))
-        if y[0] == z_hi:
-            break
-        r0 = math.nextafter(r0, math.inf if y[0] < z_hi else -math.inf)
-    assert y[0] == z_hi
+    zh_hi = ceil32(np.arcsinh(np.sinh(0.5 * thr) * math.exp(-0.5 * h)))
     zero = _ConstNoise(0.0)
-    for start, side in ((r0, 1), (-r0, 2)):
-        _, steps, winner = dynamics._drive(start, *case, 300, zero)
-        assert (steps == 1).all() and (winner == side).all()
-        assert np.array_equal(steps, reference_drive(start, *case, 300, zero)[1])
+    for zh, at in ((zh_hi, 1), (np.nextafter(zh_hi, np.float32(0.0)), 2)):
+        # the double-precision start whose first w rounds to zh
+        r0 = 2.0 * math.asinh(math.sinh(float(zh)) * math.exp(-0.5 * h))
+        w = np.arcsinh(np.sinh(0.5 * np.array([r0])) * math.exp(0.5 * h)).astype(np.float32)
+        assert w[0] == zh
+        for start, side in ((r0, 1), (-r0, 2)):
+            _, steps, winner = dynamics._drive(start, *case, 300, zero)
+            assert (steps == at).all() and (winner == side).all()
+            assert np.array_equal(steps, reference_drive(start, *case, 300, zero)[1])
 
 
 @pytest.mark.parametrize("slab", [1, 7, BLOCK_STEPS])
@@ -692,18 +740,26 @@ def test_trajectory_matches_reference_record(start, max_steps):
 def test_zero_noise_follows_exact_drift_flow():
     # with the noise off the split step is the exact flow of the cooked
     # drift, over several windows and at the largest step allowed; the
-    # frozen-drift Euler step misses by 0.03 to 0.09 here.  At epsilon
-    # 1e-300 the barrier sits near |r| = 690, which the flow does not reach
+    # frozen-drift Euler step misses by 0.03 to 0.09 here.  The state is
+    # float32: each step rounds sinh (within 1.4 ulp), the product by e^h
+    # (0.5 ulp) and asinh (0.9 ulp), under 4 ulps of 2**-23 relative, and
+    # the flow's elasticity w phi'(w) / phi(w) is at most 1, so the
+    # relative errors add up and r lies within n * 2**-21 of the flow.
+    # The kernel matches the float32 per-step loop, with its float64 round
+    # trip at each window edge, bit for bit.  At the smallest epsilon the
+    # barrier sits near |r| = 177, which the flow does not reach
     n = 3 * BLOCK_STEPS + 17
     for gamma_dt in (0.05, MAX_GAMMA_DT):
-        params = CollapseParams(dt=gamma_dt / GAMMA, epsilon=1e-300, max_steps=n)
+        params = CollapseParams(dt=gamma_dt / GAMMA, epsilon=EPSILON_MIN, max_steps=n)
+        *_, h, _ = dynamics._prepare(RATES_A, *scalars(params), keys_for(1))
         for q0 in (0.3, 0.8, 1e-6):
             r0 = math.log(q0) - math.log1p(-q0)
             res = collapse_batch(q0, RATES_A, *scalars(params), keys_for(1),
                                  noise=_ConstNoise(0.0))
             assert (res.winner[0], res.steps[0]) == (0, n)
-            expected = 2.0 * math.asinh(math.sinh(0.5 * r0) * math.exp(n * gamma_dt))
-            assert res.r[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            assert res.r[0] == float32_path(r0, h, [0.0] * n)[-1]
+            expected = 2.0 * math.asinh(math.sinh(0.5 * r0) * math.exp(n * h))
+            assert res.r[0] == pytest.approx(expected, rel=n * 2**-21, abs=0.0)
 
 
 def test_one_step_cooked_mean_preserves_q():
@@ -711,7 +767,7 @@ def test_one_step_cooked_mean_preserves_q():
     params = dataclasses.replace(PARAMS, max_steps=1)
     res = collapse_batch(0.3, RATES_A, *scalars(params), keys_for(n, seed=8))
     assert np.all(res.winner == 0)
-    q = res.q
+    q = q_of(res.r)
     se = float(q.std()) / math.sqrt(n)
     assert abs(float(q.mean()) - 0.3) < 4.0 * se
 
@@ -725,7 +781,7 @@ def test_martingale_at_intermediate_time():
                                  max_steps=round(1.0 / GAMMA / PARAMS.dt))
     res = collapse_batch(0.3, RATES_A, *scalars(params), keys_for(n, seed=21))
     assert np.mean(res.winner > 0) >= 0.1
-    q = res.q
+    q = q_of(res.r)
     se = float(q.std()) / math.sqrt(n)
     assert abs(float(q.mean()) - 0.3) < 4.0 * se
 
@@ -739,16 +795,26 @@ def test_time_scaling_doubling_gamma_halves_median():
 
 
 def test_extreme_epsilon_absorbs_without_overflow():
-    # at the smallest epsilon the barrier sits near |r| = 744, and absorbed
-    # runs step on to the end of their window; sinh(r / 2) overflows only
-    # past |r| = 1420, so every run absorbs and no warning is raised
-    params = CollapseParams(dt=MAX_GAMMA_DT / GAMMA, epsilon=5e-324)
-    assert params.log_threshold > 744.0
+    # at the smallest epsilon a float32 state carries, the barrier sits near
+    # |r| = 177, and absorbed runs step on to the end of their window, where
+    # float32 sinh may overflow; every run absorbs with a finite r and no
+    # warning reaches the caller
+    params = CollapseParams(dt=MAX_GAMMA_DT / GAMMA, epsilon=EPSILON_MIN)
+    assert params.log_threshold > 177.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = collapse_batch(0.5, RATES_A, *scalars(params), keys_for(64, seed=19))
     assert np.all(res.winner > 0)
-    assert np.all(np.abs(res.r) > 740.0) and np.all(np.isfinite(res.r))
+    assert np.all(np.abs(res.r) > 176.0) and np.all(np.isfinite(res.r))
+    # a live run's largest step, sinh of the float32 just inside the
+    # barrier times e^h, stays finite at the largest and at a small step
+    for gamma_dt in (MAX_GAMMA_DT, 1e-6):
+        case = dynamics._prepare(RATES_A, gamma_dt / GAMMA, EPSILON_MIN, 1, keys_for(1))
+        *_, h, thr = case
+        zh_hi = ceil32(np.arcsinh(np.sinh(0.5 * thr) * math.exp(-0.5 * h)))
+        inside = np.array([np.nextafter(zh_hi, np.float32(0.0))])
+        with np.errstate(over="raise"):
+            assert np.isfinite(np.sinh(inside) * np.float32(math.exp(h))).all()
 
 
 def test_stream_layout_validation():

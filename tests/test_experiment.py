@@ -4,10 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from collapsemc.dynamics import MAX_GAMMA_DT, CollapseParams
-from collapsemc.experiment import (TARGET_GAMMA_DT, Scenario, active_detectors,
-                                   build_scenario, disagreement_rate_analytic, frame_pair,
-                                   run_frame_batch)
+from collapsemc.dynamics import MAX_GAMMA_DT, CollapseParams, collapse_batch
+from collapsemc.experiment import (SURVIVAL_EPSILON_MIN, TARGET_GAMMA_DT, Scenario,
+                                   active_detectors, build_scenario, collapse_time_survival,
+                                   disagreement_rate_analytic, frame_pair, run_frame_batch)
 from collapsemc.noise import PhiloxNoiseSource, derive_stream_key
 from collapsemc.relativity import C, Frame, activation_gap
 
@@ -217,6 +217,66 @@ def test_closed_form_born_and_mean_time(frame, epsilon, n):
     durations = outcomes["duration"]
     mean_t = ((1.0 - 2.0 * eps) * _logit(1.0 - eps) - (2.0 * q0 - 1.0) * _logit(q0)) / (2.0 * gamma)
     assert abs(durations.mean() - mean_t) < 4.0 * durations.std() / math.sqrt(n)
+
+
+def _mean_time(q0, eps):
+    """Closed-form E[Gamma T] from q0."""
+    return ((1.0 - 2.0 * eps) * _logit(1.0 - eps) - (2.0 * q0 - 1.0) * _logit(q0)) / 2.0
+
+
+@pytest.mark.parametrize("q0, epsilon", [(0.5, 1e-6), (0.8, 1e-6), (0.3, 0.01)])
+def test_collapse_time_survival_integrates_to_mean_time(q0, epsilon):
+    # S(0) = 1, S falls monotonically, and its integral over tau is the
+    # closed-form E[Gamma T]; the trapezoid rule at step 0.005 errs by
+    # under 1e-9 here, since S is flat at 0 and decays as e^{-tau / 2}
+    tau = np.arange(0.0, 150.0, 0.005)
+    s = collapse_time_survival(tau, q0, epsilon)
+    assert s[0] == 1.0 and s[-1] < 1e-30
+    assert (np.diff(s) <= 1e-12).all() and (s > -1e-12).all()
+    integral = float(np.sum(0.5 * (s[1:] + s[:-1])) * 0.005)
+    assert integral == pytest.approx(_mean_time(q0, epsilon), rel=1e-9)
+
+
+def test_collapse_time_survival_edges():
+    # a start at or past a threshold has collapsed at tau 0
+    assert collapse_time_survival([0.0, 1.0], 1.0, 1e-6).tolist() == [0.0, 0.0]
+    assert collapse_time_survival([0.0, 1.0], 0.005, 0.01).tolist() == [0.0, 0.0]
+    assert collapse_time_survival(np.zeros((2, 3)), 0.5, 0.01).shape == (2, 3)
+    for bad in ({"tau": -1.0}, {"tau": math.nan}, {"q0": 1.5},
+                {"epsilon": SURVIVAL_EPSILON_MIN / 2}, {"epsilon": 0.5}):
+        args = {"tau": 1.0, "q0": 0.5, "epsilon": 1e-6, **bad}
+        with pytest.raises(ValueError):
+            collapse_time_survival(args["tau"], args["q0"], args["epsilon"])
+
+
+# the 1 % point of the Kolmogorov distribution of sqrt(N) D
+KS_1PCT = 1.63
+
+
+@pytest.mark.parametrize("q0", [0.5, 0.8])
+@pytest.mark.parametrize("frame", [FRAME_0, FRAME_A], ids=["frame0", "A"])
+def test_collapse_time_law_lattice_ks(frame, q0):
+    # the engine's step counts against the exact law: the ECDF at every
+    # step k up to the longest run against 1 - S(k Gamma dt), at the
+    # scenario step (Gamma dt 0.05 in frame 0, 0.025 in frame A) and
+    # epsilon 1e-6, where seed 123 gives sqrt(N) D of 0.78-1.07.  At
+    # epsilon 0.01 the shifted barrier's discretization bias shows at this
+    # run count: the same seed gives 1.74 in frame A at q0 0.5, past the
+    # 1 % point, so that epsilon is left to the E[T] test above
+    n = 16384
+    scn = build_scenario(q0=q0)
+    params = scn.params
+    dets = active_detectors(frame)
+    addr = np.empty((n, len(dets), 3), dtype=np.uint64)
+    addr[:, :, :2] = [derive_stream_key(123, det) for det in dets]
+    addr[:, :, 2] = np.arange(n)[:, None]
+    rates = scn.frame_rates(frame)
+    res = collapse_batch(q0, rates, params.dt, params.epsilon, params.max_steps, addr)
+    assert (res.winner > 0).all()
+    steps = np.arange(int(res.steps.max()) + 1)
+    ecdf = np.searchsorted(np.sort(res.steps), steps, side="right") / n
+    law = 1.0 - collapse_time_survival(steps * (sum(rates) * params.dt), q0, params.epsilon)
+    assert math.sqrt(n) * float(np.abs(ecdf - law).max()) < KS_1PCT
 
 
 def test_born_marginal_per_frame():
