@@ -20,11 +20,12 @@ from functools import reduce
 from operator import getitem
 
 from .ensemble import ConfigError, EnsembleConfig, export_ensemble, run_ensemble
-from .relativity import (C, Event, activation_gap, boost, detection_events, gamma,
+from .experiment import frame_pair
+from .relativity import (C, Event, Frame, activation_gap, boost, detection_events, gamma,
                          min_separation)
 
-_DEFAULT_V = 0.99 * C
-_DEFAULT_D = 1000.0
+# every default the flags show or use is EnsembleConfig's
+_DEFAULTS = {name: f.default for name, f in EnsembleConfig.__dataclass_fields__.items()}
 
 
 def _json_out(payload: dict) -> None:
@@ -32,18 +33,20 @@ def _json_out(payload: dict) -> None:
 
 
 def _add_ensemble_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--q0", type=float, default=None, help="initial branch-1 weight (default 0.5)")
-    p.add_argument("--runs", type=int, default=None, help="number of trials (default 10000)")
-    p.add_argument("--seed", type=int, default=None, help="master seed (default 1)")
-    p.add_argument("--d", type=float, default=None, help="detector distance, m (default 1000)")
-    p.add_argument("--v", type=float, default=None, help="frame speed, m/s (default 0.99c)")
+    for flag, kind, text in (("--q0", float, "initial branch-1 weight (default {q0:g})"),
+                             ("--runs", int, "number of trials (default {runs})"),
+                             ("--seed", int, "master seed (default {master_seed})"),
+                             ("--d", float, "detector distance, m (default {d:g})"),
+                             ("--v", float, "frame speed, m/s (default {beta:g}c)")):
+        p.add_argument(flag, type=kind, default=None,
+                       help=text.format(beta=_DEFAULTS["v"] / C, **_DEFAULTS))
     p.add_argument("--config", default=None, help="JSON config file; flags override it")
     p.add_argument("--out-dir", default=None, help="output directory for records and manifest")
     p.add_argument("--workers", type=int, default=None,
                    help="max parallel workers (default: the CPUs this process may run "
                         "on; results identical)")
     p.add_argument("--format", choices=("csv", "jsonl"), default=None,
-                   help="records file format (default csv)")
+                   help=f"records file format (default {_DEFAULTS['record_format']})")
     p.add_argument("--verbose", action="store_true", help="print a table to stderr")
 
 
@@ -147,11 +150,8 @@ def cmd_frames(args) -> int:
     d, v = args.d, args.v
     e1, e2 = detection_events(d)
     g = gamma(v)
-    rows = {
-        "frame0": (e1.t, e2.t),
-        "A": (boost(e1, v).t, boost(e2, v).t),
-        "B": (boost(e1, -v).t, boost(e2, -v).t),
-    }
+    rows = {frame.label: (boost(e1, frame.v).t, boost(e2, frame.v).t)
+            for frame in (Frame(0.0), *frame_pair(v))}
     _json_out({
         "d_m": d,
         "v_mps": v,
@@ -205,20 +205,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_ensemble)
 
     p = sub.add_parser("frames", help="detection times in the three frames")
-    p.add_argument("--d", type=float, default=_DEFAULT_D, help="detector distance, m")
-    p.add_argument("--v", type=float, default=_DEFAULT_V, help="frame speed, m/s")
+    p.add_argument("--d", type=float, default=_DEFAULTS["d"], help="detector distance, m")
+    p.add_argument("--v", type=float, default=_DEFAULTS["v"], help="frame speed, m/s")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_frames)
 
     p = sub.add_parser("transform", help="boost one event")
-    p.add_argument("--t", type=float, default=_DEFAULT_D / C, help="event time, s")
-    p.add_argument("--x", type=float, default=_DEFAULT_D, help="event position, m")
-    p.add_argument("--v", type=float, default=_DEFAULT_V, help="boost velocity, m/s")
+    p.add_argument("--t", type=float, default=_DEFAULTS["d"] / C, help="event time, s")
+    p.add_argument("--x", type=float, default=_DEFAULTS["d"], help="event position, m")
+    p.add_argument("--v", type=float, default=_DEFAULTS["v"], help="boost velocity, m/s")
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("min-distance", help="separation needed for a given collapse time")
     p.add_argument("--tau", type=float, default=1e-4, help="collapse time budget, s")
-    p.add_argument("--v", type=float, default=_DEFAULT_V, help="frame speed, m/s")
+    p.add_argument("--v", type=float, default=_DEFAULTS["v"], help="frame speed, m/s")
     p.set_defaults(func=cmd_min_distance)
 
     return parser

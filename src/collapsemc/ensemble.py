@@ -41,7 +41,12 @@ from .experiment import (Scenario, build_scenario, disagreement_rate_analytic, f
                          run_frame_batch)
 from .relativity import C, Frame, activation_gap, gamma
 
-KINDS = ("born_rule", "collapse_time", "cross_frame")
+# the frames each experiment kind runs, at the configured v
+KIND_FRAMES = {
+    "born_rule": lambda v: (Frame(0.0),),
+    "collapse_time": lambda v: (Frame(v),),
+    "cross_frame": frame_pair,
+}
 
 # Runs are processed in fixed windows of this many indices regardless of
 # worker count, so chunk contents (and therefore every floating-point
@@ -94,8 +99,9 @@ class EnsembleConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
+        kinds = tuple(KIND_FRAMES)  # a tuple, so an unhashable kind is only unknown
+        if self.kind not in kinds:
+            raise ConfigError(f"unknown experiment kind {self.kind!r}; expected one of {kinds}")
         for name, kind in (("runs", numbers.Integral), ("master_seed", numbers.Integral),
                            ("workers", numbers.Integral), ("q0", numbers.Real),
                            ("d", numbers.Real), ("v", numbers.Real)):
@@ -179,18 +185,10 @@ def scenario_from_config(config: EnsembleConfig) -> Scenario:
     return build_scenario(d=config.d, q0=config.q0, overrides=config.overrides)
 
 
-def _frames_for_kind(config: EnsembleConfig) -> tuple[Frame, ...]:
-    if config.kind == "born_rule":
-        return (Frame(0.0, "frame0"),)
-    if config.kind == "collapse_time":
-        return (Frame(config.v, "A"),)
-    return frame_pair(config.v)
-
-
 def _run_chunk(config: EnsembleConfig, lo: int, hi: int) -> list:
     scenario = scenario_from_config(config)
     tables: list = []
-    for frame in _frames_for_kind(config):
+    for frame in KIND_FRAMES[config.kind](config.v):
         tables.extend(run_frame_batch(scenario, frame, config.master_seed, range(lo, hi)))
     return tables
 
@@ -356,7 +354,7 @@ def build_manifest(config: EnsembleConfig) -> dict:
     scenario = scenario_from_config(config)
     # summed as the engine sums a frame's stream rates
     rates = {frame.label: sum(scenario.frame_rates(frame))
-             for frame in (Frame(0.0, "frame0"), *frame_pair(config.v))}
+             for frame in (Frame(0.0), *frame_pair(config.v))}
     cfg = asdict(config)
     return {
         "artifact_version": __version__,

@@ -7,14 +7,14 @@ different places in the two branches, and its noise stream drives the
 collapse at the rate Gamma_D = 2 lam eta^2 (see dynamics).  A scenario
 holds one such rate per detector, D1 then D2.
 
-Which detectors drive the collapse depends on the frame.  A frame's
-active set is an ordered tuple of detector ids, and its Gamma is the sum
-of their rates:
+Which detectors drive the collapse depends on the frame: its first
+detector and its label follow from the sign of its v.  A frame's active
+set is an ordered tuple of detector ids, its Gamma the sum of their rates:
 
-* frame A sees D1 activate first, so its collapse is driven by D1's
-  stream alone, ("D1",);
-* frame B likewise uses only D2, ("D2",);
-* frame 0 sees both detectors simultaneously and runs the joint process
+* frame A (v > 0) sees D1 activate first, so D1's stream alone drives
+  its collapse, ("D1",);
+* frame B (v < 0) likewise uses only D2, ("D2",);
+* frame 0 (v = 0) sees both detectors at once and runs the joint process
   on both streams, ("D1", "D2").
 
 Because the A and B runs of the same trial consume disjoint noise
@@ -54,9 +54,10 @@ from .relativity import C, Frame, activation_gap, first_detector
 #     0.1 (MAX_GAMMA_DT)             1.0026    1.0071              1.0205    1.0090
 #
 # The 1.0103 lies within its standard error of 1.01: seeds 1-24 give
-# 1.0045 +- 0.0015 there, and 1.0017 +- 0.0015 in frame A.  Frame A has
-# half the frame-0 rate, so its Gamma * dt is half the value in the first
-# column.
+# 1.0045 +- 0.0015 there, and 1.0017 +- 0.0015 in frame A; at 0.1 they
+# give 1.0104 +- 0.0015, the figure dynamics.MAX_GAMMA_DT quotes.  Frame A
+# has half the frame-0 rate, so its Gamma * dt is half the value in the
+# first column.
 TARGET_GAMMA_DT = 0.05
 
 DEFAULT_ETA = 1e10
@@ -210,9 +211,10 @@ def run_frame_batch(scenario: Scenario, frame: Frame, master_seed: int,
 
 
 def frame_pair(v: float) -> tuple[Frame, Frame]:
+    """Frames A and B: boosted by +v and by -v, for 0 < v < c."""
     if not 0 < v < C:
         raise ValueError(f"v must satisfy 0 < v < c, got {v}")
-    return Frame(v, "A"), Frame(-v, "B")
+    return Frame(v), Frame(-v)
 
 
 def disagreement_rate_analytic(q0: float, epsilon: float) -> float:

@@ -38,30 +38,27 @@ class Event:
 class Frame:
     """Inertial frame boosted by v along x.
 
-    Labels follow the experiment's convention: frame0 is the mirror rest
-    frame (v = 0), A moves in +x (v > 0), B in -x (v < 0).
+    A frame is its velocity: its label, like its first detector, follows
+    from the sign of v.  frame0 is the mirror rest frame (v = 0), A moves
+    in +x (v > 0), B in -x (v < 0).
     """
 
     v: float
-    label: str = "custom"
 
     def __post_init__(self):
-        if abs(self.v) >= C:
+        if not abs(self.v) < C:
             raise SuperluminalFrameError(f"|v| must be < c, got {self.v}")
-        if self.label not in ("frame0", "A", "B", "custom"):
-            raise ValueError(f"unknown frame label {self.label!r}")
-        if self.label == "frame0" and self.v != 0.0:
-            raise ValueError("frame0 requires v = 0")
-        if self.label == "A" and not self.v > 0.0:
-            raise ValueError("frame A requires v > 0")
-        if self.label == "B" and not self.v < 0.0:
-            raise ValueError("frame B requires v < 0")
+
+    @property
+    def label(self) -> str:
+        """'A' or 'B' where D1 or D2 activates first, else 'frame0'."""
+        return {"D1": "A", "D2": "B"}.get(first_detector(self), "frame0")
 
 
 def gamma(v: float) -> float:
     """Lorentz factor 1 / sqrt(1 - v^2 / c^2)."""
     beta = v / C
-    if abs(beta) >= 1.0:
+    if not abs(beta) < 1.0:
         raise SuperluminalFrameError(f"|v| must be < c, got {v}")
     return 1.0 / math.sqrt(1.0 - beta * beta)
 
@@ -139,8 +136,9 @@ def first_detector(frame: Frame) -> str:
 
     In a frame boosted by v the detection at +d precedes the one at -d by
     the activation gap 2 gamma v d / c^2, for any d, so the order is the
-    sign of v, however small v is; only the mirror frame (v = 0) sees the
-    two together.
+    sign of v, however small v is; only the mirror frame (v = 0, of either
+    sign) sees the two together.  This is the one place the sign of v is
+    read: the frame's label follows from it.
     """
     if frame.v > 0:
         return "D1"

@@ -11,7 +11,8 @@ import collapsemc
 from collapsemc import cli
 from collapsemc.cli import _ensemble_config, _json_out, build_parser, main
 from collapsemc.ensemble import CHUNK_RUNS
-from collapsemc.relativity import C
+from collapsemc.experiment import frame_pair
+from collapsemc.relativity import C, Frame
 
 V99 = 0.99 * C
 
@@ -37,6 +38,25 @@ def test_frames_rest_frame_simultaneous(capsys):
     data = json.loads(out)
     assert code == 0
     assert data["frames"]["A"]["t1_s"] == pytest.approx(3.33564e-6, rel=1e-5)
+
+
+def test_frame_labels_agree_across_layers(capsys, tmp_path):
+    # frames' stdout, the manifest's rates and the records name the same
+    # frames, whose labels follow from their velocities
+    labels = sorted(frame.label for frame in (Frame(0.0), *frame_pair(V99)))
+    assert labels == ["A", "B", "frame0"]
+    code, out, _ = run_cli(capsys, "frames", "--v", str(V99))
+    assert code == 0 and sorted(json.loads(out)["frames"]) == labels
+    for command, frames in (("born", ["frame0"]), ("collapse-time", ["A"]),
+                            ("disagree", ["A", "B"])):
+        out_dir = tmp_path / command
+        code, out, _ = run_cli(capsys, command, "--runs", "20", "--v", str(V99),
+                               "--workers", "1", "--out-dir", str(out_dir))
+        assert code == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert sorted(manifest["derived"]["collapse_rate_per_s"]) == labels
+        lines = (out_dir / "records.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[1] for line in lines] == frames * 20, command
 
 
 def test_frames_invalid_geometry(capsys):

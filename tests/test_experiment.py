@@ -12,9 +12,9 @@ from collapsemc.noise import PhiloxNoiseSource, derive_stream_key
 from collapsemc.relativity import C, Frame, activation_gap
 
 V99 = 0.99 * C
-FRAME_0 = Frame(0.0, "frame0")
-FRAME_A = Frame(V99, "A")
-FRAME_B = Frame(-V99, "B")
+FRAME_0 = Frame(0.0)
+FRAME_A = Frame(V99)
+FRAME_B = Frame(-V99)
 
 
 class _SpyNoise(PhiloxNoiseSource):

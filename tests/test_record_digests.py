@@ -1,6 +1,16 @@
 import pytest
 
+import collapsemc
 import record_digests
+
+
+def test_digests_cover_the_artifact_version():
+    # the grid itself runs only on a platform with an entry; on any other,
+    # a version bump that did not regenerate the file still shows here
+    versions = {entry["artifact_version"] for entry in record_digests.load().values()}
+    assert collapsemc.__version__ in versions, (
+        f"no entry for artifact version {collapsemc.__version__} in "
+        f"{record_digests.DIGEST_FILE}; regenerate it with tests/record_digests.py")
 
 
 def test_records_match_committed_digests(tmp_path):
