@@ -315,9 +315,8 @@ def _window_noise(noise, keys, runs, sig, block_index, out):
     Every operation is elementwise within a sub-block, so the sums do not
     depend on SUB_BLOCK_RUNS.  Beside out, only one sub-block's draws are
     held, and out stays (rows, runs) so the step kernel steps on out[t]
-    whole, in place.  The
-    streams are summed elementwise rather than by a matrix product, whose
-    reduction order may depend on the batch shape.
+    whole, in place.  The streams are summed elementwise rather than by a
+    matrix product, whose reduction order may depend on the batch shape.
 
     Starting the sum from the first stream where a zeroed buffer would
     have it added to 0.0 can change only the sign of a zero: 0.0 + x is x

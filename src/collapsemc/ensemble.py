@@ -8,11 +8,11 @@ into fixed windows of run indices; workers pick up whole chunks, which
 makes the output byte-identical for any worker count or schedule.
 
 The records of an ensemble are one record table (see
-``experiment.record_dtype``) sorted by (run_index, frame).  Statistics are
+``experiment.RECORD_DTYPE``) sorted by (run_index, frame).  Statistics are
 counted over its columns by an order-independent reduction, with Wilson
 score intervals for the binomial rates.  The exported fields that are not
-columns (the readings, and whether a collapse beat the activation gap)
-are worked out only while the records are written.
+columns, first_detector and the readings, follow from the frame and the
+winner, and are spelled only while the records are written.
 
 Record format contract.  A records file holds one line per row, in table
 order: CSV with a header of CSV_COLUMNS and CRLF line ends, or JSONL with
@@ -39,7 +39,8 @@ import numpy as np
 from ._version import __version__
 from .experiment import (Scenario, build_scenario, disagreement_rate_analytic, frame_pair,
                          run_frame_batch)
-from .relativity import C, Frame, activation_gap, gamma
+from .noise import RUN_INDEX_LIMIT
+from .relativity import C, FRAME_LABELS, Frame, activation_gap, gamma
 
 # the frames each experiment kind runs, at the configured v
 KIND_FRAMES = {
@@ -58,6 +59,9 @@ CSV_COLUMNS = ("run_index", "frame", "first_detector", "winner",
 
 # (reading_D1, reading_D2) by winner; a run that hit the step cap reads nothing
 READINGS = (("", ""), ("yes", "no"), ("no", "yes"))
+
+# the first detector of each frame label, as a record spells it
+FIRST_DETECTORS = {label: det for det, label in FRAME_LABELS.items()}
 
 # Line layout of each record format and its spelling of None, True and
 # False.  A layout is filled by str.format with the fields in CSV_COLUMNS
@@ -109,8 +113,9 @@ class EnsembleConfig:
             if isinstance(value, bool) or not isinstance(value, kind):
                 noun = "an integer" if kind is numbers.Integral else "a real number"
                 raise ConfigError(f"{name} must be {noun}, got {value!r}")
-        if self.runs < 1:
-            raise ConfigError(f"runs must be >= 1, got {self.runs}")
+        # run indices 0 .. runs - 1 must each address a noise stream
+        if not 1 <= self.runs <= RUN_INDEX_LIMIT:
+            raise ConfigError(f"runs must be in [1, {RUN_INDEX_LIMIT}], got {self.runs}")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError(f"master_seed must fit in uint64, got {self.master_seed}")
         if not 0.0 <= self.q0 <= 1.0:
@@ -215,11 +220,11 @@ def run_ensemble(config: EnsembleConfig) -> tuple[EnsembleStats, np.ndarray]:
     records = np.concatenate([table for chunk in chunk_lists for table in chunk])
     records = records[np.lexsort((records["frame"], records["run_index"]))]
 
-    failed_runs = np.unique(records["run_index"][records["winner"] == 0])
-    if failed_runs.size > 0.01 * config.runs:
-        raise EnsembleAbortError(
-            f"{failed_runs.size} of {config.runs} runs failed to converge (> 1%)")
-    return compute_stats(config.kind, config.runs, records), records
+    stats = compute_stats(config.kind, config.runs, records)
+    failed = stats.counts["failed"]
+    if failed > 0.01 * config.runs:
+        raise EnsembleAbortError(f"{failed} of {config.runs} runs failed to converge (> 1%)")
+    return stats, records
 
 
 def compute_stats(kind: str, runs: int, records: np.ndarray) -> EnsembleStats:
@@ -250,9 +255,8 @@ def compute_stats(kind: str, runs: int, records: np.ndarray) -> EnsembleStats:
     quantiles = (tuple(np.quantile(absorbed["duration"], [0.1, 0.5, 0.9]).tolist())
                  if absorbed.size else (math.nan,) * 3)
 
-    budgeted = absorbed[~np.isnan(absorbed["budget"])]
-    violations = int(np.count_nonzero(~(budgeted["duration"] < budgeted["budget"])))
-    budget_fraction = violations / budgeted.size if budgeted.size else 0.0
+    _, beat, violations = np.bincount(records["within_budget"], minlength=3).tolist()
+    budget_fraction = violations / (beat + violations) if beat + violations else 0.0
 
     return EnsembleStats(n=runs, counts=counts, freq=freq, wilson=wilson,
                          duration_quantiles=quantiles,
@@ -273,20 +277,21 @@ def export_records(records: np.ndarray, path: str, fmt: str = "csv") -> None:
       line is one object ending in LF, with its keys in sorted order:
       duration_s, first_detector, frame, reading_D1, reading_D2, run_index,
       winner, within_budget.
+    - first_detector is the one the frame label names (relativity's
+      FRAME_LABELS), and the readings follow from the winner (READINGS).
     - A run that hit the step cap writes its run_index, frame and winner 0;
       first_detector and both readings are empty strings, and duration_s
       and within_budget are None.
-    - None is an empty cell in CSV and null in JSONL; True and False are
-      true and false in both.  within_budget is None where the frame has no
-      activation gap to beat.
+    - within_budget is the table's code 0, 1 or 2 spelled None, True or
+      False; None is an empty cell in CSV and null in JSONL, and True and
+      False are true and false in both.
     - duration_s is written as repr writes a float: the shortest decimal
       that reads back as the same float, such as 0.000125, 5e-05 or 1e+16.
 
     Only run_index and duration vary freely from row to row.  The rest of a
-    line is one of a few classes (frame, first_detector, winner and
-    within_budget), so each class's line is formatted once, with markers in
-    the two free slots, and split at them.  Each distinct duration is
-    spelled once.
+    line is one of a few classes (frame, winner and within_budget), so each
+    class's line is formatted once, with markers in the two free slots, and
+    split at them.  Each distinct duration is spelled once.
     """
     if fmt not in _LINE_FORMATS:
         raise ValueError(f"format must be 'csv' or 'jsonl', got {fmt!r}")
@@ -301,34 +306,24 @@ def export_records(records: np.ndarray, path: str, fmt: str = "csv") -> None:
 def _format_lines(records: np.ndarray, fmt: str) -> str:
     """The lines of export_records for the rows of a record table."""
     line, literal = _LINE_FORMATS[fmt]
-    frame, winner = records["frame"], records["winner"]
-    duration, budget = records["duration"], records["budget"]
-    failed = winner == 0
-    # the fields as a line shows them: a failed row has no first detector,
-    # and 0, 1, 2 code within_budget None, True, False
-    first = np.where(failed, "", records["first_detector"])
-    with np.errstate(invalid="ignore"):  # rows with a NaN budget take code 0 anyway
-        beat = duration < budget
-    within = np.where(np.isnan(budget) | failed, 0, 2 - beat)
-    key = np.zeros(len(records), dtype=np.int64)
-    for column in (frame, first):
-        vocabulary, code = np.unique(column, return_inverse=True)
-        key = key * len(vocabulary) + code
+    frame, winner, within = records["frame"], records["winner"], records["within_budget"]
+    _, key = np.unique(frame, return_inverse=True)
     key = (key * 3 + winner) * 3 + within  # both are codes 0-2 already
     _, rows, line_class = np.unique(key, return_index=True, return_inverse=True)
     within_literals = (literal[None], literal[True], literal[False])
     templates = np.empty(len(rows), dtype=object)
     for i, row in enumerate(rows.tolist()):
         w = int(winner[row])
-        text = line.format(_RUN, frame[row], first[row], w,
+        first = FIRST_DETECTORS[frame[row]] if w else ""
+        text = line.format(_RUN, frame[row], first, w,
                            *READINGS[w], _DURATION, within_literals[within[row]])
         templates[i] = tuple(text.replace(_DURATION, _RUN).split(_RUN))
     # a bit pattern is one repr; failed rows point past the distinct values
-    bits, spelling = np.unique(duration.view(np.uint64), return_inverse=True)
+    bits, spelling = np.unique(records["duration"].view(np.uint64), return_inverse=True)
     spellings = np.array([repr(x) for x in bits.view(np.float64).tolist()] + [literal[None]],
                          dtype=object)
     runs = records["run_index"].tolist()
-    durations = spellings[np.where(failed, len(bits), spelling)].tolist()
+    durations = spellings[np.where(winner == 0, len(bits), spelling)].tolist()
     # CSV writes run_index before duration_s, JSONL after it
     free = (runs, durations) if line.index("{0}") < line.index("{6}") else (durations, runs)
     return "".join([f"{pre}{x}{mid}{y}{post}" for (pre, mid, post), x, y in

@@ -23,7 +23,7 @@ with probability p = (q0 - epsilon) / (1 - 2 epsilon), and the two frames
 disagree with probability 2 p (1 - p).
 
 A batch of trials in one frame comes back as a record table: a numpy
-structured array with one row per run (see ``record_dtype``).  The
+structured array with one row per run (see ``RECORD_DTYPE``).  The
 readings of the two detectors are not stored; they follow from the winner
 (winner 1 reads D1 yes, D2 no; winner 2 the reverse), so a contradictory
 pair cannot be recorded.
@@ -39,7 +39,7 @@ import numpy as np
 
 from .dynamics import CollapseParams, _logit, collapse_batch
 from .noise import DEFAULT_NOISE, PhiloxNoiseSource, derive_stream_key
-from .relativity import C, Frame, activation_gap, first_detector
+from .relativity import C, FRAME_LABELS, Frame, activation_gap, first_detector
 
 # Scenario builders pick dt so that Gamma * dt at the largest per-frame
 # rate (frame 0, both detectors) equals this, about 140 steps a run at
@@ -163,17 +163,15 @@ def active_detectors(frame: Frame) -> tuple[str, ...]:
     return DETECTORS if first == "simultaneous" else (first,)
 
 
-def record_dtype(frame_label: str) -> np.dtype:
-    """Columns of a record table, one row per (run, frame).
-
-    winner is 1 or 2, or 0 for a run that hit the step cap.  first_detector
-    and budget are constants of the frame: the detector that activates
-    first ('simultaneous' in frame 0) and the activation gap that a
-    collapse must beat, NaN where the frame has none (v = 0).
-    """
-    return np.dtype([("run_index", np.int64), ("frame", f"U{len(frame_label)}"),
-                     ("first_detector", "U12"), ("winner", np.int8),
-                     ("duration", np.float64), ("budget", np.float64)])
+# Columns of a record table, one row per (run, frame), the same for every
+# frame: the frame field fits the longest label.  winner is 1 or 2, or 0
+# for a run that hit the step cap.  within_budget is 1 where the collapse
+# beat the frame's activation gap, 2 where it did not, and 0 where there is
+# no verdict: a run that hit the step cap, or frame 0, which has no gap.
+RECORD_DTYPE = np.dtype([("run_index", np.int64),
+                         ("frame", f"U{max(map(len, FRAME_LABELS.values()))}"),
+                         ("winner", np.int8), ("duration", np.float64),
+                         ("within_budget", np.int8)])
 
 
 def run_frame_batch(scenario: Scenario, frame: Frame, master_seed: int,
@@ -197,16 +195,17 @@ def run_frame_batch(scenario: Scenario, frame: Frame, master_seed: int,
     params = scenario.params
     res = collapse_batch(scenario.q0, scenario.frame_rates(frame), params.dt,
                          params.epsilon, params.max_steps, addr, noise=noise)
-    table = np.empty(runs.size, dtype=record_dtype(frame.label))
+    table = np.empty(runs.size, dtype=RECORD_DTYPE)
     table["run_index"] = run_indices
     table["frame"] = frame.label
-    first = first_detector(frame)
-    table["first_detector"] = first
     table["winner"] = res.winner
     table["duration"] = res.duration
-    table["budget"] = (math.nan if first == "simultaneous"
-                       else activation_gap(scenario.d, abs(frame.v)))
     absorbed = res.winner > 0
+    if frame.v == 0:
+        table["within_budget"] = 0
+    else:
+        gap = activation_gap(scenario.d, abs(frame.v))
+        table["within_budget"] = np.where(absorbed, 2 - (res.duration < gap), 0)
     return table[absorbed], table[~absorbed]
 
 

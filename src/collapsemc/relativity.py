@@ -13,13 +13,16 @@ from dataclasses import dataclass
 
 C = 2.99792458e8  # speed of light, m/s (exact)
 
+# a frame's label by the detector that activates first in it
+FRAME_LABELS = {"D1": "A", "D2": "B", "simultaneous": "frame0"}
+
 
 class SuperluminalFrameError(ValueError):
     """Boost velocity magnitude is >= c."""
 
 
 class InvalidGeometryError(ValueError):
-    """Detector separation or collapse time is not positive."""
+    """Bad detector separation or collapse time."""
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,7 @@ class Frame:
     @property
     def label(self) -> str:
         """'A' or 'B' where D1 or D2 activates first, else 'frame0'."""
-        return {"D1": "A", "D2": "B"}.get(first_detector(self), "frame0")
+        return FRAME_LABELS[first_detector(self)]
 
 
 def gamma(v: float) -> float:
@@ -87,8 +90,8 @@ def detection_events(d: float) -> tuple[Event, Event]:
     Both fire at t0 = d / c, so they are simultaneous in the mirror
     frame and light-like separated from the emission at the origin.
     """
-    if not d > 0:
-        raise InvalidGeometryError(f"d must be > 0, got {d}")
+    if not (math.isfinite(d) and d > 0):
+        raise InvalidGeometryError(f"d must be finite and > 0, got {d}")
     t0 = d / C
     return Event(t0, d), Event(t0, -d)
 
@@ -117,16 +120,18 @@ def min_separation(tau: float, v: float) -> float:
 
     Inverts activation_gap: d = tau c^2 / (2 gamma v).  As there, the
     product tau c^2 can overflow where d does not, and only then is d
-    formed as tau / (2 gamma v / c) c.
+    formed as tau / (2 gamma v / c) c; a d past the float range is refused.
     """
-    if not tau > 0:
-        raise InvalidGeometryError(f"tau must be > 0, got {tau}")
+    if not (math.isfinite(tau) and tau > 0):
+        raise InvalidGeometryError(f"tau must be finite and > 0, got {tau}")
     if not 0 < v < C:
         raise SuperluminalFrameError(f"v must satisfy 0 < v < c, got {v}")
     g = gamma(v)
     d = tau * C * C / (2.0 * g * v)
     if math.isinf(d):
         d = tau / (2.0 * g * (v / C)) * C
+    if math.isinf(d):
+        raise InvalidGeometryError(f"tau {tau} at v {v} gives a separation that overflows")
     return d
 
 

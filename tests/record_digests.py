@@ -6,9 +6,10 @@ on one CPU feature set (see collapsemc.noise), so ``record_digests.json``
 holds one entry per platform key: the artifact version, the numpy version
 and a hash of ``ensemble.cpu_features()``.  Each entry maps every cell of
 the grid, ``born``, ``collapse-time`` and ``disagree`` in csv and jsonl,
-at two seeds and epsilon 1e-6 and 0.01, to the SHA-256 of its records
-file and of its manifest.  The manifest is hashed with its out-dir and
-Python version masked, since neither is part of the platform key.
+at two seeds and epsilon 1e-6 and 0.01, and ``disagree`` at a step cap
+that caps a few runs, to the SHA-256 of its records file and of its
+manifest.  The manifest is hashed with its out-dir and Python version
+masked, since neither is part of the platform key.
 
     PYTHONPATH=src python tests/record_digests.py
 
@@ -41,6 +42,9 @@ SEEDS = (4, 77)
 EPSILONS = (1e-6, 0.01)
 RUNS = 2000
 Q0 = 0.8
+# at this step cap, epsilon 1e-6, the disagree cells cap 4 and 6 of their
+# runs at the two seeds, under the ensemble's 1 % abort
+CAPPED_MAX_STEPS = 720
 
 MASK = "<masked>"
 
@@ -56,16 +60,24 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def cells():
+    """(name, command, format, seed, overrides) of every cell of the grid."""
+    for command, fmt, seed, eps in itertools.product(COMMANDS, FORMATS, SEEDS, EPSILONS):
+        yield f"{command}-{fmt}-seed{seed}-eps{eps:g}", command, fmt, seed, {"epsilon": eps}
+    for fmt, seed in itertools.product(FORMATS, SEEDS):
+        yield (f"disagree-{fmt}-seed{seed}-eps1e-06-cap{CAPPED_MAX_STEPS}", "disagree", fmt,
+               seed, {"epsilon": 1e-6, "max_steps": CAPPED_MAX_STEPS})
+
+
 def run_grid(out_root: str) -> dict[str, dict[str, str]]:
     """Run every cell of the grid under out_root through cli.main and
     return its records and manifest digests by cell name."""
     digests = {}
-    for command, fmt, seed, eps in itertools.product(COMMANDS, FORMATS, SEEDS, EPSILONS):
-        name = f"{command}-{fmt}-seed{seed}-eps{eps:g}"
+    for name, command, fmt, seed, overrides in cells():
         out = os.path.join(out_root, name)
-        config = os.path.join(out_root, f"eps{eps:g}.json")
+        config = os.path.join(out_root, f"{name}.json")
         with open(config, "w", encoding="utf-8") as fh:
-            json.dump({"overrides": {"epsilon": eps}}, fh)
+            json.dump({"overrides": overrides}, fh)
         argv = [command, "--runs", str(RUNS), "--seed", str(seed), "--q0", str(Q0),
                 "--workers", "1", "--format", fmt, "--config", config, "--out-dir", out]
         with contextlib.redirect_stdout(io.StringIO()):

@@ -65,6 +65,26 @@ def test_frames_invalid_geometry(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("args, names", [
+    (("frames", "--d", "inf"), "d must be finite"),
+    (("min-distance", "--tau", "inf"), "tau must be finite"),
+    (("min-distance", "--tau", "1e300", "--v", "1"), "tau 1e+300 at v 1.0"),
+])
+def test_non_finite_geometry_is_a_usage_error(capsys, args, names):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and names in err
+
+
+@pytest.mark.parametrize("runs", [str(2**60), str(2**64)])
+def test_runs_past_the_run_index_limit_are_a_usage_error(capsys, tmp_path, runs):
+    out_dir = tmp_path / "big"
+    code, out, err = run_cli(capsys, "born", "--runs", runs, "--out-dir", str(out_dir))
+    assert code == 2 and out == ""
+    assert "runs must be in" in err
+    assert not out_dir.exists()
+
+
 def test_frames_superluminal(capsys):
     code, _, _ = run_cli(capsys, "frames", "--v", str(1.5 * C))
     assert code == 2
@@ -166,8 +186,8 @@ def test_disagree_summary(capsys, tmp_path):
 
 def test_disagree_nearly_simultaneous_frames(capsys, tmp_path):
     # at d = 1 m and v = 1 mm/s the activation gap is 2.2e-20 s, yet each
-    # frame is still driven by one detector: the records name it and carry
-    # a budget, which no collapse beats
+    # frame is still driven by one detector: the records name it, and no
+    # collapse beats the gap
     code, out, _ = run_cli(capsys, "disagree", "--d", "1", "--v", "1e-3", "--runs", "30",
                            "--seed", "4", "--out-dir", str(tmp_path / "n"),
                            "--workers", "1", "--format", "jsonl")

@@ -11,13 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_experiment import assert_tables_equal
 
-from collapsemc.ensemble import (_LINE_FORMATS, CHUNK_RUNS, CSV_COLUMNS, READINGS,
-                                 ConfigError, EnsembleAbortError, EnsembleConfig,
+from collapsemc.ensemble import (_LINE_FORMATS, CHUNK_RUNS, CSV_COLUMNS, FIRST_DETECTORS,
+                                 READINGS, ConfigError, EnsembleAbortError, EnsembleConfig,
                                  build_manifest, compute_stats, export_ensemble,
                                  export_records, run_ensemble, wilson_interval)
-from collapsemc.experiment import build_scenario, record_dtype
+from collapsemc.experiment import RECORD_DTYPE, build_scenario
 from collapsemc.noise import RUN_INDEX_LIMIT, PhiloxNoiseSource
-from collapsemc.relativity import C, activation_gap
+from collapsemc.relativity import C, Frame, activation_gap, first_detector
 
 
 def test_wilson_reference_values():
@@ -82,6 +82,15 @@ def _records(kind, runs, seed=3, q0=0.5, **kw):
     cfg = EnsembleConfig(kind=kind, runs=runs, master_seed=seed, q0=q0, **kw)
     stats, records = run_ensemble(cfg)
     return cfg, stats, records
+
+
+def test_runs_past_the_run_index_limit_are_refused():
+    # run indices 0 .. runs - 1 each address a noise stream; only configs
+    # are built here, never an ensemble of this size
+    assert EnsembleConfig(kind="born_rule", runs=RUN_INDEX_LIMIT).runs == RUN_INDEX_LIMIT
+    for runs in (RUN_INDEX_LIMIT + 1, 2**64):
+        with pytest.raises(ConfigError, match=f"runs must be in \\[1, {RUN_INDEX_LIMIT}\\]"):
+            EnsembleConfig(kind="cross_frame", runs=runs)
 
 
 def test_born_rule_ensemble_shape():
@@ -197,13 +206,22 @@ def test_cross_frame_ensemble_trivial_agreement():
 
 
 def _table(*rows):
-    """A hand-built record table; rows are (run_index, frame,
-    first_detector, winner, duration, budget)."""
-    return np.array(list(rows), dtype=record_dtype("frame0"))
+    """A hand-built record table; rows are (run_index, frame, winner,
+    duration, within_budget)."""
+    return np.array(list(rows), dtype=RECORD_DTYPE)
+
+
+def _verdict(winner, duration, gap):
+    """The within_budget code of a row: 0 where there is no verdict (a
+    capped run, or no gap), 1 where the collapse beat the gap, 2 where it
+    did not."""
+    if winner == 0 or math.isnan(gap):
+        return 0
+    return 1 if duration < gap else 2
 
 
 def test_compute_stats_failed_class():
-    records = _table((0, "A", "D1", 1, 1e-4, 2e-4), (1, "A", "D1", 0, 0.5, 2e-4))
+    records = _table((0, "A", 1, 1e-4, 1), (1, "A", 0, 0.5, 0))
     stats = compute_stats("collapse_time", 2, records)
     assert stats.counts == {"winner1": 1, "winner2": 0, "failed": 1}
     assert stats.freq["winner1"] == 1.0
@@ -213,26 +231,45 @@ def test_compute_stats_failed_class():
 
 def test_compute_stats_cross_frame_counts():
     # run 0 disagrees, run 1 failed in B, run 2 agrees, run 3 failed in A;
-    # rows out of order
-    records = _table((2, "B", "D2", 1, 3e-4, 2e-4), (0, "A", "D1", 1, 1e-4, 2e-4),
-                     (1, "B", "D2", 0, 0.5, 2e-4), (0, "B", "D2", 2, 1e-4, 2e-4),
-                     (3, "A", "D1", 0, 0.5, 2e-4), (3, "B", "D2", 1, 1e-4, 2e-4),
-                     (1, "A", "D1", 2, 1e-4, 2e-4), (2, "A", "D1", 1, 1e-4, 2e-4))
+    # rows out of order, and only run 2's B row missed its budget
+    records = _table((2, "B", 1, 3e-4, 2), (0, "A", 1, 1e-4, 1),
+                     (1, "B", 0, 0.5, 0), (0, "B", 2, 1e-4, 1),
+                     (3, "A", 0, 0.5, 0), (3, "B", 1, 1e-4, 1),
+                     (1, "A", 2, 1e-4, 1), (2, "A", 1, 1e-4, 1))
     stats = compute_stats("cross_frame", 4, records)
     assert stats.counts == {"agree": 1, "disagree": 1, "failed": 2}
     assert stats.freq == {"agree": 0.5, "disagree": 0.5}
     assert stats.budget_violation_fraction == 1 / 6
 
 
-# An absorbed frame-B row, a run that hit the step cap, and a frame-0 row,
-# which has no activation gap to beat.
-EXPORT_ROWS = ((7, "B", "D2", 2, 3.75e-4, 2.5e-4), (8, "B", "D2", 0, 0.125, 2.5e-4),
-               (9, "frame0", "simultaneous", 1, 1.25e-4, math.nan))
+def test_compute_stats_counts_each_failed_run_once():
+    # run 1 hit the step cap in both frames and run 2 in one: two failed
+    # runs, the count run_ensemble aborts on
+    records = _table((0, "A", 1, 1e-4, 1), (0, "B", 1, 1e-4, 1),
+                     (1, "A", 0, 0.5, 0), (1, "B", 0, 0.5, 0),
+                     (2, "A", 2, 1e-4, 1), (2, "B", 0, 0.5, 0))
+    assert compute_stats("cross_frame", 3, records).counts["failed"] == 2
+
+
+@pytest.mark.parametrize("kind, max_steps", [("born_rule", 350), ("collapse_time", 700),
+                                              ("cross_frame", 700)])
+def test_failed_count_is_the_count_of_capped_runs(kind, max_steps):
+    # these caps fail a few of 1000 runs, under the 1 % abort
+    stats, records = run_ensemble(EnsembleConfig(kind=kind, runs=1000, master_seed=3,
+                                                 overrides={"max_steps": max_steps},
+                                                 workers=1))
+    failed_runs = np.unique(records["run_index"][records["winner"] == 0])
+    assert stats.counts["failed"] == failed_runs.size > 0
+
+
+# An absorbed frame-B row that missed its budget, a run that hit the step
+# cap, and a frame-0 row, which has no activation gap to beat.
+EXPORT_ROWS = ((7, "B", 2, 3.75e-4, 2), (8, "B", 0, 0.125, 0), (9, "frame0", 1, 1.25e-4, 0))
 
 
 def test_export_csv_layout(tmp_path):
-    records = _table((0, "A", "D1", 1, 2.5e-4, 2e-4), (1, "A", "D1", 2, 1.25e-4, 2e-4),
-                     (2, "A", "D1", 0, 0.125, 2e-4), (3, "frame0", "simultaneous", 2, 5e-5, math.nan))
+    records = _table((0, "A", 1, 2.5e-4, 2), (1, "A", 2, 1.25e-4, 1),
+                     (2, "A", 0, 0.125, 0), (3, "frame0", 2, 5e-5, 0))
     path = tmp_path / "records.csv"
     export_records(records, str(path), "csv")
     assert path.read_text(encoding="utf-8").splitlines() == [
@@ -265,22 +302,33 @@ def test_export_rejects_unknown_format(tmp_path):
         export_records([], str(tmp_path / "x"), "xml")
 
 
+# the first detector of each frame, spelled out: the oracle below does not
+# read the package's table
+REFERENCE_FIRST = {"A": "D1", "B": "D2", "frame0": "simultaneous"}
+
+
+def test_first_detector_spelling_follows_the_frames():
+    assert FIRST_DETECTORS == REFERENCE_FIRST
+    for frame in (Frame(0.0), Frame(C / 2), Frame(-C / 2)):
+        assert FIRST_DETECTORS[frame.label] == first_detector(frame)
+
+
 def reference_export(records, path, fmt):
     """The record writer as one str.format per row: the oracle that
     export_records must match byte for byte."""
     line, literal = _LINE_FORMATS[fmt]
     columns = (records[c].tolist() for c in
-               ("run_index", "frame", "first_detector", "winner", "duration", "budget"))
+               ("run_index", "frame", "winner", "duration", "within_budget"))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if fmt == "csv":
             fh.write(",".join(CSV_COLUMNS) + "\r\n")
-        for k, frame, first, winner, duration, budget in zip(*columns):
+        for k, frame, winner, duration, within in zip(*columns):
             if winner == 0:
                 fh.write(line.format(k, frame, "", 0, "", "", literal[None], literal[None]))
             else:
-                within = None if math.isnan(budget) else duration < budget
-                fh.write(line.format(k, frame, first, winner, *READINGS[winner],
-                                     repr(duration), literal[within]))
+                fh.write(line.format(k, frame, REFERENCE_FIRST[frame], winner,
+                                     *READINGS[winner], repr(duration),
+                                     literal[(None, True, False)[within]]))
 
 
 def assert_export_matches_reference(records, tmp_path):
@@ -291,16 +339,16 @@ def assert_export_matches_reference(records, tmp_path):
 
 
 def test_export_matches_reference_on_every_line_class(tmp_path):
-    # each (frame, first_detector, winner, within_budget) class, with
-    # within_budget false at duration == budget
+    # each (frame, winner, within_budget) class a run can leave
     rows = []
-    for frame, first, budget in (("frame0", "simultaneous", math.nan), ("A", "D1", 2.5e-4),
-                                 ("B", "D2", 2.5e-4)):
+    for frame, gap in (("frame0", math.nan), ("A", 2.5e-4), ("B", 2.5e-4)):
         for winner in (0, 1, 2):
             for duration in (1.25e-4, 2.5e-4, 3.75e-4):
-                rows.append((len(rows), frame, first, winner, duration, budget))
+                rows.append((len(rows), frame, winner, duration,
+                             _verdict(winner, duration, gap)))
     records = _table(*rows)
     assert_export_matches_reference(records, tmp_path)
+    # within_budget is false at duration == gap
     assert b"\r\n13,A,D1,1,yes,no,0.00025,false\r\n" in (tmp_path / "new.csv").read_bytes()
 
 
@@ -314,19 +362,23 @@ def test_export_matches_reference_on_every_line_class(tmp_path):
          runs=[RUN_INDEX_LIMIT - 1] * 40)
 def test_export_matches_reference_on_drawn_durations(tmp_path_factory, values, picks, runs):
     # 40 rows over at most 8 values: repeats exercise the once-per-value spelling
-    frames = (("A", "D1", 1e-4), ("B", "D2", 1e-4), ("frame0", "simultaneous", math.nan))
-    rows = [(k, frames[i % 3][0], frames[i % 3][1], (1, 2, 0, 2, 1)[i % 5],
-             values[p % len(values)], frames[i % 3][2])
-            for i, (k, p) in enumerate(zip(runs, picks))]
+    frames = (("A", 1e-4), ("B", 1e-4), ("frame0", math.nan))
+    rows = []
+    for i, (k, p) in enumerate(zip(runs, picks)):
+        (frame, gap), winner = frames[i % 3], (1, 2, 0, 2, 1)[i % 5]
+        duration = values[p % len(values)]
+        rows.append((k, frame, winner, duration, _verdict(winner, duration, gap)))
     assert_export_matches_reference(_table(*rows), tmp_path_factory.mktemp("drawn"))
 
 
 def test_export_matches_reference_past_one_slice(tmp_path):
     rng = np.random.default_rng(7)
     n = 2 * CHUNK_RUNS + 5
-    rows = [(k, "AB"[k % 2], ("D1", "D2")[k % 2], int(rng.integers(0, 3)),
-             int(rng.integers(1, 400)) * 2.5e-6, 4.7e-4) for k in range(n)]
-    rows[-1] = (RUN_INDEX_LIMIT - 1, "B", "D2", 1, 5e-324, 4.7e-4)
+    rows = []
+    for k in range(n):
+        winner, duration = int(rng.integers(0, 3)), int(rng.integers(1, 400)) * 2.5e-6
+        rows.append((k, "AB"[k % 2], winner, duration, _verdict(winner, duration, 4.7e-4)))
+    rows[-1] = (RUN_INDEX_LIMIT - 1, "B", 1, 5e-324, 1)
     assert_export_matches_reference(_table(*rows), tmp_path)
 
 

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from collapsemc.dynamics import MAX_GAMMA_DT, CollapseParams, collapse_batch
-from collapsemc.experiment import (SURVIVAL_EPSILON_MIN, TARGET_GAMMA_DT, Scenario,
-                                   active_detectors, build_scenario, collapse_time_survival,
-                                   disagreement_rate_analytic, frame_pair, run_frame_batch)
+from collapsemc.ensemble import FIRST_DETECTORS
+from collapsemc.experiment import (RECORD_DTYPE, SURVIVAL_EPSILON_MIN, TARGET_GAMMA_DT,
+                                   Scenario, active_detectors, build_scenario,
+                                   collapse_time_survival, disagreement_rate_analytic,
+                                   frame_pair, run_frame_batch)
 from collapsemc.noise import PhiloxNoiseSource, derive_stream_key
 from collapsemc.relativity import C, Frame, activation_gap
 
@@ -135,16 +137,32 @@ def test_run_frame_trivial_q0():
 
 
 def test_run_frame_first_detector_and_budget():
-    scn = build_scenario()
+    # the rows name their frame, whose label the writer spells as its first
+    # detector; at d = 3000 m the gap splits frame A's and B's collapses,
+    # and each row's within_budget code says on which side it fell
+    scn = build_scenario(d=3000.0)
     gap = activation_gap(scn.d, V99)
     for frame, first in ((FRAME_A, "D1"), (FRAME_B, "D2"), (FRAME_0, "simultaneous")):
-        (row,), failed = run_frame_batch(scn, frame, 2, [5])
-        assert len(failed) == 0
-        assert (row["run_index"], row["frame"], row["first_detector"]) == (5, frame.label, first)
+        absorbed, failed = run_frame_batch(scn, frame, 2, range(5, 405))
+        assert len(failed) == 0 and absorbed.dtype == RECORD_DTYPE
+        assert absorbed["run_index"].tolist() == list(range(5, 405))
+        assert set(absorbed["frame"].tolist()) == {frame.label}
+        assert FIRST_DETECTORS[frame.label] == first
+        codes = absorbed["within_budget"].tolist()
         if frame is FRAME_0:
-            assert math.isnan(row["budget"])
+            assert set(codes) == {0}
         else:
-            assert row["budget"] == gap
+            assert codes == [1 if t < gap else 2 for t in absorbed["duration"].tolist()]
+            assert set(codes) == {1, 2}
+
+
+def test_run_frame_capped_rows_have_no_verdict():
+    scn = build_scenario(d=3000.0, overrides={"max_steps": 40})
+    for frame in (FRAME_A, FRAME_0):
+        absorbed, failed = run_frame_batch(scn, frame, 2, range(50))
+        assert len(failed) > 0
+        assert failed["winner"].tolist() == [0] * len(failed)
+        assert failed["within_budget"].tolist() == [0] * len(failed)
 
 
 def test_frame_a_outcome_depends_only_on_d1_stream():

@@ -62,8 +62,9 @@ def test_detection_events_geometry():
     assert (e1.x, e2.x) == (1000.0, -1000.0)
     one_second = detection_events(C)[0]
     assert one_second.t == 1.0
-    with pytest.raises(InvalidGeometryError):
-        detection_events(0.0)
+    for d in (0.0, math.inf, math.nan):
+        with pytest.raises(InvalidGeometryError, match="d must be finite and > 0"):
+            detection_events(d)
 
 
 def test_events_simultaneous_in_frame0():
@@ -132,8 +133,13 @@ def test_min_separation_round_trip():
 
 
 def test_min_separation_validation():
-    with pytest.raises(InvalidGeometryError):
-        min_separation(0.0, V99)
+    for tau in (0.0, math.inf, math.nan):
+        with pytest.raises(InvalidGeometryError, match="tau must be finite and > 0"):
+            min_separation(tau, V99)
+    # the direct product and its fallback both overflow
+    with pytest.raises(InvalidGeometryError, match="overflows"):
+        min_separation(1e300, 1.0)
+    assert math.isfinite(min_separation(1e300, V99))
     with pytest.raises(SuperluminalFrameError):
         min_separation(1e-4, 1.5 * C)
 
