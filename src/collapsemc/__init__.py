@@ -10,12 +10,7 @@ a frame's collapse runs at the sum of the rates of its active detectors.
 
 from ._version import __version__
 from .dynamics import CollapseParams, NoCollapsePossibleError
-from .ensemble import (
-    EnsembleConfig,
-    EnsembleStats,
-    run_ensemble,
-    wilson_interval,
-)
+from .ensemble import EnsembleConfig, run_ensemble, wilson_interval
 from .experiment import Scenario, build_scenario, disagreement_rate_analytic
 from .noise import PhiloxNoiseSource, derive_stream_key
 from .relativity import (
@@ -35,7 +30,6 @@ __all__ = [
     "C",
     "CollapseParams",
     "EnsembleConfig",
-    "EnsembleStats",
     "Event",
     "Frame",
     "NoCollapsePossibleError",

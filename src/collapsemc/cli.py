@@ -7,7 +7,8 @@ Exit codes: 0 success, 2 usage or validation error, 1 runtime failure.
 
 The three ensemble subcommands share one handler: each runs its ensemble,
 writes the records and manifest, and prints the summary fields that
-ENSEMBLE_COMMANDS lists for it, read from the manifest just written.
+ENSEMBLE_COMMANDS lists for it, read from the manifest just written.  The
+summary and the --verbose table both read the manifest's stats block.
 """
 
 from __future__ import annotations
@@ -87,16 +88,16 @@ def _ensemble_config(args, kind: str) -> EnsembleConfig:
     return EnsembleConfig.from_dict(merged)
 
 
-def _stats_table(stats) -> None:
+def _stats_table(stats: dict) -> None:
     print(f"{'class':<12} {'count':>8} {'freq':>10} {'wilson 95%':>24}", file=sys.stderr)
-    for cls, count in stats.counts.items():
-        if cls in stats.freq:
-            lo, hi = stats.wilson[cls]
-            print(f"{cls:<12} {count:>8} {stats.freq[cls]:>10.6f} "
+    for cls, count in stats["counts"].items():
+        if cls in stats["freq"]:
+            lo, hi = stats["wilson"][cls]
+            print(f"{cls:<12} {count:>8} {stats['freq'][cls]:>10.6f} "
                   f"[{lo:.6f}, {hi:.6f}]", file=sys.stderr)
         else:
             print(f"{cls:<12} {count:>8}", file=sys.stderr)
-    p10, p50, p90 = stats.duration_quantiles
+    p10, p50, p90 = stats["duration_quantiles_s"]
     print(f"duration_s   p10={p10:.6e} p50={p50:.6e} p90={p90:.6e}", file=sys.stderr)
 
 

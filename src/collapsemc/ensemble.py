@@ -3,14 +3,16 @@
 Runs are addressed, not enumerated: trial k of an experiment reads each
 detector's noise stream, keyed by (master_seed, detector), at stream
 address (key, k), so the records of an ensemble are a pure function of
-its configuration.  Execution is chunked
-into fixed windows of run indices; workers pick up whole chunks, which
-makes the output byte-identical for any worker count or schedule.
+its configuration.  Execution is chunked into fixed windows of run
+indices; workers pick up whole chunks, which makes the output
+byte-identical for any worker count or schedule.  The scenario is built
+once, with the configuration, and every chunk and the manifest read it.
 
 The records of an ensemble are one record table (see
 ``experiment.RECORD_DTYPE``) sorted by (run_index, frame).  Statistics are
 counted over its columns by an order-independent reduction, with Wilson
-score intervals for the binomial rates.  The exported fields that are not
+score intervals for the binomial rates, into the dict that the manifest
+stores as its ``stats`` block.  The exported fields that are not
 columns, first_detector and the readings, follow from the frame and the
 winner, and are spelled only while the records are written.
 
@@ -33,6 +35,8 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass, asdict
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -138,10 +142,10 @@ class EnsembleConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.overrides is not None and not isinstance(self.overrides, dict):
             raise ConfigError(f"overrides must be a JSON object, got {self.overrides!r}")
-        # the scenario is built again in every chunk; building it here makes
-        # a bad override a ConfigError before any run starts
+        # building the scenario here makes a bad override a ConfigError
+        # before any run starts
         try:
-            scenario_from_config(self)
+            self.scenario
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"overrides {self.overrides!r}: {exc}") from exc
 
@@ -155,15 +159,12 @@ class EnsembleConfig:
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
-
-@dataclass(frozen=True)
-class EnsembleStats:
-    n: int
-    counts: dict[str, int]
-    freq: dict[str, float]
-    wilson: dict[str, tuple[float, float]]
-    duration_quantiles: tuple[float, float, float]
-    budget_violation_fraction: float
+    @cached_property
+    def scenario(self) -> Scenario:
+        """The configured scenario, built once.  It is not a field, so
+        asdict leaves it out of the manifest, and a pickled config carries
+        it to pool workers."""
+        return build_scenario(d=self.d, q0=self.q0, overrides=self.overrides)
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -187,48 +188,49 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
 
 
 def scenario_from_config(config: EnsembleConfig) -> Scenario:
-    return build_scenario(d=config.d, q0=config.q0, overrides=config.overrides)
+    return config.scenario
 
 
-def _run_chunk(config: EnsembleConfig, lo: int, hi: int) -> list:
-    scenario = scenario_from_config(config)
+def _run_chunk(config: EnsembleConfig, lo: int) -> list:
+    """The record tables of the chunk of runs that starts at lo."""
+    runs = range(lo, min(lo + CHUNK_RUNS, config.runs))
     tables: list = []
     for frame in KIND_FRAMES[config.kind](config.v):
-        tables.extend(run_frame_batch(scenario, frame, config.master_seed, range(lo, hi)))
+        tables.extend(run_frame_batch(config.scenario, frame, config.master_seed, runs))
     return tables
 
 
-def run_ensemble(config: EnsembleConfig) -> tuple[EnsembleStats, np.ndarray]:
+def run_ensemble(config: EnsembleConfig) -> tuple[dict, np.ndarray]:
     """Execute the configured experiment and reduce its statistics.
 
-    Returns (stats, records) with records one table sorted by
-    (run_index, frame).  Raises EnsembleAbortError if more than 1% of runs
-    fail to converge.
+    Returns (stats, records): stats is compute_stats's dict, the manifest's
+    stats block, and records one table sorted by (run_index, frame).
+    Raises EnsembleAbortError if more than 1% of runs fail to converge.
     """
-    bounds = [(lo, min(lo + CHUNK_RUNS, config.runs))
-              for lo in range(0, config.runs, CHUNK_RUNS)]
-    if config.workers > 1 and len(bounds) > 1:
+    starts = range(0, config.runs, CHUNK_RUNS)
+    if config.workers > 1 and len(starts) > 1:
         # imported here so that one-worker runs do not load multiprocessing;
         # under fork every worker starts at the first submit, so more
         # workers than chunks would only be forked to sit idle
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(config.workers, len(bounds))) as pool:
-            chunk_lists = list(pool.map(_run_chunk, [config] * len(bounds),
-                                        [b[0] for b in bounds], [b[1] for b in bounds]))
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(starts))) as pool:
+            chunk_lists = list(pool.map(_run_chunk, repeat(config), starts))
     else:
-        chunk_lists = [_run_chunk(config, lo, hi) for lo, hi in bounds]
+        chunk_lists = [_run_chunk(config, lo) for lo in starts]
     records = np.concatenate([table for chunk in chunk_lists for table in chunk])
     records = records[np.lexsort((records["frame"], records["run_index"]))]
 
     stats = compute_stats(config.kind, config.runs, records)
-    failed = stats.counts["failed"]
+    failed = stats["counts"]["failed"]
     if failed > 0.01 * config.runs:
         raise EnsembleAbortError(f"{failed} of {config.runs} runs failed to converge (> 1%)")
     return stats, records
 
 
-def compute_stats(kind: str, runs: int, records: np.ndarray) -> EnsembleStats:
-    """Order-independent reduction of a record table."""
+def compute_stats(kind: str, runs: int, records: np.ndarray) -> dict:
+    """Order-independent reduction of a record table into the manifest's
+    stats block: n, counts, freq, wilson, duration_quantiles_s and
+    budget_violation_fraction."""
     absorbed = records[records["winner"] > 0]
 
     if kind == "cross_frame":
@@ -249,18 +251,17 @@ def compute_stats(kind: str, runs: int, records: np.ndarray) -> EnsembleStats:
 
     n_ok = sum(counts[c] for c in rate_classes)
     freq = {c: (counts[c] / n_ok if n_ok else math.nan) for c in rate_classes}
-    wilson = {c: (wilson_interval(counts[c], n_ok) if n_ok else (0.0, 1.0))
+    wilson = {c: (list(wilson_interval(counts[c], n_ok)) if n_ok else [0.0, 1.0])
               for c in rate_classes}
 
-    quantiles = (tuple(np.quantile(absorbed["duration"], [0.1, 0.5, 0.9]).tolist())
-                 if absorbed.size else (math.nan,) * 3)
+    quantiles = (np.quantile(absorbed["duration"], [0.1, 0.5, 0.9]).tolist()
+                 if absorbed.size else [math.nan] * 3)
 
     _, beat, violations = np.bincount(records["within_budget"], minlength=3).tolist()
     budget_fraction = violations / (beat + violations) if beat + violations else 0.0
 
-    return EnsembleStats(n=runs, counts=counts, freq=freq, wilson=wilson,
-                         duration_quantiles=quantiles,
-                         budget_violation_fraction=budget_fraction)
+    return {"n": runs, "counts": counts, "freq": freq, "wilson": wilson,
+            "duration_quantiles_s": quantiles, "budget_violation_fraction": budget_fraction}
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +347,7 @@ def build_manifest(config: EnsembleConfig) -> dict:
     the records are fixed only within one numpy build on one CPU feature
     set: the last bits of the noise's ``log``, ``sin`` and ``cos`` and of
     the step kernel's float32 ``sinh`` and ``arcsinh`` depend on both."""
-    scenario = scenario_from_config(config)
+    scenario = config.scenario
     # summed as the engine sums a frame's stream rates
     rates = {frame.label: sum(scenario.frame_rates(frame))
              for frame in (Frame(0.0), *frame_pair(config.v))}
@@ -370,23 +371,16 @@ def build_manifest(config: EnsembleConfig) -> dict:
     }
 
 
-def export_ensemble(config: EnsembleConfig, stats: EnsembleStats, records: np.ndarray,
+def export_ensemble(config: EnsembleConfig, stats: dict, records: np.ndarray,
                     out_dir: str) -> tuple[dict[str, str], dict]:
     """Write records and manifest into out_dir; returns (paths, manifest).
+    The manifest's stats block is the stats dict as compute_stats made it.
 
     The manifest is serialized before any file is opened, so a manifest
     that is not strict JSON (a NaN or inf value) raises ValueError and
     leaves neither file behind.
     """
-    manifest = build_manifest(config)
-    manifest["stats"] = {
-        "n": stats.n,
-        "counts": stats.counts,
-        "freq": stats.freq,
-        "wilson": {k: list(v) for k, v in stats.wilson.items()},
-        "duration_quantiles_s": list(stats.duration_quantiles),
-        "budget_violation_fraction": stats.budget_violation_fraction,
-    }
+    manifest = {**build_manifest(config), "stats": stats}
     manifest_text = json.dumps(manifest, sort_keys=True, indent=2, allow_nan=False) + "\n"
     os.makedirs(out_dir, exist_ok=True)
     records_path = os.path.join(out_dir, f"records.{config.record_format}")

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import collapsemc
+import record_digests
 from collapsemc import cli
 from collapsemc.cli import _ensemble_config, _json_out, build_parser, main
 from collapsemc.ensemble import CHUNK_RUNS
@@ -515,6 +516,46 @@ def test_verbose_table_on_stderr(capsys, tmp_path):
     assert code == 0
     json.loads(out)  # stdout remains pure JSON
     assert "winner1" in err
+
+
+# the --verbose tables of 3000 runs at seed 41, on the platform whose
+# record digests are committed
+VERBOSE_TABLES = {
+    "born": "class           count       freq               wilson 95%\n"
+            "winner1          1478   0.492667 [0.474797, 0.510555]\n"
+            "winner2          1522   0.507333 [0.489445, 0.525203]\n"
+            "failed              0\n"
+            "duration_s   p10=1.025000e-04 p50=1.625000e-04 p90=2.625000e-04\n",
+    "collapse-time": "class           count       freq               wilson 95%\n"
+                     "winner1          1433   0.477667 [0.459832, 0.495558]\n"
+                     "winner2          1567   0.522333 [0.504442, 0.540168]\n"
+                     "failed              0\n"
+                     "duration_s   p10=2.037500e-04 p50=3.287500e-04 p90=5.312500e-04\n",
+    "disagree": "class           count       freq               wilson 95%\n"
+                "agree            1513   0.504333 [0.486448, 0.522208]\n"
+                "disagree         1487   0.495667 [0.477792, 0.513552]\n"
+                "failed              0\n"
+                "duration_s   p10=2.025000e-04 p50=3.275000e-04 p90=5.238750e-04\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(VERBOSE_TABLES))
+def test_verbose_table_is_the_manifest_stats(capsys, tmp_path, command):
+    code, _, err = run_cli(capsys, command, "--runs", "3000", "--seed", "41", "--workers", "1",
+                           "--out-dir", str(tmp_path), "--verbose")
+    assert code == 0
+    # on any platform, the table spells the manifest's stats block
+    stats = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))["stats"]
+    rows = [line.split() for line in err.splitlines()[1:-1]]
+    assert {cls: int(count) for cls, count, *_ in rows} == stats["counts"]
+    for cls, _, freq, lo, hi in (row for row in rows if len(row) > 2):
+        assert float(freq) == pytest.approx(stats["freq"][cls], abs=5e-7)
+        assert [float(lo.strip("[,")), float(hi.strip("]"))] == pytest.approx(
+            stats["wilson"][cls], abs=5e-7)
+    quantiles = [float(field.split("=")[1]) for field in err.splitlines()[-1].split()[1:]]
+    assert quantiles == pytest.approx(stats["duration_quantiles_s"], rel=1e-6)
+    if record_digests.platform_key() in record_digests.load():
+        assert err == VERBOSE_TABLES[command]
 
 
 def test_runtime_failure_exit_code(capsys, tmp_path):

@@ -1,7 +1,7 @@
 import concurrent.futures
-import dataclasses
 import json
 import math
+import pickle
 import platform
 from pathlib import Path
 
@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_experiment import assert_tables_equal
 
+from collapsemc import ensemble
 from collapsemc.ensemble import (_LINE_FORMATS, CHUNK_RUNS, CSV_COLUMNS, FIRST_DETECTORS,
                                  READINGS, ConfigError, EnsembleAbortError, EnsembleConfig,
                                  build_manifest, compute_stats, export_ensemble,
@@ -95,38 +96,38 @@ def test_runs_past_the_run_index_limit_are_refused():
 
 def test_born_rule_ensemble_shape():
     cfg, stats, records = _records("born_rule", 400)
-    assert stats.n == 400
-    assert sum(stats.counts.values()) == 400
-    assert stats.counts["failed"] == 0
+    assert stats["n"] == 400
+    assert sum(stats["counts"].values()) == 400
+    assert stats["counts"]["failed"] == 0
     assert len(records) == 400
     assert records["run_index"].tolist() == list(range(400))
-    lo, hi = stats.wilson["winner1"]
-    assert lo <= stats.freq["winner1"] <= hi
-    p10, p50, p90 = stats.duration_quantiles
+    lo, hi = stats["wilson"]["winner1"]
+    assert lo <= stats["freq"]["winner1"] <= hi
+    p10, p50, p90 = stats["duration_quantiles_s"]
     assert p10 <= p50 <= p90
 
 
 def test_single_run_ensemble_degenerate():
     _, stats, records = _records("born_rule", 1)
-    assert stats.n == 1
-    assert sum(stats.counts.values()) == 1
-    lo, hi = stats.wilson["winner1"]
+    assert stats["n"] == 1
+    assert sum(stats["counts"].values()) == 1
+    lo, hi = stats["wilson"]["winner1"]
     assert 0.0 <= lo <= hi <= 1.0
 
 
 def test_cross_frame_ensemble_shape():
     cfg, stats, records = _records("cross_frame", 300, q0=0.3, d=2500.0)
-    assert sum(stats.counts.values()) == 300
+    assert sum(stats["counts"].values()) == 300
     assert len(records) == 600
     assert records["run_index"].tolist() == [k for k in range(300) for _ in "AB"]
     assert records["frame"].tolist() == ["A", "B"] * 300
-    assert 0.0 <= stats.budget_violation_fraction <= 1.0
+    assert 0.0 <= stats["budget_violation_fraction"] <= 1.0
 
 
 def test_collapse_time_ensemble():
     cfg, stats, records = _records("collapse_time", 300)
     assert np.all(records["frame"] == "A")
-    p10, p50, p90 = stats.duration_quantiles
+    p10, p50, p90 = stats["duration_quantiles_s"]
     assert 0 < p10 <= p50 <= p90
 
 
@@ -143,14 +144,16 @@ def test_workers_do_not_change_records():
     runs = CHUNK_RUNS + 300  # force two chunks
     cfg1 = EnsembleConfig(kind="born_rule", runs=runs, master_seed=4, workers=1)
     cfg2 = EnsembleConfig(kind="born_rule", runs=runs, master_seed=4, workers=3)
-    _, rec1 = run_ensemble(cfg1)
-    _, rec2 = run_ensemble(cfg2)
+    stats1, rec1 = run_ensemble(cfg1)
+    stats2, rec2 = run_ensemble(cfg2)
     assert_tables_equal(rec1, rec2)
+    assert stats1 == stats2
 
 
 def test_pool_is_capped_at_chunk_count(monkeypatch):
-    # a stand-in executor records its size and maps in this process
-    sizes = []
+    # a stand-in executor records its size and the chunk starts it is
+    # given, and maps in this process
+    sizes, starts = [], []
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -163,6 +166,7 @@ def test_pool_is_capped_at_chunk_count(monkeypatch):
             return False
 
         def map(self, fn, *iterables):
+            starts.append(list(iterables[-1]))
             return map(fn, *iterables)
 
     # run_ensemble imports the executor from concurrent.futures when it
@@ -171,7 +175,38 @@ def test_pool_is_capped_at_chunk_count(monkeypatch):
     cfg = EnsembleConfig(kind="born_rule", runs=2 * CHUNK_RUNS + 1, q0=1.0, workers=64)
     stats, _ = run_ensemble(cfg)
     assert sizes == [3]
-    assert stats.counts["winner1"] == cfg.runs
+    assert starts == [[0, CHUNK_RUNS, 2 * CHUNK_RUNS]]
+    assert stats["counts"]["winner1"] == cfg.runs
+
+
+def test_first_chunk_starts_at_the_run_index_limit(monkeypatch):
+    # 2**49 chunks: the first starts without a list of them all being made,
+    # and the stub stops the ensemble there
+    starts = []
+
+    class FirstChunk(Exception):
+        pass
+
+    def first_chunk(config, lo):
+        starts.append(lo)
+        raise FirstChunk
+
+    monkeypatch.setattr(ensemble, "_run_chunk", first_chunk)
+    with pytest.raises(FirstChunk):
+        run_ensemble(EnsembleConfig(kind="born_rule", runs=RUN_INDEX_LIMIT, workers=1))
+    assert starts == [0]
+
+
+def test_scenario_is_built_once_per_ensemble(monkeypatch):
+    calls = []
+    build = ensemble.build_scenario
+    monkeypatch.setattr(ensemble, "build_scenario", lambda **kw: calls.append(kw) or build(**kw))
+    cfg = EnsembleConfig(kind="cross_frame", runs=2 * CHUNK_RUNS + 1, q0=1.0, workers=1)
+    run_ensemble(cfg)
+    build_manifest(cfg)
+    # a pool worker gets the scenario inside the pickled config
+    assert pickle.loads(pickle.dumps(cfg)).scenario == cfg.scenario
+    assert len(calls) == 1
 
 
 def test_born_batch_draws_spans_not_segments(monkeypatch):
@@ -201,7 +236,7 @@ def test_abort_on_failures():
 
 def test_cross_frame_ensemble_trivial_agreement():
     _, stats, records = _records("cross_frame", 20, q0=1.0)
-    assert stats.counts == {"agree": 20, "disagree": 0, "failed": 0}
+    assert stats["counts"] == {"agree": 20, "disagree": 0, "failed": 0}
     assert records["winner"].tolist() == [1] * 40
 
 
@@ -223,10 +258,10 @@ def _verdict(winner, duration, gap):
 def test_compute_stats_failed_class():
     records = _table((0, "A", 1, 1e-4, 1), (1, "A", 0, 0.5, 0))
     stats = compute_stats("collapse_time", 2, records)
-    assert stats.counts == {"winner1": 1, "winner2": 0, "failed": 1}
-    assert stats.freq["winner1"] == 1.0
-    assert stats.duration_quantiles == (1e-4, 1e-4, 1e-4)
-    assert stats.budget_violation_fraction == 0.0
+    assert stats["counts"] == {"winner1": 1, "winner2": 0, "failed": 1}
+    assert stats["freq"]["winner1"] == 1.0
+    assert stats["duration_quantiles_s"] == [1e-4, 1e-4, 1e-4]
+    assert stats["budget_violation_fraction"] == 0.0
 
 
 def test_compute_stats_cross_frame_counts():
@@ -237,9 +272,9 @@ def test_compute_stats_cross_frame_counts():
                      (3, "A", 0, 0.5, 0), (3, "B", 1, 1e-4, 1),
                      (1, "A", 2, 1e-4, 1), (2, "A", 1, 1e-4, 1))
     stats = compute_stats("cross_frame", 4, records)
-    assert stats.counts == {"agree": 1, "disagree": 1, "failed": 2}
-    assert stats.freq == {"agree": 0.5, "disagree": 0.5}
-    assert stats.budget_violation_fraction == 1 / 6
+    assert stats["counts"] == {"agree": 1, "disagree": 1, "failed": 2}
+    assert stats["freq"] == {"agree": 0.5, "disagree": 0.5}
+    assert stats["budget_violation_fraction"] == 1 / 6
 
 
 def test_compute_stats_counts_each_failed_run_once():
@@ -248,7 +283,7 @@ def test_compute_stats_counts_each_failed_run_once():
     records = _table((0, "A", 1, 1e-4, 1), (0, "B", 1, 1e-4, 1),
                      (1, "A", 0, 0.5, 0), (1, "B", 0, 0.5, 0),
                      (2, "A", 2, 1e-4, 1), (2, "B", 0, 0.5, 0))
-    assert compute_stats("cross_frame", 3, records).counts["failed"] == 2
+    assert compute_stats("cross_frame", 3, records)["counts"]["failed"] == 2
 
 
 @pytest.mark.parametrize("kind, max_steps", [("born_rule", 350), ("collapse_time", 700),
@@ -259,7 +294,7 @@ def test_failed_count_is_the_count_of_capped_runs(kind, max_steps):
                                                  overrides={"max_steps": max_steps},
                                                  workers=1))
     failed_runs = np.unique(records["run_index"][records["winner"] == 0])
-    assert stats.counts["failed"] == failed_runs.size > 0
+    assert stats["counts"]["failed"] == failed_runs.size > 0
 
 
 # An absorbed frame-B row that missed its budget, a run that hit the step
@@ -432,6 +467,8 @@ def test_export_ensemble_bytes_stable(tmp_path):
     stats, records = run_ensemble(cfg)
     paths_a, manifest = export_ensemble(cfg, stats, records, str(tmp_path / "a"))
     paths_b, _ = export_ensemble(cfg, stats, records, str(tmp_path / "b"))
+    assert manifest["stats"] == stats
+    assert set(manifest["config"]) == set(EnsembleConfig.__dataclass_fields__)
     with open(paths_a["manifest"], encoding="utf-8") as fh:
         assert json.load(fh) == manifest
     for name in ("records", "manifest"):
@@ -442,7 +479,7 @@ def test_manifest_refuses_non_finite_values(tmp_path):
     # manifest.json is strict JSON: a NaN statistic is an error, not "NaN"
     cfg = EnsembleConfig(kind="born_rule", runs=4, master_seed=2)
     stats, records = run_ensemble(cfg)
-    bad = dataclasses.replace(stats, duration_quantiles=(math.nan,) * 3)
+    bad = {**stats, "duration_quantiles_s": [math.nan] * 3}
     with pytest.raises(ValueError):
         export_ensemble(cfg, bad, records, str(tmp_path / "nan"))
     # it is refused before any file is opened, so no partial manifest.json
