@@ -127,7 +127,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import BLOCK_STEPS, DEFAULT_NOISE, RUN_INDEX_LIMIT, PhiloxNoiseSource
+from .noise import BLOCK_STEPS, DEFAULT_NOISE, PhiloxNoiseSource, _run_indices
 
 # Hard ceiling on Gamma * dt; runs refuse to start above it.  Scenario
 # builders aim at half of it (see experiment.TARGET_GAMMA_DT), so rounding
@@ -229,56 +229,15 @@ class BatchResult:
     r: np.ndarray
 
 
-def _stream_addresses(stream_keys, n_streams):
-    """Split (runs, streams, 3) stream addresses (k0, k1, run_index) into
-    one (k0, k1) key per stream, in rate order, and a 1-D uint64 array of
-    run indices, one per run.
+def _step(rates, dt, epsilon, max_steps):
+    """Validate the rates and the step of one engine call and reduce them
+    to the scalar SDE.
 
-    Raises ValueError for a word that is not an integer in [0, 2**64), a
-    stream whose key differs between runs, a run whose index differs
-    between its streams and a run index outside [0, RUN_INDEX_LIMIT).
-    """
-    # Python ints stay exact as objects: numpy would infer float64 for a
-    # list that mixes words past 2**63 with small ones
-    addr = (stream_keys if isinstance(stream_keys, np.ndarray)
-            else np.array(stream_keys, dtype=object))
-    if addr.size == 0:
-        return [], np.empty(0, dtype=np.uint64)
-    if addr.ndim != 3 or addr.shape[1] != n_streams:
-        got = addr.shape[1] if addr.ndim > 1 else addr.shape
-        raise ValueError(f"expected {n_streams} stream keys per run, got {got}")
-    if addr.shape[2] != 3:
-        raise ValueError(
-            f"a stream address is (k0, k1, run_index), got {addr.shape[2]} words")
-    # checked before the cast, which may wrap a negative word or cut a
-    # fraction off a float one
-    integral = addr.dtype.kind in "iu" or addr.dtype == object and all(
-        isinstance(w, numbers.Integral) and not isinstance(w, bool) for w in addr.flat)
-    if not integral or not 0 <= int(addr.min()) <= int(addr.max()) < 2**64:
-        raise ValueError("stream keys must be (k0, k1, run_index) addresses of "
-                         "integer words in [0, 2**64)")
-    addr = addr.astype(np.uint64, copy=False)
-    keys, runs = addr[0, :, :2], addr[:, 0, 2]
-    if (addr[:, :, :2] != keys).any():
-        raise ValueError("each stream must have one key for every run of a batch")
-    if (addr[:, :, 2] != runs[:, None]).any():
-        raise ValueError("each run must read all its streams at one run index")
-    if int(runs.max()) >= RUN_INDEX_LIMIT:
-        raise ValueError(
-            f"run index must be in [0, {RUN_INDEX_LIMIT}), got {int(runs.max())}")
-    return [tuple(key) for key in keys.tolist()], np.ascontiguousarray(runs)
-
-
-def _prepare(rates, dt, epsilon, max_steps, stream_keys):
-    """Validate one engine call and reduce it to the scalar SDE.
-
-    dt, epsilon and max_steps are checked as CollapseParams and the
-    stream addresses as by _stream_addresses.  Returns _drive's (keys,
-    runs, sig, h, thr): the (k0, k1) key of each stream, the run index of
-    each run, the noise scale 2 sqrt(Gamma_s dt) of each stream, the drift
-    time h = Gamma * dt of one step and the absorbing barrier on |r|.  The
-    barrier is the nominal threshold less beta times the per-step
-    standard deviation sqrt(sum_s sig_s^2) of r.
+    dt, epsilon and max_steps are checked as CollapseParams.  Returns
+    (sig, h, thr): the noise scale 2 sqrt(Gamma_s dt) of each stream, the
+    drift time h = Gamma * dt of one step and the absorbing barrier on
+    |r|.  The barrier is the nominal threshold less beta times the
+    per-step standard deviation sqrt(sum_s sig_s^2) of r.
     """
     params = CollapseParams(dt=dt, epsilon=epsilon, max_steps=max_steps)
     for rate in rates:
@@ -288,7 +247,6 @@ def _prepare(rates, dt, epsilon, max_steps, stream_keys):
     if gamma * params.dt > MAX_GAMMA_DT:
         raise ValueError(
             f"Gamma*dt = {gamma * params.dt:.3g} exceeds {MAX_GAMMA_DT}; reduce dt")
-    keys, runs = _stream_addresses(stream_keys, len(rates))
     if gamma == 0.0:
         raise NoCollapsePossibleError("every stream rate is 0; Gamma = 0")
     sig = [2.0 * math.sqrt(rate * params.dt) for rate in rates]
@@ -297,7 +255,26 @@ def _prepare(rates, dt, epsilon, max_steps, stream_keys):
         raise ValueError(
             f"epsilon = {params.epsilon} is too wide for this step: the shifted "
             f"barrier falls to {thr:.3g}; reduce dt")
-    return keys, runs, sig, gamma * params.dt, thr
+    return sig, gamma * params.dt, thr
+
+
+def _prepare(rates, dt, epsilon, max_steps, stream_keys, runs):
+    """Validate one engine call and reduce it to _drive's (keys, runs, sig,
+    h, thr): the (k0, k1) key of each stream, the run indices as a uint64
+    array, and _step's sig, h and thr.
+
+    stream_keys is the pair (k0 words, k1 words), one word of each per
+    stream in rate order, and every word must be an integer in [0, 2**64);
+    runs is checked as noise.block_normals checks it.
+    """
+    sig, h, thr = _step(rates, dt, epsilon, max_steps)
+    k0, k1 = stream_keys
+    if not len(k0) == len(k1) == len(rates):
+        raise ValueError(f"expected {len(rates)} stream keys, got {len(k0)} and {len(k1)} words")
+    if not all(isinstance(w, numbers.Integral) and not isinstance(w, bool)
+               and 0 <= int(w) < 2**64 for w in (*k0, *k1)):
+        raise ValueError("stream key words must be integers in [0, 2**64)")
+    return list(zip(map(int, k0), map(int, k1))), _run_indices(runs)[0], sig, h, thr
 
 
 def _window_noise(noise, keys, runs, sig, block_index, out):
@@ -416,23 +393,24 @@ def _drive(r0, keys, runs, sig, h, thr, n_steps, noise):
     return r, steps, winner
 
 
-# stream_keys stays argument 5: tools that trace the engine read the run
-# count from it by position
+# stream_keys stays argument 5, as the pair (k0 words, k1 words): tools
+# that trace the engine count a call's streams as len(stream_keys[0]),
+# which a (streams, 2) layout would read as 2 in frames A and B
 def collapse_batch(q0: float, rates, dt: float, epsilon: float, max_steps: int, stream_keys,
-                   noise: PhiloxNoiseSource = DEFAULT_NOISE) -> BatchResult:
+                   runs, noise: PhiloxNoiseSource = DEFAULT_NOISE) -> BatchResult:
     """Run a batch of trajectories to absorption.
 
     rates holds one collapse rate Gamma_s per noise stream, and
-    stream_keys one entry per run, each a tuple of stream addresses
-    (k0, k1, run_index) in the same order: the key of the stream and the
-    run's place in its counter (see noise.PhiloxNoiseSource).  Any array-
-    like of shape (runs, streams, 3) of integer words will do, as long as
-    each stream has one key for every run and each run one index for all
-    its streams; ValueError otherwise, and for a run index outside
-    [0, noise.RUN_INDEX_LIMIT), before any noise is drawn.  dt, epsilon
-    and max_steps are checked as CollapseParams.  Runs evolve in lockstep
-    but consume only their own addresses, so results per run do not
-    depend on batch composition or execution schedule.
+    stream_keys the streams' keys as the pair (k0 words, k1 words), one
+    word of each per stream in the same order: derive_stream_key's pairs
+    transposed, such as tuple(zip(*keys)).  runs holds the run indices,
+    each the run's place in the counter of every stream (see
+    noise.PhiloxNoiseSource).  A key word that is not an integer in
+    [0, 2**64), a key count other than the rate count, and a run index
+    outside [0, noise.RUN_INDEX_LIMIT) are refused before any noise is
+    drawn, as are dt, epsilon and max_steps that CollapseParams refuses.
+    Runs evolve in lockstep but consume only their own noise, so results
+    per run do not depend on batch composition or execution schedule.
 
     The state steps in float32, so the returned r is float64 of float32
     precision (see the module docstring).
@@ -444,7 +422,7 @@ def collapse_batch(q0: float, rates, dt: float, epsilon: float, max_steps: int, 
     whole path.
     """
     r0 = _logit(q0)
-    drive_args = _prepare(rates, dt, epsilon, max_steps, stream_keys)
+    drive_args = _prepare(rates, dt, epsilon, max_steps, stream_keys, runs)
     r, steps, winner = _drive(r0, *drive_args, max_steps, noise)
     return BatchResult(winner, steps, steps * dt, r)
 

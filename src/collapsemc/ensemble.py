@@ -41,6 +41,7 @@ from itertools import repeat
 import numpy as np
 
 from ._version import __version__
+from .dynamics import _step
 from .experiment import (Scenario, build_scenario, disagreement_rate_analytic, frame_pair,
                          run_frame_batch)
 from .noise import RUN_INDEX_LIMIT
@@ -142,10 +143,14 @@ class EnsembleConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.overrides is not None and not isinstance(self.overrides, dict):
             raise ConfigError(f"overrides must be a JSON object, got {self.overrides!r}")
-        # building the scenario here makes a bad override a ConfigError
-        # before any run starts
+        # building the scenario, and the step of each frame the kind runs by
+        # the engine's own checks, makes a bad override a ConfigError before
+        # any run starts
         try:
-            self.scenario
+            params = self.scenario.params
+            for frame in KIND_FRAMES[self.kind](self.v):
+                _step(self.scenario.frame_rates(frame), params.dt, params.epsilon,
+                      params.max_steps)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"overrides {self.overrides!r}: {exc}") from exc
 
@@ -378,14 +383,25 @@ def export_ensemble(config: EnsembleConfig, stats: dict, records: np.ndarray,
 
     The manifest is serialized before any file is opened, so a manifest
     that is not strict JSON (a NaN or inf value) raises ValueError and
-    leaves neither file behind.
+    leaves neither file behind.  Both files are written under temporary
+    names and renamed into place, records first, so an export that fails
+    leaves the files of an earlier export in out_dir as they were.
     """
     manifest = {**build_manifest(config), "stats": stats}
     manifest_text = json.dumps(manifest, sort_keys=True, indent=2, allow_nan=False) + "\n"
     os.makedirs(out_dir, exist_ok=True)
-    records_path = os.path.join(out_dir, f"records.{config.record_format}")
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    export_records(records, records_path, config.record_format)
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        fh.write(manifest_text)
-    return {"records": records_path, "manifest": manifest_path}, manifest
+    paths = {"records": os.path.join(out_dir, f"records.{config.record_format}"),
+             "manifest": os.path.join(out_dir, "manifest.json")}
+    temps = {name: f"{path}.tmp" for name, path in paths.items()}
+    try:
+        export_records(records, temps["records"], config.record_format)
+        with open(temps["manifest"], "w", encoding="utf-8") as fh:
+            fh.write(manifest_text)
+        for name, path in paths.items():
+            os.replace(temps[name], path)
+    except BaseException:
+        for temp in temps.values():
+            if os.path.exists(temp):
+                os.remove(temp)
+        raise
+    return paths, manifest

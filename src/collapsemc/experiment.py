@@ -178,23 +178,19 @@ def run_frame_batch(scenario: Scenario, frame: Frame, master_seed: int,
                     run_indices, noise: PhiloxNoiseSource = DEFAULT_NOISE):
     """Run a batch of independent trials of one frame.
 
-    Run k of the batch reads each active detector's stream at address
-    (k0, k1, k), the detector's key from derive_stream_key(master_seed,
-    detector) and the run index, so a run's noise and record do not depend
-    on the other runs of the batch.  Returns (absorbed, failed): the
-    record tables of the runs that absorbed and of those that hit the step
-    cap, each in run_indices order.
+    Run k of the batch reads each active detector's stream, keyed by
+    derive_stream_key(master_seed, detector), at run index k in its
+    counter, so a run's noise and record do not depend on the other runs
+    of the batch.  The engine takes the frame's keys once, as the pair
+    (k0 words, k1 words), and the run indices.  Returns (absorbed,
+    failed): the record tables of the runs that absorbed and of those that
+    hit the step cap, each in run_indices order.
     """
-    det_ids = active_detectors(frame)
+    keys = [derive_stream_key(master_seed, det) for det in active_detectors(frame)]
     runs = np.asarray(run_indices, dtype=np.int64)
-    if runs.size and runs.min() < 0:
-        raise ValueError(f"run indices must be >= 0, got {runs.min()}")
-    addr = np.empty((runs.size, len(det_ids), 3), dtype=np.uint64)
-    addr[:, :, :2] = [derive_stream_key(master_seed, det) for det in det_ids]
-    addr[:, :, 2] = runs[:, None]
     params = scenario.params
-    res = collapse_batch(scenario.q0, scenario.frame_rates(frame), params.dt,
-                         params.epsilon, params.max_steps, addr, noise=noise)
+    res = collapse_batch(scenario.q0, scenario.frame_rates(frame), params.dt, params.epsilon,
+                         params.max_steps, tuple(zip(*keys)), runs, noise=noise)
     table = np.empty(runs.size, dtype=RECORD_DTYPE)
     table["run_index"] = run_indices
     table["frame"] = frame.label

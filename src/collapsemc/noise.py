@@ -138,6 +138,13 @@ def derive_stream_key(master_seed: int, detector_id: str, salt: str = "") -> Str
     return (k0, k1)
 
 
+def _run_index(k) -> int:
+    """One run index as an int: True is not run 1."""
+    if isinstance(k, bool):
+        raise TypeError(f"run indices must be integers, got {k!r}")
+    return operator.index(k)
+
+
 def _run_indices(runs):
     """Run indices as a 1-D uint64 array, each checked to lie in
     [0, RUN_INDEX_LIMIT), with the least and the greatest of them as
@@ -149,7 +156,7 @@ def _run_indices(runs):
     else:
         # exact Python ints: numpy would infer float64 for a list that
         # mixes indices past 2**63 with small ones
-        idx = np.array([operator.index(k) for k in runs], dtype=object)
+        idx = np.array([_run_index(k) for k in runs], dtype=object)
     if idx.ndim != 1:
         raise ValueError(f"run indices must be 1-D, got shape {idx.shape}")
     if idx.size == 0:

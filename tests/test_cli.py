@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -348,6 +349,27 @@ def test_epsilon_below_the_float32_floor_is_a_usage_error(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: ") and "float32" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("override", [{"dt": 1e-3}, {"epsilon": 0.45}])
+def test_unrunnable_step_is_a_usage_error_before_any_pool(capsys, tmp_path, monkeypatch,
+                                                          override):
+    # a step the engine refuses in frame 0 (Gamma * dt 40, or a barrier
+    # shifted below 0) is exit 2 before any run: no pool is built at two
+    # workers, and nothing is written
+    pools = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda *a, **kw: pools.append(a))
+    cfg_path = tmp_path / "step.json"
+    out_dir = tmp_path / "step"
+    cfg_path.write_text(json.dumps({"overrides": override}))
+    code, out, err = run_cli(capsys, "born", "--runs", str(2 * CHUNK_RUNS), "--workers", "2",
+                             "--config", str(cfg_path), "--out-dir", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: overrides") and "reduce dt" in err
+    assert pools == []
+    assert sorted(os.listdir(tmp_path)) == ["step.json"]
 
 
 def test_help_lists_exit_codes(capsys, monkeypatch):

@@ -35,15 +35,15 @@ def scalars(params):
 
 
 def keys_for(n, seed=1, det="D1", salt=""):
-    """One-stream addresses of runs 0 ... n - 1."""
-    key = derive_stream_key(seed, det, salt=salt)
-    return [((*key, k),) for k in range(n)]
+    """The engine's (stream_keys, runs) for one stream and runs 0 ... n - 1."""
+    return tuple(zip(derive_stream_key(seed, det, salt=salt))), np.arange(n)
 
 
 def keys0_for(n, seed=1, runs=None):
-    """Two-stream (D1, D2) addresses of runs 0 ... n - 1, or of `runs`."""
-    k1, k2 = derive_stream_key(seed, "D1"), derive_stream_key(seed, "D2")
-    return [((*k1, k), (*k2, k)) for k in (range(n) if runs is None else runs)]
+    """The engine's (stream_keys, runs) for the two streams (D1, D2) and
+    runs 0 ... n - 1, or `runs`."""
+    keys = tuple(zip(derive_stream_key(seed, "D1"), derive_stream_key(seed, "D2")))
+    return keys, np.arange(n) if runs is None else np.asarray(runs)
 
 
 class _ConstNoise(PhiloxNoiseSource):
@@ -133,14 +133,14 @@ def test_start_q_round_trips():
 
 def test_start_q_validation():
     with pytest.raises(ValueError):
-        collapse_batch(1.5, RATES_A, *scalars(PARAMS), keys_for(1))
+        collapse_batch(1.5, RATES_A, *scalars(PARAMS), *keys_for(1))
     with pytest.raises(ValueError):
-        collapse_batch(-0.1, RATES_A, *scalars(PARAMS), keys_for(1))
+        collapse_batch(-0.1, RATES_A, *scalars(PARAMS), *keys_for(1))
 
 
 def test_engine_reads_one_column_per_stream():
     spy = _SpyNoise()
-    res = collapse_batch(0.5, RATES_0, *scalars(PARAMS), keys0_for(40, seed=29), noise=spy)
+    res = collapse_batch(0.5, RATES_0, *scalars(PARAMS), *keys0_for(40, seed=29), noise=spy)
     assert all(shape == (runs * BLOCK_STEPS,) for _, runs, shape in spy.calls)
     # a run is drawn for in every window it enters, once per stream
     windows = int(sum(-(-int(k) // BLOCK_STEPS) for k in res.steps))
@@ -156,7 +156,7 @@ def test_noise_calls_do_not_grow_with_runs(n):
     # gapped their indices are after the first window
     assert n <= dynamics.SUB_BLOCK_RUNS
     spy = _SpyNoise()
-    res = collapse_batch(0.5, RATES_0, *scalars(PARAMS), keys0_for(n, seed=5), noise=spy)
+    res = collapse_batch(0.5, RATES_0, *scalars(PARAMS), *keys0_for(n, seed=5), noise=spy)
     last_window = -(-int(res.steps.max()) // BLOCK_STEPS)
     assert last_window >= 8
     assert len(spy.calls) == 2 * last_window
@@ -174,7 +174,7 @@ def test_step_hand_example():
     # Two steps stay far inside the barrier, so the run stops at the step cap
     rates = (0.01,)
     params = CollapseParams(dt=1.0, epsilon=1e-6, max_steps=2)
-    cooked = collapse_batch(0.5, rates, *scalars(params), keys_for(1), noise=_ConstNoise(1.0))
+    cooked = collapse_batch(0.5, rates, *scalars(params), *keys_for(1), noise=_ConstNoise(1.0))
     assert (cooked.winner[0], cooked.steps[0]) == (0, 2)
     one = phi(0.005, 0.2)
     assert one == pytest.approx(0.2009992, abs=1e-7)
@@ -207,50 +207,50 @@ def test_barrier_shift_hand_example():
     # 2**-21 a step of the double-precision path
     path32 = float32_path(0.0, 0.01, [0.5 * noise_scale(0.01, 1.0)] * 5)
     assert path32 == pytest.approx(path, rel=5 * 2**-21)
-    res = collapse_batch(0.5, rates, *scalars(params), keys_for(1), noise=_ConstNoise(1.0))
+    res = collapse_batch(0.5, rates, *scalars(params), *keys_for(1), noise=_ConstNoise(1.0))
     assert (res.winner[0], res.steps[0]) == (1, 5)
     assert res.r[0] == path32[4]
     # capped one step short, the run is still live and holds r_4
-    capped = collapse_batch(0.5, rates, 1.0, params.epsilon, 4, keys_for(1),
+    capped = collapse_batch(0.5, rates, 1.0, params.epsilon, 4, *keys_for(1),
                             noise=_ConstNoise(1.0))
     assert (capped.winner[0], capped.steps[0]) == (0, 4)
     assert capped.r[0] == path32[3]
     # the flow is odd, so -1 noise mirrors the path bit for bit and the run
     # absorbs at the lower barrier at the same step
-    mirror = collapse_batch(0.5, rates, *scalars(params), keys_for(1), noise=_ConstNoise(-1.0))
+    mirror = collapse_batch(0.5, rates, *scalars(params), *keys_for(1), noise=_ConstNoise(-1.0))
     assert (mirror.winner[0], mirror.steps[0]) == (2, 5)
     assert mirror.r[0] == -res.r[0]
     # a barrier 0.001 under r_4 is reached at step 4, although the carried
     # z = phi_{-h/2}(r_4) sits about 0.004 under r_4: z is tested against
     # the barrier mapped the same way
     near = 1.0 / (1.0 + math.exp(path[3] - 0.001 + BARRIER_BETA * 0.2))
-    res = collapse_batch(0.5, rates, 1.0, near, 10, keys_for(1), noise=_ConstNoise(1.0))
+    res = collapse_batch(0.5, rates, 1.0, near, 10, *keys_for(1), noise=_ConstNoise(1.0))
     assert (res.winner[0], res.steps[0]) == (1, 4)
     assert res.r[0] == path32[3]
     # a start between the barrier and the nominal threshold absorbs at once
     start = 1.0 / (1.0 + math.exp(-0.9))
-    assert collapse_batch(start, rates, *scalars(params), keys_for(1)).steps[0] == 0
+    assert collapse_batch(start, rates, *scalars(params), *keys_for(1)).steps[0] == 0
     # a threshold narrower than the shift leaves no barrier to absorb at
     with pytest.raises(ValueError, match="reduce dt"):
-        collapse_batch(0.5, rates, 1.0, 0.49, 10, keys_for(1))
+        collapse_batch(0.5, rates, 1.0, 0.49, 10, *keys_for(1))
 
 
 def test_step_cap_past_int64_is_refused():
     # the cap is checked before any step count is made; 2**63 - 1 runs
     for max_steps in (2**64, 10**31):
         with pytest.raises(ValueError, match="max_steps"):
-            collapse_batch(0.5, RATES_A, PARAMS.dt, PARAMS.epsilon, max_steps, keys_for(1))
-    res = collapse_batch(0.5, RATES_A, PARAMS.dt, PARAMS.epsilon, 2**63 - 1, keys_for(4))
-    ref = collapse_batch(0.5, RATES_A, *scalars(PARAMS), keys_for(4))
+            collapse_batch(0.5, RATES_A, PARAMS.dt, PARAMS.epsilon, max_steps, *keys_for(1))
+    res = collapse_batch(0.5, RATES_A, PARAMS.dt, PARAMS.epsilon, 2**63 - 1, *keys_for(4))
+    ref = collapse_batch(0.5, RATES_A, *scalars(PARAMS), *keys_for(4))
     assert np.array_equal(res.steps, ref.steps) and np.array_equal(res.r, ref.r)
 
 
 def test_step_noise_errors():
     # the stream keys must supply exactly one stream per rate
     with pytest.raises(ValueError, match="stream keys"):
-        collapse_batch(0.5, RATES_A, *scalars(PARAMS), keys0_for(1))
+        collapse_batch(0.5, RATES_A, *scalars(PARAMS), *keys0_for(1))
     with pytest.raises(ValueError, match="stream keys"):
-        collapse_batch(0.5, RATES_0, *scalars(PARAMS), keys_for(1))
+        collapse_batch(0.5, RATES_0, *scalars(PARAMS), *keys_for(1))
 
 
 def test_params_validation():
@@ -296,30 +296,30 @@ def test_params_validation():
 
 def test_immediate_absorption():
     keys = keys_for(1)
-    res = collapse_batch(1.0, RATES_A, *scalars(PARAMS), keys)
+    res = collapse_batch(1.0, RATES_A, *scalars(PARAMS), *keys)
     assert (res.winner[0], res.duration[0], res.steps[0]) == (1, 0.0, 0)
-    res = collapse_batch(0.0, RATES_A, *scalars(PARAMS), keys)
+    res = collapse_batch(0.0, RATES_A, *scalars(PARAMS), *keys)
     assert (res.winner[0], res.duration[0]) == (2, 0.0)
-    res = collapse_batch(PARAMS.epsilon / 2, RATES_A, *scalars(PARAMS), keys)
+    res = collapse_batch(PARAMS.epsilon / 2, RATES_A, *scalars(PARAMS), *keys)
     assert (res.winner[0], res.steps[0]) == (2, 0)
 
 
 def test_gamma_zero_raises():
     with pytest.raises(NoCollapsePossibleError):
-        collapse_batch(0.5, (0.0,), *scalars(PARAMS), keys_for(1))
+        collapse_batch(0.5, (0.0,), *scalars(PARAMS), *keys_for(1))
     with pytest.raises(NoCollapsePossibleError):
-        collapse_batch(0.5, (0.0, 0.0), *scalars(PARAMS), keys0_for(1))
+        collapse_batch(0.5, (0.0, 0.0), *scalars(PARAMS), *keys0_for(1))
 
 
 def test_gamma_dt_bound_enforced():
     params = CollapseParams(dt=1.0)  # Gamma * dt = 2e4
     with pytest.raises(ValueError, match="Gamma"):
-        collapse_batch(0.5, RATES_A, *scalars(params), keys_for(1))
+        collapse_batch(0.5, RATES_A, *scalars(params), *keys_for(1))
 
 
 def test_non_convergence_carries_final_q():
     params = CollapseParams(dt=1.25e-7, max_steps=40)
-    res = collapse_batch(0.5, RATES_A, *scalars(params), keys_for(3))
+    res = collapse_batch(0.5, RATES_A, *scalars(params), *keys_for(3))
     assert np.all(res.winner == 0)
     assert np.all(res.steps == 40)
     q = q_of(res.r)
@@ -328,37 +328,37 @@ def test_non_convergence_carries_final_q():
 
 def test_born_rule_small():
     n = 2000
-    res = collapse_batch(0.5, RATES_A, *scalars(PARAMS), keys_for(n, seed=12))
+    res = collapse_batch(0.5, RATES_A, *scalars(PARAMS), *keys_for(n, seed=12))
     freq = float(np.mean(res.winner == 1))
     assert abs(freq - 0.5) < 4.0 * math.sqrt(0.25 / n)
 
 
 def test_determinism_same_keys_bit_identical():
     keys = keys_for(64, seed=77)
-    a = collapse_batch(0.4, RATES_A, *scalars(PARAMS), keys)
-    b = collapse_batch(0.4, RATES_A, *scalars(PARAMS), keys)
+    a = collapse_batch(0.4, RATES_A, *scalars(PARAMS), *keys)
+    b = collapse_batch(0.4, RATES_A, *scalars(PARAMS), *keys)
     assert np.array_equal(a.winner, b.winner)
     assert np.array_equal(a.steps, b.steps)
     assert np.array_equal(a.r, b.r)
 
 
 def test_batch_composition_invariance():
-    keys = keys_for(32, seed=31)
-    full = collapse_batch(0.5, RATES_A, *scalars(PARAMS), keys)
+    keys, runs = keys_for(32, seed=31)
+    full = collapse_batch(0.5, RATES_A, *scalars(PARAMS), keys, runs)
     for j in (0, 13, 31):
-        single = collapse_batch(0.5, RATES_A, *scalars(PARAMS), [keys[j]])
+        single = collapse_batch(0.5, RATES_A, *scalars(PARAMS), keys, runs[[j]])
         assert single.winner[0] == full.winner[j]
         assert single.steps[0] == full.steps[j]
         assert single.r[0] == full.r[j]
 
 
 # gapped run indices: consecutive segments of 4, 3, 1 and 4 runs
-SPLIT_KEYS = keys0_for(12, seed=71, runs=(0, 1, 2, 3, 7, 8, 9, 15, 31, 32, 33, 34))
+SPLIT_KEYS, SPLIT_RUNS = keys0_for(12, seed=71, runs=(0, 1, 2, 3, 7, 8, 9, 15, 31, 32, 33, 34))
 
 
 @functools.cache
 def _whole_batch():
-    return collapse_batch(0.5, RATES_0, *scalars(PARAMS), SPLIT_KEYS)
+    return collapse_batch(0.5, RATES_0, *scalars(PARAMS), SPLIT_KEYS, SPLIT_RUNS)
 
 
 @settings(max_examples=8, deadline=None)
@@ -376,7 +376,7 @@ def test_batch_splits_are_bit_equal(order, cuts):
     bounds = [0, *sorted(cuts), 12]
     for lo, hi in zip(bounds, bounds[1:]):
         part = list(order[lo:hi])
-        res = collapse_batch(0.5, RATES_0, *scalars(PARAMS), [SPLIT_KEYS[j] for j in part])
+        res = collapse_batch(0.5, RATES_0, *scalars(PARAMS), SPLIT_KEYS, SPLIT_RUNS[part])
         assert np.array_equal(res.winner, whole.winner[part])
         assert np.array_equal(res.steps, whole.steps[part])
         assert np.array_equal(res.r, whole.r[part])
@@ -389,17 +389,9 @@ def test_sub_blocks_do_not_change_results(monkeypatch):
     whole = _whole_batch()
     for size in (1, 3, 5):
         monkeypatch.setattr(dynamics, "SUB_BLOCK_RUNS", size)
-        res = collapse_batch(0.5, RATES_0, *scalars(PARAMS), SPLIT_KEYS)
+        res = collapse_batch(0.5, RATES_0, *scalars(PARAMS), SPLIT_KEYS, SPLIT_RUNS)
         assert np.array_equal(res.steps, whole.steps)
         assert np.array_equal(res.r, whole.r)
-    # a batch reads each stream under one key: runs of other keys cannot
-    # be mixed in, and are refused before any noise is drawn
-    spy = _SpyNoise()
-    other = keys0_for(12, seed=72)
-    with pytest.raises(ValueError, match="one key for every run"):
-        collapse_batch(0.5, RATES_0, *scalars(PARAMS),
-                       [k for pair in zip(SPLIT_KEYS, other) for k in pair], noise=spy)
-    assert spy.calls == []
 
 
 def test_sub_block_size_does_not_change_a_gapped_batch(monkeypatch):
@@ -409,11 +401,11 @@ def test_sub_block_size_does_not_change_a_gapped_batch(monkeypatch):
     # whether a sub-block's runs are drawn over their span or by segments
     rates, dt = KERNEL_FRAMES["0"]
     runs = np.sort(np.random.default_rng(17).choice(3000, size=640, replace=False))
-    keys = keys0_for(0, seed=19, runs=runs.tolist())
+    keys = keys0_for(0, seed=19, runs=runs)
     results = {}
     for size in (256, 1, 7):
         monkeypatch.setattr(dynamics, "SUB_BLOCK_RUNS", size)
-        results[size] = collapse_batch(0.5, rates, dt, 1e-6, 10_000, keys)
+        results[size] = collapse_batch(0.5, rates, dt, 1e-6, 10_000, *keys)
     whole = results[256]
     assert whole.steps.max() > 2 * BLOCK_STEPS and (whole.winner > 0).all()
     for size in (1, 7):
@@ -422,34 +414,41 @@ def test_sub_block_size_does_not_change_a_gapped_batch(monkeypatch):
 
 
 def test_stream_address_validation():
-    key = derive_stream_key(1, "D1")
-    for bad in ([((*key,),)], [((*key, -1),)], [((*key, 1, 2),)], [((*key, 2**64),)]):
-        with pytest.raises(ValueError, match="stream"):
-            collapse_batch(0.5, RATES_A, *scalars(PARAMS), bad)
-    empty = collapse_batch(0.5, RATES_A, *scalars(PARAMS), [])
-    assert empty.steps.shape == (0,)
-    # each refused before any noise is drawn, as mixed keys are (see
-    # test_sub_blocks_do_not_change_results): a run whose index differs
-    # between its streams, words that are not integers (a float index is
-    # not read as the run it truncates to, nor a float key as its
-    # integer), and a run index past the counter's range even when every
-    # run absorbs at step 0, so that no window would be drawn
-    k2 = derive_stream_key(1, "D2")
+    # a call reads each stream's key once, as (k0 words, k1 words) in rate
+    # order, and each run's index once.  Each of these is refused before
+    # any noise is drawn: a key count other than the rate count, key words
+    # that are not integers in [0, 2**64) (a float key is not read as its
+    # integer, nor True as 1), and run indices that block_normals refuses,
+    # a bool among them, with a run index past the counter's range refused
+    # even when every run absorbs at step 0, so that no window would be
+    # drawn
+    ((k0,), (k1,)), _ = keys_for(0)
     refused = [
-        ("one run index", RATES_0, 0.5, [((*key, 3), (*k2, 3)), ((*key, 4), (*k2, 5))]),
-        ("integer words", RATES_A, 0.5, [((*key, 1.5),)]),
-        ("integer words", RATES_A, 0.5, [((float(key[0]), key[1], 1),)]),
-        ("integer words", RATES_A, 0.5, [((*key, True),)]),
-        ("integer words", RATES_A, 0.5, np.array([[(*key, 1)]], dtype=np.float64)),
-        ("run index must be", RATES_A, 1.0, [((*key, 0),), ((*key, RUN_INDEX_LIMIT),)]),
+        (ValueError, "stream keys", RATES_0, 0.5, ((k0,), (k1,)), [0]),
+        (ValueError, "stream keys", RATES_A, 0.5, ((k0, k0), (k1, k1)), [0]),
+        (ValueError, "stream keys", RATES_A, 0.5, ((k0,), ()), [0]),
+        (ValueError, "integer", RATES_A, 0.5, ((float(k0),), (k1,)), [0]),
+        (ValueError, "integer", RATES_A, 0.5, ((k0,), (True,)), [0]),
+        (ValueError, "integer", RATES_A, 0.5, ((k0,), (2**64,)), [0]),
+        (ValueError, "integer", RATES_A, 0.5, ((-1,), (k1,)), [0]),
+        (ValueError, "integer", RATES_A, 0.5, np.array([[k0], [k1]], dtype=np.float64), [0]),
+        (ValueError, "run index must be", RATES_A, 0.5, ((k0,), (k1,)), [3, -1]),
+        (ValueError, "run index must be", RATES_A, 1.0, ((k0,), (k1,)), [0, RUN_INDEX_LIMIT]),
+        (ValueError, "1-D", RATES_A, 0.5, ((k0,), (k1,)), np.zeros((2, 1), dtype=np.int64)),
+        (TypeError, "integer", RATES_A, 0.5, ((k0,), (k1,)), [1.5]),
+        (TypeError, "integer", RATES_A, 0.5, ((k0,), (k1,)), [0, True]),
+        (TypeError, "integer", RATES_A, 0.5, ((k0,), (k1,)), np.array([1.0])),
     ]
-    for match, rates, q0, bad in refused:
+    for exc, match, rates, q0, keys, runs in refused:
         spy = _SpyNoise()
-        with pytest.raises(ValueError, match=match):
-            collapse_batch(q0, rates, *scalars(PARAMS), bad, noise=spy)
+        with pytest.raises(exc, match=match):
+            collapse_batch(q0, rates, *scalars(PARAMS), keys, runs, noise=spy)
         assert spy.calls == []
-    # the greatest run index the counter holds is read
-    last = collapse_batch(0.5, RATES_A, *scalars(PARAMS), [((*key, RUN_INDEX_LIMIT - 1),)])
+    empty = collapse_batch(0.5, RATES_A, *scalars(PARAMS), ((k0,), (k1,)), [])
+    assert empty.steps.shape == (0,)
+    # uint64 key words and the greatest run index the counter holds are read
+    words = np.array([[k0], [k1]], dtype=np.uint64)
+    last = collapse_batch(0.5, RATES_A, *scalars(PARAMS), words, [RUN_INDEX_LIMIT - 1])
     assert last.winner[0] > 0
 
 
@@ -472,7 +471,7 @@ def test_engine_matches_reference_stepper():
         return 2.0 * np.arcsinh(np.sinh(0.5 * r) * math.exp(part * h))
 
     grow = np.float32(math.exp(h))
-    res = collapse_batch(0.37, (gamma,), *scalars(params), [((*key, 9),)])
+    res = collapse_batch(0.37, (gamma,), *scalars(params), tuple(zip(key)), [9])
     assert (res.winner[0], res.steps[0]) == (0, params.max_steps)
     r = math.log(0.37) - math.log1p(-0.37)
     y = np.float32(flow(0.5, r))
@@ -566,9 +565,10 @@ def kernel_q0(epsilon):
 
 
 def _frame_keys(frame, runs):
-    """One frame's stream addresses of `runs` at seed 83."""
+    """One frame's (stream_keys, runs) for `runs` at seed 83."""
     rates, _ = KERNEL_FRAMES[frame]
-    return [pair[:len(rates)] for pair in keys0_for(0, seed=83, runs=runs)]
+    (k0, k1), runs = keys0_for(0, seed=83, runs=runs)
+    return (k0[:len(rates)], k1[:len(rates)]), runs
 
 
 @functools.cache
@@ -583,7 +583,7 @@ def kernel_runs():
     cases = []
     for frame, epsilon in itertools.product(KERNEL_FRAMES, KERNEL_EPSILONS):
         rates, dt = KERNEL_FRAMES[frame]
-        case = dynamics._prepare(rates, dt, epsilon, KERNEL_CAP, _frame_keys(frame, scan))
+        case = dynamics._prepare(rates, dt, epsilon, KERNEL_CAP, *_frame_keys(frame, scan))
         for q0 in kernel_q0(epsilon):
             r0 = math.log(q0) - math.log1p(-q0)
             _, steps, winner = dynamics._drive(r0, *case, KERNEL_CAP, DEFAULT_NOISE)
@@ -600,7 +600,7 @@ def kernel_runs():
 def _kernel_case(frame, epsilon, max_steps):
     """_drive's (keys, runs, sig, h, thr) for the grid's runs in one frame."""
     rates, dt = KERNEL_FRAMES[frame]
-    return dynamics._prepare(rates, dt, epsilon, max_steps, _frame_keys(frame, kernel_runs()))
+    return dynamics._prepare(rates, dt, epsilon, max_steps, *_frame_keys(frame, kernel_runs()))
 
 
 @pytest.mark.parametrize("max_steps", [1, 31, 32, 33, 127, 128, 129, 300])
@@ -671,7 +671,7 @@ def _uncapped_steps(frame, runs):
     """Uncapped step counts of `runs` at seed 83, q0 0.5 and epsilon 1e-6."""
     rates, dt = KERNEL_FRAMES[frame]
     keys = _frame_keys(frame, runs)
-    return collapse_batch(0.5, rates, dt, 1e-6, CollapseParams(dt=dt).max_steps, keys).steps
+    return collapse_batch(0.5, rates, dt, 1e-6, CollapseParams(dt=dt).max_steps, *keys).steps
 
 
 # where the scan for each replay run starts, and the edge it must live past
@@ -705,7 +705,7 @@ def _replayed(frame):
     rates, dt = KERNEL_FRAMES[frame]
     keys = _frame_keys(frame, replay_runs())
     steps = _uncapped_steps(frame, replay_runs())
-    path = np.array([collapse_batch(0.5, rates, dt, 1e-6, k, keys).r
+    path = np.array([collapse_batch(0.5, rates, dt, 1e-6, k, *keys).r
                      for k in range(1, int(steps.max()) + 1)])
     return path, steps
 
@@ -726,7 +726,7 @@ def test_trajectory_matches_reference_record(start, max_steps):
         assert steps.min() > dynamics.SLAB_ROWS + 1 and steps[:2].min() > BLOCK_STEPS + 1
         rates, dt = KERNEL_FRAMES[frame]
         cap = CollapseParams(dt=dt).max_steps if max_steps is None else max_steps
-        case = dynamics._prepare(rates, dt, 1e-6, cap, _frame_keys(frame, [run]))
+        case = dynamics._prepare(rates, dt, 1e-6, cap, *_frame_keys(frame, [run]))
         recorded = []
         reference_drive(0.0, *case, cap, DEFAULT_NOISE,
                         record=lambda k, x: recorded.append(float(x[0])))
@@ -751,10 +751,10 @@ def test_zero_noise_follows_exact_drift_flow():
     n = 3 * BLOCK_STEPS + 17
     for gamma_dt in (0.05, MAX_GAMMA_DT):
         params = CollapseParams(dt=gamma_dt / GAMMA, epsilon=EPSILON_MIN, max_steps=n)
-        *_, h, _ = dynamics._prepare(RATES_A, *scalars(params), keys_for(1))
+        *_, h, _ = dynamics._prepare(RATES_A, *scalars(params), *keys_for(1))
         for q0 in (0.3, 0.8, 1e-6):
             r0 = math.log(q0) - math.log1p(-q0)
-            res = collapse_batch(q0, RATES_A, *scalars(params), keys_for(1),
+            res = collapse_batch(q0, RATES_A, *scalars(params), *keys_for(1),
                                  noise=_ConstNoise(0.0))
             assert (res.winner[0], res.steps[0]) == (0, n)
             assert res.r[0] == float32_path(r0, h, [0.0] * n)[-1]
@@ -765,7 +765,7 @@ def test_zero_noise_follows_exact_drift_flow():
 def test_one_step_cooked_mean_preserves_q():
     n = 200_000
     params = dataclasses.replace(PARAMS, max_steps=1)
-    res = collapse_batch(0.3, RATES_A, *scalars(params), keys_for(n, seed=8))
+    res = collapse_batch(0.3, RATES_A, *scalars(params), *keys_for(n, seed=8))
     assert np.all(res.winner == 0)
     q = q_of(res.r)
     se = float(q.std()) / math.sqrt(n)
@@ -779,7 +779,7 @@ def test_martingale_at_intermediate_time():
     n = 20_000
     params = dataclasses.replace(PARAMS, epsilon=0.01,
                                  max_steps=round(1.0 / GAMMA / PARAMS.dt))
-    res = collapse_batch(0.3, RATES_A, *scalars(params), keys_for(n, seed=21))
+    res = collapse_batch(0.3, RATES_A, *scalars(params), *keys_for(n, seed=21))
     assert np.mean(res.winner > 0) >= 0.1
     q = q_of(res.r)
     se = float(q.std()) / math.sqrt(n)
@@ -788,8 +788,8 @@ def test_martingale_at_intermediate_time():
 
 def test_time_scaling_doubling_gamma_halves_median():
     n = 3000
-    slow = collapse_batch(0.5, RATES_A, *scalars(PARAMS), keys_for(n, seed=41))
-    fast = collapse_batch(0.5, (2.0 * RATE,), *scalars(PARAMS), keys_for(n, seed=42))
+    slow = collapse_batch(0.5, RATES_A, *scalars(PARAMS), *keys_for(n, seed=41))
+    fast = collapse_batch(0.5, (2.0 * RATE,), *scalars(PARAMS), *keys_for(n, seed=42))
     ratio = float(np.median(fast.duration) / np.median(slow.duration))
     assert 0.43 < ratio < 0.57
 
@@ -803,13 +803,13 @@ def test_extreme_epsilon_absorbs_without_overflow():
     assert params.log_threshold > 177.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = collapse_batch(0.5, RATES_A, *scalars(params), keys_for(64, seed=19))
+        res = collapse_batch(0.5, RATES_A, *scalars(params), *keys_for(64, seed=19))
     assert np.all(res.winner > 0)
     assert np.all(np.abs(res.r) > 176.0) and np.all(np.isfinite(res.r))
     # a live run's largest step, sinh of the float32 just inside the
     # barrier times e^h, stays finite at the largest and at a small step
     for gamma_dt in (MAX_GAMMA_DT, 1e-6):
-        case = dynamics._prepare(RATES_A, gamma_dt / GAMMA, EPSILON_MIN, 1, keys_for(1))
+        case = dynamics._prepare(RATES_A, gamma_dt / GAMMA, EPSILON_MIN, 1, *keys_for(1))
         *_, h, thr = case
         zh_hi = ceil32(np.arcsinh(np.sinh(0.5 * thr) * math.exp(-0.5 * h)))
         inside = np.array([np.nextafter(zh_hi, np.float32(0.0))])
@@ -822,4 +822,4 @@ def test_stream_layout_validation():
     # run (see test_step_noise_errors), and each must be finite and >= 0
     for bad in (-RATE, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="rates"):
-            collapse_batch(0.5, (RATE, bad), *scalars(PARAMS), keys0_for(1))
+            collapse_batch(0.5, (RATE, bad), *scalars(PARAMS), *keys0_for(1))

@@ -1,8 +1,10 @@
 import concurrent.futures
+import inspect
 import json
 import math
 import pickle
 import platform
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_experiment import assert_tables_equal
 
-from collapsemc import ensemble
+from collapsemc import ensemble, experiment
 from collapsemc.ensemble import (_LINE_FORMATS, CHUNK_RUNS, CSV_COLUMNS, FIRST_DETECTORS,
-                                 READINGS, ConfigError, EnsembleAbortError, EnsembleConfig,
-                                 build_manifest, compute_stats, export_ensemble,
+                                 KIND_FRAMES, READINGS, ConfigError, EnsembleAbortError,
+                                 EnsembleConfig, build_manifest, compute_stats, export_ensemble,
                                  export_records, run_ensemble, wilson_interval)
 from collapsemc.experiment import RECORD_DTYPE, build_scenario
 from collapsemc.noise import RUN_INDEX_LIMIT, PhiloxNoiseSource
@@ -77,6 +79,26 @@ def test_config_validation():
         EnsembleConfig.from_dict({"kind": "born_rule", "bogus": 1})
     cfg = EnsembleConfig.from_dict({"kind": "born_rule", "runs": 5})
     assert cfg.runs == 5 and cfg.master_seed == 1
+
+
+@pytest.mark.parametrize("kind, override", [("born_rule", {"dt": 1e-3}),
+                                            ("born_rule", {"epsilon": 0.45}),
+                                            ("collapse_time", {"dt": 1e-3}),
+                                            ("cross_frame", {"dt": 1e-3})])
+def test_unrunnable_step_is_a_config_error(kind, override):
+    # Gamma * dt past dynamics.MAX_GAMMA_DT, or a frame-0 barrier shifted
+    # below 0 at epsilon 0.45, is refused by the engine's own checks of
+    # each frame the kind runs, before any run starts
+    with pytest.raises(ConfigError, match="overrides"):
+        EnsembleConfig(kind=kind, overrides=override)
+
+
+def test_wide_epsilon_runs_where_its_frames_allow_it():
+    # frames A and B run at half the frame-0 rate, so their barriers stay
+    # above 0 at epsilon 0.45 where frame 0's does not
+    cfg = EnsembleConfig(kind="cross_frame", runs=50, overrides={"epsilon": 0.45})
+    stats, _ = run_ensemble(cfg)
+    assert stats["counts"]["failed"] == 0
 
 
 def _records(kind, runs, seed=3, q0=0.5, **kw):
@@ -227,9 +249,50 @@ def test_born_batch_draws_spans_not_segments(monkeypatch):
     assert 0 < len(calls) <= 200
 
 
+@pytest.mark.parametrize("kind, streams", [("born_rule", 2), ("collapse_time", 1),
+                                           ("cross_frame", 1)])
+def test_engine_calls_read_one_key_per_stream(monkeypatch, kind, streams):
+    # what a tracer of the package reads: collapse_batch's parameter 5 is
+    # stream_keys, whose first row holds one word per stream (2 in frame
+    # 0, 1 in A and B), a batch's result holds one step count per run,
+    # and run_frame_batch's two tables hold one row per run.  A cap of 100
+    # steps at epsilon 0.01 leaves rows in both tables of every batch, and
+    # the ensemble aborts once its chunks are done
+    engine = experiment.collapse_batch
+    signature = inspect.signature(engine)
+    assert list(signature.parameters)[5] == "stream_keys"
+    calls, batches = [], []
+
+    def spy_engine(*args, **kwargs):
+        res = engine(*args, **kwargs)
+        calls.append((signature.bind(*args, **kwargs).arguments, res))
+        return res
+
+    frame_batch = ensemble.run_frame_batch
+
+    def spy_frame_batch(scenario, frame, master_seed, run_indices, **kwargs):
+        tables = frame_batch(scenario, frame, master_seed, run_indices, **kwargs)
+        batches.append((list(run_indices), tables))
+        return tables
+
+    monkeypatch.setattr(experiment, "collapse_batch", spy_engine)
+    monkeypatch.setattr(ensemble, "run_frame_batch", spy_frame_batch)
+    cfg = EnsembleConfig(kind=kind, runs=CHUNK_RUNS + 300, q0=0.5, workers=1,
+                         overrides={"epsilon": 0.01, "max_steps": 100})
+    with pytest.raises(EnsembleAbortError):
+        run_ensemble(cfg)
+    assert len(calls) == len(batches) == 2 * len(KIND_FRAMES[kind](cfg.v))
+    for (args, res), (runs, (absorbed, failed)) in zip(calls, batches):
+        assert len(args["stream_keys"][0]) == len(args["rates"]) == streams
+        assert len(res.steps) == len(args["runs"]) == len(runs)
+        assert len(absorbed) + len(failed) == len(runs)
+        assert len(absorbed) and len(failed)
+        assert sorted(np.concatenate([absorbed, failed])["run_index"].tolist()) == runs
+
+
 def test_abort_on_failures():
     cfg = EnsembleConfig(kind="born_rule", runs=50, master_seed=1,
-                         overrides={"max_steps": 64})
+                         overrides={"epsilon": 0.01, "max_steps": 100})
     with pytest.raises(EnsembleAbortError):
         run_ensemble(cfg)
 
@@ -473,6 +536,32 @@ def test_export_ensemble_bytes_stable(tmp_path):
         assert json.load(fh) == manifest
     for name in ("records", "manifest"):
         assert Path(paths_a[name]).read_bytes() == Path(paths_b[name]).read_bytes()
+
+
+def test_failed_export_keeps_the_previous_files(tmp_path, monkeypatch):
+    # a second export into the same out_dir that fails on its second
+    # records slice leaves the first export's records and manifest byte
+    # for byte, and no temporary file
+    out = tmp_path / "out"
+    first = EnsembleConfig(kind="born_rule", runs=CHUNK_RUNS + 5, master_seed=1)
+    export_ensemble(first, *run_ensemble(first), str(out))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    second = replace(first, master_seed=2)
+    stats, records = run_ensemble(second)
+    slices = []
+    format_lines = ensemble._format_lines
+
+    def fail_second(*args):
+        slices.append(len(slices))
+        if len(slices) == 2:
+            raise OSError("disk full")
+        return format_lines(*args)
+
+    monkeypatch.setattr(ensemble, "_format_lines", fail_second)
+    with pytest.raises(OSError, match="disk full"):
+        export_ensemble(second, stats, records, str(out))
+    assert slices == [0, 1]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_manifest_refuses_non_finite_values(tmp_path):

@@ -284,12 +284,10 @@ def test_collapse_time_law_lattice_ks(frame, q0):
     n = 16384
     scn = build_scenario(q0=q0)
     params = scn.params
-    dets = active_detectors(frame)
-    addr = np.empty((n, len(dets), 3), dtype=np.uint64)
-    addr[:, :, :2] = [derive_stream_key(123, det) for det in dets]
-    addr[:, :, 2] = np.arange(n)[:, None]
+    keys = tuple(zip(*(derive_stream_key(123, det) for det in active_detectors(frame))))
     rates = scn.frame_rates(frame)
-    res = collapse_batch(q0, rates, params.dt, params.epsilon, params.max_steps, addr)
+    res = collapse_batch(q0, rates, params.dt, params.epsilon, params.max_steps, keys,
+                         np.arange(n))
     assert (res.winner > 0).all()
     steps = np.arange(int(res.steps.max()) + 1)
     ecdf = np.searchsorted(np.sort(res.steps), steps, side="right") / n

@@ -341,6 +341,11 @@ def test_block_normals_validation():
     for bad in ([0.5], np.array([0.5]), [[0, 1]]):
         with pytest.raises(TypeError):
             src.block_normals(key, 0, bad)
+    # a bool is not a run index: True does not read run 1's window, as a
+    # bool array does not
+    for bad in ([True], [0, False], np.array([True])):
+        with pytest.raises(TypeError, match="integers"):
+            src.block_normals(key, 0, bad)
 
 
 def _state_words(bitgen):
