@@ -9,6 +9,8 @@ The three ensemble subcommands share one handler: each runs its ensemble,
 writes the records and manifest, and prints the summary fields that
 ENSEMBLE_COMMANDS lists for it, read from the manifest just written.  The
 summary and the --verbose table both read the manifest's stats block.
+Each ensemble flag is stored under its EnsembleConfig field, and only when
+given, so the config is the config file's fields updated by the flags.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from functools import reduce
+from functools import partial, reduce
 from operator import getitem
 
 from .ensemble import ConfigError, EnsembleConfig, export_ensemble, run_ensemble
@@ -34,20 +36,20 @@ def _json_out(payload: dict) -> None:
 
 
 def _add_ensemble_flags(p: argparse.ArgumentParser) -> None:
-    for flag, kind, text in (("--q0", float, "initial branch-1 weight (default {q0:g})"),
-                             ("--runs", int, "number of trials (default {runs})"),
-                             ("--seed", int, "master seed (default {master_seed})"),
-                             ("--d", float, "detector distance, m (default {d:g})"),
-                             ("--v", float, "frame speed, m/s (default {beta:g}c)")):
-        p.add_argument(flag, type=kind, default=None,
-                       help=text.format(beta=_DEFAULTS["v"] / C, **_DEFAULTS))
+    # a flag is stored under its EnsembleConfig field, and only when given
+    flag = partial(p.add_argument, default=argparse.SUPPRESS)
+    flag("--q0", type=float, help=f"initial branch-1 weight (default {_DEFAULTS['q0']:g})")
+    flag("--runs", type=int, help=f"number of trials (default {_DEFAULTS['runs']})")
+    flag("--seed", type=int, dest="master_seed", metavar="SEED",
+         help=f"master seed (default {_DEFAULTS['master_seed']})")
+    flag("--d", type=float, help=f"detector distance, m (default {_DEFAULTS['d']:g})")
+    flag("--v", type=float, help=f"frame speed, m/s (default {_DEFAULTS['v'] / C:g}c)")
     p.add_argument("--config", default=None, help="JSON config file; flags override it")
-    p.add_argument("--out-dir", default=None, help="output directory for records and manifest")
-    p.add_argument("--workers", type=int, default=None,
-                   help="max parallel workers (default: the CPUs this process may run "
-                        "on; results identical)")
-    p.add_argument("--format", choices=("csv", "jsonl"), default=None,
-                   help=f"records file format (default {_DEFAULTS['record_format']})")
+    flag("--out-dir", help="output directory for records and manifest")
+    flag("--workers", type=int, help="max parallel workers (default: the CPUs this process "
+                                     "may run on; results identical)")
+    flag("--format", choices=("csv", "jsonl"), dest="record_format",
+         help=f"records file format (default {_DEFAULTS['record_format']})")
     p.add_argument("--verbose", action="store_true", help="print a table to stderr")
 
 
@@ -72,15 +74,8 @@ def _ensemble_config(args, kind: str) -> EnsembleConfig:
         if file_cfg.get("kind", kind) != kind:
             raise ConfigError(
                 f"config file kind {file_cfg['kind']!r} does not match subcommand {kind!r}")
-    merged = dict(file_cfg)
-    merged["kind"] = kind
-    for field_name, flag_name in (("runs", "runs"), ("master_seed", "seed"),
-                                  ("q0", "q0"), ("d", "d"), ("v", "v"),
-                                  ("out_dir", "out_dir"), ("workers", "workers"),
-                                  ("record_format", "format")):
-        value = getattr(args, flag_name)
-        if value is not None:
-            merged[field_name] = value
+    flags = {name: value for name, value in vars(args).items() if name in _DEFAULTS}
+    merged = {**file_cfg, **flags, "kind": kind}
     merged.setdefault("workers", _usable_cpus())
     # a null out_dir in the file is no out_dir
     if merged.get("out_dir") is None:
@@ -136,6 +131,8 @@ ENSEMBLE_COMMANDS = {
 def cmd_ensemble(args) -> int:
     kind, _help, fields = ENSEMBLE_COMMANDS[args.command]
     config = _ensemble_config(args, kind)
+    # an unusable out_dir fails before the runs, not after them
+    os.makedirs(config.out_dir, exist_ok=True)
     stats, records = run_ensemble(config)
     paths, manifest = export_ensemble(config, stats, records, config.out_dir)
     summary = {"records_path": paths["records"], "manifest_path": paths["manifest"]}

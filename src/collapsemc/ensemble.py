@@ -9,12 +9,15 @@ byte-identical for any worker count or schedule.  The scenario is built
 once, with the configuration, and every chunk and the manifest read it.
 
 The records of an ensemble are one record table (see
-``experiment.RECORD_DTYPE``) sorted by (run_index, frame).  Statistics are
-counted over its columns by an order-independent reduction, with Wilson
-score intervals for the binomial rates, into the dict that the manifest
-stores as its ``stats`` block.  The exported fields that are not
-columns, first_detector and the readings, follow from the frame and the
-winner, and are spelled only while the records are written.
+``experiment.RECORD_DTYPE``) sorted by (run_index, frame).  A chunk is a
+contiguous range of run indices, so it comes back as its slice of that
+table, sorted where it ran, and the table is the slices in chunk order.
+Statistics are counted over its columns by an order-independent
+reduction, with Wilson score intervals for the binomial rates, into the
+dict that the manifest stores as its ``stats`` block.  The exported
+fields that are not columns, first_detector and the readings, follow from
+the frame and the winner, and are spelled only while the records are
+written.
 
 Record format contract.  A records file holds one line per row, in table
 order: CSV with a header of CSV_COLUMNS and CRLF line ends, or JSONL with
@@ -196,21 +199,24 @@ def scenario_from_config(config: EnsembleConfig) -> Scenario:
     return config.scenario
 
 
-def _run_chunk(config: EnsembleConfig, lo: int) -> list:
-    """The record tables of the chunk of runs that starts at lo."""
+def _run_chunk(config: EnsembleConfig, lo: int) -> np.ndarray:
+    """The chunk of runs that starts at lo, as its slice of the ensemble's
+    record table: its rows in table order, sorted by (run_index, frame) in
+    the process that ran them."""
     runs = range(lo, min(lo + CHUNK_RUNS, config.runs))
-    tables: list = []
-    for frame in KIND_FRAMES[config.kind](config.v):
-        tables.extend(run_frame_batch(config.scenario, frame, config.master_seed, runs))
-    return tables
+    table = np.concatenate([part for frame in KIND_FRAMES[config.kind](config.v)
+                            for part in run_frame_batch(config.scenario, frame,
+                                                        config.master_seed, runs)])
+    return table[np.lexsort((table["frame"], table["run_index"]))]
 
 
 def run_ensemble(config: EnsembleConfig) -> tuple[dict, np.ndarray]:
     """Execute the configured experiment and reduce its statistics.
 
     Returns (stats, records): stats is compute_stats's dict, the manifest's
-    stats block, and records one table sorted by (run_index, frame).
-    Raises EnsembleAbortError if more than 1% of runs fail to converge.
+    stats block, and records one table sorted by (run_index, frame), the
+    chunks' slices joined in chunk order.  Raises EnsembleAbortError if
+    more than 1% of runs fail to converge.
     """
     starts = range(0, config.runs, CHUNK_RUNS)
     if config.workers > 1 and len(starts) > 1:
@@ -219,11 +225,9 @@ def run_ensemble(config: EnsembleConfig) -> tuple[dict, np.ndarray]:
         # workers than chunks would only be forked to sit idle
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(config.workers, len(starts))) as pool:
-            chunk_lists = list(pool.map(_run_chunk, repeat(config), starts))
+            records = np.concatenate(list(pool.map(_run_chunk, repeat(config), starts)))
     else:
-        chunk_lists = [_run_chunk(config, lo) for lo in starts]
-    records = np.concatenate([table for chunk in chunk_lists for table in chunk])
-    records = records[np.lexsort((records["frame"], records["run_index"]))]
+        records = np.concatenate([_run_chunk(config, lo) for lo in starts])
 
     stats = compute_stats(config.kind, config.runs, records)
     failed = stats["counts"]["failed"]

@@ -231,6 +231,10 @@ def disagreement_rate_analytic(q0: float, epsilon: float) -> float:
 # than about 5 digits: its terms scale with cosh(L / 2) and cancel
 SURVIVAL_EPSILON_MIN = 1e-12
 
+# the most odd terms of the sine series that collapse_time_survival sums
+# for one call, about 60 ms per tau; a tau that needs more is refused
+SURVIVAL_TERMS_MAX = 2**20
+
 # (term, tau) elements of the sine series formed per matrix product
 _SURVIVAL_BLOCK = 2**18
 
@@ -248,13 +252,17 @@ def collapse_time_survival(tau, q0: float, epsilon: float) -> np.ndarray:
         S(tau) = 2 cosh(L / 2) / (L cosh(r0 / 2))
                  * sum_{k odd} a_k / (1/4 + a_k^2) sin(a_k (r0 + L)) e^{-(1/2 + 2 a_k^2) tau}.
 
-    S(0) is 1 exactly, where the series converges slowly; a start at or
-    past a threshold has S = 0.  The series runs until the prefactor times
-    e^{-2 a_k^2 tau} falls below e^-40 at the least positive tau, about
-    260 odd terms at epsilon 1e-6 and tau 0.025, a count that grows as
-    1 / sqrt(tau).  The terms scale with cosh(L / 2) and cancel, so
-    epsilon below SURVIVAL_EPSILON_MIN is refused.  The engine's shifted barrier matches
-    continuous monitoring to first order in sqrt(dt) (see dynamics).
+    A start at or past a threshold has S = 0.  The drift moves r by at most
+    2 per unit of tau, so 1 - S(tau) <= 2 erfc(a / (2 sqrt(2 tau))), with
+    a = L - |r0| - 2 tau; where that is below 2^-54, S is 1.0, S(0) too,
+    with no series.  Elsewhere the series runs until the prefactor times
+    e^{-2 a_k^2 tau} falls below e^-40 at the least such tau, a count that
+    grows as 1 / sqrt(tau): about 50 odd terms at epsilon 1e-6 and q0 0.5.
+    A tau that needs more than SURVIVAL_TERMS_MAX terms, which only a start
+    within about L / 10^4 of a threshold reaches, is refused.  The terms
+    scale with cosh(L / 2) and cancel, so epsilon below SURVIVAL_EPSILON_MIN
+    is refused.  The engine's shifted barrier matches continuous monitoring
+    to first order in sqrt(dt) (see dynamics).
     """
     r0 = _logit(q0)
     if not SURVIVAL_EPSILON_MIN <= epsilon < 0.5:
@@ -267,18 +275,23 @@ def collapse_time_survival(tau, q0: float, epsilon: float) -> np.ndarray:
     if abs(r0) >= big_l:
         return np.zeros(tau.shape)
     out = np.ones(tau.shape)
-    pos = tau > 0.0
-    t = tau[pos]
+    with np.errstate(divide="ignore"):  # tau 0 reaches inf
+        reach = (big_l - abs(r0) - 2.0 * tau) / (2.0 * np.sqrt(2.0 * tau))
+    live = 2.0 * np.vectorize(math.erfc, otypes=[float])(reach) >= 2.0**-54
+    t = tau[live]
     if t.size:
         scale = 2.0 * math.cosh(0.5 * big_l) / (big_l * math.cosh(0.5 * r0))
         # scale * e^{-2 a_k^2 tau} < e^-40 from this many odd terms on
         n_terms = math.ceil(2.0 * big_l / math.pi
                             * math.sqrt((math.log(scale) + 40.0) / (2.0 * float(t.min())))) + 1
+        if n_terms > SURVIVAL_TERMS_MAX:
+            raise ValueError(f"tau {float(t.min())!r} needs {n_terms} terms of the series, "
+                             f"more than {SURVIVAL_TERMS_MAX}")
         total = np.zeros(t.size)
         block = max(1, _SURVIVAL_BLOCK // t.size)
         for lo in range(0, n_terms, block):
             a = (2 * np.arange(lo, min(lo + block, n_terms)) + 1) * (math.pi / (2.0 * big_l))
             coef = a / (0.25 + a * a) * np.sin(a * (r0 + big_l))
             total += coef @ np.exp(-np.multiply.outer(0.5 + 2.0 * a * a, t))
-        out[pos] = scale * total
+        out[live] = scale * total
     return out

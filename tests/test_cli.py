@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
@@ -246,6 +247,37 @@ def test_config_file_used_and_overridden(capsys, tmp_path):
     assert data["runs"] == 12  # flag beats file
 
 
+# each ensemble flag, the config field it sets, a value for the field in a
+# config file, and a different one for the flag
+FLAG_FIELDS = [("--q0", "q0", 0.25, "0.75"), ("--runs", "runs", 30, "12"),
+               ("--seed", "master_seed", 9, "4"), ("--d", "d", 500.0, "2000"),
+               ("--v", "v", 0.5 * C, repr(V99)), ("--out-dir", "out_dir", "from-file", "from-flag"),
+               ("--workers", "workers", 2, "3"), ("--format", "record_format", "jsonl", "csv")]
+
+
+@pytest.mark.parametrize("flag, field, in_file, given", FLAG_FIELDS,
+                         ids=[flag for flag, *_ in FLAG_FIELDS])
+def test_each_flag_overrides_its_config_field(tmp_path, flag, field, in_file, given):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({field: in_file}))
+    args = ["disagree", "--config", str(cfg_path)]
+    from_file = _ensemble_config(build_parser().parse_args(args), "cross_frame")
+    assert getattr(from_file, field) == in_file
+    flagged = _ensemble_config(build_parser().parse_args([*args, flag, given]), "cross_frame")
+    assert asdict(flagged) == {**asdict(from_file), field: type(in_file)(given)}
+
+
+def test_unusable_out_dir_fails_before_any_run(capsys, tmp_path, monkeypatch):
+    # an out-dir that names a file is a runtime failure, found before the
+    # runs rather than after them
+    monkeypatch.setattr(cli, "run_ensemble", _no_run)
+    out_dir = tmp_path / "taken"
+    out_dir.write_text("")
+    code, out, err = run_cli(capsys, "born", "--runs", "20", "--out-dir", str(out_dir))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_config_file_unknown_field(capsys, tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"kind": "born_rule", "runz": 10}))
@@ -380,6 +412,58 @@ def test_help_lists_exit_codes(capsys, monkeypatch):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "exit codes: 0 success, 2 usage or validation error, 1 runtime failure" in out
+
+
+# the usage lines of the ensemble subcommands at 80 columns, which both
+# their help and their usage errors print, and the options block of their
+# help, which they share
+ENSEMBLE_USAGE = {
+    "born": (
+        'usage: collapsemc born [-h] [--q0 Q0] [--runs RUNS] [--seed SEED] [--d D]\n'
+        '                       [--v V] [--config CONFIG] [--out-dir OUT_DIR]\n'
+        '                       [--workers WORKERS] [--format {csv,jsonl}] [--verbose]\n'),
+    "collapse-time": (
+        'usage: collapsemc collapse-time [-h] [--q0 Q0] [--runs RUNS] [--seed SEED]\n'
+        '                                [--d D] [--v V] [--config CONFIG]\n'
+        '                                [--out-dir OUT_DIR] [--workers WORKERS]\n'
+        '                                [--format {csv,jsonl}] [--verbose]\n'),
+    "disagree": (
+        'usage: collapsemc disagree [-h] [--q0 Q0] [--runs RUNS] [--seed SEED] [--d D]\n'
+        '                           [--v V] [--config CONFIG] [--out-dir OUT_DIR]\n'
+        '                           [--workers WORKERS] [--format {csv,jsonl}]\n'
+        '                           [--verbose]\n'),
+}
+ENSEMBLE_OPTIONS = (
+    '\n'
+    'options:\n'
+    '  -h, --help            show this help message and exit\n'
+    '  --q0 Q0               initial branch-1 weight (default 0.5)\n'
+    '  --runs RUNS           number of trials (default 10000)\n'
+    '  --seed SEED           master seed (default 1)\n'
+    '  --d D                 detector distance, m (default 1000)\n'
+    '  --v V                 frame speed, m/s (default 0.99c)\n'
+    '  --config CONFIG       JSON config file; flags override it\n'
+    '  --out-dir OUT_DIR     output directory for records and manifest\n'
+    '  --workers WORKERS     max parallel workers (default: the CPUs this process\n'
+    '                        may run on; results identical)\n'
+    '  --format {csv,jsonl}  records file format (default csv)\n'
+    '  --verbose             print a table to stderr\n')
+
+
+@pytest.mark.parametrize("command", ENSEMBLE_USAGE)
+def test_ensemble_help_and_usage_errors(capsys, monkeypatch, command):
+    # each flag is stored under its config field, and --seed still shows
+    # as SEED, not MASTER_SEED
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == ENSEMBLE_USAGE[command] + ENSEMBLE_OPTIONS
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "1.5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (ENSEMBLE_USAGE[command] + f"collapsemc {command}: "
+                                       "error: argument --seed: invalid int value: '1.5'\n")
 
 
 @pytest.mark.parametrize("eta", [1e-5, 1e-10])

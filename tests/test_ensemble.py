@@ -172,9 +172,11 @@ def test_workers_do_not_change_records():
     assert stats1 == stats2
 
 
-def test_pool_is_capped_at_chunk_count(monkeypatch):
-    # a stand-in executor records its size and the chunk starts it is
-    # given, and maps in this process
+def serial_pool(monkeypatch):
+    """Stand a serial executor in for the process pool, which run_ensemble
+    imports from concurrent.futures when it starts one.  It maps in this
+    process, and the lists it returns record the sizes and the chunk starts
+    it is given."""
     sizes, starts = [], []
 
     class SerialPool:
@@ -191,14 +193,44 @@ def test_pool_is_capped_at_chunk_count(monkeypatch):
             starts.append(list(iterables[-1]))
             return map(fn, *iterables)
 
-    # run_ensemble imports the executor from concurrent.futures when it
-    # starts a pool
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return sizes, starts
+
+
+def test_pool_is_capped_at_chunk_count(monkeypatch):
+    sizes, starts = serial_pool(monkeypatch)
     cfg = EnsembleConfig(kind="born_rule", runs=2 * CHUNK_RUNS + 1, q0=1.0, workers=64)
     stats, _ = run_ensemble(cfg)
     assert sizes == [3]
     assert starts == [[0, CHUNK_RUNS, 2 * CHUNK_RUNS]]
     assert stats["counts"]["winner1"] == cfg.runs
+
+
+# a capped disagree: 14 of 4096 runs hit the step cap, under the 1 % abort,
+# with failed rows in both frames of both chunks
+CAPPED = EnsembleConfig(kind="cross_frame", runs=4096, master_seed=5, q0=0.8, workers=2,
+                        overrides={"epsilon": 1e-6, "max_steps": 720})
+
+
+@pytest.mark.parametrize("cfg", [
+    *(EnsembleConfig(kind=kind, runs=2 * CHUNK_RUNS + 300, master_seed=7, workers=2)
+      for kind in KIND_FRAMES),
+    CAPPED,
+], ids=[*KIND_FRAMES, "capped"])
+def test_chunks_are_slices_of_the_table_in_chunk_order(monkeypatch, cfg):
+    # each chunk comes back sorted by (run_index, frame), and the pool's
+    # tables joined in chunk order are the ensemble's table
+    _, starts = serial_pool(monkeypatch)
+    _, records = run_ensemble(cfg)
+    labels = sorted(frame.label for frame in KIND_FRAMES[cfg.kind](cfg.v))
+    chunks = [ensemble._run_chunk(cfg, lo) for lo in starts[0]]
+    for lo, chunk in zip(starts[0], chunks):
+        runs = range(lo, min(lo + CHUNK_RUNS, cfg.runs))
+        assert chunk["run_index"].tolist() == [k for k in runs for _ in labels]
+        assert chunk["frame"].tolist() == [label for _ in runs for label in labels]
+        if cfg is CAPPED:
+            assert set(chunk["frame"][chunk["winner"] == 0].tolist()) == {"A", "B"}
+    assert_tables_equal(records, np.concatenate(chunks))
 
 
 def test_first_chunk_starts_at_the_run_index_limit(monkeypatch):

@@ -267,6 +267,16 @@ def test_collapse_time_survival_edges():
             collapse_time_survival(args["tau"], args["q0"], args["epsilon"])
 
 
+def test_collapse_time_survival_at_small_tau():
+    # 1 - S is bounded below 2^-54 here, so S is 1.0 with no series, which
+    # would need about 4e151 and 4e8 terms
+    assert collapse_time_survival([1e-300, 1e-14], 0.5, 1e-6).tolist() == [1.0, 1.0]
+    # a start 1e-4 inside a threshold, in logit, has no such bound at tau
+    # 1e-10, and its series would need 4e6 terms, past SURVIVAL_TERMS_MAX
+    with pytest.raises(ValueError, match="tau 1e-10 needs"):
+        collapse_time_survival([1.0, 1e-10], 1.0 - 1.0001e-6, 1e-6)
+
+
 # the 1 % point of the Kolmogorov distribution of sqrt(N) D
 KS_1PCT = 1.63
 
