@@ -22,7 +22,7 @@ import sys
 from functools import partial, reduce
 from operator import getitem
 
-from .ensemble import ConfigError, EnsembleConfig, export_ensemble, run_ensemble
+from .ensemble import ConfigError, EnsembleConfig, export_ensemble, run_ensemble, usable_cpus
 from .experiment import frame_pair
 from .relativity import (C, Event, Frame, activation_gap, boost, detection_events, gamma,
                          min_separation)
@@ -53,14 +53,6 @@ def _add_ensemble_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--verbose", action="store_true", help="print a table to stderr")
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform
-    has one, else every CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _ensemble_config(args, kind: str) -> EnsembleConfig:
     file_cfg: dict = {}
     if args.config:
@@ -76,7 +68,7 @@ def _ensemble_config(args, kind: str) -> EnsembleConfig:
                 f"config file kind {file_cfg['kind']!r} does not match subcommand {kind!r}")
     flags = {name: value for name, value in vars(args).items() if name in _DEFAULTS}
     merged = {**file_cfg, **flags, "kind": kind}
-    merged.setdefault("workers", _usable_cpus())
+    merged.setdefault("workers", usable_cpus())
     # a null out_dir in the file is no out_dir
     if merged.get("out_dir") is None:
         merged["out_dir"] = os.path.join("collapsemc-out", kind)

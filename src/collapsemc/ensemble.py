@@ -3,10 +3,12 @@
 Runs are addressed, not enumerated: trial k of an experiment reads each
 detector's noise stream, keyed by (master_seed, detector), at stream
 address (key, k), so the records of an ensemble are a pure function of
-its configuration.  Execution is chunked into fixed windows of run
-indices; workers pick up whole chunks, which makes the output
-byte-identical for any worker count or schedule.  The scenario is built
-once, with the configuration, and every chunk and the manifest read it.
+its configuration.  The run index sits in the noise counter and the
+engine works elementwise per run, so no record or statistic depends on
+how the runs are split.  Execution is chunked into fixed windows of run
+indices, and workers pick up whole chunks; a chunk bounds the memory of
+one engine call and of one pool task.  The scenario is built once, with
+the configuration, and every chunk and the manifest read it.
 
 The records of an ensemble are one record table (see
 ``experiment.RECORD_DTYPE``) sorted by (run_index, frame).  A chunk is a
@@ -48,7 +50,7 @@ from .dynamics import _step
 from .experiment import (Scenario, build_scenario, disagreement_rate_analytic, frame_pair,
                          run_frame_batch)
 from .noise import RUN_INDEX_LIMIT
-from .relativity import C, FRAME_LABELS, Frame, activation_gap, gamma
+from .relativity import C, FRAME_LABELS, Frame, InvalidGeometryError, activation_gap, gamma
 
 # the frames each experiment kind runs, at the configured v
 KIND_FRAMES = {
@@ -57,9 +59,11 @@ KIND_FRAMES = {
     "cross_frame": frame_pair,
 }
 
-# Runs are processed in fixed windows of this many indices regardless of
-# worker count, so chunk contents (and therefore every floating-point
-# result) do not depend on the execution schedule.
+# Runs are processed in windows of this many indices.  No record depends
+# on the window size (a run's noise is addressed by its index, and the
+# engine steps each run alone); it bounds the engine's window buffer and
+# live-set arrays per call, the work of one pool task, and the table that
+# a pool worker pickles back.
 CHUNK_RUNS = 2048
 
 CSV_COLUMNS = ("run_index", "frame", "first_detector", "winner",
@@ -132,10 +136,11 @@ class EnsembleConfig:
             raise ConfigError(f"d must be > 0, got {self.d}")
         if not 0 < self.v < C:
             raise ConfigError(f"v must satisfy 0 < v < c, got {self.v}")
-        # the manifest records the gap, and strict JSON has no spelling for inf
-        if not math.isfinite(activation_gap(self.d, self.v)):
-            raise ConfigError(f"d {self.d} and v {self.v} give an activation gap that "
-                              f"overflows a float")
+        # the manifest records the gap, which is refused past the float range
+        try:
+            activation_gap(self.d, self.v)
+        except InvalidGeometryError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.record_format not in ("csv", "jsonl"):
             raise ConfigError(f"record_format must be 'csv' or 'jsonl', got {self.record_format!r}")
         if self.out_dir is not None and not isinstance(self.out_dir, str):
@@ -195,6 +200,7 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
     return (max(0.0, center - margin), min(1.0, center + margin))
 
 
+# bench/probe_setup.py imports this by name
 def scenario_from_config(config: EnsembleConfig) -> Scenario:
     return config.scenario
 
@@ -210,6 +216,14 @@ def _run_chunk(config: EnsembleConfig, lo: int) -> np.ndarray:
     return table[np.lexsort((table["frame"], table["run_index"]))]
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_ensemble(config: EnsembleConfig) -> tuple[dict, np.ndarray]:
     """Execute the configured experiment and reduce its statistics.
 
@@ -219,12 +233,13 @@ def run_ensemble(config: EnsembleConfig) -> tuple[dict, np.ndarray]:
     more than 1% of runs fail to converge.
     """
     starts = range(0, config.runs, CHUNK_RUNS)
-    if config.workers > 1 and len(starts) > 1:
-        # imported here so that one-worker runs do not load multiprocessing;
-        # under fork every worker starts at the first submit, so more
-        # workers than chunks would only be forked to sit idle
+    # under fork every worker starts at the first submit, so a worker past
+    # the chunks or the usable CPUs would only be forked to sit idle
+    workers = min(config.workers, len(starts), usable_cpus())
+    if workers > 1:
+        # imported here so that one-worker runs do not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(config.workers, len(starts))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = np.concatenate(list(pool.map(_run_chunk, repeat(config), starts)))
     else:
         records = np.concatenate([_run_chunk(config, lo) for lo in starts])
@@ -233,9 +248,11 @@ def run_ensemble(config: EnsembleConfig) -> tuple[dict, np.ndarray]:
     failed = stats["counts"]["failed"]
     if failed > 0.01 * config.runs:
         raise EnsembleAbortError(f"{failed} of {config.runs} runs failed to converge (> 1%)")
+    # bench/spans.py counts the records made as the length of this table
     return stats, records
 
 
+# bench/spans.py reads argument 2, records, by position or name
 def compute_stats(kind: str, runs: int, records: np.ndarray) -> dict:
     """Order-independent reduction of a record table into the manifest's
     stats block: n, counts, freq, wilson, duration_quantiles_s and
@@ -277,6 +294,7 @@ def compute_stats(kind: str, runs: int, records: np.ndarray) -> dict:
 # Persistence
 # ---------------------------------------------------------------------------
 
+# bench/spans.py reads argument 0, records, by position or name
 def export_records(records: np.ndarray, path: str, fmt: str = "csv") -> None:
     """Write a record table as CSV or JSONL, one line per row, in table order.
 
@@ -380,6 +398,7 @@ def build_manifest(config: EnsembleConfig) -> dict:
     }
 
 
+# bench/spans.py reads argument 2, records, by position or name
 def export_ensemble(config: EnsembleConfig, stats: dict, records: np.ndarray,
                     out_dir: str) -> tuple[dict[str, str], dict]:
     """Write records and manifest into out_dir; returns (paths, manifest).

@@ -202,6 +202,7 @@ def run_frame_batch(scenario: Scenario, frame: Frame, master_seed: int,
     else:
         gap = activation_gap(scenario.d, abs(frame.v))
         table["within_budget"] = np.where(absorbed, 2 - (res.duration < gap), 0)
+    # bench/spans.py counts a batch's records as the sum of this pair's lengths
     return table[absorbed], table[~absorbed]
 
 
@@ -272,7 +273,8 @@ def collapse_time_survival(tau, q0: float, epsilon: float) -> np.ndarray:
     if not (np.isfinite(tau) & (tau >= 0.0)).all():
         raise ValueError("tau must be finite and >= 0")
     big_l = math.log1p(-epsilon) - math.log(epsilon)
-    if abs(r0) >= big_l:
+    # q0 = 1 - epsilon can round to an r0 an ulp inside L, so both are read
+    if abs(r0) >= big_l or not epsilon < q0 < 1.0 - epsilon:
         return np.zeros(tau.shape)
     out = np.ones(tau.shape)
     with np.errstate(divide="ignore"):  # tau 0 reaches inf

@@ -4,6 +4,10 @@ Everything is 1+1 dimensional (the experiment is collinear along x) and
 in SI units with c the exact defined constant.  A boost by velocity v
 maps (t, x) to (gamma (t - v x / c^2), gamma (x - v t)) with the standard
 Lorentz factor gamma = 1 / sqrt(1 - v^2 / c^2).
+
+Each quantity has one formula, the direct product, and a result whose
+product overflows a float is refused: at 0.99c, the gap of detectors more
+than about 4.3e298 m apart.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ class SuperluminalFrameError(ValueError):
 
 
 class InvalidGeometryError(ValueError):
-    """Bad detector separation or collapse time."""
+    """Bad detector separation or collapse time, or one past the float range."""
 
 
 @dataclass(frozen=True)
@@ -67,21 +71,11 @@ def gamma(v: float) -> float:
 
 
 def boost(e: Event, v: float) -> Event:
-    """Coordinates of an event in the frame moving at v along +x.
-
-    The product v x in the time lag v x / c^2 can overflow where the lag
-    does not; only then is the lag formed as (v / c) (x / c).  Likewise the
-    product v t in the spatial part x - v t; only then is that difference
-    formed as (x / c - (v / c) t) c.  So every event the direct form boosts
-    keeps its bits.
-    """
+    """Coordinates of an event in the frame moving at v along +x.  Event
+    refuses a boosted coordinate past the float range: at 0.99c, from |x|
+    near 6e299 m, where v x overflows."""
     g = gamma(v)
-    lag = v * e.x / (C * C)
-    if math.isinf(lag):
-        lag = (v / C) * (e.x / C)
-    shift = v * e.t
-    dx = (e.x / C - (v / C) * e.t) * C if math.isinf(shift) else e.x - shift
-    return Event(g * (e.t - lag), g * dx)
+    return Event(g * (e.t - v * e.x / (C * C)), g * (e.x - v * e.t))
 
 
 def detection_events(d: float) -> tuple[Event, Event]:
@@ -100,36 +94,31 @@ def activation_gap(d: float, v: float) -> float:
     """Time between the two detections in a frame boosted by v:
     delta_t = 2 gamma v d / c^2.
 
-    The product 2 gamma v d can overflow where the gap does not; only then
-    is the gap formed as 2 gamma (v / c) (d / c), so every gap the direct
-    form gives keeps its bits.
+    A gap whose product 2 gamma v d overflows is refused: at 0.99c, d past
+    about 4.3e298 m.
     """
     if not d > 0:
         raise InvalidGeometryError(f"d must be > 0, got {d}")
     if not 0 < v < C:
         raise SuperluminalFrameError(f"v must satisfy 0 < v < c, got {v}")
-    g = gamma(v)
-    gap = 2.0 * g * v * d / (C * C)
+    gap = 2.0 * gamma(v) * v * d / (C * C)
     if math.isinf(gap):
-        gap = 2.0 * g * (v / C) * (d / C)
+        raise InvalidGeometryError(f"d {d} and v {v} give an activation gap that "
+                                   f"overflows a float")
     return gap
 
 
 def min_separation(tau: float, v: float) -> float:
     """Detector distance for which the activation gap equals tau.
 
-    Inverts activation_gap: d = tau c^2 / (2 gamma v).  As there, the
-    product tau c^2 can overflow where d does not, and only then is d
-    formed as tau / (2 gamma v / c) c; a d past the float range is refused.
+    Inverts activation_gap: d = tau c^2 / (2 gamma v).  A d whose product
+    tau c^2 overflows is refused: tau past about 2e291 s.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise InvalidGeometryError(f"tau must be finite and > 0, got {tau}")
     if not 0 < v < C:
         raise SuperluminalFrameError(f"v must satisfy 0 < v < c, got {v}")
-    g = gamma(v)
-    d = tau * C * C / (2.0 * g * v)
-    if math.isinf(d):
-        d = tau / (2.0 * g * (v / C)) * C
+    d = tau * C * C / (2.0 * gamma(v) * v)
     if math.isinf(d):
         raise InvalidGeometryError(f"tau {tau} at v {v} gives a separation that overflows")
     return d

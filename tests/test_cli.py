@@ -26,6 +26,13 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
+def assert_refused(code, out, err, names):
+    """A usage error: exit 2, nothing on stdout, and one error line that
+    holds names."""
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and names in err, err
+
+
 def test_frames_values(capsys):
     code, out, _ = run_cli(capsys, "frames", "--d", "1000", "--v", str(V99))
     assert code == 0
@@ -101,13 +108,10 @@ def test_transform(capsys):
     code, out, _ = run_cli(capsys, "transform")
     data = json.loads(out)
     assert data["t_prime_s"] == pytest.approx(2.3646e-7, rel=5e-5)
-    # v t overflows, x' does not
-    code, out, _ = run_cli(capsys, "transform", "--t", "1.2e300", "--x", "1.7e308",
-                           "--v", "1.49896229e8")
-    data = json.loads(out)
-    assert code == 0
-    assert data["x_prime_m"] == pytest.approx(-1.1403216e307, rel=1e-7)
-    assert math.isfinite(data["t_prime_s"])
+    # v t and v x overflow
+    assert_refused(*run_cli(capsys, "transform", "--t", "1.2e300", "--x", "1.7e308",
+                            "--v", "1.49896229e8"),
+                   "event components must be finite, got (-inf, -inf)")
 
 
 def test_cli_import_leaves_the_process_pool_out():
@@ -532,30 +536,29 @@ def test_default_workers_count_usable_cpus(monkeypatch):
 
 
 @pytest.mark.parametrize("d", ["1e300", "1e308"])
-def test_gap_past_the_direct_products_range_runs(capsys, tmp_path, d):
-    # 2 gamma v d overflows at these d, but the gap itself is finite
+def test_gap_past_the_direct_products_range_is_refused(capsys, tmp_path, d):
+    # 2 gamma v d overflows at these d, so the gap is refused before any run
     out_dir = tmp_path / "far"
-    code, out, _ = run_cli(capsys, "disagree", "--d", d, "--runs", "5",
-                           "--out-dir", str(out_dir))
-    assert code == 0
-    gap = json.loads((out_dir / "manifest.json").read_text())["derived"]["delta_t_s"]
-    assert 1e292 < gap < 1e301
+    assert_refused(*run_cli(capsys, "disagree", "--d", d, "--runs", "5",
+                            "--out-dir", str(out_dir)),
+                   f"d {float(d)} and v {V99} give an activation gap that overflows a float")
+    assert not out_dir.exists()
 
 
-def test_frames_gap_past_the_direct_products_range(capsys):
-    code, out, _ = run_cli(capsys, "frames", "--d", "5e298")
-    assert code == 0 and 1e291 < json.loads(out)["delta_t_s"] < 1e292
+def test_frames_gap_past_the_direct_products_range(capsys, tmp_path, monkeypatch):
+    # the boosts are finite at this d, and the gap is not
+    monkeypatch.chdir(tmp_path)
+    assert_refused(*run_cli(capsys, "frames", "--d", "5e298"),
+                   f"d 5e+298 and v {V99} give an activation gap that overflows a float")
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("args", [("frames", "--d", "1e300"), ("transform", "--x", "1e300")])
-def test_boost_past_the_direct_products_range(capsys, args):
-    # v x overflows in the time lag, but every boosted coordinate is finite
-    code, out, err = run_cli(capsys, *args)
-    assert code == 0 and err == ""
-    data = json.loads(out)
-    values = ([t for times in data["frames"].values() for t in times.values()]
-              if args[0] == "frames" else [data["t_prime_s"], data["x_prime_m"]])
-    assert all(math.isfinite(x) for x in values)
+def test_boost_past_the_direct_products_range(capsys, tmp_path, monkeypatch, args):
+    # v x overflows in the time lag of the event at x 1e300 m
+    monkeypatch.chdir(tmp_path)
+    assert_refused(*run_cli(capsys, *args), "event components must be finite, got (-inf, ")
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])

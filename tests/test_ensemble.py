@@ -2,6 +2,7 @@ import concurrent.futures
 import inspect
 import json
 import math
+import os
 import pickle
 import platform
 from dataclasses import replace
@@ -172,11 +173,11 @@ def test_workers_do_not_change_records():
     assert stats1 == stats2
 
 
-def serial_pool(monkeypatch):
+def serial_pool(monkeypatch, cpus=64):
     """Stand a serial executor in for the process pool, which run_ensemble
-    imports from concurrent.futures when it starts one.  It maps in this
-    process, and the lists it returns record the sizes and the chunk starts
-    it is given."""
+    imports from concurrent.futures when it starts one, and give the
+    process cpus usable CPUs.  It maps in this process, and the lists it
+    returns record the sizes and the chunk starts it is given."""
     sizes, starts = [], []
 
     class SerialPool:
@@ -194,6 +195,7 @@ def serial_pool(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     return sizes, starts
 
 
@@ -204,6 +206,21 @@ def test_pool_is_capped_at_chunk_count(monkeypatch):
     assert sizes == [3]
     assert starts == [[0, CHUNK_RUNS, 2 * CHUNK_RUNS]]
     assert stats["counts"]["winner1"] == cfg.runs
+
+
+@pytest.mark.parametrize("cpus, sizes", [(2, [2]), (1, [])])
+def test_pool_is_capped_at_usable_cpus(monkeypatch, cpus, sizes):
+    # 64 workers on 3 chunks fork no more workers than there are CPUs to
+    # run them, and one CPU runs the chunks in this process; the records
+    # and the config's workers do not change
+    got, _ = serial_pool(monkeypatch, cpus)
+    cfg = EnsembleConfig(kind="born_rule", runs=2 * CHUNK_RUNS + 1, master_seed=3, workers=64)
+    stats, records = run_ensemble(cfg)
+    assert got == sizes
+    assert cfg.workers == 64 and build_manifest(cfg)["config"]["workers"] == 64
+    serial = run_ensemble(replace(cfg, workers=1))
+    assert stats == serial[0]
+    assert_tables_equal(records, serial[1])
 
 
 # a capped disagree: 14 of 4096 runs hit the step cap, under the 1 % abort,

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from collapsemc.dynamics import MAX_GAMMA_DT, CollapseParams, collapse_batch
+from collapsemc.dynamics import MAX_GAMMA_DT, CollapseParams, _logit, collapse_batch
 from collapsemc.ensemble import FIRST_DETECTORS
 from collapsemc.experiment import (RECORD_DTYPE, SURVIVAL_EPSILON_MIN, TARGET_GAMMA_DT,
                                    Scenario, active_detectors, build_scenario,
@@ -265,6 +265,14 @@ def test_collapse_time_survival_edges():
         args = {"tau": 1.0, "q0": 0.5, "epsilon": 1e-6, **bad}
         with pytest.raises(ValueError):
             collapse_time_survival(args["tau"], args["q0"], args["epsilon"])
+
+
+def test_collapse_time_survival_on_the_threshold():
+    # q0 0.99 at epsilon 0.01 rounds to an r0 one ulp inside L, and the
+    # start is still on the threshold: both starts there have collapsed
+    assert abs(_logit(0.99)) < math.log1p(-0.01) - math.log(0.01)
+    for q0 in (0.99, 0.01):
+        assert collapse_time_survival([1e-6, 1e-3, 0.005, 0.1], q0, 0.01).tolist() == [0.0] * 4
 
 
 def test_collapse_time_survival_at_small_tau():

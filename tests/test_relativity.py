@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -8,6 +9,9 @@ from collapsemc.relativity import (C, Event, Frame, InvalidGeometryError,
                                    min_separation)
 
 V99 = 0.99 * C
+
+# the largest d whose gap 2 gamma v d / c^2 is finite at 0.99c
+D_MAX_V99 = 4.272245538645686e298
 
 
 def sig_figs_equal(x: float, y: float, n: int) -> bool:
@@ -98,24 +102,23 @@ def test_activation_gap_keeps_the_bits_of_the_direct_form():
     for d in (1e-3, 1.0, 1000.0, 2.5e4, 3.7e100):
         for v in (1e-3, 1.0, 0.3 * C, 0.9 * C, V99, C * (1 - 1e-12)):
             assert activation_gap(d, v) == 2.0 * gamma(v) * v * d / (C * C)
+    assert activation_gap(D_MAX_V99, V99) == 2.0 * gamma(V99) * V99 * D_MAX_V99 / (C * C)
     for tau in (1e-9, 1e-4, 3e-3, 1e100):
         for v in (0.3 * C, V99):
             assert min_separation(tau, v) == tau * C * C / (2.0 * gamma(v) * v)
 
 
 def test_activation_gap_past_the_direct_products_range():
-    # at v 0.99c, 2 gamma v d overflows from d near 4.3e298 m, where the
-    # gap is still of order 1e291 s; it stays linear in d
-    assert math.isinf(2.0 * gamma(V99) * V99 * 5e298)
-    assert activation_gap(5e298, V99) == pytest.approx(
-        1e8 * activation_gap(5e290, V99), rel=1e-14)
-    assert math.isfinite(activation_gap(1e308, V99))
-    assert activation_gap(math.inf, V99) == math.inf
-    # tau c^2 overflows here while d is about 6.7e295 m
-    v = C * (1 - 1e-15)
-    d = min_separation(1e295, v)
-    assert d == pytest.approx(1e10 * min_separation(1e285, v), rel=1e-14)
-    assert activation_gap(d, v) == pytest.approx(1e295, rel=1e-12)
+    # at v 0.99c, 2 gamma v d overflows for every d above D_MAX_V99, and
+    # such a gap is refused, with the d and v that give it
+    for d in (math.nextafter(D_MAX_V99, math.inf), 5e298, 1e308, math.inf):
+        assert math.isinf(2.0 * gamma(V99) * V99 * d)
+        with pytest.raises(InvalidGeometryError, match=re.escape(
+                f"d {d} and v {V99} give an activation gap that overflows a float")):
+            activation_gap(d, V99)
+    # tau c^2 overflows here, though d would be about 6.7e295 m
+    with pytest.raises(InvalidGeometryError, match="separation that overflows"):
+        min_separation(1e295, C * (1 - 1e-15))
 
 
 def test_min_separation_value():
@@ -136,10 +139,12 @@ def test_min_separation_validation():
     for tau in (0.0, math.inf, math.nan):
         with pytest.raises(InvalidGeometryError, match="tau must be finite and > 0"):
             min_separation(tau, V99)
-    # the direct product and its fallback both overflow
-    with pytest.raises(InvalidGeometryError, match="overflows"):
-        min_separation(1e300, 1.0)
-    assert math.isfinite(min_separation(1e300, V99))
+    # tau c^2 overflows from tau near 2e291 s, at any v
+    assert math.isfinite(min_separation(2e291, V99))
+    for v in (1.0, V99):
+        with pytest.raises(InvalidGeometryError, match=re.escape(
+                f"tau 1e+300 at v {v} gives a separation that overflows")):
+            min_separation(1e300, v)
     with pytest.raises(SuperluminalFrameError):
         min_separation(1e-4, 1.5 * C)
 
@@ -175,22 +180,14 @@ def test_boost_keeps_the_bits_of_the_direct_form():
 
 
 def test_boost_past_the_direct_products_range():
-    # at v 0.99c, v x overflows from x near 6e299 m, where the time lag
-    # is still of order 1e291 s; the boosted time stays linear in x
-    assert math.isinf(V99 * 1e300)
-    far = boost(Event(0.0, 1e300), V99)
-    assert far.t == pytest.approx(1e8 * boost(Event(0.0, 1e292), V99).t, rel=1e-14)
-    assert far.x == gamma(V99) * 1e300
-    back = boost(Event(0.0, -1e302), -V99)
-    assert math.isfinite(back.t) and back.t < 0
-    # at v c/2, v t overflows from t near 1.2e300 s, where x - v t is
-    # still finite; the boosted position stays linear in (t, x)
-    v = 0.5 * C
-    assert math.isinf(v * 1.2e300)
-    far = boost(Event(1.2e300, 1.7e308), v)
-    assert far.x == pytest.approx(-1.1403216e307, rel=1e-7)
-    assert far.x == pytest.approx(1e10 * boost(Event(1.2e290, 1.7e298), v).x, rel=1e-12)
-    assert boost(Event(-1.2e300, -1.7e308), v).x == -far.x
+    # at v 0.99c, v x overflows from x near 6e299 m, and at v c/2, v t from
+    # t near 1.2e300 s; Event refuses the boosted coordinate that overflows
+    assert math.isfinite(boost(Event(0.0, 1e299), V99).t)
+    for t, x, v in ((0.0, 1e300, V99), (0.0, -1e302, -V99), (1.2e300, 1.7e308, 0.5 * C),
+                    (-1.2e300, -1.7e308, 0.5 * C)):
+        assert math.isinf(v * x) or math.isinf(v * t)
+        with pytest.raises(ValueError, match="event components must be finite, got .*inf"):
+            boost(Event(t, x), v)
 
 
 def interval2(e):
