@@ -11,6 +11,12 @@ ENSEMBLE_COMMANDS lists for it, read from the manifest just written.  The
 summary and the --verbose table both read the manifest's stats block.
 Each ensemble flag is stored under its EnsembleConfig field, and only when
 given, so the config is the config file's fields updated by the flags.
+
+disagree prints as ``analytic`` the manifest's analytic_disagreement,
+2 p (1 - p): the Gamma_A Delta -> infinity limit of the idealization in
+which frame A runs on D1's noise alone, not a prediction at the given d
+and v.  At the defaults Gamma_A Delta = 0.936, and the
+budget_violation_fraction printed beside it is 1.0.
 """
 
 from __future__ import annotations

@@ -14,12 +14,12 @@ The records of an ensemble are one record table (see
 ``experiment.RECORD_DTYPE``) sorted by (run_index, frame).  A chunk is a
 contiguous range of run indices, so it comes back as its slice of that
 table, sorted where it ran, and the table is the slices in chunk order.
-Statistics are counted over its columns by an order-independent
-reduction, with Wilson score intervals for the binomial rates, into the
-dict that the manifest stores as its ``stats`` block.  The exported
-fields that are not columns, first_detector and the readings, follow from
-the frame and the winner, and are spelled only while the records are
-written.
+A run's frames are thus adjacent rows, which is how the statistics pair
+them.  The statistics, with Wilson score intervals for the binomial
+rates, are the dict that the manifest stores as its ``stats`` block.  The
+exported fields that are not columns, first_detector and the readings,
+follow from the frame and the winner, and are spelled only while the
+records are written.
 
 Record format contract.  A records file holds one line per row, in table
 order: CSV with a header of CSV_COLUMNS and CRLF line ends, or JSONL with
@@ -50,7 +50,7 @@ from .dynamics import _step
 from .experiment import (Scenario, build_scenario, disagreement_rate_analytic, frame_pair,
                          run_frame_batch)
 from .noise import RUN_INDEX_LIMIT
-from .relativity import C, FRAME_LABELS, Frame, InvalidGeometryError, activation_gap, gamma
+from .relativity import C, FRAME_LABELS, Frame, activation_gap, gamma
 
 # the frames each experiment kind runs, at the configured v
 KIND_FRAMES = {
@@ -101,6 +101,12 @@ class EnsembleAbortError(RuntimeError):
     """More than the tolerated fraction of runs failed to converge."""
 
 
+def _python(value):
+    """A numpy scalar as the Python value .item() gives, anything else as
+    it is: a JSON 1000 stays the int 1000."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     kind: str
@@ -115,6 +121,13 @@ class EnsembleConfig:
     workers: int = 1
 
     def __post_init__(self):
+        # a numpy number passes the type checks below but not json.dumps,
+        # so it is stored as the Python number it equals
+        for name in self.__dataclass_fields__:
+            object.__setattr__(self, name, _python(getattr(self, name)))
+        if isinstance(self.overrides, dict):
+            object.__setattr__(self, "overrides",
+                               {k: _python(v) for k, v in self.overrides.items()})
         kinds = tuple(KIND_FRAMES)  # a tuple, so an unhashable kind is only unknown
         if self.kind not in kinds:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; expected one of {kinds}")
@@ -132,14 +145,10 @@ class EnsembleConfig:
             raise ConfigError(f"master_seed must fit in uint64, got {self.master_seed}")
         if not 0.0 <= self.q0 <= 1.0:
             raise ConfigError(f"q0 must be in [0, 1], got {self.q0}")
-        if not self.d > 0:
-            raise ConfigError(f"d must be > 0, got {self.d}")
-        if not 0 < self.v < C:
-            raise ConfigError(f"v must satisfy 0 < v < c, got {self.v}")
-        # the manifest records the gap, which is refused past the float range
+        # the geometry rules are the refusals of the gap the manifest records
         try:
             activation_gap(self.d, self.v)
-        except InvalidGeometryError as exc:
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.record_format not in ("csv", "jsonl"):
             raise ConfigError(f"record_format must be 'csv' or 'jsonl', got {self.record_format!r}")
@@ -254,24 +263,26 @@ def run_ensemble(config: EnsembleConfig) -> tuple[dict, np.ndarray]:
 
 # bench/spans.py reads argument 2, records, by position or name
 def compute_stats(kind: str, runs: int, records: np.ndarray) -> dict:
-    """Order-independent reduction of a record table into the manifest's
-    stats block: n, counts, freq, wilson, duration_quantiles_s and
-    budget_violation_fraction."""
-    absorbed = records[records["winner"] > 0]
+    """Reduce a record table sorted by (run_index, frame) into the
+    manifest's stats block: n, counts, freq, wilson, duration_quantiles_s
+    and budget_violation_fraction.  A run's frames are adjacent rows, and
+    a cross-frame table where they are not is refused with ValueError."""
+    winners = records["winner"]
 
     if kind == "cross_frame":
-        # a run counts only when it absorbed in both frames
-        a = absorbed[absorbed["frame"] == "A"]
-        b = absorbed[absorbed["frame"] == "B"]
-        _, ia, ib = np.intersect1d(a["run_index"], b["run_index"], assume_unique=True,
-                                   return_indices=True)
-        disagree = int(np.count_nonzero(a["winner"][ia] != b["winner"][ib]))
-        agree = ia.size - disagree
+        by_run = records["run_index"].reshape(runs, -1)
+        if (by_run != by_run[:, :1]).any():
+            raise ValueError("a run's frames must be adjacent rows of the record table")
+        # one row per run; it counts only when it absorbed in both frames
+        pairs = winners.reshape(runs, -1)
+        ok = (pairs > 0).all(axis=1)
+        disagree = int(np.count_nonzero(ok & (pairs[:, 0] != pairs[:, 1])))
+        agree = int(np.count_nonzero(ok)) - disagree
         counts = {"agree": agree, "disagree": disagree, "failed": runs - agree - disagree}
         rate_classes = ("agree", "disagree")
     else:
-        w1 = int(np.count_nonzero(absorbed["winner"] == 1))
-        w2 = int(np.count_nonzero(absorbed["winner"] == 2))
+        w1 = int(np.count_nonzero(winners == 1))
+        w2 = int(np.count_nonzero(winners == 2))
         counts = {"winner1": w1, "winner2": w2, "failed": runs - w1 - w2}
         rate_classes = ("winner1", "winner2")
 
@@ -280,8 +291,9 @@ def compute_stats(kind: str, runs: int, records: np.ndarray) -> dict:
     wilson = {c: (list(wilson_interval(counts[c], n_ok)) if n_ok else [0.0, 1.0])
               for c in rate_classes}
 
-    quantiles = (np.quantile(absorbed["duration"], [0.1, 0.5, 0.9]).tolist()
-                 if absorbed.size else [math.nan] * 3)
+    durations = records["duration"][winners > 0]
+    quantiles = (np.quantile(durations, [0.1, 0.5, 0.9]).tolist()
+                 if durations.size else [math.nan] * 3)
 
     _, beat, violations = np.bincount(records["within_budget"], minlength=3).tolist()
     budget_fraction = violations / (beat + violations) if beat + violations else 0.0

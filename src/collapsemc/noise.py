@@ -63,7 +63,7 @@ promises; the manifest of an ensemble records both.
 from __future__ import annotations
 
 import hashlib
-import operator
+import numbers
 
 import numpy as np
 from numpy.random import Philox
@@ -120,8 +120,11 @@ def derive_stream_key(master_seed: int, detector_id: str, salt: str = "") -> Str
     detector; the default empty salt is the primary stream, which is the
     only one the engine draws.  A detector id may not contain ``|``, so
     distinct (master_seed, detector_id, salt) give distinct strings, and
-    their keys could meet only through a SHA-256 collision.
+    their keys could meet only through a SHA-256 collision.  A float or
+    bool seed is refused with TypeError: it would spell "1.0" or "True",
+    not the integer it equals.
     """
+    master_seed = _integer(master_seed, "master_seed must be an integer")
     if not 0 <= master_seed < 2**64:
         raise ValueError(f"master_seed must fit in uint64, got {master_seed}")
     if "|" in detector_id:
@@ -138,11 +141,12 @@ def derive_stream_key(master_seed: int, detector_id: str, salt: str = "") -> Str
     return (k0, k1)
 
 
-def _run_index(k) -> int:
-    """One run index as an int: True is not run 1."""
-    if isinstance(k, bool):
-        raise TypeError(f"run indices must be integers, got {k!r}")
-    return operator.index(k)
+def _integer(k, refusal: str) -> int:
+    """k as an int, or the TypeError that starts with refusal: a float is
+    not an integer, and True is not 1.  numpy integers are integers."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise TypeError(f"{refusal}, got {k!r}")
+    return int(k)
 
 
 def _run_indices(runs):
@@ -156,7 +160,8 @@ def _run_indices(runs):
     else:
         # exact Python ints: numpy would infer float64 for a list that
         # mixes indices past 2**63 with small ones
-        idx = np.array([_run_index(k) for k in runs], dtype=object)
+        idx = np.array([_integer(k, "run indices must be integers") for k in runs],
+                       dtype=object)
     if idx.ndim != 1:
         raise ValueError(f"run indices must be 1-D, got shape {idx.shape}")
     if idx.size == 0:
@@ -235,15 +240,17 @@ class PhiloxNoiseSource:
         takes one call per maximal segment of consecutive indices.  Either
         way only the requested runs' words are transformed, once over all
         of them, and a run's normals are the same bits on both paths.
-        Raises ValueError for a block index outside [0, 2**64) or a run
-        index outside [0, RUN_INDEX_LIMIT).
+        Raises TypeError for a block index or a run index that is not an
+        integer (a float or a bool), and ValueError for a block index
+        outside [0, 2**64) or a run index outside [0, RUN_INDEX_LIMIT).
         """
+        block_index = _integer(block_index, "block_index must be an integer")
         if not 0 <= block_index < 2**64:
             raise ValueError(f"block_index must be in [0, 2**64), got {block_index}")
         idx, lo, hi = _run_indices(runs)
         if idx.size == 0:
             return np.empty(0, dtype=np.float32)
-        self._counter[1] = int(block_index)
+        self._counter[1] = block_index
         self._key[0], self._key[1] = key
         span = hi - lo + 1
         if idx.size >= SPAN_MIN_FILL * span:

@@ -50,6 +50,22 @@ def test_frames_rest_frame_simultaneous(capsys):
     assert data["frames"]["A"]["t1_s"] == pytest.approx(3.33564e-6, rel=1e-5)
 
 
+def test_frames_verbose_table(capsys):
+    # the table lists frame0, A and B, each row the JSON's two times as
+    # %.6e, and stdout is that of the run without --verbose
+    args = ("frames", "--d", "1000", "--v", str(V99))
+    code, plain, err = run_cli(capsys, *args)
+    assert code == 0 and err == ""
+    code, out, err = run_cli(capsys, *args, "--verbose")
+    assert code == 0 and out == plain
+    header, *rows = err.splitlines()
+    assert header.split() == ["frame", "t(event", "1)", "s", "t(event", "2)", "s"]
+    frames = json.loads(out)["frames"]
+    assert [row.split() for row in rows] == [
+        [label, f"{frames[label]['t1_s']:.6e}", f"{frames[label]['t2_s']:.6e}"]
+        for label in ("frame0", "A", "B")]
+
+
 def test_frame_labels_agree_across_layers(capsys, tmp_path):
     # frames' stdout, the manifest's rates and the records name the same
     # frames, whose labels follow from their velocities

@@ -376,17 +376,32 @@ def test_compute_stats_failed_class():
     assert stats["budget_violation_fraction"] == 0.0
 
 
+# run 0 disagrees, run 1 failed in B, run 2 agrees, run 3 failed in A;
+# only run 2's B row missed its budget
+CROSS_ROWS = ((0, "A", 1, 1e-4, 1), (0, "B", 2, 1e-4, 1),
+              (1, "A", 2, 1e-4, 1), (1, "B", 0, 0.5, 0),
+              (2, "A", 1, 1e-4, 1), (2, "B", 1, 3e-4, 2),
+              (3, "A", 0, 0.5, 0), (3, "B", 1, 1e-4, 1))
+
+
 def test_compute_stats_cross_frame_counts():
-    # run 0 disagrees, run 1 failed in B, run 2 agrees, run 3 failed in A;
-    # rows out of order, and only run 2's B row missed its budget
-    records = _table((2, "B", 1, 3e-4, 2), (0, "A", 1, 1e-4, 1),
-                     (1, "B", 0, 0.5, 0), (0, "B", 2, 1e-4, 1),
-                     (3, "A", 0, 0.5, 0), (3, "B", 1, 1e-4, 1),
-                     (1, "A", 2, 1e-4, 1), (2, "A", 1, 1e-4, 1))
-    stats = compute_stats("cross_frame", 4, records)
+    # the rows in table order: a run's two frames are adjacent
+    stats = compute_stats("cross_frame", 4, _table(*CROSS_ROWS))
     assert stats["counts"] == {"agree": 1, "disagree": 1, "failed": 2}
     assert stats["freq"] == {"agree": 0.5, "disagree": 0.5}
     assert stats["budget_violation_fraction"] == 1 / 6
+
+
+def test_compute_stats_refuses_unpaired_rows():
+    # the same rows out of order: adjacent rows of different runs would
+    # pair frames of different trials
+    rows = [CROSS_ROWS[i] for i in (5, 0, 3, 1, 6, 7, 2, 4)]
+    with pytest.raises(ValueError, match="adjacent rows"):
+        compute_stats("cross_frame", 4, _table(*rows))
+    # single-frame counts do not depend on the row order
+    single = _table(*((k, "A", w, 1e-4, 1) for k, w in ((2, 1), (0, 2), (3, 0), (1, 1))))
+    assert compute_stats("collapse_time", 4, single)["counts"] == \
+        {"winner1": 2, "winner2": 1, "failed": 1}
 
 
 def test_compute_stats_counts_each_failed_run_once():
@@ -566,10 +581,10 @@ def test_manifest_rates_are_the_engines():
     overrides = {"eta": 5.34e10, "dt": 1e-9}
     cfg = EnsembleConfig(kind="cross_frame", runs=10, overrides=overrides)
     derived = build_manifest(cfg)["derived"]
-    rate_d1, rate_d2 = build_scenario(overrides=overrides).rates
+    rate = build_scenario(overrides=overrides).rate
     rates = derived["collapse_rate_per_s"]
-    assert (rates["A"], rates["B"]) == (rate_d1, rate_d2) == (570312.0, 570312.0)
-    assert rates["frame0"] == rate_d1 + rate_d2
+    assert rates["A"] == rates["B"] == rate == 570312.0
+    assert rates["frame0"] == rate + rate
     assert derived["gamma_dt"] == {label: rate * 1e-9 for label, rate in rates.items()}
 
 
@@ -585,6 +600,32 @@ def test_export_ensemble_bytes_stable(tmp_path):
         assert json.load(fh) == manifest
     for name in ("records", "manifest"):
         assert Path(paths_a[name]).read_bytes() == Path(paths_b[name]).read_bytes()
+
+
+def test_numpy_numbers_export_as_python_numbers(tmp_path):
+    # numpy numbers pass the config's type checks; they are stored as the
+    # Python numbers they equal, so the export serializes them, and the
+    # files are those of the config written with Python numbers
+    overrides = {"max_steps": 5000, "epsilon": 1e-6}
+    plain = EnsembleConfig(kind="cross_frame", runs=300, master_seed=7, q0=0.75, d=1000,
+                           v=0.9 * C, overrides=overrides, workers=1)
+    scalars = EnsembleConfig(kind=np.str_("cross_frame"), runs=np.int64(300),
+                            master_seed=np.uint64(7), q0=np.float32(0.75), d=np.int32(1000),
+                            v=np.float64(0.9 * C), workers=np.int64(1),
+                            overrides={"max_steps": np.int64(5000), "epsilon": np.float64(1e-6)})
+    assert scalars == plain
+    assert [type(getattr(scalars, name)) for name in ("kind", "runs", "master_seed", "q0", "d")] \
+        == [str, int, int, float, int]
+    assert {key: type(value) for key, value in scalars.overrides.items()} == \
+        {"max_steps": int, "epsilon": float}
+    files = {}
+    for name, cfg in (("plain", plain), ("scalars", scalars)):
+        paths, _ = export_ensemble(cfg, *run_ensemble(cfg), str(tmp_path / name))
+        files[name] = [Path(paths[f]).read_bytes() for f in ("records", "manifest")]
+    assert files["scalars"] == files["plain"]
+    # a numpy bool is refused as a bool is
+    with pytest.raises(ConfigError, match="runs must be an integer, got True"):
+        EnsembleConfig(kind="born_rule", runs=np.bool_(True))
 
 
 def test_failed_export_keeps_the_previous_files(tmp_path, monkeypatch):

@@ -46,7 +46,7 @@ def test_build_scenario_default_rates():
     # lam 1e-16 and eta 1e10 give each detector 2 lam eta^2 = 2e4 per
     # second, and frame 0 runs at the sum of both
     scn = build_scenario(d=1000.0, q0=0.5)
-    assert scn.rates == (2e4, 2e4)
+    assert scn.rate == 2e4
     assert scn.frame_rates(FRAME_A) == (2e4,)
     assert scn.frame_rates(FRAME_B) == (2e4,)
     assert scn.frame_rates(FRAME_0) == (2e4, 2e4)
@@ -72,7 +72,7 @@ def test_active_detectors_per_frame():
 def test_build_scenario_overrides():
     scn = build_scenario(overrides={"eta": 2e10, "lam": 2e-16})
     assert scn.frame_rates(FRAME_A) == (2e-16 * ((2e10) ** 2 + (2e10) ** 2),)
-    assert scn.rates[0] == pytest.approx(2.0 * 2e-16 * (2e10) ** 2, rel=1e-15)
+    assert scn.rate == pytest.approx(2.0 * 2e-16 * (2e10) ** 2, rel=1e-15)
 
 
 def test_build_scenario_invalid_overrides():
@@ -98,14 +98,12 @@ def test_build_scenario_invalid_overrides():
 
 
 def test_detector_spec_validation():
-    # a scenario specifies each detector, D1 then D2, by its rate, which
-    # must be finite and > 0
+    # a scenario specifies both detectors by their one rate, which must be
+    # finite and > 0
     params = CollapseParams(dt=1.25e-7)
-    with pytest.raises(ValueError, match="one rate per detector"):
-        Scenario(d=1000.0, q0=0.5, rates=(2e4,), params=params)
     for bad in (-2e4, math.inf, math.nan):
-        with pytest.raises(ValueError, match="D2 must be finite and > 0"):
-            Scenario(d=1000.0, q0=0.5, rates=(2e4, bad), params=params)
+        with pytest.raises(ValueError, match="detector rate must be finite and > 0"):
+            Scenario(d=1000.0, q0=0.5, rate=bad, params=params)
 
 
 @pytest.mark.parametrize("overrides", [{"eta": 1e160, "dt": 1e-9},
@@ -323,12 +321,13 @@ def test_born_marginal_per_frame():
 
 
 def mirror_scenario(scenario: Scenario) -> Scenario:
-    """Relabel D1 <-> D2 and branches 1 <-> 2.
+    """Relabel D1 <-> D2 and branches 1 <-> 2: both detectors share one
+    rate, so only q0 -> 1 - q0 changes.
 
     Outcome statistics are invariant under the combined relabeling plus
     v -> -v.
     """
-    return replace(scenario, q0=1.0 - scenario.q0, rates=scenario.rates[::-1])
+    return replace(scenario, q0=1.0 - scenario.q0)
 
 
 def test_mirror_symmetry_statistics():
@@ -364,9 +363,9 @@ def test_frame_pair_validation():
 
 
 def test_scenario_rejects_identical_branch_profiles():
-    # a detector whose pointer sits alike in both branches has rate 0, and
-    # a frame it drives alone could never collapse
+    # a pointer that sits alike in both branches gives rate 0, and a frame
+    # its detector drives could never collapse
     params = CollapseParams(dt=1.25e-7)
-    for rates, det in (((2e4, 0.0), "D2"), ((0.0, 2e4), "D1")):
-        with pytest.raises(ValueError, match=f"rate of {det} is 0; no collapse possible"):
-            Scenario(d=1000.0, q0=0.5, rates=rates, params=params)
+    for zero in (0.0, -0.0):
+        with pytest.raises(ValueError, match="detector rate is 0; no collapse possible"):
+            Scenario(d=1000.0, q0=0.5, rate=zero, params=params)

@@ -104,6 +104,13 @@ def test_key_input_validation():
     # "D1|x" with no salt would spell the same string as "D1" with salt "x"
     with pytest.raises(ValueError, match=r"\|"):
         derive_stream_key(5, "D1|x")
+    # 1.0 would hash "1.0" and True "True": a seed is an integer, and a
+    # numpy integer is the seed it equals
+    for bad in (1.0, True, False, np.float64(1.0), np.bool_(True)):
+        with pytest.raises(TypeError, match="master_seed must be an integer"):
+            derive_stream_key(bad, "D1")
+    assert derive_stream_key(np.int64(1), "D1") == derive_stream_key(1, "D1")
+    assert derive_stream_key(np.uint64(2**64 - 1), "D1") == derive_stream_key(2**64 - 1, "D1")
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +326,13 @@ def test_block_normals_validation():
     for bad in (-1, 2**64):
         with pytest.raises(ValueError, match=str(bad)):
             src.block_normals(key, bad, [0])
+    # 1.5 and True would both read window 1: a block index is an integer,
+    # and a numpy integer is the window it equals
+    for bad in (1.5, 1.0, True, np.float32(1.0), np.bool_(True)):
+        with pytest.raises(TypeError, match="block_index must be an integer"):
+            src.block_normals(key, bad, [0])
+    assert np.array_equal(src.block_normals(key, np.int64(1), [0]),
+                          src.block_normals(key, 1, [0]))
     # run index: the last run whose window ends inside the low counter word
     assert RUN_INDEX_LIMIT == 2**60 - 1
     last = RUN_INDEX_LIMIT - 1
