@@ -11,25 +11,18 @@ one engine call and of one pool task.  The scenario is built once, with
 the configuration, and every chunk and the manifest read it.
 
 The records of an ensemble are one record table (see
-``experiment.RECORD_DTYPE``) sorted by (run_index, frame).  A chunk is a
-contiguous range of run indices, so it comes back as its slice of that
-table, sorted where it ran, and the table is the slices in chunk order.
-A run's frames are thus adjacent rows, which is how the statistics pair
-them.  The statistics, with Wilson score intervals for the binomial
-rates, are the dict that the manifest stores as its ``stats`` block.  The
-exported fields that are not columns, first_detector and the readings,
-follow from the frame and the winner, and are spelled only while the
-records are written.
-
-Record format contract.  A records file holds one line per row, in table
-order: CSV with a header of CSV_COLUMNS and CRLF line ends, or JSONL with
-one LF-ended object per line and its keys in sorted order.  A run that hit
-the step cap writes run_index, frame and winner 0, empty strings for
-first_detector and the readings, and None for duration_s and
-within_budget.  None is an empty cell in CSV and null in JSONL; True and
-False are true and false in both.  duration_s is the shortest decimal that
-reads back as the same float (Python's repr).  These bytes are part of the
-reproducibility contract: any change to the writer must keep them.
+``experiment.RECORD_DTYPE``) whose rows name no frame: with F the number
+of frames the kind runs (``KIND_FRAMES``), row F k + f is run k in frame f
+of that tuple.  A chunk is a contiguous range of run indices, so it comes
+back as its slice of that table, ordered where it ran, and the table is
+the slices in chunk order.  A run's frames are thus adjacent rows, which
+is how the statistics pair them.  The statistics, with Wilson score
+intervals for the binomial rates, are the dict that the manifest stores as
+its ``stats`` block.  The exported fields that are not columns, the frame
+label, first_detector and the readings, follow from a row's place and its
+winner, and are spelled only while the records are written; the bytes of
+a records file are part of the reproducibility contract, which
+``export_records`` states.
 """
 
 from __future__ import annotations
@@ -50,7 +43,7 @@ from .dynamics import _step
 from .experiment import (Scenario, build_scenario, disagreement_rate_analytic, frame_pair,
                          run_frame_batch)
 from .noise import RUN_INDEX_LIMIT
-from .relativity import C, FRAME_LABELS, Frame, activation_gap, gamma
+from .relativity import C, Frame, activation_gap, first_detector, gamma
 
 # the frames each experiment kind runs, at the configured v
 KIND_FRAMES = {
@@ -71,9 +64,6 @@ CSV_COLUMNS = ("run_index", "frame", "first_detector", "winner",
 
 # (reading_D1, reading_D2) by winner; a run that hit the step cap reads nothing
 READINGS = (("", ""), ("yes", "no"), ("no", "yes"))
-
-# the first detector of each frame label, as a record spells it
-FIRST_DETECTORS = {label: det for det, label in FRAME_LABELS.items()}
 
 # Line layout of each record format and its spelling of None, True and
 # False.  A layout is filled by str.format with the fields in CSV_COLUMNS
@@ -216,13 +206,14 @@ def scenario_from_config(config: EnsembleConfig) -> Scenario:
 
 def _run_chunk(config: EnsembleConfig, lo: int) -> np.ndarray:
     """The chunk of runs that starts at lo, as its slice of the ensemble's
-    record table: its rows in table order, sorted by (run_index, frame) in
-    the process that ran them."""
+    record table, put in table order in the process that ran them.  The
+    frames' parts arrive in the kind's frame order, so a stable sort by
+    run_index leaves each run's rows in that order."""
     runs = range(lo, min(lo + CHUNK_RUNS, config.runs))
     table = np.concatenate([part for frame in KIND_FRAMES[config.kind](config.v)
                             for part in run_frame_batch(config.scenario, frame,
                                                         config.master_seed, runs)])
-    return table[np.lexsort((table["frame"], table["run_index"]))]
+    return table[np.argsort(table["run_index"], kind="stable")]
 
 
 def usable_cpus() -> int:
@@ -237,9 +228,10 @@ def run_ensemble(config: EnsembleConfig) -> tuple[dict, np.ndarray]:
     """Execute the configured experiment and reduce its statistics.
 
     Returns (stats, records): stats is compute_stats's dict, the manifest's
-    stats block, and records one table sorted by (run_index, frame), the
-    chunks' slices joined in chunk order.  Raises EnsembleAbortError if
-    more than 1% of runs fail to converge.
+    stats block, and records the record table, row F k + f for run k in
+    frame f of the kind's frames: the chunks' slices joined in chunk
+    order.  Raises EnsembleAbortError if more than 1% of runs fail to
+    converge.
     """
     starts = range(0, config.runs, CHUNK_RUNS)
     # under fork every worker starts at the first submit, so a worker past
@@ -263,7 +255,7 @@ def run_ensemble(config: EnsembleConfig) -> tuple[dict, np.ndarray]:
 
 # bench/spans.py reads argument 2, records, by position or name
 def compute_stats(kind: str, runs: int, records: np.ndarray) -> dict:
-    """Reduce a record table sorted by (run_index, frame) into the
+    """Reduce a record table, row F k + f for run k in frame f, into the
     manifest's stats block: n, counts, freq, wilson, duration_quantiles_s
     and budget_violation_fraction.  A run's frames are adjacent rows, and
     a cross-frame table where they are not is refused with ValueError."""
@@ -307,8 +299,11 @@ def compute_stats(kind: str, runs: int, records: np.ndarray) -> dict:
 # ---------------------------------------------------------------------------
 
 # bench/spans.py reads argument 0, records, by position or name
-def export_records(records: np.ndarray, path: str, fmt: str = "csv") -> None:
+def export_records(records: np.ndarray, path: str, fmt: str, frames: tuple[Frame, ...]) -> None:
     """Write a record table as CSV or JSONL, one line per row, in table order.
+
+    Row F k + f of the table is in frames[f], with F = len(frames); a table
+    whose length is not a multiple of F is refused with ValueError.
 
     The bytes of a records file are part of the reproducibility contract:
     any change to this writer must keep them.
@@ -317,8 +312,9 @@ def export_records(records: np.ndarray, path: str, fmt: str = "csv") -> None:
       line is one object ending in LF, with its keys in sorted order:
       duration_s, first_detector, frame, reading_D1, reading_D2, run_index,
       winner, within_budget.
-    - first_detector is the one the frame label names (relativity's
-      FRAME_LABELS), and the readings follow from the winner (READINGS).
+    - frame is the row's frame label and first_detector the detector that
+      activates first in it (relativity.first_detector); the readings
+      follow from the winner (READINGS).
     - A run that hit the step cap writes its run_index, frame and winner 0;
       first_detector and both readings are empty strings, and duration_s
       and within_budget are None.
@@ -335,27 +331,31 @@ def export_records(records: np.ndarray, path: str, fmt: str = "csv") -> None:
     """
     if fmt not in _LINE_FORMATS:
         raise ValueError(f"format must be 'csv' or 'jsonl', got {fmt!r}")
+    if len(records) % len(frames):
+        raise ValueError(f"{len(records)} rows do not hold {len(frames)} frames per run")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if fmt == "csv":
             fh.write(",".join(CSV_COLUMNS) + "\r\n")
         # slices bound the memory the writer adds to that of the table
         for lo in range(0, len(records), CHUNK_RUNS):
-            fh.write(_format_lines(records[lo:lo + CHUNK_RUNS], fmt))
+            fh.write(_format_lines(records[lo:lo + CHUNK_RUNS], fmt, frames))
 
 
-def _format_lines(records: np.ndarray, fmt: str) -> str:
+def _format_lines(records: np.ndarray, fmt: str, frames: tuple[Frame, ...]) -> str:
     """The lines of export_records for the rows of a record table."""
     line, literal = _LINE_FORMATS[fmt]
-    frame, winner, within = records["frame"], records["winner"], records["within_budget"]
-    _, key = np.unique(frame, return_inverse=True)
-    key = (key * 3 + winner) * 3 + within  # both are codes 0-2 already
+    winner, within = records["winner"], records["within_budget"]
+    # a slice starts at a multiple of CHUNK_RUNS, which every kind's number
+    # of frames (1 or 2) divides, so its own row index gives the frame
+    place = np.arange(len(records)) % len(frames)
+    key = (place * 3 + winner) * 3 + within  # both are codes 0-2 already
     _, rows, line_class = np.unique(key, return_index=True, return_inverse=True)
     within_literals = (literal[None], literal[True], literal[False])
     templates = np.empty(len(rows), dtype=object)
     for i, row in enumerate(rows.tolist()):
-        w = int(winner[row])
-        first = FIRST_DETECTORS[frame[row]] if w else ""
-        text = line.format(_RUN, frame[row], first, w,
+        w, frame = int(winner[row]), frames[place[row]]
+        first = first_detector(frame) if w else ""
+        text = line.format(_RUN, frame.label, first, w,
                            *READINGS[w], _DURATION, within_literals[within[row]])
         templates[i] = tuple(text.replace(_DURATION, _RUN).split(_RUN))
     # a bit pattern is one repr; failed rows point past the distinct values
@@ -429,7 +429,8 @@ def export_ensemble(config: EnsembleConfig, stats: dict, records: np.ndarray,
              "manifest": os.path.join(out_dir, "manifest.json")}
     temps = {name: f"{path}.tmp" for name, path in paths.items()}
     try:
-        export_records(records, temps["records"], config.record_format)
+        export_records(records, temps["records"], config.record_format,
+                       KIND_FRAMES[config.kind](config.v))
         with open(temps["manifest"], "w", encoding="utf-8") as fh:
             fh.write(manifest_text)
         for name, path in paths.items():

@@ -45,7 +45,7 @@ import numpy as np
 
 from .dynamics import CollapseParams, _logit, collapse_batch
 from .noise import DEFAULT_NOISE, PhiloxNoiseSource, derive_stream_key
-from .relativity import C, FRAME_LABELS, Frame, activation_gap, first_detector
+from .relativity import C, Frame, activation_gap, first_detector
 
 # Scenario builders pick dt so that Gamma * dt at the largest per-frame
 # rate (frame 0, both detectors) equals this, about 140 steps a run at
@@ -166,14 +166,13 @@ def active_detectors(frame: Frame) -> tuple[str, ...]:
 
 
 # Columns of a record table, one row per (run, frame), the same for every
-# frame: the frame field fits the longest label.  winner is 1 or 2, or 0
-# for a run that hit the step cap.  within_budget is 1 where the collapse
-# beat the frame's activation gap, 2 where it did not, and 0 where there is
-# no verdict: a run that hit the step cap, or frame 0, which has no gap.
-RECORD_DTYPE = np.dtype([("run_index", np.int64),
-                         ("frame", f"U{max(map(len, FRAME_LABELS.values()))}"),
-                         ("winner", np.int8), ("duration", np.float64),
-                         ("within_budget", np.int8)])
+# frame.  A row does not name its frame: the table that holds it does, by
+# the row's place (see ensemble).  winner is 1 or 2, or 0 for a run that
+# hit the step cap.  within_budget is 1 where the collapse beat the frame's
+# activation gap, 2 where it did not, and 0 where there is no verdict: a
+# run that hit the step cap, or frame 0, which has no gap.
+RECORD_DTYPE = np.dtype([("run_index", np.int64), ("winner", np.int8),
+                         ("duration", np.float64), ("within_budget", np.int8)])
 
 
 def run_frame_batch(scenario: Scenario, frame: Frame, master_seed: int,
@@ -195,7 +194,6 @@ def run_frame_batch(scenario: Scenario, frame: Frame, master_seed: int,
                          params.max_steps, tuple(zip(*keys)), runs, noise=noise)
     table = np.empty(runs.size, dtype=RECORD_DTYPE)
     table["run_index"] = run_indices
-    table["frame"] = frame.label
     table["winner"] = res.winner
     table["duration"] = res.duration
     absorbed = res.winner > 0

@@ -122,11 +122,17 @@ def derive_stream_key(master_seed: int, detector_id: str, salt: str = "") -> Str
     distinct (master_seed, detector_id, salt) give distinct strings, and
     their keys could meet only through a SHA-256 collision.  A float or
     bool seed is refused with TypeError: it would spell "1.0" or "True",
-    not the integer it equals.
+    not the integer it equals.  A detector_id or salt that is not a str is
+    refused with TypeError, and one that is not ASCII with ValueError.
     """
     master_seed = _integer(master_seed, "master_seed must be an integer")
     if not 0 <= master_seed < 2**64:
         raise ValueError(f"master_seed must fit in uint64, got {master_seed}")
+    for name, text in (("detector_id", detector_id), ("salt", salt)):
+        if not isinstance(text, str):
+            raise TypeError(f"{name} must be a str, got {text!r}")
+        if not text.isascii():
+            raise ValueError(f"{name} must be ASCII, got {text!r}")
     if "|" in detector_id:
         raise ValueError(f"detector_id may not contain '|', got {detector_id!r}")
     material = b"|".join([

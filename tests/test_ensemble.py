@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 from test_experiment import assert_tables_equal
 
 from collapsemc import ensemble, experiment
-from collapsemc.ensemble import (_LINE_FORMATS, CHUNK_RUNS, CSV_COLUMNS, FIRST_DETECTORS,
+from collapsemc.ensemble import (_LINE_FORMATS, CHUNK_RUNS, CSV_COLUMNS,
                                  KIND_FRAMES, READINGS, ConfigError, EnsembleAbortError,
                                  EnsembleConfig, build_manifest, compute_stats, export_ensemble,
                                  export_records, run_ensemble, wilson_interval)
-from collapsemc.experiment import RECORD_DTYPE, build_scenario
+from collapsemc.experiment import RECORD_DTYPE, build_scenario, run_frame_batch
 from collapsemc.noise import RUN_INDEX_LIMIT, PhiloxNoiseSource
 from collapsemc.relativity import C, Frame, activation_gap, first_detector
 
@@ -108,6 +108,21 @@ def _records(kind, runs, seed=3, q0=0.5, **kw):
     return cfg, stats, records
 
 
+def frame_rows(cfg, frame, runs):
+    """The rows that frame's own run_frame_batch gives for runs, in run
+    order: what the table holds at that frame's places."""
+    table = np.concatenate(run_frame_batch(cfg.scenario, frame, cfg.master_seed, runs))
+    return table[np.argsort(table["run_index"])]
+
+
+def assert_rows_by_place(cfg, table, runs):
+    """Row F i + f of table is run runs[i] in frame f of the kind's frames."""
+    frames = KIND_FRAMES[cfg.kind](cfg.v)
+    assert len(table) == len(frames) * len(runs)
+    for f, frame in enumerate(frames):
+        assert_tables_equal(table[f::len(frames)], frame_rows(cfg, frame, runs))
+
+
 def test_runs_past_the_run_index_limit_are_refused():
     # run indices 0 .. runs - 1 each address a noise stream; only configs
     # are built here, never an ensemble of this size
@@ -143,13 +158,15 @@ def test_cross_frame_ensemble_shape():
     assert sum(stats["counts"].values()) == 300
     assert len(records) == 600
     assert records["run_index"].tolist() == [k for k in range(300) for _ in "AB"]
-    assert records["frame"].tolist() == ["A", "B"] * 300
+    assert [frame.label for frame in KIND_FRAMES[cfg.kind](cfg.v)] == ["A", "B"]
+    assert_rows_by_place(cfg, records, range(300))
     assert 0.0 <= stats["budget_violation_fraction"] <= 1.0
 
 
 def test_collapse_time_ensemble():
     cfg, stats, records = _records("collapse_time", 300)
-    assert np.all(records["frame"] == "A")
+    assert [frame.label for frame in KIND_FRAMES[cfg.kind](cfg.v)] == ["A"]
+    assert_rows_by_place(cfg, records, range(300))
     p10, p50, p90 = stats["duration_quantiles_s"]
     assert 0 < p10 <= p50 <= p90
 
@@ -235,18 +252,16 @@ CAPPED = EnsembleConfig(kind="cross_frame", runs=4096, master_seed=5, q0=0.8, wo
     CAPPED,
 ], ids=[*KIND_FRAMES, "capped"])
 def test_chunks_are_slices_of_the_table_in_chunk_order(monkeypatch, cfg):
-    # each chunk comes back sorted by (run_index, frame), and the pool's
-    # tables joined in chunk order are the ensemble's table
+    # each chunk comes back with row F i + f its i-th run in frame f of the
+    # kind's frames, and the pool's tables joined in chunk order are the
+    # ensemble's table
     _, starts = serial_pool(monkeypatch)
     _, records = run_ensemble(cfg)
-    labels = sorted(frame.label for frame in KIND_FRAMES[cfg.kind](cfg.v))
     chunks = [ensemble._run_chunk(cfg, lo) for lo in starts[0]]
     for lo, chunk in zip(starts[0], chunks):
-        runs = range(lo, min(lo + CHUNK_RUNS, cfg.runs))
-        assert chunk["run_index"].tolist() == [k for k in runs for _ in labels]
-        assert chunk["frame"].tolist() == [label for _ in runs for label in labels]
+        assert_rows_by_place(cfg, chunk, range(lo, min(lo + CHUNK_RUNS, cfg.runs)))
         if cfg is CAPPED:
-            assert set(chunk["frame"][chunk["winner"] == 0].tolist()) == {"A", "B"}
+            assert (chunk["winner"][0::2] == 0).any() and (chunk["winner"][1::2] == 0).any()
     assert_tables_equal(records, np.concatenate(chunks))
 
 
@@ -353,8 +368,8 @@ def test_cross_frame_ensemble_trivial_agreement():
 
 
 def _table(*rows):
-    """A hand-built record table; rows are (run_index, frame, winner,
-    duration, within_budget)."""
+    """A hand-built record table; rows are (run_index, winner, duration,
+    within_budget), and a row's frame is its place."""
     return np.array(list(rows), dtype=RECORD_DTYPE)
 
 
@@ -368,7 +383,7 @@ def _verdict(winner, duration, gap):
 
 
 def test_compute_stats_failed_class():
-    records = _table((0, "A", 1, 1e-4, 1), (1, "A", 0, 0.5, 0))
+    records = _table((0, 1, 1e-4, 1), (1, 0, 0.5, 0))
     stats = compute_stats("collapse_time", 2, records)
     assert stats["counts"] == {"winner1": 1, "winner2": 0, "failed": 1}
     assert stats["freq"]["winner1"] == 1.0
@@ -376,12 +391,13 @@ def test_compute_stats_failed_class():
     assert stats["budget_violation_fraction"] == 0.0
 
 
-# run 0 disagrees, run 1 failed in B, run 2 agrees, run 3 failed in A;
-# only run 2's B row missed its budget
-CROSS_ROWS = ((0, "A", 1, 1e-4, 1), (0, "B", 2, 1e-4, 1),
-              (1, "A", 2, 1e-4, 1), (1, "B", 0, 0.5, 0),
-              (2, "A", 1, 1e-4, 1), (2, "B", 1, 3e-4, 2),
-              (3, "A", 0, 0.5, 0), (3, "B", 1, 1e-4, 1))
+# row 2 k + f is run k in frame f of (A, B): run 0 disagrees, run 1
+# failed in B, run 2 agrees, run 3 failed in A; only run 2's B row missed
+# its budget
+CROSS_ROWS = ((0, 1, 1e-4, 1), (0, 2, 1e-4, 1),
+              (1, 2, 1e-4, 1), (1, 0, 0.5, 0),
+              (2, 1, 1e-4, 1), (2, 1, 3e-4, 2),
+              (3, 0, 0.5, 0), (3, 1, 1e-4, 1))
 
 
 def test_compute_stats_cross_frame_counts():
@@ -399,7 +415,7 @@ def test_compute_stats_refuses_unpaired_rows():
     with pytest.raises(ValueError, match="adjacent rows"):
         compute_stats("cross_frame", 4, _table(*rows))
     # single-frame counts do not depend on the row order
-    single = _table(*((k, "A", w, 1e-4, 1) for k, w in ((2, 1), (0, 2), (3, 0), (1, 1))))
+    single = _table(*((k, w, 1e-4, 1) for k, w in ((2, 1), (0, 2), (3, 0), (1, 1))))
     assert compute_stats("collapse_time", 4, single)["counts"] == \
         {"winner1": 2, "winner2": 1, "failed": 1}
 
@@ -407,9 +423,9 @@ def test_compute_stats_refuses_unpaired_rows():
 def test_compute_stats_counts_each_failed_run_once():
     # run 1 hit the step cap in both frames and run 2 in one: two failed
     # runs, the count run_ensemble aborts on
-    records = _table((0, "A", 1, 1e-4, 1), (0, "B", 1, 1e-4, 1),
-                     (1, "A", 0, 0.5, 0), (1, "B", 0, 0.5, 0),
-                     (2, "A", 2, 1e-4, 1), (2, "B", 0, 0.5, 0))
+    records = _table((0, 1, 1e-4, 1), (0, 1, 1e-4, 1),
+                     (1, 0, 0.5, 0), (1, 0, 0.5, 0),
+                     (2, 2, 1e-4, 1), (2, 0, 0.5, 0))
     assert compute_stats("cross_frame", 3, records)["counts"]["failed"] == 2
 
 
@@ -424,36 +440,44 @@ def test_failed_count_is_the_count_of_capped_runs(kind, max_steps):
     assert stats["counts"]["failed"] == failed_runs.size > 0
 
 
-# An absorbed frame-B row that missed its budget, a run that hit the step
-# cap, and a frame-0 row, which has no activation gap to beat.
-EXPORT_ROWS = ((7, "B", 2, 3.75e-4, 2), (8, "B", 0, 0.125, 0), (9, "frame0", 1, 1.25e-4, 0))
+FRAME_0, FRAME_A, FRAME_B = Frame(0.0), Frame(C / 2), Frame(-C / 2)
+
+# the frames of each kind, which the writer reads a table's rows by
+KIND_TABLE_FRAMES = tuple(frames(C / 2) for frames in KIND_FRAMES.values())
 
 
 def test_export_csv_layout(tmp_path):
-    records = _table((0, "A", 1, 2.5e-4, 2), (1, "A", 2, 1.25e-4, 1),
-                     (2, "A", 0, 0.125, 0), (3, "frame0", 2, 5e-5, 0))
+    # row 2 k + f is run k in frame f of (A, frame0)
+    records = _table((0, 1, 2.5e-4, 2), (0, 2, 5e-5, 0), (1, 2, 1.25e-4, 1), (1, 0, 0.125, 0))
     path = tmp_path / "records.csv"
-    export_records(records, str(path), "csv")
+    export_records(records, str(path), "csv", (FRAME_A, FRAME_0))
     assert path.read_text(encoding="utf-8").splitlines() == [
         "run_index,frame,first_detector,winner,reading_D1,reading_D2,duration_s,within_budget",
         "0,A,D1,1,yes,no,0.00025,false",
+        "0,frame0,simultaneous,2,no,yes,5e-05,",
         "1,A,D1,2,no,yes,0.000125,true",
-        "2,A,,0,,,,",
-        "3,frame0,simultaneous,2,no,yes,5e-05,",
+        "1,frame0,,0,,,,",
     ]
 
 
 def test_export_jsonl_round_trip(tmp_path):
+    # in frames (B, frame0): an absorbed frame-B row that missed its
+    # budget, frame-0 rows, which have no activation gap to beat, and a
+    # frame-B run that hit the step cap
+    records = _table((7, 2, 3.75e-4, 2), (7, 1, 1.25e-4, 0), (8, 0, 0.125, 0), (8, 2, 5e-5, 0))
     path = tmp_path / "records.jsonl"
-    export_records(_table(*EXPORT_ROWS), str(path), "jsonl")
+    export_records(records, str(path), "jsonl", (FRAME_B, FRAME_0))
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines == [
         '{"duration_s": 0.000375, "first_detector": "D2", "frame": "B", "reading_D1": "no", '
         '"reading_D2": "yes", "run_index": 7, "winner": 2, "within_budget": false}',
+        '{"duration_s": 0.000125, "first_detector": "simultaneous", "frame": "frame0", '
+        '"reading_D1": "yes", "reading_D2": "no", "run_index": 7, "winner": 1, '
+        '"within_budget": null}',
         '{"duration_s": null, "first_detector": "", "frame": "B", "reading_D1": "", '
         '"reading_D2": "", "run_index": 8, "winner": 0, "within_budget": null}',
-        '{"duration_s": 0.000125, "first_detector": "simultaneous", "frame": "frame0", '
-        '"reading_D1": "yes", "reading_D2": "no", "run_index": 9, "winner": 1, '
+        '{"duration_s": 5e-05, "first_detector": "simultaneous", "frame": "frame0", '
+        '"reading_D1": "no", "reading_D2": "yes", "run_index": 8, "winner": 2, '
         '"within_budget": null}',
     ]
     assert json.loads(lines[0])["duration_s"] == 3.75e-4  # exact float round trip
@@ -461,30 +485,66 @@ def test_export_jsonl_round_trip(tmp_path):
 
 def test_export_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError):
-        export_records([], str(tmp_path / "x"), "xml")
+        export_records(_table(), str(tmp_path / "x"), "xml", (FRAME_A,))
+
+
+def test_export_refuses_a_table_that_splits_a_run(tmp_path):
+    # three rows cannot be runs of two frames each; no file is opened
+    records = _table((0, 1, 1e-4, 1), (0, 2, 1e-4, 1), (1, 1, 1e-4, 1))
+    with pytest.raises(ValueError, match="3 rows do not hold 2 frames per run"):
+        export_records(records, str(tmp_path / "x"), "csv", (FRAME_A, FRAME_B))
+    assert not (tmp_path / "x").exists()
 
 
 # the first detector of each frame, spelled out: the oracle below does not
-# read the package's table
+# read the package's spelling
 REFERENCE_FIRST = {"A": "D1", "B": "D2", "frame0": "simultaneous"}
 
 
-def test_first_detector_spelling_follows_the_frames():
-    assert FIRST_DETECTORS == REFERENCE_FIRST
-    for frame in (Frame(0.0), Frame(C / 2), Frame(-C / 2)):
-        assert FIRST_DETECTORS[frame.label] == first_detector(frame)
+def test_first_detector_spelling_follows_the_frames(tmp_path):
+    # a row is spelled with the label and the first detector of the frame
+    # at its place
+    for frame in (FRAME_0, FRAME_A, FRAME_B):
+        assert REFERENCE_FIRST[frame.label] == first_detector(frame)
+        export_records(_table((0, 1, 1e-4, 1)), str(tmp_path / "one.csv"), "csv", (frame,))
+        assert (tmp_path / "one.csv").read_text(encoding="utf-8").splitlines()[1] == \
+            f"0,{frame.label},{REFERENCE_FIRST[frame.label]},1,yes,no,0.0001,true"
 
 
-def reference_export(records, path, fmt):
+@pytest.mark.parametrize("cfg", [
+    *(EnsembleConfig(kind=kind, runs=2 * CHUNK_RUNS + 5, master_seed=7) for kind in KIND_FRAMES),
+    replace(CAPPED, runs=2 * CHUNK_RUNS + 5, workers=1),
+], ids=[*KIND_FRAMES, "capped"])
+def test_exported_lines_are_spelled_from_their_frames(tmp_path, cfg):
+    # over more than one export slice, each line's frame, first_detector,
+    # winner and duration_s are those of its run in that frame's own batch
+    stats, records = run_ensemble(cfg)
+    paths, _ = export_ensemble(replace(cfg, record_format="jsonl"), stats, records,
+                               str(tmp_path))
+    with open(paths["records"], encoding="utf-8") as fh:
+        lines = [json.loads(line) for line in fh]
+    frames = KIND_FRAMES[cfg.kind](cfg.v)
+    by_label = {frame.label: frame_rows(cfg, frame, range(cfg.runs)) for frame in frames}
+    assert sorted((line["frame"], line["run_index"]) for line in lines) == \
+        sorted((label, k) for label in by_label for k in range(cfg.runs))
+    for line in lines:
+        row = by_label[line["frame"]][line["run_index"]]
+        absorbed = row["winner"] > 0
+        assert line["winner"] == row["winner"]
+        assert line["first_detector"] == (REFERENCE_FIRST[line["frame"]] if absorbed else "")
+        assert line["duration_s"] == (row["duration"] if absorbed else None)
+
+
+def reference_export(records, path, fmt, frames):
     """The record writer as one str.format per row: the oracle that
     export_records must match byte for byte."""
     line, literal = _LINE_FORMATS[fmt]
-    columns = (records[c].tolist() for c in
-               ("run_index", "frame", "winner", "duration", "within_budget"))
+    labels = [frames[row % len(frames)].label for row in range(len(records))]
+    columns = (records[c].tolist() for c in ("run_index", "winner", "duration", "within_budget"))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if fmt == "csv":
             fh.write(",".join(CSV_COLUMNS) + "\r\n")
-        for k, frame, winner, duration, within in zip(*columns):
+        for frame, (k, winner, duration, within) in zip(labels, zip(*columns)):
             if winner == 0:
                 fh.write(line.format(k, frame, "", 0, "", "", literal[None], literal[None]))
             else:
@@ -493,25 +553,28 @@ def reference_export(records, path, fmt):
                                      literal[(None, True, False)[within]]))
 
 
-def assert_export_matches_reference(records, tmp_path):
+def assert_export_matches_reference(records, tmp_path, frames):
     for fmt in ("csv", "jsonl"):
-        export_records(records, str(tmp_path / f"new.{fmt}"), fmt)
-        reference_export(records, str(tmp_path / f"ref.{fmt}"), fmt)
+        export_records(records, str(tmp_path / f"new.{fmt}"), fmt, frames)
+        reference_export(records, str(tmp_path / f"ref.{fmt}"), fmt, frames)
         assert (tmp_path / f"new.{fmt}").read_bytes() == (tmp_path / f"ref.{fmt}").read_bytes()
 
 
 def test_export_matches_reference_on_every_line_class(tmp_path):
-    # each (frame, winner, within_budget) class a run can leave
-    rows = []
-    for frame, gap in (("frame0", math.nan), ("A", 2.5e-4), ("B", 2.5e-4)):
+    # each (frame, winner, within_budget) class a run of each kind can leave
+    for kind, frames in zip(KIND_FRAMES, KIND_TABLE_FRAMES):
+        rows = []
         for winner in (0, 1, 2):
             for duration in (1.25e-4, 2.5e-4, 3.75e-4):
-                rows.append((len(rows), frame, winner, duration,
-                             _verdict(winner, duration, gap)))
-    records = _table(*rows)
-    assert_export_matches_reference(records, tmp_path)
+                for frame in frames:
+                    gap = math.nan if frame.v == 0 else 2.5e-4
+                    rows.append((len(rows) // len(frames), winner, duration,
+                                 _verdict(winner, duration, gap)))
+        (tmp_path / kind).mkdir()
+        assert_export_matches_reference(_table(*rows), tmp_path / kind, frames)
     # within_budget is false at duration == gap
-    assert b"\r\n13,A,D1,1,yes,no,0.00025,false\r\n" in (tmp_path / "new.csv").read_bytes()
+    assert b"\r\n4,A,D1,1,yes,no,0.00025,false\r\n" in \
+        (tmp_path / "collapse_time" / "new.csv").read_bytes()
 
 
 @settings(max_examples=25, deadline=None)
@@ -523,30 +586,33 @@ def test_export_matches_reference_on_every_line_class(tmp_path):
 @example(values=[1e-05, 1e+16, 5e-324], picks=list(range(8)) * 5,
          runs=[RUN_INDEX_LIMIT - 1] * 40)
 def test_export_matches_reference_on_drawn_durations(tmp_path_factory, values, picks, runs):
-    # 40 rows over at most 8 values: repeats exercise the once-per-value spelling
-    frames = (("A", 1e-4), ("B", 1e-4), ("frame0", math.nan))
-    rows = []
-    for i, (k, p) in enumerate(zip(runs, picks)):
-        (frame, gap), winner = frames[i % 3], (1, 2, 0, 2, 1)[i % 5]
-        duration = values[p % len(values)]
-        rows.append((k, frame, winner, duration, _verdict(winner, duration, gap)))
-    assert_export_matches_reference(_table(*rows), tmp_path_factory.mktemp("drawn"))
+    # 40 rows over at most 8 values: repeats exercise the once-per-value
+    # spelling, in the frames of each kind
+    for frames in KIND_TABLE_FRAMES:
+        rows = []
+        for i, (k, p) in enumerate(zip(runs, picks)):
+            frame, winner = frames[i % len(frames)], (1, 2, 0, 2, 1)[i % 5]
+            duration = values[p % len(values)]
+            rows.append((k, winner, duration,
+                         _verdict(winner, duration, math.nan if frame.v == 0 else 1e-4)))
+        assert_export_matches_reference(_table(*rows), tmp_path_factory.mktemp("drawn"), frames)
 
 
 def test_export_matches_reference_past_one_slice(tmp_path):
+    # 2 CHUNK_RUNS + 3 runs of frames (A, B): the rows span three slices
     rng = np.random.default_rng(7)
-    n = 2 * CHUNK_RUNS + 5
+    n = 2 * CHUNK_RUNS + 6
     rows = []
-    for k in range(n):
+    for row in range(n):
         winner, duration = int(rng.integers(0, 3)), int(rng.integers(1, 400)) * 2.5e-6
-        rows.append((k, "AB"[k % 2], winner, duration, _verdict(winner, duration, 4.7e-4)))
-    rows[-1] = (RUN_INDEX_LIMIT - 1, "B", 1, 5e-324, 1)
-    assert_export_matches_reference(_table(*rows), tmp_path)
+        rows.append((row // 2, winner, duration, _verdict(winner, duration, 4.7e-4)))
+    rows[-1] = (RUN_INDEX_LIMIT - 1, 1, 5e-324, 1)
+    assert_export_matches_reference(_table(*rows), tmp_path, (FRAME_A, FRAME_B))
 
 
 def test_export_empty_table(tmp_path):
     records = _table()
-    assert_export_matches_reference(records, tmp_path)
+    assert_export_matches_reference(records, tmp_path, (FRAME_A, FRAME_B))
     assert (tmp_path / "new.csv").read_bytes() == (",".join(CSV_COLUMNS) + "\r\n").encode()
     assert (tmp_path / "new.jsonl").read_bytes() == b""
 

@@ -1,3 +1,4 @@
+import csv
 import math
 from dataclasses import replace
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from collapsemc.dynamics import MAX_GAMMA_DT, CollapseParams, _logit, collapse_batch
-from collapsemc.ensemble import FIRST_DETECTORS
+from collapsemc.ensemble import export_records
 from collapsemc.experiment import (RECORD_DTYPE, SURVIVAL_EPSILON_MIN, TARGET_GAMMA_DT,
                                    Scenario, active_detectors, build_scenario,
                                    collapse_time_survival, disagreement_rate_analytic,
@@ -134,18 +135,21 @@ def test_run_frame_trivial_q0():
         assert absorbed["duration"].tolist() == [0.0]
 
 
-def test_run_frame_first_detector_and_budget():
-    # the rows name their frame, whose label the writer spells as its first
-    # detector; at d = 3000 m the gap splits frame A's and B's collapses,
-    # and each row's within_budget code says on which side it fell
+def test_run_frame_first_detector_and_budget(tmp_path):
+    # the rows hold no frame: the writer, handed the batch's frame, spells
+    # its label and first detector on every row; at d = 3000 m the gap
+    # splits frame A's and B's collapses, and each row's within_budget
+    # code says on which side it fell
     scn = build_scenario(d=3000.0)
     gap = activation_gap(scn.d, V99)
     for frame, first in ((FRAME_A, "D1"), (FRAME_B, "D2"), (FRAME_0, "simultaneous")):
         absorbed, failed = run_frame_batch(scn, frame, 2, range(5, 405))
         assert len(failed) == 0 and absorbed.dtype == RECORD_DTYPE
         assert absorbed["run_index"].tolist() == list(range(5, 405))
-        assert set(absorbed["frame"].tolist()) == {frame.label}
-        assert FIRST_DETECTORS[frame.label] == first
+        export_records(absorbed, str(tmp_path / "records.csv"), "csv", (frame,))
+        with open(tmp_path / "records.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {(row["frame"], row["first_detector"]) for row in rows} == {(frame.label, first)}
         codes = absorbed["within_budget"].tolist()
         if frame is FRAME_0:
             assert set(codes) == {0}

@@ -113,6 +113,25 @@ def test_key_input_validation():
     assert derive_stream_key(np.uint64(2**64 - 1), "D1") == derive_stream_key(2**64 - 1, "D1")
 
 
+def test_key_ids_must_be_strings():
+    # a detector id or salt is spelled into the key's string as it is, so
+    # None, a number or bytes is refused rather than spelled
+    for bad in (None, 1, b"D1"):
+        with pytest.raises(TypeError, match="detector_id must be a str"):
+            derive_stream_key(5, bad)
+        with pytest.raises(TypeError, match="salt must be a str"):
+            derive_stream_key(5, "D1", bad)
+
+
+def test_key_ids_must_be_ascii():
+    # the documented derivation hashes an ASCII string
+    for bad in ("D\u00e9", "\u0394"):
+        with pytest.raises(ValueError, match="detector_id must be ASCII"):
+            derive_stream_key(5, bad)
+        with pytest.raises(ValueError, match="salt must be ASCII"):
+            derive_stream_key(5, "D1", bad)
+
+
 # ---------------------------------------------------------------------------
 # windows
 # ---------------------------------------------------------------------------
