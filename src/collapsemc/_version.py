@@ -1,1 +1,1 @@
-__version__ = "0.9.0"
+__version__ = "0.10.0"

@@ -25,7 +25,7 @@ import argparse
 import json
 import os
 import sys
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from operator import getitem
 
 from .ensemble import ConfigError, EnsembleConfig, export_ensemble, run_ensemble, usable_cpus
@@ -187,6 +187,10 @@ def cmd_min_distance(args) -> int:
     return 0
 
 
+# built on first use, not at import, and shared by every later main call:
+# a parse reads the parser without changing it, and the ensemble flags
+# default to nothing, so no call's flags reach the next
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="collapsemc",

@@ -47,19 +47,24 @@ either side of the additive noise:
 
     r_{k+1} = phi_{h/2}(phi_{h/2}(r_k) + sum_s sig_s zeta_s),  sig_s = 2 sqrt(Gamma_s dt).
 
-The kernel steps in float32 end to end.  The noise sum dw = sum_s
-sig_s zeta_s is formed in float32: each stream's float32 normals are
-scaled in place by sig_s rounded to float32 and the streams are summed
-in float32 in rate order, straight into the float32 step window.
-Rounding sig_s to float32 changes a stream's diffusion by under 2**-24
-relative, far below the Monte Carlo error.  The carried state is float32
-too.  It is a log-odds with |r| of about 14 at epsilon 1e-6, each step
-adds noise of standard deviation about 0.2-0.3, and the split step's
-discretization error at Gamma * dt 0.05 lies orders of magnitude above a
-float32 rounding.  A step rounds three times in float32: sinh (measured
-within 1.4 ulp with numpy 2.4's AVX512_SPR loops), the product by e^h
-(0.5 ulp) and asinh (0.9 ulp), under 4 ulps of 2**-23 relative in all.
-The drift flow does not enlarge a relative error (its elasticity
+The noise zeta_s is not Gaussian: each step of a stream draws a level
+index of the five-point law of ``noise``, whose moments match the
+standard normal's for every order up to 5.  Every statistic the package
+reports is a weak one, so the law may stand in for the normal (see
+``noise``).  A step's noise dw = sum_s sig_s zeta_s then takes one of at
+most 256 values, one per byte of the two streams' 4-bit indices (a frame
+has one or two streams).  So an engine call works out every value once,
+each product and the sum in float64, and rounds it once to float32 into
+a table of 256 entries for two streams, 16 for one.  A window's noise is
+one gather from that table, with no transcendental, product or sum per
+element.  The kernel steps in float32 end to end, and the carried state
+is float32 too.  It is a log-odds with |r| of about 14 at epsilon 1e-6,
+each step adds noise of standard deviation about 0.2-0.3, and the split
+step's discretization error at Gamma * dt 0.05 lies orders of magnitude
+above a float32 rounding.  A step rounds three times in float32: sinh
+(measured within 1.4 ulp with numpy 2.4's AVX512_SPR loops), the product
+by e^h (0.5 ulp) and asinh (0.9 ulp), under 4 ulps of 2**-23 relative in
+all.  The drift flow does not enlarge a relative error (its elasticity
 w phi'(w) / phi(w) is at most 1), so over n steps r drifts from the
 exact arithmetic by at most about n * 2**-21 relative.  The conversions
 at window edges stay in float64: r = phi_{h/2}(z) widens z before its
@@ -67,21 +72,22 @@ sinh, and a window's first w is worked out from r in float64 and rounded
 once to float32, so a run restarted from its r at a window edge steps on
 with the same bits.
 
-The engine carries w = y / 2, half of y = phi_{h/2}(r), and draws each
-window's noise at half scale, sig_s / 2.  Since phi_h(z) / 2 =
-asinh(sinh(z / 2) e^h), a step is four in-place float32 ufuncs on the
-live runs: zh = w + dw / 2, written over the window's noise row, then
-w = sinh(zh), w *= e^h and w = asinh(w).  This gives the bits of the
-plain float32 step z = y + dw, y <- phi_h(z).  Scaling by 2 is exact in
-binary floating point away from subnormals and overflow.  So
-float32(sig_s / 2) is float32(sig_s) / 2, every float32 product and sum
-at half scale is exactly half the full-scale one, and the half-scale
-noise is exactly dw / 2.  Then fl(w + dw / 2) = fl(y + dw) / 2, each zh
-is exactly z / 2, and phi_h(z) = 2 asinh(sinh(zh) e^h) doubles the bits
-of the half-scale w.  A nonzero |zeta_s| is at least about 1e-11, so the
-float32 products stay clear of subnormals while sqrt(Gamma_s dt) is above
-about 1e-27, far below any step a run could finish at; a float32 sum
-that falls below the normal range is exact.
+The engine carries w = y / 2, half of y = phi_{h/2}(r), and its table
+gives the noise at half scale, dw / 2 = sum_s (sig_s / 2) zeta_s.  Since
+phi_h(z) / 2 = asinh(sinh(z / 2) e^h), a step is four in-place float32
+ufuncs on the live runs: zh = w + dw / 2, written over the window's
+noise row, then w = sinh(zh), w *= e^h and w = asinh(w).  This gives the
+bits of the plain float32 step z = y + dw, y <- phi_h(z), with dw the
+float64 sum rounded to float32.  Scaling by 2 is exact in binary
+floating point away from subnormals and overflow.  So the float64
+half-scale sum is exactly half the full-scale one, and rounded to
+float32 it is exactly half of dw.  Then fl(w + dw / 2) = fl(y + dw) / 2,
+each zh is exactly z / 2, and phi_h(z) = 2 asinh(sinh(zh) e^h) doubles
+the bits of the half-scale w.  A nonzero entry is at least 0.46 sig_s for
+one stream, and a nonzero float64 sum of two products at least about
+2**-53 times the smaller product; so the entries stay clear of float32's
+subnormals while every sqrt(Gamma_s dt) is above about 1e-22, far below
+any step a run could finish at.
 
 float32 sinh overflows past about 89.4, which bounds the barrier a
 float32 state can carry.  A run that has not hit the barrier has
@@ -127,14 +133,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import BLOCK_STEPS, DEFAULT_NOISE, PhiloxNoiseSource, _run_indices
+from .noise import BLOCK_STEPS, DEFAULT_NOISE, LEVELS, PhiloxNoiseSource, _run_indices
 
 # Hard ceiling on Gamma * dt; runs refuse to start above it.  Scenario
 # builders aim at half of it (see experiment.TARGET_GAMMA_DT), so rounding
 # in a derived dt cannot trip it.  At this ceiling the overshoot past the
 # barrier leaves the mean collapse time of the split step about 1 % long,
-# against about 0.5 % at the target (frame 0, epsilon 0.01, q0 0.3:
-# 1.0104 and 1.0045 times E[T], +- 0.0015, over 24 x 8192 runs).
+# against about 0.7 % at the target (frame 0, epsilon 0.01, q0 0.3:
+# 1.0122 and 1.0068 times E[T], +- 0.0015, over 24 x 8192 runs).
 MAX_GAMMA_DT = 0.1
 
 # Least epsilon a float32 state can carry: its nominal threshold L =
@@ -145,12 +151,22 @@ EPSILON_MIN = math.exp(-2.0 * (math.log(float(np.finfo(np.float32).max)) - MAX_G
 
 # Broadie-Glasserman-Kou constant -zeta(1/2) / sqrt(2 pi): the absorbing
 # barrier sits this many per-step standard deviations of r inside the
-# nominal threshold.
+# nominal threshold.  The constant is derived for Gaussian steps; it is
+# measured to suffice for the five-point law at epsilon 1e-6.  There the
+# lattice KS sqrt(N) D of the step counts against
+# experiment.collapse_time_survival read 0.37-1.61 (mean 0.89) over seeds
+# 1-8 and 123, 16384 runs each, frame 0 and A at q0 0.5 and 0.8, under
+# the 1 % point 1.63.  At epsilon 0.01 the same grid read up to 1.85 (mean
+# 1.11, 2 of 36 past 1.63): the discrete barrier's bias, which testing
+# for a crossing between steps would remove.
 BARRIER_BETA = 0.5825971579390107
 
-# Runs per noise draw: a window's normals for this many runs are drawn and
-# transformed at once, which keeps the per-call cost small against the
-# per-normal cost while the draw's temporaries stay in cache.
+# Runs per noise draw: a window's level indices for this many runs are
+# drawn and gathered at once, which keeps the per-call cost small against
+# the per-step cost while the draw's temporaries stay in cache.  With 8
+# words a window, 64 ran 2048-run chunks 15-40 % slower, and 256, 1024
+# and 2048 measured the same within a run-to-run spread of about 10 %
+# (numpy 2.4 on a shared 2-CPU x86-64 VM).
 SUB_BLOCK_RUNS = 256
 
 # Steps per barrier test: the kernel steps the live runs through this many
@@ -233,13 +249,17 @@ def _step(rates, dt, epsilon, max_steps):
     """Validate the rates and the step of one engine call and reduce them
     to the scalar SDE.
 
-    dt, epsilon and max_steps are checked as CollapseParams.  Returns
+    dt, epsilon and max_steps are checked as CollapseParams, and more
+    than two streams are refused.  Returns
     (sig, h, thr): the noise scale 2 sqrt(Gamma_s dt) of each stream, the
     drift time h = Gamma * dt of one step and the absorbing barrier on
     |r|.  The barrier is the nominal threshold less beta times the
     per-step standard deviation sqrt(sum_s sig_s^2) of r.
     """
     params = CollapseParams(dt=dt, epsilon=epsilon, max_steps=max_steps)
+    # a step's level indices, 4 bits a stream, index a table by one byte
+    if len(rates) > 2:
+        raise ValueError(f"at most two noise streams, got {len(rates)} stream rates")
     for rate in rates:
         if not (math.isfinite(rate) and rate >= 0):
             raise ValueError(f"stream rates must be finite and >= 0, got {rate}")
@@ -277,41 +297,48 @@ def _prepare(rates, dt, epsilon, max_steps, stream_keys, runs):
     return list(zip(map(int, k0), map(int, k1))), _run_indices(runs)[0], sig, h, thr
 
 
-def _window_noise(noise, keys, runs, sig, block_index, out):
-    """Fill out, shape (rows, runs), with the noise increments
-    sum_s sig_s * zeta_s of one window.
+def _noise_table(sig):
+    """float32 half-scale increments dw / 2 by level index byte.
+
+    For two streams, entry (i << 4) | j is (sig_1 / 2) LEVELS[i] +
+    (sig_2 / 2) LEVELS[j], the products and the sum in float64, rounded
+    once to float32; for one stream, entry i of 16 is (sig_1 / 2)
+    LEVELS[i], rounded once.
+    """
+    dw = 0.5 * sig[0] * LEVELS
+    if len(sig) == 2:
+        dw = (dw[:, None] + 0.5 * sig[1] * LEVELS).ravel()
+    return dw.astype(np.float32)
+
+
+def _window_noise(noise, keys, runs, table, block_index, out):
+    """Fill out, shape (rows, runs), with the half-scale noise increments
+    dw / 2 of one window.
 
     keys holds the (k0, k1) key of each stream, runs the run indices and
-    sig the float32 scale of each stream, and out is a view of the
-    driver's float32 window buffer, whose old contents are not read.  The
-    runs go in sub-blocks of SUB_BLOCK_RUNS, and each stream's window for a
-    sub-block is one block_normals call, in float32.  Each stream's draw is
-    scaled by sig_s in place and added to the first stream's, in rate
-    order, all in float32, and the sum is written into out through its
-    transpose in one pass: a strided pass costs several contiguous ones.
-    Every operation is elementwise within a sub-block, so the sums do not
-    depend on SUB_BLOCK_RUNS.  Beside out, only one sub-block's draws are
-    held, and out stays (rows, runs) so the step kernel steps on out[t]
-    whole, in place.  The streams are summed elementwise rather than by a
-    matrix product, whose reduction order may depend on the batch shape.
-
-    Starting the sum from the first stream where a zeroed buffer would
-    have it added to 0.0 can change only the sign of a zero: 0.0 + x is x
-    for every x but -0.0.  Values that are equal up to the sign of a zero
-    stay so through the later sums, the step w + dw, sinh, the growth
-    factor and asinh, so every nonzero value keeps its bits, and the
-    barrier test |zh| >= z_hi / 2 > 0 does not read the sign of a zero.
+    table the _noise_table of the streams' scales, and out is a view of
+    the driver's float32 window buffer, whose old contents are not read.
+    The runs go in sub-blocks of SUB_BLOCK_RUNS, and each stream's window
+    for a sub-block is one block_normals call of uint8 level indices.  A
+    two-stream frame packs a step's two indices into one byte, (i_1 << 4)
+    | i_2, and a one-stream frame reads its index as it is; one gather
+    from the table writes the increments into out through the indices'
+    transpose.  Every operation is elementwise within a sub-block, so the
+    increments do not depend on SUB_BLOCK_RUNS.  Beside out, only one
+    sub-block's indices are held, and out stays (rows, runs) so the step
+    kernel steps on out[t] whole, in place.
     """
     rows = len(out)
     for lo in range(0, len(runs), SUB_BLOCK_RUNS):
         part = runs[lo:lo + SUB_BLOCK_RUNS]
-        total = noise.block_normals(keys[0], block_index, part)
-        total *= sig[0]
-        for key, scale in zip(keys[1:], sig[1:]):
-            zeta = noise.block_normals(key, block_index, part)
-            zeta *= scale
-            total += zeta
-        out[:, lo:lo + len(part)] = total.reshape(-1, BLOCK_STEPS)[:, :rows].T
+        index = noise.block_normals(keys[0], block_index, part)
+        if len(keys) == 2:
+            index <<= 4
+            index |= noise.block_normals(keys[1], block_index, part)
+        # every index is in range, so mode "wrap" changes no value; it spares
+        # the buffer that mode "raise" always takes for out
+        np.take(table, index.reshape(-1, BLOCK_STEPS)[:, :rows].T,
+                out=out[:, lo:lo + len(part)], mode="wrap")
 
 
 def _drive(r0, keys, runs, sig, h, thr, n_steps, noise):
@@ -340,7 +367,7 @@ def _drive(r0, keys, runs, sig, h, thr, n_steps, noise):
     # float32 scalars: each operation of a step takes the float32 loop
     # under value-based casting (numpy 1.x) and NEP 50 (numpy 2) alike
     grow = np.float32(math.exp(h))
-    half_sig = [np.float32(0.5 * s) for s in sig]
+    table = _noise_table(sig)
     # rounded up, so a float32 zh reaches it exactly when it reaches the
     # float64 value
     zh_hi64 = float(np.arcsinh(np.sinh(0.5 * thr) * math.exp(-0.5 * h)))
@@ -364,7 +391,7 @@ def _drive(r0, keys, runs, sig, h, thr, n_steps, noise):
         while live.size and base < n_steps:
             rows = min(BLOCK_STEPS, n_steps - base)
             zh = buf[:rows, :live.size]
-            _window_noise(noise, keys, runs[live], half_sig, base // BLOCK_STEPS, zh)
+            _window_noise(noise, keys, runs[live], table, base // BLOCK_STEPS, zh)
             w = np.arcsinh(np.sinh(0.5 * r[live]) * grow_half).astype(np.float32)
             done = np.zeros(live.size, dtype=bool)
             for lo in range(0, rows, SLAB_ROWS):
@@ -400,15 +427,16 @@ def collapse_batch(q0: float, rates, dt: float, epsilon: float, max_steps: int, 
                    runs, noise: PhiloxNoiseSource = DEFAULT_NOISE) -> BatchResult:
     """Run a batch of trajectories to absorption.
 
-    rates holds one collapse rate Gamma_s per noise stream, and
-    stream_keys the streams' keys as the pair (k0 words, k1 words), one
-    word of each per stream in the same order: derive_stream_key's pairs
-    transposed, such as tuple(zip(*keys)).  runs holds the run indices,
-    each the run's place in the counter of every stream (see
-    noise.PhiloxNoiseSource).  A key word that is not an integer in
-    [0, 2**64), a key count other than the rate count, and a run index
-    outside [0, noise.RUN_INDEX_LIMIT) are refused before any noise is
-    drawn, as are dt, epsilon and max_steps that CollapseParams refuses.
+    rates holds one collapse rate Gamma_s per noise stream, one or two
+    streams, and stream_keys the streams' keys as the pair (k0 words, k1
+    words), one word of each per stream in the same order:
+    derive_stream_key's pairs transposed, such as tuple(zip(*keys)).  runs
+    holds the run indices, each the run's place in the counter of every
+    stream (see noise.PhiloxNoiseSource).  A key word that is not an
+    integer in [0, 2**64), a key count other than the rate count, more
+    than two streams and a run index outside [0, noise.RUN_INDEX_LIMIT)
+    are refused before any noise is drawn, as are dt, epsilon and
+    max_steps that CollapseParams refuses.
     Runs evolve in lockstep but consume only their own noise, so results
     per run do not depend on batch composition or execution schedule.
 

@@ -384,8 +384,9 @@ def build_manifest(config: EnsembleConfig) -> dict:
     """Full provenance for one ensemble: config, derived constants, and
     the numpy and Python builds with numpy's enabled CPU features, since
     the records are fixed only within one numpy build on one CPU feature
-    set: the last bits of the noise's ``log``, ``sin`` and ``cos`` and of
-    the step kernel's float32 ``sinh`` and ``arcsinh`` depend on both."""
+    set.  The noise's level indices are fixed by Philox and its table is
+    worked out in float64, so the records depend on the build only through
+    the last bits of the step kernel's float32 ``sinh`` and ``arcsinh``."""
     scenario = config.scenario
     # summed as the engine sums a frame's stream rates
     rates = {frame.label: sum(scenario.frame_rates(frame))

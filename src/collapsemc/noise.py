@@ -1,4 +1,4 @@
-"""Reproducible, counter-addressed Gaussian noise streams.
+"""Reproducible, counter-addressed noise streams of a five-point weak law.
 
 Every random number consumed by a simulation run is addressed, not drawn
 sequentially from shared state.  A noise stream has a 128-bit key derived
@@ -11,11 +11,11 @@ trajectory reproduces its noise exactly, whatever else executed.
 Following Random123 (Salmon et al., "Parallel random numbers: as easy as
 1, 2, 3", SC '11), the stream sits in the Philox key and the position in
 the counter.  Philox4x64-10 yields four 64-bit words per counter value,
-and a window of ``BLOCK_STEPS`` steps takes ``BLOCK_STEPS / 2`` words,
-one per Box-Muller pair, so 16 counter values.  Window b of run k is the
+and a window of ``BLOCK_STEPS`` steps takes 4 bits a step, so
+``BLOCK_STEPS / 16`` words, 2 counter values.  Window b of run k is the
 words numpy's ``Philox`` yields from key (k0, k1) and counter
-(16 k, b, 0, 0) with an empty buffer; numpy steps the counter before each
-block, so run k reads low counter words 16 k + 1 ... 16 k + 16.
+(2 k, b, 0, 0) with an empty buffer; numpy steps the counter before each
+block, so run k reads low counter words 2 k + 1 and 2 k + 2.
 Consecutive runs are adjacent in the counter, so one ``random_raw`` call
 draws a window for every run index in a span.  A list of run indices is
 drawn over the whole span from its least to its greatest index in one
@@ -25,44 +25,42 @@ sparser list takes one call per segment of consecutive indices.  So a
 draw never holds more than four times the requested runs' words, however
 gapped the list is.
 
-Each run-window of h = BLOCK_STEPS / 2 words w_j becomes ``BLOCK_STEPS``
-float32 standard normals by a fixed-consumption Box-Muller transform, one
-word per pair: the high 40 bits give the radius and the low 24 bits the
-angle,
+Each step of a stream takes one 4-bit field, a level index i in 0 ... 15,
+in this nibble order: a run-window's 8 words w_0 ... w_7 are read as 64
+little-endian bytes c_0 ... c_63 (c_j is bits 8 (j % 8) ... 8 (j % 8) + 7
+of w_{j // 8}), and row j < 64 of the window is the low nibble of c_j,
+row 64 + j its high nibble.  Index i stands for the value ``LEVELS[i]``
+of the five-point law
 
-    u_j = float32((w_j >> 24) + 1) * 2**-40
-    R_j = sqrt(-2 ln(u_j))
-    theta_j = float32(w_j & (2**24 - 1)) * c                (c = float32(2 pi) * 2**-24)
+    zeta = 0 with probability 6/16, +-a with 4/16 each, +-b with 1/16 each,
+    a^2 = (8 - sqrt(14)) / 5 ~= 0.8517,  b^2 = 8 - 4 a^2 ~= 4.593,
 
-every operation in float32, and rows j and h + j of the window are
-R_j cos(theta_j) and R_j sin(theta_j).  The normals are random inputs to
-a float32 step kernel and need no float64 precision, and float32 ``log``,
-``sqrt``, ``sin`` and ``cos`` have SIMD loops in numpy at several times
-the throughput of the float64 ones.  The integers are converted through
-a signed view, which rounds as the unsigned conversion does and costs
-less.  The angle field converts exactly.  The radius field has 41 bits
-after the + 1 and float32 holds 24, so it is rounded to nearest:
+which ``LEVELS`` lists in increasing order: index 0 is -b, 1 ... 4 are -a,
+5 ... 10 are 0, 11 ... 14 are +a and 15 is +b, so LEVELS[15 - i] =
+-LEVELS[i].  Its moments E zeta^k equal the standard normal's for every
+k <= 5 (odd ones 0, E zeta^2 = 1, E zeta^4 = 3).  Every statistic the
+package reports is a weak one, the law of winners and durations and the
+joint law of two frames' outcomes, so the law may stand in for a
+Gaussian increment: a weak scheme keeps its order with any increment law
+whose low moments match the normal's (Kloeden and Platen, *Numerical
+Solution of Stochastic Differential Equations*, Springer 1992, ch. 14).
+Its support is bounded by b ~= 2.143, and it has no tails to cut.
 
-- The least uniform is exactly 2**-40, so |z| <= sqrt(80 ln 2)
-  ~= 7.45 up to the float32 rounding of the radius: the tails are cut at
-  7.45 sigma, beyond which a normal falls with probability about 1e-13.
-- From 2**40 - 2**15 up (the midpoint ties to the even 2**40) the field
-  rounds to 2**40, so u_j = 1 and both normals of the pair are 0.  That
-  is an atom at z = 0 of 2**15 + 1 of the 2**40 fields, about 2**-25 per
-  pair.
-
-The Philox words are fixed by the algorithm.  The normals also depend on
-numpy's ``log``, ``sin`` and ``cos``, whose last bits vary with the numpy
-build and with the CPU features its loops dispatch on, and so do the
-float32 ``sinh`` and ``arcsinh`` the step kernel applies to them (see
-``dynamics``).  So the records are deterministic within one numpy build
-on one CPU feature set, which is the reproducibility level this package
-promises; the manifest of an ensemble records both.
+The Philox words, and so the level indices, are fixed by the algorithm
+on any platform; the step kernel maps them to increments by a table
+worked out in float64 and rounded once (see ``dynamics``).  The records
+then depend on the numpy build only through the kernel's float32 ``sinh``
+and ``arcsinh``, whose last bits vary with the numpy build and with the
+CPU features its loops dispatch on.  So the records are deterministic
+within one numpy build on one CPU feature set, which is the
+reproducibility level this package promises; the manifest of an ensemble
+records both.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import numbers
 
 import numpy as np
@@ -76,25 +74,30 @@ from numpy.random import Philox
 # a frame-A run about 280.
 BLOCK_STEPS = 128
 
-# Philox words a run-window takes: one per Box-Muller pair
-_WORDS_PER_WINDOW = BLOCK_STEPS // 2
+# Philox words a run-window takes: 4 bits a step, 16 steps a word
+_WORDS_PER_WINDOW = BLOCK_STEPS // 16
 
 # Philox4x64 counter values a window spans: one per four words
 _COUNTERS_PER_WINDOW = _WORDS_PER_WINDOW // 4
 
-# run k reads low counter words up to 16 k + 16, which must not carry into
-# the block index word: k < 2**60 - 1
+# run k reads low counter words up to 2 k + 2, which must not carry into
+# the block index word: k < 2**63 - 1
 RUN_INDEX_LIMIT = 2**64 // _COUNTERS_PER_WINDOW - 1
 
 # A run list whose entries number at least this share of the index span
-# it covers is drawn over the whole span, dead runs included, in one call;
-# 1/8 and 1/2 measured the same.  The draw then holds at most
-# 1 / SPAN_MIN_FILL times the requested runs' words.
+# it covers is drawn over the whole span, dead runs included, in one call.
+# The draw then holds at most 1 / SPAN_MIN_FILL times the requested runs'
+# words; 1/8 and 1/32 measured within 2 % of 1/4 end to end.  A sparser
+# list is drawn by segments, since one draw over runs 0 and
+# RUN_INDEX_LIMIT - 1 would span 2**63 windows.
 SPAN_MIN_FILL = 0.25
 
-_U40 = np.float32(2.0 ** -40)
-_ANGLE_MASK = np.uint64(2**24 - 1)
-_ANGLE_STEP = np.float32(2.0 * np.pi) * np.float32(2.0 ** -24)
+# The five-point law's values by level index, in increasing order (see
+# the module docstring)
+_A = math.sqrt((8.0 - math.sqrt(14.0)) / 5.0)
+_B = math.sqrt(8.0 - 4.0 * _A * _A)
+LEVELS = np.array([-_B, *[-_A] * 4, *[0.0] * 6, *[_A] * 4, _B])
+LEVELS.flags.writeable = False
 
 _KEY_PREFIX = b"collapsemc.v2"
 
@@ -179,33 +182,24 @@ def _run_indices(runs):
     return idx.astype(np.uint64, copy=False), lo, hi
 
 
-def _box_muller(words: np.ndarray) -> np.ndarray:
-    """float32 normals of a flat run-major array of run-windows of words,
-    by the transform of the module docstring."""
-    words = words.reshape(-1, _WORDS_PER_WINDOW)
-    radius = words >> np.uint64(24)
-    radius += np.uint64(1)
-    radius = radius.view(np.int64).astype(np.float32)
-    radius *= _U40
-    np.log(radius, out=radius)
-    radius *= np.float32(-2.0)
-    np.sqrt(radius, out=radius)
-    angle = (words & _ANGLE_MASK).view(np.int64).astype(np.float32)
-    angle *= _ANGLE_STEP
-    out = np.empty((len(words), 2, _WORDS_PER_WINDOW), dtype=np.float32)
-    out[:, 0] = np.cos(angle)
-    out[:, 1] = np.sin(angle, out=angle)
-    out *= radius[:, None]
+def _levels(words: np.ndarray) -> np.ndarray:
+    """uint8 level indices of a flat run-major array of run-windows of
+    words, in the nibble order of the module docstring."""
+    octets = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, BLOCK_STEPS // 2)
+    out = np.empty((len(octets), 2, BLOCK_STEPS // 2), dtype=np.uint8)
+    np.bitwise_and(octets, 15, out=out[:, 0])
+    np.right_shift(octets, 4, out=out[:, 1])
     return out.ravel()
 
 
 class PhiloxNoiseSource:
-    """Supplies standard-normal increments addressed by (stream address, step).
+    """Supplies level indices of the five-point law addressed by (stream
+    address, step).
 
     Values come in windows of ``BLOCK_STEPS`` steps: the value for step t
     of the run at address (k0, k1, k) is row ``t % BLOCK_STEPS`` of
     window ``t // BLOCK_STEPS``, drawn with the counter layout and the
-    transform of the module docstring.
+    nibble order of the module docstring.
 
     An instance reuses one bit generator and one state dict, writing the
     key and counter words into it per draw, so it is cheap but not safe
@@ -231,11 +225,13 @@ class PhiloxNoiseSource:
             "uinteger": 0,
         }
 
+    # bench/spans.py reads this method by name and counts its elements as rows
     def block_normals(self, key: StreamKey, block_index: int, runs) -> np.ndarray:
         """Window ``block_index`` of stream ``key`` for each run index in
-        ``runs``, as a flat run-major float32 array of ``len(runs) *
-        BLOCK_STEPS`` normals: run ``runs[i]``'s window is
-        ``[i * BLOCK_STEPS, (i + 1) * BLOCK_STEPS)``.
+        ``runs``, as a flat run-major uint8 array of ``len(runs) *
+        BLOCK_STEPS`` level indices in 0 ... 15, one per run and row: run
+        ``runs[i]``'s window is ``[i * BLOCK_STEPS, (i + 1) * BLOCK_STEPS)``,
+        and index i stands for the value ``LEVELS[i]``.
 
         ``runs`` may be unsorted and may repeat an index.  When its
         entries number at least ``SPAN_MIN_FILL`` of the span
@@ -244,8 +240,8 @@ class PhiloxNoiseSource:
         words are gathered from it in list order, so the draw holds at most
         ``1 / SPAN_MIN_FILL`` times the requested words.  A sparser list
         takes one call per maximal segment of consecutive indices.  Either
-        way only the requested runs' words are transformed, once over all
-        of them, and a run's normals are the same bits on both paths.
+        way only the requested runs' words are split into nibbles, once
+        over all of them, and a run's indices are the same on both paths.
         Raises TypeError for a block index or a run index that is not an
         integer (a float or a bool), and ValueError for a block index
         outside [0, 2**64) or a run index outside [0, RUN_INDEX_LIMIT).
@@ -255,7 +251,7 @@ class PhiloxNoiseSource:
             raise ValueError(f"block_index must be in [0, 2**64), got {block_index}")
         idx, lo, hi = _run_indices(runs)
         if idx.size == 0:
-            return np.empty(0, dtype=np.float32)
+            return np.empty(0, dtype=np.uint8)
         self._counter[1] = block_index
         self._key[0], self._key[1] = key
         span = hi - lo + 1
@@ -264,10 +260,10 @@ class PhiloxNoiseSource:
             if span != idx.size or (np.diff(idx) != 1).any():
                 offsets = (idx - np.uint64(lo)).astype(np.intp)
                 words = words.reshape(span, _WORDS_PER_WINDOW).take(offsets, axis=0)
-            return _box_muller(words)
+            return _levels(words)
         starts = [0, *(np.flatnonzero(np.diff(idx) != 1) + 1).tolist(), idx.size]
         words = [self._draw(idx[a], b - a) for a, b in zip(starts, starts[1:])]
-        return _box_muller(np.concatenate(words))
+        return _levels(np.concatenate(words))
 
     def _draw(self, first_run, n_runs) -> np.ndarray:
         """Words of the current window for runs first_run ... first_run + n_runs - 1."""

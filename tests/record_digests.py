@@ -42,7 +42,7 @@ SEEDS = (4, 77)
 EPSILONS = (1e-6, 0.01)
 RUNS = 2000
 Q0 = 0.8
-# at this step cap, epsilon 1e-6, the disagree cells cap 4 and 6 of their
+# at this step cap, epsilon 1e-6, the disagree cells cap 9 and 8 of their
 # runs at the two seeds, under the ensemble's 1 % abort
 CAPPED_MAX_STEPS = 720
 

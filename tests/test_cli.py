@@ -102,7 +102,7 @@ def test_non_finite_geometry_is_a_usage_error(capsys, args, names):
     assert err.startswith("error: ") and names in err
 
 
-@pytest.mark.parametrize("runs", [str(2**60), str(2**64)])
+@pytest.mark.parametrize("runs", [str(2**63), str(2**64)])
 def test_runs_past_the_run_index_limit_are_a_usage_error(capsys, tmp_path, runs):
     out_dir = tmp_path / "big"
     code, out, err = run_cli(capsys, "born", "--runs", runs, "--out-dir", str(out_dir))
@@ -142,6 +142,30 @@ def test_cli_import_leaves_the_process_pool_out():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+def test_main_calls_share_one_parser(capsys, tmp_path):
+    # the parser is built on the first main call, not at import, and every
+    # later call reuses it; a flag given in one call does not reach the next
+    src = os.path.dirname(os.path.dirname(collapsemc.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    probe = "import collapsemc.cli as cli; print(cli.build_parser.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "0"
+    build_parser.cache_clear()
+    first, second = tmp_path / "first", tmp_path / "second"
+    code, _, err = run_cli(capsys, "born", "--runs", "7", "--seed", "9", "--q0", "0.3",
+                           "--format", "jsonl", "--verbose", "--out-dir", str(first))
+    assert code == 0 and "winner1" in err
+    code, out, err = run_cli(capsys, "born", "--runs", "5", "--out-dir", str(second))
+    assert code == 0 and err == ""
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    summary = json.loads(out)
+    assert (summary["runs"], summary["master_seed"], summary["q0"]) == (5, 1, 0.5)
+    assert summary["records_path"].endswith("records.csv")
 
 
 def test_min_distance(capsys):
@@ -647,20 +671,20 @@ def test_verbose_table_on_stderr(capsys, tmp_path):
 # record digests are committed
 VERBOSE_TABLES = {
     "born": "class           count       freq               wilson 95%\n"
-            "winner1          1478   0.492667 [0.474797, 0.510555]\n"
-            "winner2          1522   0.507333 [0.489445, 0.525203]\n"
+            "winner1          1545   0.515000 [0.497108, 0.532854]\n"
+            "winner2          1455   0.485000 [0.467146, 0.502892]\n"
             "failed              0\n"
-            "duration_s   p10=1.025000e-04 p50=1.625000e-04 p90=2.625000e-04\n",
+            "duration_s   p10=1.012500e-04 p50=1.625000e-04 p90=2.588750e-04\n",
     "collapse-time": "class           count       freq               wilson 95%\n"
-                     "winner1          1433   0.477667 [0.459832, 0.495558]\n"
-                     "winner2          1567   0.522333 [0.504442, 0.540168]\n"
+                     "winner1          1521   0.507000 [0.489112, 0.524870]\n"
+                     "winner2          1479   0.493000 [0.475130, 0.510888]\n"
                      "failed              0\n"
-                     "duration_s   p10=2.037500e-04 p50=3.287500e-04 p90=5.312500e-04\n",
+                     "duration_s   p10=2.000000e-04 p50=3.218750e-04 p90=5.213750e-04\n",
     "disagree": "class           count       freq               wilson 95%\n"
-                "agree            1513   0.504333 [0.486448, 0.522208]\n"
-                "disagree         1487   0.495667 [0.477792, 0.513552]\n"
+                "agree            1501   0.500333 [0.482452, 0.518214]\n"
+                "disagree         1499   0.499667 [0.481786, 0.517548]\n"
                 "failed              0\n"
-                "duration_s   p10=2.025000e-04 p50=3.275000e-04 p90=5.238750e-04\n",
+                "duration_s   p10=2.025000e-04 p50=3.237500e-04 p90=5.237500e-04\n",
 }
 
 

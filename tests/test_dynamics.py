@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from collapsemc import dynamics
 from collapsemc.dynamics import (BARRIER_BETA, EPSILON_MIN, MAX_GAMMA_DT, CollapseParams,
                                  NoCollapsePossibleError, collapse_batch)
-from collapsemc.noise import (BLOCK_STEPS, DEFAULT_NOISE, RUN_INDEX_LIMIT, PhiloxNoiseSource,
-                              derive_stream_key)
+from collapsemc.noise import (BLOCK_STEPS, DEFAULT_NOISE, LEVELS, RUN_INDEX_LIMIT,
+                              PhiloxNoiseSource, derive_stream_key)
 
 ETA = 1e10
 LAM = 1e-16
@@ -27,6 +27,9 @@ GAMMA = 2.0 * LAM * ETA * ETA  # 2e4 per second
 
 # frame-0 style: one stream per detector, Gamma = 4e4 / s
 RATES_0 = (RATE, RATE)
+
+# level indices of the five-point law: +a, its mirror -a, and 0
+PLUS_A, MINUS_A, ZERO = 11, 4, 5
 
 
 def scalars(params):
@@ -47,15 +50,15 @@ def keys0_for(n, seed=1, runs=None):
 
 
 class _ConstNoise(PhiloxNoiseSource):
-    """Every increment is the same float32 value, so steps can be checked
-    by hand."""
+    """Every step of every stream draws the same level index, so steps can
+    be checked by hand."""
 
-    def __init__(self, value):
+    def __init__(self, level):
         super().__init__()
-        self.value = value
+        self.level = level
 
     def block_normals(self, key, block_index, runs):
-        return np.full(len(runs) * BLOCK_STEPS, self.value, dtype=np.float32)
+        return np.full(len(runs) * BLOCK_STEPS, self.level, dtype=np.uint8)
 
 
 class _SpyNoise(PhiloxNoiseSource):
@@ -81,10 +84,11 @@ def split_step(h, r, noise):
     return phi(0.5 * h, phi(0.5 * h, r) + noise)
 
 
-def noise_scale(rate, dt):
-    """The engine's noise per unit normal, 2 sqrt(Gamma_s dt) with the
-    half scale sqrt(Gamma_s dt) rounded to float32."""
-    return 2.0 * float(np.float32(math.sqrt(rate * dt)))
+def half_noise(rate, dt, level):
+    """The engine's half-scale noise of one stream at a level index: its
+    table entry, sqrt(Gamma_s dt) LEVELS[level] in float64 rounded once to
+    float32."""
+    return float(np.float32(0.5 * (2.0 * math.sqrt(rate * dt)) * LEVELS[level]))
 
 
 def float32_path(r0, h, half_noise):
@@ -168,63 +172,70 @@ def test_noise_calls_do_not_grow_with_runs(n):
 # ---------------------------------------------------------------------------
 
 def test_step_hand_example():
-    # one stream, Gamma dt = 0.01, unit normal +1: noise 2 sqrt(Gamma dt)
-    # = 0.2 (0.1 rounded to float32, doubled), and half a step h / 2 =
-    # 0.005 of the drift flow either side of the noise; phi fixes r = 0.
-    # Two steps stay far inside the barrier, so the run stops at the step cap
+    # one stream, Gamma dt = 0.01, level +a ~= 0.92286 every step: noise
+    # 2 sqrt(Gamma dt) a = 0.2 a ~= 0.18457, its half 0.1 a rounded once to
+    # float32 in the table, and half a step h / 2 = 0.005 of the drift flow
+    # either side of the noise; phi fixes r = 0.  Two steps stay far inside
+    # the barrier, so the run stops at the step cap
     rates = (0.01,)
     params = CollapseParams(dt=1.0, epsilon=1e-6, max_steps=2)
-    cooked = collapse_batch(0.5, rates, *scalars(params), *keys_for(1), noise=_ConstNoise(1.0))
+    cooked = collapse_batch(0.5, rates, *scalars(params), *keys_for(1),
+                            noise=_ConstNoise(PLUS_A))
     assert (cooked.winner[0], cooked.steps[0]) == (0, 2)
-    one = phi(0.005, 0.2)
-    assert one == pytest.approx(0.2009992, abs=1e-7)
-    sig = noise_scale(0.01, 1.0)
-    assert sig != 0.2 and sig == pytest.approx(0.2, rel=2**-24)
+    noise = 0.2 * LEVELS[PLUS_A]
+    assert noise == pytest.approx(0.1845718, abs=1e-7)
+    assert phi(0.005, noise) == pytest.approx(0.1854943, abs=1e-7)
+    half = half_noise(0.01, 1.0, PLUS_A)
+    assert half != 0.5 * noise and half == pytest.approx(0.5 * noise, rel=2**-24)
     # the kernel's float32 steps give the bits; the double-precision split
     # step agrees within the float32 state's 2**-21 a step
-    assert cooked.r[0] == float32_path(0.0, 0.01, [0.5 * sig] * 2)[-1]
-    first = phi(0.005, sig)
-    assert cooked.r[0] == pytest.approx(phi(0.005, phi(0.005, first) + sig), rel=2 * 2**-21)
-    # the frozen-drift Euler step gives 0.4 + 0.02 tanh(0.1) = 0.40199
-    assert cooked.r[0] == pytest.approx(0.40399, abs=1e-5)
+    assert cooked.r[0] == float32_path(0.0, 0.01, [half] * 2)[-1]
+    assert cooked.r[0] == pytest.approx(split_step(0.01, split_step(0.01, 0.0, noise), noise),
+                                        rel=2 * 2**-21)
+    assert cooked.r[0] == pytest.approx(0.37283, abs=1e-5)
+    # the frozen-drift Euler step gives 0.4 a + 0.02 tanh(0.1 a) = 0.37098
+    euler = 2.0 * noise + 0.02 * math.tanh(0.5 * noise)
+    assert euler == pytest.approx(0.37098, abs=1e-5)
 
 
 def test_barrier_shift_hand_example():
-    # constant +1 noise, 0.2 a step (up to the float32 rounding of its
-    # half).  The nominal threshold logit(1 - eps) is 1, and the shifted
-    # barrier is 1 - beta * 0.2 = 0.8835.  The split recursion gives
-    # r_k = 0.2010, 0.4040, 0.6089, 0.8158, 1.0243, so r first passes the
-    # barrier at step 5
+    # constant level +a, 0.2 a ~= 0.1846 a step (up to the float32 rounding
+    # of its half).  The nominal threshold logit(1 - eps) is 1, and the
+    # shifted barrier is 1 - beta * 0.2 = 0.8835, where 0.2 is the per-step
+    # standard deviation whatever level is drawn.  The split recursion
+    # gives r_k = 0.1855, 0.3728, 0.5620, 0.7529, 0.9455, so r first passes
+    # the barrier at step 5
     rates = (0.01,)
     params = CollapseParams(dt=1.0, epsilon=1.0 / (1.0 + math.e), max_steps=10)
     assert params.log_threshold == pytest.approx(1.0, abs=1e-15)
     r, path = 0.0, []
     while r < 1.0 - BARRIER_BETA * 0.2:
-        r = split_step(0.01, r, noise_scale(0.01, 1.0))
+        r = split_step(0.01, r, 0.2 * LEVELS[PLUS_A])
         path.append(r)
-    assert len(path) == 5 and path[3] == pytest.approx(0.8158, abs=1e-4)
+    assert len(path) == 5 and path[3] == pytest.approx(0.7529, abs=1e-4)
     # the kernel's float32 steps, which give the engine's bits, stay within
     # 2**-21 a step of the double-precision path
-    path32 = float32_path(0.0, 0.01, [0.5 * noise_scale(0.01, 1.0)] * 5)
+    path32 = float32_path(0.0, 0.01, [half_noise(0.01, 1.0, PLUS_A)] * 5)
     assert path32 == pytest.approx(path, rel=5 * 2**-21)
-    res = collapse_batch(0.5, rates, *scalars(params), *keys_for(1), noise=_ConstNoise(1.0))
+    res = collapse_batch(0.5, rates, *scalars(params), *keys_for(1), noise=_ConstNoise(PLUS_A))
     assert (res.winner[0], res.steps[0]) == (1, 5)
     assert res.r[0] == path32[4]
     # capped one step short, the run is still live and holds r_4
     capped = collapse_batch(0.5, rates, 1.0, params.epsilon, 4, *keys_for(1),
-                            noise=_ConstNoise(1.0))
+                            noise=_ConstNoise(PLUS_A))
     assert (capped.winner[0], capped.steps[0]) == (0, 4)
     assert capped.r[0] == path32[3]
-    # the flow is odd, so -1 noise mirrors the path bit for bit and the run
-    # absorbs at the lower barrier at the same step
-    mirror = collapse_batch(0.5, rates, *scalars(params), *keys_for(1), noise=_ConstNoise(-1.0))
+    # the flow is odd and level -a mirrors +a, so the path mirrors bit for
+    # bit and the run absorbs at the lower barrier at the same step
+    mirror = collapse_batch(0.5, rates, *scalars(params), *keys_for(1),
+                            noise=_ConstNoise(MINUS_A))
     assert (mirror.winner[0], mirror.steps[0]) == (2, 5)
     assert mirror.r[0] == -res.r[0]
     # a barrier 0.001 under r_4 is reached at step 4, although the carried
     # z = phi_{-h/2}(r_4) sits about 0.004 under r_4: z is tested against
     # the barrier mapped the same way
     near = 1.0 / (1.0 + math.exp(path[3] - 0.001 + BARRIER_BETA * 0.2))
-    res = collapse_batch(0.5, rates, 1.0, near, 10, *keys_for(1), noise=_ConstNoise(1.0))
+    res = collapse_batch(0.5, rates, 1.0, near, 10, *keys_for(1), noise=_ConstNoise(PLUS_A))
     assert (res.winner[0], res.steps[0]) == (1, 4)
     assert res.r[0] == path32[3]
     # a start between the barrier and the nominal threshold absorbs at once
@@ -395,7 +406,7 @@ def test_sub_blocks_do_not_change_results(monkeypatch):
 
 
 def test_sub_block_size_does_not_change_a_gapped_batch(monkeypatch):
-    # the float32 noise sum is formed per sub-block, so a two-stream batch
+    # the noise is gathered per sub-block, so a two-stream batch
     # of 640 gapped runs that live through at least three windows gives
     # every run the same r, steps and winner at any sub-block size,
     # whether a sub-block's runs are drawn over their span or by segments
@@ -457,15 +468,15 @@ def test_engine_matches_reference_stepper():
     # in float64 and rounded to float32, then z = y + 2 sqrt(Gamma dt) zeta
     # and y = phi_h(z) in float32, with r = phi_{h/2}(z) in float64 at the
     # end, in the same operation order, must reproduce the batch engine
-    # exactly over 50 steps that stay inside the barrier; the noise is the
-    # float32 product of zeta and float32(2 sqrt(Gamma dt)), as the engine
-    # forms it
+    # exactly over 50 steps that stay inside the barrier; the noise is
+    # 2 sqrt(Gamma dt) LEVELS[i] in float64 rounded once to float32, at
+    # full scale where the engine's table holds its half
     gamma = LAM * (ETA ** 2 + (0.5 * ETA) ** 2)
     key = derive_stream_key(5, "D1")
     params = dataclasses.replace(PARAMS, max_steps=50)
     h = gamma * params.dt
     sig = 2.0 * math.sqrt(h)
-    zeta = DEFAULT_NOISE.block_normals(key, 0, [9])[:params.max_steps]
+    zeta = LEVELS[DEFAULT_NOISE.block_normals(key, 0, [9])[:params.max_steps]]
 
     def flow(part, r):
         return 2.0 * np.arcsinh(np.sinh(0.5 * r) * math.exp(part * h))
@@ -476,27 +487,28 @@ def test_engine_matches_reference_stepper():
     r = math.log(0.37) - math.log1p(-0.37)
     y = np.float32(flow(0.5, r))
     for t in range(params.max_steps):
-        z = y + zeta[t] * np.float32(sig)
+        z = y + np.float32(sig * zeta[t])
         y = np.float32(2.0) * np.arcsinh(np.sinh(np.float32(0.5) * z) * grow)
     assert z.dtype == y.dtype == np.float32
     assert flow(0.5, np.float64(z)) == res.r[0]
 
 
 def reference_window(noise, keys, runs, sig, block_index, rows):
-    """A window's float32 noise, shape (rows, runs), drawn run by run from
-    block_normals, scaled by float32(sig_s) and summed into float32 zeros
-    stream by stream in rate order."""
-    dw = np.zeros((rows, len(runs)), dtype=np.float32)
+    """A window's full-scale float32 noise, shape (rows, runs): each
+    stream's level indices drawn run by run from block_normals, mapped
+    through LEVELS, scaled by sig_s and summed stream by stream in rate
+    order, all in float64, and rounded once to float32."""
+    dw = np.zeros((rows, len(runs)))
     for key, scale in zip(keys, sig):
-        zeta = np.concatenate([noise.block_normals(key, block_index, [k])
-                               for k in runs.tolist()])
-        dw += np.float32(scale) * zeta.reshape(-1, BLOCK_STEPS)[:, :rows].T
-    return dw
+        level = np.concatenate([noise.block_normals(key, block_index, [k])
+                                for k in runs.tolist()])
+        dw += scale * LEVELS[level.reshape(-1, BLOCK_STEPS)[:, :rows].T]
+    return dw.astype(np.float32)
 
 
 def reference_drive(r0, keys, runs, sig, h, thr, n_steps, noise, record=None):
     """The per-step loop the slab kernel replaced: full-scale float32 noise
-    in a fresh window array, the barrier tested after every step, and the
+    worked out per run in a fresh window array, the barrier tested after every step, and the
     window cut at the step where its last run absorbs.  A window starts
     from y = phi_{h/2}(r) in float64 rounded to float32, steps y = phi_h(z)
     in float32, and goes back to r = phi_{h/2}(z) in float64.  Same
@@ -645,7 +657,7 @@ def test_slab_kernel_barrier_is_closed():
     case = _kernel_case("A", 1e-6, 300)
     *_, h, thr = case
     zh_hi = ceil32(np.arcsinh(np.sinh(0.5 * thr) * math.exp(-0.5 * h)))
-    zero = _ConstNoise(0.0)
+    zero = _ConstNoise(ZERO)
     for zh, at in ((zh_hi, 1), (np.nextafter(zh_hi, np.float32(0.0)), 2)):
         # the double-precision start whose first w rounds to zh
         r0 = 2.0 * math.asinh(math.sinh(float(zh)) * math.exp(-0.5 * h))
@@ -755,7 +767,7 @@ def test_zero_noise_follows_exact_drift_flow():
         for q0 in (0.3, 0.8, 1e-6):
             r0 = math.log(q0) - math.log1p(-q0)
             res = collapse_batch(q0, RATES_A, *scalars(params), *keys_for(1),
-                                 noise=_ConstNoise(0.0))
+                                 noise=_ConstNoise(ZERO))
             assert (res.winner[0], res.steps[0]) == (0, n)
             assert res.r[0] == float32_path(r0, h, [0.0] * n)[-1]
             expected = 2.0 * math.asinh(math.sinh(0.5 * r0) * math.exp(n * h))
@@ -823,3 +835,34 @@ def test_stream_layout_validation():
     for bad in (-RATE, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="rates"):
             collapse_batch(0.5, (RATE, bad), *scalars(PARAMS), *keys0_for(1))
+
+
+def test_noise_table_maps_a_byte_of_levels_to_half_the_increment():
+    # entry (i << 4) | j of a two-stream table is (sig_1 / 2) LEVELS[i] +
+    # (sig_2 / 2) LEVELS[j] in float64 rounded once to float32, so it is
+    # exactly half the full-scale increment rounded once; a one-stream
+    # table has 16 entries.  The table is odd: byte 255 - k mirrors byte k
+    sig = [2.0 * math.sqrt(RATE * PARAMS.dt), 2.0 * math.sqrt(0.3 * RATE * PARAMS.dt)]
+    table = dynamics._noise_table(sig)
+    assert table.dtype == np.float32 and table.shape == (256,)
+    for i, j in itertools.product(range(16), repeat=2):
+        full = sig[0] * LEVELS[i] + sig[1] * LEVELS[j]
+        assert table[(i << 4) | j] == np.float32(0.5 * sig[0] * LEVELS[i]
+                                                 + 0.5 * sig[1] * LEVELS[j])
+        assert table[(i << 4) | j] == np.float32(full) / 2
+    assert np.array_equal(table[::-1], -table)
+    one = dynamics._noise_table(sig[:1])
+    assert one.shape == (16,) and np.array_equal(one, (0.5 * sig[0] * LEVELS).astype(np.float32))
+    # five values, each a step's variance sig^2 at the law's weights
+    assert np.unique(one).size == 5
+    assert math.fsum(float(v) ** 2 for v in one) / 16 == pytest.approx(sig[0] ** 2 / 4,
+                                                                       rel=1e-6)
+
+
+def test_more_than_two_streams_are_refused():
+    # a step's level indices fill one byte, so a frame has one or two streams
+    keys = tuple(zip(*(derive_stream_key(1, det) for det in ("D1", "D2", "D3"))))
+    spy = _SpyNoise()
+    with pytest.raises(ValueError, match="at most two noise streams"):
+        collapse_batch(0.5, (RATE, RATE, RATE), *scalars(PARAMS), keys, [0], noise=spy)
+    assert spy.calls == []

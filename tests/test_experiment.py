@@ -22,7 +22,8 @@ FRAME_B = Frame(-V99)
 
 class _SpyNoise(PhiloxNoiseSource):
     """Records the requested stream addresses (k0, k1, run_index);
-    optionally corrupts the draws of a chosen key set."""
+    optionally corrupts the draws of a chosen key set, mirroring each
+    level index i to 15 - i."""
 
     def __init__(self, corrupt_keys=()):
         super().__init__()
@@ -33,7 +34,7 @@ class _SpyNoise(PhiloxNoiseSource):
         self.requested.extend((*key, int(k)) for k in runs)
         vals = super().block_normals(key, block_index, runs)
         if key in self.corrupt_keys:
-            return -3.0 * vals + 1.0
+            return 15 - vals
         return vals
 
 
@@ -297,10 +298,10 @@ def test_collapse_time_law_lattice_ks(frame, q0):
     # the engine's step counts against the exact law: the ECDF at every
     # step k up to the longest run against 1 - S(k Gamma dt), at the
     # scenario step (Gamma dt 0.05 in frame 0, 0.025 in frame A) and
-    # epsilon 1e-6, where seed 123 gives sqrt(N) D of 0.78-1.07.  At
+    # epsilon 1e-6, where seed 123 gives sqrt(N) D of 0.49-0.91.  At
     # epsilon 0.01 the shifted barrier's discretization bias shows at this
-    # run count: the same seed gives 1.74 in frame A at q0 0.5, past the
-    # 1 % point, so that epsilon is left to the E[T] test above
+    # run count: seeds 1-8 give up to 1.85, past the 1 % point, so that
+    # epsilon is left to the E[T] test above
     n = 16384
     scn = build_scenario(q0=q0)
     params = scn.params

@@ -8,48 +8,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
-from collapsemc.noise import (BLOCK_STEPS, RUN_INDEX_LIMIT, SPAN_MIN_FILL,
+from collapsemc.noise import (BLOCK_STEPS, LEVELS, RUN_INDEX_LIMIT, SPAN_MIN_FILL,
                               PhiloxNoiseSource, derive_stream_key)
 
-# a window's words, one per Box-Muller pair, and the counter values they span
-HALF = BLOCK_STEPS // 2
-COUNTERS = HALF // 4
+# a window's words, 4 bits a step, and the counter values they span
+WORDS = BLOCK_STEPS // 16
+COUNTERS = WORDS // 4
 
-# the documented tail cut: |z| <= sqrt(-2 ln 2**-40)
-Z_MAX = math.sqrt(80.0 * math.log(2.0))
+# the documented law: level index i stands for LEVELS[i]
+A = math.sqrt((8.0 - math.sqrt(14.0)) / 5.0)
+B = math.sqrt(8.0 - 4.0 * A * A)
 
 
 def window_words(key, block, run):
     """The words of window `block` of run `run` on stream `key`, from a
-    fresh Philox at counter (16 run, block, 0, 0)."""
+    fresh Philox at counter (2 run, block, 0, 0)."""
     counter = np.array([run * COUNTERS, block, 0, 0], dtype=np.uint64)
-    return Philox(key=np.array(key, dtype=np.uint64), counter=counter).random_raw(HALF)
+    return Philox(key=np.array(key, dtype=np.uint64), counter=counter).random_raw(WORDS)
 
 
 def reference_transform(words):
-    """float32 normals of one window's words through the documented
-    transform: the radius from bits 63..24 of each word, the angle from
-    bits 23..0, every operation in float32."""
-    u = ((words >> np.uint64(24)) + np.uint64(1)).astype(np.float32) * np.float32(2.0 ** -40)
-    radius = np.sqrt(np.float32(-2.0) * np.log(u))
-    theta = (words & np.uint64(2**24 - 1)).astype(np.float32) * (np.float32(2.0 * np.pi)
-                                                                 * np.float32(2.0 ** -24))
-    return np.concatenate([radius * np.cos(theta), radius * np.sin(theta)])
+    """Level indices of one window's words in the documented nibble order:
+    byte j of the window is bits 8 (j % 8) ... of word j // 8, row j its
+    low nibble and row 64 + j its high nibble, so row j reads nibble
+    2 (j % 8) of word j // 8 and row 64 + j the nibble after it."""
+    nibbles = (words[:, None] >> (np.arange(16, dtype=np.uint64) * np.uint64(4))) & np.uint64(15)
+    return np.concatenate([nibbles[:, 0::2].ravel(), nibbles[:, 1::2].ravel()]).astype(np.uint8)
 
 
 def reference_window(key, block, run):
     """Window `block` of run `run` on stream `key` through the documented
-    transform."""
+    nibble order."""
     return reference_transform(window_words(key, block, run))
-
-
-def radius32(n):
-    """The float32 radius of u = n * 2**-40, n a float32 integer."""
-    return np.sqrt(np.float32(-2.0) * np.log(np.float32(n) * np.float32(2.0 ** -40)))
-
-
-def phi(x):
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +131,9 @@ def test_block_normals_deterministic_across_instances():
     a = PhiloxNoiseSource().block_normals(key, 0, [3])
     b = PhiloxNoiseSource().block_normals(key, 0, [3])
     assert np.array_equal(a, b)
-    assert a.shape == (BLOCK_STEPS,) and a.dtype == np.float32
+    assert a.shape == (BLOCK_STEPS,) and a.dtype == np.uint8
     empty = PhiloxNoiseSource().block_normals(key, 0, [])
-    assert empty.shape == (0,) and empty.dtype == np.float32
+    assert empty.shape == (0,) and empty.dtype == np.uint8
 
 
 def test_block_normals_distinct_keys_and_blocks():
@@ -166,79 +156,57 @@ def test_window_matches_reference_transform():
 
 
 def test_transform_matches_scalar_math():
-    # the documented transform in double-precision scalar math, which
-    # differs from the float32 transform by float32 rounding only
+    # the documented nibble order in Python integer arithmetic: row t reads
+    # byte t % 64 of the window, low nibble for t < 64, high nibble after
     key, block, run = derive_stream_key(4, "D1"), 2, 9
     words = [int(w) for w in window_words(key, block, run)]
     got = PhiloxNoiseSource().block_normals(key, block, [run])
-    np.testing.assert_allclose(got, _scalar_window(words), rtol=0, atol=2e-6)
+    assert got.tolist() == _scalar_window(words)
 
 
 def _scalar_window(words):
-    """The documented transform of a window's words in double-precision
-    scalar math."""
-    expected = []
-    for part in (math.cos, math.sin):
-        for w in words:
-            radius = math.sqrt(-2.0 * math.log(((w >> 24) + 1) * 2.0 ** -40))
-            expected.append(radius * part(2.0 * math.pi * (w & (2**24 - 1)) * 2.0 ** -24))
-    return expected
+    """The documented nibble order of a window's words in Python integers."""
+    window = []
+    for t in range(BLOCK_STEPS):
+        j = t % (BLOCK_STEPS // 2)
+        byte = (words[j // 8] >> (8 * (j % 8))) & 0xFF
+        window.append(byte & 0xF if t < BLOCK_STEPS // 2 else byte >> 4)
+    return window
 
 
 class _WordSource(PhiloxNoiseSource):
-    """Transforms hand-built words in place of every Philox draw."""
+    """Splits hand-built words in place of every Philox draw."""
 
     def __init__(self, words):
         super().__init__()
         self.words = np.array(words, dtype=np.uint64)
 
     def _draw(self, first_run, n_runs):
-        assert n_runs * HALF == self.words.size
+        assert n_runs * WORDS == self.words.size
         return self.words.copy()
 
 
-def test_word_bits_split_between_radius_and_angle():
-    # word j of a window gives rows j and 64 + j: bits 63..24 set the
-    # radius and bits 23..0 the angle, and neither field leaks into the other
-    quarter = 2**22  # an angle of pi / 2
-    special = [
-        0,                            # radius at the tail cut, angle 0
-        2**64 - 1,                    # u = 1: radius 0, whatever the angle
-        2**24,                        # lowest radius bit: u = 2 * 2**-40, angle 0
-        (2**40 - 1) << 24,            # u = 1 again, angle 0
-        2**24 - 1,                    # radius at the cut, angle just short of 2 pi
-        quarter,                      # radius at the cut, angle pi / 2
-        (12345 << 24) | quarter,
-    ]
-    rng = np.random.default_rng(5)
-    words = special + [int(w) for w in rng.integers(0, 2**64, HALF - len(special),
-                                                     dtype=np.uint64)]
+def test_nibble_layout_of_a_window():
+    # word m's byte b is byte 8 m + b of the window: its low nibble gives
+    # row 8 m + b and its high nibble row 64 + 8 m + b, and no nibble
+    # leaks into another row
+    words = [0] * WORDS
+    words[0] = 0x0000_0000_0000_00F1   # byte 0: row 0 reads 1, row 64 reads 15
+    words[1] = 0x5A00_0000_0000_0000   # byte 15: row 15 reads 10, row 79 reads 5
+    words[7] = 0x3000_0000_0000_0C00   # byte 57: row 57 reads 12; byte 63: row 127 reads 3
     got = _WordSource(words).block_normals((1, 2), 0, [0])
-    assert got.dtype == np.float32
-    assert np.array_equal(got, reference_transform(np.array(words, dtype=np.uint64)))
-    cos_rows, sin_rows = got[:HALF], got[HALF:]
-    assert cos_rows[0] == radius32(1) and sin_rows[0] == 0.0
-    assert cos_rows[1] == 0.0 and sin_rows[1] == 0.0
-    assert cos_rows[2] == radius32(2) and sin_rows[2] == 0.0
-    assert cos_rows[3] == 0.0 and sin_rows[3] == 0.0
-    assert cos_rows[4] == radius32(1)
-    assert -1e-5 < sin_rows[4] < 0.0
-    assert abs(cos_rows[5]) < 1e-6 and float(sin_rows[5]) == pytest.approx(Z_MAX, rel=1e-7)
-    r = math.sqrt(-2.0 * math.log(12346 * 2.0 ** -40))
-    assert abs(cos_rows[6]) < 1e-6 and float(sin_rows[6]) == pytest.approx(r, rel=1e-7)
-    np.testing.assert_allclose(got, _scalar_window(words), rtol=0, atol=2e-6)
-
-
-def test_u_rounds_to_one_at_the_top_of_the_radius_field():
-    # in float32, (w >> 24) + 1 rounds to 2**40 from 2**40 - 2**15 up (the
-    # midpoint ties to the even 2**40), so u = 1 and both rows of the pair
-    # are 0: an atom at z = 0 of 2**15 + 1 of the 2**40 radius fields,
-    # about 2**-25 per pair.  One field lower, u = 1 - 2**-24
-    top = 2**40 - 2**15 - 1
-    words = [top << 24, (top << 24) | 2**22, (top - 1) << 24]
-    got = _WordSource(words + [0] * (HALF - len(words))).block_normals((1, 2), 0, [0])
-    assert got[0] == got[HALF] == got[1] == got[HALF + 1] == 0.0
-    assert got[2] == radius32(2**40 - 2**16) and 0.0 < got[2] < 4e-4
+    assert got.dtype == np.uint8 and got.shape == (BLOCK_STEPS,)
+    want = np.zeros(BLOCK_STEPS, dtype=np.uint8)
+    want[[0, 64, 15, 79, 57, 127]] = [1, 15, 10, 5, 12, 3]
+    assert np.array_equal(got, want)
+    # every word of all ones reads 15 everywhere, and random words match
+    # the reference on two runs drawn at once
+    assert (_WordSource([2**64 - 1] * WORDS).block_normals((1, 2), 0, [0]) == 15).all()
+    rng = np.random.default_rng(5)
+    words = rng.integers(0, 2**64, 2 * WORDS, dtype=np.uint64)
+    got = _WordSource(words).block_normals((1, 2), 0, [4, 5])
+    assert np.array_equal(got, np.concatenate([reference_transform(words[:WORDS]),
+                                               reference_transform(words[WORDS:])]))
 
 
 def test_run_lists_match_per_run_draws():
@@ -316,8 +284,8 @@ def test_draws_stay_within_four_times_the_requested_words(runs, offset):
     src = _DrawSpy()
     got = src.block_normals(key, 2, runs)
     drawn = sum(w.size for w in src.words)
-    assert drawn == sum(n for _, n in src.draws) * HALF
-    assert drawn <= 4 * len(runs) * HALF
+    assert drawn == sum(n for _, n in src.draws) * WORDS
+    assert drawn <= 4 * len(runs) * WORDS
     assert len(src.draws) <= 1 + sum(b - a != 1 for a, b in zip(runs, runs[1:]))
     assert got.shape == (len(runs) * BLOCK_STEPS,)
     assert np.array_equal(got, _per_run(key, 2, runs))
@@ -325,14 +293,14 @@ def test_draws_stay_within_four_times_the_requested_words(runs, offset):
 
 def test_span_ending_at_the_last_run_index():
     # a dense span that ends at the last run index reads the counter up to
-    # 2**64 - 16, as the single run there does
+    # 2**64 - 2, as the single run there does
     key = derive_stream_key(14, "D1")
     last = RUN_INDEX_LIMIT - 1
     runs = [last, last - 5, last - 2, last - 3]
     src = _DrawSpy()
     got = src.block_normals(key, 7, runs)
     assert src.draws == [(last - 5, 6)]
-    assert [int(w) for w in src._bitgen.state["state"]["counter"]] == [2**64 - 16, 7, 0, 0]
+    assert [int(w) for w in src._bitgen.state["state"]["counter"]] == [2**64 - 2, 7, 0, 0]
     assert np.array_equal(got, _per_run(key, 7, runs))
 
 
@@ -353,10 +321,10 @@ def test_block_normals_validation():
     assert np.array_equal(src.block_normals(key, np.int64(1), [0]),
                           src.block_normals(key, 1, [0]))
     # run index: the last run whose window ends inside the low counter word
-    assert RUN_INDEX_LIMIT == 2**60 - 1
+    assert RUN_INDEX_LIMIT == 2**63 - 1
     last = RUN_INDEX_LIMIT - 1
     src.block_normals(key, 3, [last])
-    assert [int(w) for w in src._bitgen.state["state"]["counter"]] == [2**64 - 16, 3, 0, 0]
+    assert [int(w) for w in src._bitgen.state["state"]["counter"]] == [2**64 - 2, 3, 0, 0]
     for bad in (-1, RUN_INDEX_LIMIT, 2**63, 2**64):
         with pytest.raises(ValueError, match=f"got {bad}"):
             src.block_normals(key, 3, [0, bad])
@@ -367,7 +335,7 @@ def test_block_normals_validation():
     state["state"]["counter"] = [RUN_INDEX_LIMIT * COUNTERS, 3, 0, 0]
     state["buffer_pos"] = 4
     src._bitgen.state = state
-    src._bitgen.random_raw(HALF)
+    src._bitgen.random_raw(WORDS)
     assert [int(w) for w in src._bitgen.state["state"]["counter"]] == [0, 4, 0, 0]
     with pytest.raises(ValueError, match="1-D"):
         src.block_normals(key, 0, np.array([[0, 1]]))
@@ -390,8 +358,8 @@ def _state_words(bitgen):
 def test_reused_state_matches_fresh_generators():
     # one source drawn in an interleaved order must match, draw by draw, a
     # fresh generator at that key and counter, in words, values and the
-    # state left behind: window b of run k is the 64 words of a fresh
-    # Philox at counter (16 k, b, 0, 0).  Words and a uint32 drawn from the
+    # state left behind: window b of run k is the 8 words of a fresh
+    # Philox at counter (2 k, b, 0, 0).  Words and a uint32 drawn from the
     # shared bit generator between calls leave its output buffer part used
     # and a cached word, and neither may carry over into the next draw
     keys = [(0, 0), (2**64 - 1, 2**63), (2**63 + 5, 12345), derive_stream_key(3, "D2")]
@@ -402,14 +370,14 @@ def test_reused_state_matches_fresh_generators():
                 got = src.block_normals(key, block, runs)
                 assert np.array_equal(got, np.concatenate(
                     [reference_window(key, block, k) for k in runs])), (key, block, runs)
-                words = src.words[-1].reshape(len(runs), HALF)
+                words = src.words[-1].reshape(len(runs), WORDS)
                 for k, run_words in zip(runs, words):
                     fresh = Philox(key=np.array(key, dtype=np.uint64),
-                                   counter=np.array([16 * k, block, 0, 0], dtype=np.uint64))
-                    assert np.array_equal(run_words, fresh.random_raw(64)), (key, block, k)
+                                   counter=np.array([2 * k, block, 0, 0], dtype=np.uint64))
+                    assert np.array_equal(run_words, fresh.random_raw(WORDS)), (key, block, k)
                 counter = np.array([runs[0] * COUNTERS, block, 0, 0], dtype=np.uint64)
                 fresh = Philox(key=np.array(key, dtype=np.uint64), counter=counter)
-                fresh.random_raw(len(runs) * HALF)
+                fresh.random_raw(len(runs) * WORDS)
                 assert _state_words(src._bitgen) == _state_words(fresh)
                 src._bitgen.random_raw(3)
                 Generator(src._bitgen).integers(0, 2**32, dtype=np.uint32)
@@ -420,50 +388,68 @@ def test_reused_state_matches_fresh_generators():
 # ---------------------------------------------------------------------------
 
 def _sample(n_runs, seed=1, chunk=4096):
-    """n_runs windows of block 0, in chunks, as one (runs, BLOCK_STEPS) array."""
+    """n_runs windows of block 0, in chunks, as one (runs, BLOCK_STEPS)
+    array of level indices."""
     key = derive_stream_key(seed, "D1")
     src = PhiloxNoiseSource()
     return np.concatenate([src.block_normals(key, 0, np.arange(lo, min(lo + chunk, n_runs)))
                            for lo in range(0, n_runs, chunk)]).reshape(n_runs, BLOCK_STEPS)
 
 
+def test_levels_match_the_normal_moments():
+    # the 16 equally likely levels: 0 six times, +-a four times and +-b
+    # once each, in increasing order, odd under i -> 15 - i; E zeta^k is
+    # the standard normal's 0, 1, 0, 3, 0 for k = 1 ... 5
+    assert LEVELS.dtype == np.float64 and LEVELS.shape == (16,)
+    assert LEVELS.tolist() == [-B, *[-A] * 4, *[0.0] * 6, *[A] * 4, B]
+    assert A * A == pytest.approx(0.8517, abs=1e-4) and B * B == pytest.approx(4.593, abs=1e-3)
+    assert (np.diff(LEVELS) >= 0).all() and (LEVELS[::-1] == -LEVELS).all()
+    for k, normal in zip(range(1, 6), (0.0, 1.0, 0.0, 3.0, 0.0)):
+        assert abs(math.fsum(LEVELS ** k) / 16 - normal) < 1e-12, k
+    # the sixth moment is where the law leaves the normal's 15
+    assert abs(math.fsum(LEVELS ** 6) / 16 - 15.0) > 1.0
+    assert not LEVELS.flags.writeable
+
+
 def test_block_normals_moments():
-    vals = _sample(800).ravel()
+    vals = LEVELS[_sample(800).ravel()]
     n = vals.size
-    assert np.abs(vals).max() <= Z_MAX
+    assert np.abs(vals).max() <= B
     assert abs(vals.mean()) < 4.5 / np.sqrt(n)
     assert abs(vals.var() - 1.0) < 4.5 * np.sqrt(2.0 / n)
 
 
-def test_normals_follow_the_normal_law():
-    # 2**22 normals: a binned chi-square against Phi over 0.25-sigma bins
-    # out to 4 sigma, the tail counts beyond 3, 4 and 5 sigma, and the
-    # documented bound |z| <= sqrt(80 ln 2)
-    z = _sample(2**15).ravel()
-    n = z.size
-    assert n >= 4_000_000
-    assert np.abs(z).max() <= Z_MAX
-    inner = np.arange(-16, 17) * 0.25
-    edges = np.concatenate([[-np.inf], inner, [np.inf]])
-    counts = np.histogram(z, bins=edges)[0]
-    expected = n * np.diff([0.0, *(phi(e) for e in inner), 1.0])
+def test_levels_follow_the_five_point_law():
+    # 2**22 level indices: a chi-square of the 16 index counts against 1/16
+    # each, and of the five values' counts against 6/16, 4/16 and 1/16
+    i = _sample(2**15).ravel()
+    n = i.size
+    assert n == 2**22 and i.dtype == np.uint8 and i.max() <= 15
+    counts = np.bincount(i, minlength=16)
+    chi2 = float(np.sum((counts - n / 16) ** 2 / (n / 16)))
+    assert abs(chi2 - 15) < 4.5 * math.sqrt(2.0 * 15), chi2
+    values, counts = np.unique(LEVELS[i], return_counts=True)
+    assert values.tolist() == [-B, -A, 0.0, A, B]
+    expected = n * np.array([1, 4, 6, 4, 1]) / 16
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    dof = len(counts) - 1
-    assert abs(chi2 - dof) < 4.5 * math.sqrt(2.0 * dof), chi2
-    for t in (3.0, 4.0, 5.0):
-        mean = n * 2.0 * (1.0 - phi(t))
-        tail = int(np.count_nonzero(np.abs(z) > t))
-        assert abs(tail - mean) < 4.5 * math.sqrt(mean), (t, tail, mean)
+    assert abs(chi2 - 4) < 4.5 * math.sqrt(2.0 * 4), chi2
 
 
 def test_rows_and_runs_are_uncorrelated():
-    # row j and row 64 + j share their radius, and adjacent runs share
-    # counter neighbours; both pairs must be uncorrelated
-    z = _sample(2**13)
+    # row j and row 64 + j share a byte, and adjacent runs share counter
+    # neighbours; both pairs must be uncorrelated, and the two nibbles of
+    # a byte independent: a chi-square of their 256 joint counts
+    i = _sample(2**13)
+    z = LEVELS[i]
 
     def corr(x, y):
         return float(np.corrcoef(x.ravel(), y.ravel())[0, 1]), x.size
 
-    for r, n in (corr(z[:, :HALF], z[:, HALF:]), corr(z[0::2], z[1::2]),
-                 corr(z[:, :HALF] ** 2, z[:, HALF:] ** 2)):
+    half = BLOCK_STEPS // 2
+    for r, n in (corr(z[:, :half], z[:, half:]), corr(z[0::2], z[1::2]),
+                 corr(z[:, :half] ** 2, z[:, half:] ** 2)):
         assert abs(r) < 4.5 / math.sqrt(n), r
+    pairs = np.bincount((i[:, :half].astype(np.intp) * 16 + i[:, half:]).ravel(), minlength=256)
+    expected = pairs.sum() / 256
+    chi2 = float(np.sum((pairs - expected) ** 2 / expected))
+    assert abs(chi2 - 255) < 4.5 * math.sqrt(2.0 * 255), chi2
