@@ -294,7 +294,7 @@ def _prepare(rates, dt, epsilon, max_steps, stream_keys, runs):
     if not all(isinstance(w, numbers.Integral) and not isinstance(w, bool)
                and 0 <= int(w) < 2**64 for w in (*k0, *k1)):
         raise ValueError("stream key words must be integers in [0, 2**64)")
-    return list(zip(map(int, k0), map(int, k1))), _run_indices(runs)[0], sig, h, thr
+    return list(zip(map(int, k0), map(int, k1))), _run_indices(runs), sig, h, thr
 
 
 def _noise_table(sig):

@@ -209,7 +209,7 @@ def _run_chunk(config: EnsembleConfig, lo: int) -> np.ndarray:
     record table, put in table order in the process that ran them.  The
     frames' parts arrive in the kind's frame order, so a stable sort by
     run_index leaves each run's rows in that order."""
-    runs = range(lo, min(lo + CHUNK_RUNS, config.runs))
+    runs = np.arange(lo, min(lo + CHUNK_RUNS, config.runs))
     table = np.concatenate([part for frame in KIND_FRAMES[config.kind](config.v)
                             for part in run_frame_batch(config.scenario, frame,
                                                         config.master_seed, runs)])

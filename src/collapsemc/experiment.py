@@ -186,16 +186,16 @@ def run_frame_batch(scenario: Scenario, frame: Frame, master_seed: int,
     derive_stream_key(master_seed, detector), at run index k in its
     counter, so a run's noise and record do not depend on the other runs
     of the batch.  The engine takes the frame's keys once, as the pair
-    (k0 words, k1 words), and the run indices.  Returns (absorbed,
+    (k0 words, k1 words), and the run indices as they are given, so it
+    refuses a float or a bool index with TypeError.  Returns (absorbed,
     failed): the record tables of the runs that absorbed and of those that
     hit the step cap, each in run_indices order.
     """
     keys = [derive_stream_key(master_seed, det) for det in active_detectors(frame)]
-    runs = np.asarray(run_indices, dtype=np.int64)
     params = scenario.params
     res = collapse_batch(scenario.q0, scenario.frame_rates(frame), params.dt, params.epsilon,
-                         params.max_steps, tuple(zip(*keys)), runs, noise=noise)
-    table = np.empty(runs.size, dtype=RECORD_DTYPE)
+                         params.max_steps, tuple(zip(*keys)), run_indices, noise=noise)
+    table = np.empty(res.winner.size, dtype=RECORD_DTYPE)
     table["run_index"] = run_indices
     table["winner"] = res.winner
     table["duration"] = res.duration

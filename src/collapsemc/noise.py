@@ -18,12 +18,11 @@ words numpy's ``Philox`` yields from key (k0, k1) and counter
 block, so run k reads low counter words 2 k + 1 and 2 k + 2.
 Consecutive runs are adjacent in the counter, so one ``random_raw`` call
 draws a window for every run index in a span.  A list of run indices is
-drawn over the whole span from its least to its greatest index in one
-call when its entries number at least ``SPAN_MIN_FILL`` (a quarter) of
-that span, and the requested runs' words are picked out of the draw; a
-sparser list takes one call per segment of consecutive indices.  So a
-draw never holds more than four times the requested runs' words, however
-gapped the list is.
+cut into pieces, in list order, wherever the next index repeats, steps
+back or skips more than ``MAX_GAP`` dead runs; each piece is drawn over
+its own span in one call, and the requested runs' words are picked out of
+the draw.  So a draw holds at most ``MAX_GAP + 1`` times the requested
+runs' words, however gapped the list is.
 
 Each step of a stream takes one 4-bit field, a level index i in 0 ... 15,
 in this nibble order: a run-window's 8 words w_0 ... w_7 are read as 64
@@ -84,13 +83,13 @@ _COUNTERS_PER_WINDOW = _WORDS_PER_WINDOW // 4
 # the block index word: k < 2**63 - 1
 RUN_INDEX_LIMIT = 2**64 // _COUNTERS_PER_WINDOW - 1
 
-# A run list whose entries number at least this share of the index span
-# it covers is drawn over the whole span, dead runs included, in one call.
-# The draw then holds at most 1 / SPAN_MIN_FILL times the requested runs'
-# words; 1/8 and 1/32 measured within 2 % of 1/4 end to end.  A sparser
-# list is drawn by segments, since one draw over runs 0 and
-# RUN_INDEX_LIMIT - 1 would span 2**63 windows.
-SPAN_MIN_FILL = 0.25
+# The most dead runs a draw runs through: a run list is cut into pieces
+# where the next index skips more, and each piece is one random_raw call.
+# A piece costs about 2 us, as much as 50-60 windows at 33-39 ns a window
+# over 256-2048 windows, so a gap this short is cheaper to draw through
+# than to cut at; 15 and 31 ran born ensembles as fast within the
+# run-to-run spread (numpy 2.4 on a shared 2-CPU x86-64 VM).
+MAX_GAP = 63
 
 # The five-point law's values by level index, in increasing order (see
 # the module docstring)
@@ -160,8 +159,7 @@ def _integer(k, refusal: str) -> int:
 
 def _run_indices(runs):
     """Run indices as a 1-D uint64 array, each checked to lie in
-    [0, RUN_INDEX_LIMIT), with the least and the greatest of them as
-    ints (None for an empty list)."""
+    [0, RUN_INDEX_LIMIT)."""
     if isinstance(runs, np.ndarray):
         idx = runs
         if idx.dtype.kind not in "iu":
@@ -173,13 +171,10 @@ def _run_indices(runs):
                        dtype=object)
     if idx.ndim != 1:
         raise ValueError(f"run indices must be 1-D, got shape {idx.shape}")
-    if idx.size == 0:
-        return idx, None, None
-    lo, hi = int(idx.min()), int(idx.max())
-    for k in (lo, hi):
+    for k in (int(idx.min()), int(idx.max())) if idx.size else ():
         if not 0 <= k < RUN_INDEX_LIMIT:
             raise ValueError(f"run index must be in [0, {RUN_INDEX_LIMIT}), got {k}")
-    return idx.astype(np.uint64, copy=False), lo, hi
+    return idx.astype(np.uint64, copy=False)
 
 
 def _levels(words: np.ndarray) -> np.ndarray:
@@ -233,15 +228,16 @@ class PhiloxNoiseSource:
         ``runs[i]``'s window is ``[i * BLOCK_STEPS, (i + 1) * BLOCK_STEPS)``,
         and index i stands for the value ``LEVELS[i]``.
 
-        ``runs`` may be unsorted and may repeat an index.  When its
-        entries number at least ``SPAN_MIN_FILL`` of the span
-        [min(runs), max(runs)], the whole span is drawn by one state set
-        and one ``random_raw`` call and the requested runs' windows of
-        words are gathered from it in list order, so the draw holds at most
-        ``1 / SPAN_MIN_FILL`` times the requested words.  A sparser list
-        takes one call per maximal segment of consecutive indices.  Either
-        way only the requested runs' words are split into nibbles, once
-        over all of them, and a run's indices are the same on both paths.
+        ``runs`` may be unsorted and may repeat an index.  It is cut into
+        pieces, in list order, wherever the next index repeats, steps back
+        or skips more than ``MAX_GAP`` dead runs.  Each piece is drawn over
+        its own span, from its first index to its last, by one state set
+        and one ``random_raw`` call, and when the piece has gaps its runs'
+        windows of words are gathered from the draw.  So the draws hold at
+        most ``MAX_GAP + 1`` times the requested words, and the runs 0 and
+        ``RUN_INDEX_LIMIT - 1`` take two one-window draws.  Only the
+        requested runs' words are split into nibbles, once over all of
+        them, so a run's indices do not depend on the rest of the list.
         Raises TypeError for a block index or a run index that is not an
         integer (a float or a bool), and ValueError for a block index
         outside [0, 2**64) or a run index outside [0, RUN_INDEX_LIMIT).
@@ -249,20 +245,22 @@ class PhiloxNoiseSource:
         block_index = _integer(block_index, "block_index must be an integer")
         if not 0 <= block_index < 2**64:
             raise ValueError(f"block_index must be in [0, 2**64), got {block_index}")
-        idx, lo, hi = _run_indices(runs)
+        idx = _run_indices(runs)
         if idx.size == 0:
             return np.empty(0, dtype=np.uint8)
         self._counter[1] = block_index
         self._key[0], self._key[1] = key
-        span = hi - lo + 1
-        if idx.size >= SPAN_MIN_FILL * span:
-            words = self._draw(lo, span)
-            if span != idx.size or (np.diff(idx) != 1).any():
-                offsets = (idx - np.uint64(lo)).astype(np.intp)
-                words = words.reshape(span, _WORDS_PER_WINDOW).take(offsets, axis=0)
-            return _levels(words)
-        starts = [0, *(np.flatnonzero(np.diff(idx) != 1) + 1).tolist(), idx.size]
-        words = [self._draw(idx[a], b - a) for a, b in zip(starts, starts[1:])]
+        # a repeat or a descent wraps the uint64 difference past MAX_GAP too;
+        # the slices cost a third of np.diff's call
+        cuts = (np.flatnonzero(idx[1:] - idx[:-1] - 1 > MAX_GAP) + 1).tolist()
+        words = []
+        for a, b in zip([0, *cuts], [*cuts, idx.size]):
+            lo, span = int(idx[a]), int(idx[b - 1] - idx[a]) + 1
+            piece = self._draw(lo, span)
+            if span != b - a:
+                offsets = (idx[a:b] - np.uint64(lo)).astype(np.intp)
+                piece = piece.reshape(span, _WORDS_PER_WINDOW).take(offsets, axis=0).ravel()
+            words.append(piece)
         return _levels(np.concatenate(words))
 
     def _draw(self, first_run, n_runs) -> np.ndarray:

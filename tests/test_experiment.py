@@ -159,6 +159,18 @@ def test_run_frame_first_detector_and_budget(tmp_path):
             assert set(codes) == {1, 2}
 
 
+def test_run_frame_refuses_indices_that_are_not_integers():
+    # 1.5, 2.7 and True are not run indices: they are refused, not read as
+    # runs 1, 2 and 1; a numpy integer is the run it equals
+    scn = build_scenario()
+    for bad in ([1.5], np.array([2.7]), [True], np.array([True]), [0, 1.0]):
+        with pytest.raises(TypeError, match="integers"):
+            run_frame_batch(scn, FRAME_A, 3, bad)
+    absorbed, _ = run_frame_batch(scn, FRAME_A, 3, [np.uint64(2)])
+    assert absorbed["run_index"].tolist() == [2]
+    assert absorbed.tobytes() == run_frame_batch(scn, FRAME_A, 3, [2])[0].tobytes()
+
+
 def test_run_frame_capped_rows_have_no_verdict():
     scn = build_scenario(d=3000.0, overrides={"max_steps": 40})
     for frame in (FRAME_A, FRAME_0):

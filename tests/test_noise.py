@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
-from collapsemc.noise import (BLOCK_STEPS, LEVELS, RUN_INDEX_LIMIT, SPAN_MIN_FILL,
-                              PhiloxNoiseSource, derive_stream_key)
+from collapsemc.noise import (BLOCK_STEPS, LEVELS, MAX_GAP, RUN_INDEX_LIMIT, PhiloxNoiseSource,
+                              derive_stream_key)
 
 # a window's words, 4 bits a step, and the counter values they span
 WORDS = BLOCK_STEPS // 16
@@ -241,67 +241,83 @@ def _per_run(key, block, runs):
     return np.concatenate([reference_window(key, block, int(k)) for k in runs])
 
 
-def test_dense_run_lists_take_one_draw_over_their_span():
-    # a list with entries for at least a quarter of the indices from its
-    # least to its greatest is drawn in one call over that span, whatever
-    # its order and repeats, and gives each entry its own window
-    assert SPAN_MIN_FILL == 0.25
+def _pieces(runs):
+    """The documented cut of a run list: (first run, span) of each piece,
+    a new piece wherever the next index repeats, steps back or skips more
+    than MAX_GAP runs."""
+    runs = [int(k) for k in runs]
+    starts = [0, *(i for i in range(1, len(runs)) if not 0 < runs[i] - runs[i - 1] <= MAX_GAP + 1)]
+    ends = [*starts[1:], len(runs)]
+    return [(runs[a], runs[b - 1] - runs[a] + 1) for a, b in zip(starts, ends)]
+
+
+def _check_pieces(key, block, runs):
+    """Draw runs through a _DrawSpy and check the piece rule: one draw per
+    piece over its span, at most MAX_GAP + 1 times the requested words
+    drawn, and every run's window that of the run drawn alone."""
+    src = _DrawSpy()
+    got = src.block_normals(key, block, runs)
+    assert src.draws == _pieces(runs), runs
+    drawn = sum(w.size for w in src.words)
+    assert drawn == sum(n for _, n in src.draws) * WORDS
+    assert drawn <= (MAX_GAP + 1) * len(runs) * WORDS
+    assert got.shape == (len(runs) * BLOCK_STEPS,)
+    assert np.array_equal(got, _per_run(key, block, runs)), runs
+    return src
+
+
+def test_run_lists_are_drawn_in_pieces():
+    # ascending runs a gap of at most MAX_GAP apart share a draw over
+    # their span, dead runs included; a repeat, a descent or a wider gap
+    # starts a new piece
+    assert MAX_GAP == 63
     key = derive_stream_key(12, "D2")
-    for runs in ([4], [10, 11, 12], [12, 11, 10], [0, 3], [3, 0, 0], [0, 7], [9, 5, 6, 12],
-                 [50, 20, 41, 35, 22, 27, 44, 29], np.array([8, 1, 8, 8], dtype=np.uint64),
-                 np.arange(600, 100, -3)):
-        src = _DrawSpy()
-        got = src.block_normals(key, 3, runs)
-        lo, hi = int(min(runs)), int(max(runs))
-        assert src.draws == [(lo, hi - lo + 1)], runs
-        assert np.array_equal(got, _per_run(key, 3, runs)), runs
+    for runs, pieces in (([4], [(4, 1)]),
+                         ([10, 11, 12], [(10, 3)]),
+                         ([12, 11, 10], [(12, 1), (11, 1), (10, 1)]),
+                         ([0, 3], [(0, 4)]),
+                         ([3, 0, 0], [(3, 1), (0, 1), (0, 1)]),
+                         ([0, 7], [(0, 8)]),
+                         ([0, 8], [(0, 9)]),
+                         ([9, 5, 6, 12], [(9, 1), (5, 8)]),
+                         ([0, 64, 129], [(0, 65), (129, 1)]),
+                         ([30, 31, 0, 1, 2, 90], [(30, 2), (0, 3), (90, 1)]),
+                         ([50, 20, 41, 35, 22, 27, 44, 29],
+                          [(50, 1), (20, 22), (35, 1), (22, 23), (29, 1)]),
+                         (np.array([8, 1, 8, 8], dtype=np.uint64), [(8, 1), (1, 8), (8, 1)]),
+                         (np.arange(600, 100, -3), [(k, 1) for k in range(600, 100, -3)]),
+                         (np.arange(100, 400, 3), [(100, 298)])):
+        src = _check_pieces(key, 3, runs)
+        assert src.draws == pieces, runs
 
 
-def test_sparse_run_lists_take_one_draw_per_segment():
-    # two runs 9 apart, or 0 and the last run index, fill under a quarter
-    # of their span, so each segment of consecutive indices takes a call
+def test_pieces_at_the_ends_of_the_run_index_range():
+    # runs 0 and the last run index take two one-window draws, never one
+    # over the 2**63 windows between them, in either order; a piece that
+    # ends at the last run index reads the counter up to 2**64 - 2, as
+    # the single run there does
     key = derive_stream_key(12, "D2")
     last = RUN_INDEX_LIMIT - 1
-    for runs, segments in (([0, 8], [(0, 1), (8, 1)]),
-                           ([30, 31, 0, 1, 2, 90], [(30, 2), (0, 3), (90, 1)]),
-                           ([0, last], [(0, 1), (last, 1)]),
-                           ([last, last - 1, 7], [(last, 1), (last - 1, 1), (7, 1)])):
-        src = _DrawSpy()
-        got = src.block_normals(key, 1, runs)
-        assert src.draws == segments, runs
-        assert np.array_equal(got, _per_run(key, 1, runs)), runs
+    for runs, pieces in (([0, last], [(0, 1), (last, 1)]),
+                         ([last, 0], [(last, 1), (0, 1)]),
+                         ([last, last - 1, 7], [(last, 1), (last - 1, 1), (7, 1)]),
+                         ([last, last - 5, last - 2, last - 3],
+                          [(last, 1), (last - 5, 4), (last - 3, 1)]),
+                         ([last - 5, last - 3, last - 2, last], [(last - 5, 6)])):
+        src = _check_pieces(key, 7, runs)
+        assert src.draws == pieces, runs
+        if runs[-1] == last:
+            assert [int(w) for w in src._bitgen.state["state"]["counter"]] == [2**64 - 2, 7, 0, 0]
 
 
 @settings(max_examples=60, deadline=None)
 @given(runs=st.lists(st.integers(0, 300), min_size=1, max_size=40),
        offset=st.sampled_from([0, 2**40, RUN_INDEX_LIMIT - 301]))
-def test_draws_stay_within_four_times_the_requested_words(runs, offset):
-    # any run list is drawn within 4 x its own words, in at most as many
-    # calls as it has segments of consecutive indices, and matches its
-    # per-run windows bit for bit, up to the last run index
-    runs = [offset + k for k in runs]
-    key = derive_stream_key(13, "D1")
-    src = _DrawSpy()
-    got = src.block_normals(key, 2, runs)
-    drawn = sum(w.size for w in src.words)
-    assert drawn == sum(n for _, n in src.draws) * WORDS
-    assert drawn <= 4 * len(runs) * WORDS
-    assert len(src.draws) <= 1 + sum(b - a != 1 for a, b in zip(runs, runs[1:]))
-    assert got.shape == (len(runs) * BLOCK_STEPS,)
-    assert np.array_equal(got, _per_run(key, 2, runs))
-
-
-def test_span_ending_at_the_last_run_index():
-    # a dense span that ends at the last run index reads the counter up to
-    # 2**64 - 2, as the single run there does
-    key = derive_stream_key(14, "D1")
-    last = RUN_INDEX_LIMIT - 1
-    runs = [last, last - 5, last - 2, last - 3]
-    src = _DrawSpy()
-    got = src.block_normals(key, 7, runs)
-    assert src.draws == [(last - 5, 6)]
-    assert [int(w) for w in src._bitgen.state["state"]["counter"]] == [2**64 - 2, 7, 0, 0]
-    assert np.array_equal(got, _per_run(key, 7, runs))
+def test_any_run_list_follows_the_piece_rule(runs, offset):
+    # any run list, repeats, descents and wide gaps among its entries, up
+    # to the last run index, takes one draw per piece within MAX_GAP + 1
+    # times its own words, and matches its per-run windows bit for bit
+    _check_pieces(derive_stream_key(13, "D1"), 2, [offset + k for k in runs])
 
 
 def test_block_normals_validation():
