@@ -409,26 +409,36 @@ class _PieceCount(PhiloxNoiseSource):
         return super()._draw(first_run, n_runs)
 
 
+def test_sub_blocks_do_not_change_results(monkeypatch):
+    # drawing the live runs in sub-blocks of any size, split between
+    # segments of consecutive run indices or not, leaves every run's result
+    # bit for bit
+    whole = _whole_batch()
+    for size in (1, 3, 5):
+        monkeypatch.setattr(dynamics, "SUB_BLOCK_RUNS", size)
+        res = collapse_batch(0.5, RATES_0, *scalars(PARAMS), SPLIT_KEYS, SPLIT_RUNS)
+        assert np.array_equal(res.steps, whole.steps)
+        assert np.array_equal(res.r, whole.r)
+
+
 def test_sub_block_size_does_not_change_a_gapped_batch(monkeypatch):
     # the noise is drawn and gathered per sub-block, so a two-stream batch
     # gives every run the same r, steps and winner at any sub-block size,
-    # split between runs a short gap apart or not: the 12 split runs, 640
-    # runs out of 3000 that live through at least three windows, and 300
-    # runs up to 199 apart, whose sub-blocks' live runs are cut into
-    # several pieces at gaps past MAX_GAP
+    # split between runs a short gap apart or not: 640 runs out of 3000
+    # that live through at least three windows, and 300 runs up to 199
+    # apart, whose sub-blocks' live runs are cut into several pieces at
+    # gaps past MAX_GAP
     rates, dt = KERNEL_FRAMES["0"]
     rng = np.random.default_rng(17)
     gapped = np.sort(rng.choice(3000, size=640, replace=False))
     wide = np.cumsum(rng.integers(1, 200, size=300))
-    batches = [((0.5, RATES_0, *scalars(PARAMS), SPLIT_KEYS, SPLIT_RUNS), (1, 3, 5)),
-               ((0.5, rates, dt, 1e-6, 10_000, *keys0_for(0, seed=19, runs=gapped)), (1, 7)),
-               ((0.5, rates, dt, 1e-6, 10_000, *keys0_for(0, seed=23, runs=wide)), (1, 7))]
-    for args, sizes in batches:
+    for seed, runs in ((19, gapped), (23, wide)):
+        args = (0.5, rates, dt, 1e-6, 10_000, *keys0_for(0, seed=seed, runs=runs))
         monkeypatch.setattr(dynamics, "SUB_BLOCK_RUNS", 256)
         noise = _PieceCount()
         whole = collapse_batch(*args, noise=noise)
         assert whole.steps.max() > 2 * BLOCK_STEPS and (whole.winner > 0).all()
-        for size in sizes:
+        for size in (1, 7):
             monkeypatch.setattr(dynamics, "SUB_BLOCK_RUNS", size)
             res = collapse_batch(*args)
             for field in ("r", "steps", "winner"):

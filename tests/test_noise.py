@@ -291,19 +291,31 @@ def test_run_lists_are_drawn_in_pieces():
         assert src.draws == pieces, runs
 
 
-def test_pieces_at_the_ends_of_the_run_index_range():
-    # runs 0 and the last run index take two one-window draws, never one
-    # over the 2**63 windows between them, in either order; a piece that
-    # ends at the last run index reads the counter up to 2**64 - 2, as
-    # the single run there does
+def test_sparse_run_lists_take_one_draw_per_segment():
+    # runs more than MAX_GAP dead runs apart, or 0 and the last run index
+    # in either order, take one draw per segment of consecutive indices,
+    # never one over the 2**63 windows between them
     key = derive_stream_key(12, "D2")
     last = RUN_INDEX_LIMIT - 1
-    for runs, pieces in (([0, last], [(0, 1), (last, 1)]),
-                         ([last, 0], [(last, 1), (0, 1)]),
-                         ([last, last - 1, 7], [(last, 1), (last - 1, 1), (7, 1)]),
+    for runs, segments in (([0, 65], [(0, 1), (65, 1)]),
+                           ([30, 31, 0, 1, 2, 90], [(30, 2), (0, 3), (90, 1)]),
+                           ([0, last], [(0, 1), (last, 1)]),
+                           ([last, 0], [(last, 1), (0, 1)]),
+                           ([last, last - 1, 7], [(last, 1), (last - 1, 1), (7, 1)])):
+        src = _check_pieces(key, 1, runs)
+        assert src.draws == segments, runs
+
+
+def test_span_ending_at_the_last_run_index():
+    # a piece that ends at the last run index reads the counter up to
+    # 2**64 - 2, as the single run there does; the same runs out of order
+    # are cut at each descent
+    key = derive_stream_key(14, "D1")
+    last = RUN_INDEX_LIMIT - 1
+    for runs, pieces in (([last], [(last, 1)]),
+                         ([last - 5, last - 3, last - 2, last], [(last - 5, 6)]),
                          ([last, last - 5, last - 2, last - 3],
-                          [(last, 1), (last - 5, 4), (last - 3, 1)]),
-                         ([last - 5, last - 3, last - 2, last], [(last - 5, 6)])):
+                          [(last, 1), (last - 5, 4), (last - 3, 1)])):
         src = _check_pieces(key, 7, runs)
         assert src.draws == pieces, runs
         if runs[-1] == last:
