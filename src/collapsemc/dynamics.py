@@ -55,12 +55,14 @@ reports is a weak one, so the law may stand in for the normal (see
 most 256 values, one per byte of the two streams' 4-bit indices (a frame
 has one or two streams).  So an engine call works out every value once,
 each product and the sum in float64, and rounds it once to float32 into
-a table of 256 entries for two streams, 16 for one.  A window's noise is
-one gather from that table, with no transcendental, product or sum per
-element.  The kernel steps in float32 end to end, and the carried state
-is float32 too.  It is a log-odds with |r| of about 14 at epsilon 1e-6,
-each step adds noise of standard deviation about 0.2-0.3, and the split
-step's discretization error at Gamma * dt 0.05 lies orders of magnitude
+a table of 256 entries for two streams, 16 for one.  A window's level
+indices are drawn once for its live runs, one ``block_normals`` call per
+stream, and its noise is gathered from that table one slab of rows at a
+time, with no transcendental, product or sum per element.  The kernel
+steps in float32 end to end, and the carried state is float32 too.  It
+is a log-odds with |r| of about 14 at epsilon 1e-6, each step adds noise
+of standard deviation about 0.2-0.3, and the split step's
+discretization error at Gamma * dt 0.05 lies orders of magnitude
 above a float32 rounding.  A step rounds three times in float32: sinh
 (measured within 1.4 ulp with numpy 2.4's AVX512_SPR loops), the product
 by e^h (0.5 ulp) and asinh (0.9 ulp), under 4 ulps of 2**-23 relative in
@@ -75,7 +77,7 @@ with the same bits.
 The engine carries w = y / 2, half of y = phi_{h/2}(r), and its table
 gives the noise at half scale, dw / 2 = sum_s (sig_s / 2) zeta_s.  Since
 phi_h(z) / 2 = asinh(sinh(z / 2) e^h), a step is four in-place float32
-ufuncs on the live runs: zh = w + dw / 2, written over the window's
+ufuncs on the live runs: zh = w + dw / 2, written over the slab's
 noise row, then w = sinh(zh), w *= e^h and w = asinh(w).  This gives the
 bits of the plain float32 step z = y + dw, y <- phi_h(z), with dw the
 float64 sum rounded to float32.  Scaling by 2 is exact in binary
@@ -97,21 +99,22 @@ L / 2 + MAX_GAMMA_DT <= ln FLT_MAX, that is L <= 2 (ln FLT_MAX -
 MAX_GAMMA_DT) ~= 177.25, and the factor 2 of headroom covers the float32
 rounding of sinh, of e^h and of the product.  CollapseParams therefore
 refuses epsilon below EPSILON_MIN = exp(-177.25) ~= 1.05e-77.  A run
-that has hit the barrier keeps stepping to the end of its window, since
-the window is stepped whole, and may overflow to +-inf there; its hit
-row is already taken, so the kernel ignores float32 overflow.
+that has hit the barrier keeps stepping to the end of its slab, since
+the slab is stepped whole, and may overflow to +-inf there; its hit row
+is already taken, so the kernel ignores float32 overflow.
 
 The barrier is tested on the stored zh rows once per slab of SLAB_ROWS
 steps, against z_hi / 2 worked out in float64 and rounded up to float32:
 a float32 zh reaches the rounded-up value exactly when it reaches z_hi /
 2, and |zh| >= z_hi / 2 holds exactly when |z| >= z_hi.  A run's first
 hit row in the slab gives its step, its winner and its r = phi_{h/2}(z)
-= 2 asinh(sinh(zh) e^{h/2}), with zh widened to float64; r is worked out
-only for runs that absorb and at window ends.  The split step leaves no
-error in the drift when the noise is off, where an Euler step with the
-tanh frozen over the step errs at first order; at Gamma * dt 0.05 the split step's mean
-collapse time is about as close to the closed form as an Euler step's at
-0.02.
+= 2 asinh(sinh(zh) e^{h/2}), with zh widened to float64, and the run
+leaves the live set at the slab's end, so no later slab gathers or steps
+it; r is worked out only for runs that absorb and at window ends.  The
+split step leaves no error in the drift when the noise is off, where an
+Euler step with the tanh frozen over the step errs at first order; at
+Gamma * dt 0.05 the split step's mean collapse time is about as close to
+the closed form as an Euler step's at 0.02.
 
 Absorption is checked only at step times, and a path that crosses the
 nominal barrier L = logit(1 - epsilon) between two steps would be missed,
@@ -161,16 +164,11 @@ EPSILON_MIN = math.exp(-2.0 * (math.log(float(np.finfo(np.float32).max)) - MAX_G
 # for a crossing between steps would remove.
 BARRIER_BETA = 0.5825971579390107
 
-# Runs per noise draw: a window's level indices for this many runs are
-# drawn and gathered at once, which keeps the per-call cost small against
-# the per-step cost while the draw's temporaries stay in cache.  With 8
-# words a window, 64 ran 2048-run chunks 15-40 % slower, and 256, 1024
-# and 2048 measured the same within a run-to-run spread of about 10 %
-# (numpy 2.4 on a shared 2-CPU x86-64 VM).
-SUB_BLOCK_RUNS = 256
-
-# Steps per barrier test: the kernel steps the live runs through this many
-# rows of a window, then tests the rows against the barrier in one pass.
+# Steps per slab: the kernel gathers this many rows of a window's noise
+# for the live runs, steps them, tests them against the barrier in one
+# pass and drops the runs that absorbed.  Against 32, 16 ran 2048-run
+# chunks 10 % slower and 64 12-18 % slower in paired runs (numpy 2.4 on a
+# shared 2-CPU x86-64 VM).
 SLAB_ROWS = 32
 
 
@@ -249,8 +247,9 @@ def _step(rates, dt, epsilon, max_steps):
     """Validate the rates and the step of one engine call and reduce them
     to the scalar SDE.
 
-    dt, epsilon and max_steps are checked as CollapseParams, and more
-    than two streams are refused.  Returns
+    dt, epsilon and max_steps are checked as CollapseParams.  No stream
+    and more than two streams are refused with ValueError, and a rate that
+    is a bool or not a real number with TypeError.  Returns
     (sig, h, thr): the noise scale 2 sqrt(Gamma_s dt) of each stream, the
     drift time h = Gamma * dt of one step and the absorbing barrier on
     |r|.  The barrier is the nominal threshold less beta times the
@@ -258,9 +257,13 @@ def _step(rates, dt, epsilon, max_steps):
     """
     params = CollapseParams(dt=dt, epsilon=epsilon, max_steps=max_steps)
     # a step's level indices, 4 bits a stream, index a table by one byte
+    if not rates:
+        raise ValueError("at least one noise stream, got no stream rates")
     if len(rates) > 2:
         raise ValueError(f"at most two noise streams, got {len(rates)} stream rates")
     for rate in rates:
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
+            raise TypeError(f"stream rates must be numbers, got {rate!r}")
         if not (math.isfinite(rate) and rate >= 0):
             raise ValueError(f"stream rates must be finite and >= 0, got {rate}")
     gamma = sum(rates)
@@ -311,34 +314,22 @@ def _noise_table(sig):
     return dw.astype(np.float32)
 
 
-def _window_noise(noise, keys, runs, table, block_index, out):
-    """Fill out, shape (rows, runs), with the half-scale noise increments
-    dw / 2 of one window.
+def _window_noise(noise, keys, runs, block_index):
+    """Level index bytes of window block_index for every run of runs, as a
+    (runs, BLOCK_STEPS) uint8 array: one block_normals call per stream.
 
-    keys holds the (k0, k1) key of each stream, runs the run indices and
-    table the _noise_table of the streams' scales, and out is a view of
-    the driver's float32 window buffer, whose old contents are not read.
-    The runs go in sub-blocks of SUB_BLOCK_RUNS, and each stream's window
-    for a sub-block is one block_normals call of uint8 level indices.  A
-    two-stream frame packs a step's two indices into one byte, (i_1 << 4)
-    | i_2, and a one-stream frame reads its index as it is; one gather
-    from the table writes the increments into out through the indices'
-    transpose.  Every operation is elementwise within a sub-block, so the
-    increments do not depend on SUB_BLOCK_RUNS.  Beside out, only one
-    sub-block's indices are held, and out stays (rows, runs) so the step
-    kernel steps on out[t] whole, in place.
+    A two-stream frame packs a step's two indices into one byte, (i_1 << 4)
+    | i_2, on uint64 views of the two index arrays: every index is below
+    16, so the shift stays inside its byte on either endianness.  A
+    one-stream frame reads its index as it is.  Either way a byte is an
+    entry of the _noise_table of the streams' scales.
     """
-    rows = len(out)
-    for lo in range(0, len(runs), SUB_BLOCK_RUNS):
-        part = runs[lo:lo + SUB_BLOCK_RUNS]
-        index = noise.block_normals(keys[0], block_index, part)
-        if len(keys) == 2:
-            index <<= 4
-            index |= noise.block_normals(keys[1], block_index, part)
-        # every index is in range, so mode "wrap" changes no value; it spares
-        # the buffer that mode "raise" always takes for out
-        np.take(table, index.reshape(-1, BLOCK_STEPS)[:, :rows].T,
-                out=out[:, lo:lo + len(part)], mode="wrap")
+    index = noise.block_normals(keys[0], block_index, runs)
+    if len(keys) == 2:
+        lanes = index.view(np.uint64)
+        lanes <<= np.uint64(4)
+        lanes |= noise.block_normals(keys[1], block_index, runs).view(np.uint64)
+    return index.reshape(-1, BLOCK_STEPS)
 
 
 def _drive(r0, keys, runs, sig, h, thr, n_steps, noise):
@@ -346,22 +337,26 @@ def _drive(r0, keys, runs, sig, h, thr, n_steps, noise):
     runs, by split steps of drift time h until |r| >= thr or n_steps steps,
     one noise window at a time.
 
-    One float32 (min(BLOCK_STEPS, n_steps), runs) buffer is allocated per
-    call, and _window_noise writes each window's noise into its first rows
-    and its first columns, one per live run, so no window is freshly
-    allocated or zeroed.
+    A window draws its level index bytes for the live runs once, one
+    block_normals call per stream (_window_noise), and is then stepped
+    one slab of SLAB_ROWS rows at a time.  One float32 buffer of
+    min(SLAB_ROWS, n_steps) rows of the runs is allocated per call; a
+    slab is its front viewed as (rows, live runs), into which one np.take
+    gathers the half-scale noise dw / 2 of its rows from the table, so no
+    slab is freshly allocated or zeroed.
 
     A run stops at the first step k >= 0 with |r| >= thr and keeps that r,
     winner 1 if r >= thr else 2; runs live after n_steps keep winner 0.
     Within a window the live runs carry w = phi_{h/2}(r) / 2 in float32 and
-    step in place on the half-scaled noise rows, which end up holding
-    zh = z / 2 (see the module docstring for why the bits equal those of
-    the plain float32 step).  Every SLAB_ROWS rows the slab is tested
-    against z_hi / 2 at once: each newly absorbed run takes its first hit
-    row.  Absorbed runs leave the live set at the end of their window,
-    which ends after the slab in which its last run absorbed; between
-    windows the carried w goes back to r in float64.  Returns (r, steps,
-    winner), r float64 with the precision of the float32 state.
+    step in place on the slab's noise rows, which end up holding zh = z / 2
+    (see the module docstring for why the bits equal those of the plain
+    float32 step).  After its rows are stepped, a slab is tested against
+    z_hi / 2 at once by its column maxima and minima, and each run that hit
+    takes its first hit row.  Those runs leave the live set, the carried w
+    and the rest of the window's index at the end of the slab.  At the
+    window's end the carried w of the runs still live goes back to r in
+    float64 from the last slab's last row.  Returns (r, steps, winner), r
+    float64 with the precision of the float32 state.
     """
     grow_half = math.exp(0.5 * h)
     # float32 scalars: each operation of a step takes the float32 loop
@@ -385,37 +380,39 @@ def _drive(r0, keys, runs, sig, h, thr, n_steps, noise):
     steps = np.where(winner > 0, 0, n_steps)
     live = np.flatnonzero(winner == 0)
     base = 0
-    buf = np.empty((min(BLOCK_STEPS, n_steps), live.size), dtype=np.float32)
+    buf = np.empty(min(SLAB_ROWS, n_steps) * live.size, dtype=np.float32)
     # only runs past the barrier, whose hit row is taken, can overflow
     with np.errstate(over="ignore"):
         while live.size and base < n_steps:
             rows = min(BLOCK_STEPS, n_steps - base)
-            zh = buf[:rows, :live.size]
-            _window_noise(noise, keys, runs[live], table, base // BLOCK_STEPS, zh)
+            index = _window_noise(noise, keys, runs[live], base // BLOCK_STEPS)
             w = np.arcsinh(np.sinh(0.5 * r[live]) * grow_half).astype(np.float32)
-            done = np.zeros(live.size, dtype=bool)
             for lo in range(0, rows, SLAB_ROWS):
-                slab = zh[lo:lo + SLAB_ROWS]
+                n = min(SLAB_ROWS, rows - lo)
+                slab = buf[:n * live.size].reshape(n, live.size)
+                # every index is in range, so mode "wrap" changes no value; it
+                # spares the buffer that mode "raise" always takes for out
+                np.take(table, index[:, :n].T, out=slab, mode="wrap")
+                index = index[:, n:]
                 for row in slab:
-                    np.add(w, row, out=row)
-                    np.sinh(row, out=w)
-                    w *= grow
-                    np.arcsinh(w, out=w)
-                hit = (slab >= zh_hi) | (slab <= -zh_hi)
-                fresh = np.flatnonzero(hit.any(axis=0) & ~done)
+                    np.add(w, row, row)
+                    np.sinh(row, w)
+                    np.multiply(w, grow, w)
+                    np.arcsinh(w, w)
+                last = slab[-1]
+                fresh = np.flatnonzero((slab.max(axis=0) >= zh_hi) | (slab.min(axis=0) <= -zh_hi))
                 if fresh.size:
-                    first = hit[:, fresh].argmax(axis=0)
+                    first = (np.abs(slab.take(fresh, axis=1)) >= zh_hi).argmax(axis=0)
                     zf = slab[first, fresh]
                     absorbed = live[fresh]
                     r[absorbed] = to_r(zf)
-                    steps[absorbed] = base + lo + first + 1
+                    steps[absorbed] = first + (base + lo + 1)
                     winner[absorbed] = np.where(zf >= zh_hi, 1, 2)
-                    done[fresh] = True
-                if done.all():
-                    break
-            left = ~done
-            r[live[left]] = to_r(zh[rows - 1, left])
-            live = live[left]
+                    stay = np.delete(np.arange(live.size), fresh)
+                    live, w, last, index = live[stay], w[stay], last[stay], index[stay]
+                    if not live.size:
+                        break
+            r[live] = to_r(last)
             base += rows
     return r, steps, winner
 

@@ -83,6 +83,9 @@ _COUNTERS_PER_WINDOW = _WORDS_PER_WINDOW // 4
 # the block index word: k < 2**63 - 1
 RUN_INDEX_LIMIT = 2**64 // _COUNTERS_PER_WINDOW - 1
 
+# the low nibble of every byte of a word
+_LOW_NIBBLES = np.uint64(0x0F0F0F0F0F0F0F0F)
+
 # The most dead runs a draw runs through: a run list is cut into pieces
 # where the next index skips more, and each piece is one random_raw call.
 # A piece costs about 2 us, as much as 50-60 windows at 33-39 ns a window
@@ -179,12 +182,24 @@ def _run_indices(runs):
 
 def _levels(words: np.ndarray) -> np.ndarray:
     """uint8 level indices of a flat run-major array of run-windows of
-    words, in the nibble order of the module docstring."""
-    octets = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, BLOCK_STEPS // 2)
-    out = np.empty((len(octets), 2, BLOCK_STEPS // 2), dtype=np.uint8)
-    np.bitwise_and(octets, 15, out=out[:, 0])
-    np.right_shift(octets, 4, out=out[:, 1])
-    return out.ravel()
+    words, in the nibble order of the module docstring.
+
+    The nibbles are split on 64-bit lanes.  A window's low nibbles are
+    words & 0x0F0F...0F and its high nibbles (words >> 4) & 0x0F0F...0F,
+    written as little-endian words, so byte j of the low half is the low
+    nibble of c_j and byte j of the high half its high nibble.  The two
+    halves are copied into place and masked in one pass over the whole
+    output.  That ran as fast as a byte-wise split, and in about a third
+    less time than masking each half in place, whose inner loops are one
+    window's 8 words.  The uint64 scalars keep the arithmetic in uint64 under
+    value-based casting (numpy 1.x) and NEP 50 (numpy 2) alike.
+    """
+    words = words.reshape(-1, _WORDS_PER_WINDOW)
+    out = np.empty((len(words), 2, _WORDS_PER_WINDOW), dtype="<u8")
+    out[:, 0] = words
+    out[:, 1] = words >> np.uint64(4)
+    out &= _LOW_NIBBLES
+    return out.view(np.uint8).ravel()
 
 
 class PhiloxNoiseSource:

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -152,13 +153,12 @@ def test_engine_reads_one_column_per_stream():
     assert sum(runs for _, runs, _ in spy.calls) == 2 * windows
 
 
-@pytest.mark.parametrize("n", [8, 200])
+@pytest.mark.parametrize("n", [8, 200, 2500])
 def test_noise_calls_do_not_grow_with_runs(n):
     # Gamma * dt is 0.005 here, a tenth of the scenario target, so runs
-    # live about 11 windows; the live runs of a sub-block are drawn by one
-    # call per stream and window, however many there are and however
-    # gapped their indices are after the first window
-    assert n <= dynamics.SUB_BLOCK_RUNS
+    # live about 11 windows; a window's live runs are drawn by one call per
+    # stream, however many there are and however gapped their indices are
+    # after the first window
     spy = _SpyNoise()
     res = collapse_batch(0.5, RATES_0, *scalars(PARAMS), *keys0_for(n, seed=5), noise=spy)
     last_window = -(-int(res.steps.max()) // BLOCK_STEPS)
@@ -410,36 +410,35 @@ class _PieceCount(PhiloxNoiseSource):
 
 
 def test_sub_blocks_do_not_change_results(monkeypatch):
-    # drawing the live runs in sub-blocks of any size, split between
-    # segments of consecutive run indices or not, leaves every run's result
+    # gathering and stepping a window's noise in slabs of any size, with
+    # absorbed runs leaving at every slab edge, leaves every run's result
     # bit for bit
     whole = _whole_batch()
     for size in (1, 3, 5):
-        monkeypatch.setattr(dynamics, "SUB_BLOCK_RUNS", size)
+        monkeypatch.setattr(dynamics, "SLAB_ROWS", size)
         res = collapse_batch(0.5, RATES_0, *scalars(PARAMS), SPLIT_KEYS, SPLIT_RUNS)
         assert np.array_equal(res.steps, whole.steps)
         assert np.array_equal(res.r, whole.r)
 
 
 def test_sub_block_size_does_not_change_a_gapped_batch(monkeypatch):
-    # the noise is drawn and gathered per sub-block, so a two-stream batch
-    # gives every run the same r, steps and winner at any sub-block size,
-    # split between runs a short gap apart or not: 640 runs out of 3000
-    # that live through at least three windows, and 300 runs up to 199
-    # apart, whose sub-blocks' live runs are cut into several pieces at
-    # gaps past MAX_GAP
+    # the noise is gathered, and absorbed runs leave, one slab at a time,
+    # so a two-stream batch gives every run the same r, steps and winner
+    # at any slab size: 640 runs out of 3000 that live through at least
+    # three windows, and 300 runs up to 199 apart, whose live runs are cut
+    # into several pieces at gaps past MAX_GAP
     rates, dt = KERNEL_FRAMES["0"]
     rng = np.random.default_rng(17)
     gapped = np.sort(rng.choice(3000, size=640, replace=False))
     wide = np.cumsum(rng.integers(1, 200, size=300))
     for seed, runs in ((19, gapped), (23, wide)):
         args = (0.5, rates, dt, 1e-6, 10_000, *keys0_for(0, seed=seed, runs=runs))
-        monkeypatch.setattr(dynamics, "SUB_BLOCK_RUNS", 256)
+        monkeypatch.setattr(dynamics, "SLAB_ROWS", 32)
         noise = _PieceCount()
         whole = collapse_batch(*args, noise=noise)
         assert whole.steps.max() > 2 * BLOCK_STEPS and (whole.winner > 0).all()
         for size in (1, 7):
-            monkeypatch.setattr(dynamics, "SUB_BLOCK_RUNS", size)
+            monkeypatch.setattr(dynamics, "SLAB_ROWS", size)
             res = collapse_batch(*args)
             for field in ("r", "steps", "winner"):
                 assert np.array_equal(getattr(res, field), getattr(whole, field)), size
@@ -889,3 +888,27 @@ def test_more_than_two_streams_are_refused():
     with pytest.raises(ValueError, match="at most two noise streams"):
         collapse_batch(0.5, (RATE, RATE, RATE), *scalars(PARAMS), keys, [0], noise=spy)
     assert spy.calls == []
+
+
+def test_rates_that_are_not_numbers_or_no_stream_are_refused():
+    # a bool rate is not read as 1 or 0, a rate that is not a real number
+    # is named in the refusal, and an empty rate tuple is not a frame whose
+    # every rate is 0; each is refused before any noise is drawn
+    ((k0,), (k1,)), runs = keys_for(1)
+    for rate in (True, False, "1e4", None, 1e4 + 0j):
+        spy = _SpyNoise()
+        refusal = re.escape(f"stream rates must be numbers, got {rate!r}")
+        with pytest.raises(TypeError, match=refusal):
+            collapse_batch(0.5, (rate,), *scalars(PARAMS), ((k0,), (k1,)), runs, noise=spy)
+        with pytest.raises(TypeError, match=re.escape(f"got {rate!r}")):
+            collapse_batch(0.5, (RATE, rate), *scalars(PARAMS), ((k0, k0), (k1, k1)), runs,
+                           noise=spy)
+        assert spy.calls == []
+    spy = _SpyNoise()
+    with pytest.raises(ValueError, match="at least one noise stream"):
+        collapse_batch(0.5, (), *scalars(PARAMS), ((), ()), runs, noise=spy)
+    assert spy.calls == []
+    # numpy and other real numbers stay rates
+    for rate in (np.float32(RATE), np.float64(RATE), np.int64(20_000)):
+        res = collapse_batch(0.5, (rate,), *scalars(PARAMS), ((k0,), (k1,)), runs)
+        assert res.winner[0] in (1, 2)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
 from collapsemc.noise import (BLOCK_STEPS, LEVELS, MAX_GAP, RUN_INDEX_LIMIT, PhiloxNoiseSource,
-                              derive_stream_key)
+                              _levels, derive_stream_key)
 
 # a window's words, 4 bits a step, and the counter values they span
 WORDS = BLOCK_STEPS // 16
@@ -437,6 +437,24 @@ def test_levels_match_the_normal_moments():
     # the sixth moment is where the law leaves the normal's 15
     assert abs(math.fsum(LEVELS ** 6) / 16 - 15.0) > 1.0
     assert not LEVELS.flags.writeable
+
+
+def test_lane_split_matches_the_byte_split():
+    # _levels splits the nibbles on 64-bit lanes; it must give the bytes
+    # of the byte-wise split: a window's words as 64 little-endian octets
+    # c, row j = c_j & 15 and row 64 + j = c_j >> 4
+    def byte_split(words):
+        octets = words.astype("<u8").view(np.uint8).reshape(-1, BLOCK_STEPS // 2)
+        return np.concatenate([octets & 15, octets >> 4], axis=1).ravel()
+
+    rng = np.random.default_rng(37)
+    for words in (np.zeros(4 * WORDS, dtype=np.uint64),
+                  np.full(4 * WORDS, 2**64 - 1, dtype=np.uint64),
+                  rng.integers(0, 2**64, size=10**4, dtype=np.uint64, endpoint=False)):
+        got = _levels(words)
+        assert got.dtype == np.uint8 and got.shape == (words.size * 16,)
+        assert np.array_equal(got, byte_split(words))
+    assert (_levels(np.full(WORDS, 2**64 - 1, dtype=np.uint64)) == 15).all()
 
 
 def test_block_normals_moments():
