@@ -359,9 +359,11 @@ def _drive(r0, keys, runs, sig, h, thr, n_steps, noise):
     float64 with the precision of the float32 state.
     """
     grow_half = math.exp(0.5 * h)
-    # float32 scalars: each operation of a step takes the float32 loop
-    # under value-based casting (numpy 1.x) and NEP 50 (numpy 2) alike
-    grow = np.float32(math.exp(h))
+    # float32: each operation of a step takes the float32 loop under
+    # value-based casting (numpy 1.x) and NEP 50 (numpy 2) alike.  e^h is
+    # a 0-d array, which a ufunc takes as it is, where an np.float32
+    # scalar is wrapped into one on every call
+    grow = np.array(math.exp(h), dtype=np.float32)
     table = _noise_table(sig)
     # rounded up, so a float32 zh reaches it exactly when it reaches the
     # float64 value

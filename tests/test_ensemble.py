@@ -6,6 +6,7 @@ import os
 import pickle
 import platform
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from test_experiment import assert_tables_equal
 
 from collapsemc import ensemble, experiment
-from collapsemc.ensemble import (_LINE_FORMATS, CHUNK_RUNS, CSV_COLUMNS,
+from collapsemc.ensemble import (_LINE_FORMATS, CHUNK_RUNS, CSV_COLUMNS, MAX_CHUNK_RUNS,
                                  KIND_FRAMES, READINGS, ConfigError, EnsembleAbortError,
                                  EnsembleConfig, build_manifest, compute_stats, export_ensemble,
                                  export_records, run_ensemble, wilson_interval)
@@ -190,12 +191,13 @@ def test_workers_do_not_change_records():
     assert stats1 == stats2
 
 
-def serial_pool(monkeypatch, cpus=64):
+def serial_pool(monkeypatch, cpus=64, first=None):
     """Stand a serial executor in for the process pool, which run_ensemble
     imports from concurrent.futures when it starts one, and give the
-    process cpus usable CPUs.  It maps in this process, and the lists it
-    returns record the sizes and the chunk starts it is given."""
-    sizes, starts = [], []
+    process cpus usable CPUs.  It maps in this process over the first
+    chunks (ranges of run indices) it is given, all of them by default,
+    and the lists it returns record the sizes and those chunks."""
+    sizes, chunks = [], []
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -208,28 +210,37 @@ def serial_pool(monkeypatch, cpus=64):
             return False
 
         def map(self, fn, *iterables):
-            starts.append(list(iterables[-1]))
-            return map(fn, *iterables)
+            chunks.append(list(islice(iterables[-1], first)))
+            return map(fn, *iterables[:-1], chunks[-1])
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    return sizes, starts
+    return sizes, chunks
+
+
+def chunk_widths(monkeypatch, chunk_runs, max_chunk_runs):
+    monkeypatch.setattr(ensemble, "CHUNK_RUNS", chunk_runs)
+    monkeypatch.setattr(ensemble, "MAX_CHUNK_RUNS", max_chunk_runs)
 
 
 def test_pool_is_capped_at_chunk_count(monkeypatch):
-    sizes, starts = serial_pool(monkeypatch)
-    cfg = EnsembleConfig(kind="born_rule", runs=2 * CHUNK_RUNS + 1, q0=1.0, workers=64)
+    # 202 runs on 64 CPUs make ceil(202 / 100) = 3 chunks, the first one
+    # run wider, and a pool of 3 workers
+    chunk_widths(monkeypatch, 100, 300)
+    sizes, chunks = serial_pool(monkeypatch)
+    cfg = EnsembleConfig(kind="born_rule", runs=202, q0=1.0, workers=64)
     stats, _ = run_ensemble(cfg)
     assert sizes == [3]
-    assert starts == [[0, CHUNK_RUNS, 2 * CHUNK_RUNS]]
+    assert chunks == [[range(0, 68), range(68, 135), range(135, 202)]]
     assert stats["counts"]["winner1"] == cfg.runs
 
 
 @pytest.mark.parametrize("cpus, sizes", [(2, [2]), (1, [])])
 def test_pool_is_capped_at_usable_cpus(monkeypatch, cpus, sizes):
-    # 64 workers on 3 chunks fork no more workers than there are CPUs to
-    # run them, and one CPU runs the chunks in this process; the records
-    # and the config's workers do not change
+    # 64 workers fork no more workers than there are CPUs to run them: two
+    # CPUs run 4097 runs as two chunks on two workers, and one CPU runs
+    # them as one chunk in this process; the records and the config's
+    # workers do not change
     got, _ = serial_pool(monkeypatch, cpus)
     cfg = EnsembleConfig(kind="born_rule", runs=2 * CHUNK_RUNS + 1, master_seed=3, workers=64)
     stats, records = run_ensemble(cfg)
@@ -241,46 +252,110 @@ def test_pool_is_capped_at_usable_cpus(monkeypatch, cpus, sizes):
 
 
 # a capped disagree: 14 of 4096 runs hit the step cap, under the 1 % abort,
-# with failed rows in both frames of both chunks
+# with failed rows in both frames of both 2048-run chunks at two workers
 CAPPED = EnsembleConfig(kind="cross_frame", runs=4096, master_seed=5, q0=0.8, workers=2,
                         overrides={"epsilon": 1e-6, "max_steps": 720})
 
 
 @pytest.mark.parametrize("cfg", [
-    *(EnsembleConfig(kind=kind, runs=2 * CHUNK_RUNS + 300, master_seed=7, workers=2)
-      for kind in KIND_FRAMES),
+    *(EnsembleConfig(kind=kind, runs=1300, master_seed=7, workers=2) for kind in KIND_FRAMES),
     CAPPED,
 ], ids=[*KIND_FRAMES, "capped"])
 def test_chunks_are_slices_of_the_table_in_chunk_order(monkeypatch, cfg):
     # each chunk comes back with row F i + f its i-th run in frame f of the
     # kind's frames, and the pool's tables joined in chunk order are the
-    # ensemble's table
-    _, starts = serial_pool(monkeypatch)
+    # ensemble's table.  No chunk is wider than 500 runs, so 2 workers get
+    # more chunks than themselves: 3 for 1300 runs and 9 for CAPPED's 4096
+    chunk_widths(monkeypatch, 200, 500)
+    sizes, chunks = serial_pool(monkeypatch)
     _, records = run_ensemble(cfg)
-    chunks = [ensemble._run_chunk(cfg, lo) for lo in starts[0]]
-    for lo, chunk in zip(starts[0], chunks):
-        assert_rows_by_place(cfg, chunk, range(lo, min(lo + CHUNK_RUNS, cfg.runs)))
-        if cfg is CAPPED:
-            assert (chunk["winner"][0::2] == 0).any() and (chunk["winner"][1::2] == 0).any()
-    assert_tables_equal(records, np.concatenate(chunks))
+    assert sizes == [2] and len(chunks[0]) == -(-cfg.runs // 500)
+    tables = [ensemble._run_chunk(cfg, chunk) for chunk in chunks[0]]
+    for chunk, table in zip(chunks[0], tables):
+        assert_rows_by_place(cfg, table, chunk)
+    if cfg is CAPPED:
+        # failed rows in both frames, and in more than one chunk
+        assert (records["winner"][0::2] == 0).any() and (records["winner"][1::2] == 0).any()
+        assert sum((table["winner"] == 0).any() for table in tables) > 1
+    assert_tables_equal(records, np.concatenate(tables))
 
 
 def test_first_chunk_starts_at_the_run_index_limit(monkeypatch):
-    # 2**49 chunks: the first starts without a list of them all being made,
+    # 2**50 chunks: the first starts without a list of them all being made,
     # and the stub stops the ensemble there
     starts = []
 
     class FirstChunk(Exception):
         pass
 
-    def first_chunk(config, lo):
-        starts.append(lo)
+    def first_chunk(config, runs):
+        starts.append(runs)
         raise FirstChunk
 
     monkeypatch.setattr(ensemble, "_run_chunk", first_chunk)
     with pytest.raises(FirstChunk):
         run_ensemble(EnsembleConfig(kind="born_rule", runs=RUN_INDEX_LIMIT, workers=1))
-    assert starts == [0]
+    assert starts == [range(0, MAX_CHUNK_RUNS)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs=st.one_of(st.integers(1, 100_000), st.integers(1, RUN_INDEX_LIMIT)),
+       cpus=st.integers(1, 256))
+@example(runs=RUN_INDEX_LIMIT, cpus=256)
+@example(runs=2049, cpus=2)
+@example(runs=10240, cpus=3)
+def test_chunks_follow_the_rule(runs, cpus):
+    # chunks are contiguous from run 0 in order, equal to within one run,
+    # none wider than MAX_CHUNK_RUNS, and as many as the rule says, on a
+    # pool of min(cpus, chunks) workers; only the first 40 are made
+    count = max(-(-runs // MAX_CHUNK_RUNS), min(cpus, -(-runs // CHUNK_RUNS)))
+    made = []
+
+    class Stop(Exception):
+        pass
+
+    def record(config, chunk):
+        made.append(chunk)
+        if len(made) == 40:
+            raise Stop
+        return np.zeros(0, dtype=RECORD_DTYPE)
+
+    with pytest.MonkeyPatch.context() as mp:
+        sizes, _ = serial_pool(mp, cpus, first=40)
+        mp.setattr(ensemble, "_run_chunk", record)
+        mp.setattr(ensemble, "compute_stats", lambda *args: {"counts": {"failed": 0}})
+        try:
+            run_ensemble(EnsembleConfig(kind="born_rule", runs=runs, workers=cpus))
+        except Stop:
+            pass
+    assert sizes == ([min(cpus, count)] if min(cpus, count) > 1 else [])
+    assert len(made) == min(count, 40)
+    assert made[0].start == 0
+    assert all(a.stop == b.start for a, b in zip(made, made[1:]))
+    widths = {len(chunk) for chunk in made}
+    # the first chunk is among the widest, ceil(runs / chunks) wide
+    assert max(widths) == len(made[0]) == -(-runs // count) <= MAX_CHUNK_RUNS
+    assert max(widths) - min(widths) <= 1
+    if count <= 40:
+        assert made[-1].stop == runs
+
+
+@pytest.mark.parametrize("cfg", [
+    *(EnsembleConfig(kind=kind, runs=2 * CHUNK_RUNS + 5, master_seed=7) for kind in KIND_FRAMES),
+    replace(CAPPED, runs=2 * CHUNK_RUNS + 5),
+], ids=[*KIND_FRAMES, "capped"])
+def test_chunk_width_does_not_change_records(monkeypatch, cfg):
+    # 4101 runs in 5, 2 or 1 chunks at one worker and 5, 3 or 3 at three
+    serial_pool(monkeypatch)
+    results = []
+    for width in (1000, 3000, 8192):
+        monkeypatch.setattr(ensemble, "MAX_CHUNK_RUNS", width)
+        for workers in (1, 3):
+            results.append(run_ensemble(replace(cfg, workers=workers)))
+    stats, records = results[0]
+    for other_stats, other_records in results[1:]:
+        assert other_stats == stats
+        assert other_records.tobytes() == records.tobytes()
 
 
 def test_scenario_is_built_once_per_ensemble(monkeypatch):
@@ -323,7 +398,7 @@ def test_engine_calls_read_one_key_per_stream(monkeypatch, kind, streams):
     # 0, 1 in A and B), a batch's result holds one step count per run,
     # and run_frame_batch's two tables hold one row per run.  A cap of 100
     # steps at epsilon 0.01 leaves rows in both tables of every batch, and
-    # the ensemble aborts once its chunks are done
+    # the ensemble aborts once its 3 chunks are done
     engine = experiment.collapse_batch
     signature = inspect.signature(engine)
     assert list(signature.parameters)[5] == "stream_keys"
@@ -343,11 +418,12 @@ def test_engine_calls_read_one_key_per_stream(monkeypatch, kind, streams):
 
     monkeypatch.setattr(experiment, "collapse_batch", spy_engine)
     monkeypatch.setattr(ensemble, "run_frame_batch", spy_frame_batch)
-    cfg = EnsembleConfig(kind=kind, runs=CHUNK_RUNS + 300, q0=0.5, workers=1,
+    chunk_widths(monkeypatch, 100, 300)
+    cfg = EnsembleConfig(kind=kind, runs=700, q0=0.5, workers=1,
                          overrides={"epsilon": 0.01, "max_steps": 100})
     with pytest.raises(EnsembleAbortError):
         run_ensemble(cfg)
-    assert len(calls) == len(batches) == 2 * len(KIND_FRAMES[kind](cfg.v))
+    assert len(calls) == len(batches) == 3 * len(KIND_FRAMES[kind](cfg.v))
     for (args, res), (runs, (absorbed, failed)) in zip(calls, batches):
         assert len(args["stream_keys"][0]) == len(args["rates"]) == streams
         assert len(res.steps) == len(args["runs"]) == len(runs)
