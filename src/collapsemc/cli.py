@@ -52,8 +52,9 @@ def _add_ensemble_flags(p: argparse.ArgumentParser) -> None:
     flag("--v", type=float, help=f"frame speed, m/s (default {_DEFAULTS['v'] / C:g}c)")
     p.add_argument("--config", default=None, help="JSON config file; flags override it")
     flag("--out-dir", help="output directory for records and manifest")
-    flag("--workers", type=int, help="max parallel workers (default: the CPUs this process "
-                                     "may run on; results identical)")
+    flag("--workers", type=int, help="max parallel workers, this process counted as one "
+                                     "(default: the CPUs this process may run on; results "
+                                     "identical)")
     flag("--format", choices=("csv", "jsonl"), dest="record_format",
          help=f"records file format (default {_DEFAULTS['record_format']})")
     p.add_argument("--verbose", action="store_true", help="print a table to stderr")

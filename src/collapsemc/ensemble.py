@@ -8,8 +8,10 @@ engine works elementwise per run, so no record or statistic depends on
 how the runs are split.  Execution is cut into contiguous chunks of run
 indices, as few and as wide as the CPUs in use and MAX_CHUNK_RUNS allow
 (see run_ensemble), and workers pick up whole chunks; a chunk is one
-engine call per frame and one pool task.  The scenario is built once,
-with the configuration, and every chunk and the manifest read it.
+engine call per frame.  The calling process is one of the workers: it
+runs chunks itself between topping up a pool of the others.  The
+scenario is built once, with the configuration, and every chunk and the
+manifest read it.
 
 The records of an ensemble are one record table (see
 ``experiment.RECORD_DTYPE``) whose rows name no frame: with F the number
@@ -33,9 +35,10 @@ import math
 import numbers
 import os
 import sys
+from collections import deque
 from dataclasses import dataclass, asdict
 from functools import cached_property
-from itertools import repeat
+from itertools import islice
 
 import numpy as np
 
@@ -55,9 +58,10 @@ KIND_FRAMES = {
 
 # No record depends on how the runs are cut into chunks: a run's noise is
 # addressed by its index, and the engine steps each run alone.  CHUNK_RUNS
-# is the fewest runs worth a pool task, so an ensemble of n runs is spread
-# over no more than ceil(n / CHUNK_RUNS) workers, and the number of rows
-# export_records formats at a time.
+# is the fewest runs worth a worker of their own, the calling process
+# counted as one, so an ensemble of n runs is spread over no more than
+# ceil(n / CHUNK_RUNS) workers, and the number of rows export_records
+# formats at a time.
 CHUNK_RUNS = 2048
 
 # The widest chunk, one engine call per frame.  Every 32-row slab of a
@@ -234,6 +238,40 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _pooled_tables(pool, slots: int, config: EnsembleConfig, chunks) -> list[np.ndarray]:
+    """The tables of chunks in chunk order, run by pool and by this process.
+
+    Before this process takes its next chunk, it tops the pool up from
+    chunks until slots of the pool's futures are not yet taken, so chunks
+    are made as they are handed out and the pool never holds more than
+    slots unfinished futures.  Finished tables are taken off the front in
+    chunk order.  A chunk that raises, here or in the pool, raises here,
+    and the pool's futures not yet started are cancelled.
+    """
+    chunks = iter(chunks)
+    # (future, None) for a chunk of the pool's, (None, table) for one of ours
+    window, tables = deque(), []
+    try:
+        while True:
+            while window and (window[0][0] is None or window[0][0].done()):
+                future, table = window.popleft()
+                tables.append(table if future is None else future.result())
+            held = sum(future is not None for future, _ in window)
+            for chunk in islice(chunks, slots - held):
+                window.append((pool.submit(_run_chunk, config, chunk), None))
+            chunk = next(chunks, None)
+            if chunk is None:
+                break
+            window.append((None, _run_chunk(config, chunk)))
+        tables.extend(table if future is None else future.result() for future, table in window)
+    except BaseException:
+        for future, _ in window:
+            if future is not None:
+                future.cancel()
+        raise
+    return tables
+
+
 def run_ensemble(config: EnsembleConfig) -> tuple[dict, np.ndarray]:
     """Execute the configured experiment and reduce its statistics.
 
@@ -250,8 +288,9 @@ def run_ensemble(config: EnsembleConfig) -> tuple[dict, np.ndarray]:
     contiguous chunks in run order, the first runs % chunks of them one run
     wider than the rest: the fewest chunks none wider than MAX_CHUNK_RUNS,
     raised to one for each CPU in use but never past one for each
-    CHUNK_RUNS runs.  A pool of min(cpus, chunks) workers runs them, or
-    this process alone when that is one.
+    CHUNK_RUNS runs.  They run on min(cpus, chunks) workers: this process
+    and a pool of the others (see _pooled_tables), or this process alone
+    when that is one.  The pool is joined before this returns or raises.
     """
     runs = config.runs
     cpus = min(config.workers, usable_cpus())
@@ -266,8 +305,8 @@ def run_ensemble(config: EnsembleConfig) -> tuple[dict, np.ndarray]:
     if workers > 1:
         # imported here so that one-worker runs do not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = np.concatenate(list(pool.map(_run_chunk, repeat(config), chunks)))
+        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+            records = np.concatenate(_pooled_tables(pool, workers - 1, config, chunks))
     else:
         records = np.concatenate([_run_chunk(config, chunk) for chunk in chunks])
 
@@ -364,16 +403,16 @@ def export_records(records: np.ndarray, path: str, fmt: str, frames: tuple[Frame
             fh.write(",".join(CSV_COLUMNS) + "\r\n")
         # slices bound the memory the writer adds to that of the table
         for lo in range(0, len(records), CHUNK_RUNS):
-            fh.write(_format_lines(records[lo:lo + CHUNK_RUNS], fmt, frames))
+            fh.write(_format_lines(records[lo:lo + CHUNK_RUNS], fmt, frames, lo))
 
 
-def _format_lines(records: np.ndarray, fmt: str, frames: tuple[Frame, ...]) -> str:
-    """The lines of export_records for the rows of a record table."""
+def _format_lines(records: np.ndarray, fmt: str, frames: tuple[Frame, ...], start: int) -> str:
+    """The lines of export_records for the rows of a record table that
+    start at row start of the whole table, whose place there gives each
+    row's frame."""
     line, literal = _LINE_FORMATS[fmt]
     winner, within = records["winner"], records["within_budget"]
-    # a slice starts at a multiple of CHUNK_RUNS, which every kind's number
-    # of frames (1 or 2) divides, so its own row index gives the frame
-    place = np.arange(len(records)) % len(frames)
+    place = np.arange(start, start + len(records)) % len(frames)
     key = (place * 3 + winner) * 3 + within  # both are codes 0-2 already
     _, rows, line_class = np.unique(key, return_index=True, return_inverse=True)
     within_literals = (literal[None], literal[True], literal[False])

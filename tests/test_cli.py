@@ -488,8 +488,9 @@ ENSEMBLE_OPTIONS = (
     '  --v V                 frame speed, m/s (default 0.99c)\n'
     '  --config CONFIG       JSON config file; flags override it\n'
     '  --out-dir OUT_DIR     output directory for records and manifest\n'
-    '  --workers WORKERS     max parallel workers (default: the CPUs this process\n'
-    '                        may run on; results identical)\n'
+    '  --workers WORKERS     max parallel workers, this process counted as one\n'
+    '                        (default: the CPUs this process may run on; results\n'
+    '                        identical)\n'
     '  --format {csv,jsonl}  records file format (default csv)\n'
     '  --verbose             print a table to stderr\n')
 

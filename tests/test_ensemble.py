@@ -2,12 +2,13 @@ import concurrent.futures
 import inspect
 import json
 import math
+import multiprocessing
 import os
 import pickle
 import platform
 from dataclasses import replace
-from itertools import islice
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -191,17 +192,29 @@ def test_workers_do_not_change_records():
     assert stats1 == stats2
 
 
-def serial_pool(monkeypatch, cpus=64, first=None):
+def serial_pool(monkeypatch, cpus=64, run=True):
     """Stand a serial executor in for the process pool, which run_ensemble
     imports from concurrent.futures when it starts one, and give the
-    process cpus usable CPUs.  It maps in this process over the first
-    chunks (ranges of run indices) it is given, all of them by default,
-    and the lists it returns record the sizes and those chunks."""
-    sizes, chunks = [], []
+    process cpus usable CPUs.  Its submit runs the chunk (a range of run
+    indices) in this process at once, or with run=False leaves its future
+    pending, and refuses to make more than 1000 futures; its map submits
+    every chunk before the first result is taken, as the real one does.
+    The namespace it returns records the pool sizes, the chunks submitted,
+    their futures, and the most futures held at once: a future is held
+    from its submit until its result is taken."""
+    pool = SimpleNamespace(sizes=[], chunks=[], futures=[], most_held=0)
+
+    class Held(concurrent.futures.Future):
+        taken = False
+
+        def result(self, timeout=None):
+            assert self.done(), "the result of a chunk that never runs"
+            self.taken = True
+            return super().result(timeout)
 
     class SerialPool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            pool.sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -209,13 +222,40 @@ def serial_pool(monkeypatch, cpus=64, first=None):
         def __exit__(self, *exc):
             return False
 
+        def submit(self, fn, config, chunk):
+            assert len(pool.futures) < 1000, "more than 1000 chunks submitted"
+            future = Held()
+            pool.chunks.append(chunk)
+            pool.futures.append(future)
+            pool.most_held = max(pool.most_held, sum(not f.taken for f in pool.futures))
+            if run:
+                try:
+                    future.set_result(fn(config, chunk))
+                except Exception as exc:
+                    future.set_exception(exc)
+            return future
+
         def map(self, fn, *iterables):
-            chunks.append(list(islice(iterables[-1], first)))
-            return map(fn, *iterables[:-1], chunks[-1])
+            futures = [self.submit(fn, *args) for args in zip(*iterables)]
+            return (future.result() for future in futures)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    return sizes, chunks
+    return pool
+
+
+def ran_chunks(monkeypatch):
+    """The chunks _run_chunk is called on, in the pool or in this process,
+    in the order they start."""
+    ran = []
+    run_chunk = ensemble._run_chunk
+
+    def recorded(config, chunk):
+        ran.append(chunk)
+        return run_chunk(config, chunk)
+
+    monkeypatch.setattr(ensemble, "_run_chunk", recorded)
+    return ran
 
 
 def chunk_widths(monkeypatch, chunk_runs, max_chunk_runs):
@@ -225,23 +265,26 @@ def chunk_widths(monkeypatch, chunk_runs, max_chunk_runs):
 
 def test_pool_is_capped_at_chunk_count(monkeypatch):
     # 202 runs on 64 CPUs make ceil(202 / 100) = 3 chunks, the first one
-    # run wider, and a pool of 3 workers
+    # run wider, and 3 workers: this process and a pool of 2, which takes
+    # the first two chunks before this process runs the third
     chunk_widths(monkeypatch, 100, 300)
-    sizes, chunks = serial_pool(monkeypatch)
+    pool = serial_pool(monkeypatch)
+    ran = ran_chunks(monkeypatch)
     cfg = EnsembleConfig(kind="born_rule", runs=202, q0=1.0, workers=64)
     stats, _ = run_ensemble(cfg)
-    assert sizes == [3]
-    assert chunks == [[range(0, 68), range(68, 135), range(135, 202)]]
+    assert pool.sizes == [2]
+    assert ran == [range(0, 68), range(68, 135), range(135, 202)]
+    assert pool.chunks == ran[:2]
     assert stats["counts"]["winner1"] == cfg.runs
 
 
-@pytest.mark.parametrize("cpus, sizes", [(2, [2]), (1, [])])
+@pytest.mark.parametrize("cpus, sizes", [(2, [1]), (1, [])])
 def test_pool_is_capped_at_usable_cpus(monkeypatch, cpus, sizes):
     # 64 workers fork no more workers than there are CPUs to run them: two
-    # CPUs run 4097 runs as two chunks on two workers, and one CPU runs
-    # them as one chunk in this process; the records and the config's
-    # workers do not change
-    got, _ = serial_pool(monkeypatch, cpus)
+    # CPUs run 4097 runs as two chunks, one in a pool of one process and
+    # one in this process, and one CPU runs them as one chunk in this
+    # process; the records and the config's workers do not change
+    got = serial_pool(monkeypatch, cpus).sizes
     cfg = EnsembleConfig(kind="born_rule", runs=2 * CHUNK_RUNS + 1, master_seed=3, workers=64)
     stats, records = run_ensemble(cfg)
     assert got == sizes
@@ -263,15 +306,20 @@ CAPPED = EnsembleConfig(kind="cross_frame", runs=4096, master_seed=5, q0=0.8, wo
 ], ids=[*KIND_FRAMES, "capped"])
 def test_chunks_are_slices_of_the_table_in_chunk_order(monkeypatch, cfg):
     # each chunk comes back with row F i + f its i-th run in frame f of the
-    # kind's frames, and the pool's tables joined in chunk order are the
-    # ensemble's table.  No chunk is wider than 500 runs, so 2 workers get
-    # more chunks than themselves: 3 for 1300 runs and 9 for CAPPED's 4096
+    # kind's frames, and the tables of the pool and this process joined in
+    # chunk order are the ensemble's table.  No chunk is wider than 500
+    # runs, so 2 workers, a pool of one and this process, get more chunks
+    # than themselves: 3 for 1300 runs and 9 for CAPPED's 4096
     chunk_widths(monkeypatch, 200, 500)
-    sizes, chunks = serial_pool(monkeypatch)
+    pool = serial_pool(monkeypatch)
+    run_chunk = ensemble._run_chunk
+    ran = ran_chunks(monkeypatch)
     _, records = run_ensemble(cfg)
-    assert sizes == [2] and len(chunks[0]) == -(-cfg.runs // 500)
-    tables = [ensemble._run_chunk(cfg, chunk) for chunk in chunks[0]]
-    for chunk, table in zip(chunks[0], tables):
+    chunks = sorted(ran, key=lambda chunk: chunk.start)
+    assert pool.sizes == [1] and len(chunks) == -(-cfg.runs // 500)
+    assert 0 < len(pool.chunks) < len(chunks)
+    tables = [run_chunk(cfg, chunk) for chunk in chunks]
+    for chunk, table in zip(chunks, tables):
         assert_rows_by_place(cfg, table, chunk)
     if cfg is CAPPED:
         # failed rows in both frames, and in more than one chunk
@@ -298,6 +346,105 @@ def test_first_chunk_starts_at_the_run_index_limit(monkeypatch):
     assert starts == [range(0, MAX_CHUNK_RUNS)]
 
 
+@pytest.mark.parametrize("runs, cpus, widths", [
+    (2 * CHUNK_RUNS, 2, (CHUNK_RUNS, MAX_CHUNK_RUNS)),  # 2 chunks, a pool of 1
+    (1000, 2, (100, 200)),  # 5 chunks, a pool of 1
+    (202, 64, (100, 300)),  # 3 chunks, a pool of 2
+    (900, 4, (100, 100)),  # 9 chunks, a pool of 3
+], ids=["2-chunks", "5-chunks", "3-chunks-64-cpus", "9-chunks-4-cpus"])
+def test_each_chunk_runs_once_in_the_pool_or_this_process(monkeypatch, runs, cpus, widths):
+    # the pool has min(cpus, chunks) - 1 processes, each chunk runs once,
+    # and this process runs at least one of them
+    chunk_widths(monkeypatch, *widths)
+    count = max(-(-runs // ensemble.MAX_CHUNK_RUNS), min(cpus, -(-runs // ensemble.CHUNK_RUNS)))
+    pool = serial_pool(monkeypatch, cpus)
+    ran = ran_chunks(monkeypatch)
+    cfg = EnsembleConfig(kind="cross_frame", runs=runs, master_seed=11, workers=cpus)
+    stats, records = run_ensemble(cfg)
+    assert pool.sizes == [min(cpus, count) - 1]
+    assert sorted(ran, key=lambda chunk: chunk.start) == ran
+    assert len(ran) == count and ran[0].start == 0 and ran[-1].stop == runs
+    assert all(a.stop == b.start for a, b in zip(ran, ran[1:]))
+    own = [chunk for chunk in ran if chunk not in pool.chunks]
+    assert len(pool.chunks) + len(own) == count and own
+    serial = run_ensemble(replace(cfg, workers=1))
+    assert stats == serial[0]
+    assert_tables_equal(records, serial[1])
+
+
+def test_pool_holds_no_more_futures_than_its_processes(monkeypatch):
+    # 200 one-run chunks on 4 workers: the pool of 3 is kept full, and no
+    # more than 3 of its futures are held at once
+    chunk_widths(monkeypatch, 1, 1)
+    pool = serial_pool(monkeypatch, cpus=4)
+    cfg = EnsembleConfig(kind="born_rule", runs=200, q0=1.0, workers=4)
+    stats, _ = run_ensemble(cfg)
+    assert pool.sizes == [3]
+    assert pool.most_held == 3
+    assert 3 < len(pool.chunks) < 200
+    assert all(future.taken for future in pool.futures)
+    assert stats["counts"]["winner1"] == 200
+
+
+def test_first_chunk_starts_after_a_bounded_number_of_submits(monkeypatch):
+    # 2**50 chunks on 4 workers: the pool is given 3 chunks before this
+    # process takes the fourth, not every chunk up front as Executor.map
+    # would give them, and the stub stops the ensemble there
+    starts = []
+
+    class FirstChunk(Exception):
+        pass
+
+    def first_chunk(config, runs):
+        starts.append(runs)
+        raise FirstChunk
+
+    pool = serial_pool(monkeypatch, cpus=4)
+    monkeypatch.setattr(ensemble, "_run_chunk", first_chunk)
+    with pytest.raises(FirstChunk):
+        run_ensemble(EnsembleConfig(kind="born_rule", runs=RUN_INDEX_LIMIT, workers=4))
+    assert pool.sizes == [3] and len(pool.chunks) == 3
+    assert starts == [range(i * MAX_CHUNK_RUNS, (i + 1) * MAX_CHUNK_RUNS) for i in range(4)]
+
+
+class CallerChunkError(Exception):
+    pass
+
+
+def test_a_failing_chunk_cancels_the_queued_futures(monkeypatch):
+    # the pool's chunks are still queued when the chunk this process runs
+    # raises: the error reaches the caller, and every queued future is
+    # cancelled
+    pool = serial_pool(monkeypatch, cpus=4, run=False)
+
+    def fail(config, runs):
+        raise CallerChunkError(runs)
+
+    monkeypatch.setattr(ensemble, "_run_chunk", fail)
+    with pytest.raises(CallerChunkError):
+        run_ensemble(EnsembleConfig(kind="born_rule", runs=4 * CHUNK_RUNS, workers=4))
+    assert pool.sizes == [3] and len(pool.futures) == 3
+    assert all(future.cancelled() for future in pool.futures)
+
+
+def test_a_failing_chunk_leaves_no_worker_running(monkeypatch):
+    # a real pool of one process: the chunk this process runs raises, the
+    # pool's chunk runs as usual, and the pool is joined before the error
+    # reaches the caller
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    caller, frame_batch = os.getpid(), ensemble.run_frame_batch
+
+    def fail_here(*args, **kwargs):
+        if os.getpid() == caller:
+            raise CallerChunkError("in the calling process")
+        return frame_batch(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "run_frame_batch", fail_here)
+    with pytest.raises(CallerChunkError):
+        run_ensemble(EnsembleConfig(kind="born_rule", runs=2 * CHUNK_RUNS, workers=2))
+    assert multiprocessing.active_children() == []
+
+
 @settings(max_examples=300, deadline=None)
 @given(runs=st.one_of(st.integers(1, 100_000), st.integers(1, RUN_INDEX_LIMIT)),
        cpus=st.integers(1, 256))
@@ -306,8 +453,9 @@ def test_first_chunk_starts_at_the_run_index_limit(monkeypatch):
 @example(runs=10240, cpus=3)
 def test_chunks_follow_the_rule(runs, cpus):
     # chunks are contiguous from run 0 in order, equal to within one run,
-    # none wider than MAX_CHUNK_RUNS, and as many as the rule says, on a
-    # pool of min(cpus, chunks) workers; only the first 40 are made
+    # none wider than MAX_CHUNK_RUNS, and as many as the rule says, on
+    # min(cpus, chunks) workers, this process and a pool of the others;
+    # only the first 40 are made, and the next one stops the ensemble
     count = max(-(-runs // MAX_CHUNK_RUNS), min(cpus, -(-runs // CHUNK_RUNS)))
     made = []
 
@@ -315,20 +463,20 @@ def test_chunks_follow_the_rule(runs, cpus):
         pass
 
     def record(config, chunk):
-        made.append(chunk)
         if len(made) == 40:
             raise Stop
+        made.append(chunk)
         return np.zeros(0, dtype=RECORD_DTYPE)
 
     with pytest.MonkeyPatch.context() as mp:
-        sizes, _ = serial_pool(mp, cpus, first=40)
+        sizes = serial_pool(mp, cpus).sizes
         mp.setattr(ensemble, "_run_chunk", record)
         mp.setattr(ensemble, "compute_stats", lambda *args: {"counts": {"failed": 0}})
         try:
             run_ensemble(EnsembleConfig(kind="born_rule", runs=runs, workers=cpus))
         except Stop:
             pass
-    assert sizes == ([min(cpus, count)] if min(cpus, count) > 1 else [])
+    assert sizes == ([min(cpus, count) - 1] if min(cpus, count) > 1 else [])
     assert len(made) == min(count, 40)
     assert made[0].start == 0
     assert all(a.stop == b.start for a, b in zip(made, made[1:]))
@@ -345,7 +493,8 @@ def test_chunks_follow_the_rule(runs, cpus):
     replace(CAPPED, runs=2 * CHUNK_RUNS + 5),
 ], ids=[*KIND_FRAMES, "capped"])
 def test_chunk_width_does_not_change_records(monkeypatch, cfg):
-    # 4101 runs in 5, 2 or 1 chunks at one worker and 5, 3 or 3 at three
+    # 4101 runs in 5, 2 or 1 chunks at one worker and 5, 3 or 3 at three,
+    # where a pool of two runs chunks beside this process
     serial_pool(monkeypatch)
     results = []
     for width in (1000, 3000, 8192):
@@ -686,6 +835,17 @@ def test_export_matches_reference_past_one_slice(tmp_path):
         rows.append((row // 2, winner, duration, _verdict(winner, duration, 4.7e-4)))
     rows[-1] = (RUN_INDEX_LIMIT - 1, 1, 5e-324, 1)
     assert_export_matches_reference(_table(*rows), tmp_path, (FRAME_A, FRAME_B))
+
+
+def test_export_spells_frames_by_table_row_at_an_odd_slice_width(tmp_path, monkeypatch):
+    # slices of 3 rows of a 10-run table in frames (A, B) start at odd
+    # rows as well as even ones, and every row is spelled in the frame of
+    # its place in the whole table
+    monkeypatch.setattr(ensemble, "CHUNK_RUNS", 3)
+    rows = [(row // 2, 1 + row % 2, 1.25e-4, 1) for row in range(20)]
+    assert_export_matches_reference(_table(*rows), tmp_path, (FRAME_A, FRAME_B))
+    lines = (tmp_path / "new.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [line.split(",")[1] for line in lines] == ["A", "B"] * 10
 
 
 def test_export_empty_table(tmp_path):
