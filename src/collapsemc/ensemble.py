@@ -6,12 +6,14 @@ address (key, k), so the records of an ensemble are a pure function of
 its configuration.  The run index sits in the noise counter and the
 engine works elementwise per run, so no record or statistic depends on
 how the runs are split.  Execution is cut into contiguous chunks of run
-indices, as few and as wide as the CPUs in use and MAX_CHUNK_RUNS allow
-(see run_ensemble), and workers pick up whole chunks; a chunk is one
-engine call per frame.  The calling process is one of the workers: it
-runs chunks itself between topping up a pool of the others.  The
-scenario is built once, with the configuration, and every chunk and the
-manifest read it.
+indices, as few as MAX_CHUNK_RUNS allows (see run_ensemble), and workers
+pick up whole chunks; a chunk is one engine call per frame.  A worker is
+started for no fewer than MAX_CHUNK_RUNS runs, the measured floor below
+which one more worker costs more than it saves.  The calling process is
+one of the workers: it runs chunks itself between topping up a pool of
+the others, and with one worker it runs them all and starts no pool.
+The scenario is built once, with the configuration, and every chunk and
+the manifest read it.
 
 The records of an ensemble are one record table (see
 ``experiment.RECORD_DTYPE``) whose rows name no frame: with F the number
@@ -58,19 +60,27 @@ KIND_FRAMES = {
 
 # No record depends on how the runs are cut into chunks: a run's noise is
 # addressed by its index, and the engine steps each run alone.  CHUNK_RUNS
-# is the fewest runs worth a worker of their own, the calling process
-# counted as one, so an ensemble of n runs is spread over no more than
-# ceil(n / CHUNK_RUNS) workers, and the number of rows export_records
-# formats at a time.
+# is the number of rows export_records formats at a time; the chunks and
+# the workers follow MAX_CHUNK_RUNS, the fewest runs a worker is started
+# for (see run_ensemble).
 CHUNK_RUNS = 2048
 
-# The widest chunk, one engine call per frame.  Every 32-row slab of a
-# call steps until its slowest run leaves, so a wider call pays that tail
-# once for more runs, while its float32 slab and its window index (128
-# bytes a run each) outgrow the CPU caches.  One-worker run_ensemble of
-# 65,536 runs, median of 9 (2-CPU x86-64 VM, numpy 2.4.6), in chunks of
-# 2048 / 4096 / 8192 / 16384 runs: born 155 / 123 / 114 / 136 ms,
-# collapse-time 227 / 187 / 163 / 202 ms.
+# The widest chunk, one engine call per frame, and the fewest runs that
+# make one more worker worth starting, this process counted as one.  Every
+# 32-row slab of a call steps until its slowest run leaves, so a wider
+# call pays that tail once for more runs, while its float32 slab and its
+# window index (128 bytes a run each) outgrow the CPU caches.  One-worker
+# run_ensemble of 65,536 runs, median of 9 (2-CPU x86-64 VM, numpy 2.4.6),
+# in chunks of 2048 / 4096 / 8192 / 16384 runs: born 155 / 123 / 114 / 136
+# ms, collapse-time 227 / 187 / 163 / 202 ms.  A second worker costs about
+# 7 ms to fork and join, and runs its chunks about 15 % slower than this
+# process, so two workers pay from about 2 x 8192 runs.  One against two
+# workers, end to end through the CLI, the range of the median speedups of
+# 2 to 4 rounds of 9 to 21 alternating pairs (same VM), at 8192 / 12288 /
+# 16384 / 24576 / 32768 / 65536 / 131072 runs: collapse-time 0.85-0.87 /
+# 0.97-1.02 / 1.08-1.15 / 1.04-1.13 / 0.94-1.12 / 1.22 / 1.23, born
+# 0.76-0.78 / 0.84-0.87 / 0.95-1.12 / 0.98-1.05 / 0.96-1.13 / 1.14-1.21 /
+# 1.14-1.21.
 MAX_CHUNK_RUNS = 8192
 
 CSV_COLUMNS = ("run_index", "frame", "first_detector", "winner",
@@ -281,27 +291,26 @@ def run_ensemble(config: EnsembleConfig) -> tuple[dict, np.ndarray]:
     order.  Raises EnsembleAbortError if more than 1% of runs fail to
     converge.
 
-    With cpus = min(config.workers, usable_cpus()), the runs are cut into
+    The runs are cut into chunks = ceil(runs / MAX_CHUNK_RUNS) contiguous
+    chunks in run order, the first runs % chunks of them one run wider than
+    the rest, and run on
 
-        chunks = max(ceil(runs / MAX_CHUNK_RUNS), min(cpus, ceil(runs / CHUNK_RUNS)))
+        workers = min(config.workers, usable_cpus(), max(1, runs // MAX_CHUNK_RUNS))
 
-    contiguous chunks in run order, the first runs % chunks of them one run
-    wider than the rest: the fewest chunks none wider than MAX_CHUNK_RUNS,
-    raised to one for each CPU in use but never past one for each
-    CHUNK_RUNS runs.  They run on min(cpus, chunks) workers: this process
-    and a pool of the others (see _pooled_tables), or this process alone
-    when that is one.  The pool is joined before this returns or raises.
+    workers, so that no worker is started for fewer than MAX_CHUNK_RUNS
+    runs and none is left without a chunk: this process and a pool of the
+    others (see _pooled_tables), or this process alone, with no pool, when
+    that is one.  The pool is joined before this returns or raises.
     """
     runs = config.runs
-    cpus = min(config.workers, usable_cpus())
-    count = max(-(-runs // MAX_CHUNK_RUNS), min(cpus, -(-runs // CHUNK_RUNS)))
+    count = -(-runs // MAX_CHUNK_RUNS)
     size, wide = divmod(runs, count)
     # made one at a time: an ensemble of RUN_INDEX_LIMIT runs has 2**50 chunks
     chunks = (range(i * size + min(i, wide), (i + 1) * size + min(i + 1, wide))
               for i in range(count))
     # under fork every worker starts at the first submit, so a worker past
-    # the chunks or the usable CPUs would only be forked to sit idle
-    workers = min(cpus, count)
+    # the usable CPUs would only be forked to sit idle
+    workers = min(config.workers, usable_cpus(), max(1, runs // MAX_CHUNK_RUNS))
     if workers > 1:
         # imported here so that one-worker runs do not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor

@@ -1,7 +1,7 @@
-import concurrent.futures
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,7 +11,8 @@ import pytest
 
 import collapsemc
 import record_digests
-from collapsemc import cli
+from test_ensemble import pool_spy, set_floor
+from collapsemc import cli, ensemble
 from collapsemc.cli import _ensemble_config, _json_out, build_parser, main
 from collapsemc.ensemble import CHUNK_RUNS
 from collapsemc.experiment import frame_pair
@@ -431,11 +432,11 @@ def test_epsilon_below_the_float32_floor_is_a_usage_error(capsys, tmp_path):
 def test_unrunnable_step_is_a_usage_error_before_any_pool(capsys, tmp_path, monkeypatch,
                                                           override):
     # a step the engine refuses in frame 0 (Gamma * dt 40, or a barrier
-    # shifted below 0) is exit 2 before any run: no pool is built at two
-    # workers, and nothing is written
-    pools = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        lambda *a, **kw: pools.append(a))
+    # shifted below 0) is exit 2 before any run: with the floor at
+    # CHUNK_RUNS runs a worker, no pool is built at two workers, where the
+    # same command without the override builds one, and nothing is written
+    pools = pool_spy(monkeypatch, cpus=2)
+    set_floor(monkeypatch, CHUNK_RUNS)
     cfg_path = tmp_path / "step.json"
     out_dir = tmp_path / "step"
     cfg_path.write_text(json.dumps({"overrides": override}))
@@ -446,6 +447,9 @@ def test_unrunnable_step_is_a_usage_error_before_any_pool(capsys, tmp_path, monk
     assert err.startswith("error: overrides") and "reduce dt" in err
     assert pools == []
     assert sorted(os.listdir(tmp_path)) == ["step.json"]
+    code, _, _ = run_cli(capsys, "born", "--runs", str(2 * CHUNK_RUNS), "--workers", "2",
+                         "--out-dir", str(out_dir))
+    assert code == 0 and pools == [1]
 
 
 def test_help_lists_exit_codes(capsys, monkeypatch):
@@ -488,9 +492,9 @@ ENSEMBLE_OPTIONS = (
     '  --v V                 frame speed, m/s (default 0.99c)\n'
     '  --config CONFIG       JSON config file; flags override it\n'
     '  --out-dir OUT_DIR     output directory for records and manifest\n'
-    '  --workers WORKERS     max parallel workers, this process counted as one\n'
-    '                        (default: the CPUs this process may run on; results\n'
-    '                        identical)\n'
+    '  --workers WORKERS     max parallel workers, this process counted as one; a\n'
+    '                        second starts only from 8192 runs a worker (default:\n'
+    '                        the CPUs this process may run on; results identical)\n'
     '  --format {csv,jsonl}  records file format (default csv)\n'
     '  --verbose             print a table to stderr\n')
 
@@ -604,9 +608,12 @@ def test_boost_past_the_direct_products_range(capsys, tmp_path, monkeypatch, arg
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 @pytest.mark.parametrize("command", ["born", "collapse-time", "disagree"])
-def test_records_bytes_do_not_depend_on_workers(capsys, tmp_path, command, fmt):
-    runs = 3000
-    assert runs > CHUNK_RUNS  # two chunks, so two workers both run one
+def test_records_bytes_do_not_depend_on_workers(capsys, tmp_path, monkeypatch, command, fmt):
+    # with the floor at CHUNK_RUNS runs a worker, two workers run two
+    # chunks, one in a real pool of one process and one in this process
+    pools = pool_spy(monkeypatch, cpus=2)
+    set_floor(monkeypatch, CHUNK_RUNS)
+    runs = 2 * CHUNK_RUNS
     digests = set()
     for workers in ("1", "2"):
         out_dir = tmp_path / workers
@@ -615,7 +622,30 @@ def test_records_bytes_do_not_depend_on_workers(capsys, tmp_path, command, fmt):
                                "--out-dir", str(out_dir))
         assert code == 0
         digests.add(hashlib.sha256((out_dir / f"records.{fmt}").read_bytes()).hexdigest())
+    assert pools == [1]
     assert len(digests) == 1
+
+
+def test_a_crashed_worker_fails_the_run(capsys, tmp_path, monkeypatch):
+    # a pool worker that dies mid-chunk breaks the pool: exit 1 with the
+    # broken pool named on stderr, no records file, and no child left
+    pools = pool_spy(monkeypatch, cpus=2)
+    set_floor(monkeypatch, CHUNK_RUNS)
+    caller, frame_batch = os.getpid(), ensemble.run_frame_batch
+
+    def die_in_worker(*args, **kwargs):
+        if os.getpid() != caller:
+            os._exit(1)
+        return frame_batch(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "run_frame_batch", die_in_worker)
+    code, out, err = run_cli(capsys, "born", "--runs", str(2 * CHUNK_RUNS), "--workers", "2",
+                             "--out-dir", str(tmp_path / "crash"))
+    assert pools == [1]
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "process pool" in err and "terminated abruptly" in err
+    assert list(tmp_path.rglob("records.*")) == []
+    assert multiprocessing.active_children() == []
 
 
 def test_config_file_null_out_dir_takes_the_default(capsys, tmp_path, monkeypatch):

@@ -182,12 +182,33 @@ def test_ensemble_deterministic():
     assert stats_c != stats_a
 
 
-def test_workers_do_not_change_records():
-    runs = CHUNK_RUNS + 300  # force two chunks
+def pool_spy(monkeypatch, cpus):
+    """Give the process cpus usable CPUs, and record the size of each
+    process pool run_ensemble starts; the pools are real."""
+    sizes = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def spy(max_workers):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    return sizes
+
+
+def test_workers_do_not_change_records(monkeypatch):
+    # with the floor at 700 runs a worker, 2348 runs make 4 chunks, and 3
+    # workers run them in this process and a real pool of 2
+    set_floor(monkeypatch, 700)
+    sizes = pool_spy(monkeypatch, cpus=3)
+    runs = CHUNK_RUNS + 300
     cfg1 = EnsembleConfig(kind="born_rule", runs=runs, master_seed=4, workers=1)
     cfg2 = EnsembleConfig(kind="born_rule", runs=runs, master_seed=4, workers=3)
     stats1, rec1 = run_ensemble(cfg1)
+    assert sizes == []
     stats2, rec2 = run_ensemble(cfg2)
+    assert sizes == [2]
     assert_tables_equal(rec1, rec2)
     assert stats1 == stats2
 
@@ -258,32 +279,36 @@ def ran_chunks(monkeypatch):
     return ran
 
 
-def chunk_widths(monkeypatch, chunk_runs, max_chunk_runs):
-    monkeypatch.setattr(ensemble, "CHUNK_RUNS", chunk_runs)
-    monkeypatch.setattr(ensemble, "MAX_CHUNK_RUNS", max_chunk_runs)
+def set_floor(monkeypatch, runs):
+    """Set the widest chunk, which is also the fewest runs a worker is
+    started for, at runs."""
+    monkeypatch.setattr(ensemble, "MAX_CHUNK_RUNS", runs)
 
 
 def test_pool_is_capped_at_chunk_count(monkeypatch):
-    # 202 runs on 64 CPUs make ceil(202 / 100) = 3 chunks, the first one
-    # run wider, and 3 workers: this process and a pool of 2, which takes
-    # the first two chunks before this process runs the third
-    chunk_widths(monkeypatch, 100, 300)
+    # with the floor at 67 runs a worker, 201 runs on 64 CPUs make
+    # ceil(201 / 67) = 3 chunks and 201 // 67 = 3 workers, not 64: this
+    # process and a pool of 2, which takes the first two chunks before this
+    # process runs the third
+    set_floor(monkeypatch, 67)
     pool = serial_pool(monkeypatch)
     ran = ran_chunks(monkeypatch)
-    cfg = EnsembleConfig(kind="born_rule", runs=202, q0=1.0, workers=64)
+    cfg = EnsembleConfig(kind="born_rule", runs=201, q0=1.0, workers=64)
     stats, _ = run_ensemble(cfg)
     assert pool.sizes == [2]
-    assert ran == [range(0, 68), range(68, 135), range(135, 202)]
+    assert ran == [range(0, 67), range(67, 134), range(134, 201)]
     assert pool.chunks == ran[:2]
     assert stats["counts"]["winner1"] == cfg.runs
 
 
 @pytest.mark.parametrize("cpus, sizes", [(2, [1]), (1, [])])
 def test_pool_is_capped_at_usable_cpus(monkeypatch, cpus, sizes):
-    # 64 workers fork no more workers than there are CPUs to run them: two
-    # CPUs run 4097 runs as two chunks, one in a pool of one process and
-    # one in this process, and one CPU runs them as one chunk in this
-    # process; the records and the config's workers do not change
+    # 64 workers fork no more workers than there are CPUs to run them: with
+    # the floor at 2048 runs a worker, two CPUs run 4097 runs as three
+    # chunks in a pool of one process and this process, and one CPU runs
+    # them all in this process; the records and the config's workers do
+    # not change
+    set_floor(monkeypatch, 2048)
     got = serial_pool(monkeypatch, cpus).sizes
     cfg = EnsembleConfig(kind="born_rule", runs=2 * CHUNK_RUNS + 1, master_seed=3, workers=64)
     stats, records = run_ensemble(cfg)
@@ -294,8 +319,20 @@ def test_pool_is_capped_at_usable_cpus(monkeypatch, cpus, sizes):
     assert_tables_equal(records, serial[1])
 
 
+def test_a_second_worker_starts_at_the_floor(monkeypatch):
+    # two usable CPUs and two workers: one run short of MAX_CHUNK_RUNS runs
+    # a worker is this process's alone, with no pool, and MAX_CHUNK_RUNS
+    # runs a worker start a pool of one beside it
+    pool = serial_pool(monkeypatch, cpus=2)
+    cfg = EnsembleConfig(kind="born_rule", runs=2 * MAX_CHUNK_RUNS - 1, q0=1.0, workers=2)
+    run_ensemble(cfg)
+    assert pool.sizes == []
+    run_ensemble(replace(cfg, runs=2 * MAX_CHUNK_RUNS))
+    assert pool.sizes == [1]
+
+
 # a capped disagree: 14 of 4096 runs hit the step cap, under the 1 % abort,
-# with failed rows in both frames of both 2048-run chunks at two workers
+# with failed rows in both frames
 CAPPED = EnsembleConfig(kind="cross_frame", runs=4096, master_seed=5, q0=0.8, workers=2,
                         overrides={"epsilon": 1e-6, "max_steps": 720})
 
@@ -307,10 +344,11 @@ CAPPED = EnsembleConfig(kind="cross_frame", runs=4096, master_seed=5, q0=0.8, wo
 def test_chunks_are_slices_of_the_table_in_chunk_order(monkeypatch, cfg):
     # each chunk comes back with row F i + f its i-th run in frame f of the
     # kind's frames, and the tables of the pool and this process joined in
-    # chunk order are the ensemble's table.  No chunk is wider than 500
-    # runs, so 2 workers, a pool of one and this process, get more chunks
-    # than themselves: 3 for 1300 runs and 9 for CAPPED's 4096
-    chunk_widths(monkeypatch, 200, 500)
+    # chunk order are the ensemble's table.  With the floor at 500 runs a
+    # worker, no chunk is wider than 500 runs, so 2 workers, a pool of one
+    # and this process, get more chunks than themselves: 3 for 1300 runs
+    # and 9 for CAPPED's 4096
+    set_floor(monkeypatch, 500)
     pool = serial_pool(monkeypatch)
     run_chunk = ensemble._run_chunk
     ran = ran_chunks(monkeypatch)
@@ -346,22 +384,23 @@ def test_first_chunk_starts_at_the_run_index_limit(monkeypatch):
     assert starts == [range(0, MAX_CHUNK_RUNS)]
 
 
-@pytest.mark.parametrize("runs, cpus, widths", [
-    (2 * CHUNK_RUNS, 2, (CHUNK_RUNS, MAX_CHUNK_RUNS)),  # 2 chunks, a pool of 1
-    (1000, 2, (100, 200)),  # 5 chunks, a pool of 1
-    (202, 64, (100, 300)),  # 3 chunks, a pool of 2
-    (900, 4, (100, 100)),  # 9 chunks, a pool of 3
+@pytest.mark.parametrize("runs, cpus, width", [
+    (2 * CHUNK_RUNS, 2, CHUNK_RUNS),  # 2 chunks, a pool of 1
+    (1000, 2, 200),  # 5 chunks, a pool of 1
+    (201, 64, 67),  # 3 chunks, a pool of 2
+    (900, 4, 100),  # 9 chunks, a pool of 3
 ], ids=["2-chunks", "5-chunks", "3-chunks-64-cpus", "9-chunks-4-cpus"])
-def test_each_chunk_runs_once_in_the_pool_or_this_process(monkeypatch, runs, cpus, widths):
-    # the pool has min(cpus, chunks) - 1 processes, each chunk runs once,
-    # and this process runs at least one of them
-    chunk_widths(monkeypatch, *widths)
-    count = max(-(-runs // ensemble.MAX_CHUNK_RUNS), min(cpus, -(-runs // ensemble.CHUNK_RUNS)))
+def test_each_chunk_runs_once_in_the_pool_or_this_process(monkeypatch, runs, cpus, width):
+    # with the floor at width runs a worker, the pool has
+    # min(cpus, runs // width) - 1 processes, each chunk runs once, and
+    # this process runs at least one of them
+    set_floor(monkeypatch, width)
+    count = -(-runs // width)
     pool = serial_pool(monkeypatch, cpus)
     ran = ran_chunks(monkeypatch)
     cfg = EnsembleConfig(kind="cross_frame", runs=runs, master_seed=11, workers=cpus)
     stats, records = run_ensemble(cfg)
-    assert pool.sizes == [min(cpus, count) - 1]
+    assert pool.sizes == [min(cpus, runs // width) - 1]
     assert sorted(ran, key=lambda chunk: chunk.start) == ran
     assert len(ran) == count and ran[0].start == 0 and ran[-1].stop == runs
     assert all(a.stop == b.start for a, b in zip(ran, ran[1:]))
@@ -373,9 +412,10 @@ def test_each_chunk_runs_once_in_the_pool_or_this_process(monkeypatch, runs, cpu
 
 
 def test_pool_holds_no_more_futures_than_its_processes(monkeypatch):
-    # 200 one-run chunks on 4 workers: the pool of 3 is kept full, and no
-    # more than 3 of its futures are held at once
-    chunk_widths(monkeypatch, 1, 1)
+    # 200 one-run chunks on 4 workers, the floor at one run a worker: the
+    # pool of 3 is kept full, and no more than 3 of its futures are held at
+    # once
+    set_floor(monkeypatch, 1)
     pool = serial_pool(monkeypatch, cpus=4)
     cfg = EnsembleConfig(kind="born_rule", runs=200, q0=1.0, workers=4)
     stats, _ = run_ensemble(cfg)
@@ -414,7 +454,9 @@ class CallerChunkError(Exception):
 def test_a_failing_chunk_cancels_the_queued_futures(monkeypatch):
     # the pool's chunks are still queued when the chunk this process runs
     # raises: the error reaches the caller, and every queued future is
-    # cancelled
+    # cancelled.  With the floor at 2048 runs a worker, 8192 runs make 4
+    # workers
+    set_floor(monkeypatch, CHUNK_RUNS)
     pool = serial_pool(monkeypatch, cpus=4, run=False)
 
     def fail(config, runs):
@@ -428,10 +470,11 @@ def test_a_failing_chunk_cancels_the_queued_futures(monkeypatch):
 
 
 def test_a_failing_chunk_leaves_no_worker_running(monkeypatch):
-    # a real pool of one process: the chunk this process runs raises, the
-    # pool's chunk runs as usual, and the pool is joined before the error
-    # reaches the caller
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # a real pool of one process, the floor at 2048 runs a worker: the
+    # chunk this process runs raises, the pool's chunk runs as usual, and
+    # the pool is joined before the error reaches the caller
+    set_floor(monkeypatch, CHUNK_RUNS)
+    sizes = pool_spy(monkeypatch, cpus=2)
     caller, frame_batch = os.getpid(), ensemble.run_frame_batch
 
     def fail_here(*args, **kwargs):
@@ -442,6 +485,7 @@ def test_a_failing_chunk_leaves_no_worker_running(monkeypatch):
     monkeypatch.setattr(ensemble, "run_frame_batch", fail_here)
     with pytest.raises(CallerChunkError):
         run_ensemble(EnsembleConfig(kind="born_rule", runs=2 * CHUNK_RUNS, workers=2))
+    assert sizes == [1]
     assert multiprocessing.active_children() == []
 
 
@@ -454,9 +498,13 @@ def test_a_failing_chunk_leaves_no_worker_running(monkeypatch):
 def test_chunks_follow_the_rule(runs, cpus):
     # chunks are contiguous from run 0 in order, equal to within one run,
     # none wider than MAX_CHUNK_RUNS, and as many as the rule says, on
-    # min(cpus, chunks) workers, this process and a pool of the others;
-    # only the first 40 are made, and the next one stops the ensemble
-    count = max(-(-runs // MAX_CHUNK_RUNS), min(cpus, -(-runs // CHUNK_RUNS)))
+    # min(cpus, runs // MAX_CHUNK_RUNS) workers but at least one, this
+    # process and a pool of the others; no worker is started for fewer
+    # than MAX_CHUNK_RUNS runs, and none is left without a chunk.  Only the
+    # first 40 are made, and the next one stops the ensemble
+    count = -(-runs // MAX_CHUNK_RUNS)
+    workers = min(cpus, max(1, runs // MAX_CHUNK_RUNS))
+    assert workers <= count
     made = []
 
     class Stop(Exception):
@@ -476,7 +524,7 @@ def test_chunks_follow_the_rule(runs, cpus):
             run_ensemble(EnsembleConfig(kind="born_rule", runs=runs, workers=cpus))
         except Stop:
             pass
-    assert sizes == ([min(cpus, count) - 1] if min(cpus, count) > 1 else [])
+    assert sizes == ([workers - 1] if workers > 1 else [])
     assert len(made) == min(count, 40)
     assert made[0].start == 0
     assert all(a.stop == b.start for a, b in zip(made, made[1:]))
@@ -493,14 +541,16 @@ def test_chunks_follow_the_rule(runs, cpus):
     replace(CAPPED, runs=2 * CHUNK_RUNS + 5),
 ], ids=[*KIND_FRAMES, "capped"])
 def test_chunk_width_does_not_change_records(monkeypatch, cfg):
-    # 4101 runs in 5, 2 or 1 chunks at one worker and 5, 3 or 3 at three,
-    # where a pool of two runs chunks beside this process
-    serial_pool(monkeypatch)
+    # 4101 runs in 5, 3 or 1 chunks at widths, and floors, of 1000, 2000
+    # and 8192 runs, at one worker and at three, where a pool of two and a
+    # pool of one run chunks beside this process at the first two widths
+    pool = serial_pool(monkeypatch)
     results = []
-    for width in (1000, 3000, 8192):
-        monkeypatch.setattr(ensemble, "MAX_CHUNK_RUNS", width)
+    for width in (1000, 2000, 8192):
+        set_floor(monkeypatch, width)
         for workers in (1, 3):
             results.append(run_ensemble(replace(cfg, workers=workers)))
+    assert pool.sizes == [2, 1]
     stats, records = results[0]
     for other_stats, other_records in results[1:]:
         assert other_stats == stats
@@ -567,7 +617,7 @@ def test_engine_calls_read_one_key_per_stream(monkeypatch, kind, streams):
 
     monkeypatch.setattr(experiment, "collapse_batch", spy_engine)
     monkeypatch.setattr(ensemble, "run_frame_batch", spy_frame_batch)
-    chunk_widths(monkeypatch, 100, 300)
+    set_floor(monkeypatch, 300)
     cfg = EnsembleConfig(kind=kind, runs=700, q0=0.5, workers=1,
                          overrides={"epsilon": 0.01, "max_steps": 100})
     with pytest.raises(EnsembleAbortError):
