@@ -57,8 +57,10 @@ has one or two streams).  So an engine call works out every value once,
 each product and the sum in float64, and rounds it once to float32 into
 a table of 256 entries for two streams, 16 for one.  A window's level
 indices are drawn once for its live runs, one ``block_normals`` call per
-stream, and its noise is gathered from that table one slab of rows at a
-time, with no transcendental, product or sum per element.  The kernel
+stream for each stretch of runs that share their keys (one stretch per
+frame when a call steps several frames of a trial), and its noise is
+gathered from that table one slab of rows at a time, with no
+transcendental, product or sum per element.  The kernel
 steps in float32 end to end, and the carried state is float32 too.  It
 is a log-odds with |r| of about 14 at epsilon 1e-6, each step adds noise
 of standard deviation about 0.2-0.3, and the split step's
@@ -283,21 +285,62 @@ def _step(rates, dt, epsilon, max_steps):
 
 def _prepare(rates, dt, epsilon, max_steps, stream_keys, runs):
     """Validate one engine call and reduce it to _drive's (keys, runs, sig,
-    h, thr): the (k0, k1) key of each stream, the run indices as a uint64
-    array, and _step's sig, h and thr.
+    h, thr): the runs' key segments (_key_segments), the run indices as a
+    uint64 array, and _step's sig, h and thr.
 
     stream_keys is the pair (k0 words, k1 words), one word of each per
-    stream in rate order, and every word must be an integer in [0, 2**64);
-    runs is checked as noise.block_normals checks it.
+    stream in rate order.  A word is an integer in [0, 2**64) that every
+    run shares, or a 1-D integer array of one such word per run; runs is
+    checked as noise.block_normals checks it.
     """
     sig, h, thr = _step(rates, dt, epsilon, max_steps)
     k0, k1 = stream_keys
     if not len(k0) == len(k1) == len(rates):
         raise ValueError(f"expected {len(rates)} stream keys, got {len(k0)} and {len(k1)} words")
-    if not all(isinstance(w, numbers.Integral) and not isinstance(w, bool)
-               and 0 <= int(w) < 2**64 for w in (*k0, *k1)):
-        raise ValueError("stream key words must be integers in [0, 2**64)")
-    return list(zip(map(int, k0), map(int, k1))), _run_indices(runs), sig, h, thr
+    runs = _run_indices(runs)
+    k0, k1 = ([_key_word(w, runs.size) for w in words] for words in (k0, k1))
+    return _key_segments(k0, k1, runs.size), runs, sig, h, thr
+
+
+def _key_word(word, n_runs):
+    """A stream key word as an int every run shares, or as a uint64 array
+    of one word per run of n_runs; a word outside [0, 2**64), a float or
+    bool array and an array of another length are refused with
+    ValueError."""
+    if isinstance(word, np.ndarray):
+        if word.dtype.kind not in "iu":
+            raise ValueError(f"per-run stream key words must be integers, got dtype {word.dtype}")
+        if word.shape != (n_runs,):
+            raise ValueError(f"per-run stream key words must be 1-D, one per run: got shape "
+                             f"{word.shape} for {n_runs} runs")
+        if word.dtype.kind == "i" and word.size and word.min() < 0:
+            raise ValueError(f"stream key words must be in [0, 2**64), got {word.min()}")
+        return word.astype(np.uint64, copy=False)
+    if isinstance(word, numbers.Integral) and not isinstance(word, bool) and 0 <= int(word) < 2**64:
+        return int(word)
+    raise ValueError("stream key words must be integers in [0, 2**64), or 1-D integer arrays "
+                     f"of one word per run, got {word!r}")
+
+
+def _key_segments(k0, k1, n_runs):
+    """The runs cut into segments of equal keys, in run order, as (starts,
+    keys): the first run of each segment, an intp array, and for each
+    segment its streams' (k0, k1) keys as a list of int pairs.
+
+    A segment ends where any per-run word differs from the next run's, so
+    the runs are cut in one pass with no sort; with no per-run word every
+    run is in one segment.
+    """
+    change = np.zeros(max(n_runs - 1, 0), dtype=bool)
+    for w in (*k0, *k1):
+        if isinstance(w, np.ndarray):
+            change |= w[1:] != w[:-1]
+    starts = np.flatnonzero(np.concatenate(([n_runs > 0], change)))
+
+    def at(word, run):
+        return word if isinstance(word, int) else int(word[run])
+    keys = [[(at(a, run), at(b, run)) for a, b in zip(k0, k1)] for run in starts.tolist()]
+    return starts, keys
 
 
 def _noise_table(sig):
@@ -314,9 +357,9 @@ def _noise_table(sig):
     return dw.astype(np.float32)
 
 
-def _window_noise(noise, keys, runs, block_index):
-    """Level index bytes of window block_index for every run of runs, as a
-    (runs, BLOCK_STEPS) uint8 array: one block_normals call per stream.
+def _stream_bytes(noise, keys, runs, block_index):
+    """Level index bytes of window block_index for runs on the streams of
+    keys, flat and run-major: one block_normals call per stream.
 
     A two-stream frame packs a step's two indices into one byte, (i_1 << 4)
     | i_2, on uint64 views of the two index arrays: every index is below
@@ -329,21 +372,48 @@ def _window_noise(noise, keys, runs, block_index):
         lanes = index.view(np.uint64)
         lanes <<= np.uint64(4)
         lanes |= noise.block_normals(keys[1], block_index, runs).view(np.uint64)
+    return index
+
+
+def _window_noise(noise, keys, runs, live, block_index):
+    """Level index bytes of window block_index for the runs at positions
+    live of runs, as a (live runs, BLOCK_STEPS) uint8 array.
+
+    keys is _key_segments' (starts, keys).  live is in increasing order, so
+    each segment's live runs are a slice of it, and neighbouring slices
+    with equal keys are drawn as one: one _stream_bytes call per stretch
+    of live runs that share their keys.
+    """
+    starts, by_segment = keys
+    cuts = np.searchsorted(live, starts).tolist()
+    stretches = []
+    for lo, hi, key in zip(cuts, [*cuts[1:], live.size], by_segment):
+        if lo == hi:
+            continue
+        if stretches and stretches[-1][2] == key:
+            stretches[-1][1] = hi
+        else:
+            stretches.append([lo, hi, key])
+    at = runs[live]
+    parts = [_stream_bytes(noise, key, at[lo:hi], block_index) for lo, hi, key in stretches]
+    index = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return index.reshape(-1, BLOCK_STEPS)
 
 
 def _drive(r0, keys, runs, sig, h, thr, n_steps, noise):
-    """Run every run from r0, each on the streams of keys at its index in
-    runs, by split steps of drift time h until |r| >= thr or n_steps steps,
-    one noise window at a time.
+    """Run every run from r0, each on its streams' keys (_key_segments) at
+    its index in runs, by split steps of drift time h until |r| >= thr or
+    n_steps steps, one noise window at a time.
 
     A window draws its level index bytes for the live runs once, one
-    block_normals call per stream (_window_noise), and is then stepped
-    one slab of SLAB_ROWS rows at a time.  One float32 buffer of
-    min(SLAB_ROWS, n_steps) rows of the runs is allocated per call; a
-    slab is its front viewed as (rows, live runs), into which one np.take
-    gathers the half-scale noise dw / 2 of its rows from the table, so no
-    slab is freshly allocated or zeroed.
+    block_normals call per stream per stretch of live runs with equal keys
+    (_window_noise), and is then stepped one slab of SLAB_ROWS rows at a
+    time.  One float32 buffer of min(SLAB_ROWS, n_steps) rows of the runs
+    is allocated per call; a slab is its front viewed as (rows, live runs),
+    into which two np.take calls, each over half its rows, gather the
+    half-scale noise dw / 2 from the table, so no slab is freshly allocated
+    or zeroed, and the intp copy of the index that np.take makes is half a
+    slab's.
 
     A run stops at the first step k >= 0 with |r| >= thr and keeps that r,
     winner 1 if r >= thr else 2; runs live after n_steps keep winner 0.
@@ -353,10 +423,12 @@ def _drive(r0, keys, runs, sig, h, thr, n_steps, noise):
     float32 step).  After its rows are stepped, a slab is tested against
     z_hi / 2 at once by its column maxima and minima, and each run that hit
     takes its first hit row.  Those runs leave the live set, the carried w
-    and the rest of the window's index at the end of the slab.  At the
-    window's end the carried w of the runs still live goes back to r in
-    float64 from the last slab's last row.  Returns (r, steps, winner), r
-    float64 with the precision of the float32 state.
+    and the rest of the window's index at the end of the slab, and their
+    (position, step, zh) are kept until the end of the call, where r, steps
+    and winner of every absorbed run are written at once.  At the window's
+    end the carried w of the runs still live goes back to r in float64 from
+    the last slab's last row.  Returns (r, steps, winner), r float64 with
+    the precision of the float32 state.
     """
     grow_half = math.exp(0.5 * h)
     # float32: each operation of a step takes the float32 loop under
@@ -381,20 +453,25 @@ def _drive(r0, keys, runs, sig, h, thr, n_steps, noise):
     winner[r <= -thr] = 2
     steps = np.where(winner > 0, 0, n_steps)
     live = np.flatnonzero(winner == 0)
+    # (positions, steps, zh) of the runs that absorbed, slab by slab
+    done = []
     base = 0
     buf = np.empty(min(SLAB_ROWS, n_steps) * live.size, dtype=np.float32)
     # only runs past the barrier, whose hit row is taken, can overflow
     with np.errstate(over="ignore"):
         while live.size and base < n_steps:
             rows = min(BLOCK_STEPS, n_steps - base)
-            index = _window_noise(noise, keys, runs[live], base // BLOCK_STEPS)
+            index = _window_noise(noise, keys, runs, live, base // BLOCK_STEPS)
             w = np.arcsinh(np.sinh(0.5 * r[live]) * grow_half).astype(np.float32)
             for lo in range(0, rows, SLAB_ROWS):
                 n = min(SLAB_ROWS, rows - lo)
                 slab = buf[:n * live.size].reshape(n, live.size)
                 # every index is in range, so mode "wrap" changes no value; it
                 # spares the buffer that mode "raise" always takes for out
-                np.take(table, index[:, :n].T, out=slab, mode="wrap")
+                half = -(-n // 2)
+                for k in range(0, n, half):
+                    np.take(table, index[:, k:min(k + half, n)].T, out=slab[k:k + half],
+                            mode="wrap")
                 index = index[:, n:]
                 for row in slab:
                     np.add(w, row, row)
@@ -402,20 +479,23 @@ def _drive(r0, keys, runs, sig, h, thr, n_steps, noise):
                     np.multiply(w, grow, w)
                     np.arcsinh(w, w)
                 last = slab[-1]
-                fresh = np.flatnonzero((slab.max(axis=0) >= zh_hi) | (slab.min(axis=0) <= -zh_hi))
+                hit = slab.max(axis=0) >= zh_hi
+                hit |= slab.min(axis=0) <= -zh_hi
+                fresh = np.flatnonzero(hit)
                 if fresh.size:
                     first = (np.abs(slab.take(fresh, axis=1)) >= zh_hi).argmax(axis=0)
-                    zf = slab[first, fresh]
-                    absorbed = live[fresh]
-                    r[absorbed] = to_r(zf)
-                    steps[absorbed] = first + (base + lo + 1)
-                    winner[absorbed] = np.where(zf >= zh_hi, 1, 2)
-                    stay = np.delete(np.arange(live.size), fresh)
+                    done.append((live[fresh], first + (base + lo + 1), slab[first, fresh]))
+                    stay = np.flatnonzero(~hit)
                     live, w, last, index = live[stay], w[stay], last[stay], index[stay]
                     if not live.size:
                         break
             r[live] = to_r(last)
             base += rows
+    if done:
+        absorbed, at, zh = (np.concatenate(parts) for parts in zip(*done))
+        r[absorbed] = to_r(zh)
+        steps[absorbed] = at
+        winner[absorbed] = np.where(zh >= zh_hi, 1, 2)
     return r, steps, winner
 
 
@@ -429,13 +509,19 @@ def collapse_batch(q0: float, rates, dt: float, epsilon: float, max_steps: int, 
     rates holds one collapse rate Gamma_s per noise stream, one or two
     streams, and stream_keys the streams' keys as the pair (k0 words, k1
     words), one word of each per stream in the same order:
-    derive_stream_key's pairs transposed, such as tuple(zip(*keys)).  runs
-    holds the run indices, each the run's place in the counter of every
-    stream (see noise.PhiloxNoiseSource).  A key word that is not an
-    integer in [0, 2**64), a key count other than the rate count, more
-    than two streams and a run index outside [0, noise.RUN_INDEX_LIMIT)
-    are refused before any noise is drawn, as are dt, epsilon and
-    max_steps that CollapseParams refuses.
+    derive_stream_key's pairs transposed, such as tuple(zip(*keys)).  A
+    word is an int that every run shares, or a 1-D integer array of one
+    word per run, so one call can step the runs of several frames, each
+    run on its own frame's streams; runs that share their keys are best
+    kept together, since a window draws each stretch of them by one
+    block_normals call per stream.  runs holds the run indices, each the
+    run's place in the counter of every stream (see
+    noise.PhiloxNoiseSource).  A key word that is not an integer in [0,
+    2**64), a per-run word array that is not integer or not one word per
+    run, a key count other than the rate count, more than two streams and
+    a run index outside [0, noise.RUN_INDEX_LIMIT) are refused before any
+    noise is drawn, as are dt, epsilon and max_steps that CollapseParams
+    refuses.
     Runs evolve in lockstep but consume only their own noise, so results
     per run do not depend on batch composition or execution schedule.
 

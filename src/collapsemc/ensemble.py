@@ -7,9 +7,10 @@ its configuration.  The run index sits in the noise counter and the
 engine works elementwise per run, so no record or statistic depends on
 how the runs are split.  Execution is cut into contiguous chunks of run
 indices, as few as MAX_CHUNK_RUNS allows (see run_ensemble), and workers
-pick up whole chunks; a chunk is one engine call per frame.  A worker is
-started for no fewer than MAX_CHUNK_RUNS runs, the measured floor below
-which one more worker costs more than it saves.  The calling process is
+pick up whole chunks; a chunk is one engine call, which steps each of its
+runs in every frame of the kind.  A worker is started for no fewer than
+MAX_CHUNK_RUNS runs, the measured floor below which one more worker
+costs more than it saves.  The calling process is
 one of the workers: it runs chunks itself between topping up a pool of
 the others, and with one worker it runs them all and starts no pool.
 The scenario is built once, with the configuration, and every chunk and
@@ -65,7 +66,8 @@ KIND_FRAMES = {
 # for (see run_ensemble).
 CHUNK_RUNS = 2048
 
-# The widest chunk, one engine call per frame, and the fewest runs that
+# The most (run, frame) pairs one engine call steps, so that a chunk of a
+# kind of F frames holds MAX_CHUNK_RUNS // F runs, and the fewest runs that
 # make one more worker worth starting, this process counted as one.  Every
 # 32-row slab of a call steps until its slowest run leaves, so a wider
 # call pays that tail once for more runs, while its float32 slab and its
@@ -80,7 +82,12 @@ CHUNK_RUNS = 2048
 # 16384 / 24576 / 32768 / 65536 / 131072 runs: collapse-time 0.85-0.87 /
 # 0.97-1.02 / 1.08-1.15 / 1.04-1.13 / 0.94-1.12 / 1.22 / 1.23, born
 # 0.76-0.78 / 0.84-0.87 / 0.95-1.12 / 0.98-1.05 / 0.96-1.13 / 1.14-1.21 /
-# 1.14-1.21.
+# 1.14-1.21.  Cross-frame, one-worker run_ensemble, medians of 10 to 16
+# alternating pairs (same VM), one call per frame over chunks of 8192 runs
+# against one call over both frames of chunks of 4096, at 8192 / 16384 /
+# 65536 runs: 40.7 / 41.9 and 43.3 / 42.8 ms, 83.1 / 82.5 ms, 345 / 307 ms.
+# One call over both frames of 8192 runs, 16384 pairs, read 0.98 / 1.00 /
+# 1.08 of the 4096-run chunks' time (12 pairs each).
 MAX_CHUNK_RUNS = 8192
 
 CSV_COLUMNS = ("run_index", "frame", "first_detector", "winner",
@@ -231,12 +238,12 @@ def scenario_from_config(config: EnsembleConfig) -> Scenario:
 def _run_chunk(config: EnsembleConfig, runs: range) -> np.ndarray:
     """The chunk of runs with the indices in runs, as its slice of the
     ensemble's record table, put in table order in the process that ran
-    them.  The frames' parts arrive in the kind's frame order, so a stable
-    sort by run_index leaves each run's rows in that order."""
-    indices = np.arange(runs.start, runs.stop)
-    table = np.concatenate([part for frame in KIND_FRAMES[config.kind](config.v)
-                            for part in run_frame_batch(config.scenario, frame,
-                                                        config.master_seed, indices)])
+    them: one run_frame_batch call over the kind's frames.  Each of its
+    two parts holds whole runs in table order, so a stable sort by
+    run_index leaves each run's rows in the kind's frame order."""
+    frames = KIND_FRAMES[config.kind](config.v)
+    table = np.concatenate(run_frame_batch(config.scenario, frames, config.master_seed,
+                                           np.arange(runs.start, runs.stop)))
     return table[np.argsort(table["run_index"], kind="stable")]
 
 
@@ -291,9 +298,11 @@ def run_ensemble(config: EnsembleConfig) -> tuple[dict, np.ndarray]:
     order.  Raises EnsembleAbortError if more than 1% of runs fail to
     converge.
 
-    The runs are cut into chunks = ceil(runs / MAX_CHUNK_RUNS) contiguous
-    chunks in run order, the first runs % chunks of them one run wider than
-    the rest, and run on
+    The runs are cut into chunks = ceil(runs / (MAX_CHUNK_RUNS // F))
+    contiguous chunks in run order, with F the number of the kind's
+    frames, so that no engine call steps more than MAX_CHUNK_RUNS (run,
+    frame) pairs.  The first runs % chunks of them are one run wider than
+    the rest, and they run on
 
         workers = min(config.workers, usable_cpus(), max(1, runs // MAX_CHUNK_RUNS))
 
@@ -303,7 +312,7 @@ def run_ensemble(config: EnsembleConfig) -> tuple[dict, np.ndarray]:
     that is one.  The pool is joined before this returns or raises.
     """
     runs = config.runs
-    count = -(-runs // MAX_CHUNK_RUNS)
+    count = -(-runs // max(1, MAX_CHUNK_RUNS // len(KIND_FRAMES[config.kind](config.v))))
     size, wide = divmod(runs, count)
     # made one at a time: an ensemble of RUN_INDEX_LIMIT runs has 2**50 chunks
     chunks = (range(i * size + min(i, wide), (i + 1) * size + min(i + 1, wide))

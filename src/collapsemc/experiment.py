@@ -28,8 +28,9 @@ idealization.  At the defaults Gamma_A Delta = 0.936, and every run of
 ``collapsemc disagree --runs 20000 --seed 3`` outlasts the gap: it prints
 budget_violation_fraction 1.0 next to analytic 0.5.
 
-A batch of trials in one frame comes back as a record table: a numpy
-structured array with one row per run (see ``RECORD_DTYPE``).  The
+A batch of trials in one or more frames comes back as a record table: a
+numpy structured array with one row per run and frame (see
+``RECORD_DTYPE``).  The
 readings of the two detectors are not stored; they follow from the winner
 (winner 1 reads D1 yes, D2 no; winner 2 the reverse), so a contradictory
 pair cannot be recorded.
@@ -44,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import CollapseParams, _logit, collapse_batch
-from .noise import DEFAULT_NOISE, PhiloxNoiseSource, derive_stream_key
+from .noise import DEFAULT_NOISE, PhiloxNoiseSource, _run_indices, derive_stream_key
 from .relativity import C, Frame, activation_gap, first_detector
 
 # Scenario builders pick dt so that Gamma * dt at the largest per-frame
@@ -178,33 +179,63 @@ RECORD_DTYPE = np.dtype([("run_index", np.int64), ("winner", np.int8),
                          ("duration", np.float64), ("within_budget", np.int8)])
 
 
-def run_frame_batch(scenario: Scenario, frame: Frame, master_seed: int,
+def run_frame_batch(scenario: Scenario, frames: tuple[Frame, ...], master_seed: int,
                     run_indices, noise: PhiloxNoiseSource = DEFAULT_NOISE):
-    """Run a batch of independent trials of one frame.
+    """Run a batch of independent trials in each of frames, by one engine
+    call.
 
     Run k of the batch reads each active detector's stream, keyed by
     derive_stream_key(master_seed, detector), at run index k in its
     counter, so a run's noise and record do not depend on the other runs
-    of the batch.  The engine takes the frame's keys once, as the pair
-    (k0 words, k1 words), and the run indices as they are given, so it
-    refuses a float or a bool index with TypeError.  Returns (absorbed,
-    failed): the record tables of the runs that absorbed and of those that
-    hit the step cap, each in run_indices order.
+    of the batch.  The frames must share their frame_rates, and so the
+    engine's step, or ValueError is raised.  The call steps every (run,
+    frame) pair, frame-major: every run in frames[0], then every run in
+    frames[1], and so on.  With one frame its key words are ints that
+    every run shares; with more, each stream's key words are arrays of one
+    word per (run, frame) pair.  The run indices are checked as the engine
+    checks them, so a float or a bool index is refused with TypeError.
+
+    The table holds row F i + f for run_indices[i] in frames[f], with F =
+    len(frames).  Returns (absorbed, failed), split by run: the rows of the
+    runs that absorbed in every frame, and the rows of those that hit the
+    step cap in some frame, each in table order.  With one frame these are
+    the runs that absorbed and those that hit the step cap.
     """
-    keys = [derive_stream_key(master_seed, det) for det in active_detectors(frame)]
-    params = scenario.params
-    res = collapse_batch(scenario.q0, scenario.frame_rates(frame), params.dt, params.epsilon,
-                         params.max_steps, tuple(zip(*keys)), run_indices, noise=noise)
-    table = np.empty(res.winner.size, dtype=RECORD_DTYPE)
-    table["run_index"] = run_indices
-    table["winner"] = res.winner
-    table["duration"] = res.duration
-    absorbed = res.winner > 0
-    if frame.v == 0:
-        table["within_budget"] = 0
+    frames = tuple(frames)
+    if not frames:
+        raise ValueError("a batch runs in at least one frame, got none")
+    rates = scenario.frame_rates(frames[0])
+    if any(scenario.frame_rates(frame) != rates for frame in frames):
+        raise ValueError("the frames of one batch must share their stream rates, got "
+                         f"{[scenario.frame_rates(frame) for frame in frames]}")
+    runs = _run_indices(run_indices)
+    n_frames, n_runs = len(frames), runs.size
+    # words[f][s] is the (k0, k1) key of stream s in frame f
+    words = [[derive_stream_key(master_seed, det) for det in active_detectors(frame)]
+             for frame in frames]
+    if n_frames == 1:
+        stream_keys = tuple(zip(*words[0]))
     else:
-        gap = activation_gap(scenario.d, abs(frame.v))
-        table["within_budget"] = np.where(absorbed, 2 - (res.duration < gap), 0)
+        # by_word[w][s] holds word w of stream s in each frame
+        by_word = np.array(words, dtype=np.uint64).transpose(2, 1, 0)
+        stream_keys = tuple(tuple(np.repeat(per_frame, n_runs) for per_frame in word)
+                            for word in by_word)
+    params = scenario.params
+    res = collapse_batch(scenario.q0, rates, params.dt, params.epsilon, params.max_steps,
+                         stream_keys, np.tile(runs, n_frames), noise=noise)
+    winner = res.winner.reshape(n_frames, n_runs)
+    duration = res.duration.reshape(n_frames, n_runs)
+    within = np.zeros(winner.shape, dtype=np.int8)
+    for f, frame in enumerate(frames):
+        if frame.v != 0:
+            gap = activation_gap(scenario.d, abs(frame.v))
+            within[f] = np.where(winner[f] > 0, 2 - (duration[f] < gap), 0)
+    table = np.empty(n_frames * n_runs, dtype=RECORD_DTYPE)
+    table["run_index"] = np.repeat(runs, n_frames)
+    table["winner"] = winner.T.ravel()
+    table["duration"] = duration.T.ravel()
+    table["within_budget"] = within.T.ravel()
+    absorbed = np.repeat((winner > 0).all(axis=0), n_frames)
     # bench/spans.py counts a batch's records as the sum of this pair's lengths
     return table[absorbed], table[~absorbed]
 

@@ -609,8 +609,9 @@ def test_boost_past_the_direct_products_range(capsys, tmp_path, monkeypatch, arg
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 @pytest.mark.parametrize("command", ["born", "collapse-time", "disagree"])
 def test_records_bytes_do_not_depend_on_workers(capsys, tmp_path, monkeypatch, command, fmt):
-    # with the floor at CHUNK_RUNS runs a worker, two workers run two
-    # chunks, one in a real pool of one process and one in this process
+    # with the floor at CHUNK_RUNS runs a worker, two workers, a real pool
+    # of one process and this process, run two chunks, or four of half the
+    # width for disagree's two frames
     pools = pool_spy(monkeypatch, cpus=2)
     set_floor(monkeypatch, CHUNK_RUNS)
     runs = 2 * CHUNK_RUNS

@@ -471,6 +471,15 @@ def test_stream_address_validation():
         (TypeError, "integer", RATES_A, 0.5, ((k0,), (k1,)), [1.5]),
         (TypeError, "integer", RATES_A, 0.5, ((k0,), (k1,)), [0, True]),
         (TypeError, "integer", RATES_A, 0.5, ((k0,), (k1,)), np.array([1.0])),
+        # a per-run key word is a 1-D integer array of one word per run
+        (ValueError, "one per run", RATES_A, 0.5, ((np.array([k0, k0], dtype=np.uint64),), (k1,)),
+         [0]),
+        (ValueError, "one per run", RATES_A, 0.5, ((k0,), (np.full((1, 1), k1, dtype=np.uint64),)),
+         [0]),
+        (ValueError, "integers", RATES_A, 0.5, ((np.array([float(k0)]),), (k1,)), [0]),
+        (ValueError, "integers", RATES_A, 0.5, ((k0,), (np.array([True]),)), [0]),
+        (ValueError, re.escape("in [0, 2**64), got -1"), RATES_A, 0.5,
+         ((np.array([3, -1]),), (k1,)), [0, 1]),
     ]
     for exc, match, rates, q0, keys, runs in refused:
         spy = _SpyNoise()
@@ -483,6 +492,51 @@ def test_stream_address_validation():
     words = np.array([[k0], [k1]], dtype=np.uint64)
     last = collapse_batch(0.5, RATES_A, *scalars(PARAMS), words, [RUN_INDEX_LIMIT - 1])
     assert last.winner[0] > 0
+    # per-run words, uint64 or int64, give each run the bits of the shared
+    # words it holds
+    runs = [0, 5, 6]
+    for dtype, (w0, w1) in ((np.uint64, (k0, k1)), (np.int64, (k0 % 2**63, k1 % 2**63))):
+        want = collapse_batch(0.5, RATES_A, *scalars(PARAMS), ((w0,), (w1,)), runs)
+        got = collapse_batch(0.5, RATES_A, *scalars(PARAMS),
+                             ((np.full(3, w0, dtype=dtype),), (np.full(3, w1, dtype=dtype),)), runs)
+        for field in ("r", "steps", "winner"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+def test_one_call_steps_two_frames_as_calls_of_each_alone():
+    # per-run key words let one call step frames A and B, each run on its
+    # frame's stream, D1's key in A and D2's in B, and give each (run,
+    # frame) pair the r, steps and winner bits of a call for its frame
+    # alone, with the pairs frame-major (every run in A, then every run in
+    # B) or in turn run by run.  At epsilon 0.01 and a cap of 140 steps
+    # some runs fail in exactly one frame and some absorb in the second
+    # window.  Frame-major, a window takes one block_normals call per frame
+    # that has live runs in it
+    rates, dt = KERNEL_FRAMES["A"]
+    runs = np.arange(0, 400, 2)
+    n = runs.size
+    keys = [tuple(zip(derive_stream_key(29, det))) for det in ("D1", "D2")]
+    alone = [collapse_batch(0.5, rates, dt, 0.01, 140, k, runs) for k in keys]
+    fail_a, fail_b = (res.winner == 0 for res in alone)
+    assert (fail_a & ~fail_b).any() and (~fail_a & fail_b).any()
+    assert any(((res.steps > BLOCK_STEPS) & (res.winner > 0)).any() for res in alone)
+    words = np.array([[k0, k1] for (k0,), (k1,) in keys], dtype=np.uint64)
+    frame_major = np.arange(2 * n)
+    for order in (frame_major, frame_major.reshape(2, n).T.ravel()):
+        # pair j of the call is run runs[at[j]] in frame frame[j]
+        frame, at = np.divmod(order, n)
+        spy = _SpyNoise()
+        res = collapse_batch(0.5, rates, dt, 0.01, 140, ((words[frame, 0],), (words[frame, 1],)),
+                             runs[at], noise=spy)
+        for field in ("r", "steps", "winner"):
+            want = np.stack([getattr(alone[0], field), getattr(alone[1], field)])[frame, at]
+            assert getattr(res, field).dtype == want.dtype
+            assert np.array_equal(getattr(res, field), want), field
+        windows = [block for block, _, _ in spy.calls]
+        if order is frame_major:
+            assert windows == [0, 0, 1, 1]
+        else:
+            assert len(windows) > 4
 
 
 def test_engine_matches_reference_stepper():
@@ -515,15 +569,19 @@ def test_engine_matches_reference_stepper():
     assert flow(0.5, np.float64(z)) == res.r[0]
 
 
-def reference_window(noise, keys, runs, sig, block_index, rows):
-    """A window's full-scale float32 noise, shape (rows, runs): each
-    stream's level indices drawn run by run from block_normals, mapped
-    through LEVELS, scaled by sig_s and summed stream by stream in rate
-    order, all in float64, and rounded once to float32."""
-    dw = np.zeros((rows, len(runs)))
-    for key, scale in zip(keys, sig):
-        level = np.concatenate([noise.block_normals(key, block_index, [k])
-                                for k in runs.tolist()])
+def reference_window(noise, keys, runs, live, sig, block_index, rows):
+    """A window's full-scale float32 noise for the runs at positions live
+    of runs, shape (rows, live runs): each stream's level indices drawn run
+    by run from block_normals under the run's own key (the segment of
+    keys, _key_segments' (starts, keys), that holds it), mapped through
+    LEVELS, scaled by sig_s and summed stream by stream in rate order, all
+    in float64, and rounded once to float32."""
+    starts, by_segment = keys
+    segment = (np.searchsorted(starts, live, side="right") - 1).tolist()
+    dw = np.zeros((rows, len(live)))
+    for s, scale in enumerate(sig):
+        level = np.concatenate([noise.block_normals(by_segment[g][s], block_index, [k])
+                                for g, k in zip(segment, runs[live].tolist())])
         dw += scale * LEVELS[level.reshape(-1, BLOCK_STEPS)[:, :rows].T]
     return dw.astype(np.float32)
 
@@ -556,7 +614,7 @@ def reference_drive(r0, keys, runs, sig, h, thr, n_steps, noise, record=None):
     base = 0
     while live.size and base < n_steps:
         rows = min(BLOCK_STEPS, n_steps - base)
-        dw = reference_window(noise, keys, runs[live], sig, base // BLOCK_STEPS, rows)
+        dw = reference_window(noise, keys, runs, live, sig, base // BLOCK_STEPS, rows)
         y = half(r[live]).astype(np.float32)
         done = np.zeros(live.size, dtype=bool)
         for t in range(rows):

@@ -113,7 +113,7 @@ def _records(kind, runs, seed=3, q0=0.5, **kw):
 def frame_rows(cfg, frame, runs):
     """The rows that frame's own run_frame_batch gives for runs, in run
     order: what the table holds at that frame's places."""
-    table = np.concatenate(run_frame_batch(cfg.scenario, frame, cfg.master_seed, runs))
+    table = np.concatenate(run_frame_batch(cfg.scenario, (frame,), cfg.master_seed, runs))
     return table[np.argsort(table["run_index"])]
 
 
@@ -345,16 +345,17 @@ def test_chunks_are_slices_of_the_table_in_chunk_order(monkeypatch, cfg):
     # each chunk comes back with row F i + f its i-th run in frame f of the
     # kind's frames, and the tables of the pool and this process joined in
     # chunk order are the ensemble's table.  With the floor at 500 runs a
-    # worker, no chunk is wider than 500 runs, so 2 workers, a pool of one
-    # and this process, get more chunks than themselves: 3 for 1300 runs
-    # and 9 for CAPPED's 4096
+    # worker, no chunk is wider than 500 // F runs, so 2 workers, a pool of
+    # one and this process, get more chunks than themselves: 3 for 1300
+    # runs of one frame, 6 for 1300 of two and 17 for CAPPED's 4096
     set_floor(monkeypatch, 500)
+    width = 500 // len(KIND_FRAMES[cfg.kind](cfg.v))
     pool = serial_pool(monkeypatch)
     run_chunk = ensemble._run_chunk
     ran = ran_chunks(monkeypatch)
     _, records = run_ensemble(cfg)
     chunks = sorted(ran, key=lambda chunk: chunk.start)
-    assert pool.sizes == [1] and len(chunks) == -(-cfg.runs // 500)
+    assert pool.sizes == [1] and len(chunks) == -(-cfg.runs // width)
     assert 0 < len(pool.chunks) < len(chunks)
     tables = [run_chunk(cfg, chunk) for chunk in chunks]
     for chunk, table in zip(chunks, tables):
@@ -390,25 +391,29 @@ def test_first_chunk_starts_at_the_run_index_limit(monkeypatch):
     (201, 64, 67),  # 3 chunks, a pool of 2
     (900, 4, 100),  # 9 chunks, a pool of 3
 ], ids=["2-chunks", "5-chunks", "3-chunks-64-cpus", "9-chunks-4-cpus"])
-def test_each_chunk_runs_once_in_the_pool_or_this_process(monkeypatch, runs, cpus, width):
+def test_each_chunk_runs_once_in_the_pool_or_this_process(runs, cpus, width):
     # with the floor at width runs a worker, the pool has
     # min(cpus, runs // width) - 1 processes, each chunk runs once, and
-    # this process runs at least one of them
-    set_floor(monkeypatch, width)
-    count = -(-runs // width)
-    pool = serial_pool(monkeypatch, cpus)
-    ran = ran_chunks(monkeypatch)
-    cfg = EnsembleConfig(kind="cross_frame", runs=runs, master_seed=11, workers=cpus)
-    stats, records = run_ensemble(cfg)
-    assert pool.sizes == [min(cpus, runs // width) - 1]
-    assert sorted(ran, key=lambda chunk: chunk.start) == ran
-    assert len(ran) == count and ran[0].start == 0 and ran[-1].stop == runs
-    assert all(a.stop == b.start for a, b in zip(ran, ran[1:]))
-    own = [chunk for chunk in ran if chunk not in pool.chunks]
-    assert len(pool.chunks) + len(own) == count and own
-    serial = run_ensemble(replace(cfg, workers=1))
-    assert stats == serial[0]
-    assert_tables_equal(records, serial[1])
+    # this process runs at least one of them.  The id counts the chunks of
+    # a one-frame kind; cross_frame's two frames halve the widest chunk, so
+    # it makes about twice as many on the same workers
+    for kind in ("born_rule", "cross_frame"):
+        with pytest.MonkeyPatch.context() as mp:
+            set_floor(mp, width)
+            cfg = EnsembleConfig(kind=kind, runs=runs, master_seed=11, workers=cpus)
+            count = -(-runs // (width // len(KIND_FRAMES[kind](cfg.v))))
+            pool = serial_pool(mp, cpus)
+            ran = ran_chunks(mp)
+            stats, records = run_ensemble(cfg)
+            assert pool.sizes == [min(cpus, runs // width) - 1]
+            assert sorted(ran, key=lambda chunk: chunk.start) == ran
+            assert len(ran) == count and ran[0].start == 0 and ran[-1].stop == runs
+            assert all(a.stop == b.start for a, b in zip(ran, ran[1:]))
+            own = [chunk for chunk in ran if chunk not in pool.chunks]
+            assert len(pool.chunks) + len(own) == count and own
+            serial = run_ensemble(replace(cfg, workers=1))
+        assert stats == serial[0]
+        assert_tables_equal(records, serial[1])
 
 
 def test_pool_holds_no_more_futures_than_its_processes(monkeypatch):
@@ -491,18 +496,24 @@ def test_a_failing_chunk_leaves_no_worker_running(monkeypatch):
 
 @settings(max_examples=300, deadline=None)
 @given(runs=st.one_of(st.integers(1, 100_000), st.integers(1, RUN_INDEX_LIMIT)),
-       cpus=st.integers(1, 256))
-@example(runs=RUN_INDEX_LIMIT, cpus=256)
-@example(runs=2049, cpus=2)
-@example(runs=10240, cpus=3)
-def test_chunks_follow_the_rule(runs, cpus):
+       cpus=st.integers(1, 256), kind=st.sampled_from(["born_rule", "cross_frame"]))
+@example(runs=RUN_INDEX_LIMIT, cpus=256, kind="born_rule")
+@example(runs=RUN_INDEX_LIMIT, cpus=256, kind="cross_frame")
+@example(runs=2049, cpus=2, kind="born_rule")
+@example(runs=10240, cpus=3, kind="born_rule")
+@example(runs=16384, cpus=2, kind="cross_frame")
+def test_chunks_follow_the_rule(runs, cpus, kind):
     # chunks are contiguous from run 0 in order, equal to within one run,
-    # none wider than MAX_CHUNK_RUNS, and as many as the rule says, on
-    # min(cpus, runs // MAX_CHUNK_RUNS) workers but at least one, this
-    # process and a pool of the others; no worker is started for fewer
-    # than MAX_CHUNK_RUNS runs, and none is left without a chunk.  Only the
-    # first 40 are made, and the next one stops the ensemble
-    count = -(-runs // MAX_CHUNK_RUNS)
+    # none wider than MAX_CHUNK_RUNS // F runs of the kind's F frames, so
+    # that no engine call steps more than MAX_CHUNK_RUNS (run, frame)
+    # pairs, and as many as the rule says, on min(cpus, runs //
+    # MAX_CHUNK_RUNS) workers but at least one, this process and a pool of
+    # the others; no worker is started for fewer than MAX_CHUNK_RUNS runs,
+    # and none is left without a chunk.  Only the first 40 are made, and
+    # the next one stops the ensemble
+    cfg = EnsembleConfig(kind=kind, runs=runs, workers=cpus)
+    width = MAX_CHUNK_RUNS // len(KIND_FRAMES[kind](cfg.v))
+    count = -(-runs // width)
     workers = min(cpus, max(1, runs // MAX_CHUNK_RUNS))
     assert workers <= count
     made = []
@@ -521,7 +532,7 @@ def test_chunks_follow_the_rule(runs, cpus):
         mp.setattr(ensemble, "_run_chunk", record)
         mp.setattr(ensemble, "compute_stats", lambda *args: {"counts": {"failed": 0}})
         try:
-            run_ensemble(EnsembleConfig(kind="born_rule", runs=runs, workers=cpus))
+            run_ensemble(cfg)
         except Stop:
             pass
     assert sizes == ([workers - 1] if workers > 1 else [])
@@ -530,7 +541,7 @@ def test_chunks_follow_the_rule(runs, cpus):
     assert all(a.stop == b.start for a, b in zip(made, made[1:]))
     widths = {len(chunk) for chunk in made}
     # the first chunk is among the widest, ceil(runs / chunks) wide
-    assert max(widths) == len(made[0]) == -(-runs // count) <= MAX_CHUNK_RUNS
+    assert max(widths) == len(made[0]) == -(-runs // count) <= width
     assert max(widths) - min(widths) <= 1
     if count <= 40:
         assert made[-1].stop == runs
@@ -541,9 +552,10 @@ def test_chunks_follow_the_rule(runs, cpus):
     replace(CAPPED, runs=2 * CHUNK_RUNS + 5),
 ], ids=[*KIND_FRAMES, "capped"])
 def test_chunk_width_does_not_change_records(monkeypatch, cfg):
-    # 4101 runs in 5, 3 or 1 chunks at widths, and floors, of 1000, 2000
-    # and 8192 runs, at one worker and at three, where a pool of two and a
-    # pool of one run chunks beside this process at the first two widths
+    # 4101 runs in chunks of at most 1000, 2000 and 8192 (run, frame)
+    # pairs, the floors: 5, 3 and 1 chunks of one frame, 9, 5 and 2 of two,
+    # at one worker and at three, where a pool of two and a pool of one run
+    # chunks beside this process at the first two floors
     pool = serial_pool(monkeypatch)
     results = []
     for width in (1000, 2000, 8192):
@@ -592,12 +604,15 @@ def test_ensemble_draws_live_runs_through_short_gaps(monkeypatch, kind):
 @pytest.mark.parametrize("kind, streams", [("born_rule", 2), ("collapse_time", 1),
                                            ("cross_frame", 1)])
 def test_engine_calls_read_one_key_per_stream(monkeypatch, kind, streams):
-    # what a tracer of the package reads: collapse_batch's parameter 5 is
-    # stream_keys, whose first row holds one word per stream (2 in frame
-    # 0, 1 in A and B), a batch's result holds one step count per run,
-    # and run_frame_batch's two tables hold one row per run.  A cap of 100
-    # steps at epsilon 0.01 leaves rows in both tables of every batch, and
-    # the ensemble aborts once its 3 chunks are done
+    # what a tracer of the package reads: a chunk makes one run_frame_batch
+    # call over the kind's F frames and one engine call; collapse_batch's
+    # parameter 5 is stream_keys, whose first row holds one word per stream
+    # (2 in frame 0, 1 in A and B), a batch's result holds one step count
+    # per (run, frame) pair, and run_frame_batch's two tables hold one row
+    # per pair.  With the floor at 300 F runs a worker, every kind runs in
+    # 3 chunks of no more than 300 runs; a cap of 100 steps at epsilon 0.01
+    # leaves rows in both tables of every batch, and the ensemble aborts
+    # once its 3 chunks are done
     engine = experiment.collapse_batch
     signature = inspect.signature(engine)
     assert list(signature.parameters)[5] == "stream_keys"
@@ -610,25 +625,25 @@ def test_engine_calls_read_one_key_per_stream(monkeypatch, kind, streams):
 
     frame_batch = ensemble.run_frame_batch
 
-    def spy_frame_batch(scenario, frame, master_seed, run_indices, **kwargs):
-        tables = frame_batch(scenario, frame, master_seed, run_indices, **kwargs)
-        batches.append((list(run_indices), tables))
+    def spy_frame_batch(scenario, frames, master_seed, run_indices, **kwargs):
+        tables = frame_batch(scenario, frames, master_seed, run_indices, **kwargs)
+        batches.append((list(run_indices) * len(frames), tables))
         return tables
 
     monkeypatch.setattr(experiment, "collapse_batch", spy_engine)
     monkeypatch.setattr(ensemble, "run_frame_batch", spy_frame_batch)
-    set_floor(monkeypatch, 300)
     cfg = EnsembleConfig(kind=kind, runs=700, q0=0.5, workers=1,
                          overrides={"epsilon": 0.01, "max_steps": 100})
+    set_floor(monkeypatch, 300 * len(KIND_FRAMES[kind](cfg.v)))
     with pytest.raises(EnsembleAbortError):
         run_ensemble(cfg)
-    assert len(calls) == len(batches) == 3 * len(KIND_FRAMES[kind](cfg.v))
+    assert len(calls) == len(batches) == 3
     for (args, res), (runs, (absorbed, failed)) in zip(calls, batches):
         assert len(args["stream_keys"][0]) == len(args["rates"]) == streams
         assert len(res.steps) == len(args["runs"]) == len(runs)
         assert len(absorbed) + len(failed) == len(runs)
         assert len(absorbed) and len(failed)
-        assert sorted(np.concatenate([absorbed, failed])["run_index"].tolist()) == runs
+        assert sorted(np.concatenate([absorbed, failed])["run_index"].tolist()) == sorted(runs)
 
 
 def test_abort_on_failures():

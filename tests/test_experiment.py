@@ -121,8 +121,8 @@ def test_overflowing_rate_is_refused(overrides):
 def test_stream_key_sets_disjoint_between_frames():
     scn = build_scenario()
     spy_a, spy_b = _SpyNoise(), _SpyNoise()
-    run_frame_batch(scn, FRAME_A, 4, [0], noise=spy_a)
-    run_frame_batch(scn, FRAME_B, 4, [0], noise=spy_b)
+    run_frame_batch(scn, (FRAME_A,), 4, [0], noise=spy_a)
+    run_frame_batch(scn, (FRAME_B,), 4, [0], noise=spy_b)
     assert spy_a.requested and spy_b.requested
     assert not set(spy_a.requested) & set(spy_b.requested)
 
@@ -130,7 +130,7 @@ def test_stream_key_sets_disjoint_between_frames():
 def test_run_frame_trivial_q0():
     scn = build_scenario(q0=1.0)
     for frame in (FRAME_0, FRAME_A, FRAME_B):
-        absorbed, failed = run_frame_batch(scn, frame, 1, [0])
+        absorbed, failed = run_frame_batch(scn, (frame,), 1, [0])
         assert len(failed) == 0
         assert absorbed["winner"].tolist() == [1]
         assert absorbed["duration"].tolist() == [0.0]
@@ -144,7 +144,7 @@ def test_run_frame_first_detector_and_budget(tmp_path):
     scn = build_scenario(d=3000.0)
     gap = activation_gap(scn.d, V99)
     for frame, first in ((FRAME_A, "D1"), (FRAME_B, "D2"), (FRAME_0, "simultaneous")):
-        absorbed, failed = run_frame_batch(scn, frame, 2, range(5, 405))
+        absorbed, failed = run_frame_batch(scn, (frame,), 2, range(5, 405))
         assert len(failed) == 0 and absorbed.dtype == RECORD_DTYPE
         assert absorbed["run_index"].tolist() == list(range(5, 405))
         export_records(absorbed, str(tmp_path / "records.csv"), "csv", (frame,))
@@ -165,16 +165,16 @@ def test_run_frame_refuses_indices_that_are_not_integers():
     scn = build_scenario()
     for bad in ([1.5], np.array([2.7]), [True], np.array([True]), [0, 1.0]):
         with pytest.raises(TypeError, match="integers"):
-            run_frame_batch(scn, FRAME_A, 3, bad)
-    absorbed, _ = run_frame_batch(scn, FRAME_A, 3, [np.uint64(2)])
+            run_frame_batch(scn, (FRAME_A,), 3, bad)
+    absorbed, _ = run_frame_batch(scn, (FRAME_A,), 3, [np.uint64(2)])
     assert absorbed["run_index"].tolist() == [2]
-    assert absorbed.tobytes() == run_frame_batch(scn, FRAME_A, 3, [2])[0].tobytes()
+    assert absorbed.tobytes() == run_frame_batch(scn, (FRAME_A,), 3, [2])[0].tobytes()
 
 
 def test_run_frame_capped_rows_have_no_verdict():
     scn = build_scenario(d=3000.0, overrides={"max_steps": 40})
     for frame in (FRAME_A, FRAME_0):
-        absorbed, failed = run_frame_batch(scn, frame, 2, range(50))
+        absorbed, failed = run_frame_batch(scn, (frame,), 2, range(50))
         assert len(failed) > 0
         assert failed["winner"].tolist() == [0] * len(failed)
         assert failed["within_budget"].tolist() == [0] * len(failed)
@@ -184,20 +184,20 @@ def test_frame_a_outcome_depends_only_on_d1_stream():
     scn = build_scenario()
     seed, run = 6, 11
     spy = _SpyNoise()
-    baseline, _ = run_frame_batch(scn, FRAME_A, seed, [run], noise=spy)
+    baseline, _ = run_frame_batch(scn, (FRAME_A,), seed, [run], noise=spy)
     d1_key = derive_stream_key(seed, "D1")
     d2_key = derive_stream_key(seed, "D2")
     assert set(spy.requested) == {(*d1_key, run)}
 
     corrupted = _SpyNoise(corrupt_keys=[d2_key])
-    perturbed, _ = run_frame_batch(scn, FRAME_A, seed, [run], noise=corrupted)
+    perturbed, _ = run_frame_batch(scn, (FRAME_A,), seed, [run], noise=corrupted)
     assert_tables_equal(perturbed, baseline)
 
 
 def test_frame0_consumes_both_streams():
     scn = build_scenario()
     spy = _SpyNoise()
-    run_frame_batch(scn, FRAME_0, 6, [11], noise=spy)
+    run_frame_batch(scn, (FRAME_0,), 6, [11], noise=spy)
     assert set(spy.requested) == {(*derive_stream_key(6, "D1"), 11),
                                   (*derive_stream_key(6, "D2"), 11)}
 
@@ -205,8 +205,8 @@ def test_frame0_consumes_both_streams():
 def test_cross_frame_disagreement_rate():
     scn = build_scenario(q0=0.3)
     n = 3000
-    outcomes_a, fail_a = run_frame_batch(scn, FRAME_A, 77, range(n))
-    outcomes_b, fail_b = run_frame_batch(scn, FRAME_B, 77, range(n))
+    outcomes_a, fail_a = run_frame_batch(scn, (FRAME_A,), 77, range(n))
+    outcomes_b, fail_b = run_frame_batch(scn, (FRAME_B,), 77, range(n))
     assert len(fail_a) == len(fail_b) == 0
     rate = np.count_nonzero(outcomes_a["winner"] != outcomes_b["winner"]) / n
     expected = disagreement_rate_analytic(0.3, scn.params.epsilon)
@@ -242,7 +242,7 @@ def test_closed_form_born_and_mean_time(frame, epsilon, n):
     scn = build_scenario(q0=0.3, overrides={"epsilon": epsilon})
     q0, eps = scn.q0, scn.params.epsilon
     gamma = sum(scn.frame_rates(frame))
-    outcomes, failures = run_frame_batch(scn, frame, 131, range(n))
+    outcomes, failures = run_frame_batch(scn, (frame,), 131, range(n))
     assert len(failures) == 0
     p = (q0 - eps) / (1.0 - 2.0 * eps)
     w1 = np.count_nonzero(outcomes["winner"] == 1)
@@ -331,7 +331,7 @@ def test_collapse_time_law_lattice_ks(frame, q0):
 def test_born_marginal_per_frame():
     scn = build_scenario(q0=0.3)
     n = 3000
-    outcomes, failures = run_frame_batch(scn, FRAME_B, 91, range(n))
+    outcomes, failures = run_frame_batch(scn, (FRAME_B,), 91, range(n))
     assert len(failures) == 0
     freq = np.count_nonzero(outcomes["winner"] == 1) / n
     assert abs(freq - 0.3) < 4.0 * math.sqrt(0.3 * 0.7 / n)
@@ -353,8 +353,8 @@ def test_mirror_symmetry_statistics():
     mirrored = mirror_scenario(scn)
     assert mirrored.q0 == pytest.approx(0.7, rel=1e-12)
 
-    base, _ = run_frame_batch(scn, FRAME_A, 101, range(n))
-    flip, _ = run_frame_batch(mirrored, FRAME_B, 202, range(n))
+    base, _ = run_frame_batch(scn, (FRAME_A,), 101, range(n))
+    flip, _ = run_frame_batch(mirrored, (FRAME_B,), 202, range(n))
     f_base = np.count_nonzero(base["winner"] == 1) / n
     f_flip = np.count_nonzero(flip["winner"] == 2) / n
     se = math.sqrt(2.0 * 0.3 * 0.7 / n)
@@ -363,11 +363,49 @@ def test_mirror_symmetry_statistics():
 
 def test_run_frame_batch_failures():
     scn = build_scenario(overrides={"max_steps": 64})
-    outcomes, failures = run_frame_batch(scn, FRAME_A, 1, range(8))
+    outcomes, failures = run_frame_batch(scn, (FRAME_A,), 1, range(8))
     assert len(outcomes) == 0
     assert failures["run_index"].tolist() == list(range(8))
     assert np.all(failures["winner"] == 0)
     assert np.all(failures["duration"] == 64 * scn.params.dt)
+
+
+def test_frame_pair_batch_rows_keep_frame_order():
+    # one run_frame_batch over (A, B) steps both frames in one engine call.
+    # Capped at 80 steps at epsilon 0.01, some runs fail in A alone and
+    # some in B alone; such a run's rows are both in the failed part, A's
+    # row before B's, so the two parts joined and stably sorted by run
+    # index are the table whose row 2 k + f is run k in frame f, each row
+    # the one a batch of its frame alone gives
+    scn = build_scenario(d=3000.0, overrides={"epsilon": 0.01, "max_steps": 80})
+    runs = np.arange(3, 43)
+    absorbed, failed = run_frame_batch(scn, (FRAME_A, FRAME_B), 3, runs)
+    alone = []
+    for frame in (FRAME_A, FRAME_B):
+        table = np.concatenate(run_frame_batch(scn, (frame,), 3, runs))
+        alone.append(table[np.argsort(table["run_index"])])
+    fail_a, fail_b = (table["winner"] == 0 for table in alone)
+    assert (fail_a & ~fail_b).any() and (~fail_a & fail_b).any()
+    for part in (absorbed, failed):
+        assert part["run_index"][0::2].tolist() == part["run_index"][1::2].tolist()
+        assert sorted(part["run_index"].tolist()) == part["run_index"].tolist()
+    assert failed["run_index"][0::2].tolist() == runs[fail_a | fail_b].tolist()
+    assert (absorbed["winner"] > 0).all()
+    table = np.concatenate([absorbed, failed])
+    table = table[np.argsort(table["run_index"], kind="stable")]
+    for f in (0, 1):
+        assert_tables_equal(table[f::2], alone[f])
+
+
+def test_frame_batch_refuses_frames_of_other_rates():
+    # one engine call steps every frame of a batch, so the frames must
+    # share their stream rates: frame 0 runs two streams, A and B one
+    scn = build_scenario()
+    for frames in ((FRAME_0, FRAME_A), (FRAME_B, FRAME_0)):
+        with pytest.raises(ValueError, match="share their stream rates"):
+            run_frame_batch(scn, frames, 1, [0])
+    with pytest.raises(ValueError, match="at least one frame"):
+        run_frame_batch(scn, (), 1, [0])
 
 
 def test_frame_pair_validation():
