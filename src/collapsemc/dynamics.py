@@ -57,12 +57,10 @@ has one or two streams).  So an engine call works out every value once,
 each product and the sum in float64, and rounds it once to float32 into
 a table of 256 entries for two streams, 16 for one.  A window's level
 indices are drawn once for its live runs, one ``block_normals`` call per
-stream for each stretch of runs that share their keys (one stretch per
-frame when a call steps several frames of a trial), and its noise is
-gathered from that table one slab of rows at a time, with no
-transcendental, product or sum per element.  The kernel
-steps in float32 end to end, and the carried state is float32 too.  It
-is a log-odds with |r| of about 14 at epsilon 1e-6, each step adds noise
+stream per frame, and its noise is gathered from that table one slab of
+rows at a time, with no transcendental, product or sum per element.  The
+kernel steps in float32 end to end, and the carried state is float32
+too.  It is a log-odds with |r| of about 14 at epsilon 1e-6, each step adds noise
 of standard deviation about 0.2-0.3, and the split step's
 discretization error at Gamma * dt 0.05 lies orders of magnitude
 above a float32 rounding.  A step rounds three times in float32: sinh
@@ -285,62 +283,27 @@ def _step(rates, dt, epsilon, max_steps):
 
 def _prepare(rates, dt, epsilon, max_steps, stream_keys, runs):
     """Validate one engine call and reduce it to _drive's (keys, runs, sig,
-    h, thr): the runs' key segments (_key_segments), the run indices as a
-    uint64 array, and _step's sig, h and thr.
+    h, thr): each frame's stream keys as a tuple of (k0, k1) int pairs, the
+    run indices as a uint64 array, and _step's sig, h and thr.
 
-    stream_keys is the pair (k0 words, k1 words), one word of each per
-    stream in rate order.  A word is an integer in [0, 2**64) that every
-    run shares, or a 1-D integer array of one such word per run; runs is
+    stream_keys holds, for each frame, derive_stream_key's (k0, k1) of each
+    stream in rate order, every word an integer in [0, 2**64); runs is
     checked as noise.block_normals checks it.
     """
     sig, h, thr = _step(rates, dt, epsilon, max_steps)
-    k0, k1 = stream_keys
-    if not len(k0) == len(k1) == len(rates):
-        raise ValueError(f"expected {len(rates)} stream keys, got {len(k0)} and {len(k1)} words")
-    runs = _run_indices(runs)
-    k0, k1 = ([_key_word(w, runs.size) for w in words] for words in (k0, k1))
-    return _key_segments(k0, k1, runs.size), runs, sig, h, thr
-
-
-def _key_word(word, n_runs):
-    """A stream key word as an int every run shares, or as a uint64 array
-    of one word per run of n_runs; a word outside [0, 2**64), a float or
-    bool array and an array of another length are refused with
-    ValueError."""
-    if isinstance(word, np.ndarray):
-        if word.dtype.kind not in "iu":
-            raise ValueError(f"per-run stream key words must be integers, got dtype {word.dtype}")
-        if word.shape != (n_runs,):
-            raise ValueError(f"per-run stream key words must be 1-D, one per run: got shape "
-                             f"{word.shape} for {n_runs} runs")
-        if word.dtype.kind == "i" and word.size and word.min() < 0:
-            raise ValueError(f"stream key words must be in [0, 2**64), got {word.min()}")
-        return word.astype(np.uint64, copy=False)
-    if isinstance(word, numbers.Integral) and not isinstance(word, bool) and 0 <= int(word) < 2**64:
-        return int(word)
-    raise ValueError("stream key words must be integers in [0, 2**64), or 1-D integer arrays "
-                     f"of one word per run, got {word!r}")
-
-
-def _key_segments(k0, k1, n_runs):
-    """The runs cut into segments of equal keys, in run order, as (starts,
-    keys): the first run of each segment, an intp array, and for each
-    segment its streams' (k0, k1) keys as a list of int pairs.
-
-    A segment ends where any per-run word differs from the next run's, so
-    the runs are cut in one pass with no sort; with no per-run word every
-    run is in one segment.
-    """
-    change = np.zeros(max(n_runs - 1, 0), dtype=bool)
-    for w in (*k0, *k1):
-        if isinstance(w, np.ndarray):
-            change |= w[1:] != w[:-1]
-    starts = np.flatnonzero(np.concatenate(([n_runs > 0], change)))
-
-    def at(word, run):
-        return word if isinstance(word, int) else int(word[run])
-    keys = [[(at(a, run), at(b, run)) for a, b in zip(k0, k1)] for run in starts.tolist()]
-    return starts, keys
+    if not len(stream_keys):
+        raise ValueError("expected the stream keys of at least one frame, got none")
+    for frame in stream_keys:
+        if len(frame) != len(rates):
+            raise ValueError(f"expected {len(rates)} stream keys a frame, got {len(frame)}")
+        for key in frame:
+            if not (isinstance(key, tuple) and len(key) == 2 and all(
+                    isinstance(w, numbers.Integral) and not isinstance(w, bool)
+                    and 0 <= int(w) < 2**64 for w in key)):
+                raise ValueError("a stream key must be a (k0, k1) pair of integers in "
+                                 f"[0, 2**64), got {key!r}")
+    keys = tuple(tuple((int(k0), int(k1)) for k0, k1 in frame) for frame in stream_keys)
+    return keys, _run_indices(runs), sig, h, thr
 
 
 def _noise_table(sig):
@@ -376,40 +339,31 @@ def _stream_bytes(noise, keys, runs, block_index):
 
 
 def _window_noise(noise, keys, runs, live, block_index):
-    """Level index bytes of window block_index for the runs at positions
-    live of runs, as a (live runs, BLOCK_STEPS) uint8 array.
+    """Level index bytes of window block_index for the live (run, frame)
+    pairs, as a (live pairs, BLOCK_STEPS) uint8 array.
 
-    keys is _key_segments' (starts, keys).  live is in increasing order, so
-    each segment's live runs are a slice of it, and neighbouring slices
-    with equal keys are drawn as one: one _stream_bytes call per stretch
-    of live runs that share their keys.
+    Pair f n + i is runs[i] in frame f, n = runs.size.  live is in
+    increasing order, so each frame's live pairs are a slice of it: one
+    _stream_bytes call per frame that has live pairs.
     """
-    starts, by_segment = keys
-    cuts = np.searchsorted(live, starts).tolist()
-    stretches = []
-    for lo, hi, key in zip(cuts, [*cuts[1:], live.size], by_segment):
-        if lo == hi:
-            continue
-        if stretches and stretches[-1][2] == key:
-            stretches[-1][1] = hi
-        else:
-            stretches.append([lo, hi, key])
-    at = runs[live]
-    parts = [_stream_bytes(noise, key, at[lo:hi], block_index) for lo, hi, key in stretches]
+    n = runs.size
+    cuts = np.searchsorted(live, np.arange(len(keys) + 1) * n).tolist()
+    parts = [_stream_bytes(noise, key, runs[live[lo:hi] - f * n], block_index)
+             for f, (key, lo, hi) in enumerate(zip(keys, cuts, cuts[1:])) if lo < hi]
     index = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return index.reshape(-1, BLOCK_STEPS)
 
 
 def _drive(r0, keys, runs, sig, h, thr, n_steps, noise):
-    """Run every run from r0, each on its streams' keys (_key_segments) at
-    its index in runs, by split steps of drift time h until |r| >= thr or
-    n_steps steps, one noise window at a time.
+    """Run every run of runs in every frame of keys from r0, frame-major, by
+    split steps of drift time h until |r| >= thr or n_steps steps, one
+    noise window at a time.
 
     A window draws its level index bytes for the live runs once, one
-    block_normals call per stream per stretch of live runs with equal keys
-    (_window_noise), and is then stepped one slab of SLAB_ROWS rows at a
-    time.  One float32 buffer of min(SLAB_ROWS, n_steps) rows of the runs
-    is allocated per call; a slab is its front viewed as (rows, live runs),
+    block_normals call per stream per frame (_window_noise), and is then
+    stepped one slab of SLAB_ROWS rows at a time.  One float32 buffer of
+    min(SLAB_ROWS, n_steps) rows of the runs is allocated per call; a slab
+    is its front viewed as (rows, live runs),
     into which two np.take calls, each over half its rows, gather the
     half-scale noise dw / 2 from the table, so no slab is freshly allocated
     or zeroed, and the intp copy of the index that np.take makes is half a
@@ -447,7 +401,7 @@ def _drive(r0, keys, runs, sig, h, thr, n_steps, noise):
     def to_r(zh):
         return 2.0 * np.arcsinh(np.sinh(zh.astype(np.float64)) * grow_half)
 
-    r = np.full(len(runs), r0, dtype=np.float64)
+    r = np.full(len(keys) * runs.size, r0, dtype=np.float64)
     winner = np.zeros(r.size, dtype=np.int8)
     winner[r >= thr] = 1
     winner[r <= -thr] = 2
@@ -499,28 +453,23 @@ def _drive(r0, keys, runs, sig, h, thr, n_steps, noise):
     return r, steps, winner
 
 
-# stream_keys stays argument 5, as the pair (k0 words, k1 words): tools
-# that trace the engine count a call's streams as len(stream_keys[0]),
-# which a (streams, 2) layout would read as 2 in frames A and B
+# stream_keys stays argument 5, one list of keys per frame: tools that
+# trace the engine count a call's streams as len(stream_keys[0]), frame
+# 0's stream count, and its (run, frame) pairs as len(res.steps)
 def collapse_batch(q0: float, rates, dt: float, epsilon: float, max_steps: int, stream_keys,
                    runs, noise: PhiloxNoiseSource = DEFAULT_NOISE) -> BatchResult:
     """Run a batch of trajectories to absorption.
 
     rates holds one collapse rate Gamma_s per noise stream, one or two
-    streams, and stream_keys the streams' keys as the pair (k0 words, k1
-    words), one word of each per stream in the same order:
-    derive_stream_key's pairs transposed, such as tuple(zip(*keys)).  A
-    word is an int that every run shares, or a 1-D integer array of one
-    word per run, so one call can step the runs of several frames, each
-    run on its own frame's streams; runs that share their keys are best
-    kept together, since a window draws each stretch of them by one
-    block_normals call per stream.  runs holds the run indices, each the
-    run's place in the counter of every stream (see
-    noise.PhiloxNoiseSource).  A key word that is not an integer in [0,
-    2**64), a per-run word array that is not integer or not one word per
-    run, a key count other than the rate count, more than two streams and
-    a run index outside [0, noise.RUN_INDEX_LIMIT) are refused before any
-    noise is drawn, as are dt, epsilon and max_steps that CollapseParams
+    streams, and stream_keys, for each frame the call steps, that frame's
+    derive_stream_key pairs in the same order.  runs holds the run
+    indices, each the run's place in the counter of every stream (see
+    noise.PhiloxNoiseSource).  Every run steps in every frame, and entry
+    f n + i of the result is runs[i] in frame f, n = len(runs).  No
+    frame, a key that is not a (k0, k1) tuple of integers in [0, 2**64), a
+    key count other than the rate count, more than two streams and a run
+    index outside [0, noise.RUN_INDEX_LIMIT) are refused before any noise
+    is drawn, as are dt, epsilon and max_steps that CollapseParams
     refuses.
     Runs evolve in lockstep but consume only their own noise, so results
     per run do not depend on batch composition or execution schedule.

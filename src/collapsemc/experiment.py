@@ -188,12 +188,10 @@ def run_frame_batch(scenario: Scenario, frames: tuple[Frame, ...], master_seed: 
     derive_stream_key(master_seed, detector), at run index k in its
     counter, so a run's noise and record do not depend on the other runs
     of the batch.  The frames must share their frame_rates, and so the
-    engine's step, or ValueError is raised.  The call steps every (run,
-    frame) pair, frame-major: every run in frames[0], then every run in
-    frames[1], and so on.  With one frame its key words are ints that
-    every run shares; with more, each stream's key words are arrays of one
-    word per (run, frame) pair.  The run indices are checked as the engine
-    checks them, so a float or a bool index is refused with TypeError.
+    engine's step, or ValueError is raised.  The engine takes each frame's
+    stream keys and steps every (run, frame) pair, frame-major.  The run
+    indices are checked as the engine checks them, so a float or a bool
+    index is refused with TypeError.
 
     The table holds row F i + f for run_indices[i] in frames[f], with F =
     len(frames).  Returns (absorbed, failed), split by run: the rows of the
@@ -210,19 +208,11 @@ def run_frame_batch(scenario: Scenario, frames: tuple[Frame, ...], master_seed: 
                          f"{[scenario.frame_rates(frame) for frame in frames]}")
     runs = _run_indices(run_indices)
     n_frames, n_runs = len(frames), runs.size
-    # words[f][s] is the (k0, k1) key of stream s in frame f
-    words = [[derive_stream_key(master_seed, det) for det in active_detectors(frame)]
-             for frame in frames]
-    if n_frames == 1:
-        stream_keys = tuple(zip(*words[0]))
-    else:
-        # by_word[w][s] holds word w of stream s in each frame
-        by_word = np.array(words, dtype=np.uint64).transpose(2, 1, 0)
-        stream_keys = tuple(tuple(np.repeat(per_frame, n_runs) for per_frame in word)
-                            for word in by_word)
+    stream_keys = [[derive_stream_key(master_seed, det) for det in active_detectors(frame)]
+                   for frame in frames]
     params = scenario.params
     res = collapse_batch(scenario.q0, rates, params.dt, params.epsilon, params.max_steps,
-                         stream_keys, np.tile(runs, n_frames), noise=noise)
+                         stream_keys, runs, noise=noise)
     winner = res.winner.reshape(n_frames, n_runs)
     duration = res.duration.reshape(n_frames, n_runs)
     within = np.zeros(winner.shape, dtype=np.int8)

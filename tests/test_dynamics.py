@@ -39,14 +39,15 @@ def scalars(params):
 
 
 def keys_for(n, seed=1, det="D1", salt=""):
-    """The engine's (stream_keys, runs) for one stream and runs 0 ... n - 1."""
-    return tuple(zip(derive_stream_key(seed, det, salt=salt))), np.arange(n)
+    """The engine's (stream_keys, runs) for one frame of one stream and runs
+    0 ... n - 1."""
+    return [[derive_stream_key(seed, det, salt=salt)]], np.arange(n)
 
 
 def keys0_for(n, seed=1, runs=None):
-    """The engine's (stream_keys, runs) for the two streams (D1, D2) and
-    runs 0 ... n - 1, or `runs`."""
-    keys = tuple(zip(derive_stream_key(seed, "D1"), derive_stream_key(seed, "D2")))
+    """The engine's (stream_keys, runs) for one frame of the two streams
+    (D1, D2) and runs 0 ... n - 1, or `runs`."""
+    keys = [[derive_stream_key(seed, "D1"), derive_stream_key(seed, "D2")]]
     return keys, np.arange(n) if runs is None else np.asarray(runs)
 
 
@@ -447,96 +448,119 @@ def test_sub_block_size_does_not_change_a_gapped_batch(monkeypatch):
 
 
 def test_stream_address_validation():
-    # a call reads each stream's key once, as (k0 words, k1 words) in rate
-    # order, and each run's index once.  Each of these is refused before
-    # any noise is drawn: a key count other than the rate count, key words
-    # that are not integers in [0, 2**64) (a float key is not read as its
-    # integer, nor True as 1), and run indices that block_normals refuses,
+    # a call reads each frame's stream keys once, derive_stream_key's (k0,
+    # k1) pairs in rate order, and each run's index once.  Each of these is
+    # refused before any noise is drawn: no frame, a frame whose key count
+    # is not the rate count, a key that is not a (k0, k1) tuple of integers
+    # in [0, 2**64) (a float key is not read as its integer, nor True as 1,
+    # nor an array as a pair), and run indices that block_normals refuses,
     # a bool among them, with a run index past the counter's range refused
     # even when every run absorbs at step 0, so that no window would be
     # drawn
-    ((k0,), (k1,)), _ = keys_for(0)
+    key = derive_stream_key(1, "D1")
+    k0, k1 = key
     refused = [
-        (ValueError, "stream keys", RATES_0, 0.5, ((k0,), (k1,)), [0]),
-        (ValueError, "stream keys", RATES_A, 0.5, ((k0, k0), (k1, k1)), [0]),
-        (ValueError, "stream keys", RATES_A, 0.5, ((k0,), ()), [0]),
-        (ValueError, "integer", RATES_A, 0.5, ((float(k0),), (k1,)), [0]),
-        (ValueError, "integer", RATES_A, 0.5, ((k0,), (True,)), [0]),
-        (ValueError, "integer", RATES_A, 0.5, ((k0,), (2**64,)), [0]),
-        (ValueError, "integer", RATES_A, 0.5, ((-1,), (k1,)), [0]),
-        (ValueError, "integer", RATES_A, 0.5, np.array([[k0], [k1]], dtype=np.float64), [0]),
-        (ValueError, "run index must be", RATES_A, 0.5, ((k0,), (k1,)), [3, -1]),
-        (ValueError, "run index must be", RATES_A, 1.0, ((k0,), (k1,)), [0, RUN_INDEX_LIMIT]),
-        (ValueError, "1-D", RATES_A, 0.5, ((k0,), (k1,)), np.zeros((2, 1), dtype=np.int64)),
-        (TypeError, "integer", RATES_A, 0.5, ((k0,), (k1,)), [1.5]),
-        (TypeError, "integer", RATES_A, 0.5, ((k0,), (k1,)), [0, True]),
-        (TypeError, "integer", RATES_A, 0.5, ((k0,), (k1,)), np.array([1.0])),
-        # a per-run key word is a 1-D integer array of one word per run
-        (ValueError, "one per run", RATES_A, 0.5, ((np.array([k0, k0], dtype=np.uint64),), (k1,)),
-         [0]),
-        (ValueError, "one per run", RATES_A, 0.5, ((k0,), (np.full((1, 1), k1, dtype=np.uint64),)),
-         [0]),
-        (ValueError, "integers", RATES_A, 0.5, ((np.array([float(k0)]),), (k1,)), [0]),
-        (ValueError, "integers", RATES_A, 0.5, ((k0,), (np.array([True]),)), [0]),
-        (ValueError, re.escape("in [0, 2**64), got -1"), RATES_A, 0.5,
-         ((np.array([3, -1]),), (k1,)), [0, 1]),
+        (ValueError, "stream keys", RATES_0, 0.5, [[key]], [0]),
+        (ValueError, "stream keys", RATES_A, 0.5, [[key, key]], [0]),
+        (ValueError, "stream keys", RATES_A, 0.5, [[]], [0]),
+        (ValueError, "stream keys", RATES_A, 0.5, [], [0]),
+        (ValueError, "stream keys", RATES_A, 0.5, [[key], [key, key]], [0]),
+        (ValueError, "integer", RATES_A, 0.5, [[(float(k0), k1)]], [0]),
+        (ValueError, "integer", RATES_A, 0.5, [[(k0, True)]], [0]),
+        (ValueError, "integer", RATES_A, 0.5, [[(k0, 2**64)]], [0]),
+        (ValueError, "integer", RATES_A, 0.5, [[(-1, k1)]], [0]),
+        (ValueError, "integer", RATES_A, 0.5, [[(k0, k1, 0)]], [0]),
+        (ValueError, "integer", RATES_A, 0.5, [[[k0, k1]]], [0]),
+        (ValueError, "integer", RATES_A, 0.5, [[np.array(key, dtype=np.uint64)]], [0]),
+        (ValueError, "integer", RATES_A, 0.5, [[np.array(key, dtype=np.float64)]], [0]),
+        # the transposed (k0 words, k1 words) layout, with shared and
+        # with per-run words
+        (ValueError, "integer", RATES_A, 0.5, ((k0,), (k1,)), [0]),
+        (ValueError, "integer", RATES_0, 0.5, ((k0, k0), (k1, k1)), [0]),
+        (ValueError, "integer", RATES_A, 0.5,
+         ((np.array([k0, k0], dtype=np.uint64),), (np.array([k1, k1], dtype=np.uint64),)),
+         [0, 1]),
+        (ValueError, "run index must be", RATES_A, 0.5, [[key]], [3, -1]),
+        (ValueError, "run index must be", RATES_A, 1.0, [[key]], [0, RUN_INDEX_LIMIT]),
+        (ValueError, "1-D", RATES_A, 0.5, [[key]], np.zeros((2, 1), dtype=np.int64)),
+        (TypeError, "integer", RATES_A, 0.5, [[key]], [1.5]),
+        (TypeError, "integer", RATES_A, 0.5, [[key]], [0, True]),
+        (TypeError, "integer", RATES_A, 0.5, [[key]], np.array([1.0])),
     ]
     for exc, match, rates, q0, keys, runs in refused:
         spy = _SpyNoise()
         with pytest.raises(exc, match=match):
             collapse_batch(q0, rates, *scalars(PARAMS), keys, runs, noise=spy)
         assert spy.calls == []
-    empty = collapse_batch(0.5, RATES_A, *scalars(PARAMS), ((k0,), (k1,)), [])
+    empty = collapse_batch(0.5, RATES_A, *scalars(PARAMS), [[key]], [])
     assert empty.steps.shape == (0,)
-    # uint64 key words and the greatest run index the counter holds are read
-    words = np.array([[k0], [k1]], dtype=np.uint64)
-    last = collapse_batch(0.5, RATES_A, *scalars(PARAMS), words, [RUN_INDEX_LIMIT - 1])
-    assert last.winner[0] > 0
-    # per-run words, uint64 or int64, give each run the bits of the shared
-    # words it holds
-    runs = [0, 5, 6]
-    for dtype, (w0, w1) in ((np.uint64, (k0, k1)), (np.int64, (k0 % 2**63, k1 % 2**63))):
-        want = collapse_batch(0.5, RATES_A, *scalars(PARAMS), ((w0,), (w1,)), runs)
+    # numpy-integer key words and the greatest run index the counter holds
+    # are read, and numpy words give the bits of the ints they equal
+    runs = [0, 5, RUN_INDEX_LIMIT - 1]
+    assert collapse_batch(0.5, RATES_A, *scalars(PARAMS), [[key]], runs).winner[-1] > 0
+    for dtype, words in ((np.uint64, key), (np.int64, (k0 % 2**63, k1 % 2**63))):
+        want = collapse_batch(0.5, RATES_A, *scalars(PARAMS), [[words]], runs)
         got = collapse_batch(0.5, RATES_A, *scalars(PARAMS),
-                             ((np.full(3, w0, dtype=dtype),), (np.full(3, w1, dtype=dtype),)), runs)
+                             [[tuple(dtype(w) for w in words)]], runs)
         for field in ("r", "steps", "winner"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
 def test_one_call_steps_two_frames_as_calls_of_each_alone():
-    # per-run key words let one call step frames A and B, each run on its
-    # frame's stream, D1's key in A and D2's in B, and give each (run,
-    # frame) pair the r, steps and winner bits of a call for its frame
-    # alone, with the pairs frame-major (every run in A, then every run in
-    # B) or in turn run by run.  At epsilon 0.01 and a cap of 140 steps
-    # some runs fail in exactly one frame and some absorb in the second
-    # window.  Frame-major, a window takes one block_normals call per frame
-    # that has live runs in it
+    # one call steps frames A and B, D1's key in A and D2's in B, and gives
+    # each (run, frame) pair the r, steps and winner bits of a call for its
+    # frame alone, the pairs frame-major: every run in A, then every run in
+    # B.  At epsilon 0.01 and a cap of 140 steps some runs fail in exactly
+    # one frame and some absorb in the second window.  A window takes one
+    # block_normals call per frame that has live runs in it
     rates, dt = KERNEL_FRAMES["A"]
     runs = np.arange(0, 400, 2)
-    n = runs.size
-    keys = [tuple(zip(derive_stream_key(29, det))) for det in ("D1", "D2")]
-    alone = [collapse_batch(0.5, rates, dt, 0.01, 140, k, runs) for k in keys]
+    keys = [[derive_stream_key(29, det)] for det in ("D1", "D2")]
+    alone = [collapse_batch(0.5, rates, dt, 0.01, 140, [k], runs) for k in keys]
     fail_a, fail_b = (res.winner == 0 for res in alone)
     assert (fail_a & ~fail_b).any() and (~fail_a & fail_b).any()
     assert any(((res.steps > BLOCK_STEPS) & (res.winner > 0)).any() for res in alone)
-    words = np.array([[k0, k1] for (k0,), (k1,) in keys], dtype=np.uint64)
-    frame_major = np.arange(2 * n)
-    for order in (frame_major, frame_major.reshape(2, n).T.ravel()):
-        # pair j of the call is run runs[at[j]] in frame frame[j]
-        frame, at = np.divmod(order, n)
-        spy = _SpyNoise()
-        res = collapse_batch(0.5, rates, dt, 0.01, 140, ((words[frame, 0],), (words[frame, 1],)),
-                             runs[at], noise=spy)
+    spy = _SpyNoise()
+    res = collapse_batch(0.5, rates, dt, 0.01, 140, keys, runs, noise=spy)
+    for field in ("r", "steps", "winner"):
+        want = np.concatenate([getattr(alone[0], field), getattr(alone[1], field)])
+        assert getattr(res, field).dtype == want.dtype
+        assert np.array_equal(getattr(res, field), want), field
+    assert [block for block, _, _ in spy.calls] == [0, 0, 1, 1]
+
+
+class _KeyLevel(PhiloxNoiseSource):
+    """Draws the level index levels[key] at every step of stream key, and
+    records the window and key of every draw."""
+
+    def __init__(self, levels):
+        super().__init__()
+        self.levels, self.calls = levels, []
+
+    def block_normals(self, key, block_index, runs):
+        self.calls.append((block_index, key))
+        return np.full(len(runs) * BLOCK_STEPS, self.levels[key], dtype=np.uint8)
+
+
+def test_a_frame_with_no_live_runs_is_not_drawn_again():
+    # D1's stream draws +a at every step and D2's 0, so frame A's runs all
+    # absorb inside window 0 and frame B's stay at r = 0 until the cap:
+    # from window 1 on only B's key is drawn, and every (run, frame) pair
+    # keeps the bits of its frame's own call
+    rates, dt = KERNEL_FRAMES["A"]
+    d1, d2 = (derive_stream_key(7, det) for det in ("D1", "D2"))
+    cap = 3 * BLOCK_STEPS
+    runs = np.arange(5)
+    noise = _KeyLevel({d1: PLUS_A, d2: ZERO})
+    res = collapse_batch(0.5, rates, dt, 0.01, cap, [[d1], [d2]], runs, noise=noise)
+    assert (res.winner[:5] == 1).all() and (res.steps[:5] < BLOCK_STEPS).all()
+    assert (res.winner[5:] == 0).all() and (res.steps[5:] == cap).all()
+    assert (res.r[5:] == 0.0).all()
+    assert noise.calls == [(0, d1), (0, d2), (1, d2), (2, d2)]
+    for f, key in enumerate((d1, d2)):
+        alone = collapse_batch(0.5, rates, dt, 0.01, cap, [[key]], runs, noise=noise)
         for field in ("r", "steps", "winner"):
-            want = np.stack([getattr(alone[0], field), getattr(alone[1], field)])[frame, at]
-            assert getattr(res, field).dtype == want.dtype
-            assert np.array_equal(getattr(res, field), want), field
-        windows = [block for block, _, _ in spy.calls]
-        if order is frame_major:
-            assert windows == [0, 0, 1, 1]
-        else:
-            assert len(windows) > 4
+            assert np.array_equal(getattr(res, field)[5 * f:5 * (f + 1)], getattr(alone, field))
 
 
 def test_engine_matches_reference_stepper():
@@ -558,7 +582,7 @@ def test_engine_matches_reference_stepper():
         return 2.0 * np.arcsinh(np.sinh(0.5 * r) * math.exp(part * h))
 
     grow = np.float32(math.exp(h))
-    res = collapse_batch(0.37, (gamma,), *scalars(params), tuple(zip(key)), [9])
+    res = collapse_batch(0.37, (gamma,), *scalars(params), [[key]], [9])
     assert (res.winner[0], res.steps[0]) == (0, params.max_steps)
     r = math.log(0.37) - math.log1p(-0.37)
     y = np.float32(flow(0.5, r))
@@ -570,18 +594,17 @@ def test_engine_matches_reference_stepper():
 
 
 def reference_window(noise, keys, runs, live, sig, block_index, rows):
-    """A window's full-scale float32 noise for the runs at positions live
-    of runs, shape (rows, live runs): each stream's level indices drawn run
-    by run from block_normals under the run's own key (the segment of
-    keys, _key_segments' (starts, keys), that holds it), mapped through
-    LEVELS, scaled by sig_s and summed stream by stream in rate order, all
-    in float64, and rounded once to float32."""
-    starts, by_segment = keys
-    segment = (np.searchsorted(starts, live, side="right") - 1).tolist()
+    """A window's full-scale float32 noise for the live (run, frame) pairs,
+    pair f n + i being runs[i] in frame f, shape (rows, live pairs): each
+    stream's level indices drawn pair by pair from block_normals under the
+    key of the pair's frame, mapped through LEVELS, scaled by sig_s and
+    summed stream by stream in rate order, all in float64, and rounded
+    once to float32."""
+    frame, at = np.divmod(live, len(runs))
     dw = np.zeros((rows, len(live)))
     for s, scale in enumerate(sig):
-        level = np.concatenate([noise.block_normals(by_segment[g][s], block_index, [k])
-                                for g, k in zip(segment, runs[live].tolist())])
+        level = np.concatenate([noise.block_normals(keys[f][s], block_index, [k])
+                                for f, k in zip(frame.tolist(), runs[at].tolist())])
         dw += scale * LEVELS[level.reshape(-1, BLOCK_STEPS)[:, :rows].T]
     return dw.astype(np.float32)
 
@@ -605,7 +628,7 @@ def reference_drive(r0, keys, runs, sig, h, thr, n_steps, noise, record=None):
         return half(z.astype(np.float64))
 
     z_hi = ceil32(2.0 * np.arcsinh(np.sinh(0.5 * thr) * math.exp(-0.5 * h)))
-    r = np.full(len(runs), r0, dtype=np.float64)
+    r = np.full(len(keys) * len(runs), r0, dtype=np.float64)
     winner = np.zeros(r.size, dtype=np.int8)
     winner[r >= thr] = 1
     winner[r <= -thr] = 2
@@ -659,8 +682,8 @@ def kernel_q0(epsilon):
 def _frame_keys(frame, runs):
     """One frame's (stream_keys, runs) for `runs` at seed 83."""
     rates, _ = KERNEL_FRAMES[frame]
-    (k0, k1), runs = keys0_for(0, seed=83, runs=runs)
-    return (k0[:len(rates)], k1[:len(rates)]), runs
+    [keys], runs = keys0_for(0, seed=83, runs=runs)
+    return [keys[:len(rates)]], runs
 
 
 @functools.cache
@@ -941,7 +964,7 @@ def test_noise_table_maps_a_byte_of_levels_to_half_the_increment():
 
 def test_more_than_two_streams_are_refused():
     # a step's level indices fill one byte, so a frame has one or two streams
-    keys = tuple(zip(*(derive_stream_key(1, det) for det in ("D1", "D2", "D3"))))
+    keys = [[derive_stream_key(1, det) for det in ("D1", "D2", "D3")]]
     spy = _SpyNoise()
     with pytest.raises(ValueError, match="at most two noise streams"):
         collapse_batch(0.5, (RATE, RATE, RATE), *scalars(PARAMS), keys, [0], noise=spy)
@@ -952,21 +975,20 @@ def test_rates_that_are_not_numbers_or_no_stream_are_refused():
     # a bool rate is not read as 1 or 0, a rate that is not a real number
     # is named in the refusal, and an empty rate tuple is not a frame whose
     # every rate is 0; each is refused before any noise is drawn
-    ((k0,), (k1,)), runs = keys_for(1)
+    [[key]], runs = keys_for(1)
     for rate in (True, False, "1e4", None, 1e4 + 0j):
         spy = _SpyNoise()
         refusal = re.escape(f"stream rates must be numbers, got {rate!r}")
         with pytest.raises(TypeError, match=refusal):
-            collapse_batch(0.5, (rate,), *scalars(PARAMS), ((k0,), (k1,)), runs, noise=spy)
+            collapse_batch(0.5, (rate,), *scalars(PARAMS), [[key]], runs, noise=spy)
         with pytest.raises(TypeError, match=re.escape(f"got {rate!r}")):
-            collapse_batch(0.5, (RATE, rate), *scalars(PARAMS), ((k0, k0), (k1, k1)), runs,
-                           noise=spy)
+            collapse_batch(0.5, (RATE, rate), *scalars(PARAMS), [[key, key]], runs, noise=spy)
         assert spy.calls == []
     spy = _SpyNoise()
     with pytest.raises(ValueError, match="at least one noise stream"):
-        collapse_batch(0.5, (), *scalars(PARAMS), ((), ()), runs, noise=spy)
+        collapse_batch(0.5, (), *scalars(PARAMS), [[]], runs, noise=spy)
     assert spy.calls == []
     # numpy and other real numbers stay rates
     for rate in (np.float32(RATE), np.float64(RATE), np.int64(20_000)):
-        res = collapse_batch(0.5, (rate,), *scalars(PARAMS), ((k0,), (k1,)), runs)
+        res = collapse_batch(0.5, (rate,), *scalars(PARAMS), [[key]], runs)
         assert res.winner[0] in (1, 2)

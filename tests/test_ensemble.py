@@ -606,11 +606,12 @@ def test_ensemble_draws_live_runs_through_short_gaps(monkeypatch, kind):
 def test_engine_calls_read_one_key_per_stream(monkeypatch, kind, streams):
     # what a tracer of the package reads: a chunk makes one run_frame_batch
     # call over the kind's F frames and one engine call; collapse_batch's
-    # parameter 5 is stream_keys, whose first row holds one word per stream
-    # (2 in frame 0, 1 in A and B), a batch's result holds one step count
-    # per (run, frame) pair, and run_frame_batch's two tables hold one row
-    # per pair.  With the floor at 300 F runs a worker, every kind runs in
-    # 3 chunks of no more than 300 runs; a cap of 100 steps at epsilon 0.01
+    # parameter 5 is stream_keys, one list of keys per frame, whose first
+    # holds one key per stream (2 in frame 0, 1 in A and B), a batch's
+    # result holds one step count per run of runs in each frame, and
+    # run_frame_batch's two tables hold one row per (run, frame) pair.
+    # With the floor at 300 F runs a worker, every kind runs in 3 chunks
+    # of no more than 300 runs; a cap of 100 steps at epsilon 0.01
     # leaves rows in both tables of every batch, and the ensemble aborts
     # once its 3 chunks are done
     engine = experiment.collapse_batch
@@ -639,8 +640,9 @@ def test_engine_calls_read_one_key_per_stream(monkeypatch, kind, streams):
         run_ensemble(cfg)
     assert len(calls) == len(batches) == 3
     for (args, res), (runs, (absorbed, failed)) in zip(calls, batches):
+        assert len(args["stream_keys"]) == len(KIND_FRAMES[kind](cfg.v))
         assert len(args["stream_keys"][0]) == len(args["rates"]) == streams
-        assert len(res.steps) == len(args["runs"]) == len(runs)
+        assert len(res.steps) == len(args["stream_keys"]) * len(args["runs"]) == len(runs)
         assert len(absorbed) + len(failed) == len(runs)
         assert len(absorbed) and len(failed)
         assert sorted(np.concatenate([absorbed, failed])["run_index"].tolist()) == sorted(runs)

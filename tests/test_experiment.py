@@ -317,7 +317,7 @@ def test_collapse_time_law_lattice_ks(frame, q0):
     n = 16384
     scn = build_scenario(q0=q0)
     params = scn.params
-    keys = tuple(zip(*(derive_stream_key(123, det) for det in active_detectors(frame))))
+    keys = [[derive_stream_key(123, det) for det in active_detectors(frame)]]
     rates = scn.frame_rates(frame)
     res = collapse_batch(q0, rates, params.dt, params.epsilon, params.max_steps, keys,
                          np.arange(n))
