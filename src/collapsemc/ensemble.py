@@ -12,7 +12,8 @@ runs in every frame of the kind.  A worker is started for no fewer than
 MAX_CHUNK_RUNS runs, the measured floor below which one more worker
 costs more than it saves.  The calling process is
 one of the workers: it runs chunks itself between topping up a pool of
-the others, and with one worker it runs them all and starts no pool.
+the others to two chunks a process, and with one worker it runs them all
+and starts no pool.
 The scenario is built once, with the configuration, and every chunk and
 the manifest read it.
 
@@ -20,15 +21,16 @@ The records of an ensemble are one record table (see
 ``experiment.RECORD_DTYPE``) whose rows name no frame: with F the number
 of frames the kind runs (``KIND_FRAMES``), row F k + f is run k in frame f
 of that tuple.  A chunk is a contiguous range of run indices, so it comes
-back as its slice of that table, ordered where it ran, and the table is
-the slices in chunk order.  A run's frames are thus adjacent rows, which
+back as its slice of that table, ordered where it ran (sorted only when a
+run of it hit the step cap), and the table is the slices in chunk order,
+or the one slice as it is.  A run's frames are thus adjacent rows, which
 is how the statistics pair them.  The statistics, with Wilson score
 intervals for the binomial rates, are the dict that the manifest stores as
 its ``stats`` block.  The exported fields that are not columns, the frame
 label, first_detector and the readings, follow from a row's place and its
-winner, and are spelled only while the records are written; the bytes of
-a records file are part of the reproducibility contract, which
-``export_records`` states.
+winner, and are spelled only while the records are written, each distinct
+duration once a file; the bytes of a records file are part of the
+reproducibility contract, which ``export_records`` states.
 """
 
 from __future__ import annotations
@@ -238,12 +240,17 @@ def scenario_from_config(config: EnsembleConfig) -> Scenario:
 def _run_chunk(config: EnsembleConfig, runs: range) -> np.ndarray:
     """The chunk of runs with the indices in runs, as its slice of the
     ensemble's record table, put in table order in the process that ran
-    them: one run_frame_batch call over the kind's frames.  Each of its
-    two parts holds whole runs in table order, so a stable sort by
-    run_index leaves each run's rows in the kind's frame order."""
+    them: one run_frame_batch call over the kind's frames.  When no run of
+    the chunk hit the step cap, the batch's table is that slice as it is.
+    Otherwise its two parts are merged: each holds whole runs in table
+    order, so a stable sort by run_index leaves each run's rows in the
+    kind's frame order."""
     frames = KIND_FRAMES[config.kind](config.v)
-    table = np.concatenate(run_frame_batch(config.scenario, frames, config.master_seed,
-                                           np.arange(runs.start, runs.stop)))
+    absorbed, failed = run_frame_batch(config.scenario, frames, config.master_seed,
+                                       np.arange(runs.start, runs.stop))
+    if not len(failed):
+        return absorbed
+    table = np.concatenate((absorbed, failed))
     return table[np.argsort(table["run_index"], kind="stable")]
 
 
@@ -259,11 +266,13 @@ def _pooled_tables(pool, slots: int, config: EnsembleConfig, chunks) -> list[np.
     """The tables of chunks in chunk order, run by pool and by this process.
 
     Before this process takes its next chunk, it tops the pool up from
-    chunks until slots of the pool's futures are not yet taken, so chunks
-    are made as they are handed out and the pool never holds more than
-    slots unfinished futures.  Finished tables are taken off the front in
-    chunk order.  A chunk that raises, here or in the pool, raises here,
-    and the pool's futures not yet started are cancelled.
+    chunks until slots of the pool's futures are not yet taken, but never
+    with the last chunk left, which is this process's.  So chunks are made
+    as they are handed out, the pool never holds more than slots
+    unfinished futures, and this process runs a chunk whenever one is
+    left.  Finished tables are taken off the front in chunk order.  A chunk
+    that raises, here or in the pool, raises here, and the pool's futures
+    not yet started are cancelled.
     """
     chunks = iter(chunks)
     # (future, None) for a chunk of the pool's, (None, table) for one of ours
@@ -274,12 +283,13 @@ def _pooled_tables(pool, slots: int, config: EnsembleConfig, chunks) -> list[np.
                 future, table = window.popleft()
                 tables.append(table if future is None else future.result())
             held = sum(future is not None for future, _ in window)
-            for chunk in islice(chunks, slots - held):
-                window.append((pool.submit(_run_chunk, config, chunk), None))
-            chunk = next(chunks, None)
-            if chunk is None:
+            # the pool's top-up and, last, this process's own chunk
+            taken = list(islice(chunks, slots - held + 1))
+            if not taken:
                 break
-            window.append((None, _run_chunk(config, chunk)))
+            for chunk in taken[:-1]:
+                window.append((pool.submit(_run_chunk, config, chunk), None))
+            window.append((None, _run_chunk(config, taken[-1])))
         tables.extend(table if future is None else future.result() for future, table in window)
     except BaseException:
         for future, _ in window:
@@ -295,8 +305,8 @@ def run_ensemble(config: EnsembleConfig) -> tuple[dict, np.ndarray]:
     Returns (stats, records): stats is compute_stats's dict, the manifest's
     stats block, and records the record table, row F k + f for run k in
     frame f of the kind's frames: the chunks' slices joined in chunk
-    order.  Raises EnsembleAbortError if more than 1% of runs fail to
-    converge.
+    order, or the one chunk's slice as it is.  Raises EnsembleAbortError
+    if more than 1% of runs fail to converge.
 
     The runs are cut into chunks = ceil(runs / (MAX_CHUNK_RUNS // F))
     contiguous chunks in run order, with F the number of the kind's
@@ -308,8 +318,9 @@ def run_ensemble(config: EnsembleConfig) -> tuple[dict, np.ndarray]:
 
     workers, so that no worker is started for fewer than MAX_CHUNK_RUNS
     runs and none is left without a chunk: this process and a pool of the
-    others (see _pooled_tables), or this process alone, with no pool, when
-    that is one.  The pool is joined before this returns or raises.
+    others, which holds up to two unfinished chunks per pool process (see
+    _pooled_tables), or this process alone, with no pool, when that is
+    one.  The pool is joined before this returns or raises.
     """
     runs = config.runs
     count = -(-runs // max(1, MAX_CHUNK_RUNS // len(KIND_FRAMES[config.kind](config.v))))
@@ -323,10 +334,16 @@ def run_ensemble(config: EnsembleConfig) -> tuple[dict, np.ndarray]:
     if workers > 1:
         # imported here so that one-worker runs do not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        # a second chunk queued per pool process, so that a worker that
+        # ends its chunk while this process runs one starts the next at once
         with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-            records = np.concatenate(_pooled_tables(pool, workers - 1, config, chunks))
+            tables = _pooled_tables(pool, 2 * (workers - 1), config, chunks)
     else:
-        records = np.concatenate([_run_chunk(config, chunk) for chunk in chunks])
+        tables = [_run_chunk(config, chunk) for chunk in chunks]
+    # the chunk tables are dropped once joined, so that only one copy of
+    # the rows outlives the join
+    records = tables[0] if len(tables) == 1 else np.concatenate(tables)
+    del tables
 
     stats = compute_stats(config.kind, config.runs, records)
     failed = stats["counts"]["failed"]
@@ -409,8 +426,10 @@ def export_records(records: np.ndarray, path: str, fmt: str, frames: tuple[Frame
 
     Only run_index and duration vary freely from row to row.  The rest of a
     line is one of a few classes (frame, winner and within_budget), so each
-    class's line is formatted once, with markers in the two free slots, and
-    split at them.  Each distinct duration is spelled once.
+    class's line is formatted once a slice, with markers in the two free
+    slots, and split at them.  Each distinct duration is spelled once a
+    file: the spellings are kept, by bit pattern, across the slices, so the
+    writer's memory grows with the distinct durations, not with the rows.
     """
     if fmt not in _LINE_FORMATS:
         raise ValueError(f"format must be 'csv' or 'jsonl', got {fmt!r}")
@@ -420,37 +439,43 @@ def export_records(records: np.ndarray, path: str, fmt: str, frames: tuple[Frame
         if fmt == "csv":
             fh.write(",".join(CSV_COLUMNS) + "\r\n")
         # slices bound the memory the writer adds to that of the table
+        spelled = {}
         for lo in range(0, len(records), CHUNK_RUNS):
-            fh.write(_format_lines(records[lo:lo + CHUNK_RUNS], fmt, frames, lo))
+            fh.write(_format_lines(records[lo:lo + CHUNK_RUNS], fmt, frames, lo, spelled))
 
 
-def _format_lines(records: np.ndarray, fmt: str, frames: tuple[Frame, ...], start: int) -> str:
+def _format_lines(records: np.ndarray, fmt: str, frames: tuple[Frame, ...], start: int,
+                  spelled: dict[int, str]) -> str:
     """The lines of export_records for the rows of a record table that
     start at row start of the whole table, whose place there gives each
-    row's frame."""
+    row's frame.  spelled maps a duration's bit pattern to its repr; the
+    slice's new durations are added to it."""
     line, literal = _LINE_FORMATS[fmt]
     winner, within = records["winner"], records["within_budget"]
     place = np.arange(start, start + len(records)) % len(frames)
-    key = (place * 3 + winner) * 3 + within  # both are codes 0-2 already
-    _, rows, line_class = np.unique(key, return_index=True, return_inverse=True)
+    # class code (place, winner, within_budget), both last codes 0-2 already
+    key = (place * 3 + winner) * 3 + within
     within_literals = (literal[None], literal[True], literal[False])
-    templates = np.empty(len(rows), dtype=object)
-    for i, row in enumerate(rows.tolist()):
-        w, frame = int(winner[row]), frames[place[row]]
+    templates = np.empty(9 * len(frames), dtype=object)
+    for code in np.flatnonzero(np.bincount(key, minlength=len(templates))).tolist():
+        frame, w = frames[code // 9], code // 3 % 3
         first = first_detector(frame) if w else ""
         text = line.format(_RUN, frame.label, first, w,
-                           *READINGS[w], _DURATION, within_literals[within[row]])
-        templates[i] = tuple(text.replace(_DURATION, _RUN).split(_RUN))
+                           *READINGS[w], _DURATION, within_literals[code % 3])
+        templates[code] = tuple(text.replace(_DURATION, _RUN).split(_RUN))
     # a bit pattern is one repr; failed rows point past the distinct values
     bits, spelling = np.unique(records["duration"].view(np.uint64), return_inverse=True)
-    spellings = np.array([repr(x) for x in bits.view(np.float64).tolist()] + [literal[None]],
-                         dtype=object)
+    keys = bits.tolist()
+    for b, x in zip(keys, bits.view(np.float64).tolist()):
+        if b not in spelled:
+            spelled[b] = repr(x)
+    spellings = np.array([spelled[b] for b in keys] + [literal[None]], dtype=object)
     runs = records["run_index"].tolist()
     durations = spellings[np.where(winner == 0, len(bits), spelling)].tolist()
     # CSV writes run_index before duration_s, JSONL after it
     free = (runs, durations) if line.index("{0}") < line.index("{6}") else (durations, runs)
     return "".join([f"{pre}{x}{mid}{y}{post}" for (pre, mid, post), x, y in
-                    zip(templates[line_class].tolist(), *free)])
+                    zip(templates[key].tolist(), *free)])
 
 
 def cpu_features() -> list[str]:

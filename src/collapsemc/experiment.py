@@ -197,7 +197,9 @@ def run_frame_batch(scenario: Scenario, frames: tuple[Frame, ...], master_seed: 
     len(frames).  Returns (absorbed, failed), split by run: the rows of the
     runs that absorbed in every frame, and the rows of those that hit the
     step cap in some frame, each in table order.  With one frame these are
-    the runs that absorbed and those that hit the step cap.
+    the runs that absorbed and those that hit the step cap.  When every run
+    absorbed, the pair is (table, table[:0]): the whole table, not a copy,
+    and an empty table of its dtype.
     """
     frames = tuple(frames)
     if not frames:
@@ -225,8 +227,11 @@ def run_frame_batch(scenario: Scenario, frames: tuple[Frame, ...], master_seed: 
     table["winner"] = winner.T.ravel()
     table["duration"] = duration.T.ravel()
     table["within_budget"] = within.T.ravel()
-    absorbed = np.repeat((winner > 0).all(axis=0), n_frames)
+    absorbed = (winner > 0).all(axis=0)
     # bench/spans.py counts a batch's records as the sum of this pair's lengths
+    if absorbed.all():
+        return table, table[:0]
+    absorbed = np.repeat(absorbed, n_frames)
     return table[absorbed], table[~absorbed]
 
 

@@ -276,7 +276,7 @@ class PhiloxNoiseSource:
                 offsets = (idx[a:b] - np.uint64(lo)).astype(np.intp)
                 piece = piece.reshape(span, _WORDS_PER_WINDOW).take(offsets, axis=0).ravel()
             words.append(piece)
-        return _levels(np.concatenate(words))
+        return _levels(words[0] if len(words) == 1 else np.concatenate(words))
 
     def _draw(self, first_run, n_runs) -> np.ndarray:
         """Words of the current window for runs first_run ... first_run + n_runs - 1."""

@@ -367,6 +367,31 @@ def test_chunks_are_slices_of_the_table_in_chunk_order(monkeypatch, cfg):
     assert_tables_equal(records, np.concatenate(tables))
 
 
+@pytest.mark.parametrize("cfg", [
+    *(EnsembleConfig(kind=kind, runs=1300, master_seed=7) for kind in KIND_FRAMES),
+    CAPPED,
+], ids=[*KIND_FRAMES, "capped"])
+def test_a_chunk_is_its_batch_merged_by_run_index(cfg):
+    # where every run absorbs, run_frame_batch returns the whole table and
+    # an empty one of RECORD_DTYPE, and the chunk is that table; with
+    # failed rows in both of CAPPED's frames, the chunk is the pair joined
+    # and stably sorted by run_index
+    frames = KIND_FRAMES[cfg.kind](cfg.v)
+    runs = range(100, 100 + min(cfg.runs, MAX_CHUNK_RUNS // len(frames)))
+    absorbed, failed = run_frame_batch(cfg.scenario, frames, cfg.master_seed,
+                                       np.arange(runs.start, runs.stop))
+    assert failed.dtype == absorbed.dtype == RECORD_DTYPE
+    merged = np.concatenate((absorbed, failed))
+    merged = merged[np.argsort(merged["run_index"], kind="stable")]
+    if cfg is CAPPED:
+        assert (failed["winner"][0::2] == 0).any() and (failed["winner"][1::2] == 0).any()
+        assert (merged["winner"] > 0).any()
+    else:
+        assert len(failed) == 0
+        assert_rows_by_place(cfg, absorbed, runs)
+    assert_tables_equal(ensemble._run_chunk(cfg, runs), merged)
+
+
 def test_first_chunk_starts_at_the_run_index_limit(monkeypatch):
     # 2**50 chunks: the first starts without a list of them all being made,
     # and the stub stops the ensemble there
@@ -416,24 +441,24 @@ def test_each_chunk_runs_once_in_the_pool_or_this_process(runs, cpus, width):
         assert_tables_equal(records, serial[1])
 
 
-def test_pool_holds_no_more_futures_than_its_processes(monkeypatch):
+def test_pool_holds_no_more_than_two_futures_per_process(monkeypatch):
     # 200 one-run chunks on 4 workers, the floor at one run a worker: the
-    # pool of 3 is kept full, and no more than 3 of its futures are held at
-    # once
+    # pool of 3 is kept full, and no more than 2 x 3 of its futures are
+    # held at once
     set_floor(monkeypatch, 1)
     pool = serial_pool(monkeypatch, cpus=4)
     cfg = EnsembleConfig(kind="born_rule", runs=200, q0=1.0, workers=4)
     stats, _ = run_ensemble(cfg)
     assert pool.sizes == [3]
-    assert pool.most_held == 3
-    assert 3 < len(pool.chunks) < 200
+    assert pool.most_held == 6
+    assert 6 < len(pool.chunks) < 200
     assert all(future.taken for future in pool.futures)
     assert stats["counts"]["winner1"] == 200
 
 
 def test_first_chunk_starts_after_a_bounded_number_of_submits(monkeypatch):
-    # 2**50 chunks on 4 workers: the pool is given 3 chunks before this
-    # process takes the fourth, not every chunk up front as Executor.map
+    # 2**50 chunks on 4 workers: the pool is given 2 x 3 chunks before this
+    # process takes the seventh, not every chunk up front as Executor.map
     # would give them, and the stub stops the ensemble there
     starts = []
 
@@ -448,8 +473,8 @@ def test_first_chunk_starts_after_a_bounded_number_of_submits(monkeypatch):
     monkeypatch.setattr(ensemble, "_run_chunk", first_chunk)
     with pytest.raises(FirstChunk):
         run_ensemble(EnsembleConfig(kind="born_rule", runs=RUN_INDEX_LIMIT, workers=4))
-    assert pool.sizes == [3] and len(pool.chunks) == 3
-    assert starts == [range(i * MAX_CHUNK_RUNS, (i + 1) * MAX_CHUNK_RUNS) for i in range(4)]
+    assert pool.sizes == [3] and len(pool.chunks) == 6
+    assert starts == [range(i * MAX_CHUNK_RUNS, (i + 1) * MAX_CHUNK_RUNS) for i in range(7)]
 
 
 class CallerChunkError(Exception):
@@ -913,6 +938,26 @@ def test_export_spells_frames_by_table_row_at_an_odd_slice_width(tmp_path, monke
     assert_export_matches_reference(_table(*rows), tmp_path, (FRAME_A, FRAME_B))
     lines = (tmp_path / "new.csv").read_text(encoding="utf-8").splitlines()[1:]
     assert [line.split(",")[1] for line in lines] == ["A", "B"] * 10
+
+
+EXPORT_ROWS = 5000
+
+
+@pytest.mark.parametrize("width", [1, 3, 2048, EXPORT_ROWS + 1])
+def test_export_matches_reference_at_any_slice_width(tmp_path, monkeypatch, width):
+    # 5000 rows of frames (A, B): the first 3000 draw from 150 durations
+    # and the rest from 300, so durations repeat across the slices of every
+    # width and half of them first appear past row 3000, in a later slice;
+    # every 601st row failed, in each slice of 2048 rows
+    monkeypatch.setattr(ensemble, "CHUNK_RUNS", width)
+    rng = np.random.default_rng(11)
+    values = rng.integers(1, 4000, 300) * 2.5e-6
+    rows = []
+    for row in range(EXPORT_ROWS):
+        winner = 0 if row % 601 == 5 else 1 + row % 2
+        duration = values[rng.integers(0, 150 if row < 3000 else 300)]
+        rows.append((row // 2, winner, duration, _verdict(winner, duration, 4.7e-3)))
+    assert_export_matches_reference(_table(*rows), tmp_path, (FRAME_A, FRAME_B))
 
 
 def test_export_empty_table(tmp_path):
