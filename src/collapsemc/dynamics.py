@@ -357,7 +357,8 @@ def _window_noise(noise, keys, runs, live, block_index):
 def _drive(r0, keys, runs, sig, h, thr, n_steps, noise):
     """Run every run of runs in every frame of keys from r0, frame-major, by
     split steps of drift time h until |r| >= thr or n_steps steps, one
-    noise window at a time.
+    noise window at a time.  r0 is one start for every pair, or an array of
+    one start per (run, frame) pair in the same frame-major order.
 
     A window draws its level index bytes for the live runs once, one
     block_normals call per stream per frame (_window_noise), and is then

@@ -21,16 +21,16 @@ The records of an ensemble are one record table (see
 ``experiment.RECORD_DTYPE``) whose rows name no frame: with F the number
 of frames the kind runs (``KIND_FRAMES``), row F k + f is run k in frame f
 of that tuple.  A chunk is a contiguous range of run indices, so it comes
-back as its slice of that table, ordered where it ran (sorted only when a
-run of it hit the step cap), and the table is the slices in chunk order,
-or the one slice as it is.  A run's frames are thus adjacent rows, which
-is how the statistics pair them.  The statistics, with Wilson score
-intervals for the binomial rates, are the dict that the manifest stores as
-its ``stats`` block.  The exported fields that are not columns, the frame
-label, first_detector and the readings, follow from a row's place and its
-winner, and are spelled only while the records are written, each distinct
-duration once a file; the bytes of a records file are part of the
-reproducibility contract, which ``export_records`` states.
+back as its slice of that table, in table order as the engine made it,
+and the table is the slices in chunk order, or the one slice as it is.  A
+run's frames are thus adjacent rows, which is how the statistics pair
+them.  The statistics, with Wilson score intervals for the binomial
+rates, are the dict that the manifest stores as its ``stats`` block.  The
+exported fields that are not columns, the frame label, first_detector
+and the readings, follow from a row's place and its winner, and are
+spelled only while the records are written, each distinct duration once
+a file; the bytes of a records file are part of the reproducibility
+contract, which ``export_records`` states.
 """
 
 from __future__ import annotations
@@ -132,6 +132,34 @@ def _python(value):
 
 @dataclass(frozen=True)
 class EnsembleConfig:
+    """One ensemble's configuration; the records are a pure function of it,
+    whatever the workers.  Fields, with their units and defaults:
+
+    - kind: the experiment, a key of KIND_FRAMES ("born_rule",
+      "collapse_time" or "cross_frame"); no default.
+    - runs: trials, run indices 0 .. runs - 1, in [1, RUN_INDEX_LIMIT];
+      10000.
+    - master_seed: the seed every stream key derives from, in [0, 2**64); 1.
+    - q0: initial branch-1 weight, in [0, 1]; 0.5.
+    - d: distance of each detector from the source, in m; 1000.
+    - v: speed of the boosted frames, in m/s; 0.99 c.
+    - overrides: a dict of scenario settings (see
+      experiment.build_scenario), or None for none: lam, the collapse
+      coupling, 1e-16, and eta, the pointer's value in each of its yes and
+      no cells, 1e10, so that each detector's stream collapses at lam * 2
+      eta^2 per second; epsilon, the distance of the absorbing weights
+      from 0 and 1, 1e-6; max_steps, the step cap, 1000000; and dt, the
+      step in s, which when not set makes frame 0's Gamma dt
+      experiment.TARGET_GAMMA_DT.
+    - out_dir: the directory the CLI exports to, or None; None.
+    - record_format: "csv" or "jsonl"; "csv".
+    - workers: the most processes that run chunks, this one counted; 1.
+      The CLI's --workers defaults to usable_cpus() instead, and its
+      out_dir to collapsemc-out/<kind>.
+
+    A bad field or override is refused with ConfigError.
+    """
+
     kind: str
     runs: int = 10_000
     master_seed: int = 1
@@ -239,19 +267,11 @@ def scenario_from_config(config: EnsembleConfig) -> Scenario:
 
 def _run_chunk(config: EnsembleConfig, runs: range) -> np.ndarray:
     """The chunk of runs with the indices in runs, as its slice of the
-    ensemble's record table, put in table order in the process that ran
-    them: one run_frame_batch call over the kind's frames.  When no run of
-    the chunk hit the step cap, the batch's table is that slice as it is.
-    Otherwise its two parts are merged: each holds whole runs in table
-    order, so a stable sort by run_index leaves each run's rows in the
-    kind's frame order."""
+    ensemble's record table: the table of one run_frame_batch call over
+    the kind's frames, as it is."""
     frames = KIND_FRAMES[config.kind](config.v)
-    absorbed, failed = run_frame_batch(config.scenario, frames, config.master_seed,
-                                       np.arange(runs.start, runs.stop))
-    if not len(failed):
-        return absorbed
-    table = np.concatenate((absorbed, failed))
-    return table[np.argsort(table["run_index"], kind="stable")]
+    return run_frame_batch(config.scenario, frames, config.master_seed,
+                           np.arange(runs.start, runs.stop))[0]
 
 
 def usable_cpus() -> int:

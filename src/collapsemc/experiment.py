@@ -193,13 +193,10 @@ def run_frame_batch(scenario: Scenario, frames: tuple[Frame, ...], master_seed: 
     indices are checked as the engine checks them, so a float or a bool
     index is refused with TypeError.
 
-    The table holds row F i + f for run_indices[i] in frames[f], with F =
-    len(frames).  Returns (absorbed, failed), split by run: the rows of the
-    runs that absorbed in every frame, and the rows of those that hit the
-    step cap in some frame, each in table order.  With one frame these are
-    the runs that absorbed and those that hit the step cap.  When every run
-    absorbed, the pair is (table, table[:0]): the whole table, not a copy,
-    and an empty table of its dtype.
+    Returns (table, table[:0]): the batch's record table, whose row F i + f
+    is run_indices[i] in frames[f], with F = len(frames), and an empty
+    table of its dtype.  A run that hit the step cap in a frame keeps its
+    row there, with winner 0 and within_budget 0.
     """
     frames = tuple(frames)
     if not frames:
@@ -227,12 +224,10 @@ def run_frame_batch(scenario: Scenario, frames: tuple[Frame, ...], master_seed: 
     table["winner"] = winner.T.ravel()
     table["duration"] = duration.T.ravel()
     table["within_budget"] = within.T.ravel()
-    absorbed = (winner > 0).all(axis=0)
-    # bench/spans.py counts a batch's records as the sum of this pair's lengths
-    if absorbed.all():
-        return table, table[:0]
-    absorbed = np.repeat(absorbed, n_frames)
-    return table[absorbed], table[~absorbed]
+    # bench/spans.py counts a batch's records as the sum of this pair's
+    # lengths, so the empty second table stays until it reads them
+    # elsewhere (ROADMAP item 5)
+    return table, table[:0]
 
 
 def frame_pair(v: float) -> tuple[Frame, Frame]:

@@ -782,6 +782,28 @@ def test_slab_size_does_not_change_results(monkeypatch, slab):
         assert np.array_equal(a, b)
 
 
+def test_a_start_per_pair_steps_as_scalar_starts():
+    # _drive takes one start r0 per (run, frame) pair, frame-major, and
+    # gives each pair the r, steps and winner bits of a call from that
+    # start alone: 10 runs in frames A and B, with starts on both sides,
+    # past +-thr (absorbed at step 0), absorbed in the second window and
+    # stopped by the step cap
+    rates, dt = KERNEL_FRAMES["A"]
+    runs = np.arange(40, 50)
+    keys = [[derive_stream_key(31, det)] for det in ("D1", "D2")]
+    case = dynamics._prepare(rates, dt, 1e-6, 140, keys, runs)
+    thr = case[-1]
+    r0 = np.linspace(-1.5 * thr, 1.5 * thr, 2 * runs.size)
+    got = dynamics._drive(r0, *case, 140, DEFAULT_NOISE)
+    _, steps, winner = got
+    assert (steps[np.abs(r0) >= thr] == 0).all() and (np.abs(r0) >= thr).sum() == 8
+    assert ((steps > BLOCK_STEPS) & (winner > 0)).any() and (winner == 0).any()
+    for pair, start in enumerate(r0.tolist()):
+        want = dynamics._drive(start, *case, 140, DEFAULT_NOISE)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a[pair].tobytes() == b[pair].tobytes()
+
+
 def _uncapped_steps(frame, runs):
     """Uncapped step counts of `runs` at seed 83, q0 0.5 and epsilon 1e-6."""
     rates, dt = KERNEL_FRAMES[frame]

@@ -113,8 +113,7 @@ def _records(kind, runs, seed=3, q0=0.5, **kw):
 def frame_rows(cfg, frame, runs):
     """The rows that frame's own run_frame_batch gives for runs, in run
     order: what the table holds at that frame's places."""
-    table = np.concatenate(run_frame_batch(cfg.scenario, (frame,), cfg.master_seed, runs))
-    return table[np.argsort(table["run_index"])]
+    return run_frame_batch(cfg.scenario, (frame,), cfg.master_seed, runs)[0]
 
 
 def assert_rows_by_place(cfg, table, runs):
@@ -371,25 +370,27 @@ def test_chunks_are_slices_of_the_table_in_chunk_order(monkeypatch, cfg):
     *(EnsembleConfig(kind=kind, runs=1300, master_seed=7) for kind in KIND_FRAMES),
     CAPPED,
 ], ids=[*KIND_FRAMES, "capped"])
-def test_a_chunk_is_its_batch_merged_by_run_index(cfg):
-    # where every run absorbs, run_frame_batch returns the whole table and
-    # an empty one of RECORD_DTYPE, and the chunk is that table; with
-    # failed rows in both of CAPPED's frames, the chunk is the pair joined
-    # and stably sorted by run_index
+def test_a_chunk_is_its_batch_table(monkeypatch, cfg):
+    # run_frame_batch returns the batch's whole table and an empty one of
+    # RECORD_DTYPE, and the chunk is that table itself, not a copy; with
+    # failed rows in both of CAPPED's frames, each sits in its place
     frames = KIND_FRAMES[cfg.kind](cfg.v)
     runs = range(100, 100 + min(cfg.runs, MAX_CHUNK_RUNS // len(frames)))
-    absorbed, failed = run_frame_batch(cfg.scenario, frames, cfg.master_seed,
-                                       np.arange(runs.start, runs.stop))
-    assert failed.dtype == absorbed.dtype == RECORD_DTYPE
-    merged = np.concatenate((absorbed, failed))
-    merged = merged[np.argsort(merged["run_index"], kind="stable")]
+    pairs = []
+
+    def spy_frame_batch(*args, **kwargs):
+        pairs.append(run_frame_batch(*args, **kwargs))
+        return pairs[-1]
+
+    monkeypatch.setattr(ensemble, "run_frame_batch", spy_frame_batch)
+    chunk = ensemble._run_chunk(cfg, runs)
+    [(table, empty)] = pairs
+    assert chunk is table
+    assert len(empty) == 0 and empty.dtype == table.dtype == RECORD_DTYPE
+    assert_rows_by_place(cfg, table, runs)
     if cfg is CAPPED:
-        assert (failed["winner"][0::2] == 0).any() and (failed["winner"][1::2] == 0).any()
-        assert (merged["winner"] > 0).any()
-    else:
-        assert len(failed) == 0
-        assert_rows_by_place(cfg, absorbed, runs)
-    assert_tables_equal(ensemble._run_chunk(cfg, runs), merged)
+        assert (table["winner"][0::2] == 0).any() and (table["winner"][1::2] == 0).any()
+        assert (table["winner"] > 0).any()
 
 
 def test_first_chunk_starts_at_the_run_index_limit(monkeypatch):
@@ -633,12 +634,12 @@ def test_engine_calls_read_one_key_per_stream(monkeypatch, kind, streams):
     # call over the kind's F frames and one engine call; collapse_batch's
     # parameter 5 is stream_keys, one list of keys per frame, whose first
     # holds one key per stream (2 in frame 0, 1 in A and B), a batch's
-    # result holds one step count per run of runs in each frame, and
-    # run_frame_batch's two tables hold one row per (run, frame) pair.
-    # With the floor at 300 F runs a worker, every kind runs in 3 chunks
-    # of no more than 300 runs; a cap of 100 steps at epsilon 0.01
-    # leaves rows in both tables of every batch, and the ensemble aborts
-    # once its 3 chunks are done
+    # result holds one step count per run of runs in each frame, and the
+    # lengths of run_frame_batch's two tables sum to one row per (run,
+    # frame) pair, failed rows included.  With the floor at 300 F runs a
+    # worker, every kind runs in 3 chunks of no more than 300 runs; a cap
+    # of 100 steps at epsilon 0.01 leaves failed rows in every batch, and
+    # the ensemble aborts once its 3 chunks are done
     engine = experiment.collapse_batch
     signature = inspect.signature(engine)
     assert list(signature.parameters)[5] == "stream_keys"
@@ -664,13 +665,13 @@ def test_engine_calls_read_one_key_per_stream(monkeypatch, kind, streams):
     with pytest.raises(EnsembleAbortError):
         run_ensemble(cfg)
     assert len(calls) == len(batches) == 3
-    for (args, res), (runs, (absorbed, failed)) in zip(calls, batches):
+    for (args, res), (runs, (table, empty)) in zip(calls, batches):
         assert len(args["stream_keys"]) == len(KIND_FRAMES[kind](cfg.v))
         assert len(args["stream_keys"][0]) == len(args["rates"]) == streams
         assert len(res.steps) == len(args["stream_keys"]) * len(args["runs"]) == len(runs)
-        assert len(absorbed) + len(failed) == len(runs)
-        assert len(absorbed) and len(failed)
-        assert sorted(np.concatenate([absorbed, failed])["run_index"].tolist()) == sorted(runs)
+        assert len(table) + len(empty) == len(runs)
+        assert (table["winner"] == 0).any() and (table["winner"] > 0).any()
+        assert sorted(table["run_index"].tolist()) == sorted(runs)
 
 
 def test_abort_on_failures():

@@ -130,10 +130,10 @@ def test_stream_key_sets_disjoint_between_frames():
 def test_run_frame_trivial_q0():
     scn = build_scenario(q0=1.0)
     for frame in (FRAME_0, FRAME_A, FRAME_B):
-        absorbed, failed = run_frame_batch(scn, (frame,), 1, [0])
-        assert len(failed) == 0
-        assert absorbed["winner"].tolist() == [1]
-        assert absorbed["duration"].tolist() == [0.0]
+        table, empty = run_frame_batch(scn, (frame,), 1, [0])
+        assert len(empty) == 0
+        assert table["winner"].tolist() == [1]
+        assert table["duration"].tolist() == [0.0]
 
 
 def test_run_frame_first_detector_and_budget(tmp_path):
@@ -144,18 +144,18 @@ def test_run_frame_first_detector_and_budget(tmp_path):
     scn = build_scenario(d=3000.0)
     gap = activation_gap(scn.d, V99)
     for frame, first in ((FRAME_A, "D1"), (FRAME_B, "D2"), (FRAME_0, "simultaneous")):
-        absorbed, failed = run_frame_batch(scn, (frame,), 2, range(5, 405))
-        assert len(failed) == 0 and absorbed.dtype == RECORD_DTYPE
-        assert absorbed["run_index"].tolist() == list(range(5, 405))
-        export_records(absorbed, str(tmp_path / "records.csv"), "csv", (frame,))
+        table, empty = run_frame_batch(scn, (frame,), 2, range(5, 405))
+        assert len(empty) == 0 and table.dtype == RECORD_DTYPE
+        assert table["run_index"].tolist() == list(range(5, 405))
+        export_records(table, str(tmp_path / "records.csv"), "csv", (frame,))
         with open(tmp_path / "records.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert {(row["frame"], row["first_detector"]) for row in rows} == {(frame.label, first)}
-        codes = absorbed["within_budget"].tolist()
+        codes = table["within_budget"].tolist()
         if frame is FRAME_0:
             assert set(codes) == {0}
         else:
-            assert codes == [1 if t < gap else 2 for t in absorbed["duration"].tolist()]
+            assert codes == [1 if t < gap else 2 for t in table["duration"].tolist()]
             assert set(codes) == {1, 2}
 
 
@@ -166,18 +166,25 @@ def test_run_frame_refuses_indices_that_are_not_integers():
     for bad in ([1.5], np.array([2.7]), [True], np.array([True]), [0, 1.0]):
         with pytest.raises(TypeError, match="integers"):
             run_frame_batch(scn, (FRAME_A,), 3, bad)
-    absorbed, _ = run_frame_batch(scn, (FRAME_A,), 3, [np.uint64(2)])
-    assert absorbed["run_index"].tolist() == [2]
-    assert absorbed.tobytes() == run_frame_batch(scn, (FRAME_A,), 3, [2])[0].tobytes()
+    table, _ = run_frame_batch(scn, (FRAME_A,), 3, [np.uint64(2)])
+    assert table["run_index"].tolist() == [2]
+    assert table.tobytes() == run_frame_batch(scn, (FRAME_A,), 3, [2])[0].tobytes()
 
 
 def test_run_frame_capped_rows_have_no_verdict():
-    scn = build_scenario(d=3000.0, overrides={"max_steps": 40})
+    # capped at 200 steps, some runs of each frame fail and some absorb;
+    # a failed run keeps its row in place, winner 0 with no verdict, and
+    # frame A's absorbed rows keep theirs
+    scn = build_scenario(d=3000.0, overrides={"max_steps": 200})
     for frame in (FRAME_A, FRAME_0):
-        absorbed, failed = run_frame_batch(scn, (frame,), 2, range(50))
-        assert len(failed) > 0
-        assert failed["winner"].tolist() == [0] * len(failed)
-        assert failed["within_budget"].tolist() == [0] * len(failed)
+        table, empty = run_frame_batch(scn, (frame,), 2, range(50))
+        assert len(empty) == 0 and empty.dtype == RECORD_DTYPE
+        assert table["run_index"].tolist() == list(range(50))
+        capped = table["winner"] == 0
+        assert 0 < capped.sum() < 50
+        assert table["within_budget"][capped].tolist() == [0] * capped.sum()
+        if frame is FRAME_A:
+            assert set(table["within_budget"][~capped].tolist()) <= {1, 2}
 
 
 def test_frame_a_outcome_depends_only_on_d1_stream():
@@ -362,39 +369,35 @@ def test_mirror_symmetry_statistics():
 
 
 def test_run_frame_batch_failures():
+    # every run hits the cap of 64 steps, and each keeps its row, in place,
+    # with the capped duration; the second table is empty
     scn = build_scenario(overrides={"max_steps": 64})
-    outcomes, failures = run_frame_batch(scn, (FRAME_A,), 1, range(8))
-    assert len(outcomes) == 0
-    assert failures["run_index"].tolist() == list(range(8))
-    assert np.all(failures["winner"] == 0)
-    assert np.all(failures["duration"] == 64 * scn.params.dt)
+    table, empty = run_frame_batch(scn, (FRAME_A,), 1, range(8))
+    assert len(empty) == 0 and empty.dtype == table.dtype == RECORD_DTYPE
+    assert table["run_index"].tolist() == list(range(8))
+    assert np.all(table["winner"] == 0)
+    assert np.all(table["duration"] == 64 * scn.params.dt)
 
 
 def test_frame_pair_batch_rows_keep_frame_order():
-    # one run_frame_batch over (A, B) steps both frames in one engine call.
-    # Capped at 80 steps at epsilon 0.01, some runs fail in A alone and
-    # some in B alone; such a run's rows are both in the failed part, A's
-    # row before B's, so the two parts joined and stably sorted by run
-    # index are the table whose row 2 k + f is run k in frame f, each row
-    # the one a batch of its frame alone gives
+    # one run_frame_batch over (A, B) steps both frames in one engine call,
+    # and its table's row 2 k + f is run k in frame f.  Capped at 80 steps
+    # at epsilon 0.01, some runs fail in A alone, some in B alone and some
+    # in both, among them the first and the last run; each failed row sits
+    # in place, and every row is the one a one-run batch of its frame gives
     scn = build_scenario(d=3000.0, overrides={"epsilon": 0.01, "max_steps": 80})
-    runs = np.arange(3, 43)
-    absorbed, failed = run_frame_batch(scn, (FRAME_A, FRAME_B), 3, runs)
-    alone = []
-    for frame in (FRAME_A, FRAME_B):
-        table = np.concatenate(run_frame_batch(scn, (frame,), 3, runs))
-        alone.append(table[np.argsort(table["run_index"])])
-    fail_a, fail_b = (table["winner"] == 0 for table in alone)
-    assert (fail_a & ~fail_b).any() and (~fail_a & fail_b).any()
-    for part in (absorbed, failed):
-        assert part["run_index"][0::2].tolist() == part["run_index"][1::2].tolist()
-        assert sorted(part["run_index"].tolist()) == part["run_index"].tolist()
-    assert failed["run_index"][0::2].tolist() == runs[fail_a | fail_b].tolist()
-    assert (absorbed["winner"] > 0).all()
-    table = np.concatenate([absorbed, failed])
-    table = table[np.argsort(table["run_index"], kind="stable")]
-    for f in (0, 1):
-        assert_tables_equal(table[f::2], alone[f])
+    runs = np.arange(3, 60)
+    table, empty = run_frame_batch(scn, (FRAME_A, FRAME_B), 3, runs)
+    assert len(empty) == 0 and empty.dtype == RECORD_DTYPE
+    assert len(table) == 2 * runs.size
+    assert table["run_index"].tolist() == np.repeat(runs, 2).tolist()
+    fail_a, fail_b = table["winner"][0::2] == 0, table["winner"][1::2] == 0
+    assert (fail_a & ~fail_b).any() and (~fail_a & fail_b).any() and (fail_a & fail_b).any()
+    assert (fail_a | fail_b)[[0, -1]].all() and not (fail_a | fail_b).all()
+    for i, run in enumerate(runs.tolist()):
+        for f, frame in enumerate((FRAME_A, FRAME_B)):
+            alone, _ = run_frame_batch(scn, (frame,), 3, [run])
+            assert_tables_equal(table[2 * i + f:2 * i + f + 1], alone)
 
 
 def test_frame_batch_refuses_frames_of_other_rates():
