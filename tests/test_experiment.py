@@ -212,9 +212,10 @@ def test_frame0_consumes_both_streams():
 def test_cross_frame_disagreement_rate():
     scn = build_scenario(q0=0.3)
     n = 3000
-    outcomes_a, fail_a = run_frame_batch(scn, (FRAME_A,), 77, range(n))
-    outcomes_b, fail_b = run_frame_batch(scn, (FRAME_B,), 77, range(n))
-    assert len(fail_a) == len(fail_b) == 0
+    outcomes_a, empty_a = run_frame_batch(scn, (FRAME_A,), 77, range(n))
+    outcomes_b, empty_b = run_frame_batch(scn, (FRAME_B,), 77, range(n))
+    assert len(empty_a) == len(empty_b) == 0
+    assert (outcomes_a["winner"] > 0).all() and (outcomes_b["winner"] > 0).all()
     rate = np.count_nonzero(outcomes_a["winner"] != outcomes_b["winner"]) / n
     expected = disagreement_rate_analytic(0.3, scn.params.epsilon)
     assert abs(rate - expected) < 4.0 * math.sqrt(expected * (1 - expected) / n)
@@ -249,8 +250,8 @@ def test_closed_form_born_and_mean_time(frame, epsilon, n):
     scn = build_scenario(q0=0.3, overrides={"epsilon": epsilon})
     q0, eps = scn.q0, scn.params.epsilon
     gamma = sum(scn.frame_rates(frame))
-    outcomes, failures = run_frame_batch(scn, (frame,), 131, range(n))
-    assert len(failures) == 0
+    outcomes, empty = run_frame_batch(scn, (frame,), 131, range(n))
+    assert len(empty) == 0 and (outcomes["winner"] > 0).all()
     p = (q0 - eps) / (1.0 - 2.0 * eps)
     w1 = np.count_nonzero(outcomes["winner"] == 1)
     assert abs(w1 / n - p) < 4.0 * math.sqrt(p * (1.0 - p) / n)
@@ -338,8 +339,8 @@ def test_collapse_time_law_lattice_ks(frame, q0):
 def test_born_marginal_per_frame():
     scn = build_scenario(q0=0.3)
     n = 3000
-    outcomes, failures = run_frame_batch(scn, (FRAME_B,), 91, range(n))
-    assert len(failures) == 0
+    outcomes, empty = run_frame_batch(scn, (FRAME_B,), 91, range(n))
+    assert len(empty) == 0 and (outcomes["winner"] > 0).all()
     freq = np.count_nonzero(outcomes["winner"] == 1) / n
     assert abs(freq - 0.3) < 4.0 * math.sqrt(0.3 * 0.7 / n)
 
